@@ -4,8 +4,10 @@ Three commands: ``list`` prints the identity catalog, ``eval`` evaluates a
 cataloged function at given arguments, and ``verify`` runs closed form
 against oracle over a parameter grid and writes a machine-readable report.
 
-Exit codes: 0 all comparisons passed, 1 at least one numerical failure,
-2 usage or domain error.  Grid points are processed in deterministic
+Exit codes: 0 every comparison passed; 1 at least one grid point failed,
+including a point outside the identity's domain, which is reported with a
+reason rather than skipped; 2 a usage error, or an ``eval`` argument outside
+the function's domain.  Grid points are processed in deterministic
 declaration order, so identical invocations produce identical reports.
 """
 
@@ -194,38 +196,35 @@ def _parse_scalar(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _eval_entry(fn, arity, note="series, tolerance 1e-12"):
-    return fn, arity, note
+_SERIES = "series, tolerance 1e-12"
+_CLOSED_APPROX = "closed approximation, <= 1e-13 relative"
+_FINITE = "exact (finite sum)"
+_EXACT = "closed form (exact)"
 
 _EVAL_FUNCS = {
-    "gamma": _eval_entry(specfun.gamma, 1, note="closed approximation, <= 1e-13 relative"),
-    "beta": _eval_entry(specfun.beta, 2, note="closed approximation, <= 1e-13 relative"),
-    "bessel_j": _eval_entry(specfun.bessel_j, 2),
-    "bessel_i": _eval_entry(specfun.bessel_i, 2),
-    "struve_h": _eval_entry(specfun.struve_h, 2),
-    "b_nu": _eval_entry(specfun.b_nu, 2),
-    "pseudo_trig": _eval_entry(lambda k, m, x: specfun.pseudo_trig(int(k), int(m), x), 3),
-    "hermite_higher": _eval_entry(
-        lambda n, m, u, v: specfun.hermite_higher(int(n), int(m), u, v), 4,
-        note="exact (finite sum)"),
-    "hermite_hybrid": _eval_entry(
-        lambda n, m, x, y: specfun.hermite_hybrid(int(n), int(m), x, y), 4,
-        note="exact (finite sum)"),
-    "truncated_e": _eval_entry(
-        lambda n, m, x, y: specfun.truncated_e(int(n), int(m), x, y), 4,
-        note="exact (finite sum)"),
-    "hermite_tricomi": _eval_entry(
-        lambda n, m, x, y: specfun.hermite_tricomi(int(n), int(m), x, y), 4),
-    "fresnel_bessel": _eval_entry(closedforms.fresnel_bessel, 3),
-    "struve_halfline": _eval_entry(closedforms.struve_halfline_integral, 2,
-                                   note="closed form (exact)"),
-    "struve_moment": _eval_entry(closedforms.struve_moment_integral, 1,
-                                 note="closed form (exact)"),
-    "bessel_gauss_dilation": _eval_entry(
-        lambda n, x: closedforms.bessel_gauss_dilation(int(n), x), 2),
-    "lorentz_gauss": _eval_entry(closedforms.lorentz_gauss_integral, 1),
-    "bessel_generating": _eval_entry(
-        lambda x, t, m: closedforms.bessel_generating_function(x, t, int(m)), 3),
+    "gamma": (specfun.gamma, 1, _CLOSED_APPROX),
+    "beta": (specfun.beta, 2, _CLOSED_APPROX),
+    "bessel_j": (specfun.bessel_j, 2, _SERIES),
+    "bessel_i": (specfun.bessel_i, 2, _SERIES),
+    "struve_h": (specfun.struve_h, 2, _SERIES),
+    "b_nu": (specfun.b_nu, 2, _SERIES),
+    "pseudo_trig": (lambda k, m, x: specfun.pseudo_trig(int(k), int(m), x), 3, _SERIES),
+    "hermite_higher": (lambda n, m, u, v: specfun.hermite_higher(int(n), int(m), u, v),
+                       4, _FINITE),
+    "hermite_hybrid": (lambda n, m, x, y: specfun.hermite_hybrid(int(n), int(m), x, y),
+                       4, _FINITE),
+    "truncated_e": (lambda n, m, x, y: specfun.truncated_e(int(n), int(m), x, y),
+                    4, _FINITE),
+    "hermite_tricomi": (lambda n, m, x, y: specfun.hermite_tricomi(int(n), int(m), x, y),
+                        4, _SERIES),
+    "fresnel_bessel": (closedforms.fresnel_bessel, 3, _SERIES),
+    "struve_halfline": (closedforms.struve_halfline_integral, 2, _EXACT),
+    "struve_moment": (closedforms.struve_moment_integral, 1, _EXACT),
+    "bessel_gauss_dilation": (lambda n, x: closedforms.bessel_gauss_dilation(int(n), x),
+                              2, _SERIES),
+    "lorentz_gauss": (closedforms.lorentz_gauss_integral, 1, _SERIES),
+    "bessel_generating": (lambda x, t, m: closedforms.bessel_generating_function(x, t, int(m)),
+                          3, _SERIES),
 }
 
 

@@ -27,7 +27,7 @@ from .specfun import (
     hermite_tricomi,
     hyper_pfq,
 )
-from .summation import DEFAULT_CAP, sum_series
+from .summation import sum_series
 from .umbral import (
     bessel_power_series,
     exponential_series,
@@ -147,34 +147,27 @@ def lorentz_gauss_integral(x: float, method: str = "hypergeometric",
         return 0.5 * math.pi * hyper_pfq((0.75, 1.25), (1.0, 1.5), -x * x, tol=tol)
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
-    w = -x * x
-
-    def terms():
-        u = 1.0
-        for k in count():
-            yield u * math.exp(math.lgamma(2 * k + 1.5) - math.lgamma(2 * k + 2.0))
-            u *= w / (k + 1.0)
-
-    value, _ = sum_series(terms(), tol, cap=DEFAULT_CAP)
-    return math.sqrt(math.pi) * value
+    law = umbral.GammaRatioSequence(scale=math.sqrt(math.pi), numer=((1.5, 2.0),),
+                                    denom=((1.0, 1.0), (2.0, 2.0)))
+    return _even_series(law, x, tol)
 
 
 def lorentz_gauss_paper_literal(x: float, tol: float = DEFAULT_TOL) -> float:
     """The uncorrected series variant with a plain (2k+2) denominator.
 
     Kept only so the verifier can demonstrate that it disagrees with the
-    defining integral (it gives pi/4 instead of pi/2 at x = 0).
+    defining integral (it gives pi/4 instead of pi/2 at x = 0).  Its
+    coefficient Gamma(2k+3/2) / ((2k+2) k!) is Gamma(2k+3/2) / (2 (k+1)!).
     """
-    w = -x * x
+    law = umbral.GammaRatioSequence(scale=0.5 * math.sqrt(math.pi), numer=((1.5, 2.0),),
+                                    denom=((2.0, 1.0),))
+    return _even_series(law, x, tol)
 
-    def terms():
-        u = 1.0
-        for k in count():
-            yield u * math.exp(math.lgamma(2 * k + 1.5)) / (2.0 * k + 2.0)
-            u *= w / (k + 1.0)
 
-    value, _ = sum_series(terms(), tol, cap=DEFAULT_CAP)
-    return math.sqrt(math.pi) * value
+def _even_series(law, x: float, tol: float) -> float:
+    """sum_k law(k) (-x^2)^k."""
+    series = umbral.CoefficientSeries(law, stride=2, geometric=-1.0)
+    return series.evaluate(x, tol=tol).real
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +325,9 @@ def _eq35_oracle(p, tol):
     x = p["x"]
 
     def integrand(t):
-        # the sected exponential grows like e^{x t / 2}; past this cutoff
-        # the e^{-t} weight has certainly won (|x| < 1) and the closed form
-        # would overflow before the product could underflow
-        if t > 700.0:
-            return 0.0
-        return math.exp(-t) * reference.pseudo_trig3_closed(x * t)
+        # for x near -1 the product decays only like e^{-(1+x) t}, long
+        # after e^{-x t} alone has overflowed, so the weight goes inside
+        return reference.pseudo_trig3_closed(x * t, -t)
 
     return oracle.integrate_half_line(integrand, tol)
 

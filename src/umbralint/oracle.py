@@ -1,10 +1,9 @@
 """Independent numerical ground truth.
 
 Adaptive Gauss-Kronrod quadrature on finite, half-line, and whole-line
-domains, damping-ladder regularization for conditionally convergent
-integrals, and a guarded series summer.  This module never calls the
-closed-form or umbral evaluators; integrands arrive as plain callables and
-may be complex valued.
+domains, and damping-ladder regularization for conditionally convergent
+integrals.  This module never calls the closed-form or umbral evaluators;
+integrands arrive as plain callables and may be complex valued.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -15,21 +14,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, Sequence
 
 from .errors import DomainError, ExtrapolationError, QuadratureError
-from .summation import DEFAULT_CAP, SeriesTail, sum_series
 
 __all__ = [
     "QuadratureResult",
     "RegularizationTrace",
-    "SeriesTail",
     "integrate_finite",
     "integrate_half_line",
     "integrate_real_line",
     "integrate_oscillatory_gaussian",
-    "series_sum",
     "DEFAULT_LADDER_START",
     "DEFAULT_LADDER_RATIO",
 ]
@@ -422,11 +417,3 @@ def integrate_oscillatory_gaussian(f: Callable, beta: float, tol: float,
     return _run_ladder(damped, ladder, exponents, tol, inner_tol,
                        max_intervals, initial_intervals)
 
-
-def series_sum(term: Callable[[int], complex], tol: float,
-               cap: int = DEFAULT_CAP):
-    """Guarded summation of term(0) + term(1) + ...
-
-    Returns (value, SeriesTail); raises ConvergenceError past the cap.
-    """
-    return sum_series((term(k) for k in count()), tol, cap=cap)

@@ -39,10 +39,14 @@ def kummer_m_ref(a: float, b: float, x: float) -> float:
     return float(_sp.hyp1f1(a, b, x))
 
 
-def pseudo_trig3_closed(u: float) -> float:
-    """The 3-sected alternating exponential via cube roots of unity:
-    (e^{-u} + 2 e^{u/2} cos(sqrt(3) u / 2)) / 3."""
-    return (math.exp(-u) + 2.0 * math.exp(0.5 * u) * math.cos(_SQRT3_HALF * u)) / 3.0
+def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:
+    """The 3-sected alternating exponential via cube roots of unity, times
+    e^{log_weight}: (e^{w-u} + 2 e^{w+u/2} cos(sqrt(3) u / 2)) / 3.
+
+    Folding the weight into each exponential keeps a decaying product
+    finite where e^{-u} alone would overflow."""
+    return (math.exp(log_weight - u)
+            + 2.0 * math.exp(log_weight + 0.5 * u) * math.cos(_SQRT3_HALF * u)) / 3.0
 
 
 def classical_hermite(n: int, z):

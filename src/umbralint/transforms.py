@@ -1,24 +1,19 @@
 """Borel transform pair and the Euler-kernel (Beta) transform.
 
-Both act termwise on series representations: the exponential-moment
-transform multiplies the k-th coefficient by k!, its inverse divides, and
-the Euler kernel multiplies the n-th moment by B(alpha+n, beta).  Each
-transform is verified elsewhere against direct quadrature of its defining
-integral.
+Both act termwise on a series, as edits of its Gamma-ratio law: the
+exponential-moment transform multiplies the coefficient of x^a by Gamma(a+1),
+its inverse divides by it, and the Euler kernel multiplies it by
+B(alpha+a, beta).  Each transform is verified elsewhere against direct
+quadrature of its defining integral.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from itertools import count
-from typing import Callable, Sequence, Union
+from dataclasses import replace
 
 from .errors import DomainError
-from .specfun import DEFAULT_TOL, gamma, inv_factorial
-from .summation import DEFAULT_CAP, sum_series
-from .umbral import GammaRatioSequence, UmbralSeries, phi_eval
+from .specfun import gamma, inv_factorial
+from .umbral import CoefficientSeries, GammaRatioSequence, constant_phi
 
 __all__ = [
     "CoefficientSeries",
@@ -31,135 +26,54 @@ __all__ = [
     "geometric_sected_series",
 ]
 
-CoefficientLaw = Union[GammaRatioSequence, Sequence, Callable[[int], complex]]
 
-
-@dataclass(frozen=True)
-class CoefficientSeries:
-    """A power series described by its coefficient law.
-
-    coefficient(k) = law(k) * (-1)^k [if alternating] * geometric^k * (k!)^shift.
-    The factorial shift is what the exponential-moment transform and its
-    inverse manipulate, so a round trip reproduces coefficients exactly.
-    ``radius_hint`` documents the expected convergence radius; it is not
-    enforced.
-    """
-
-    law: CoefficientLaw
-    alternating: bool = False
-    radius_hint: float = math.inf
-    factorial_shift: int = 0
-    geometric: complex = 1.0
-
-    def coefficient(self, k: int) -> complex:
-        law = self.law
-        shift = self.factorial_shift
-        if isinstance(law, GammaRatioSequence):
-            # fold the factorial power into the Gamma ratio so the whole
-            # coefficient is assembled in log space
-            c = phi_eval(_shifted_ratio(law, shift) if shift else law, float(k))
-        else:
-            c = complex(law(k)) if callable(law) \
-                else (complex(law[k]) if k < len(law) else complex(0.0))
-            if shift and c != 0:
-                if k <= 170:
-                    fact = float(math.factorial(k))
-                    for _ in range(abs(shift)):
-                        c = c * fact if shift > 0 else c / fact
-                else:
-                    c *= math.exp(shift * math.lgamma(k + 1.0))
-        if self.alternating and k % 2:
-            c = -c
-        if self.geometric != 1.0:
-            c *= self.geometric ** k
-        return c
-
-    def coefficients(self, n: int):
-        """The first n coefficients as a list."""
-        return [self.coefficient(k) for k in range(n)]
-
-    def evaluate(self, x, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_CAP) -> complex:
-        """Sum coefficient(k) x^k under the shared stopping rule."""
-        z = complex(x)
-
-        def terms():
-            u = complex(1.0)
-            for k in count():
-                yield self.coefficient(k) * u
-                u *= z
-
-        value, _ = sum_series(terms(), tol, cap=max_terms)
-        return complex(value)
-
-    def is_finite(self) -> bool:
-        return not isinstance(self.law, GammaRatioSequence) and not callable(self.law)
-
-
-@lru_cache(maxsize=256)
-def _shifted_ratio(law: GammaRatioSequence, shift: int) -> GammaRatioSequence:
-    """law(k) * (k!)^shift as a single Gamma ratio."""
-    extra = tuple((1.0, 1.0) for _ in range(abs(shift)))
-    if shift > 0:
-        return GammaRatioSequence(law.scale, law.numer + extra, law.denom)
-    return GammaRatioSequence(law.scale, law.numer, law.denom + extra)
+def _exponent_gamma(g: CoefficientSeries) -> tuple:
+    """Gamma(offset + 1 + stride k), the factorial of the exponent of term k."""
+    return ((g.offset + 1.0, float(g.stride)),)
 
 
 def borel_transform(g: CoefficientSeries) -> CoefficientSeries:
-    """Multiply the k-th coefficient by k!.
+    """Multiply the coefficient of x^a by Gamma(a + 1).
 
     The resulting series evaluates the exponential moment integral
     of g(x t) dt over (0, infinity) wherever both sides converge.
     """
-    return replace(g, factorial_shift=g.factorial_shift + 1)
+    return replace(g, law=g.law.times(numer=_exponent_gamma(g)))
 
 
 def borel_inverse(L: CoefficientSeries) -> CoefficientSeries:
-    """Divide the k-th coefficient by k! (exact inverse of borel_transform)."""
-    return replace(L, factorial_shift=L.factorial_shift - 1)
+    """Divide the coefficient of x^a by Gamma(a + 1) (exact inverse of
+    borel_transform: the two factors cancel in the canonical law)."""
+    return replace(L, law=L.law.times(denom=_exponent_gamma(L)))
 
 
 def series_from_moments(phi: GammaRatioSequence, extra_factorials: int = 1) -> CoefficientSeries:
-    """The alternating series sum_k phi(k)/(k!)^e (-x)^k as a CoefficientSeries.
+    """The alternating series sum_k phi(k)/(k!)^e (-x)^k.
 
     extra_factorials = 1 gives the moment-series shape; 2 gives its
     exponential-moment preimage.
     """
     if extra_factorials < 0:
         raise DomainError("extra_factorials must be >= 0")
-    return CoefficientSeries(law=phi, alternating=True,
-                             factorial_shift=-extra_factorials)
+    return CoefficientSeries(phi.times(denom=((1.0, 1.0),) * extra_factorials),
+                             geometric=-1.0)
 
 
 def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
-    """Coefficient law of the m-sected alternating exponential c_k."""
+    """The m-sected alternating exponential c_k = sum_r (-1)^r x^{m r + k}/(m r + k)!."""
     if not isinstance(m, int) or m < 2:
         raise DomainError("pseudo_trig_series needs integer m >= 2")
     if not isinstance(k, int) or not 0 <= k < m:
         raise DomainError("pseudo_trig_series needs 0 <= k < m")
-
-    def law(j: int) -> complex:
-        if (j - k) % m:
-            return 0.0
-        r = (j - k) // m
-        sign = -1.0 if r % 2 else 1.0
-        return sign * inv_factorial(j)
-
-    return CoefficientSeries(law=law, radius_hint=math.inf)
+    law = GammaRatioSequence(denom=((k + 1.0, float(m)),))
+    return CoefficientSeries(law, stride=m, offset=float(k), geometric=-1.0)
 
 
 def geometric_sected_series(k: int, m: int) -> CoefficientSeries:
-    """Coefficient law of x^k/(1 + x^m) = sum_r (-1)^r x^{m r + k}, |x| < 1."""
+    """x^k/(1 + x^m) = sum_r (-1)^r x^{m r + k}, |x| < 1."""
     if not isinstance(m, int) or m < 1:
         raise DomainError("geometric_sected_series needs integer m >= 1")
-
-    def law(j: int) -> complex:
-        if j < k or (j - k) % m:
-            return 0.0
-        r = (j - k) // m
-        return -1.0 if r % 2 else 1.0
-
-    return CoefficientSeries(law=law, radius_hint=1.0)
+    return CoefficientSeries(constant_phi(), stride=m, offset=float(k), geometric=-1.0)
 
 
 def borel_hybrid_hermite(n: int, m: int, x, y, variable: str = "first") -> complex:
@@ -190,24 +104,18 @@ def borel_hybrid_hermite(n: int, m: int, x, y, variable: str = "first") -> compl
     return complex(total) if isinstance(total, complex) else total
 
 
-def beta_transform(f: UmbralSeries, alpha: float, beta_: float) -> CoefficientSeries:
-    """Euler-kernel transform of a plain moment series.
+def beta_transform(f: CoefficientSeries, alpha: float, beta_: float) -> CoefficientSeries:
+    """Euler-kernel transform of a plain series sum_n c(n) x^n.
 
-    For f(x) = C sum_n phi(n) (-a x)^n / n!, averaging f(u x) against
-    u^{alpha-1} (1-u)^{beta-1} on (0, 1) multiplies the n-th moment by
-    B(alpha+n, beta).  The result is returned as a coefficient series whose
-    law stays in Gamma-ratio form.
+    Averaging f(u x) against u^{alpha-1} (1-u)^{beta-1} on (0, 1) multiplies
+    the n-th coefficient by B(alpha+n, beta), so the law gains
+    Gamma(alpha+n) Gamma(beta) / Gamma(alpha+beta+n) and stays in
+    Gamma-ratio form.
     """
-    if not (f.prefactor_power == 0.0 and f.shift == 0.0 and f.arg_power == 1):
-        raise DomainError("beta_transform needs an UmbralSeries with p = 0, "
-                          "s = 0, m = 1")
+    if not (f.stride == 1 and f.offset == 0.0):
+        raise DomainError("beta_transform needs a series with stride 1 and offset 0")
     if not (alpha > 0 and beta_ > 0):
         raise DomainError("beta_transform needs alpha > 0 and beta > 0")
-    phi = f.phi
-    law = GammaRatioSequence(
-        scale=complex(phi.scale) * complex(f.overall_scale) * gamma(beta_),
-        numer=phi.numer + ((alpha, 1.0),),
-        denom=phi.denom + ((alpha + beta_, 1.0), (1.0, 1.0)),
-    )
-    return CoefficientSeries(law=law, alternating=True,
-                             geometric=complex(f.arg_scale))
+    law = f.law.times(scale=gamma(beta_), numer=((alpha, 1.0),),
+                      denom=((alpha + beta_, 1.0),))
+    return replace(f, law=law)

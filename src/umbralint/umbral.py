@@ -1,10 +1,12 @@
-"""Operational core: moment sequences, umbral series, Mellin machinery.
+"""Operational core: Gamma-ratio moment laws, their series, Mellin machinery.
 
-A moment sequence phi is kept in Gamma-ratio form, which fixes its analytic
-continuation; an umbral series is the associated x-expansion
-C x^p sum_k phi(k+s) (-a x^m)^k / k!.  The Mellin evaluator turns such a
-series into a closed form in one step, and the Mellin-multiplier engine
-applies a dilation-kernel symbol F(x d/dx) term by term.
+A moment law phi is kept in Gamma-ratio form, which fixes its analytic
+continuation.  A series is one law together with a stride, an offset and a
+geometric factor: term k is law(k) geometric^k x^(stride k + offset).  The
+Mellin evaluator turns such a series into a closed form in one step, the
+transforms of the ``transforms`` module are edits of its Gamma ratio, and
+the Mellin-multiplier engine applies a dilation-kernel symbol F(x d/dx)
+term by term.
 
 All types are immutable values and all operations are pure.
 """
@@ -14,9 +16,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable
 
 from .errors import DomainError, KernelDomainError, PoleError, StripError
 from .specfun import DEFAULT_TOL, gamma, gamma_sign, log_gamma
@@ -24,12 +26,10 @@ from .summation import DEFAULT_CAP, sum_series
 
 __all__ = [
     "GammaRatioSequence",
-    "UmbralSeries",
+    "CoefficientSeries",
     "MellinMultiplier",
     "MultiplierKind",
-    "PowerSeriesSpec",
     "phi_eval",
-    "eval_umbral_series",
     "mellin_master",
     "mellin_master_strided",
     "apply_mellin_multiplier",
@@ -48,11 +48,16 @@ __all__ = [
     "lorentz_power",
     "borel_factorial",
     "beta_kernel",
-    "custom_multiplier",
 ]
 
 # Tolerance used when deciding whether a real Gamma argument sits on a pole.
 _POLE_TOL = 1e-12
+
+# A term whose log magnitude exceeds this is not a finite double.
+_LOG_MAX = math.log(sys.float_info.max)
+
+# The factor Gamma(1 + k) that turns a series coefficient into its moment.
+_FACTORIAL = ((1.0, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,8 @@ class GammaRatioSequence:
 
     The Gamma-ratio form guarantees a well-defined analytic continuation,
     which the Mellin evaluator relies on.  phi(0) must be finite and
-    nonzero.
+    nonzero.  The form is canonical: factors common to numerator and
+    denominator cancel and the rest are sorted, so equal laws compare equal.
     """
 
     scale: complex = 1.0
@@ -70,19 +76,33 @@ class GammaRatioSequence:
     denom: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "numer", tuple((float(s), float(m)) for s, m in self.numer))
-        object.__setattr__(self, "denom", tuple((float(s), float(m)) for s, m in self.denom))
+        numer = [(float(s), float(m)) for s, m in self.numer]
+        denom = [(float(s), float(m)) for s, m in self.denom]
+        if numer and denom:
+            for factor in tuple(numer):
+                if factor in denom:
+                    numer.remove(factor)
+                    denom.remove(factor)
+        numer.sort()
+        denom.sort()
+        object.__setattr__(self, "numer", tuple(numer))
+        object.__setattr__(self, "denom", tuple(denom))
         if self.scale == 0:
             raise DomainError("GammaRatioSequence scale must be nonzero")
         for shift, slope in self.numer + self.denom:
             if slope <= 0:
                 raise DomainError("GammaRatioSequence slopes must be positive")
-        value = phi_eval(self, 0.0)
-        if value == 0 or not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        sign, log_mag = _log_phi(self, 0.0)
+        if sign == 0 or log_mag > _LOG_MAX or not cmath.isfinite(self.scale):
             raise DomainError("GammaRatioSequence must have finite nonzero phi(0)")
 
     def __call__(self, s):
         return phi_eval(self, s)
+
+    def times(self, scale=1.0, numer=(), denom=()) -> GammaRatioSequence:
+        """This law multiplied by scale * prod Gamma(numer) / prod Gamma(denom)."""
+        return GammaRatioSequence(self.scale * scale, self.numer + tuple(numer),
+                                  self.denom + tuple(denom))
 
 
 def _classify_pole(arg: float):
@@ -93,90 +113,59 @@ def _classify_pole(arg: float):
     return None
 
 
-def phi_eval(phi: GammaRatioSequence, s) -> complex:
-    """Evaluate the continued moment sequence at s.
+def _log_phi(phi: GammaRatioSequence, s: float):
+    """(sign, log magnitude) of the Gamma factors of phi at real s.
 
-    A denominator factor at a Gamma pole makes the whole value exactly 0
-    unless a numerator factor is simultaneously at a pole, in which case the
-    finite residue-ratio limit is taken.  An uncancelled numerator pole
-    raises PoleError with the factor index.
+    The scale is left out.  A denominator factor at a Gamma pole makes the
+    sign 0 unless a numerator factor is simultaneously at a pole, in which
+    case the finite residue-ratio limit is taken.  An uncancelled numerator
+    pole raises PoleError with the factor index.
     """
-    s_complex = isinstance(s, complex) and s.imag != 0.0
-    if s_complex:
+    sign = 1.0
+    log_mag = 0.0
+    poles = None  # built only when a factor sits on a pole
+    for side, factors in enumerate((phi.numer, phi.denom)):
+        for idx, (shift, slope) in enumerate(factors):
+            arg = shift + slope * s
+            if arg < 0.5:
+                n = _classify_pole(arg)
+                if n is not None:
+                    if poles is None:
+                        poles = ([], [])
+                    poles[side].append((idx, n, slope))
+                    continue
+                sign *= gamma_sign(arg)
+            log_mag += -math.lgamma(arg) if side else math.lgamma(arg)
+    if poles is None:
+        return sign, log_mag
+
+    num_poles, den_poles = poles
+    if len(num_poles) > len(den_poles):
+        idx, n, _ = num_poles[len(den_poles)]
+        raise PoleError(-n, factor_index=idx,
+                        message=f"uncancelled numerator Gamma pole in factor {idx} at s={s}")
+    if len(den_poles) > len(num_poles):
+        return 0.0, 0.0
+    for (_, n1, m1), (_, n2, m2) in zip(num_poles, den_poles):
+        # Gamma(arg) ~ (-1)^n / (n! * slope * ds) near a simple pole, so the
+        # paired ratio tends to a finite limit.
+        if (n1 + n2) % 2:
+            sign = -sign
+        log_mag += math.log(m2 / m1) + math.lgamma(n2 + 1.0) - math.lgamma(n1 + 1.0)
+    return sign, log_mag
+
+
+def phi_eval(phi: GammaRatioSequence, s) -> complex:
+    """Evaluate the continued moment sequence at s (see ``_log_phi`` for poles)."""
+    if isinstance(s, complex) and s.imag != 0.0:
         total = cmath.log(complex(phi.scale))
         for shift, slope in phi.numer:
             total += log_gamma(shift + slope * s)
         for shift, slope in phi.denom:
             total -= log_gamma(shift + slope * s)
         return cmath.exp(total)
-
-    s = s.real if isinstance(s, complex) else float(s)
-    num_poles = []
-    num_regular = []
-    for idx, (shift, slope) in enumerate(phi.numer):
-        arg = shift + slope * s
-        n = _classify_pole(arg)
-        if n is None:
-            num_regular.append(arg)
-        else:
-            num_poles.append((idx, n, slope))
-    den_poles = []
-    den_regular = []
-    for idx, (shift, slope) in enumerate(phi.denom):
-        arg = shift + slope * s
-        n = _classify_pole(arg)
-        if n is None:
-            den_regular.append(arg)
-        else:
-            den_poles.append((idx, n, slope))
-
-    if len(num_poles) > len(den_poles):
-        idx, n, _ = num_poles[len(den_poles)]
-        raise PoleError(-n, factor_index=idx,
-                        message=f"uncancelled numerator Gamma pole in factor {idx} at s={s}")
-    if len(den_poles) > len(num_poles):
-        return complex(0.0)
-
-    limit = 1.0
-    for (_, n1, m1), (_, n2, m2) in zip(num_poles, den_poles):
-        # Gamma(arg) ~ (-1)^n / (n! * slope * ds) near a simple pole, so the
-        # paired ratio tends to a finite limit.
-        sign = -1.0 if (n1 + n2) % 2 else 1.0
-        limit *= sign * (m2 / m1) * math.exp(math.lgamma(n2 + 1.0) - math.lgamma(n1 + 1.0))
-
-    sign = 1.0
-    log_mag = 0.0
-    for arg in num_regular:
-        sign *= gamma_sign(arg)
-        log_mag += math.lgamma(arg)
-    for arg in den_regular:
-        sign *= gamma_sign(arg)
-        log_mag -= math.lgamma(arg)
-    return complex(phi.scale) * limit * sign * math.exp(log_mag)
-
-
-def phi_signed_log(phi: GammaRatioSequence, s: float):
-    """(unit-magnitude prefactor, log magnitude) of phi at real s.
-
-    The prefactor is 0 when a denominator pole annihilates the value.  Used
-    to assemble series terms whose separate pieces would overflow a double.
-    """
-    value_scale = complex(phi.scale)
-    pref = value_scale / abs(value_scale)
-    log_mag = math.log(abs(value_scale))
-    for shift, slope in phi.numer:
-        arg = shift + slope * s
-        if _classify_pole(arg) is not None:
-            raise PoleError(arg, message=f"numerator Gamma pole at s={s}")
-        pref *= gamma_sign(arg)
-        log_mag += math.lgamma(arg)
-    for shift, slope in phi.denom:
-        arg = shift + slope * s
-        if _classify_pole(arg) is not None:
-            return complex(0.0), 0.0
-        pref *= gamma_sign(arg)
-        log_mag -= math.lgamma(arg)
-    return pref, log_mag
+    sign, log_mag = _log_phi(phi, s.real if isinstance(s, complex) else float(s))
+    return complex(phi.scale) * sign * math.exp(log_mag)
 
 
 # -- cataloged moment sequences ---------------------------------------------
@@ -189,136 +178,205 @@ def constant_phi() -> GammaRatioSequence:
 
 def factorial_phi() -> GammaRatioSequence:
     """phi(s) = Gamma(1+s), the moment law of 1/(1+x)."""
-    return GammaRatioSequence(numer=((1.0, 1.0),))
+    return GammaRatioSequence(numer=_FACTORIAL)
 
 
 def bessel_phi() -> GammaRatioSequence:
     """phi(s) = 1/Gamma(1+s), the Bessel moment law."""
-    return GammaRatioSequence(denom=((1.0, 1.0),))
+    return GammaRatioSequence(denom=_FACTORIAL)
 
 
 def struve_phi(nu: float) -> GammaRatioSequence:
     """phi(s) = Gamma(s+1) / (Gamma(s+3/2) Gamma(s+nu+3/2))."""
-    return GammaRatioSequence(numer=((1.0, 1.0),),
+    return GammaRatioSequence(numer=_FACTORIAL,
                               denom=((1.5, 1.0), (nu + 1.5, 1.0)))
 
 
-@dataclass(frozen=True)
-class UmbralSeries:
-    """f(x) = C x^p sum_k phi(k+s) (-a x^m)^k / k!."""
+# -- the series type ----------------------------------------------------------
 
-    phi: GammaRatioSequence
-    prefactor_power: float = 0.0
-    shift: float = 0.0
-    arg_power: int = 1
-    arg_scale: complex = 1.0
-    overall_scale: complex = 1.0
+
+@dataclass(frozen=True)
+class CoefficientSeries:
+    """f(x) = sum_k law(k) geometric^k x^(stride k + offset).
+
+    The law is a Gamma ratio; signs, argument scales that no Gamma ratio
+    can express (4^-k), overall constants and 1/k! all live in ``law`` and
+    ``geometric``.  ``terms`` truncates the series to a polynomial (terms=1
+    is a monomial).  x is real; a negative x needs an integer offset.
+    """
+
+    law: GammaRatioSequence
+    stride: int = 1
+    offset: float = 0.0
+    geometric: complex = 1.0
+    terms: int | None = None
 
     def __post_init__(self):
-        if self.shift < 0:
-            raise DomainError("UmbralSeries shift must be >= 0")
-        if not isinstance(self.arg_power, int) or self.arg_power < 1:
-            raise DomainError("UmbralSeries arg_power must be a positive integer")
+        if not isinstance(self.law, GammaRatioSequence):
+            raise DomainError("CoefficientSeries law must be a GammaRatioSequence")
+        if not isinstance(self.stride, int) or self.stride < 1:
+            raise DomainError("CoefficientSeries stride must be a positive integer")
+        if self.geometric == 0:
+            raise DomainError("CoefficientSeries geometric factor must be nonzero")
+        if self.terms is not None and self.terms < 1:
+            raise DomainError("CoefficientSeries needs at least one term")
 
     def coefficient(self, k: int) -> complex:
-        """Coefficient of x^{p + m k} in the expanded series."""
-        u = (-self.arg_scale) ** k / math.factorial(k)
-        return self.overall_scale * phi_eval(self.phi, k + self.shift) * u
+        """Coefficient of x^(stride k + offset)."""
+        if self.terms is not None and k >= self.terms:
+            return complex(0.0)
+        return phi_eval(self.law, float(k)) * self.geometric ** k
+
+    def coefficients(self, n: int):
+        """The first n coefficients as a list."""
+        return [self.coefficient(k) for k in range(n)]
+
+    def evaluate(self, x: float, tol: float = DEFAULT_TOL,
+                 max_terms: int = DEFAULT_CAP) -> complex:
+        """Sum the series at x under the shared stopping rule."""
+        return _sum_terms(self, x, tol, max_terms)
 
 
-# -- cataloged umbral series -------------------------------------------------
+def _sum_terms(series: CoefficientSeries, x: float, tol: float, max_terms: int,
+               multiplier: MellinMultiplier | None = None) -> complex:
+    """sum_k law(k) geometric^k F(a_k) x^a_k with a_k = stride k + offset.
+
+    F is the multiplier's symbol, or 1 without one.  Terms are assembled in
+    log space, so factorially large pieces (a Borel-transformed law, the
+    exponential-moment symbol) cannot overflow against factorially small
+    ones.  A term beyond the double range ends the sum as a non-finite term.
+    """
+    m, p, law = series.stride, series.offset, series.law
+    if multiplier is not None:
+        multiplier._check(p)  # k = 0 is the smallest exponent reached
+    if x == 0:
+        if p > 0:
+            return complex(0.0)
+        if p < 0:
+            raise DomainError("series with negative offset power at x = 0")
+        value = series.coefficient(0)
+        return value * multiplier.value(0.0) if multiplier is not None else value
+    if x < 0 and p != int(p):
+        raise DomainError("negative x needs an integer offset power")
+
+    log_x = math.log(abs(x))
+    g, scale = series.geometric, law.scale
+    step_log = math.log(abs(g)) + m * log_x
+    step_sign = g / abs(g)
+    log0 = math.log(abs(scale)) + p * log_x
+    sign0 = scale / abs(scale)
+    if x < 0:
+        step_sign = -step_sign if m % 2 else step_sign
+        sign0 = -sign0 if int(p) % 2 else sign0
+    has_gamma = bool(law.numer or law.denom)
+
+    def terms():
+        sign = sign0
+        for k in count() if series.terms is None else range(series.terms):
+            log_mag = log0 + k * step_log
+            term_sign = sign
+            sign *= step_sign
+            if has_gamma:
+                gamma_sign_k, log_gamma_k = _log_phi(law, k)
+                if gamma_sign_k == 0.0:
+                    yield 0.0
+                    continue
+                term_sign *= gamma_sign_k
+                log_mag += log_gamma_k
+            if multiplier is not None:
+                log_mag += multiplier.log_value(m * k + p)
+            yield term_sign * (math.exp(log_mag) if log_mag <= _LOG_MAX else math.inf)
+
+    value, _ = sum_series(terms(), tol, cap=max_terms)
+    return complex(value)
 
 
-def bessel_series(n: int) -> UmbralSeries:
+# -- cataloged series ---------------------------------------------------------
+
+
+def bessel_series(n: int) -> CoefficientSeries:
     """Series evaluating to J_n(2x) as a function of x."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("bessel_series needs integer n >= 0")
-    return UmbralSeries(bessel_phi(), prefactor_power=float(n), shift=float(n),
-                        arg_power=2)
+    law = GammaRatioSequence(denom=_FACTORIAL + ((n + 1.0, 1.0),))
+    return CoefficientSeries(law, stride=2, offset=float(n), geometric=-1.0)
 
 
-def struve_series(nu: float, b: float = 1.0) -> UmbralSeries:
+def struve_series(nu: float, b: float = 1.0) -> CoefficientSeries:
     """Series evaluating to the Struve function of b*x as a function of x."""
     if b <= 0:
         raise DomainError("struve_series needs b > 0")
     half = 0.5 * b
-    return UmbralSeries(struve_phi(nu), prefactor_power=nu + 1.0, shift=0.0,
-                        arg_power=2, arg_scale=half * half,
-                        overall_scale=half ** (nu + 1.0))
+    # struve_phi(k) / k!: the factorial cancels its numerator Gamma(k+1)
+    law = GammaRatioSequence(scale=half ** (nu + 1.0),
+                             denom=((1.5, 1.0), (nu + 1.5, 1.0)))
+    return CoefficientSeries(law, stride=2, offset=nu + 1.0, geometric=-half * half)
 
 
-def exponential_series() -> UmbralSeries:
+def exponential_series() -> CoefficientSeries:
     """Series evaluating to exp(-x)."""
-    return UmbralSeries(constant_phi())
+    return CoefficientSeries(bessel_phi(), geometric=-1.0)
 
 
-def rational_series() -> UmbralSeries:
+def rational_series() -> CoefficientSeries:
     """Series whose Mellin data represents 1/(1+x) (converges for |x| < 1)."""
-    return UmbralSeries(factorial_phi())
+    return CoefficientSeries(constant_phi(), geometric=-1.0)
 
 
-def gaussian_series() -> UmbralSeries:
+def gaussian_series() -> CoefficientSeries:
     """Series evaluating to exp(-x^2)."""
-    return UmbralSeries(constant_phi(), arg_power=2)
+    return CoefficientSeries(bessel_phi(), stride=2, geometric=-1.0)
 
 
-def eval_umbral_series(f: UmbralSeries, x, tol: float = DEFAULT_TOL,
-                       max_terms: int = DEFAULT_CAP) -> complex:
-    """Sum the series at x to the requested relative tolerance."""
-    z = complex(x)
-    p = f.prefactor_power
-    if z == 0:
-        if p > 0:
-            return complex(0.0)
-        if p == 0:
-            return complex(f.overall_scale) * phi_eval(f.phi, f.shift)
-        raise DomainError("umbral series with negative prefactor power at x = 0")
-    prefactor = complex(f.overall_scale) * z ** p
-    w = -complex(f.arg_scale) * z ** f.arg_power
-
-    def terms():
-        u = complex(1.0)
-        for k in count():
-            yield phi_eval(f.phi, k + f.shift) * u
-            u *= w / (k + 1.0)
-
-    value, _ = sum_series(terms(), tol, cap=max_terms)
-    return prefactor * value
+def bessel_power_series(n: int) -> CoefficientSeries:
+    """J_n(x) in x (coefficients (-1)^k 2^{-n} 4^{-k}/(k!(n+k)!))."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("bessel_power_series needs integer n >= 0")
+    law = GammaRatioSequence(scale=2.0 ** (-n), denom=_FACTORIAL + ((n + 1.0, 1.0),))
+    return CoefficientSeries(law, stride=2, offset=float(n), geometric=-0.25)
 
 
-def mellin_master(f: UmbralSeries, nu) -> complex:
+def monomial_spec(n: float) -> CoefficientSeries:
+    """The single-term series x^n."""
+    return CoefficientSeries(constant_phi(), offset=float(n), terms=1)
+
+
+# -- Mellin evaluation ------------------------------------------------------
+
+
+def mellin_master(f: CoefficientSeries, nu) -> complex:
     """Half-line Mellin transform of a plain moment series.
 
-    For f(x) = C sum_k phi(k) (-x)^k / k! the transform at exponent nu is
-    C Gamma(nu) phi(-nu).  The continued sequence is evaluated at the
-    negated exponent; the alternative sign fails its own worked examples.
-    Requires Re nu > 0; the caller owns the upper end of the strip.
+    For f(x) = sum_k c(k) (-x)^k the moments are phi(k) = k! c(k), and the
+    transform at exponent nu is Gamma(nu) phi(-nu).  The continued sequence
+    is evaluated at the negated exponent; the alternative sign fails its own
+    worked examples.  Requires Re nu > 0; the caller owns the upper end of
+    the strip.
     """
-    if not (f.prefactor_power == 0.0 and f.shift == 0.0
-            and f.arg_power == 1 and f.arg_scale == 1.0):
-        raise DomainError("mellin_master needs p = 0, s = 0, m = 1, a = 1; "
+    if not (f.stride == 1 and f.offset == 0.0 and f.geometric == -1.0
+            and f.terms is None):
+        raise DomainError("mellin_master needs the shape sum_k c(k) (-x)^k; "
                           "use mellin_master_strided for the general shape")
     if complex(nu).real <= 0:
         raise StripError("mellin_master needs Re nu > 0")
-    return complex(f.overall_scale) * complex(gamma(nu)) * phi_eval(f.phi, -nu)
+    return complex(gamma(nu)) * phi_eval(f.law.times(numer=_FACTORIAL), -nu)
 
 
-def mellin_master_strided(f: UmbralSeries, nu) -> complex:
-    """Half-line Mellin transform of the general umbral shape.
+def mellin_master_strided(f: CoefficientSeries, nu) -> complex:
+    """Half-line Mellin transform of the general series shape.
 
-    Substituting u = a x^m reduces the integral to Gamma-ratio form:
-    (C/m) a^{-w} Gamma(w) phi(s - w) with w = (nu + p)/m.
+    With a = -geometric, m = stride and p = offset, substituting u = a x^m
+    reduces the integral to Gamma-ratio form: (1/m) a^{-w} Gamma(w) phi(-w)
+    with w = (nu + p)/m and moments phi(k) = k! law(k).
     """
-    w = (complex(nu) + f.prefactor_power) / f.arg_power
+    w = (complex(nu) + f.offset) / f.stride
     if w.real <= 0:
         raise StripError("mellin_master_strided needs Re((nu + p)/m) > 0")
-    a = complex(f.arg_scale)
-    if a == 0:
-        raise DomainError("mellin_master_strided needs a nonzero arg_scale")
     if w.imag == 0.0:
         w = w.real
-    return (complex(f.overall_scale) / f.arg_power * a ** (-w)
-            * complex(gamma(w)) * phi_eval(f.phi, f.shift - w))
+    a = complex(-f.geometric)
+    return (a ** (-w) / f.stride * complex(gamma(w))
+            * phi_eval(f.law.times(numer=_FACTORIAL), -w))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +389,6 @@ class MultiplierKind(enum.Enum):
     LORENTZ_POWER = "lorentz_power"
     BOREL_FACTORIAL = "borel_factorial"
     BETA_KERNEL = "beta_kernel"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -346,8 +403,6 @@ class MellinMultiplier:
     kind: MultiplierKind
     alpha: float | None = None
     beta: float | None = None
-    func: Callable[[float], complex] | None = None
-    custom_lower_bound: float = -math.inf
 
     @property
     def lower_bound(self) -> float:
@@ -357,9 +412,7 @@ class MellinMultiplier:
             return 0.5
         if self.kind is MultiplierKind.BOREL_FACTORIAL:
             return -1.0
-        if self.kind is MultiplierKind.BETA_KERNEL:
-            return -self.alpha
-        return self.custom_lower_bound
+        return -self.alpha
 
     def _check(self, a: float) -> None:
         if a <= self.lower_bound:
@@ -367,7 +420,7 @@ class MellinMultiplier:
                 f"{self.kind.value} multiplier needs a > {self.lower_bound}, got {a}")
 
     def log_value(self, a: float) -> float:
-        """log F(a); every built-in kernel has positive F on its domain."""
+        """log F(a); every kernel has positive F on its domain."""
         self._check(a)
         if self.kind is MultiplierKind.GAUSSIAN_KERNEL:
             return 0.5 * (math.log(math.pi) - math.log(a))
@@ -376,16 +429,11 @@ class MellinMultiplier:
                     + math.lgamma(a - 0.5) - math.lgamma(a))
         if self.kind is MultiplierKind.BOREL_FACTORIAL:
             return math.lgamma(a + 1.0)
-        if self.kind is MultiplierKind.BETA_KERNEL:
-            return (math.lgamma(self.alpha + a) + math.lgamma(self.beta)
-                    - math.lgamma(self.alpha + self.beta + a))
-        raise DomainError("custom multipliers have no log form")
+        return (math.lgamma(self.alpha + a) + math.lgamma(self.beta)
+                - math.lgamma(self.alpha + self.beta + a))
 
     def value(self, a: float):
         """F(a) itself."""
-        if self.kind is MultiplierKind.CUSTOM:
-            self._check(a)
-            return self.func(a)
         return math.exp(self.log_value(a))
 
 
@@ -411,105 +459,8 @@ def beta_kernel(alpha: float, beta: float) -> MellinMultiplier:
     return MellinMultiplier(MultiplierKind.BETA_KERNEL, alpha=alpha, beta=beta)
 
 
-def custom_multiplier(func: Callable[[float], complex],
-                      lower_bound: float = -math.inf) -> MellinMultiplier:
-    """Tabulated/callable symbol, intended for testing only."""
-    return MellinMultiplier(MultiplierKind.CUSTOM, func=func,
-                            custom_lower_bound=lower_bound)
-
-
-@dataclass(frozen=True)
-class PowerSeriesSpec:
-    """Descriptor of f(x) = sum_k c(k) x^{m k + p}.
-
-    The coefficient law is c(k) = alpha(k) * (-1)^k [if alternating] *
-    geometric^k, with alpha in Gamma-ratio form.  The geometric factor
-    covers laws like 4^{-k} that no Gamma ratio can express.  ``terms``
-    truncates the law to a polynomial (terms=1 is a monomial).
-    """
-
-    alpha: GammaRatioSequence
-    stride: int = 1
-    offset: float = 0.0
-    alternating: bool = False
-    geometric: float = 1.0
-    terms: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.stride, int) or self.stride < 1:
-            raise DomainError("PowerSeriesSpec stride must be a positive integer")
-        if self.geometric <= 0:
-            raise DomainError("PowerSeriesSpec geometric factor must be positive")
-        if self.terms is not None and self.terms < 1:
-            raise DomainError("PowerSeriesSpec needs at least one term")
-
-    def coefficient(self, k: int) -> complex:
-        if self.terms is not None and k >= self.terms:
-            return complex(0.0)
-        c = phi_eval(self.alpha, float(k)) * self.geometric ** k
-        return -c if (self.alternating and k % 2) else c
-
-    def evaluate(self, x: float, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_CAP) -> complex:
-        """Sum the described power series directly (no multiplier)."""
-        return apply_mellin_multiplier(custom_multiplier(lambda a: 1.0),
-                                       self, x, tol, max_terms)
-
-
-def monomial_spec(n: float) -> PowerSeriesSpec:
-    """The single-term series x^n."""
-    return PowerSeriesSpec(GammaRatioSequence(), offset=float(n), terms=1)
-
-
-def bessel_power_series(n: int) -> PowerSeriesSpec:
-    """J_n(x) as a PowerSeriesSpec in x (coefficients 2^{-n} 4^{-k}/(k!(n+k)!))."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("bessel_power_series needs integer n >= 0")
-    alpha = GammaRatioSequence(scale=2.0 ** (-n),
-                               denom=((1.0, 1.0), (n + 1.0, 1.0)))
-    return PowerSeriesSpec(alpha, stride=2, offset=float(n),
-                           alternating=True, geometric=0.25)
-
-
-def apply_mellin_multiplier(multiplier: MellinMultiplier, spec: PowerSeriesSpec,
+def apply_mellin_multiplier(multiplier: MellinMultiplier, series: CoefficientSeries,
                             x: float, tol: float = DEFAULT_TOL,
                             max_terms: int = DEFAULT_CAP) -> complex:
-    """sum_k c(k) F(m k + p) x^{m k + p}, the integral of the dilation family.
-
-    Terms are assembled in log space so that factorially large symbol values
-    (the exponential-moment kernel) cannot overflow against factorially
-    small coefficients.
-    """
-    m, p = spec.stride, spec.offset
-    multiplier._check(p)  # k = 0 is the smallest exponent reached
-    if x < 0 and p != int(p):
-        raise DomainError("negative x needs an integer offset power")
-    if x == 0:
-        if p > 0:
-            return complex(0.0)
-        if p == 0:
-            return complex(spec.coefficient(0)) * complex(multiplier.value(0.0))
-        raise DomainError("series with negative offset power at x = 0")
-
-    log_ax = math.log(abs(x))
-    xsign = 1.0 if x > 0 else -1.0
-    custom = multiplier.kind is MultiplierKind.CUSTOM
-    log_geom = math.log(spec.geometric)
-
-    def term(k):
-        a = m * k + p
-        pref, log_mag = phi_signed_log(spec.alpha, float(k))
-        if pref == 0:
-            return complex(0.0)
-        if spec.alternating and k % 2:
-            pref = -pref
-        if x < 0:
-            pref *= xsign ** (int(round(a)) % 2)
-        log_mag += k * log_geom + a * log_ax
-        if custom:
-            return pref * math.exp(log_mag) * complex(multiplier.value(a))
-        return pref * math.exp(log_mag + multiplier.log_value(a))
-
-    ks = range(spec.terms) if spec.terms is not None else count()
-    value, _ = sum_series((term(k) for k in ks), tol, cap=max_terms)
-    return complex(value)
+    """sum_k c(k) F(m k + p) x^{m k + p}, the integral of the dilation family."""
+    return _sum_terms(series, x, tol, max_terms, multiplier)

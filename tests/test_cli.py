@@ -4,6 +4,7 @@ import math
 import pytest
 
 from umbralint import cli
+from umbralint.closedforms import get_identity
 
 
 def run(capsys, *argv):
@@ -172,6 +173,18 @@ eq36_beta_exponential.grid.alpha = 2
 eq36_beta_exponential.grid.beta = 3
 eq36_beta_exponential.grid.x = 1
 """
+
+
+class TestVerifyPoint:
+    # the Borel closed forms once overflowed here: their coefficient law
+    # multiplied 1/j! by j! separately, which overflows past j = 170
+    @pytest.mark.parametrize("identity_id", ["eq31_borel_cosine",
+                                             "eq35_borel_pseudo_trig3"])
+    @pytest.mark.parametrize("x", [-0.99, -0.9, 0.9, 0.99])
+    def test_borel_closed_forms_near_the_radius(self, identity_id, x):
+        identity = get_identity(identity_id)
+        report = cli.verify_point(identity, {"x": x}, identity.default_tol)
+        assert report.passed, report
 
 
 class TestVerifyAll:

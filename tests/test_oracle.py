@@ -5,7 +5,6 @@ import pytest
 
 from umbralint import oracle
 from umbralint.errors import (
-    ConvergenceError,
     DomainError,
     ExtrapolationError,
     QuadratureError,
@@ -133,33 +132,6 @@ class TestOscillatoryGaussian:
             oracle.integrate_oscillatory_gaussian(
                 lambda x: x * cmath.exp(1j * x * x), 1.0, 1e-16)
         assert excinfo.value.partial is not None
-
-
-class TestSeriesSum:
-    def test_geometric(self):
-        value, tail = oracle.series_sum(lambda k: 0.5 ** k, 1e-12)
-        assert value == pytest.approx(2.0, rel=1e-11)
-        assert tail.converged
-
-    def test_alternating_exponential(self):
-        value, tail = oracle.series_sum(lambda k: (-1.0) ** k / math.factorial(k),
-                                        1e-13)
-        assert value == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_gaussian_dilation_series_converges(self):
-        # the dilation series at n = 1, x = 1 converges under the guard
-        def term(k):
-            return (SQRT_PI * (-1.0) ** k * 0.5 ** (2 * k + 1)
-                    / (math.factorial(k) * math.factorial(k + 1)
-                       * math.sqrt(2.0 * k + 1.0)))
-
-        value, tail = oracle.series_sum(term, 1e-12)
-        assert tail.converged
-        assert math.isfinite(value)
-
-    def test_cap_error(self):
-        with pytest.raises(ConvergenceError):
-            oracle.series_sum(lambda k: 1.0 / (k + 1.0), 1e-10, cap=100)
 
 
 class TestErrorEstimateHonesty:

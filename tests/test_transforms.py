@@ -3,25 +3,18 @@ import math
 import pytest
 
 from umbralint import oracle, specfun as sf, transforms as tr, umbral as um
-from umbralint.errors import DomainError
+from umbralint.errors import ConvergenceError, DomainError
 from umbralint.reference import kummer_m_ref
 
 
 class TestCoefficientSeries:
-    def test_tuple_law(self):
-        s = tr.CoefficientSeries(law=(1.0, 2.0, 3.0))
-        assert s.coefficient(1) == 2.0
-        assert s.coefficient(7) == 0.0
-        assert s.evaluate(0.5) == pytest.approx(1.0 + 1.0 + 0.75)
-
     def test_gamma_ratio_law_with_alternation(self):
         # exp(-x) as a coefficient series
         s = tr.series_from_moments(um.constant_phi())
         assert s.evaluate(1.0) == pytest.approx(complex(math.exp(-1.0)), rel=1e-12)
 
     def test_geometric_factor(self):
-        s = tr.CoefficientSeries(law=um.constant_phi(), geometric=0.5,
-                                 factorial_shift=-1)
+        s = tr.CoefficientSeries(law=um.bessel_phi(), geometric=0.5)
         # sum (x/2)^k / k! = e^{x/2}
         assert s.evaluate(2.0) == pytest.approx(complex(math.e), rel=1e-12)
 
@@ -37,7 +30,7 @@ class TestBorelPair:
                                                      rel=1e-12)
 
     def test_constant_maps_to_constant(self):
-        one = tr.CoefficientSeries(law=(1.0,))
+        one = tr.CoefficientSeries(law=um.constant_phi(), terms=1)
         assert tr.borel_transform(one).evaluate(0.7) == pytest.approx(1.0 + 0j)
 
     def test_cosine_to_geometric(self):
@@ -57,7 +50,7 @@ class TestBorelPair:
 
     def test_inverse_of_exponential(self):
         # e^x coefficients divided by k! give sum x^k/(k!)^2
-        L = tr.CoefficientSeries(law=um.constant_phi(), factorial_shift=-1)
+        L = tr.CoefficientSeries(law=um.bessel_phi())
         g = tr.borel_inverse(L)
         direct = sum(1.0 / math.factorial(k) ** 2 for k in range(40))
         assert g.evaluate(1.0).real == pytest.approx(direct, rel=1e-12)
@@ -67,12 +60,21 @@ class TestBorelPair:
             tr.pseudo_trig_series(0, 2),
             tr.pseudo_trig_series(0, 3),
             tr.series_from_moments(um.bessel_phi(), 2),
-            tr.CoefficientSeries(law=(1.0, -0.25, 1.0 / 3.0)),
+            tr.CoefficientSeries(law=um.factorial_phi(), geometric=-0.25, terms=3),
         ]
         for g in candidates:
             back = tr.borel_inverse(tr.borel_transform(g))
+            assert back == g
             for k in range(50):
                 assert back.coefficient(k) == g.coefficient(k)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_divergent_argument_raises_convergence_error(self, m):
+        # past |x| = 1 the transformed terms grow until one leaves the
+        # double range; that must end the sum, not raise OverflowError
+        L = tr.borel_transform(tr.pseudo_trig_series(0, m))
+        with pytest.raises(ConvergenceError):
+            L.evaluate(1.5)
 
     @pytest.mark.parametrize("x", [0.2, 0.5, 0.8])
     def test_integral_consistency(self, x):
@@ -166,7 +168,7 @@ class TestBetaTransform:
 
     def test_scaled_argument_series(self):
         # f(x) = exp(-2x) folds the scale into the coefficient law
-        f = um.UmbralSeries(um.constant_phi(), arg_scale=2.0)
+        f = tr.CoefficientSeries(um.bessel_phi(), geometric=-2.0)
         series = tr.beta_transform(f, 1.0, 1.0)
         quad = oracle.integrate_finite(lambda u: math.exp(-2.0 * u), 0.0, 1.0, 1e-12)
         assert series.evaluate(1.0) == pytest.approx(complex(quad.value), rel=1e-10)
@@ -192,8 +194,8 @@ class TestMultiplierCoherence:
         # same numbers from the multiplier engine and the coefficient route
         g = tr.series_from_moments(um.bessel_phi(), 2)
         transformed = tr.borel_transform(g)
-        spec = um.PowerSeriesSpec(
-            um.GammaRatioSequence(denom=((1.0, 1.0),) * 3), alternating=True)
+        spec = um.CoefficientSeries(
+            um.GammaRatioSequence(denom=((1.0, 1.0),) * 3), geometric=-1.0)
         for x in (0.3, 0.7):
             a = um.apply_mellin_multiplier(um.borel_factorial(), spec, x)
             b = transformed.evaluate(x, tol=1e-13)
