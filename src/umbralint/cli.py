@@ -47,6 +47,8 @@ class VerificationReport:
     oracle_cost: int
     timing: float
     reason: str = ""
+    oracle_error_estimate: float | None = None
+    ladder_residual: float | None = None
 
     def to_record(self) -> dict:
         return {
@@ -59,6 +61,8 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
             "oracle_cost": self.oracle_cost,
+            "oracle_error_estimate": self.oracle_error_estimate,
+            "ladder_residual": self.ladder_residual,
             "timing": self.timing,
             "reason": self.reason,
         }
@@ -106,7 +110,8 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
         return VerificationReport(identity.id, identity.equation, dict(params),
                                   closed, None, None, tol, False, cost,
                                   time.perf_counter() - start,
-                                  f"oracle failure: {exc}")
+                                  f"oracle failure: {exc}",
+                                  *_oracle_accuracy(partial))
     elapsed = time.perf_counter() - start
     oracle_value = complex(oracle_result.value)
     diff = abs(closed - oracle_value)
@@ -117,7 +122,17 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
     passed = rel <= tol
     return VerificationReport(identity.id, identity.equation, dict(params),
                               closed, oracle_value, rel, tol, passed,
-                              oracle_result.evaluations, elapsed)
+                              oracle_result.evaluations, elapsed, "",
+                              *_oracle_accuracy(oracle_result))
+
+
+def _oracle_accuracy(result):
+    """The error estimate of an oracle result, partial or not, and its
+    ladder residual; None where there is no result or no ladder."""
+    if result is None:
+        return None, None
+    trace = result.trace
+    return result.abs_error_estimate, trace.residual if trace is not None else None
 
 
 def run_verification(identity, grid: dict, tol: float, variant=None):
@@ -286,6 +301,7 @@ def _write_reports(reports, path, fmt):
         writer.writerow(["identity_id", "equation", "point",
                          "closed_re", "closed_im", "oracle_re", "oracle_im",
                          "relative_error", "tolerance", "pass", "oracle_cost",
+                         "oracle_error_estimate", "ladder_residual",
                          "timing", "reason"])
         for r in reports:
             closed = complex(r.closed_form_value) if r.closed_form_value is not None else None
@@ -297,7 +313,10 @@ def _write_reports(reports, path, fmt):
                 orc.real if orc is not None else "",
                 orc.imag if orc is not None else "",
                 r.relative_error if r.relative_error is not None else "",
-                r.tolerance, r.passed, r.oracle_cost, r.timing, r.reason,
+                r.tolerance, r.passed, r.oracle_cost,
+                r.oracle_error_estimate if r.oracle_error_estimate is not None else "",
+                r.ladder_residual if r.ladder_residual is not None else "",
+                r.timing, r.reason,
             ])
         text = buffer.getvalue()
     if path:

@@ -3,7 +3,13 @@
 Adaptive Gauss-Kronrod quadrature on finite, half-line, and whole-line
 domains, and damping-ladder regularization for conditionally convergent
 integrals.  This module never calls the closed-form or umbral evaluators;
-integrands arrive as plain callables and may be complex valued.
+integrands arrive as plain callables of one float and may be complex valued.
+
+Single integrals refine one panel at a time, worst first.  A damping ladder
+integrates f e^{-eps_r x^p} for all of its rungs r in one adaptive pass:
+each node is evaluated once, the rungs are a matrix axis of the damped
+values, and the panels are split in batches.  An integrand that raises
+OverflowError ends the integration with a QuadratureError.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -11,10 +17,13 @@ integrand contract requires that it be safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ExtrapolationError, QuadratureError
 
@@ -60,6 +69,12 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# The same pair over all 15 nodes in ascending order, for batches of panels:
+# node offsets, Kronrod weights, and Gauss weights (zero at Kronrod-only nodes).
+_GAUSS_AT_XGK = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3])
+_NODES15 = np.array(tuple(-x for x in _XGK) + _XGK[-2::-1])
+_WK15 = np.array(_WGK + _WGK[-2::-1])
+_WG15 = np.array(_GAUSS_AT_XGK + _GAUSS_AT_XGK[-2::-1])
 
 DEFAULT_LADDER_START = 0.2
 DEFAULT_LADDER_RATIO = 2.0
@@ -94,6 +109,19 @@ class RegularizationTrace:
         for a, b in zip(self.epsilons, self.epsilons[1:]):
             if not b < a:
                 raise DomainError("ladder epsilons must be strictly decreasing")
+
+
+def _overflow_fails(entry):
+    """Make an integrand's OverflowError end the integration as a
+    QuadratureError, so callers see one kind of oracle failure."""
+    @functools.wraps(entry)
+    def guarded(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        except OverflowError as exc:
+            raise QuadratureError(f"integrand overflowed: {exc}") from exc
+
+    return guarded
 
 
 def _gauss_kronrod_15(f, a: float, b: float):
@@ -194,6 +222,7 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     return total, err_total + frozen_err, evaluations
 
 
+@_overflow_fails
 def integrate_finite(f: Callable, a: float, b: float, tol: float,
                      max_intervals: int = 20_000,
                      initial_intervals: int = 1) -> QuadratureResult:
@@ -215,11 +244,15 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float,
     return result
 
 
-def _half_line_plain(f, tol, max_intervals, initial_intervals):
-    # Split at x = 1 and fold the tail with x = 1/u.  Both pieces then put
-    # their difficult behavior (an origin singularity, a slow algebraic
-    # tail) at u -> 0, where floats are logarithmically dense, so adaptive
-    # bisection can keep refining instead of hitting resolution limits.
+def _half_line(core, f, tol):
+    """Split at x = 1 and fold the tail with x = 1/u.
+
+    Both pieces then put their difficult behavior (an origin singularity, a
+    slow algebraic tail) at u -> 0, where floats are logarithmically dense,
+    so adaptive bisection can keep refining instead of hitting resolution
+    limits.  ``core(integrand, x_of, tol)`` integrates one piece over [0, 1];
+    ``x_of`` maps an array of its nodes to x.
+    """
     def tail(u):
         if u <= 0.0:
             return 0.0
@@ -231,11 +264,110 @@ def _half_line_plain(f, tol, max_intervals, initial_intervals):
             return 0.0
         return fx * x * x
 
-    v1, e1, n1 = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals,
-                           initial_intervals)
-    v2, e2, n2 = _adaptive(tail, 0.0, 1.0, 0.5 * tol, max_intervals,
-                           initial_intervals)
+    v1, e1, n1 = core(f, np.positive, 0.5 * tol)        # x = t
+    v2, e2, n2 = core(tail, np.reciprocal, 0.5 * tol)   # x = 1/u
     return v1 + v2, e1 + e2, n1 + n2
+
+
+def _half_line_plain(f, tol, max_intervals, initial_intervals):
+    def core(piece, _, piece_tol):
+        return _adaptive(piece, 0.0, 1.0, piece_tol, max_intervals,
+                         initial_intervals)
+
+    return _half_line(core, f, tol)
+
+
+def _ladder_panels(g, x_of, eps, power, left, right):
+    """GK15 on every panel [left_i, right_i] of g(t) e^{-eps_r x(t)^power},
+    for every rung r at once; returns values and error estimates, each of
+    shape (panels, rungs).
+
+    g is called once per node, on a float, and not at all where even the
+    weakest damping underflows.  Nodes are nudged inside their panel as in
+    _gauss_kronrod_15.
+    """
+    left = left[:, None]
+    right = right[:, None]
+    h = 0.5 * (right - left)
+    t = 0.5 * (left + right) + h * _NODES15
+    t = np.where(t <= left, np.nextafter(left, right), t)
+    t = np.where(t >= right, np.nextafter(right, left), t)
+    with np.errstate(over="ignore", divide="ignore"):
+        xp = x_of(t) ** power
+    live = eps[-1] * xp <= 745.0
+    sampled = np.array([g(v) for v in t[live].tolist()])
+    fx = np.zeros(t.shape, np.result_type(sampled, 0.0))
+    fx[live] = sampled
+
+    damped = np.multiply(xp[:, None, :], -eps[:, None])
+    damped[damped < -745.0] = -np.inf
+    np.exp(damped, out=damped)
+    if np.iscomplexobj(fx):
+        # a new array: the float damping factors cannot hold complex values
+        damped = damped * fx[:, None, :]
+    else:
+        damped *= fx[:, None, :]
+
+    resk = damped @ _WK15
+    resg = damped @ _WG15
+    resabs = np.abs(damped) @ _WK15
+    resasc = np.abs(damped - 0.5 * resk[..., None]) @ _WK15
+    values = resk * h
+    err = np.abs((resk - resg) * h)
+    resabs *= np.abs(h)
+    resasc *= np.abs(h)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    err = np.where(resabs > _UNDERFLOW / (50.0 * _EPS),
+                   np.maximum(err, 50.0 * _EPS * resabs), err)
+    return values, err
+
+
+def _adaptive_ladder(g, x_of, eps, power, tol, max_intervals,
+                     initial_intervals):
+    """Adaptive bisection over [0, 1] of g(t) e^{-eps_r x(t)^power} for all
+    rungs r at once, until every rung's error is within ``tol``.
+
+    Each round takes the rung with the largest error and splits, largest
+    first, its panels that together hold half of its error above ``tol``.
+    ``max_intervals`` and the frozen-midpoint rule act as in _adaptive.
+    Returns per-rung values and errors and the evaluation count.
+    """
+    left = np.arange(initial_intervals) / initial_intervals
+    right = np.arange(1, initial_intervals + 1) / initial_intervals
+    values, errors = _ladder_panels(g, x_of, eps, power, left, right)
+    n = initial_intervals
+    frozen_value = 0.0
+    frozen_err = 0.0
+    while True:
+        err = frozen_err + errors.sum(axis=0)
+        worst = int(np.argmax(err))
+        excess = err[worst] - tol
+        if not excess > 0.0 or n >= max_intervals or len(left) == 0:
+            break
+        order = np.argsort(-errors[:, worst], kind="stable")
+        held = np.cumsum(errors[order, worst])
+        count = int(np.searchsorted(held, 0.5 * excess)) + 1
+        pick = order[:min(count, (max_intervals - n + 1) // 2)]
+        mid = 0.5 * (left[pick] + right[pick])
+        splits = (left[pick] < mid) & (mid < right[pick])
+        frozen = pick[~splits]
+        frozen_value = frozen_value + values[frozen].sum(axis=0)
+        frozen_err = frozen_err + errors[frozen].sum(axis=0)
+        split, mid = pick[splits], mid[splits]
+        new_left = np.concatenate((left[split], mid))
+        new_right = np.concatenate((mid, right[split]))
+        new_values, new_errors = _ladder_panels(g, x_of, eps, power,
+                                                new_left, new_right)
+        n += len(new_left)
+        keep = np.ones(len(left), dtype=bool)
+        keep[pick] = False
+        left = np.concatenate((left[keep], new_left))
+        right = np.concatenate((right[keep], new_right))
+        values = np.concatenate((values[keep], new_values))
+        errors = np.concatenate((errors[keep], new_errors))
+    return frozen_value + values.sum(axis=0), err, 15 * n
 
 
 def _geometric_ladder(start: float, ratio: float, rungs: int):
@@ -277,23 +409,25 @@ def _extrapolate(values, ratio: float, exponents):
     return estimate, history, amplification
 
 
-def _run_ladder(damped_integral, ladder, exponents, tol, inner_tol,
-                max_intervals, initial_intervals):
-    """Evaluate a damped integral on the ladder and extrapolate to zero."""
+def _run_ladder(f, power, ladder, exponents, tol, inner_tol, max_intervals,
+                initial_intervals):
+    """Integrate f e^{-eps x^power} on every ladder rung in one adaptive
+    pass and extrapolate to eps -> 0."""
     ratio = _check_geometric(ladder)
-    values = []
-    evaluations = 0
-    inner_err = 0.0
-    for eps in ladder:
-        value, err, evals = damped_integral(eps, inner_tol, max_intervals,
-                                            initial_intervals)
+    eps = np.array(ladder, dtype=float)
+
+    def core(piece, x_of, piece_tol):
+        return _adaptive_ladder(piece, x_of, eps, power, piece_tol,
+                                max_intervals, initial_intervals)
+
+    values, errors, evaluations = _half_line(core, f, inner_tol)
+    values, errors = values.tolist(), errors.tolist()
+    for rung, value, err in zip(ladder, values, errors):
         if err > inner_tol:
             raise QuadratureError(
-                f"ladder rung eps={eps:g} stalled at error {err:.3e} > {inner_tol:.3e}",
-                partial=QuadratureResult(value, err, evals, False))
-        values.append(value)
-        evaluations += evals
-        inner_err = max(inner_err, err)
+                f"ladder rung eps={rung:g} stalled at error {err:.3e} > {inner_tol:.3e}",
+                partial=QuadratureResult(value, err, evaluations, False))
+    inner_err = max(errors)
     estimate, history, amplification = _extrapolate(values, ratio, exponents)
     residual = history[-1] if history else math.inf
     err_est = residual + amplification * inner_err
@@ -308,6 +442,7 @@ def _run_ladder(damped_integral, ladder, exponents, tol, inner_tol,
     return result
 
 
+@_overflow_fails
 def integrate_half_line(f: Callable, tol: float, damping: str = "none",
                         max_intervals: int = 40_000,
                         initial_intervals: int = 8,
@@ -319,9 +454,11 @@ def integrate_half_line(f: Callable, tol: float, damping: str = "none",
     integrates both pieces adaptively; the integrand must decay.
     damping="exp_extrapolated" computes the integral of f(x) e^{-eps x} on a
     decreasing geometric eps-ladder and extrapolates to eps -> 0, which also
-    handles conditionally convergent oscillatory tails.  The default
-    elimination exponents (1, 1, 2, 2, 3, 3) remove the eps^k log(eps)
-    contributions that algebraic integrand tails produce.
+    handles conditionally convergent oscillatory tails.  All rungs share one
+    adaptive pass, so f is evaluated once per node, and ``max_intervals``
+    bounds each of its two pieces.  The default elimination exponents
+    (1, 1, 2, 2, 3, 3) remove the eps^k log(eps) contributions that
+    algebraic integrand tails produce.
     """
     if damping == "none":
         value, err, evals = _half_line_plain(f, tol, max_intervals,
@@ -342,21 +479,11 @@ def integrate_half_line(f: Callable, tol: float, damping: str = "none",
     exponents = tuple(ladder_exponents) if ladder_exponents is not None \
         else _DEFAULT_EXP_EXPONENTS
     inner_tol = max(tol / 200.0, 5e-12)
-
-    def damped(eps, itol, max_iv, init_iv):
-        # skip f entirely once the damping factor underflows
-        def integrand(x, _eps=eps):
-            d = _eps * x
-            if d > 745.0:
-                return 0.0
-            return f(x) * math.exp(-d)
-
-        return _half_line_plain(integrand, itol, max_iv, init_iv)
-
-    return _run_ladder(damped, ladder, exponents, tol, inner_tol,
-                       max_intervals, max(initial_intervals, 16))
+    return _run_ladder(f, 1, ladder, exponents, tol, inner_tol, max_intervals,
+                       max(initial_intervals, 16))
 
 
+@_overflow_fails
 def integrate_real_line(f: Callable, tol: float,
                         max_intervals: int = 40_000,
                         initial_intervals: int = 8) -> QuadratureResult:
@@ -384,6 +511,7 @@ def integrate_real_line(f: Callable, tol: float,
     return result
 
 
+@_overflow_fails
 def integrate_oscillatory_gaussian(f: Callable, beta: float, tol: float,
                                    max_intervals: int = 40_000,
                                    initial_intervals: int = 16,
@@ -392,7 +520,8 @@ def integrate_oscillatory_gaussian(f: Callable, beta: float, tol: float,
     """Half-line integral of h(x) e^{i beta x^2}-type integrands.
 
     Gaussian damping e^{-eps x^2} on a geometric eps-ladder scaled by beta,
-    then polynomial extrapolation to eps -> 0.  The damped values are
+    all rungs in one adaptive pass, then polynomial extrapolation to
+    eps -> 0.  The damped values are
     analytic in eps (the nearest singularity sits at eps = i beta), so plain
     power elimination converges geometrically.
     """
@@ -404,16 +533,5 @@ def integrate_oscillatory_gaussian(f: Callable, beta: float, tol: float,
     exponents = tuple(ladder_exponents) if ladder_exponents is not None \
         else _DEFAULT_OSC_EXPONENTS
     inner_tol = max(tol / 100.0, 5e-12)
-
-    def damped(eps, itol, max_iv, init_iv):
-        def integrand(x, _eps=eps):
-            d = _eps * x * x
-            if d > 745.0:
-                return 0.0
-            return f(x) * math.exp(-d)
-
-        return _half_line_plain(integrand, itol, max_iv, init_iv)
-
-    return _run_ladder(damped, ladder, exponents, tol, inner_tol,
-                       max_intervals, initial_intervals)
-
+    return _run_ladder(f, 2, ladder, exponents, tol, inner_tol, max_intervals,
+                       initial_intervals)

@@ -62,3 +62,22 @@ def test_tracing_instruments_and_restores(workloads, tmp_path):
     assert umbral.phi_eval is phi_eval
     for name, original in originals.items():
         assert vars(transforms.CoefficientSeries)[name] is original
+
+
+def test_ladder_evaluates_each_reference_argument_once(tmp_path):
+    # tracing.py wraps integrands and reference calls with scalar code, and
+    # counts a reference call whose arguments already occurred in the op
+    tracing = _load("tracing")
+    identity = closedforms.get_identity("eq13_struve_moment")
+    tracer = tracing.Tracer(tmp_path / "trace.jsonl.gz")
+    undo = tracing.instrument(tracer, LAYER_MODULES)
+    try:
+        traced = tracing.traced_identity(tracer, identity)
+        report = tracer.run_op(0, lambda: cli.verify_point(traced, {"nu": 5.0},
+                                                           identity.default_tol))
+    finally:
+        tracing.restore(undo)
+        tracer.close_file()
+    assert report.passed, report
+    assert 0 < tracer.counts["oracle.evals"] <= report.oracle_cost
+    assert tracer.counts["reference.repeats"] == 0

@@ -78,7 +78,10 @@ class TestVerify:
             assert set(record) == {
                 "identity_id", "equation", "point", "closed_form_value",
                 "oracle_value", "relative_error", "tolerance", "pass",
-                "oracle_cost", "timing", "reason"}
+                "oracle_cost", "oracle_error_estimate", "ladder_residual",
+                "timing", "reason"}
+            assert record["oracle_error_estimate"] > 0.0
+            assert record["ladder_residual"] is None
             assert set(record["closed_form_value"]) == {"re", "im"}
 
     def test_range_grid_syntax(self, capsys, tmp_path):
@@ -99,6 +102,8 @@ class TestVerify:
         assert len(records) == 2
         assert all(r["pass"] for r in records)
         assert all(r["oracle_cost"] > 1000 for r in records)
+        assert all(0.0 < r["ladder_residual"] <= r["oracle_error_estimate"]
+                   for r in records)
 
     def test_uncorrected_variant_fails_at_origin(self, capsys, tmp_path):
         out_path = tmp_path / "report.jsonl"
@@ -185,6 +190,16 @@ class TestVerifyPoint:
         identity = get_identity(identity_id)
         report = cli.verify_point(identity, {"x": x}, identity.default_tol)
         assert report.passed, report
+
+    # x ** (nu - 1) overflows at x near the bottom of the double range
+    @pytest.mark.parametrize("identity_id", ["eq02_mellin_exponential",
+                                             "eq02_mellin_rational"])
+    def test_integrand_overflow_is_an_oracle_failure(self, identity_id):
+        identity = get_identity(identity_id)
+        report = cli.verify_point(identity, {"nu": 0.02}, identity.default_tol)
+        assert not report.passed
+        assert report.reason.startswith("oracle failure: ")
+        assert "overflow" in report.reason
 
 
 class TestVerifyAll:

@@ -9,7 +9,7 @@ from umbralint.errors import (
     ExtrapolationError,
     QuadratureError,
 )
-from umbralint.reference import struve_h_ref
+from umbralint.reference import bessel_j_ref, struve_h_ref
 from umbralint.specfun import beta as beta_fn
 
 SQRT_PI = math.sqrt(math.pi)
@@ -134,6 +134,69 @@ class TestOscillatoryGaussian:
         assert excinfo.value.partial is not None
 
 
+def _struve_eq12(x):
+    return struve_h_ref(-0.5, x)
+
+
+def _fresnel(x):
+    return x * bessel_j_ref(0, x) * cmath.exp(1j * x * x)
+
+
+# ladder kind: (integrand, run at tol with keyword options, damping power,
+# inner tolerance of a rung at tol)
+LADDERS = {
+    "exp": (_struve_eq12,
+            lambda f, tol, **kw: oracle.integrate_half_line(
+                f, tol, damping="exp_extrapolated", **kw),
+            1, lambda tol: tol / 200.0),
+    "gaussian": (_fresnel,
+                 lambda f, tol, **kw: oracle.integrate_oscillatory_gaussian(
+                     f, 1.0, tol, **kw),
+                 2, lambda tol: tol / 100.0),
+}
+
+
+class TestOnePassLadder:
+    @pytest.mark.parametrize("kind", sorted(LADDERS))
+    def test_each_node_evaluated_once(self, kind):
+        f, run, _, _ = LADDERS[kind]
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return f(x)
+
+        r = run(counting, 2.5e-6)
+        assert 0 < len(seen) <= r.evaluations
+        assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("kind", sorted(LADDERS))
+    def test_rungs_match_independent_damped_integrals(self, kind):
+        f, run, power, inner = LADDERS[kind]
+        tol = 2.5e-6
+        r = run(f, tol)
+        for eps, value in zip(r.trace.epsilons, r.trace.values):
+            def damped(x, _eps=eps):
+                d = _eps * x ** power
+                return 0.0 if d > 745.0 else f(x) * math.exp(-d)
+
+            alone = oracle.integrate_half_line(damped, inner(tol))
+            assert abs(value - alone.value) <= 2.0 * inner(tol), eps
+
+    @pytest.mark.parametrize("kind", sorted(LADDERS))
+    def test_stalled_rung_raises_with_partial(self, kind):
+        f, run, _, _ = LADDERS[kind]
+        with pytest.raises(QuadratureError, match="stalled") as excinfo:
+            run(f, 2.5e-6, max_intervals=40)
+        partial = excinfo.value.partial
+        assert not partial.converged
+        assert partial.evaluations > 0
+
+    def test_integrand_overflow_is_a_quadrature_error(self):
+        with pytest.raises(QuadratureError, match="overflow"):
+            oracle.integrate_half_line(lambda x: x ** -1.98, 1e-8)
+
+
 class TestErrorEstimateHonesty:
     def test_true_error_within_three_times_estimate(self):
         cases = []
@@ -161,6 +224,13 @@ class TestErrorEstimateHonesty:
             r = oracle.integrate_oscillatory_gaussian(
                 lambda x: x * cmath.exp(2j * x * x), 2.0, tol)
             cases.append((abs(r.value - 0.25j), r.abs_error_estimate))
+        # Struve half-line ladders, closed form -1/(b tan(pi nu/2))
+        for nu, b in ((-0.5, 1.0), (-1.5, 2.0)):
+            r = oracle.integrate_half_line(
+                lambda x, _nu=nu, _b=b: struve_h_ref(_nu, _b * x), 2.5e-6,
+                damping="exp_extrapolated")
+            cases.append((abs(r.value + 1.0 / (b * math.tan(0.5 * math.pi * nu))),
+                          r.abs_error_estimate))
 
         honest = sum(1 for true_err, est in cases if true_err <= 3.0 * est)
         assert honest / len(cases) >= 0.95, cases
