@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -159,11 +160,21 @@ def _parse_values(text: str):
         n = int(pieces[2])
         if n < 1:
             raise ValueError("range count must be >= 1")
-        if n == 1:
-            return (lo,)
-        step = (hi - lo) / (n - 1)
-        return tuple(lo + step * i for i in range(n))
-    return tuple(float(v) for v in text.split(","))
+        step = (hi - lo) / max(n - 1, 1)
+        values = tuple(lo + step * i for i in range(n))
+    else:
+        values = tuple(float(v) for v in text.split(","))
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    return values
+
+
+def _parse_tol(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a positive finite number, got {text!r}")
+    return tol
 
 
 def _parse_grid_option(option: str):
@@ -193,7 +204,7 @@ def _load_config(path: str):
             if len(parts) == 3 and parts[1] == "grid":
                 grids.setdefault(parts[0], {})[parts[2]] = _parse_values(value)
             elif len(parts) == 2 and parts[1] == "tol":
-                tols[parts[0]] = float(value)
+                tols[parts[0]] = _parse_tol(value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     return grids, tols
@@ -296,6 +307,7 @@ def _write_reports(reports, path, fmt):
     if fmt == "jsonl":
         text = "\n".join(json.dumps(r.to_record()) for r in reports) + "\n"
     else:
+        # the JSON record's fields in order, each complex value as two columns
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["identity_id", "equation", "point",
@@ -304,20 +316,14 @@ def _write_reports(reports, path, fmt):
                          "oracle_error_estimate", "ladder_residual",
                          "timing", "reason"])
         for r in reports:
-            closed = complex(r.closed_form_value) if r.closed_form_value is not None else None
-            orc = complex(r.oracle_value) if r.oracle_value is not None else None
-            writer.writerow([
-                r.identity_id, r.equation, json.dumps(r.point),
-                closed.real if closed is not None else "",
-                closed.imag if closed is not None else "",
-                orc.real if orc is not None else "",
-                orc.imag if orc is not None else "",
-                r.relative_error if r.relative_error is not None else "",
-                r.tolerance, r.passed, r.oracle_cost,
-                r.oracle_error_estimate if r.oracle_error_estimate is not None else "",
-                r.ladder_residual if r.ladder_residual is not None else "",
-                r.timing, r.reason,
-            ])
+            row = []
+            for key, value in r.to_record().items():
+                if key in ("closed_form_value", "oracle_value"):
+                    row += (value["re"], value["im"]) if value else ("", "")
+                else:
+                    row.append(json.dumps(value) if key == "point" else
+                               "" if value is None else value)
+            writer.writerow(row)
         text = buffer.getvalue()
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -341,7 +347,7 @@ def _cmd_verify(args) -> int:
     if args.config:
         try:
             config_grids, config_tols = _load_config(args.config)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
 
@@ -414,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("identity", help="identity id or 'all'")
     p_verify.add_argument("--grid", action="append",
                           help="name=v1,v2 or name=min:max:n (repeatable)")
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=_parse_tol, default=None)
     p_verify.add_argument("--out", default=None, help="report file path")
     p_verify.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_verify.add_argument("--variant", default=None)

@@ -189,8 +189,6 @@ class IdentityDescriptor:
     equation: str
     description: str
     parameter_domain: tuple
-    lhs_kind: str
-    rhs_kind: str
     parameters: tuple
     default_grid: dict
     default_tol: float
@@ -198,10 +196,6 @@ class IdentityDescriptor:
     oracle_eval: Callable = field(repr=False, compare=False, default=None)
     domain: Callable = field(repr=False, compare=False, default=None)
     variants: tuple = ()
-
-    def __post_init__(self):
-        if not self.parameter_domain:
-            raise DomainError("identity parameter_domain must be non-empty")
 
     def check_point(self, params: dict):
         return self.domain(params) if self.domain else (True, "")
@@ -370,13 +364,9 @@ def _closed_eq28(p, variant=None):
 
 
 def _closed_eq30(p, variant=None):
-    method = {"series": "series", None: "hypergeometric",
-              "hypergeometric": "hypergeometric"}.get(variant)
-    if method is None:
-        if variant == "paper-literal":
-            return lorentz_gauss_paper_literal(p["x"])
-        raise DomainError(f"unknown variant {variant!r}")
-    return lorentz_gauss_integral(p["x"], method=method)
+    if variant == "paper-literal":
+        return lorentz_gauss_paper_literal(p["x"])
+    return lorentz_gauss_integral(p["x"], method=variant or "hypergeometric")
 
 
 def _closed_eq02_exp(p, variant=None):
@@ -407,8 +397,6 @@ CATALOG = (
         description="Fresnel-weighted Bessel integral of x J_{2nu}(alpha x) "
                     "e^{i beta x^2} versus its exponential-ratio closed form",
         parameter_domain=("nu >= 0", "alpha > 0", "beta > 0", "alpha^2 < 4 beta"),
-        lhs_kind="quadrature",
-        rhs_kind="closed_form",
         parameters=("nu", "alpha", "beta"),
         default_grid={"nu": (0.0,), "alpha": (0.5, 1.0), "beta": (1.0, 2.0)},
         default_tol=1e-5,
@@ -421,8 +409,6 @@ CATALOG = (
         equation="Eq. 12",
         description="Half-line Struve integral versus -1/(b tan(pi nu/2))",
         parameter_domain=("-2 < nu < 0", "b > 0"),
-        lhs_kind="quadrature",
-        rhs_kind="closed_form",
         parameters=("nu", "b"),
         default_grid={"nu": (-1.5, -1.0, -0.5), "b": (1.0, 2.0)},
         default_tol=1e-5,
@@ -436,8 +422,6 @@ CATALOG = (
         description="Whole-line moment of the Struve function versus "
                     "pi/(2^nu Gamma(1+nu))",
         parameter_domain=("nu > -1/2",),
-        lhs_kind="quadrature",
-        rhs_kind="closed_form",
         parameters=("nu",),
         default_grid={"nu": (0.0, 0.5, 1.0, 2.0)},
         default_tol=1e-6,
@@ -451,8 +435,6 @@ CATALOG = (
         description="Generating function of m-strided Bessel orders versus "
                     "the order-zero Hermite-based Tricomi function",
         parameter_domain=("m integer >= 2",),
-        lhs_kind="double_series",
-        rhs_kind="single_series",
         parameters=("m", "x", "t"),
         default_grid={"m": (2.0, 3.0), "x": (0.25, 0.5, 1.0, 2.0),
                       "t": (-1.0, -0.5, 0.5, 1.0)},
@@ -467,8 +449,6 @@ CATALOG = (
         description="Whole-line integral of J_n(x e^{-t^2}) versus the "
                     "Gaussian dilation series",
         parameter_domain=("n integer > 0",),
-        lhs_kind="quadrature",
-        rhs_kind="single_series",
         parameters=("n", "x"),
         default_grid={"n": (1.0, 2.0, 3.0), "x": (0.5, 1.0, 2.0, 4.0)},
         default_tol=1e-7,
@@ -482,8 +462,6 @@ CATALOG = (
         description="Whole-line Lorentzian-dilated Gaussian versus "
                     "(pi/2) 2F2(3/4,5/4;1,3/2;-x^2)",
         parameter_domain=("x real",),
-        lhs_kind="quadrature",
-        rhs_kind="closed_form",
         parameters=("x",),
         default_grid={"x": (0.0, 0.5, 1.0, 2.0, 3.0)},
         default_tol=1e-8,
@@ -498,8 +476,6 @@ CATALOG = (
         description="Mellin transform of exp(-x) versus Gamma(nu) from the "
                     "master-theorem evaluator",
         parameter_domain=("0 < nu < 1",),
-        lhs_kind="quadrature",
-        rhs_kind="closed_form",
         parameters=("nu",),
         default_grid={"nu": (0.25, 0.5, 0.75)},
         default_tol=1e-8,
@@ -513,8 +489,6 @@ CATALOG = (
         description="Mellin transform of 1/(1+x) versus pi/sin(pi nu) from "
                     "the master-theorem evaluator",
         parameter_domain=("0 < nu < 1",),
-        lhs_kind="quadrature",
-        rhs_kind="closed_form",
         parameters=("nu",),
         default_grid={"nu": (0.25, 0.5, 0.75)},
         default_tol=1e-8,
@@ -528,8 +502,6 @@ CATALOG = (
         description="Exponential moment of cos(x t) versus the factorial-"
                     "multiplied cosine series (geometric form 1/(1+x^2))",
         parameter_domain=("|x| < 1",),
-        lhs_kind="quadrature",
-        rhs_kind="single_series",
         parameters=("x",),
         default_grid={"x": (0.2, 0.5, 0.8)},
         default_tol=1e-8,
@@ -543,8 +515,6 @@ CATALOG = (
         description="Exponential moment of the 3-sected alternating "
                     "exponential versus the geometric form 1/(1+x^3)",
         parameter_domain=("|x| < 1",),
-        lhs_kind="quadrature",
-        rhs_kind="single_series",
         parameters=("x",),
         default_grid={"x": (0.2, 0.5, 0.8)},
         default_tol=1e-8,
@@ -558,8 +528,6 @@ CATALOG = (
         description="Euler-kernel average of exp(-u x) versus the "
                     "Beta-weighted moment series",
         parameter_domain=("alpha > 0", "beta > 0"),
-        lhs_kind="quadrature",
-        rhs_kind="single_series",
         parameters=("alpha", "beta", "x"),
         default_grid={"alpha": (1.0, 2.0), "beta": (1.0, 3.0), "x": (0.0, 1.0, 3.0)},
         default_tol=1e-8,

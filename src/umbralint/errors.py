@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 
 class EngineError(Exception):
     """Base class for every error raised by this package."""
@@ -62,3 +64,17 @@ class QuadratureError(EngineError, ArithmeticError):
 
 class ExtrapolationError(QuadratureError):
     """A damping-ladder extrapolation failed to settle within tolerance."""
+
+
+def overflow_raises(error, what=None):
+    """Decorator: an OverflowError inside the function leaves it as
+    ``error``, naming ``what`` (by default the function) as what overflowed."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except OverflowError as exc:
+                raise error(f"{what or fn.__name__} overflowed: {exc.args[-1]}") from exc
+        return guarded
+    return decorate

@@ -17,15 +17,14 @@ integrand contract requires that it be safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ExtrapolationError, QuadratureError
+from .errors import DomainError, ExtrapolationError, QuadratureError, overflow_raises
 
 __all__ = [
     "QuadratureResult",
@@ -34,8 +33,6 @@ __all__ = [
     "integrate_half_line",
     "integrate_real_line",
     "integrate_oscillatory_gaussian",
-    "DEFAULT_LADDER_START",
-    "DEFAULT_LADDER_RATIO",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -76,12 +73,16 @@ _NODES15 = np.array(tuple(-x for x in _XGK) + _XGK[-2::-1])
 _WK15 = np.array(_WGK + _WGK[-2::-1])
 _WG15 = np.array(_GAUSS_AT_XGK + _GAUSS_AT_XGK[-2::-1])
 
-DEFAULT_LADDER_START = 0.2
-DEFAULT_LADDER_RATIO = 2.0
-_DEFAULT_EXP_EXPONENTS = (1, 1, 2, 2, 3, 3)
-_DEFAULT_OSC_EXPONENTS = (1, 2, 3, 4, 5)
-_DEFAULT_EXP_RUNGS = 8
-_DEFAULT_OSC_RUNGS = 6
+# Damping ladders eps_j = 0.2 * 2^-j: 8 rungs of exp damping, and 6 rungs of
+# Gaussian damping scaled by beta.  Each is geometric with ratio 2, which
+# the exponent elimination in _extrapolate relies on.
+_LADDER_RATIO = 2.0
+_EXP_LADDER = tuple(0.2 * _LADDER_RATIO ** (-j) for j in range(8))
+_EXP_EXPONENTS = (1, 1, 2, 2, 3, 3)
+_OSC_RUNGS = 6
+_OSC_EXPONENTS = (1, 2, 3, 4, 5)
+# Both ladders start from 16 equal panels of each half-line piece.
+_LADDER_PANELS = 16
 
 
 @dataclass(frozen=True)
@@ -104,24 +105,6 @@ class RegularizationTrace:
     extrapolated: complex
     residual: float
     residual_history: tuple
-
-    def __post_init__(self):
-        for a, b in zip(self.epsilons, self.epsilons[1:]):
-            if not b < a:
-                raise DomainError("ladder epsilons must be strictly decreasing")
-
-
-def _overflow_fails(entry):
-    """Make an integrand's OverflowError end the integration as a
-    QuadratureError, so callers see one kind of oracle failure."""
-    @functools.wraps(entry)
-    def guarded(*args, **kwargs):
-        try:
-            return entry(*args, **kwargs)
-        except OverflowError as exc:
-            raise QuadratureError(f"integrand overflowed: {exc}") from exc
-
-    return guarded
 
 
 def _gauss_kronrod_15(f, a: float, b: float):
@@ -179,8 +162,9 @@ def _gauss_kronrod_15(f, a: float, b: float):
 
 
 def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
-              initial_intervals: int):
-    """Worst-panel-first adaptive bisection over [a, b].
+              panels: int):
+    """Worst-panel-first adaptive bisection over [a, b], starting from
+    ``panels`` equal panels.
 
     A panel whose midpoint is no longer representable cannot be refined;
     its error estimate is frozen into the total instead of being split
@@ -192,9 +176,9 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     frozen_err = 0.0
     evaluations = 0
     n = 0
-    for i in range(initial_intervals):
-        left = a + (b - a) * i / initial_intervals
-        right = a + (b - a) * (i + 1) / initial_intervals
+    for i in range(panels):
+        left = a + (b - a) * i / panels
+        right = a + (b - a) * (i + 1) / panels
         value, err = _gauss_kronrod_15(f, left, right)
         evaluations += 15
         total += value
@@ -222,10 +206,21 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     return total, err_total + frozen_err, evaluations
 
 
-@_overflow_fails
+def _certified(interval: str, value, err: float, evaluations: int,
+               tol: float) -> QuadratureResult:
+    """The result of a single integral, or QuadratureError with it attached
+    as the partial result when its error is above ``tol``."""
+    result = QuadratureResult(value, err, evaluations, err <= tol)
+    if not result.converged:
+        raise QuadratureError(
+            f"{interval} quadrature stalled at error {err:.3e} > {tol:.3e}",
+            partial=result)
+    return result
+
+
+@overflow_raises(QuadratureError, "integrand")
 def integrate_finite(f: Callable, a: float, b: float, tol: float,
-                     max_intervals: int = 20_000,
-                     initial_intervals: int = 1) -> QuadratureResult:
+                     max_intervals: int = 20_000) -> QuadratureResult:
     """Adaptive integral over [a, b] to absolute tolerance ``tol``.
 
     Interior nodes only, so integrable endpoint singularities are handled by
@@ -234,14 +229,8 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float,
     """
     if not a < b:
         raise DomainError("integrate_finite needs a < b")
-    value, err, evals = _adaptive(f, a, b, tol, max_intervals, initial_intervals)
-    converged = err <= tol
-    result = QuadratureResult(value, err, evals, converged)
-    if not converged:
-        raise QuadratureError(
-            f"finite-interval quadrature stalled at error {err:.3e} > {tol:.3e}",
-            partial=result)
-    return result
+    return _certified("finite-interval", *_adaptive(f, a, b, tol, max_intervals, 1),
+                      tol)
 
 
 def _half_line(core, f, tol):
@@ -267,14 +256,6 @@ def _half_line(core, f, tol):
     v1, e1, n1 = core(f, np.positive, 0.5 * tol)        # x = t
     v2, e2, n2 = core(tail, np.reciprocal, 0.5 * tol)   # x = 1/u
     return v1 + v2, e1 + e2, n1 + n2
-
-
-def _half_line_plain(f, tol, max_intervals, initial_intervals):
-    def core(piece, _, piece_tol):
-        return _adaptive(piece, 0.0, 1.0, piece_tol, max_intervals,
-                         initial_intervals)
-
-    return _half_line(core, f, tol)
 
 
 def _ladder_panels(g, x_of, eps, power, left, right):
@@ -324,8 +305,7 @@ def _ladder_panels(g, x_of, eps, power, left, right):
     return values, err
 
 
-def _adaptive_ladder(g, x_of, eps, power, tol, max_intervals,
-                     initial_intervals):
+def _adaptive_ladder(g, x_of, eps, power, tol, max_intervals):
     """Adaptive bisection over [0, 1] of g(t) e^{-eps_r x(t)^power} for all
     rungs r at once, until every rung's error is within ``tol``.
 
@@ -334,10 +314,10 @@ def _adaptive_ladder(g, x_of, eps, power, tol, max_intervals,
     ``max_intervals`` and the frozen-midpoint rule act as in _adaptive.
     Returns per-rung values and errors and the evaluation count.
     """
-    left = np.arange(initial_intervals) / initial_intervals
-    right = np.arange(1, initial_intervals + 1) / initial_intervals
+    left = np.arange(_LADDER_PANELS) / _LADDER_PANELS
+    right = np.arange(1, _LADDER_PANELS + 1) / _LADDER_PANELS
     values, errors = _ladder_panels(g, x_of, eps, power, left, right)
-    n = initial_intervals
+    n = _LADDER_PANELS
     frozen_value = 0.0
     frozen_err = 0.0
     while True:
@@ -370,22 +350,6 @@ def _adaptive_ladder(g, x_of, eps, power, tol, max_intervals,
     return frozen_value + values.sum(axis=0), err, 15 * n
 
 
-def _geometric_ladder(start: float, ratio: float, rungs: int):
-    return tuple(start * ratio ** (-j) for j in range(rungs))
-
-
-def _check_geometric(ladder: Sequence[float]) -> float:
-    if len(ladder) < 3:
-        raise DomainError("a damping ladder needs at least 3 rungs")
-    ratio = ladder[0] / ladder[1]
-    for a, b in zip(ladder, ladder[1:]):
-        if not b < a:
-            raise DomainError("ladder must be strictly decreasing")
-        if abs(a / b - ratio) > 1e-9 * ratio:
-            raise DomainError("ladder must be geometric for exponent elimination")
-    return ratio
-
-
 def _extrapolate(values, ratio: float, exponents):
     """Eliminate c eps^p terms stage by stage on a geometric ladder.
 
@@ -409,16 +373,13 @@ def _extrapolate(values, ratio: float, exponents):
     return estimate, history, amplification
 
 
-def _run_ladder(f, power, ladder, exponents, tol, inner_tol, max_intervals,
-                initial_intervals):
+def _run_ladder(f, power, ladder, exponents, tol, inner_tol, max_intervals):
     """Integrate f e^{-eps x^power} on every ladder rung in one adaptive
     pass and extrapolate to eps -> 0."""
-    ratio = _check_geometric(ladder)
     eps = np.array(ladder, dtype=float)
 
     def core(piece, x_of, piece_tol):
-        return _adaptive_ladder(piece, x_of, eps, power, piece_tol,
-                                max_intervals, initial_intervals)
+        return _adaptive_ladder(piece, x_of, eps, power, piece_tol, max_intervals)
 
     values, errors, evaluations = _half_line(core, f, inner_tol)
     values, errors = values.tolist(), errors.tolist()
@@ -428,7 +389,7 @@ def _run_ladder(f, power, ladder, exponents, tol, inner_tol, max_intervals,
                 f"ladder rung eps={rung:g} stalled at error {err:.3e} > {inner_tol:.3e}",
                 partial=QuadratureResult(value, err, evaluations, False))
     inner_err = max(errors)
-    estimate, history, amplification = _extrapolate(values, ratio, exponents)
+    estimate, history, amplification = _extrapolate(values, _LADDER_RATIO, exponents)
     residual = history[-1] if history else math.inf
     err_est = residual + amplification * inner_err
     trace = RegularizationTrace(tuple(ladder), tuple(values), estimate,
@@ -442,51 +403,36 @@ def _run_ladder(f, power, ladder, exponents, tol, inner_tol, max_intervals,
     return result
 
 
-@_overflow_fails
+@overflow_raises(QuadratureError, "integrand")
 def integrate_half_line(f: Callable, tol: float, damping: str = "none",
-                        max_intervals: int = 40_000,
-                        initial_intervals: int = 8,
-                        ladder: Sequence[float] | None = None,
-                        ladder_exponents: Sequence[int] | None = None) -> QuadratureResult:
+                        max_intervals: int = 40_000) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
 
     damping="none" splits at x = 1, folds the tail by x -> 1/x, and
     integrates both pieces adaptively; the integrand must decay.
-    damping="exp_extrapolated" computes the integral of f(x) e^{-eps x} on a
-    decreasing geometric eps-ladder and extrapolates to eps -> 0, which also
-    handles conditionally convergent oscillatory tails.  All rungs share one
-    adaptive pass, so f is evaluated once per node, and ``max_intervals``
-    bounds each of its two pieces.  The default elimination exponents
-    (1, 1, 2, 2, 3, 3) remove the eps^k log(eps) contributions that
-    algebraic integrand tails produce.
+    damping="exp_extrapolated" computes the integral of f(x) e^{-eps x} on
+    the ladder eps_j = 0.2 * 2^-j, j = 0..7, and extrapolates to eps -> 0,
+    which also handles conditionally convergent oscillatory tails.  All
+    rungs share one adaptive pass, so f is evaluated once per node, and
+    ``max_intervals`` bounds each of its two pieces.  The elimination
+    exponents (1, 1, 2, 2, 3, 3) remove the eps^k log(eps) contributions
+    that algebraic integrand tails produce.
     """
     if damping == "none":
-        value, err, evals = _half_line_plain(f, tol, max_intervals,
-                                             initial_intervals)
-        converged = err <= tol
-        result = QuadratureResult(value, err, evals, converged)
-        if not converged:
-            raise QuadratureError(
-                f"half-line quadrature stalled at error {err:.3e} > {tol:.3e}",
-                partial=result)
-        return result
+        def core(piece, _, piece_tol):
+            return _adaptive(piece, 0.0, 1.0, piece_tol, max_intervals, 8)
+
+        return _certified("half-line", *_half_line(core, f, tol), tol)
     if damping != "exp_extrapolated":
         raise DomainError(f"unknown damping mode {damping!r}")
 
-    if ladder is None:
-        ladder = _geometric_ladder(DEFAULT_LADDER_START, DEFAULT_LADDER_RATIO,
-                                   _DEFAULT_EXP_RUNGS)
-    exponents = tuple(ladder_exponents) if ladder_exponents is not None \
-        else _DEFAULT_EXP_EXPONENTS
     inner_tol = max(tol / 200.0, 5e-12)
-    return _run_ladder(f, 1, ladder, exponents, tol, inner_tol, max_intervals,
-                       max(initial_intervals, 16))
+    return _run_ladder(f, 1, _EXP_LADDER, _EXP_EXPONENTS, tol, inner_tol,
+                       max_intervals)
 
 
-@_overflow_fails
-def integrate_real_line(f: Callable, tol: float,
-                        max_intervals: int = 40_000,
-                        initial_intervals: int = 8) -> QuadratureResult:
+@overflow_raises(QuadratureError, "integrand")
+def integrate_real_line(f: Callable, tol: float) -> QuadratureResult:
     """Integral over the whole line via the rational map t = u/(1-u^2)."""
     def mapped(u):
         w = 1.0 - u * u
@@ -500,38 +446,23 @@ def integrate_real_line(f: Callable, tol: float,
             return 0.0
         return ft * (1.0 + u * u) / (w * w)
 
-    value, err, evals = _adaptive(mapped, -1.0, 1.0, tol, max_intervals,
-                                  initial_intervals)
-    converged = err <= tol
-    result = QuadratureResult(value, err, evals, converged)
-    if not converged:
-        raise QuadratureError(
-            f"whole-line quadrature stalled at error {err:.3e} > {tol:.3e}",
-            partial=result)
-    return result
+    return _certified("whole-line", *_adaptive(mapped, -1.0, 1.0, tol, 40_000, 8),
+                      tol)
 
 
-@_overflow_fails
+@overflow_raises(QuadratureError, "integrand")
 def integrate_oscillatory_gaussian(f: Callable, beta: float, tol: float,
-                                   max_intervals: int = 40_000,
-                                   initial_intervals: int = 16,
-                                   ladder: Sequence[float] | None = None,
-                                   ladder_exponents: Sequence[int] | None = None) -> QuadratureResult:
+                                   max_intervals: int = 40_000) -> QuadratureResult:
     """Half-line integral of h(x) e^{i beta x^2}-type integrands.
 
-    Gaussian damping e^{-eps x^2} on a geometric eps-ladder scaled by beta,
-    all rungs in one adaptive pass, then polynomial extrapolation to
-    eps -> 0.  The damped values are
-    analytic in eps (the nearest singularity sits at eps = i beta), so plain
-    power elimination converges geometrically.
+    Gaussian damping e^{-eps x^2} on the ladder eps_j = 0.2 beta 2^-j,
+    j = 0..5, all rungs in one adaptive pass, then polynomial extrapolation
+    to eps -> 0 with exponents 1..5.  The damped values are analytic in eps
+    (the nearest singularity sits at eps = i beta), so plain power
+    elimination converges geometrically.
     """
     if beta <= 0:
         raise DomainError("integrate_oscillatory_gaussian needs beta > 0")
-    if ladder is None:
-        ladder = _geometric_ladder(DEFAULT_LADDER_START * beta,
-                                   DEFAULT_LADDER_RATIO, _DEFAULT_OSC_RUNGS)
-    exponents = tuple(ladder_exponents) if ladder_exponents is not None \
-        else _DEFAULT_OSC_EXPONENTS
+    ladder = tuple(0.2 * beta * _LADDER_RATIO ** (-j) for j in range(_OSC_RUNGS))
     inner_tol = max(tol / 100.0, 5e-12)
-    return _run_ladder(f, 2, ladder, exponents, tol, inner_tol, max_intervals,
-                       initial_intervals)
+    return _run_ladder(f, 2, ladder, _OSC_EXPONENTS, tol, inner_tol, max_intervals)

@@ -22,7 +22,7 @@ from itertools import count
 
 from .errors import DomainError, KernelDomainError, PoleError, StripError
 from .specfun import DEFAULT_TOL, gamma, gamma_sign, log_gamma
-from .summation import DEFAULT_CAP, sum_series
+from .summation import sum_series
 
 __all__ = [
     "GammaRatioSequence",
@@ -231,13 +231,12 @@ class CoefficientSeries:
         """The first n coefficients as a list."""
         return [self.coefficient(k) for k in range(n)]
 
-    def evaluate(self, x: float, tol: float = DEFAULT_TOL,
-                 max_terms: int = DEFAULT_CAP) -> complex:
+    def evaluate(self, x: float, tol: float = DEFAULT_TOL) -> complex:
         """Sum the series at x under the shared stopping rule."""
-        return _sum_terms(self, x, tol, max_terms)
+        return _sum_terms(self, x, tol)
 
 
-def _sum_terms(series: CoefficientSeries, x: float, tol: float, max_terms: int,
+def _sum_terms(series: CoefficientSeries, x: float, tol: float,
                multiplier: MellinMultiplier | None = None) -> complex:
     """sum_k law(k) geometric^k F(a_k) x^a_k with a_k = stride k + offset.
 
@@ -287,7 +286,7 @@ def _sum_terms(series: CoefficientSeries, x: float, tol: float, max_terms: int,
                 log_mag += multiplier.log_value(m * k + p)
             yield term_sign * (math.exp(log_mag) if log_mag <= _LOG_MAX else math.inf)
 
-    value, _ = sum_series(terms(), tol, cap=max_terms)
+    value, _ = sum_series(terms(), tol)
     return complex(value)
 
 
@@ -460,7 +459,6 @@ def beta_kernel(alpha: float, beta: float) -> MellinMultiplier:
 
 
 def apply_mellin_multiplier(multiplier: MellinMultiplier, series: CoefficientSeries,
-                            x: float, tol: float = DEFAULT_TOL,
-                            max_terms: int = DEFAULT_CAP) -> complex:
+                            x: float, tol: float = DEFAULT_TOL) -> complex:
     """sum_k c(k) F(m k + p) x^{m k + p}, the integral of the dilation family."""
-    return _sum_terms(series, x, tol, max_terms, multiplier)
+    return _sum_terms(series, x, tol, multiplier)

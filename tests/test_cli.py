@@ -63,6 +63,21 @@ class TestEval:
         assert code == 2
         assert "domain error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gamma", "200"),
+        ("beta", "1e-320", "1"),
+        ("struve_moment", "200"),
+        ("struve_h", "0", "1e6"),
+        ("hermite_higher", "1000", "2", "10", "10"),
+        ("hermite_hybrid", "400", "2", "10", "10"),
+        ("truncated_e", "400", "2", "10", "10"),
+    ])
+    def test_kernel_overflow_is_a_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, "eval", *argv)
+        assert code == 2
+        assert err.startswith("domain error: ")
+        assert "overflow" in err
+
 
 class TestVerify:
     def test_single_identity_passes(self, capsys, tmp_path):
@@ -145,6 +160,25 @@ class TestVerify:
                            "--variant", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["nu=nan", "nu=0,inf", "nu=0:inf:3"])
+    def test_non_finite_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "eq13_struve_moment", "--grid", grid)
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tol):
+        code, out, err = run(capsys, "verify", "eq30_lorentz_gauss", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "positive finite" in err
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"eq30_lorentz_gauss.tol = {tol}\n")
+        code, out, err = run(capsys, "verify", "eq30_lorentz_gauss",
+                             "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "positive finite" in err
+
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, _, _ = run(capsys, "verify", "eq30_lorentz_gauss",
@@ -199,6 +233,13 @@ class TestVerifyPoint:
         report = cli.verify_point(identity, {"nu": 0.02}, identity.default_tol)
         assert not report.passed
         assert report.reason.startswith("oracle failure: ")
+        assert "overflow" in report.reason
+
+    def test_closed_form_overflow_is_a_closed_form_failure(self):
+        identity = get_identity("eq13_struve_moment")
+        report = cli.verify_point(identity, {"nu": 200.0}, identity.default_tol)
+        assert not report.passed
+        assert report.reason.startswith("closed-form failure: ")
         assert "overflow" in report.reason
 
 

@@ -64,12 +64,6 @@ class TestIntegrateHalfLine:
         with pytest.raises(DomainError):
             oracle.integrate_half_line(lambda x: math.exp(-x), 1e-8, damping="bogus")
 
-    def test_non_geometric_ladder_rejected(self):
-        with pytest.raises(DomainError):
-            oracle.integrate_half_line(lambda x: math.exp(-x), 1e-6,
-                                       damping="exp_extrapolated",
-                                       ladder=(0.2, 0.1, 0.07))
-
 
 class TestIntegrateRealLine:
     def test_gaussian(self):
@@ -157,6 +151,15 @@ LADDERS = {
 
 
 class TestOnePassLadder:
+    def test_exp_ladder(self):
+        r = oracle.integrate_half_line(_struve_eq12, 2.5e-6, damping="exp_extrapolated")
+        assert r.trace.epsilons == tuple(0.2 * 2.0 ** -j for j in range(8))
+
+    def test_gaussian_ladder_scales_with_beta(self):
+        r = oracle.integrate_oscillatory_gaussian(
+            lambda x: x * cmath.exp(2j * x * x), 2.0, 1e-7)
+        assert r.trace.epsilons == tuple(0.4 * 2.0 ** -j for j in range(6))
+
     @pytest.mark.parametrize("kind", sorted(LADDERS))
     def test_each_node_evaluated_once(self, kind):
         f, run, _, _ = LADDERS[kind]

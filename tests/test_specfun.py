@@ -70,6 +70,19 @@ class TestGamma:
             z += 0.1
         assert worst <= 1e-11
 
+    def test_large_real_arguments_match_scipy(self):
+        # the Lanczos sum is off by up to 1.7e-13 relative on this range
+        from scipy.special import gamma as gamma_ref
+        for i in range(311):
+            x = 140.0 + 0.1 * i
+            assert sf.gamma(x) == pytest.approx(gamma_ref(x), rel=1e-14), x
+
+    def test_underflow_and_overflow(self):
+        assert math.copysign(1.0, sf.gamma(-200.5)) == -1.0
+        assert sf.gamma(-200.5) == 0.0
+        with pytest.raises(DomainError, match="overflow"):
+            sf.gamma(171.7)
+
     def test_known_complex_modulus(self):
         # |Gamma(1+i)| = sqrt(pi / sinh(pi))
         assert abs(sf.gamma(1 + 1j)) == pytest.approx(
