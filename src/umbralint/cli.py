@@ -14,7 +14,9 @@ declaration order, so identical invocations produce identical reports.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import inspect
 import io
 import json
 import math
@@ -92,9 +94,10 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
         return VerificationReport(identity.id, identity.equation, dict(params),
                                   None, None, None, tol, False, 0, 0.0,
                                   f"outside domain: {reason}")
+    closed_form = identity.variants[variant] if variant else identity.closed
     start = time.perf_counter()
     try:
-        closed = complex(identity.closed(params, variant))
+        closed = complex(closed_form(**params))
     except EngineError as exc:
         return VerificationReport(identity.id, identity.equation, dict(params),
                                   None, None, None, tol, False, 0,
@@ -105,8 +108,8 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
     scale = max(abs(closed), 1.0)
     try:
         oracle_result = identity.oracle_eval(params, 0.25 * tol * scale)
-    except QuadratureError as exc:
-        partial = exc.partial
+    except EngineError as exc:
+        partial = exc.partial if isinstance(exc, QuadratureError) else None
         cost = partial.evaluations if partial is not None else 0
         return VerificationReport(identity.id, identity.equation, dict(params),
                                   closed, None, None, tol, False, cost,
@@ -151,6 +154,13 @@ def run_verification(identity, grid: dict, tol: float, variant=None):
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(values, text: str):
+    """The values, if all are finite; either part of a complex value counts."""
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError(f"values must be finite, got {text!r}")
+    return values
+
+
 def _parse_values(text: str):
     if ":" in text:
         pieces = text.split(":")
@@ -164,9 +174,7 @@ def _parse_values(text: str):
         values = tuple(lo + step * i for i in range(n))
     else:
         values = tuple(float(v) for v in text.split(","))
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"grid values must be finite, got {text!r}")
-    return values
+    return _check_finite(values, text)
 
 
 def _parse_tol(text: str) -> float:
@@ -212,9 +220,10 @@ def _load_config(path: str):
 
 def _parse_scalar(text: str):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        return complex(text)
+        value = complex(text)
+    return _check_finite((value,), text)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,30 +236,26 @@ _CLOSED_APPROX = "closed approximation, <= 1e-13 relative"
 _FINITE = "exact (finite sum)"
 _EXACT = "closed form (exact)"
 
+# (function, accuracy note); eval passes the required parameters, and each
+# function checks its own integer orders
 _EVAL_FUNCS = {
-    "gamma": (specfun.gamma, 1, _CLOSED_APPROX),
-    "beta": (specfun.beta, 2, _CLOSED_APPROX),
-    "bessel_j": (specfun.bessel_j, 2, _SERIES),
-    "bessel_i": (specfun.bessel_i, 2, _SERIES),
-    "struve_h": (specfun.struve_h, 2, _SERIES),
-    "b_nu": (specfun.b_nu, 2, _SERIES),
-    "pseudo_trig": (lambda k, m, x: specfun.pseudo_trig(int(k), int(m), x), 3, _SERIES),
-    "hermite_higher": (lambda n, m, u, v: specfun.hermite_higher(int(n), int(m), u, v),
-                       4, _FINITE),
-    "hermite_hybrid": (lambda n, m, x, y: specfun.hermite_hybrid(int(n), int(m), x, y),
-                       4, _FINITE),
-    "truncated_e": (lambda n, m, x, y: specfun.truncated_e(int(n), int(m), x, y),
-                    4, _FINITE),
-    "hermite_tricomi": (lambda n, m, x, y: specfun.hermite_tricomi(int(n), int(m), x, y),
-                        4, _SERIES),
-    "fresnel_bessel": (closedforms.fresnel_bessel, 3, _SERIES),
-    "struve_halfline": (closedforms.struve_halfline_integral, 2, _EXACT),
-    "struve_moment": (closedforms.struve_moment_integral, 1, _EXACT),
-    "bessel_gauss_dilation": (lambda n, x: closedforms.bessel_gauss_dilation(int(n), x),
-                              2, _SERIES),
-    "lorentz_gauss": (closedforms.lorentz_gauss_integral, 1, _SERIES),
-    "bessel_generating": (lambda x, t, m: closedforms.bessel_generating_function(x, t, int(m)),
-                          3, _SERIES),
+    "gamma": (specfun.gamma, _CLOSED_APPROX),
+    "beta": (specfun.beta, _CLOSED_APPROX),
+    "bessel_j": (specfun.bessel_j, _SERIES),
+    "bessel_i": (specfun.bessel_i, _SERIES),
+    "struve_h": (specfun.struve_h, _SERIES),
+    "b_nu": (specfun.b_nu, _SERIES),
+    "pseudo_trig": (specfun.pseudo_trig, _SERIES),
+    "hermite_higher": (specfun.hermite_higher, _FINITE),
+    "hermite_hybrid": (specfun.hermite_hybrid, _FINITE),
+    "truncated_e": (specfun.truncated_e, _FINITE),
+    "hermite_tricomi": (specfun.hermite_tricomi, _SERIES),
+    "fresnel_bessel": (closedforms.fresnel_bessel, _SERIES),
+    "struve_halfline": (closedforms.struve_halfline_integral, _EXACT),
+    "struve_moment": (closedforms.struve_moment_integral, _EXACT),
+    "bessel_gauss_dilation": (closedforms.bessel_gauss_dilation, _SERIES),
+    "lorentz_gauss": (closedforms.lorentz_gauss_integral, _SERIES),
+    "bessel_generating": (closedforms.bessel_generating_function, _SERIES),
 }
 
 
@@ -261,7 +266,7 @@ def _cmd_list(args) -> int:
                 "id": d.id,
                 "equation": d.equation,
                 "description": d.description,
-                "parameter_domain": list(d.parameter_domain),
+                "parameter_domain": [text for text, _ in d.parameter_domain],
                 "parameters": list(d.parameters),
                 "default_tol": d.default_tol,
                 "variants": list(d.variants),
@@ -272,7 +277,7 @@ def _cmd_list(args) -> int:
         return 0
     width = max(len(d.id) for d in CATALOG)
     for d in CATALOG:
-        domain = "; ".join(d.parameter_domain)
+        domain = "; ".join(text for text, _ in d.parameter_domain)
         print(f"{d.id:<{width}}  [{d.equation}]  {domain}")
         print(f"{'':<{width}}  {d.description}")
     return 0
@@ -284,7 +289,8 @@ def _cmd_eval(args) -> int:
         print(f"unknown function {name!r}; choose from: "
               f"{', '.join(sorted(_EVAL_FUNCS))}", file=sys.stderr)
         return 2
-    fn, arity, note = _EVAL_FUNCS[name]
+    fn, note = _EVAL_FUNCS[name]
+    arity = sum(p.default is p.empty for p in inspect.signature(fn).parameters.values())
     if len(args.args) != arity:
         print(f"{name} takes {arity} argument(s)", file=sys.stderr)
         return 2

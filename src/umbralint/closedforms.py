@@ -14,13 +14,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Callable
 
 from . import oracle, reference, transforms, umbral
-from .errors import DomainError
+from .errors import DomainError, overflow_raises
 from .specfun import (
     DEFAULT_TOL,
+    as_integer,
     b_nu,
     bessel_j,
     gamma,
@@ -50,11 +52,51 @@ __all__ = [
 ]
 
 
+# A parameter domain is a tuple of (text, predicate) conditions on the
+# parameter dict.  The catalog lists the texts, verify checks the predicates,
+# and the closed forms that take the parameters directly check the same ones.
+
+
+def _broken(domain, params):
+    """The text of the first condition of ``domain`` that ``params`` break."""
+    for text, holds in domain:
+        if not holds(params):
+            return text
+    return None
+
+
+def _require(function: str, domain, params) -> None:
+    text = _broken(domain, params)
+    if text is not None:
+        raise DomainError(f"{function} needs {text}")
+
+
+def _integer(value, lo: int) -> bool:
+    """Whether ``value`` is an integral number >= lo, by specfun.as_integer."""
+    try:
+        as_integer(value, "", lo)
+    except DomainError:
+        return False
+    return True
+
+
+_EQ08_DOMAIN = (("nu >= 0", lambda p: p["nu"] >= 0),
+                ("alpha > 0", lambda p: p["alpha"] > 0),
+                ("beta > 0", lambda p: p["beta"] > 0),
+                ("alpha^2 < 4 beta", lambda p: p["alpha"] ** 2 < 4 * p["beta"]))
+_EQ12_DOMAIN = (("-2 < nu < 0", lambda p: -2.0 < p["nu"] < 0.0),
+                ("b > 0", lambda p: p["b"] > 0))
+_EQ13_DOMAIN = (("nu > -1/2", lambda p: p["nu"] > -0.5),)
+_EQ19_DOMAIN = (("m integer >= 2", lambda p: _integer(p["m"], 2)),)
+_EQ28_DOMAIN = (("n integer > 0", lambda p: _integer(p["n"], 1)),)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form evaluations
 # ---------------------------------------------------------------------------
 
 
+@overflow_raises(DomainError)
 def fresnel_bessel(nu: float, alpha: float, beta: float,
                    tol: float = DEFAULT_TOL) -> complex:
     """Closed form of the half-line Fresnel-weighted Bessel integral
@@ -64,12 +106,7 @@ def fresnel_bessel(nu: float, alpha: float, beta: float,
     power takes the principal branch, which reproduces the elementary
     nu = 0 form (i/(2 beta)) exp(-i alpha^2/(4 beta)).
     """
-    if nu < 0:
-        raise DomainError("fresnel_bessel needs nu >= 0")
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("fresnel_bessel needs alpha > 0 and beta > 0")
-    if alpha * alpha >= 4.0 * beta:
-        raise DomainError("fresnel_bessel needs alpha^2 < 4 beta")
+    _require("fresnel_bessel", _EQ08_DOMAIN, {"nu": nu, "alpha": alpha, "beta": beta})
     # (i/beta)^(nu+1) on the principal branch
     power = cmath.exp((nu + 1.0) * complex(-math.log(beta), 0.5 * math.pi))
     argument = complex(0.0, -alpha * alpha / (4.0 * beta))
@@ -79,20 +116,22 @@ def fresnel_bessel(nu: float, alpha: float, beta: float,
 def struve_halfline_integral(nu: float, b: float) -> float:
     """Half-line integral of the Struve function of b x:
     -1/(b tan(pi nu / 2)) for -2 < nu < 0, exactly 0 at nu = -1."""
-    if not -2.0 < nu < 0.0:
-        raise DomainError("struve_halfline_integral needs -2 < nu < 0")
-    if b <= 0:
-        raise DomainError("struve_halfline_integral needs b > 0")
+    _require("struve_halfline_integral", _EQ12_DOMAIN, {"nu": nu, "b": b})
     if nu == -1.0:
         return 0.0
-    return -1.0 / (b * math.tan(0.5 * math.pi * nu))
+    # a float quotient past the double range is inf, not an OverflowError
+    denominator = b * math.tan(0.5 * math.pi * nu)
+    value = -1.0 / denominator if denominator else math.inf
+    if math.isinf(value):
+        raise DomainError(f"struve_halfline_integral overflowed at nu={nu!r}, b={b!r}")
+    return value
 
 
+@overflow_raises(DomainError)
 def struve_moment_integral(nu: float) -> float:
     """Whole-line integral of the even extension of x^{-(nu+1)} times the
     Struve function: pi / (2^nu Gamma(1+nu)), for nu > -1/2."""
-    if nu <= -0.5:
-        raise DomainError("struve_moment_integral needs nu > -1/2")
+    _require("struve_moment_integral", _EQ13_DOMAIN, {"nu": nu})
     return math.pi / (2.0 ** nu * gamma(nu + 1.0))
 
 
@@ -105,8 +144,7 @@ def bessel_generating_function(x: float, t: float, m: int,
     equivalent Hermite-based Tricomi function of order m at
     (x^2, (-x)^m t).  The two routes agree within tolerance.
     """
-    if not isinstance(m, int) or m < 2:
-        raise DomainError("bessel_generating_function needs integer m >= 2")
+    _require("bessel_generating_function", _EQ19_DOMAIN, {"m": m})
     if method == "tricomi":
         value = hermite_tricomi(0, m, x * x, (-x) ** m * t, tol=tol)
         return value.real
@@ -129,8 +167,7 @@ def bessel_gauss_dilation(n: int, x: float, tol: float = 1e-12) -> float:
     Evaluated by applying the Gaussian dilation-kernel symbol to the Bessel
     power series: sqrt(pi) sum_k (-1)^k (x/2)^{2k+n} / (k! (k+n)! sqrt(2k+n)).
     """
-    if not isinstance(n, int) or n <= 0:
-        raise DomainError("bessel_gauss_dilation needs integer n > 0")
+    _require("bessel_gauss_dilation", _EQ28_DOMAIN, {"n": n})
     value = umbral.apply_mellin_multiplier(gaussian_kernel(),
                                            bessel_power_series(n), x, tol=tol)
     return value.real
@@ -179,36 +216,31 @@ def _even_series(law, x: float, tol: float) -> float:
 class IdentityDescriptor:
     """One cataloged identity: closed form versus quadrature oracle.
 
-    ``closed`` maps a parameter dict (plus optional variant) to the
-    closed-form value; ``oracle_eval`` maps (params, tol) to a
-    QuadratureResult for the defining integral or reference series.
-    ``domain`` returns (ok, reason) for a parameter dict.
+    ``parameter_domain`` holds (text, predicate) conditions on the parameter
+    dict; ``check_point`` names the first one a point breaks.  The keys of
+    ``default_grid``, in order, are the ``parameters`` and the keywords that
+    ``closed`` and each callable of ``variants`` (by variant name) take.
+    ``oracle_eval`` maps (params, tol) to a QuadratureResult for the
+    defining integral or reference series.
     """
 
     id: str
     equation: str
     description: str
     parameter_domain: tuple
-    parameters: tuple
     default_grid: dict
     default_tol: float
     closed: Callable = field(repr=False, compare=False, default=None)
     oracle_eval: Callable = field(repr=False, compare=False, default=None)
-    domain: Callable = field(repr=False, compare=False, default=None)
-    variants: tuple = ()
+    variants: dict = field(repr=False, compare=False, default_factory=dict)
+
+    @property
+    def parameters(self) -> tuple:
+        return tuple(self.default_grid)
 
     def check_point(self, params: dict):
-        return self.domain(params) if self.domain else (True, "")
-
-
-def _fresnel_domain(p):
-    if p["nu"] < 0:
-        return False, "needs nu >= 0"
-    if p["alpha"] <= 0 or p["beta"] <= 0:
-        return False, "needs alpha > 0 and beta > 0"
-    if p["alpha"] ** 2 >= 4 * p["beta"]:
-        return False, "needs alpha^2 < 4 beta"
-    return True, ""
+        text = _broken(self.parameter_domain, params)
+        return (True, "") if text is None else (False, f"needs {text}")
 
 
 def _fresnel_oracle(p, tol):
@@ -220,24 +252,10 @@ def _fresnel_oracle(p, tol):
     return oracle.integrate_oscillatory_gaussian(integrand, beta, tol)
 
 
-def _eq12_domain(p):
-    if not -2.0 < p["nu"] < 0.0:
-        return False, "needs -2 < nu < 0"
-    if p["b"] <= 0:
-        return False, "needs b > 0"
-    return True, ""
-
-
 def _eq12_oracle(p, tol):
     nu, b = p["nu"], p["b"]
     return oracle.integrate_half_line(lambda x: reference.struve_h_ref(nu, b * x),
                                       tol, damping="exp_extrapolated")
-
-
-def _eq13_domain(p):
-    if p["nu"] <= -0.5:
-        return False, "needs nu > -1/2"
-    return True, ""
 
 
 def _eq13_oracle(p, tol):
@@ -252,28 +270,14 @@ def _eq13_oracle(p, tol):
                                    half.evaluations, half.converged, half.trace)
 
 
-def _eq19_domain(p):
-    if int(p["m"]) < 2:
-        return False, "needs m >= 2"
-    return True, ""
-
-
 def _eq19_oracle(p, tol):
     # the double-series route plays the independent side for this identity
-    value = bessel_generating_function(p["x"], p["t"], int(p["m"]),
-                                       method="direct", tol=min(tol * 1e-2, 1e-12))
+    value = bessel_generating_function(**p, method="direct", tol=min(tol * 1e-2, 1e-12))
     return oracle.QuadratureResult(value, tol, 0, True)
 
 
-def _eq28_domain(p):
-    n = p["n"]
-    if n != int(n) or int(n) <= 0:
-        return False, "needs integer n > 0"
-    return True, ""
-
-
 def _eq28_oracle(p, tol):
-    n, x = int(p["n"]), p["x"]
+    n, x = p["n"], p["x"]
     return oracle.integrate_real_line(
         lambda t: reference.bessel_j_ref(n, x * math.exp(-t * t)), tol)
 
@@ -286,12 +290,6 @@ def _eq30_oracle(p, tol):
         return math.exp(-x * x / (w * w)) / (w * w)
 
     return oracle.integrate_real_line(integrand, tol)
-
-
-def _eq02_exp_domain(p):
-    if not 0.0 < p["nu"] < 1.0:
-        return False, "needs 0 < nu < 1"
-    return True, ""
 
 
 def _eq02_exp_oracle(p, tol):
@@ -309,12 +307,6 @@ def _eq31_cos_oracle(p, tol):
     return oracle.integrate_half_line(lambda t: math.exp(-t) * math.cos(x * t), tol)
 
 
-def _eq31_cos_domain(p):
-    if not abs(p["x"]) < 1.0:
-        return False, "closed form needs |x| < 1"
-    return True, ""
-
-
 def _eq35_oracle(p, tol):
     x = p["x"]
 
@@ -326,12 +318,6 @@ def _eq35_oracle(p, tol):
     return oracle.integrate_half_line(integrand, tol)
 
 
-def _eq36_domain(p):
-    if p["alpha"] <= 0 or p["beta"] <= 0:
-        return False, "needs alpha > 0 and beta > 0"
-    return True, ""
-
-
 def _eq36_oracle(p, tol):
     a, b, x = p["alpha"], p["beta"], p["x"]
     return oracle.integrate_finite(
@@ -339,55 +325,31 @@ def _eq36_oracle(p, tol):
         0.0, 1.0, tol)
 
 
+_MELLIN_STRIP = (("0 < nu < 1", lambda p: 0.0 < p["nu"] < 1.0),)
+_UNIT_DISC = (("|x| < 1", lambda p: abs(p["x"]) < 1.0),)
 _COS_SERIES = transforms.pseudo_trig_series(0, 2)
 _C03_SERIES = transforms.pseudo_trig_series(0, 3)
 
 
-def _closed_eq08(p, variant=None):
-    return fresnel_bessel(p["nu"], p["alpha"], p["beta"])
+def _closed_eq02_exp(nu):
+    return mellin_master(exponential_series(), nu)
 
 
-def _closed_eq12(p, variant=None):
-    return struve_halfline_integral(p["nu"], p["b"])
+def _closed_eq02_rat(nu):
+    return mellin_master(rational_series(), nu)
 
 
-def _closed_eq13(p, variant=None):
-    return struve_moment_integral(p["nu"])
+def _closed_eq31_cos(x):
+    return transforms.borel_transform(_COS_SERIES).evaluate(x, tol=1e-13)
 
 
-def _closed_eq19(p, variant=None):
-    return bessel_generating_function(p["x"], p["t"], int(p["m"]), method="tricomi")
+def _closed_eq35_c03(x):
+    return transforms.borel_transform(_C03_SERIES).evaluate(x, tol=1e-13)
 
 
-def _closed_eq28(p, variant=None):
-    return bessel_gauss_dilation(int(p["n"]), p["x"])
-
-
-def _closed_eq30(p, variant=None):
-    if variant == "paper-literal":
-        return lorentz_gauss_paper_literal(p["x"])
-    return lorentz_gauss_integral(p["x"], method=variant or "hypergeometric")
-
-
-def _closed_eq02_exp(p, variant=None):
-    return mellin_master(exponential_series(), p["nu"])
-
-
-def _closed_eq02_rat(p, variant=None):
-    return mellin_master(rational_series(), p["nu"])
-
-
-def _closed_eq31_cos(p, variant=None):
-    return transforms.borel_transform(_COS_SERIES).evaluate(p["x"], tol=1e-13)
-
-
-def _closed_eq35_c03(p, variant=None):
-    return transforms.borel_transform(_C03_SERIES).evaluate(p["x"], tol=1e-13)
-
-
-def _closed_eq36(p, variant=None):
-    series = transforms.beta_transform(exponential_series(), p["alpha"], p["beta"])
-    return series.evaluate(p["x"], tol=1e-13)
+def _closed_eq36(alpha, beta, x):
+    series = transforms.beta_transform(exponential_series(), alpha, beta)
+    return series.evaluate(x, tol=1e-13)
 
 
 CATALOG = (
@@ -396,144 +358,125 @@ CATALOG = (
         equation="Eq. 6-8",
         description="Fresnel-weighted Bessel integral of x J_{2nu}(alpha x) "
                     "e^{i beta x^2} versus its exponential-ratio closed form",
-        parameter_domain=("nu >= 0", "alpha > 0", "beta > 0", "alpha^2 < 4 beta"),
-        parameters=("nu", "alpha", "beta"),
+        parameter_domain=_EQ08_DOMAIN,
         default_grid={"nu": (0.0,), "alpha": (0.5, 1.0), "beta": (1.0, 2.0)},
         default_tol=1e-5,
-        closed=_closed_eq08,
+        closed=fresnel_bessel,
         oracle_eval=_fresnel_oracle,
-        domain=_fresnel_domain,
     ),
     IdentityDescriptor(
         id="eq12_struve_halfline",
         equation="Eq. 12",
         description="Half-line Struve integral versus -1/(b tan(pi nu/2))",
-        parameter_domain=("-2 < nu < 0", "b > 0"),
-        parameters=("nu", "b"),
+        parameter_domain=_EQ12_DOMAIN,
         default_grid={"nu": (-1.5, -1.0, -0.5), "b": (1.0, 2.0)},
         default_tol=1e-5,
-        closed=_closed_eq12,
+        closed=struve_halfline_integral,
         oracle_eval=_eq12_oracle,
-        domain=_eq12_domain,
     ),
     IdentityDescriptor(
         id="eq13_struve_moment",
         equation="Eq. 13",
         description="Whole-line moment of the Struve function versus "
                     "pi/(2^nu Gamma(1+nu))",
-        parameter_domain=("nu > -1/2",),
-        parameters=("nu",),
+        parameter_domain=_EQ13_DOMAIN,
         default_grid={"nu": (0.0, 0.5, 1.0, 2.0)},
         default_tol=1e-6,
-        closed=_closed_eq13,
+        closed=struve_moment_integral,
         oracle_eval=_eq13_oracle,
-        domain=_eq13_domain,
     ),
     IdentityDescriptor(
         id="eq19_bessel_generating",
         equation="Eq. 14/19",
         description="Generating function of m-strided Bessel orders versus "
                     "the order-zero Hermite-based Tricomi function",
-        parameter_domain=("m integer >= 2",),
-        parameters=("m", "x", "t"),
+        parameter_domain=_EQ19_DOMAIN,
         default_grid={"m": (2.0, 3.0), "x": (0.25, 0.5, 1.0, 2.0),
                       "t": (-1.0, -0.5, 0.5, 1.0)},
         default_tol=1e-8,
-        closed=_closed_eq19,
+        closed=partial(bessel_generating_function, method="tricomi"),
         oracle_eval=_eq19_oracle,
-        domain=_eq19_domain,
     ),
     IdentityDescriptor(
         id="eq28_bessel_gauss_dilation",
         equation="Eq. 28",
         description="Whole-line integral of J_n(x e^{-t^2}) versus the "
                     "Gaussian dilation series",
-        parameter_domain=("n integer > 0",),
-        parameters=("n", "x"),
+        parameter_domain=_EQ28_DOMAIN,
         default_grid={"n": (1.0, 2.0, 3.0), "x": (0.5, 1.0, 2.0, 4.0)},
         default_tol=1e-7,
-        closed=_closed_eq28,
+        closed=bessel_gauss_dilation,
         oracle_eval=_eq28_oracle,
-        domain=_eq28_domain,
     ),
     IdentityDescriptor(
         id="eq30_lorentz_gauss",
         equation="Eq. 30",
         description="Whole-line Lorentzian-dilated Gaussian versus "
                     "(pi/2) 2F2(3/4,5/4;1,3/2;-x^2)",
-        parameter_domain=("x real",),
-        parameters=("x",),
+        parameter_domain=(("x real", lambda p: not isinstance(p["x"], complex)),),
         default_grid={"x": (0.0, 0.5, 1.0, 2.0, 3.0)},
         default_tol=1e-8,
-        closed=_closed_eq30,
+        closed=lorentz_gauss_integral,
         oracle_eval=_eq30_oracle,
-        domain=lambda p: (True, ""),
-        variants=("hypergeometric", "series", "paper-literal"),
+        variants={"hypergeometric": lorentz_gauss_integral,
+                  "series": partial(lorentz_gauss_integral, method="series"),
+                  "paper-literal": lorentz_gauss_paper_literal},
     ),
     IdentityDescriptor(
         id="eq02_mellin_exponential",
         equation="Eq. 1-4",
         description="Mellin transform of exp(-x) versus Gamma(nu) from the "
                     "master-theorem evaluator",
-        parameter_domain=("0 < nu < 1",),
-        parameters=("nu",),
+        parameter_domain=_MELLIN_STRIP,
         default_grid={"nu": (0.25, 0.5, 0.75)},
         default_tol=1e-8,
         closed=_closed_eq02_exp,
         oracle_eval=_eq02_exp_oracle,
-        domain=_eq02_exp_domain,
     ),
     IdentityDescriptor(
         id="eq02_mellin_rational",
         equation="Eq. 1-4",
         description="Mellin transform of 1/(1+x) versus pi/sin(pi nu) from "
                     "the master-theorem evaluator",
-        parameter_domain=("0 < nu < 1",),
-        parameters=("nu",),
+        parameter_domain=_MELLIN_STRIP,
         default_grid={"nu": (0.25, 0.5, 0.75)},
         default_tol=1e-8,
         closed=_closed_eq02_rat,
         oracle_eval=_eq02_rat_oracle,
-        domain=_eq02_exp_domain,
     ),
     IdentityDescriptor(
         id="eq31_borel_cosine",
         equation="Eq. 31-33",
         description="Exponential moment of cos(x t) versus the factorial-"
                     "multiplied cosine series (geometric form 1/(1+x^2))",
-        parameter_domain=("|x| < 1",),
-        parameters=("x",),
+        parameter_domain=_UNIT_DISC,
         default_grid={"x": (0.2, 0.5, 0.8)},
         default_tol=1e-8,
         closed=_closed_eq31_cos,
         oracle_eval=_eq31_cos_oracle,
-        domain=_eq31_cos_domain,
     ),
     IdentityDescriptor(
         id="eq35_borel_pseudo_trig3",
         equation="Eq. 35",
         description="Exponential moment of the 3-sected alternating "
                     "exponential versus the geometric form 1/(1+x^3)",
-        parameter_domain=("|x| < 1",),
-        parameters=("x",),
+        parameter_domain=_UNIT_DISC,
         default_grid={"x": (0.2, 0.5, 0.8)},
         default_tol=1e-8,
         closed=_closed_eq35_c03,
         oracle_eval=_eq35_oracle,
-        domain=_eq31_cos_domain,
     ),
     IdentityDescriptor(
         id="eq36_beta_exponential",
         equation="Eq. 36-39",
         description="Euler-kernel average of exp(-u x) versus the "
                     "Beta-weighted moment series",
-        parameter_domain=("alpha > 0", "beta > 0"),
-        parameters=("alpha", "beta", "x"),
+        parameter_domain=(("alpha > 0", lambda p: p["alpha"] > 0),
+                          ("beta > 0", lambda p: p["beta"] > 0)),
         default_grid={"alpha": (1.0, 2.0), "beta": (1.0, 3.0), "x": (0.0, 1.0, 3.0)},
         default_tol=1e-8,
         closed=_closed_eq36,
         oracle_eval=_eq36_oracle,
-        domain=_eq36_domain,
     ),
 )
 

@@ -67,6 +67,21 @@ def is_nonpositive_integer(z) -> bool:
     return z <= 0.0 and z == math.floor(z)
 
 
+def as_integer(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int, when it is a real integral number in [lo, hi].
+
+    Anything else (complex, nan, inf, a fraction, out of range) raises
+    DomainError; this is the one rule for integer orders and degrees.
+    """
+    try:
+        v = float(value)
+    except (TypeError, OverflowError):
+        v = math.nan
+    if not (v.is_integer() and lo <= v <= hi):
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(v)
+
+
 def gamma_sign(x: float) -> float:
     """Sign of Gamma at a real non-pole argument."""
     if x > 0.0:
@@ -178,16 +193,11 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     J_{-n} = (-1)^n J_n.  Negative x is allowed for integer orders only.
     """
     if nu < 0:
-        if nu != int(nu):
-            raise DomainError("bessel_j needs nu >= 0 or integer nu")
-        n = int(-nu)
-        sign = -1.0 if n % 2 else 1.0
-        return sign * bessel_j(float(n), x, tol)
+        n = as_integer(-nu, "bessel_j order -nu", 1)
+        return (-1.0 if n % 2 else 1.0) * bessel_j(float(n), x, tol)
     if x < 0:
-        if nu != int(nu):
-            raise DomainError("bessel_j at x < 0 needs an integer order")
-        sign = -1.0 if int(nu) % 2 else 1.0
-        return sign * bessel_j(nu, -x, tol)
+        n = as_integer(nu, "bessel_j order at x < 0", 0)
+        return (-1.0 if n % 2 else 1.0) * bessel_j(nu, -x, tol)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     h = 0.5 * x
@@ -210,10 +220,8 @@ def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     if mu < 0 and mu == int(mu):
         return bessel_i(-mu, x, tol)
     if x < 0:
-        if mu != int(mu):
-            raise DomainError("bessel_i at x < 0 needs an integer order")
-        sign = -1.0 if int(mu) % 2 else 1.0
-        return sign * bessel_i(mu, -x, tol)
+        n = as_integer(mu, "bessel_i order at x < 0", 0)
+        return (-1.0 if n % 2 else 1.0) * bessel_i(mu, -x, tol)
     if x == 0.0:
         if mu == 0.0:
             return 1.0
@@ -251,10 +259,8 @@ def struve_h(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     takes its analytic value 0 there), so half-odd negative orders are fine.
     """
     if x < 0:
-        if nu != int(nu):
-            raise DomainError("struve_h at x < 0 needs an integer order")
-        sign = -1.0 if (int(nu) + 1) % 2 else 1.0
-        return sign * struve_h(nu, -x, tol)
+        n = as_integer(nu, "struve_h order at x < 0", -math.inf)
+        return (1.0 if n % 2 else -1.0) * struve_h(nu, -x, tol)
     if x == 0.0:
         if nu > -1.0:
             return 0.0
@@ -337,11 +343,8 @@ def _b_nu_series(nu: float, z: complex, tol: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _check_order(n: int, m: int) -> None:
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("polynomial degree n must be an integer >= 0")
-    if not isinstance(m, int) or m < 2:
-        raise DomainError("order m must be an integer >= 2")
+def _check_order(n, m) -> tuple:
+    return as_integer(n, "polynomial degree n", 0), as_integer(m, "order m", 2)
 
 
 @overflow_raises(DomainError)
@@ -351,7 +354,7 @@ def hermite_higher(n: int, m: int, u, v):
     n! * sum_{k=0}^{floor(n/m)} u^{n-mk} v^k / ((n-mk)! k!), an exact finite
     sum with generating function exp(u z + v z^m).
     """
-    _check_order(n, m)
+    n, m = _check_order(n, m)
     total = 0.0
     for k in range(n // m + 1):
         j = n - m * k
@@ -367,7 +370,7 @@ def hermite_higher(n: int, m: int, u, v):
 @overflow_raises(DomainError)
 def hermite_hybrid(n: int, m: int, x, y):
     """Hybrid Hermite polynomial: sum_k x^{n-mk} y^k / (k! ((n-mk)!)^2)."""
-    _check_order(n, m)
+    n, m = _check_order(n, m)
     total = 0.0
     for k in range(n // m + 1):
         j = n - m * k
@@ -378,7 +381,7 @@ def hermite_hybrid(n: int, m: int, x, y):
 @overflow_raises(DomainError)
 def truncated_e(n: int, m: int, x, y):
     """Truncated-exponential polynomial: sum_k x^{n-mk} y^k / ((n-mk)!)^2."""
-    _check_order(n, m)
+    n, m = _check_order(n, m)
     total = 0.0
     for k in range(n // m + 1):
         j = n - m * k
@@ -393,10 +396,8 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     sum_r (-1)^r x^{mr+k} / (mr+k)!; for m = 2 these are cos (k=0) and
     sin (k=1).  Entire in x.
     """
-    if not isinstance(m, int) or m < 2:
-        raise DomainError("pseudo_trig needs integer m >= 2")
-    if not isinstance(k, int) or not 0 <= k < m:
-        raise DomainError("pseudo_trig needs 0 <= k < m")
+    m = as_integer(m, "pseudo_trig order m", 2)
+    k = as_integer(k, "pseudo_trig index k", 0, m - 1)
 
     def terms():
         t = x ** k * inv_factorial(k)
@@ -430,7 +431,7 @@ def hermite_tricomi(n: int, m: int, x, y, tol: float = DEFAULT_TOL) -> complex:
     can grow before the factorials win, so the stopping rule is armed only
     once the running term ratio drops below 0.9.
     """
-    _check_order(n, m)
+    n, m = _check_order(n, m)
 
     def term(k):
         sign = -1.0 if k % 2 else 1.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import DomainError, KernelDomainError, PoleError, StripError
-from .specfun import DEFAULT_TOL, gamma, gamma_sign, log_gamma
+from .specfun import DEFAULT_TOL, as_integer, gamma, gamma_sign, log_gamma
 from .summation import sum_series
 
 __all__ = [
@@ -329,8 +329,7 @@ def gaussian_series() -> CoefficientSeries:
 
 def bessel_power_series(n: int) -> CoefficientSeries:
     """J_n(x) in x (coefficients (-1)^k 2^{-n} 4^{-k}/(k!(n+k)!))."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("bessel_power_series needs integer n >= 0")
+    n = as_integer(n, "bessel_power_series order n", 0)
     law = GammaRatioSequence(scale=2.0 ** (-n), denom=_FACTORIAL + ((n + 1.0, 1.0),))
     return CoefficientSeries(law, stride=2, offset=float(n), geometric=-0.25)
 

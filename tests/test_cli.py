@@ -78,6 +78,49 @@ class TestEval:
         assert err.startswith("domain error: ")
         assert "overflow" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gamma", "nan"),
+        ("gamma", "inf"),
+        ("gamma", "1+infj"),
+        ("gamma", "nan+1j"),
+        ("beta", "nan", "1"),
+        ("hermite_higher", "2", "2", "nan", "1"),
+        ("hermite_higher", "1e400", "2", "1", "1"),
+        ("bessel_generating", "1", "1", "inf"),
+        ("pseudo_trig", "0", "nan", "1"),
+    ])
+    def test_non_finite_argument_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bessel_generating", "1", "0.5", "2.5"),
+        ("pseudo_trig", "0.5", "2.7", "1"),
+        ("hermite_higher", "2.5", "2", "1", "1"),
+        ("bessel_gauss_dilation", "1.5", "1"),
+        ("bessel_gauss_dilation", "1j", "1"),
+    ])
+    def test_non_integral_order_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: ")
+
+    def test_integral_orders_may_be_written_as_decimals(self, capsys):
+        assert run(capsys, "eval", "pseudo_trig", "1.0", "2", "0.5")[:2] == \
+            run(capsys, "eval", "pseudo_trig", "1", "2", "0.5")[:2]
+
+    @pytest.mark.parametrize("argv", [
+        ("struve_halfline", "-0.5", "1e-320"),
+        ("struve_moment", "1e300"),
+        ("fresnel_bessel", "10000", "3", "9"),
+    ])
+    def test_closed_form_overflow_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: ")
+        assert "overflow" in err
+
 
 class TestVerify:
     def test_single_identity_passes(self, capsys, tmp_path):
@@ -142,6 +185,33 @@ class TestVerify:
         record = json.loads(out_path.read_text().splitlines()[0])
         assert record["pass"] is False
         assert "outside domain" in record["reason"]
+
+    def test_non_integral_order_is_outside_domain(self, capsys, tmp_path):
+        out_path = tmp_path / "report.jsonl"
+        code, _, _ = run(capsys, "verify", "eq19_bessel_generating", "--grid", "m=2.5",
+                         "--grid", "x=1", "--grid", "t=0.5", "--out", str(out_path))
+        assert code == 1
+        record = json.loads(out_path.read_text())
+        assert record["pass"] is False
+        assert record["reason"] == "outside domain: needs m integer >= 2"
+
+    # each grid fails at its first point and must still report the second
+    @pytest.mark.parametrize("identity_id,grid,reason", [
+        ("eq13_struve_moment", ["nu=1e300,0"], "closed-form failure: "),
+        ("eq19_bessel_generating", ["m=1e300,2", "x=1", "t=1"], "oracle failure: "),
+    ])
+    def test_overflow_fails_the_point_and_the_run_goes_on(self, capsys, tmp_path,
+                                                          identity_id, grid, reason):
+        out_path = tmp_path / "report.jsonl"
+        options = [arg for g in grid for arg in ("--grid", g)]
+        code, _, _ = run(capsys, "verify", identity_id, *options, "--out", str(out_path))
+        assert code == 1
+        first, second = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert first["pass"] is False
+        assert first["reason"].startswith(reason)
+        assert "overflow" in first["reason"]
+        assert first["oracle_cost"] == 0 and first["oracle_error_estimate"] is None
+        assert second["pass"] is True
 
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "eq99_bogus")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 
@@ -207,7 +208,80 @@ class TestCatalog:
             d = cf.get_identity(identity_id)
             ok, _ = d.check_point(point)
             assert ok
-            closed = complex(d.closed(point, None))
+            closed = complex(d.closed(**point))
             quad = d.oracle_eval(point, max(abs(closed), 1.0) * d.default_tol)
             assert abs(closed - quad.value) <= \
                 4.0 * d.default_tol * max(abs(quad.value), 1.0)
+
+
+# One point per identity and declared condition: the first default-grid
+# point with one parameter moved so that this condition is the first broken.
+BROKEN = [
+    ("eq08_fresnel_bessel", {"nu": -0.5}, "nu >= 0"),
+    ("eq08_fresnel_bessel", {"alpha": -0.5}, "alpha > 0"),
+    ("eq08_fresnel_bessel", {"beta": -1.0}, "beta > 0"),
+    ("eq08_fresnel_bessel", {"alpha": 3.0}, "alpha^2 < 4 beta"),
+    ("eq12_struve_halfline", {"nu": 0.5}, "-2 < nu < 0"),
+    ("eq12_struve_halfline", {"nu": -2.0}, "-2 < nu < 0"),
+    ("eq12_struve_halfline", {"b": 0.0}, "b > 0"),
+    ("eq13_struve_moment", {"nu": -0.5}, "nu > -1/2"),
+    ("eq19_bessel_generating", {"m": 2.5}, "m integer >= 2"),
+    ("eq19_bessel_generating", {"m": 1.0}, "m integer >= 2"),
+    ("eq19_bessel_generating", {"m": math.inf}, "m integer >= 2"),
+    ("eq19_bessel_generating", {"m": math.nan}, "m integer >= 2"),
+    ("eq19_bessel_generating", {"m": 2j}, "m integer >= 2"),
+    ("eq28_bessel_gauss_dilation", {"n": 0.0}, "n integer > 0"),
+    ("eq28_bessel_gauss_dilation", {"n": 1.5}, "n integer > 0"),
+    ("eq28_bessel_gauss_dilation", {"n": 1j}, "n integer > 0"),
+    ("eq30_lorentz_gauss", {"x": 1j}, "x real"),
+    ("eq02_mellin_exponential", {"nu": 1.0}, "0 < nu < 1"),
+    ("eq02_mellin_rational", {"nu": 0.0}, "0 < nu < 1"),
+    ("eq31_borel_cosine", {"x": 1.0}, "|x| < 1"),
+    ("eq35_borel_pseudo_trig3", {"x": -1.0}, "|x| < 1"),
+    ("eq36_beta_exponential", {"alpha": 0.0}, "alpha > 0"),
+    ("eq36_beta_exponential", {"beta": -1.0}, "beta > 0"),
+]
+
+# the closed forms that take the parameters directly and check them
+SELF_CHECKING = {
+    "eq08_fresnel_bessel": "fresnel_bessel",
+    "eq12_struve_halfline": "struve_halfline_integral",
+    "eq13_struve_moment": "struve_moment_integral",
+    "eq19_bessel_generating": "bessel_generating_function",
+    "eq28_bessel_gauss_dilation": "bessel_gauss_dilation",
+}
+
+
+def first_grid_point(d):
+    return {name: values[0] for name, values in d.default_grid.items()}
+
+
+class TestDomainDeclaration:
+    @pytest.mark.parametrize("identity_id,change,text", BROKEN)
+    def test_first_broken_condition_is_named(self, identity_id, change, text):
+        d = cf.get_identity(identity_id)
+        point = {**first_grid_point(d), **change}
+        assert d.check_point(point) == (False, f"needs {text}")
+        if identity_id in SELF_CHECKING:
+            function = SELF_CHECKING[identity_id]
+            with pytest.raises(DomainError, match=f"^{re.escape(function)} needs "
+                                                  f"{re.escape(text)}$"):
+                d.closed(**point)
+
+    def test_every_declared_condition_is_tested(self):
+        tested = {(identity_id, text) for identity_id, _, text in BROKEN}
+        declared = {(d.id, text) for d in cf.CATALOG for text, _ in d.parameter_domain}
+        assert tested == declared
+
+    @pytest.mark.parametrize("d", cf.CATALOG, ids=lambda d: d.id)
+    def test_closed_forms_take_grid_keywords(self, d):
+        point = first_grid_point(d)
+        assert d.check_point(point) == (True, "")
+        assert d.parameters == tuple(d.default_grid)
+        for closed in (d.closed, *d.variants.values()):
+            assert cmath.isfinite(complex(closed(**point)))
+
+    def test_integral_orders_are_taken_as_integers(self):
+        assert cf.bessel_generating_function(0.5, 0.5, 3.0) == \
+            cf.bessel_generating_function(0.5, 0.5, 3)
+        assert cf.bessel_gauss_dilation(2.0, 1.5) == cf.bessel_gauss_dilation(2, 1.5)
