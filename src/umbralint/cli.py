@@ -20,6 +20,7 @@ import inspect
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -259,6 +260,16 @@ _EVAL_FUNCS = {
 }
 
 
+# the parameters of an eval function that take complex values; all others
+# must be real, since the kernels order them
+_COMPLEX_PARAMS = {
+    "gamma": ("z",), "beta": ("a", "b"), "b_nu": ("x",), "pseudo_trig": ("x",),
+    "hermite_higher": ("u", "v"), "hermite_hybrid": ("x", "y"),
+    "truncated_e": ("x", "y"), "hermite_tricomi": ("x", "y"),
+    "lorentz_gauss": ("x",), "bessel_generating": ("t",),
+}
+
+
 def _cmd_list(args) -> int:
     if args.format == "json":
         payload = [
@@ -290,15 +301,21 @@ def _cmd_eval(args) -> int:
               f"{', '.join(sorted(_EVAL_FUNCS))}", file=sys.stderr)
         return 2
     fn, note = _EVAL_FUNCS[name]
-    arity = sum(p.default is p.empty for p in inspect.signature(fn).parameters.values())
-    if len(args.args) != arity:
-        print(f"{name} takes {arity} argument(s)", file=sys.stderr)
+    params = [p.name for p in inspect.signature(fn).parameters.values()
+              if p.default is p.empty]
+    if len(args.args) != len(params):
+        print(f"{name} takes {len(params)} argument(s)", file=sys.stderr)
         return 2
     try:
         values = [_parse_scalar(a) for a in args.args]
     except ValueError as exc:
         print(f"bad argument: {exc}", file=sys.stderr)
         return 2
+    for param, value in zip(params, values):
+        if isinstance(value, complex) and param not in _COMPLEX_PARAMS.get(name, ()):
+            print(f"domain error: {name} needs a real {param}, got {value!r}",
+                  file=sys.stderr)
+            return 2
     try:
         result = fn(*values)
     except EngineError as exc:
@@ -404,6 +421,12 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in all_reports) else 1
 
 
+# argparse reads only -<digits> and -<digits>.<digits> as negative numbers
+# and anything else that starts with '-' as an option, so -1e-300 and
+# -1-2j were refused; this is the pattern later Pythons use
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="umbralint",
@@ -433,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", default=None,
                           help="key-value file with default grids/tolerances")
     p_verify.set_defaults(func=_cmd_verify)
+    for p in (parser, p_list, p_eval, p_verify):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

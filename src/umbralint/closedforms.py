@@ -243,29 +243,50 @@ class IdentityDescriptor:
         return (True, "") if text is None else (False, f"needs {text}")
 
 
+# An oscillatory tail starts this many half-periods past where its wave
+# settles into oscillation.
+_TAIL_LEAD = 3.0
+
+
 def _fresnel_oracle(p, tol):
+    # in s = x^2 the integrand is 1/2 J_{2nu}(alpha sqrt(s)) e^{i beta s}:
+    # all wave, with half-period pi/beta
     nu, alpha, beta = p["nu"], p["alpha"], p["beta"]
 
-    def integrand(x):
-        return x * reference.bessel_j_ref(2.0 * nu, alpha * x) * cmath.exp(1j * beta * x * x)
+    def integrand(s):
+        return (0.5 * reference.bessel_j_ref(2.0 * nu, alpha * math.sqrt(s))
+                * cmath.exp(1j * beta * s))
 
-    return oracle.integrate_oscillatory_gaussian(integrand, beta, tol)
+    half_period = math.pi / beta
+    tail = oracle.OscillatoryTail(1.0 + _TAIL_LEAD * half_period, half_period,
+                                  integrand)
+    return oracle.integrate_half_line(integrand, tol, tail)
 
 
 def _eq12_oracle(p, tol):
+    # H_nu = Y_nu + K_nu (DLMF 11.2.5): Y_nu(b x) is the wave, with
+    # half-period pi/b, and K_nu(b x) the smooth rest
     nu, b = p["nu"], p["b"]
+    half_period = math.pi / b
+    tail = oracle.OscillatoryTail(
+        1.0 + _TAIL_LEAD * half_period, half_period,
+        wave=lambda x: reference.bessel_y_ref(nu, b * x),
+        smooth=lambda x: reference.struve_k_ref(nu, b * x))
     return oracle.integrate_half_line(lambda x: reference.struve_h_ref(nu, b * x),
-                                      tol, damping="exp_extrapolated")
+                                      tol, tail)
 
 
 def _eq13_oracle(p, tol):
+    # as eq12, with the weight x^{-(nu+1)}; Y_nu oscillates beyond x ~ nu
     nu = p["nu"]
 
-    def integrand(x):
-        return x ** (-(nu + 1.0)) * reference.struve_h_ref(nu, x)
+    def weighted(ref):
+        return lambda x: x ** (-(nu + 1.0)) * ref(nu, x)
 
-    half = oracle.integrate_half_line(integrand, tol / 2.0,
-                                      damping="exp_extrapolated")
+    tail = oracle.OscillatoryTail(max(nu, 1.0) + _TAIL_LEAD * math.pi, math.pi,
+                                  wave=weighted(reference.bessel_y_ref),
+                                  smooth=weighted(reference.struve_k_ref))
+    half = oracle.integrate_half_line(weighted(reference.struve_h_ref), tol / 2.0, tail)
     return oracle.QuadratureResult(2.0 * half.value, 2.0 * half.abs_error_estimate,
                                    half.evaluations, half.converged, half.trace)
 

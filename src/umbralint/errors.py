@@ -63,7 +63,7 @@ class QuadratureError(EngineError, ArithmeticError):
 
 
 class ExtrapolationError(QuadratureError):
-    """A damping-ladder extrapolation failed to settle within tolerance."""
+    """An extrapolated oscillatory tail failed to settle within tolerance."""
 
 
 def overflow_raises(error, what=None):

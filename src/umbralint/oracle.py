@@ -1,14 +1,16 @@
 """Independent numerical ground truth.
 
 Adaptive Gauss-Kronrod quadrature on finite, half-line, and whole-line
-domains, and damping-ladder regularization for conditionally convergent
-integrals.  This module never calls the closed-form or umbral evaluators;
+domains.  This module never calls the closed-form or umbral evaluators;
 integrands arrive as plain callables of one float and may be complex valued.
 
-Single integrals refine one panel at a time, worst first.  A damping ladder
-integrates f e^{-eps_r x^p} for all of its rungs r in one adaptive pass:
-each node is evaluated once, the rungs are a matrix axis of the damped
-values, and the panels are split in batches.  An integrand that raises
+Every integral refines one panel at a time, worst first.  A half-line
+integral splits at a point x0 and folds [x0, infinity) onto (0, 1] by
+x = x0/u.  A conditionally convergent integral comes with an
+OscillatoryTail that describes f beyond x0 as smooth + wave: the head
+[0, x0] of f and the folded smooth part are integrated as above, and the
+wave one half-period at a time, its partial sums extrapolated by Wynn's
+epsilon algorithm (as in QUADPACK's QAWF).  An integrand that raises
 OverflowError ends the integration with a QuadratureError.
 
 All routines are pure functions over caller-supplied integrands; the
@@ -22,17 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, ExtrapolationError, QuadratureError, overflow_raises
 
 __all__ = [
     "QuadratureResult",
-    "RegularizationTrace",
+    "ExtrapolationTrace",
+    "OscillatoryTail",
     "integrate_finite",
     "integrate_half_line",
     "integrate_real_line",
-    "integrate_oscillatory_gaussian",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -66,23 +66,11 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-# The same pair over all 15 nodes in ascending order, for batches of panels:
-# node offsets, Kronrod weights, and Gauss weights (zero at Kronrod-only nodes).
-_GAUSS_AT_XGK = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3])
-_NODES15 = np.array(tuple(-x for x in _XGK) + _XGK[-2::-1])
-_WK15 = np.array(_WGK + _WGK[-2::-1])
-_WG15 = np.array(_GAUSS_AT_XGK + _GAUSS_AT_XGK[-2::-1])
 
-# Damping ladders eps_j = 0.2 * 2^-j: 8 rungs of exp damping, and 6 rungs of
-# Gaussian damping scaled by beta.  Each is geometric with ratio 2, which
-# the exponent elimination in _extrapolate relies on.
-_LADDER_RATIO = 2.0
-_EXP_LADDER = tuple(0.2 * _LADDER_RATIO ** (-j) for j in range(8))
-_EXP_EXPONENTS = (1, 1, 2, 2, 3, 3)
-_OSC_RUNGS = 6
-_OSC_EXPONENTS = (1, 2, 3, 4, 5)
-# Both ladders start from 16 equal panels of each half-line piece.
-_LADDER_PANELS = 16
+# An oscillatory tail is summed over at least _MIN_PIECES + 1 and at most
+# _MAX_PIECES half-periods (QUADPACK's QAWF allows 50 cycles).
+_MIN_PIECES = 3
+_MAX_PIECES = 50
 
 
 @dataclass(frozen=True)
@@ -93,18 +81,35 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
-    trace: "RegularizationTrace | None" = None
+    trace: "ExtrapolationTrace | None" = None
 
 
 @dataclass(frozen=True)
-class RegularizationTrace:
-    """Record of a damping ladder: damped values and their extrapolation."""
+class ExtrapolationTrace:
+    """Record of an extrapolated oscillatory tail: the partial sums of the
+    integral after each of its half-periods, and the last change of their
+    epsilon-algorithm limit, which is the result's value."""
 
-    epsilons: tuple
     values: tuple
-    extrapolated: complex
     residual: float
-    residual_history: tuple
+
+
+@dataclass(frozen=True)
+class OscillatoryTail:
+    """The integrand beyond ``start`` as smooth + wave.
+
+    ``wave`` changes sign about once every ``half_period``; ``smooth`` is
+    the decaying rest, None when the integrand is all wave.
+    """
+
+    start: float
+    half_period: float
+    wave: Callable
+    smooth: Callable | None = None
+
+    def __post_init__(self):
+        if not (self.start > 0.0 and self.half_period > 0.0):
+            raise DomainError("an oscillatory tail needs start > 0 and half_period > 0")
 
 
 def _gauss_kronrod_15(f, a: float, b: float):
@@ -233,202 +238,126 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float,
                       tol)
 
 
-def _half_line(core, f, tol):
-    """Split at x = 1 and fold the tail with x = 1/u.
+def _fold(f, x0: float):
+    """f on [x0, infinity) as an integrand over (0, 1]: x = x0/u.
 
-    Both pieces then put their difficult behavior (an origin singularity, a
-    slow algebraic tail) at u -> 0, where floats are logarithmically dense,
-    so adaptive bisection can keep refining instead of hitting resolution
-    limits.  ``core(integrand, x_of, tol)`` integrates one piece over [0, 1];
-    ``x_of`` maps an array of its nodes to x.
+    The fold puts a slow algebraic tail at u -> 0, where floats are
+    logarithmically dense, so adaptive bisection can keep refining instead
+    of hitting resolution limits.
     """
-    def tail(u):
+    def folded(u):
         if u <= 0.0:
             return 0.0
-        x = 1.0 / u
+        x = x0 / u
         if not math.isfinite(x):
             return 0.0
         fx = f(x)
         if fx == 0.0:
             return 0.0
-        return fx * x * x
+        return fx * x * x / x0
 
-    v1, e1, n1 = core(f, np.positive, 0.5 * tol)        # x = t
-    v2, e2, n2 = core(tail, np.reciprocal, 0.5 * tol)   # x = 1/u
-    return v1 + v2, e1 + e2, n1 + n2
+    return folded
 
 
-def _ladder_panels(g, x_of, eps, power, left, right):
-    """GK15 on every panel [left_i, right_i] of g(t) e^{-eps_r x(t)^power},
-    for every rung r at once; returns values and error estimates, each of
-    shape (panels, rungs).
+def _epsilon_step(table: list, partial_sum):
+    """Append one partial sum to Wynn's epsilon table and return the newest
+    estimate of the limit.
 
-    g is called once per node, on a float, and not at all where even the
-    weakest damping underflows.  Nodes are nudged inside their panel as in
-    _gauss_kronrod_15.
+    ``table`` holds the last counter-diagonal of the table, highest column
+    first, and gets one rhombus-rule pass per new sum (Weniger 1989); the
+    estimate is its highest even-column entry.  Entry j of the diagonal
+    depends only on the sums from row j on, so where two entries of a
+    column agree to rounding, the entries past that column are noise and
+    the table restarts from row j.
     """
-    left = left[:, None]
-    right = right[:, None]
-    h = 0.5 * (right - left)
-    t = 0.5 * (left + right) + h * _NODES15
-    t = np.where(t <= left, np.nextafter(left, right), t)
-    t = np.where(t >= right, np.nextafter(right, left), t)
-    with np.errstate(over="ignore", divide="ignore"):
-        xp = x_of(t) ** power
-    live = eps[-1] * xp <= 745.0
-    sampled = np.array([g(v) for v in t[live].tolist()])
-    fx = np.zeros(t.shape, np.result_type(sampled, 0.0))
-    fx[live] = sampled
-
-    damped = np.multiply(xp[:, None, :], -eps[:, None])
-    damped[damped < -745.0] = -np.inf
-    np.exp(damped, out=damped)
-    if np.iscomplexobj(fx):
-        # a new array: the float damping factors cannot hold complex values
-        damped = damped * fx[:, None, :]
-    else:
-        damped *= fx[:, None, :]
-
-    resk = damped @ _WK15
-    resg = damped @ _WG15
-    resabs = np.abs(damped) @ _WK15
-    resasc = np.abs(damped - 0.5 * resk[..., None]) @ _WK15
-    values = resk * h
-    err = np.abs((resk - resg) * h)
-    resabs *= np.abs(h)
-    resasc *= np.abs(h)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    err = np.where(resabs > _UNDERFLOW / (50.0 * _EPS),
-                   np.maximum(err, 50.0 * _EPS * resabs), err)
-    return values, err
-
-
-def _adaptive_ladder(g, x_of, eps, power, tol, max_intervals):
-    """Adaptive bisection over [0, 1] of g(t) e^{-eps_r x(t)^power} for all
-    rungs r at once, until every rung's error is within ``tol``.
-
-    Each round takes the rung with the largest error and splits, largest
-    first, its panels that together hold half of its error above ``tol``.
-    ``max_intervals`` and the frozen-midpoint rule act as in _adaptive.
-    Returns per-rung values and errors and the evaluation count.
-    """
-    left = np.arange(_LADDER_PANELS) / _LADDER_PANELS
-    right = np.arange(1, _LADDER_PANELS + 1) / _LADDER_PANELS
-    values, errors = _ladder_panels(g, x_of, eps, power, left, right)
-    n = _LADDER_PANELS
-    frozen_value = 0.0
-    frozen_err = 0.0
-    while True:
-        err = frozen_err + errors.sum(axis=0)
-        worst = int(np.argmax(err))
-        excess = err[worst] - tol
-        if not excess > 0.0 or n >= max_intervals or len(left) == 0:
+    table.append(partial_sum)
+    aux2 = 0.0
+    for j in range(len(table) - 1, 0, -1):
+        aux1 = aux2
+        aux2 = table[j - 1]
+        diff = table[j] - aux2
+        if abs(diff) <= _EPS * abs(aux2):
+            del table[:j]
             break
-        order = np.argsort(-errors[:, worst], kind="stable")
-        held = np.cumsum(errors[order, worst])
-        count = int(np.searchsorted(held, 0.5 * excess)) + 1
-        pick = order[:min(count, (max_intervals - n + 1) // 2)]
-        mid = 0.5 * (left[pick] + right[pick])
-        splits = (left[pick] < mid) & (mid < right[pick])
-        frozen = pick[~splits]
-        frozen_value = frozen_value + values[frozen].sum(axis=0)
-        frozen_err = frozen_err + errors[frozen].sum(axis=0)
-        split, mid = pick[splits], mid[splits]
-        new_left = np.concatenate((left[split], mid))
-        new_right = np.concatenate((mid, right[split]))
-        new_values, new_errors = _ladder_panels(g, x_of, eps, power,
-                                                new_left, new_right)
-        n += len(new_left)
-        keep = np.ones(len(left), dtype=bool)
-        keep[pick] = False
-        left = np.concatenate((left[keep], new_left))
-        right = np.concatenate((right[keep], new_right))
-        values = np.concatenate((values[keep], new_values))
-        errors = np.concatenate((errors[keep], new_errors))
-    return frozen_value + values.sum(axis=0), err, 15 * n
+        table[j - 1] = aux1 + 1.0 / diff
+    return table[(len(table) - 1) % 2]
 
 
-def _extrapolate(values, ratio: float, exponents):
-    """Eliminate c eps^p terms stage by stage on a geometric ladder.
+def _wave_tail(wave, start: float, half_period: float, tol: float,
+               max_intervals: int, value, err: float, evaluations: int):
+    """Add to the integral ``value`` of the rest of f the integral of
+    ``wave`` over [start, infinity), one half-period at a time, with the
+    partial sums extrapolated by Wynn's epsilon algorithm.
 
-    A repeated exponent removes an eps^p log(eps) component: the first pass
-    turns it into a pure eps^p term, the second annihilates it.  Returns the
-    extrapolated value and the per-stage step sizes.
+    Each piece aims at a sixteenth of what ``err`` leaves of ``tol``; the
+    integration stalls when the errors pass ``tol`` itself.  The error
+    estimate is the distance of the newest extrapolated value from each of
+    the two before it, as in QUADPACK's QELG, plus ``err`` and the pieces'
+    own errors.
     """
-    vals = list(values)
-    estimate = vals[-1]
-    history = []
-    amplification = 1.0
-    for p in exponents:
-        if len(vals) < 2:
-            break
-        factor = ratio ** p
-        vals = [(factor * vals[j + 1] - vals[j]) / (factor - 1.0)
-                for j in range(len(vals) - 1)]
-        history.append(abs(vals[-1] - estimate))
-        estimate = vals[-1]
-        amplification *= (factor + 1.0) / (factor - 1.0)
-    return estimate, history, amplification
-
-
-def _run_ladder(f, power, ladder, exponents, tol, inner_tol, max_intervals):
-    """Integrate f e^{-eps x^power} on every ladder rung in one adaptive
-    pass and extrapolate to eps -> 0."""
-    eps = np.array(ladder, dtype=float)
-
-    def core(piece, x_of, piece_tol):
-        return _adaptive_ladder(piece, x_of, eps, power, piece_tol, max_intervals)
-
-    values, errors, evaluations = _half_line(core, f, inner_tol)
-    values, errors = values.tolist(), errors.tolist()
-    for rung, value, err in zip(ladder, values, errors):
-        if err > inner_tol:
+    piece_tol = (tol - err) / 16.0
+    table, sums, estimates = [], [], []
+    for k in range(_MAX_PIECES):
+        a = start + k * half_period
+        v, e, n = _adaptive(wave, a, a + half_period, piece_tol, max_intervals, 1)
+        value, err, evaluations = value + v, err + e, evaluations + n
+        if not err <= tol:
             raise QuadratureError(
-                f"ladder rung eps={rung:g} stalled at error {err:.3e} > {inner_tol:.3e}",
+                f"oscillatory tail stalled on [{a:g}, {a + half_period:g}] "
+                f"at error {err:.3e} > {tol:.3e}",
                 partial=QuadratureResult(value, err, evaluations, False))
-    inner_err = max(errors)
-    estimate, history, amplification = _extrapolate(values, _LADDER_RATIO, exponents)
-    residual = history[-1] if history else math.inf
-    err_est = residual + amplification * inner_err
-    trace = RegularizationTrace(tuple(ladder), tuple(values), estimate,
-                                residual, tuple(history))
-    result = QuadratureResult(estimate, err_est, evaluations, err_est <= tol,
-                              trace=trace)
+        sums.append(value)
+        estimates.append(_epsilon_step(table, value))
+        if k >= _MIN_PIECES:
+            last = estimates[-1]
+            total_err = abs(last - estimates[-2]) + abs(last - estimates[-3]) + err
+            if total_err <= tol:
+                break
+    trace = ExtrapolationTrace(tuple(sums), abs(last - estimates[-2]))
+    result = QuadratureResult(last, total_err, evaluations, total_err <= tol, trace)
     if not result.converged:
         raise ExtrapolationError(
-            f"ladder extrapolation settled at {err_est:.3e} > {tol:.3e}",
+            f"oscillatory tail extrapolation settled at {total_err:.3e} > {tol:.3e}",
             partial=result)
     return result
 
 
 @overflow_raises(QuadratureError, "integrand")
-def integrate_half_line(f: Callable, tol: float, damping: str = "none",
+def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = None,
                         max_intervals: int = 40_000) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
 
-    damping="none" splits at x = 1, folds the tail by x -> 1/x, and
-    integrates both pieces adaptively; the integrand must decay.
-    damping="exp_extrapolated" computes the integral of f(x) e^{-eps x} on
-    the ladder eps_j = 0.2 * 2^-j, j = 0..7, and extrapolates to eps -> 0,
-    which also handles conditionally convergent oscillatory tails.  All
-    rungs share one adaptive pass, so f is evaluated once per node, and
-    ``max_intervals`` bounds each of its two pieces.  The elimination
-    exponents (1, 1, 2, 2, 3, 3) remove the eps^k log(eps) contributions
-    that algebraic integrand tails produce.
+    Without ``tail`` the integral splits at x = 1, folds [1, infinity) by
+    x = 1/u, and integrates both pieces adaptively; f must decay.
+
+    With ``tail``, which describes f as ``smooth + wave`` beyond
+    ``tail.start``, the integral is the sum of three parts: f over
+    [0, start]; ``smooth`` over [start, infinity), folded by x = start/u;
+    and ``wave`` over [start, infinity), summed one half-period at a time
+    and extrapolated by Wynn's epsilon algorithm (as in QUADPACK's QAWF).
+    The head and the smooth part each get a quarter of ``tol``, the wave
+    the rest.  ``max_intervals`` bounds each adaptive piece.
     """
-    if damping == "none":
-        def core(piece, _, piece_tol):
-            return _adaptive(piece, 0.0, 1.0, piece_tol, max_intervals, 8)
+    if tail is None:
+        head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals, 8)
+        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, 8)
+        return _certified("half-line", head[0] + fold[0], head[1] + fold[1],
+                          head[2] + fold[2], tol)
 
-        return _certified("half-line", *_half_line(core, f, tol), tol)
-    if damping != "exp_extrapolated":
-        raise DomainError(f"unknown damping mode {damping!r}")
-
-    inner_tol = max(tol / 200.0, 5e-12)
-    return _run_ladder(f, 1, _EXP_LADDER, _EXP_EXPONENTS, tol, inner_tol,
-                       max_intervals)
+    x0 = tail.start
+    value, err, evaluations = 0.0, 0.0, 0
+    parts = [("head", f, 0.0, x0)]
+    if tail.smooth is not None:
+        parts.append(("smooth part", _fold(tail.smooth, x0), 0.0, 1.0))
+    for name, g, a, b in parts:
+        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, 8)
+        value, err, evaluations = value + v, err + e, evaluations + n
+        if not e <= 0.25 * tol:   # nan included
+            raise QuadratureError(
+                f"half-line {name} stalled at error {e:.3e} > {0.25 * tol:.3e}",
+                partial=QuadratureResult(value, err, evaluations, False))
+    return _wave_tail(tail.wave, x0, tail.half_period, tol, max_intervals,
+                      value, err, evaluations)
 
 
 @overflow_raises(QuadratureError, "integrand")
@@ -448,21 +377,3 @@ def integrate_real_line(f: Callable, tol: float) -> QuadratureResult:
 
     return _certified("whole-line", *_adaptive(mapped, -1.0, 1.0, tol, 40_000, 8),
                       tol)
-
-
-@overflow_raises(QuadratureError, "integrand")
-def integrate_oscillatory_gaussian(f: Callable, beta: float, tol: float,
-                                   max_intervals: int = 40_000) -> QuadratureResult:
-    """Half-line integral of h(x) e^{i beta x^2}-type integrands.
-
-    Gaussian damping e^{-eps x^2} on the ladder eps_j = 0.2 beta 2^-j,
-    j = 0..5, all rungs in one adaptive pass, then polynomial extrapolation
-    to eps -> 0 with exponents 1..5.  The damped values are analytic in eps
-    (the nearest singularity sits at eps = i beta), so plain power
-    elimination converges geometrically.
-    """
-    if beta <= 0:
-        raise DomainError("integrate_oscillatory_gaussian needs beta > 0")
-    ladder = tuple(0.2 * beta * _LADDER_RATIO ** (-j) for j in range(_OSC_RUNGS))
-    inner_tol = max(tol / 100.0, 5e-12)
-    return _run_ladder(f, 2, ladder, _OSC_EXPONENTS, tol, inner_tol, max_intervals)

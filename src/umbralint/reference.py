@@ -3,8 +3,8 @@
 The verification oracle integrates the *defining* integrand of each
 identity.  Where that integrand contains a named special function, this
 module supplies it from an independent source (scipy's C implementations,
-or classical elementary reductions), so the quadrature route never touches
-the series kernel being checked.
+classical elementary reductions, or classical asymptotic expansions), so
+the quadrature route never touches the series kernel being checked.
 """
 
 from __future__ import annotations
@@ -16,12 +16,15 @@ from scipy import special as _sp
 __all__ = [
     "bessel_j_ref",
     "struve_h_ref",
+    "bessel_y_ref",
+    "struve_k_ref",
     "kummer_m_ref",
     "pseudo_trig3_closed",
     "classical_hermite",
 ]
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def bessel_j_ref(v: float, x: float) -> float:
@@ -32,6 +35,35 @@ def bessel_j_ref(v: float, x: float) -> float:
 def struve_h_ref(v: float, x: float) -> float:
     """Struve function of real order, any argument size."""
     return float(_sp.struve(v, x))
+
+
+def bessel_y_ref(v: float, x: float) -> float:
+    """Bessel Y of real order, x > 0."""
+    return float(_sp.yv(v, x))
+
+
+def struve_k_ref(v: float, x: float) -> float:
+    """K_v = H_v - Y_v (DLMF 11.2.5), the part of the Struve function that
+    does not oscillate for large x; x > 0.
+
+    The difference of H_v and Y_v in floats has an absolute error of about
+    eps |Y_v|, which far out swamps K_v for v < 1/2, where K_v decays faster
+    than Y_v.  So from x = 50 on, the large-x expansion (DLMF 11.6.1) is
+    summed instead, as long as its terms fall until they reach rounding.
+    """
+    if x >= 50.0:
+        ratio = 4.0 / (x * x)
+        term = _SQRT_PI * (0.5 * x) ** (v - 1.0) * float(_sp.rgamma(v + 0.5))
+        total = term
+        k = 0
+        while abs(term) > 1e-17 * abs(total):
+            step = term * (k + 0.5) * (v - 0.5 - k) * ratio
+            if abs(step) >= abs(term):
+                break
+            term, total, k = step, total + step, k + 1
+        else:
+            return total / math.pi
+    return float(_sp.struve(v, x) - _sp.yv(v, x))
 
 
 def kummer_m_ref(a: float, b: float, x: float) -> float:

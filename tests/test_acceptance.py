@@ -8,7 +8,8 @@ import cmath
 import math
 
 from umbralint import closedforms as cf, oracle, specfun as sf, transforms as tr, umbral as um
-from umbralint.reference import bessel_j_ref, classical_hermite, pseudo_trig3_closed, struve_h_ref
+from umbralint.reference import (bessel_j_ref, bessel_y_ref, classical_hermite, pseudo_trig3_closed,
+                                 struve_h_ref, struve_k_ref)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -28,16 +29,18 @@ def test_criterion_01_fresnel_bessel():
         elementary = (0.5j / beta) * cmath.exp(-1j * alpha * alpha / (4.0 * beta))
         worst_internal = max(worst_internal,
                              abs(closed - elementary) / abs(elementary))
-    # oracle: regularized quadrature of the defining integrand, rel 1e-5
+    # oracle: quadrature of the defining integrand, its tail extrapolated, rel 1e-5
     worst_oracle = 0.0
     for alpha, beta in pairs:
         closed = cf.fresnel_bessel(0.0, alpha, beta)
 
-        def integrand(x, _a=alpha, _b=beta):
-            return x * bessel_j_ref(0.0, _a * x) * cmath.exp(1j * _b * x * x)
+        # in s = x^2 the integrand is a wave of half-period pi/beta
+        def integrand(s, _a=alpha, _b=beta):
+            return 0.5 * bessel_j_ref(0.0, _a * math.sqrt(s)) * cmath.exp(1j * _b * s)
 
-        quad = oracle.integrate_oscillatory_gaussian(integrand, beta,
-                                                     abs(closed) * 2.5e-6)
+        half_period = math.pi / beta
+        tail = oracle.OscillatoryTail(1.0 + 3.0 * half_period, half_period, integrand)
+        quad = oracle.integrate_half_line(integrand, abs(closed) * 2.5e-6, tail)
         worst_oracle = max(worst_oracle, abs(closed - quad.value) / abs(closed))
     ok = worst_internal <= 1e-12 and worst_oracle <= 1e-5
     report(1, "Fresnel-Bessel integral, Eq. 6-8", ok,
@@ -65,9 +68,13 @@ def test_criterion_03_struve_halfline():
         for b in (1.0, 2.0):
             closed = cf.struve_halfline_integral(nu, b)
             scale = 1.0 / b
+            # H_nu = Y_nu + K_nu: Y_nu(b x) is the wave, K_nu(b x) the smooth rest
+            tail = oracle.OscillatoryTail(
+                1.0 + 3.0 * math.pi / b, math.pi / b,
+                wave=lambda x, _n=nu, _b=b: bessel_y_ref(_n, _b * x),
+                smooth=lambda x, _n=nu, _b=b: struve_k_ref(_n, _b * x))
             quad = oracle.integrate_half_line(
-                lambda x, _n=nu, _b=b: struve_h_ref(_n, _b * x),
-                2.5e-6 * scale, damping="exp_extrapolated")
+                lambda x, _n=nu, _b=b: struve_h_ref(_n, _b * x), 2.5e-6 * scale, tail)
             if nu == -1.0:
                 assert closed == 0.0
                 zero_case = max(zero_case, abs(quad.value) / scale)
@@ -85,9 +92,13 @@ def test_criterion_04_struve_moment():
     worst = 0.0
     for nu in (0.0, 0.5, 1.0, 2.0):
         closed = cf.struve_moment_integral(nu)
+        tail = oracle.OscillatoryTail(
+            max(nu, 1.0) + 3.0 * math.pi, math.pi,
+            wave=lambda x, _n=nu: x ** (-(_n + 1.0)) * bessel_y_ref(_n, x),
+            smooth=lambda x, _n=nu: x ** (-(_n + 1.0)) * struve_k_ref(_n, x))
         half = oracle.integrate_half_line(
             lambda x, _n=nu: x ** (-(_n + 1.0)) * struve_h_ref(_n, x),
-            closed * 2.5e-7 / 2.0, damping="exp_extrapolated")
+            closed * 2.5e-7 / 2.0, tail)
         worst = max(worst, abs(closed - 2.0 * half.value) / closed)
     ok = worst <= 1e-6 and spot <= 1e-12
     report(4, "whole-line Struve moment, Eq. 13", ok,

@@ -106,6 +106,47 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith("domain error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("bessel_j", "1j", "1"),
+        ("bessel_j", "0", "1+1j"),
+        ("struve_moment", "1j"),
+        ("struve_h", "0", "2j"),
+        ("fresnel_bessel", "0", "1j", "1"),
+        ("struve_halfline", "-0.5", "1+1j"),
+        ("bessel_gauss_dilation", "1", "2j"),
+    ])
+    def test_complex_argument_to_real_parameter_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: ")
+        assert "needs a real" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gamma", "1+1j"),
+        ("b_nu", "0.5", "-1-1j"),
+        ("bessel_generating", "1", "1j", "2"),
+    ])
+    def test_complex_parameters_still_take_complex_values(self, capsys, argv):
+        code, out, _ = run(capsys, "eval", *argv)
+        assert code == 0
+        assert out.splitlines()[0].endswith("i")
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (("struve_halfline", "-5e-1", "2"), "0.5"),
+        (("gamma", "-1.5e0"), "2.36327180121"),
+        (("gamma", "-1-2j"), "-0.0323612885502-0.0112294242346i"),
+    ])
+    def test_negative_numbers_in_exponent_form_are_arguments(self, capsys, argv,
+                                                             first_line):
+        code, out, _ = run(capsys, "eval", *argv)
+        assert code == 0
+        assert out.splitlines()[0] == first_line
+
+    def test_tiny_negative_order_reaches_the_closed_form(self, capsys):
+        code, out, err = run(capsys, "eval", "struve_halfline", "-1e-300", "1e-300")
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: struve_halfline_integral overflowed")
+
     def test_integral_orders_may_be_written_as_decimals(self, capsys):
         assert run(capsys, "eval", "pseudo_trig", "1.0", "2", "0.5")[:2] == \
             run(capsys, "eval", "pseudo_trig", "1", "2", "0.5")[:2]
@@ -159,7 +200,7 @@ class TestVerify:
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(records) == 2
         assert all(r["pass"] for r in records)
-        assert all(r["oracle_cost"] > 1000 for r in records)
+        assert all(0 < r["oracle_cost"] <= 5000 for r in records)
         assert all(0.0 < r["ladder_residual"] <= r["oracle_error_estimate"]
                    for r in records)
 
@@ -237,7 +278,7 @@ class TestVerify:
         assert "finite" in err
         assert out == ""
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "-1e-5", "0", "nan", "inf"])
     def test_bad_tolerance_is_usage_error(self, capsys, tmp_path, tol):
         code, out, err = run(capsys, "verify", "eq30_lorentz_gauss", "--tol", tol)
         assert (code, out) == (2, "")

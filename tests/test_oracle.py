@@ -3,16 +3,48 @@ import math
 
 import pytest
 
-from umbralint import oracle
+from umbralint import closedforms, oracle
 from umbralint.errors import (
     DomainError,
     ExtrapolationError,
     QuadratureError,
 )
-from umbralint.reference import bessel_j_ref, struve_h_ref
+from umbralint.reference import bessel_j_ref, bessel_y_ref, struve_h_ref, struve_k_ref
 from umbralint.specfun import beta as beta_fn
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def struve_tail(nu, b=1.0):
+    """H_nu(b x) and its tail Y_nu(b x) + K_nu(b x), from three half-periods past 1."""
+    half_period = math.pi / b
+    tail = oracle.OscillatoryTail(1.0 + 3.0 * half_period, half_period,
+                                  wave=lambda x: bessel_y_ref(nu, b * x),
+                                  smooth=lambda x: struve_k_ref(nu, b * x))
+    return (lambda x: struve_h_ref(nu, b * x)), tail
+
+
+def run_tail(integrand_and_tail, tol, **kw):
+    f, tail = integrand_and_tail
+    return oracle.integrate_half_line(f, tol, tail, **kw)
+
+
+def chirp(beta):
+    """x e^{i beta x^2} in s = x^2: (1/2) e^{i beta s}, all wave; its
+    half-line integral is i/(2 beta)."""
+    def f(s):
+        return 0.5 * cmath.exp(1j * beta * s)
+
+    half_period = math.pi / beta
+    return f, oracle.OscillatoryTail(1.0 + 3.0 * half_period, half_period, f)
+
+
+def fresnel():
+    """x J_0(x) e^{i x^2} in s = x^2, all wave."""
+    def f(s):
+        return 0.5 * bessel_j_ref(0, math.sqrt(s)) * cmath.exp(1j * s)
+
+    return f, oracle.OscillatoryTail(1.0 + 3.0 * math.pi, math.pi, f)
 
 
 class TestIntegrateFinite:
@@ -53,16 +85,11 @@ class TestIntegrateHalfLine:
         r = oracle.integrate_half_line(lambda x: x ** -0.5 / (1.0 + x), 1e-8)
         assert r.value == pytest.approx(math.pi, abs=1e-8)
 
-    def test_damped_struve_matches_closed_form(self):
-        r = oracle.integrate_half_line(lambda x: struve_h_ref(-0.5, x), 2.5e-6,
-                                       damping="exp_extrapolated")
+    def test_oscillatory_struve_matches_closed_form(self):
+        r = run_tail(struve_tail(-0.5), 2.5e-6)
         assert r.value == pytest.approx(1.0, abs=2.5e-6)
-        assert r.trace is not None
-        assert r.trace.extrapolated == r.value
-
-    def test_unknown_damping(self):
-        with pytest.raises(DomainError):
-            oracle.integrate_half_line(lambda x: math.exp(-x), 1e-8, damping="bogus")
+        assert len(r.trace.values) > oracle._MIN_PIECES
+        assert 0.0 < r.trace.residual <= r.abs_error_estimate
 
 
 class TestIntegrateRealLine:
@@ -91,106 +118,76 @@ class TestIntegrateRealLine:
                 whole.abs_error_estimate + 2.0 * half.abs_error_estimate + 1e-13
 
 
-class TestOscillatoryGaussian:
+class TestOscillatoryTail:
     def test_quadratic_phase_moment(self):
-        r = oracle.integrate_oscillatory_gaussian(
-            lambda x: x * cmath.exp(1j * x * x), 1.0, 1e-7)
+        r = run_tail(chirp(1.0), 1e-7)
         assert abs(r.value - 0.5j) <= 1e-7
 
     def test_beta_scaling(self):
-        r = oracle.integrate_oscillatory_gaussian(
-            lambda x: x * cmath.exp(2j * x * x), 2.0, 1e-7)
+        r = run_tail(chirp(2.0), 1e-7)
         assert abs(r.value - 0.25j) <= 1e-7
 
-    @pytest.mark.parametrize("beta", [1.0, 2.0])
-    def test_residuals_decrease_monotonically(self, beta):
-        r = oracle.integrate_oscillatory_gaussian(
-            lambda x, _b=beta: x * cmath.exp(1j * _b * x * x), beta, 1e-7)
-        hist = r.trace.residual_history
-        assert len(hist) >= 3
-        assert hist[-3] > hist[-2] > hist[-1]
-
-    def test_trace_invariants(self):
-        r = oracle.integrate_oscillatory_gaussian(
-            lambda x: x * cmath.exp(1j * x * x), 1.0, 1e-7)
-        eps = r.trace.epsilons
-        assert all(b < a for a, b in zip(eps, eps[1:]))
-        assert r.trace.residual == r.trace.residual_history[-1]
-
-    def test_needs_positive_beta(self):
-        with pytest.raises(DomainError):
-            oracle.integrate_oscillatory_gaussian(lambda x: x, 0.0, 1e-6)
+    def test_bad_tail(self):
+        for start, half_period in ((0.0, 1.0), (1.0, 0.0), (1.0, -math.pi)):
+            with pytest.raises(DomainError):
+                oracle.OscillatoryTail(start, half_period, math.sin)
 
     def test_unreachable_tolerance_raises(self):
-        with pytest.raises(ExtrapolationError) as excinfo:
-            oracle.integrate_oscillatory_gaussian(
-                lambda x: x * cmath.exp(1j * x * x), 1.0, 1e-16)
+        with pytest.raises(QuadratureError) as excinfo:
+            run_tail(chirp(1.0), 1e-16)
         assert excinfo.value.partial is not None
 
+    def test_tail_that_does_not_settle_raises(self):
+        # sin x + 0.1 has partial sums that grow without bound
+        tail = oracle.OscillatoryTail(math.pi, math.pi, lambda x: math.sin(x) + 0.1)
+        with pytest.raises(ExtrapolationError, match="settled") as excinfo:
+            oracle.integrate_half_line(lambda x: math.exp(-x), 1e-6, tail)
+        partial = excinfo.value.partial
+        assert not partial.converged
+        assert len(partial.trace.values) == oracle._MAX_PIECES
 
-def _struve_eq12(x):
-    return struve_h_ref(-0.5, x)
-
-
-def _fresnel(x):
-    return x * bessel_j_ref(0, x) * cmath.exp(1j * x * x)
-
-
-# ladder kind: (integrand, run at tol with keyword options, damping power,
-# inner tolerance of a rung at tol)
-LADDERS = {
-    "exp": (_struve_eq12,
-            lambda f, tol, **kw: oracle.integrate_half_line(
-                f, tol, damping="exp_extrapolated", **kw),
-            1, lambda tol: tol / 200.0),
-    "gaussian": (_fresnel,
-                 lambda f, tol, **kw: oracle.integrate_oscillatory_gaussian(
-                     f, 1.0, tol, **kw),
-                 2, lambda tol: tol / 100.0),
-}
-
-
-class TestOnePassLadder:
-    def test_exp_ladder(self):
-        r = oracle.integrate_half_line(_struve_eq12, 2.5e-6, damping="exp_extrapolated")
-        assert r.trace.epsilons == tuple(0.2 * 2.0 ** -j for j in range(8))
-
-    def test_gaussian_ladder_scales_with_beta(self):
-        r = oracle.integrate_oscillatory_gaussian(
-            lambda x: x * cmath.exp(2j * x * x), 2.0, 1e-7)
-        assert r.trace.epsilons == tuple(0.4 * 2.0 ** -j for j in range(6))
-
-    @pytest.mark.parametrize("kind", sorted(LADDERS))
+    @pytest.mark.parametrize("kind", ["struve", "fresnel"])
     def test_each_node_evaluated_once(self, kind):
-        f, run, _, _ = LADDERS[kind]
+        f, tail = struve_tail(-0.5) if kind == "struve" else fresnel()
         seen = []
 
-        def counting(x):
-            seen.append(x)
-            return f(x)
+        def counting(g):
+            def counted(x):
+                seen.append(x)
+                return g(x)
+            return counted
 
-        r = run(counting, 2.5e-6)
+        smooth = tail.smooth and counting(tail.smooth)
+        tail = oracle.OscillatoryTail(tail.start, tail.half_period,
+                                      counting(tail.wave), smooth)
+        r = oracle.integrate_half_line(counting(f), 2.5e-6, tail)
         assert 0 < len(seen) <= r.evaluations
         assert len(set(seen)) == len(seen)
 
-    @pytest.mark.parametrize("kind", sorted(LADDERS))
-    def test_rungs_match_independent_damped_integrals(self, kind):
-        f, run, power, inner = LADDERS[kind]
+    @pytest.mark.parametrize("kind", ["struve", "fresnel"])
+    def test_partial_sums_match_independent_pieces(self, kind):
+        f, tail = struve_tail(-0.5) if kind == "struve" else fresnel()
         tol = 2.5e-6
-        r = run(f, tol)
-        for eps, value in zip(r.trace.epsilons, r.trace.values):
-            def damped(x, _eps=eps):
-                d = _eps * x ** power
-                return 0.0 if d > 745.0 else f(x) * math.exp(-d)
+        sums = oracle.integrate_half_line(f, tol, tail).trace.values
+        for k, (before, after) in enumerate(zip(sums, sums[1:]), start=1):
+            a = tail.start + k * tail.half_period
+            alone = oracle.integrate_finite(tail.wave, a, a + tail.half_period, tol / 100.0)
+            assert abs(after - before - alone.value) <= tol / 50.0, k
 
-            alone = oracle.integrate_half_line(damped, inner(tol))
-            assert abs(value - alone.value) <= 2.0 * inner(tol), eps
+    def test_stalled_head_raises_with_partial(self):
+        with pytest.raises(QuadratureError, match="head stalled") as excinfo:
+            run_tail(struve_tail(-0.5), 2.5e-6, max_intervals=12)
+        partial = excinfo.value.partial
+        assert not partial.converged
+        assert partial.evaluations > 0
 
-    @pytest.mark.parametrize("kind", sorted(LADDERS))
-    def test_stalled_rung_raises_with_partial(self, kind):
-        f, run, _, _ = LADDERS[kind]
-        with pytest.raises(QuadratureError, match="stalled") as excinfo:
-            run(f, 2.5e-6, max_intervals=40)
+    def test_stalled_wave_raises_with_partial(self):
+        # integrable singularities at the zeros of cos x, inside every piece
+        tail = oracle.OscillatoryTail(
+            math.pi, math.pi, lambda x: math.sin(x) * abs(math.cos(x)) ** -0.9 / x)
+        with pytest.raises(QuadratureError, match="tail stalled") as excinfo:
+            oracle.integrate_half_line(lambda x: math.exp(-x), 2.5e-6, tail,
+                                       max_intervals=40)
         partial = excinfo.value.partial
         assert not partial.converged
         assert partial.evaluations > 0
@@ -221,19 +218,29 @@ class TestErrorEstimateHonesty:
             run(oracle.integrate_real_line(lambda t: (1 + t * t) ** -3, tol),
                 3.0 * math.pi / 8.0)
         for tol in (1e-6, 1e-7):
-            r = oracle.integrate_oscillatory_gaussian(
-                lambda x: x * cmath.exp(1j * x * x), 1.0, tol)
+            r = run_tail(chirp(1.0), tol)
             cases.append((abs(r.value - 0.5j), r.abs_error_estimate))
-            r = oracle.integrate_oscillatory_gaussian(
-                lambda x: x * cmath.exp(2j * x * x), 2.0, tol)
+            r = run_tail(chirp(2.0), tol)
             cases.append((abs(r.value - 0.25j), r.abs_error_estimate))
-        # Struve half-line ladders, closed form -1/(b tan(pi nu/2))
+        # Struve half-line tails, closed form -1/(b tan(pi nu/2))
         for nu, b in ((-0.5, 1.0), (-1.5, 2.0)):
-            r = oracle.integrate_half_line(
-                lambda x, _nu=nu, _b=b: struve_h_ref(_nu, _b * x), 2.5e-6,
-                damping="exp_extrapolated")
+            r = run_tail(struve_tail(nu, b), 2.5e-6)
             cases.append((abs(r.value + 1.0 / (b * math.tan(0.5 * math.pi * nu))),
                           r.abs_error_estimate))
+        # the catalog's oscillatory oracles against their closed forms
+        points = [("eq12_struve_halfline", {"nu": nu, "b": b})
+                  for nu, b in ((-0.5, 1.0), (-1.5, 2.0), (-1.9, 0.3))]
+        points += [("eq13_struve_moment", {"nu": nu}) for nu in (0.0, 2.0, 7.0)]
+        points += [("eq08_fresnel_bessel", {"nu": nu, "alpha": 1.0, "beta": 2.0})
+                   for nu in (0.0, 1.5)]
+        for identity_id, params in points:
+            identity = closedforms.get_identity(identity_id)
+            closed = identity.closed(**params)
+            if identity_id.startswith("eq08") and params["nu"] == 0.0:
+                closed = 0.25j * cmath.exp(-0.125j)   # (i/(2 beta)) e^{-i alpha^2/(4 beta)}
+            for tol in (1e-6, 1e-9):
+                r = identity.oracle_eval(params, tol)
+                cases.append((abs(r.value - closed), r.abs_error_estimate))
 
         honest = sum(1 for true_err, est in cases if true_err <= 3.0 * est)
         assert honest / len(cases) >= 0.95, cases
