@@ -340,10 +340,19 @@ def _eq35_oracle(p, tol):
 
 
 def _eq36_oracle(p, tol):
+    # the weight is singular at both ends, and floats near u = 1 are too
+    # sparse to resolve it there, so [1/2, 1] moves to v = 1 - u and each
+    # singular end sits at 0
     a, b, x = p["alpha"], p["beta"], p["x"]
-    return oracle.integrate_finite(
+    left = oracle.integrate_finite(
         lambda u: u ** (a - 1.0) * (1.0 - u) ** (b - 1.0) * math.exp(-u * x),
-        0.0, 1.0, tol)
+        0.0, 0.5, tol / 2.0)
+    right = oracle.integrate_finite(
+        lambda v: v ** (b - 1.0) * (1.0 - v) ** (a - 1.0) * math.exp((v - 1.0) * x),
+        0.0, 0.5, tol / 2.0)
+    return oracle.QuadratureResult(
+        left.value + right.value, left.abs_error_estimate + right.abs_error_estimate,
+        left.evaluations + right.evaluations, True)
 
 
 _MELLIN_STRIP = (("0 < nu < 1", lambda p: 0.0 < p["nu"] < 1.0),)

@@ -4,9 +4,18 @@ Adaptive Gauss-Kronrod quadrature on finite, half-line, and whole-line
 domains.  This module never calls the closed-form or umbral evaluators;
 integrands arrive as plain callables of one float and may be complex valued.
 
-Every integral refines one panel at a time, worst first.  A half-line
-integral splits at a point x0 and folds [x0, infinity) onto (0, 1] by
-x = x0/u.  A conditionally convergent integral comes with an
+Every integral refines one panel at a time, worst first.  An integrable
+singularity at an end of the interval, such as x^(nu-1) at 0 in a Mellin
+moment, keeps the panel at that end the worst one, and bisection alone
+must halve it about log2(1/tol)/nu times before the mass it misses,
+h^nu/nu, is below tol: for small nu, more often than floats allow.  So the
+integral after each bisection of that panel also goes into a
+Wynn's epsilon table for that end, and the extrapolated limit is the result
+once its error estimate is within the tolerance (as in QUADPACK's QAGS).
+An end panel that grows (a divergent end) is never extrapolated, and an end
+that is still unresolved when its panels run out of floats raises.  A
+half-line integral splits at a point x0 and folds [x0, infinity) onto
+(0, 1] by x = x0/u.  A conditionally convergent integral comes with an
 OscillatoryTail that describes f beyond x0 as smooth + wave: the head
 [0, x0] of f and the folded smooth part are integrated as above, and the
 wave one half-period at a time, its partial sums extrapolated by Wynn's
@@ -72,6 +81,11 @@ _WG = (
 _MIN_PIECES = 3
 _MAX_PIECES = 50
 
+# An extrapolated end is trusted only while its limit stays within this
+# factor of the integral it extrapolates (QUADPACK's divergence test in
+# QAGS); beyond it the limit rests on differences near rounding level.
+_MAX_EXTRAPOLATION = 100.0
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -113,7 +127,9 @@ class OscillatoryTail:
 
 
 def _gauss_kronrod_15(f, a: float, b: float):
-    """One Gauss-7/Kronrod-15 panel; returns (value, error_estimate).
+    """One Gauss-7/Kronrod-15 panel; returns (value, error_estimate,
+    at_floor), where ``at_floor`` says that the estimate is no more than the
+    rounding floor 50 eps integral|f| that no split can lower.
 
     Nodes are interior in exact arithmetic; after rounding they can land on
     a panel endpoint, where the integrand contract no longer holds, so they
@@ -161,9 +177,53 @@ def _gauss_kronrod_15(f, a: float, b: float):
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * _EPS * resabs
     if resabs > _UNDERFLOW / (50.0 * _EPS):
-        err = max(err, 50.0 * _EPS * resabs)
-    return value, err
+        err = max(err, floor)
+    return value, err, err <= floor
+
+
+class _EndExtrapolation:
+    """Wynn's epsilon table over the bisection levels at one end of an
+    interval (QUADPACK's QAGS).
+
+    It is fed the integral after each bisection of the end panel.  Splits
+    of other panels between two feeds would make steps in that sequence, so
+    the table holds the integral as it would be with only this end refined,
+    ``level_sum``.  Once three limits exist, ``correction`` is what the
+    newest adds to that sum, ``error`` its QELG error (the distance from
+    the two limits before it), and ``end_err`` the error estimate of the
+    end panel, which the extrapolation replaces.
+    """
+
+    def __init__(self):
+        self.table, self.limits = [], []
+        self.level_sum = 0.0
+        self.ready = False
+        self.correction = self.error = self.end_err = 0.0
+
+    def feed(self, value, children, end_value, end_err, total):
+        """Record the split of the end panel of ``value`` into panels summing
+        to ``children``, the one at the end of ``end_value`` and
+        ``end_err``, with ``total`` the integral after it.  An end panel
+        that does not shrink is no convergent singularity: the table starts
+        again.
+        """
+        if not abs(end_value) < abs(value):
+            self.__init__()
+            return
+        limits = self.limits
+        if not self.table:   # the level before this split starts the table
+            self.level_sum = total - (children - value)
+            limits.append(_epsilon_step(self.table, self.level_sum))
+        self.level_sum += children - value
+        limit = _epsilon_step(self.table, self.level_sum)
+        limits.append(limit)
+        if len(limits) >= 3:
+            self.ready = True
+            self.correction = limit - self.level_sum
+            self.error = abs(limit - limits[-2]) + abs(limit - limits[-3])
+            self.end_err = end_err
 
 
 def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
@@ -171,9 +231,22 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     """Worst-panel-first adaptive bisection over [a, b], starting from
     ``panels`` equal panels.
 
-    A panel whose midpoint is no longer representable cannot be refined;
-    its error estimate is frozen into the total instead of being split
-    away, so the reported error stays honest at float-resolution limits.
+    A panel that cannot be refined, because its midpoint is no longer
+    representable or its error is at its rounding floor, has its error
+    estimate frozen into the total instead of being split away, so the
+    reported error stays honest at float-resolution limits; once the frozen
+    errors alone exceed ``tol``, nothing can converge.  The worst panel
+    touching an end of [a, b] ends the integration unconverged already
+    when it is no wider than 200 eps of its midpoint (QUADPACK's test for
+    bad integrand behaviour): its nodes have collapsed onto a few floats,
+    so its own error estimate no longer measures the singularity there.
+
+    When the worst panel touches an end and its split leaves a smaller end
+    panel, the integral after the split also goes into that end's epsilon
+    table (_EndExtrapolation).  The integral plus the corrections of both
+    ends is the result once their QELG errors plus the other panels' errors
+    are within ``tol``, unless it exceeds the integral it extrapolates by
+    more than _MAX_EXTRAPOLATION.
     """
     heap = []
     total = 0.0
@@ -181,33 +254,52 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     frozen_err = 0.0
     evaluations = 0
     n = 0
+    right = a
     for i in range(panels):
-        left = a + (b - a) * i / panels
-        right = a + (b - a) * (i + 1) / panels
-        value, err = _gauss_kronrod_15(f, left, right)
+        left, right = right, a + (b - a) * (i + 1) / panels
+        value, err, at_floor = _gauss_kronrod_15(f, left, right)
         evaluations += 15
         total += value
         err_total += err
-        heapq.heappush(heap, (-err, n, left, right, value, err))
+        heapq.heappush(heap, (-err, n, left, right, value, err, at_floor))
         n += 1
-    while err_total + frozen_err > tol and n < max_intervals and heap:
-        _, _, left, right, value, err = heapq.heappop(heap)
+    b = right   # as the panel edges round it
+    ends = (_EndExtrapolation(), _EndExtrapolation())
+    while frozen_err <= tol < err_total + frozen_err and n < max_intervals and heap:
+        _, _, left, right, value, err, at_floor = heapq.heappop(heap)
+        end = ends[0] if left == a else ends[1] if right == b else None
         mid = 0.5 * (left + right)
-        if not left < mid < right:
+        splittable = left < mid < right
+        if end is not None and not (splittable and right - left > 200.0 * _EPS * abs(mid)):
+            break
+        if at_floor or not splittable:
             err_total -= err
             frozen_err += err
             continue
         total -= value
         err_total -= err
-        v1, e1 = _gauss_kronrod_15(f, left, mid)
-        v2, e2 = _gauss_kronrod_15(f, mid, right)
+        v1, e1, floor1 = _gauss_kronrod_15(f, left, mid)
+        v2, e2, floor2 = _gauss_kronrod_15(f, mid, right)
         evaluations += 30
         total += v1 + v2
         err_total += e1 + e2
-        heapq.heappush(heap, (-e1, n, left, mid, v1, e1))
+        heapq.heappush(heap, (-e1, n, left, mid, v1, e1, floor1))
         n += 1
-        heapq.heappush(heap, (-e2, n, mid, right, v2, e2))
+        heapq.heappush(heap, (-e2, n, mid, right, v2, e2, floor2))
         n += 1
+        if end is None:
+            continue
+        end_value, end_err = (v1, e1) if end is ends[0] else (v2, e2)
+        end.feed(value, v1 + v2, end_value, end_err, total)
+        if not end.ready or err_total + frozen_err <= tol:
+            continue
+        estimate, estimate_err = total, err_total + frozen_err
+        for e in ends:
+            if e.ready:
+                estimate += e.correction
+                estimate_err += e.error - e.end_err
+        if estimate_err <= tol and abs(estimate) <= _MAX_EXTRAPOLATION * abs(total):
+            return estimate, estimate_err, evaluations
     return total, err_total + frozen_err, evaluations
 
 

@@ -336,15 +336,37 @@ class TestVerifyPoint:
         report = cli.verify_point(identity, {"x": x}, identity.default_tol)
         assert report.passed, report
 
-    # x ** (nu - 1) overflows at x near the bottom of the double range
+    # at nu = 1e-6 the extrapolated singular end would be 10^4 times the
+    # integral bisected so far, which the oracle does not trust, so it
+    # bisects on until x ** (nu - 1) overflows near the bottom of the
+    # double range
     @pytest.mark.parametrize("identity_id", ["eq02_mellin_exponential",
                                              "eq02_mellin_rational"])
     def test_integrand_overflow_is_an_oracle_failure(self, identity_id):
         identity = get_identity(identity_id)
-        report = cli.verify_point(identity, {"nu": 0.02}, identity.default_tol)
+        report = cli.verify_point(identity, {"nu": 1e-6}, identity.default_tol)
         assert not report.passed
         assert report.reason.startswith("oracle failure: ")
         assert "overflow" in report.reason
+
+    # the origin singularity x^(nu - 1) once took bisection to the denormal
+    # floor, where it overflowed
+    @pytest.mark.parametrize("identity_id,nu", [
+        ("eq02_mellin_exponential", 0.005), ("eq02_mellin_exponential", 0.02),
+        ("eq02_mellin_rational", 0.005), ("eq02_mellin_rational", 0.02),
+        ("eq02_mellin_rational", 0.995),
+    ])
+    def test_mellin_strip_edges_pass(self, identity_id, nu):
+        identity = get_identity(identity_id)
+        report = cli.verify_point(identity, {"nu": nu}, identity.default_tol)
+        assert report.passed, report
+
+    def test_extrapolated_singularity_evaluation_ceiling(self):
+        # bisection alone spent 27,540 evaluations here; counts are exact
+        identity = get_identity("eq02_mellin_exponential")
+        report = cli.verify_point(identity, {"nu": 0.03}, identity.default_tol)
+        assert report.passed
+        assert report.oracle_cost <= 1_000
 
     def test_closed_form_overflow_is_a_closed_form_failure(self):
         identity = get_identity("eq13_struve_moment")

@@ -75,6 +75,23 @@ class TestIntegrateFinite:
         with pytest.raises(DomainError):
             oracle.integrate_finite(lambda u: u, 1.0, 0.0, 1e-8)
 
+    def test_endpoint_singularity_is_extrapolated(self):
+        # bisection alone would go down to the denormal floor
+        r = oracle.integrate_finite(lambda u: u ** -0.99, 0.0, 1.0, 1e-8)
+        assert r.value == pytest.approx(100.0, abs=1e-8)
+        assert r.evaluations <= 500
+
+    def test_singularities_at_both_ends(self):
+        r = oracle.integrate_finite(lambda u: (u * (1.0 - u)) ** -0.5, 0.0, 1.0, 1e-11)
+        assert r.value == pytest.approx(math.pi, abs=1e-11)
+
+    def test_end_singularity_finer_than_floats_raises(self):
+        # the panels next to u = 1 run out of floats long before the missing
+        # mass, about 9964 of 10^4, is resolved or extrapolated
+        with pytest.raises(QuadratureError, match="stalled") as excinfo:
+            oracle.integrate_finite(lambda u: (1.0 - u) ** -0.9999, 0.0, 1.0, 1e-6)
+        assert excinfo.value.partial.evaluations <= 5_000
+
 
 class TestIntegrateHalfLine:
     def test_exponential(self):
@@ -84,6 +101,14 @@ class TestIntegrateHalfLine:
     def test_mellin_reflection_value(self):
         r = oracle.integrate_half_line(lambda x: x ** -0.5 / (1.0 + x), 1e-8)
         assert r.value == pytest.approx(math.pi, abs=1e-8)
+
+    def test_tolerance_below_the_rounding_floor_raises_early(self):
+        # no split lowers an error that is already at 50 eps integral|f|
+        with pytest.raises(QuadratureError, match="stalled") as excinfo:
+            oracle.integrate_half_line(lambda x: math.exp(-x), 1e-17)
+        partial = excinfo.value.partial
+        assert not partial.converged
+        assert partial.evaluations <= 5_000
 
     def test_oscillatory_struve_matches_closed_form(self):
         r = run_tail(struve_tail(-0.5), 2.5e-6)
@@ -244,3 +269,31 @@ class TestErrorEstimateHonesty:
 
         honest = sum(1 for true_err, est in cases if true_err <= 3.0 * est)
         assert honest / len(cases) >= 0.95, cases
+
+    # endpoint singularities the adaptive core extrapolates: each result is
+    # within three times its estimate, or the integration raises
+    @pytest.mark.parametrize("identity_id,params", [
+        ("eq02_mellin_exponential", {"nu": 0.005}),
+        ("eq02_mellin_exponential", {"nu": 0.03}),
+        ("eq02_mellin_rational", {"nu": 0.97}),
+        ("eq02_mellin_rational", {"nu": 0.995}),
+        ("eq36_beta_exponential", {"alpha": 0.7299, "beta": 0.209, "x": 2.2618}),
+        ("eq12_struve_halfline", {"nu": -0.01, "b": 1.0}),
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_endpoint_singularity_estimates(self, identity_id, params, tol):
+        identity = closedforms.get_identity(identity_id)
+        closed = identity.closed(**params)
+        try:
+            r = identity.oracle_eval(params, tol * max(abs(closed), 1.0))
+        except QuadratureError:
+            return
+        assert abs(r.value - closed) <= 3.0 * r.abs_error_estimate
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_near_non_integrable_end_estimate(self, tol):
+        try:
+            r = oracle.integrate_finite(lambda u: u ** -0.99, 0.0, 1.0, tol)
+        except QuadratureError:
+            return
+        assert abs(r.value - 100.0) <= 3.0 * r.abs_error_estimate
