@@ -49,7 +49,8 @@ class VerificationReport:
     tolerance: float
     passed: bool
     oracle_cost: int
-    timing: float
+    closed_time: float
+    oracle_time: float
     reason: str = ""
     oracle_error_estimate: float | None = None
     ladder_residual: float | None = None
@@ -67,7 +68,8 @@ class VerificationReport:
             "oracle_cost": self.oracle_cost,
             "oracle_error_estimate": self.oracle_error_estimate,
             "ladder_residual": self.ladder_residual,
-            "timing": self.timing,
+            "closed_time": self.closed_time,
+            "oracle_time": self.oracle_time,
             "reason": self.reason,
         }
 
@@ -93,7 +95,7 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
     ok, reason = identity.check_point(params)
     if not ok:
         return VerificationReport(identity.id, identity.equation, dict(params),
-                                  None, None, None, tol, False, 0, 0.0,
+                                  None, None, None, tol, False, 0, 0.0, 0.0,
                                   f"outside domain: {reason}")
     closed_form = identity.variants[variant] if variant else identity.closed
     start = time.perf_counter()
@@ -102,11 +104,13 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
     except EngineError as exc:
         return VerificationReport(identity.id, identity.equation, dict(params),
                                   None, None, None, tol, False, 0,
-                                  time.perf_counter() - start,
+                                  time.perf_counter() - start, 0.0,
                                   f"closed-form failure: {exc}")
+    closed_time = time.perf_counter() - start
     # run the oracle a factor 4 tighter than the comparison so its own
     # error budget cannot consume the tolerance being certified
     scale = max(abs(closed), 1.0)
+    start = time.perf_counter()
     try:
         oracle_result = identity.oracle_eval(params, 0.25 * tol * scale)
     except EngineError as exc:
@@ -114,10 +118,10 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
         cost = partial.evaluations if partial is not None else 0
         return VerificationReport(identity.id, identity.equation, dict(params),
                                   closed, None, None, tol, False, cost,
-                                  time.perf_counter() - start,
+                                  closed_time, time.perf_counter() - start,
                                   f"oracle failure: {exc}",
                                   *_oracle_accuracy(partial))
-    elapsed = time.perf_counter() - start
+    oracle_time = time.perf_counter() - start
     oracle_value = complex(oracle_result.value)
     diff = abs(closed - oracle_value)
     if abs(oracle_value) < _ABS_FLOOR:
@@ -127,7 +131,7 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
     passed = rel <= tol
     return VerificationReport(identity.id, identity.equation, dict(params),
                               closed, oracle_value, rel, tol, passed,
-                              oracle_result.evaluations, elapsed, "",
+                              oracle_result.evaluations, closed_time, oracle_time, "",
                               *_oracle_accuracy(oracle_result))
 
 
@@ -337,7 +341,7 @@ def _write_reports(reports, path, fmt):
                          "closed_re", "closed_im", "oracle_re", "oracle_im",
                          "relative_error", "tolerance", "pass", "oracle_cost",
                          "oracle_error_estimate", "ladder_residual",
-                         "timing", "reason"])
+                         "closed_time", "oracle_time", "reason"])
         for r in reports:
             row = []
             for key, value in r.to_record().items():

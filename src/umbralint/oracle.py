@@ -126,18 +126,9 @@ class OscillatoryTail:
             raise DomainError("an oscillatory tail needs start > 0 and half_period > 0")
 
 
-def _gauss_kronrod_15(f, a: float, b: float):
-    """One Gauss-7/Kronrod-15 panel; returns (value, error_estimate,
-    at_floor), where ``at_floor`` says that the estimate is no more than the
-    rounding floor 50 eps integral|f| that no split can lower.
-
-    Nodes are interior in exact arithmetic; after rounding they can land on
-    a panel endpoint, where the integrand contract no longer holds, so they
-    are nudged strictly inside.
-    """
-    center = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-
+def _nudged_inside(f, a: float, b: float):
+    """f with each node that rounding put on or past an end of [a, b] moved
+    to the nearest float inside."""
     def at(x):
         if x <= a:
             x = math.nextafter(a, b)
@@ -145,42 +136,83 @@ def _gauss_kronrod_15(f, a: float, b: float):
             x = math.nextafter(b, a)
         return f(x)
 
-    fc = at(center)
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    resabs = _WGK[7] * abs(fc)
-    pairs = [None] * 7
-    for j in range(3):
-        dx = h * _XGK[2 * j + 1]
-        f1 = at(center - dx)
-        f2 = at(center + dx)
-        pairs[2 * j + 1] = (f1, f2)
-        resg += _WG[j] * (f1 + f2)
-        resk += _WGK[2 * j + 1] * (f1 + f2)
-        resabs += _WGK[2 * j + 1] * (abs(f1) + abs(f2))
-    for j in range(4):
-        dx = h * _XGK[2 * j]
-        f1 = at(center - dx)
-        f2 = at(center + dx)
-        if 2 * j < 7:
-            pairs[2 * j] = (f1, f2)
-        resk += _WGK[2 * j] * (f1 + f2)
-        resabs += _WGK[2 * j] * (abs(f1) + abs(f2))
+    return at
+
+
+def _gauss_kronrod_15(f, a: float, b: float):
+    """One Gauss-7/Kronrod-15 panel; returns (value, error_estimate,
+    at_floor), where ``at_floor`` says that the estimate is no more than the
+    rounding floor 50 eps integral|f| that no split can lower.
+
+    Nodes are interior in exact arithmetic; after rounding they can land on
+    a panel endpoint, where the integrand contract no longer holds.  Rounding
+    is monotone, so when the outermost pair is strictly inside, every node
+    is; otherwise (a panel a few ulps wide) the nodes are nudged inside.
+    The code is written out node by node, since the interpreter's work per
+    node, not the integrand, bounds the oracle's speed on cheap integrands.
+    The sums run in QUADPACK's order (the Gauss pairs 1, 3, 5 before the
+    Kronrod pairs 0, 2, 4, 6; pairs 0 to 6 for resasc), which fixes every
+    bit of the result.
+    """
+    center = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
+    d0 = h * x0
+    if not (a < center - d0 and center + d0 < b):
+        f = _nudged_inside(f, a, b)
+    d1 = h * x1
+    d2 = h * x2
+    d3 = h * x3
+    d4 = h * x4
+    d5 = h * x5
+    d6 = h * x6
+    fc = f(center)
+    f1l = f(center - d1)
+    f1r = f(center + d1)
+    f3l = f(center - d3)
+    f3r = f(center + d3)
+    f5l = f(center - d5)
+    f5r = f(center + d5)
+    f0l = f(center - d0)
+    f0r = f(center + d0)
+    f2l = f(center - d2)
+    f2r = f(center + d2)
+    f4l = f(center - d4)
+    f4r = f(center + d4)
+    f6l = f(center - d6)
+    f6r = f(center + d6)
+
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    g1, g3, g5, gc = _WG
+    s1 = f1l + f1r
+    s3 = f3l + f3r
+    s5 = f5l + f5r
+    resg = gc * fc + g1 * s1 + g3 * s3 + g5 * s5
+    resk = (w7 * fc + w1 * s1 + w3 * s3 + w5 * s5
+            + w0 * (f0l + f0r) + w2 * (f2l + f2r) + w4 * (f4l + f4r) + w6 * (f6l + f6r))
+    resabs = (w7 * abs(fc)
+              + w1 * (abs(f1l) + abs(f1r)) + w3 * (abs(f3l) + abs(f3r))
+              + w5 * (abs(f5l) + abs(f5r)) + w0 * (abs(f0l) + abs(f0r))
+              + w2 * (abs(f2l) + abs(f2r)) + w4 * (abs(f4l) + abs(f4r))
+              + w6 * (abs(f6l) + abs(f6r)))
     mean = resk * 0.5
-    resasc = _WGK[7] * abs(fc - mean)
-    for j in range(7):
-        f1, f2 = pairs[j]
-        resasc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
-    value = resk * h
-    resabs *= abs(h)
-    resasc *= abs(h)
+    resasc = (w7 * abs(fc - mean)
+              + w0 * (abs(f0l - mean) + abs(f0r - mean))
+              + w1 * (abs(f1l - mean) + abs(f1r - mean))
+              + w2 * (abs(f2l - mean) + abs(f2r - mean))
+              + w3 * (abs(f3l - mean) + abs(f3r - mean))
+              + w4 * (abs(f4l - mean) + abs(f4r - mean))
+              + w5 * (abs(f5l - mean) + abs(f5r - mean))
+              + w6 * (abs(f6l - mean) + abs(f6r - mean)))
+    resabs *= h
+    resasc *= h
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     floor = 50.0 * _EPS * resabs
     if resabs > _UNDERFLOW / (50.0 * _EPS):
         err = max(err, floor)
-    return value, err, err <= floor
+    return resk * h, err, err <= floor
 
 
 class _EndExtrapolation:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import special as _sp
-
 __all__ = [
     "bessel_j_ref",
     "struve_h_ref",
@@ -26,20 +24,32 @@ __all__ = [
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 _SQRT_PI = math.sqrt(math.pi)
 
+# scipy.special, bound by _special() on first use: importing it takes most of
+# the package's import time, and only the oracle integrands need it
+_sp = None
+
+
+def _special():
+    """scipy.special, imported and bound to ``_sp``."""
+    global _sp
+    from scipy import special
+    _sp = special
+    return special
+
 
 def bessel_j_ref(v: float, x: float) -> float:
     """Bessel J of real order, any argument size."""
-    return float(_sp.jv(v, x))
+    return float((_sp or _special()).jv(v, x))
 
 
 def struve_h_ref(v: float, x: float) -> float:
     """Struve function of real order, any argument size."""
-    return float(_sp.struve(v, x))
+    return float((_sp or _special()).struve(v, x))
 
 
 def bessel_y_ref(v: float, x: float) -> float:
     """Bessel Y of real order, x > 0."""
-    return float(_sp.yv(v, x))
+    return float((_sp or _special()).yv(v, x))
 
 
 def struve_k_ref(v: float, x: float) -> float:
@@ -51,9 +61,10 @@ def struve_k_ref(v: float, x: float) -> float:
     than Y_v.  So from x = 50 on, the large-x expansion (DLMF 11.6.1) is
     summed instead, as long as its terms fall until they reach rounding.
     """
+    sp = _sp or _special()
     if x >= 50.0:
         ratio = 4.0 / (x * x)
-        term = _SQRT_PI * (0.5 * x) ** (v - 1.0) * float(_sp.rgamma(v + 0.5))
+        term = _SQRT_PI * (0.5 * x) ** (v - 1.0) * float(sp.rgamma(v + 0.5))
         total = term
         k = 0
         while abs(term) > 1e-17 * abs(total):
@@ -63,12 +74,12 @@ def struve_k_ref(v: float, x: float) -> float:
             term, total, k = step, total + step, k + 1
         else:
             return total / math.pi
-    return float(_sp.struve(v, x) - _sp.yv(v, x))
+    return float(sp.struve(v, x) - sp.yv(v, x))
 
 
 def kummer_m_ref(a: float, b: float, x: float) -> float:
     """Confluent hypergeometric M(a; b; x)."""
-    return float(_sp.hyp1f1(a, b, x))
+    return float((_sp or _special()).hyp1f1(a, b, x))
 
 
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:

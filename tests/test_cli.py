@@ -1,5 +1,11 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_eval_does_not_import_scipy():
+    # scipy.special is most of the import time and only oracle integrands use it
+    script = ("import sys\n"
+              "import umbralint.cli as cli\n"
+              "assert cli.main(['eval', 'gamma', '0.5']) == 0\n"
+              "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestList:
@@ -178,7 +196,8 @@ class TestVerify:
                 "identity_id", "equation", "point", "closed_form_value",
                 "oracle_value", "relative_error", "tolerance", "pass",
                 "oracle_cost", "oracle_error_estimate", "ladder_residual",
-                "timing", "reason"}
+                "closed_time", "oracle_time", "reason"}
+            assert record["closed_time"] > 0.0 and record["oracle_time"] > 0.0
             assert record["oracle_error_estimate"] > 0.0
             assert record["ladder_residual"] is None
             assert set(record["closed_form_value"]) == {"re", "im"}
@@ -296,9 +315,10 @@ class TestVerify:
                          "--grid", "x=0", "--format", "csv",
                          "--out", str(out_path))
         assert code == 0
-        lines = out_path.read_text().strip().splitlines()
-        assert lines[0].startswith("identity_id,")
-        assert len(lines) == 2
+        header, row = csv.reader(io.StringIO(out_path.read_text()))
+        assert header[0] == "identity_id"
+        assert header[-3:] == ["closed_time", "oracle_time", "reason"]
+        assert len(row) == len(header)
 
 
 QUICK_CONFIG = """

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -297,3 +298,167 @@ class TestErrorEstimateHonesty:
         except QuadratureError:
             return
         assert abs(r.value - 100.0) <= 3.0 * r.abs_error_estimate
+
+
+def loop_panel(f, a, b):
+    """The Gauss-Kronrod panel in its loop form, as it stood before the
+    panel was written out node by node: the reference it must match bit
+    for bit."""
+    _XGK, _WGK, _WG = oracle._XGK, oracle._WGK, oracle._WG
+    _EPS, _UNDERFLOW = oracle._EPS, oracle._UNDERFLOW
+    center = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+
+    def at(x):
+        if x <= a:
+            x = math.nextafter(a, b)
+        elif x >= b:
+            x = math.nextafter(b, a)
+        return f(x)
+
+    fc = at(center)
+    resg = _WG[3] * fc
+    resk = _WGK[7] * fc
+    resabs = _WGK[7] * abs(fc)
+    pairs = [None] * 7
+    for j in range(3):
+        dx = h * _XGK[2 * j + 1]
+        f1 = at(center - dx)
+        f2 = at(center + dx)
+        pairs[2 * j + 1] = (f1, f2)
+        resg += _WG[j] * (f1 + f2)
+        resk += _WGK[2 * j + 1] * (f1 + f2)
+        resabs += _WGK[2 * j + 1] * (abs(f1) + abs(f2))
+    for j in range(4):
+        dx = h * _XGK[2 * j]
+        f1 = at(center - dx)
+        f2 = at(center + dx)
+        if 2 * j < 7:
+            pairs[2 * j] = (f1, f2)
+        resk += _WGK[2 * j] * (f1 + f2)
+        resabs += _WGK[2 * j] * (abs(f1) + abs(f2))
+    mean = resk * 0.5
+    resasc = _WGK[7] * abs(fc - mean)
+    for j in range(7):
+        f1, f2 = pairs[j]
+        resasc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
+    value = resk * h
+    resabs *= abs(h)
+    resasc *= abs(h)
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 50.0 * _EPS * resabs
+    if resabs > _UNDERFLOW / (50.0 * _EPS):
+        err = max(err, floor)
+    return value, err, err <= floor
+
+
+def ulps_above(x, k):
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+class TestPanel:
+    """The written-out panel against its loop form."""
+
+    @staticmethod
+    def integrands(rng):
+        c, d, p = rng.uniform(-3, 3), rng.uniform(0.1, 40), rng.uniform(-2, 2)
+        return [
+            lambda x: math.exp(c * x) * math.cos(d * x) + p * x * x,
+            lambda x: 1.0 / (1.0 + d * x * x),
+            lambda x: abs(x - p) ** 0.5,   # a kink inside some panels
+            lambda x: cmath.exp(1j * d * x) * (1.0 + c * x),
+            lambda x: complex(p, c) / (1.0 + x * x) + 1j * math.sin(d * x),
+        ]
+
+    @staticmethod
+    def panels(rng):
+        for _ in range(30):   # panels from 1e-9 to 100 wide
+            a = rng.uniform(-10.0, 10.0)
+            yield a, a + 10.0 ** rng.uniform(-9.0, 2.0)
+        for width in (1, 2, 3, 4):   # a few ulps wide at 0 and near 1
+            yield 0.0, ulps_above(0.0, width)
+            for start in (0.5, math.nextafter(1.0, 0.0), 1.0, rng.uniform(0.9, 1.1)):
+                yield start, ulps_above(start, width)
+            yield math.nextafter(-1.0, 0.0), ulps_above(math.nextafter(-1.0, 0.0), width)
+
+    def test_bit_identical_to_loop_form(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(20):
+            for f in self.integrands(rng):
+                for a, b in self.panels(rng):
+                    assert oracle._gauss_kronrod_15(f, a, b) == loop_panel(f, a, b), (a, b)
+                    checked += 1
+        assert checked == 20 * 5 * 54
+
+    def test_nodes_stay_inside(self):
+        rng = random.Random(7)
+        for a, b in self.panels(rng):
+            seen = []
+
+            def f(x):
+                seen.append(x)
+                return math.cos(x)
+
+            oracle._gauss_kronrod_15(f, a, b)
+            assert len(seen) == 15
+            if math.nextafter(a, b) < b:
+                assert all(a < x < b for x in seen), (a, b, seen)
+            else:   # no float lies strictly inside a panel one ulp wide
+                assert all(a <= x <= b for x in seen), (a, b, seen)
+
+
+class TestEvaluationCount:
+    """QuadratureResult.evaluations counts every call of every integrand
+    an entry point is given, on integrands that never take the shortcuts of
+    the fold and the whole-line map (a zero value or a node mapped to
+    infinity)."""
+
+    @staticmethod
+    def counted(g, calls):
+        def counting(x):
+            calls[0] += 1
+            return g(x)
+        return counting
+
+    @pytest.mark.parametrize("g,a,b", [
+        (lambda x: math.exp(-x) * math.cos(3.0 * x), 0.0, 3.0),
+        (lambda x: x ** -0.5, 0.0, 1.0),
+        (lambda x: cmath.exp(2j * x), -1.0, 4.0),
+    ])
+    def test_finite(self, g, a, b):
+        calls = [0]
+        r = oracle.integrate_finite(self.counted(g, calls), a, b, 1e-10)
+        assert calls[0] == r.evaluations > 0
+
+    @pytest.mark.parametrize("g", [
+        lambda t: math.exp(-t * t),
+        lambda t: (1.0 + t * t) ** -2,
+    ])
+    def test_real_line(self, g):
+        calls = [0]
+        r = oracle.integrate_real_line(self.counted(g, calls), 1e-10)
+        assert calls[0] == r.evaluations > 0
+
+    @pytest.mark.parametrize("g", [
+        lambda x: math.exp(-x),
+        lambda x: x ** -0.5 / (1.0 + x),
+    ])
+    def test_half_line(self, g):
+        calls = [0]
+        r = oracle.integrate_half_line(self.counted(g, calls), 1e-10)
+        assert calls[0] == r.evaluations > 0
+
+    @pytest.mark.parametrize("kind", ["struve", "chirp"])
+    def test_half_line_with_tail(self, kind):
+        f, tail = struve_tail(-0.5) if kind == "struve" else chirp(2.0)
+        calls = [0]
+        smooth = tail.smooth and self.counted(tail.smooth, calls)
+        tail = oracle.OscillatoryTail(tail.start, tail.half_period,
+                                      self.counted(tail.wave, calls), smooth)
+        r = oracle.integrate_half_line(self.counted(f, calls), 2.5e-6, tail)
+        assert calls[0] == r.evaluations > 0
