@@ -179,6 +179,9 @@ def lorentz_gauss_integral(x: float, method: str = "hypergeometric",
 
     method="series" sums sqrt(pi) sum_k (-x^2)^k/k! Gamma(2k+3/2)/Gamma(2k+2);
     method="hypergeometric" evaluates (pi/2) 2F2(3/4, 5/4; 1, 3/2; -x^2).
+    The law holds the Lorentz symbol F(a) = sqrt(pi) Gamma(a-1/2)/Gamma(a) at
+    a = 2k+2 itself: the multiplier engine cannot pair F(2k+2) with x^{2k}
+    without a new parameter, and x = 0, where x^{-2} fails, is on the grid.
     """
     if method == "hypergeometric":
         return 0.5 * math.pi * hyper_pfq((0.75, 1.25), (1.0, 1.5), -x * x, tol=tol)

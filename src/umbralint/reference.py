@@ -16,7 +16,6 @@ __all__ = [
     "struve_h_ref",
     "bessel_y_ref",
     "struve_k_ref",
-    "kummer_m_ref",
     "pseudo_trig3_closed",
     "classical_hermite",
 ]
@@ -75,11 +74,6 @@ def struve_k_ref(v: float, x: float) -> float:
         else:
             return total / math.pi
     return float(sp.struve(v, x) - sp.yv(v, x))
-
-
-def kummer_m_ref(a: float, b: float, x: float) -> float:
-    """Confluent hypergeometric M(a; b; x)."""
-    return float((_sp or _special()).hyp1f1(a, b, x))
 
 
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:

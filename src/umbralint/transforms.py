@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .errors import DomainError
 from .specfun import gamma, inv_factorial
-from .umbral import CoefficientSeries, GammaRatioSequence, constant_phi
+from .umbral import CoefficientSeries, GammaRatioSequence
 
 __all__ = [
     "CoefficientSeries",
@@ -21,9 +21,7 @@ __all__ = [
     "borel_inverse",
     "borel_hybrid_hermite",
     "beta_transform",
-    "series_from_moments",
     "pseudo_trig_series",
-    "geometric_sected_series",
 ]
 
 
@@ -47,18 +45,6 @@ def borel_inverse(L: CoefficientSeries) -> CoefficientSeries:
     return replace(L, law=L.law.times(denom=_exponent_gamma(L)))
 
 
-def series_from_moments(phi: GammaRatioSequence, extra_factorials: int = 1) -> CoefficientSeries:
-    """The alternating series sum_k phi(k)/(k!)^e (-x)^k.
-
-    extra_factorials = 1 gives the moment-series shape; 2 gives its
-    exponential-moment preimage.
-    """
-    if extra_factorials < 0:
-        raise DomainError("extra_factorials must be >= 0")
-    return CoefficientSeries(phi.times(denom=((1.0, 1.0),) * extra_factorials),
-                             geometric=-1.0)
-
-
 def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
     """The m-sected alternating exponential c_k = sum_r (-1)^r x^{m r + k}/(m r + k)!."""
     if not isinstance(m, int) or m < 2:
@@ -67,13 +53,6 @@ def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
         raise DomainError("pseudo_trig_series needs 0 <= k < m")
     law = GammaRatioSequence(denom=((k + 1.0, float(m)),))
     return CoefficientSeries(law, stride=m, offset=float(k), geometric=-1.0)
-
-
-def geometric_sected_series(k: int, m: int) -> CoefficientSeries:
-    """x^k/(1 + x^m) = sum_r (-1)^r x^{m r + k}, |x| < 1."""
-    if not isinstance(m, int) or m < 1:
-        raise DomainError("geometric_sected_series needs integer m >= 1")
-    return CoefficientSeries(constant_phi(), stride=m, offset=float(k), geometric=-1.0)
 
 
 def borel_hybrid_hermite(n: int, m: int, x, y, variable: str = "first") -> complex:

@@ -34,18 +34,12 @@ __all__ = [
     "mellin_master_strided",
     "apply_mellin_multiplier",
     "constant_phi",
-    "factorial_phi",
     "bessel_phi",
-    "struve_phi",
-    "bessel_series",
     "struve_series",
     "exponential_series",
     "rational_series",
-    "gaussian_series",
     "bessel_power_series",
-    "monomial_spec",
     "gaussian_kernel",
-    "lorentz_power",
     "borel_factorial",
     "beta_kernel",
 ]
@@ -176,20 +170,9 @@ def constant_phi() -> GammaRatioSequence:
     return GammaRatioSequence()
 
 
-def factorial_phi() -> GammaRatioSequence:
-    """phi(s) = Gamma(1+s), the moment law of 1/(1+x)."""
-    return GammaRatioSequence(numer=_FACTORIAL)
-
-
 def bessel_phi() -> GammaRatioSequence:
     """phi(s) = 1/Gamma(1+s), the Bessel moment law."""
     return GammaRatioSequence(denom=_FACTORIAL)
-
-
-def struve_phi(nu: float) -> GammaRatioSequence:
-    """phi(s) = Gamma(s+1) / (Gamma(s+3/2) Gamma(s+nu+3/2))."""
-    return GammaRatioSequence(numer=_FACTORIAL,
-                              denom=((1.5, 1.0), (nu + 1.5, 1.0)))
 
 
 # -- the series type ----------------------------------------------------------
@@ -201,30 +184,24 @@ class CoefficientSeries:
 
     The law is a Gamma ratio; signs, argument scales that no Gamma ratio
     can express (4^-k), overall constants and 1/k! all live in ``law`` and
-    ``geometric``.  ``terms`` truncates the series to a polynomial (terms=1
-    is a monomial).  x is real; a negative x needs an integer offset.
+    ``geometric``.  x is real; a negative x needs an integer offset.
     """
 
     law: GammaRatioSequence
     stride: int = 1
     offset: float = 0.0
     geometric: complex = 1.0
-    terms: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.law, GammaRatioSequence):
             raise DomainError("CoefficientSeries law must be a GammaRatioSequence")
         if not isinstance(self.stride, int) or self.stride < 1:
             raise DomainError("CoefficientSeries stride must be a positive integer")
-        if self.geometric == 0:
-            raise DomainError("CoefficientSeries geometric factor must be nonzero")
-        if self.terms is not None and self.terms < 1:
-            raise DomainError("CoefficientSeries needs at least one term")
+        if self.geometric == 0 or not cmath.isfinite(self.geometric):
+            raise DomainError("CoefficientSeries geometric factor must be finite and nonzero")
 
     def coefficient(self, k: int) -> complex:
         """Coefficient of x^(stride k + offset)."""
-        if self.terms is not None and k >= self.terms:
-            return complex(0.0)
         return phi_eval(self.law, float(k)) * self.geometric ** k
 
     def coefficients(self, n: int):
@@ -271,7 +248,7 @@ def _sum_terms(series: CoefficientSeries, x: float, tol: float,
 
     def terms():
         sign = sign0
-        for k in count() if series.terms is None else range(series.terms):
+        for k in count():
             log_mag = log0 + k * step_log
             term_sign = sign
             sign *= step_sign
@@ -293,23 +270,21 @@ def _sum_terms(series: CoefficientSeries, x: float, tol: float,
 # -- cataloged series ---------------------------------------------------------
 
 
-def bessel_series(n: int) -> CoefficientSeries:
-    """Series evaluating to J_n(2x) as a function of x."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("bessel_series needs integer n >= 0")
-    law = GammaRatioSequence(denom=_FACTORIAL + ((n + 1.0, 1.0),))
-    return CoefficientSeries(law, stride=2, offset=float(n), geometric=-1.0)
-
-
 def struve_series(nu: float, b: float = 1.0) -> CoefficientSeries:
-    """Series evaluating to the Struve function of b*x as a function of x."""
+    """Series evaluating to the Struve function of b*x as a function of x.
+
+    When nu + 3/2 is a non-positive integer -n, 1/Gamma(k+nu+3/2) kills
+    terms 0..n, so the series starts at term j = n + 1 (factors shift by j).
+    """
     if b <= 0:
         raise DomainError("struve_series needs b > 0")
     half = 0.5 * b
-    # struve_phi(k) / k!: the factorial cancels its numerator Gamma(k+1)
-    law = GammaRatioSequence(scale=half ** (nu + 1.0),
-                             denom=((1.5, 1.0), (nu + 1.5, 1.0)))
-    return CoefficientSeries(law, stride=2, offset=nu + 1.0, geometric=-half * half)
+    geometric = -half * half
+    n = _classify_pole(nu + 1.5)
+    j = 0 if n is None else n + 1
+    law = GammaRatioSequence(scale=half ** (nu + 1.0) * geometric ** j,
+                             denom=((1.5 + j, 1.0), (nu + 1.5 + j, 1.0)))
+    return CoefficientSeries(law, stride=2, offset=nu + 1.0 + 2 * j, geometric=geometric)
 
 
 def exponential_series() -> CoefficientSeries:
@@ -322,11 +297,6 @@ def rational_series() -> CoefficientSeries:
     return CoefficientSeries(constant_phi(), geometric=-1.0)
 
 
-def gaussian_series() -> CoefficientSeries:
-    """Series evaluating to exp(-x^2)."""
-    return CoefficientSeries(bessel_phi(), stride=2, geometric=-1.0)
-
-
 def bessel_power_series(n: int) -> CoefficientSeries:
     """J_n(x) in x (coefficients (-1)^k 2^{-n} 4^{-k}/(k!(n+k)!))."""
     n = as_integer(n, "bessel_power_series order n", 0)
@@ -334,16 +304,12 @@ def bessel_power_series(n: int) -> CoefficientSeries:
     return CoefficientSeries(law, stride=2, offset=float(n), geometric=-0.25)
 
 
-def monomial_spec(n: float) -> CoefficientSeries:
-    """The single-term series x^n."""
-    return CoefficientSeries(constant_phi(), offset=float(n), terms=1)
-
-
 # -- Mellin evaluation ------------------------------------------------------
 
 
 def mellin_master(f: CoefficientSeries, nu) -> complex:
-    """Half-line Mellin transform of a plain moment series.
+    """Half-line Mellin transform of a plain moment series, the stride-1
+    entry to ``mellin_master_strided``.
 
     For f(x) = sum_k c(k) (-x)^k the moments are phi(k) = k! c(k), and the
     transform at exponent nu is Gamma(nu) phi(-nu).  The continued sequence
@@ -351,13 +317,10 @@ def mellin_master(f: CoefficientSeries, nu) -> complex:
     worked examples.  Requires Re nu > 0; the caller owns the upper end of
     the strip.
     """
-    if not (f.stride == 1 and f.offset == 0.0 and f.geometric == -1.0
-            and f.terms is None):
+    if not (f.stride == 1 and f.offset == 0.0 and f.geometric == -1.0):
         raise DomainError("mellin_master needs the shape sum_k c(k) (-x)^k; "
                           "use mellin_master_strided for the general shape")
-    if complex(nu).real <= 0:
-        raise StripError("mellin_master needs Re nu > 0")
-    return complex(gamma(nu)) * phi_eval(f.law.times(numer=_FACTORIAL), -nu)
+    return mellin_master_strided(f, nu)
 
 
 def mellin_master_strided(f: CoefficientSeries, nu) -> complex:
@@ -384,7 +347,6 @@ def mellin_master_strided(f: CoefficientSeries, nu) -> complex:
 
 class MultiplierKind(enum.Enum):
     GAUSSIAN_KERNEL = "gaussian"
-    LORENTZ_POWER = "lorentz_power"
     BOREL_FACTORIAL = "borel_factorial"
     BETA_KERNEL = "beta_kernel"
 
@@ -406,8 +368,6 @@ class MellinMultiplier:
     def lower_bound(self) -> float:
         if self.kind is MultiplierKind.GAUSSIAN_KERNEL:
             return 0.0
-        if self.kind is MultiplierKind.LORENTZ_POWER:
-            return 0.5
         if self.kind is MultiplierKind.BOREL_FACTORIAL:
             return -1.0
         return -self.alpha
@@ -422,9 +382,6 @@ class MellinMultiplier:
         self._check(a)
         if self.kind is MultiplierKind.GAUSSIAN_KERNEL:
             return 0.5 * (math.log(math.pi) - math.log(a))
-        if self.kind is MultiplierKind.LORENTZ_POWER:
-            return (0.5 * math.log(math.pi)
-                    + math.lgamma(a - 0.5) - math.lgamma(a))
         if self.kind is MultiplierKind.BOREL_FACTORIAL:
             return math.lgamma(a + 1.0)
         return (math.lgamma(self.alpha + a) + math.lgamma(self.beta)
@@ -438,11 +395,6 @@ class MellinMultiplier:
 def gaussian_kernel() -> MellinMultiplier:
     """F(a) = sqrt(pi/a), the whole-line integral of exp(-a t^2)."""
     return MellinMultiplier(MultiplierKind.GAUSSIAN_KERNEL)
-
-
-def lorentz_power() -> MellinMultiplier:
-    """F(a) = sqrt(pi) Gamma(a-1/2)/Gamma(a), integral of (1+t^2)^{-a}."""
-    return MellinMultiplier(MultiplierKind.LORENTZ_POWER)
 
 
 def borel_factorial() -> MellinMultiplier:

@@ -1,0 +1,66 @@
+"""Every public engine name is reached by the package or the benchmark.
+
+A helper that only its own unit tests call is dead weight: it has to be
+kept correct without serving any result.  This test parses ``src/`` and
+``bench/`` and asserts that each name in the ``__all__`` of the engine
+modules is used somewhere outside its own definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from umbralint import reference, specfun, transforms, umbral
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# reached only by the acceptance criteria, which name them
+EXEMPT = {"borel_inverse", "borel_hybrid_hermite", "classical_hermite"}
+
+
+class _Uses(ast.NodeVisitor):
+    """Names read or attributes taken, outside the definition of that name."""
+
+    def __init__(self):
+        self.used = set()
+        self._inside = []
+
+    def _visit_definition(self, node):
+        self._inside.append(node.name)
+        self.generic_visit(node)
+        self._inside.pop()
+
+    visit_FunctionDef = visit_ClassDef = _visit_definition
+
+    def _use(self, name):
+        if name not in self._inside:
+            self.used.add(name)
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+
+def _used_names():
+    uses = _Uses()
+    for top in ("src", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            uses.visit(ast.parse(path.read_text(), filename=str(path)))
+    return uses.used
+
+
+@pytest.mark.parametrize("module", [umbral, transforms, reference, specfun],
+                         ids=lambda m: m.__name__)
+def test_every_public_name_is_reached(module):
+    used = _used_names()
+    unreached = sorted(set(module.__all__) - used - EXEMPT)
+    assert not unreached, f"{module.__name__} exports names nothing uses: {unreached}"
+
+
+def test_exempt_names_are_still_public():
+    public = set(transforms.__all__) | set(reference.__all__)
+    assert EXEMPT <= public

@@ -1,16 +1,23 @@
 import math
 
 import pytest
+from scipy.special import hyp1f1
 
 from umbralint import oracle, specfun as sf, transforms as tr, umbral as um
 from umbralint.errors import ConvergenceError, DomainError
-from umbralint.reference import kummer_m_ref
+
+# sum_k (-x)^k / (k!)^2 and its exponential-moment preimage sum_k (-x)^k / (k!)^3
+BESSEL_MOMENTS = tr.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0),) * 2),
+                                      geometric=-1.0)
+BESSEL_PREIMAGE = tr.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0),) * 3),
+                                       geometric=-1.0)
 
 
 class TestCoefficientSeries:
     def test_gamma_ratio_law_with_alternation(self):
         # exp(-x) as a coefficient series
-        s = tr.series_from_moments(um.constant_phi())
+        s = tr.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0),)),
+                                 geometric=-1.0)
         assert s.evaluate(1.0) == pytest.approx(complex(math.exp(-1.0)), rel=1e-12)
 
     def test_geometric_factor(self):
@@ -22,16 +29,10 @@ class TestCoefficientSeries:
 class TestBorelPair:
     def test_factorial_multiplication_on_moment_series(self):
         # coefficients phi(k)/(k!)^2 become phi(k)/k!
-        g = tr.series_from_moments(um.bessel_phi(), extra_factorials=2)
-        L = tr.borel_transform(g)
-        expected = tr.series_from_moments(um.bessel_phi(), extra_factorials=1)
+        L = tr.borel_transform(BESSEL_PREIMAGE)
         for k in range(50):
-            assert L.coefficient(k) == pytest.approx(expected.coefficient(k),
+            assert L.coefficient(k) == pytest.approx(BESSEL_MOMENTS.coefficient(k),
                                                      rel=1e-12)
-
-    def test_constant_maps_to_constant(self):
-        one = tr.CoefficientSeries(law=um.constant_phi(), terms=1)
-        assert tr.borel_transform(one).evaluate(0.7) == pytest.approx(1.0 + 0j)
 
     def test_cosine_to_geometric(self):
         L = tr.borel_transform(tr.pseudo_trig_series(0, 2))
@@ -41,7 +42,9 @@ class TestBorelPair:
 
     def test_inverse_of_geometric_is_pseudo_trig(self):
         for m in (2, 3):
-            g = tr.borel_inverse(tr.geometric_sected_series(0, m))
+            # 1/(1 + x^m) = sum_r (-1)^r x^(m r)
+            geometric = tr.CoefficientSeries(um.constant_phi(), stride=m, geometric=-1.0)
+            g = tr.borel_inverse(geometric)
             for k in range(40):
                 assert g.coefficient(k) == pytest.approx(
                     tr.pseudo_trig_series(0, m).coefficient(k), rel=1e-12)
@@ -59,8 +62,9 @@ class TestBorelPair:
         candidates = [
             tr.pseudo_trig_series(0, 2),
             tr.pseudo_trig_series(0, 3),
-            tr.series_from_moments(um.bessel_phi(), 2),
-            tr.CoefficientSeries(law=um.factorial_phi(), geometric=-0.25, terms=3),
+            BESSEL_PREIMAGE,
+            tr.CoefficientSeries(law=um.GammaRatioSequence(numer=((1.0, 1.0),)),
+                                 geometric=-0.25),
         ]
         for g in candidates:
             back = tr.borel_inverse(tr.borel_transform(g))
@@ -85,9 +89,8 @@ class TestBorelPair:
             (tr.pseudo_trig_series(0, 2), lambda u: math.cos(u)),
             (tr.pseudo_trig_series(0, 3),
              lambda u: sf.pseudo_trig(0, 3, u, tol=1e-14)),
-            (tr.series_from_moments(um.bessel_phi(), 2),
-             lambda u: tr.series_from_moments(um.bessel_phi(), 2)
-             .evaluate(u, tol=1e-14).real),
+            (BESSEL_PREIMAGE,
+             lambda u: BESSEL_PREIMAGE.evaluate(u, tol=1e-14).real),
         ]
         for series, g in pairs:
             lhs = tr.borel_transform(series).evaluate(x, tol=1e-13)
@@ -152,7 +155,7 @@ class TestBetaTransform:
         series = tr.beta_transform(um.exponential_series(), a, b)
         expected = sf.beta(a, b) * sf.hyper_pfq((a,), (a + b,), -x)
         assert series.evaluate(x) == pytest.approx(complex(expected), rel=1e-11)
-        assert expected == pytest.approx(sf.beta(a, b) * kummer_m_ref(a, a + b, -x),
+        assert expected == pytest.approx(sf.beta(a, b) * hyp1f1(a, a + b, -x),
                                          rel=1e-11)
 
     @pytest.mark.parametrize("ab", [(1.0, 1.0), (2.0, 3.0), (0.5, 0.5)])
@@ -177,26 +180,26 @@ class TestBetaTransform:
         with pytest.raises(DomainError):
             tr.beta_transform(um.exponential_series(), 0.0, 1.0)
         with pytest.raises(DomainError):
-            tr.beta_transform(um.bessel_series(1), 1.0, 1.0)
+            tr.beta_transform(um.bessel_power_series(1), 1.0, 1.0)
 
 
 class TestMultiplierCoherence:
-    def test_borel_kernel_matches_transform_on_monomials(self):
+    def test_borel_kernel_matches_transform_on_shifted_exponential(self):
+        # the exponential-moment transform of x^n e^{-x} multiplies the
+        # coefficient of x^(k+n) by Gamma(k+n+1), which sums to
+        # Gamma(n+1) x^n / (1+x)^(n+1)
         factorial = um.borel_factorial()
         for n in (0.0, 1.0, 2.0, 3.5):
-            spec = um.monomial_spec(n)
-            got = um.apply_mellin_multiplier(factorial, spec, 0.8)
-            # the exponential-moment transform of x^n multiplies by Gamma(n+1)
-            expected = sf.gamma(n + 1.0) * 0.8 ** n
+            spec = um.CoefficientSeries(um.bessel_phi(), offset=n, geometric=-1.0)
+            got = um.apply_mellin_multiplier(factorial, spec, 0.5)
+            expected = sf.gamma(n + 1.0) * 0.5 ** n / 1.5 ** (n + 1.0)
             assert got == pytest.approx(complex(expected), rel=1e-12)
+            assert tr.borel_transform(spec).evaluate(0.5) == pytest.approx(got, rel=1e-12)
 
     def test_borel_kernel_matches_transform_on_moment_series(self):
         # same numbers from the multiplier engine and the coefficient route
-        g = tr.series_from_moments(um.bessel_phi(), 2)
-        transformed = tr.borel_transform(g)
-        spec = um.CoefficientSeries(
-            um.GammaRatioSequence(denom=((1.0, 1.0),) * 3), geometric=-1.0)
+        transformed = tr.borel_transform(BESSEL_PREIMAGE)
         for x in (0.3, 0.7):
-            a = um.apply_mellin_multiplier(um.borel_factorial(), spec, x)
+            a = um.apply_mellin_multiplier(um.borel_factorial(), BESSEL_PREIMAGE, x)
             b = transformed.evaluate(x, tol=1e-13)
             assert a == pytest.approx(b, rel=1e-11)

@@ -5,9 +5,24 @@ import pytest
 
 from umbralint import oracle, specfun as sf, umbral as um
 from umbralint.errors import DomainError, KernelDomainError, PoleError, StripError
-from umbralint.reference import bessel_j_ref
+from umbralint.reference import bessel_j_ref, struve_h_ref
 
 SQRT_PI = math.sqrt(math.pi)
+
+# Gamma(1+s), the moment law of 1/(1+x)
+FACTORIAL_LAW = um.GammaRatioSequence(numer=((1.0, 1.0),))
+
+
+def struve_law(nu):
+    """Gamma(s+1) / (Gamma(s+3/2) Gamma(s+nu+3/2)), the Struve moment law."""
+    return um.GammaRatioSequence(numer=((1.0, 1.0),),
+                                 denom=((1.5, 1.0), (nu + 1.5, 1.0)))
+
+
+def bessel_series(n):
+    """J_n(2x) as a series in x."""
+    law = um.GammaRatioSequence(denom=((1.0, 1.0), (n + 1.0, 1.0)))
+    return um.CoefficientSeries(law, stride=2, offset=float(n), geometric=-1.0)
 
 
 class TestGammaRatioSequence:
@@ -40,24 +55,23 @@ class TestPhiEval:
     @pytest.mark.parametrize("nu", [0.0, 0.7, 1.5, 3.0])
     def test_struve_continuation_at_minus_half(self, nu):
         # the value that produces the closed whole-line Struve moment
-        value = um.phi_eval(um.struve_phi(nu), -0.5)
+        value = um.phi_eval(struve_law(nu), -0.5)
         assert value == pytest.approx(complex(SQRT_PI / sf.gamma(nu + 1.0)), rel=1e-12)
 
     def test_factorial_at_minus_half(self):
-        assert um.phi_eval(um.factorial_phi(), -0.5) == pytest.approx(
+        assert um.phi_eval(FACTORIAL_LAW, -0.5) == pytest.approx(
             complex(SQRT_PI), rel=1e-13)
 
     def test_denominator_pole_gives_zero(self):
         # continuation of the basic struve law hits Gamma(0) in the
         # denominator at s = -3/2
-        phi = um.struve_phi(0.0)
+        phi = struve_law(0.0)
         assert um.phi_eval(phi, 0.0) != 0
         assert um.phi_eval(phi, -1.5) == 0.0
 
     def test_numerator_pole_raises_with_index(self):
-        phi = um.factorial_phi()
         with pytest.raises(PoleError) as excinfo:
-            um.phi_eval(phi, -1.0)
+            um.phi_eval(FACTORIAL_LAW, -1.0)
         assert excinfo.value.factor_index == 0
 
     def test_paired_pole_residue_limit(self):
@@ -78,8 +92,7 @@ class TestPhiEval:
 
     def test_log_space_survives_large_arguments(self):
         # direct Gamma products would overflow far below s = 150
-        phi = um.struve_phi(0.5)
-        value = um.phi_eval(phi, 150.0)
+        value = um.phi_eval(struve_law(0.5), 150.0)
         assert value.real > 0.0
         assert math.isfinite(value.real)
         expected = math.exp(math.lgamma(151.0) - math.lgamma(151.5)
@@ -89,7 +102,7 @@ class TestPhiEval:
     def test_seed_invariant_rejects_vanishing_series(self):
         # the basic struve law at order -3/2 has a vanishing leading moment
         with pytest.raises(DomainError):
-            um.struve_phi(-1.5)
+            struve_law(-1.5)
 
 
 class TestUmbralSeries:
@@ -99,10 +112,10 @@ class TestUmbralSeries:
             complex(math.exp(-1.0)), rel=1e-13)
 
     def test_bessel_instance_matches_kernel(self):
-        f = um.bessel_series(0)
+        f = bessel_series(0)
         assert f.evaluate(1.0) == pytest.approx(
             complex(sf.bessel_j(0.0, 2.0)), rel=1e-12)
-        f3 = um.bessel_series(3)
+        f3 = bessel_series(3)
         for x in (0.3, 1.0, 2.5):
             assert f3.evaluate(x) == pytest.approx(
                 complex(sf.bessel_j(3.0, 2.0 * x)), rel=1e-11)
@@ -115,11 +128,19 @@ class TestUmbralSeries:
         assert fb.evaluate(1.5) == pytest.approx(
             complex(sf.struve_h(-0.5, 3.0)), rel=1e-11)
 
+    @pytest.mark.parametrize("nu", [-1.5, -2.5, -3.5])
+    def test_struve_instance_skips_vanishing_terms(self, nu):
+        # 1/Gamma(k + nu + 3/2) is 0 for the first -(nu + 1/2) terms, so the
+        # series starts past them
+        f = um.struve_series(nu)
+        for x in (0.7, 2.0):
+            assert f.evaluate(x).real == pytest.approx(struve_h_ref(nu, x), rel=1e-13)
+
     def test_coefficient_reconstruction(self):
         # phi(n) equals n! times the coefficient of (-x)^n for every
         # cataloged law, n <= 20
-        laws = [um.constant_phi(), um.bessel_phi(), um.factorial_phi(),
-                um.struve_phi(0.0), um.struve_phi(1.5)]
+        laws = [um.constant_phi(), um.bessel_phi(), FACTORIAL_LAW,
+                struve_law(0.0), struve_law(1.5)]
         for phi in laws:
             f = um.CoefficientSeries(phi.times(denom=((1.0, 1.0),)), geometric=-1.0)
             for n in range(21):
@@ -131,8 +152,15 @@ class TestUmbralSeries:
             um.CoefficientSeries(um.bessel_phi(), stride=0)
         with pytest.raises(DomainError):
             um.CoefficientSeries(um.bessel_phi(), geometric=0.0)
+        for geometric in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                um.CoefficientSeries(um.bessel_phi(), geometric=geometric)
+
+    def test_overflowing_argument_scale_is_rejected(self):
+        # (b/2)^2 overflows to -inf, where the Mellin value would be 0j
+        # against a true -1/b = -1e-300
         with pytest.raises(DomainError):
-            um.CoefficientSeries(um.bessel_phi(), terms=0)
+            um.struve_series(-0.5, 1e300)
 
 
 class TestMellinMaster:
@@ -163,13 +191,16 @@ class TestMellinMaster:
         with pytest.raises(StripError):
             um.mellin_master(um.exponential_series(), -0.5)
         with pytest.raises(DomainError):
-            um.mellin_master(um.bessel_series(0), 0.5)
+            um.mellin_master(bessel_series(0), 0.5)
+
+    def test_is_the_stride_one_strided_evaluator(self):
+        for series in (um.exponential_series(), um.rational_series()):
+            for nu in (0.1, 0.5, 2.5, 7.25, 149.5):
+                assert um.mellin_master(series, nu) == um.mellin_master_strided(series, nu)
 
 
 class TestMellinMasterStrided:
-    # orders below -3/2 have no series instance (vanishing leading moment),
-    # so the reduction is exercised on the rest of the strip
-    @pytest.mark.parametrize("nu", [-1.2, -0.5, -0.25])
+    @pytest.mark.parametrize("nu", [-1.9, -1.5, -1.2, -0.5, -0.25])
     @pytest.mark.parametrize("b", [1.0, 2.0])
     def test_struve_halfline_reduction(self, nu, b):
         value = um.mellin_master_strided(um.struve_series(nu, b), 1.0)
@@ -187,11 +218,12 @@ class TestMellinMasterStrided:
                 math.pi / (2.0 ** nu * sf.gamma(1.0 + nu)), rel=1e-12)
 
     def test_gaussian(self):
-        assert um.mellin_master_strided(um.gaussian_series(), 1.0) == pytest.approx(
+        gaussian = um.CoefficientSeries(um.bessel_phi(), stride=2, geometric=-1.0)
+        assert um.mellin_master_strided(gaussian, 1.0) == pytest.approx(
             complex(0.5 * SQRT_PI), rel=1e-13)
 
     def test_bessel_halfline_with_oscillatory_oracle(self):
-        value = um.mellin_master_strided(um.bessel_series(0), 1.0)
+        value = um.mellin_master_strided(bessel_series(0), 1.0)
         assert value.real == pytest.approx(0.5, rel=1e-13)
         # J_0(2 x) is all wave beyond its start, with half-period pi/2
         f = lambda x: bessel_j_ref(0, 2.0 * x)  # noqa: E731
@@ -201,13 +233,12 @@ class TestMellinMasterStrided:
 
     def test_strip_error(self):
         with pytest.raises(StripError):
-            um.mellin_master_strided(um.bessel_series(2), -3.0)
+            um.mellin_master_strided(bessel_series(2), -3.0)
 
 
 def _kernels_with_domain():
     return [
         (um.gaussian_kernel(), 0.0),
-        (um.lorentz_power(), 0.5),
         (um.borel_factorial(), -1.0),
         (um.beta_kernel(1.5, 2.0), -1.5),
     ]
@@ -216,31 +247,31 @@ def _kernels_with_domain():
 class TestMellinMultiplier:
     def test_symbol_values(self):
         assert um.gaussian_kernel().value(2.0) == pytest.approx(math.sqrt(math.pi / 2.0))
-        assert um.lorentz_power().value(2.0) == pytest.approx(
-            SQRT_PI * sf.gamma(1.5) / sf.gamma(2.0))
         assert um.borel_factorial().value(3.0) == pytest.approx(6.0)
         assert um.beta_kernel(2.0, 3.0).value(1.0) == pytest.approx(sf.beta(3.0, 3.0))
 
-    def test_monomial_eigenvalue_property(self):
-        # a single-term series x^n maps to F(n) x^n, exactly to rounding
+    def test_eigenvalue_property(self):
+        # each power x^a of x^n e^{-x} = sum_k (-1)^k x^(k+n)/k! is scaled
+        # by F(a), so the result is the direct sum of the scaled terms
         for multiplier, bound in _kernels_with_domain():
             for n in (0.0, 0.5, 1.0, 2.0, 3.5):
                 if n <= bound:
                     continue
-                spec = um.monomial_spec(n)
-                for x in (0.7, 1.4):
+                spec = um.CoefficientSeries(um.bessel_phi(), offset=n, geometric=-1.0)
+                for x in (0.3, 0.6):
                     got = um.apply_mellin_multiplier(multiplier, spec, x)
-                    expected = complex(multiplier.value(n)) * x ** n
-                    assert got == pytest.approx(expected, rel=1e-12)
+                    direct = sum((-x) ** k / math.factorial(k) * multiplier.value(k + n)
+                                 for k in range(80)) * x ** n
+                    assert got.real == pytest.approx(direct, rel=1e-12)
 
     def test_kernel_domain_errors(self):
         with pytest.raises(KernelDomainError):
             um.gaussian_kernel().value(0.0)
         with pytest.raises(KernelDomainError):
-            um.lorentz_power().value(0.25)
-        spec = um.CoefficientSeries(um.bessel_phi(), stride=2, offset=0.25)
+            um.beta_kernel(1.5, 2.0).value(-1.5)
+        spec = um.CoefficientSeries(um.bessel_phi(), stride=2, offset=-1.25)
         with pytest.raises(KernelDomainError):
-            um.apply_mellin_multiplier(um.lorentz_power(), spec, 1.0)
+            um.apply_mellin_multiplier(um.borel_factorial(), spec, 1.0)
 
     def test_gaussian_bessel_series(self):
         # the Gaussian kernel applied to the Bessel series gives
@@ -255,21 +286,6 @@ class TestMellinMultiplier:
                        * math.sqrt(2.0 * k + n))
                     for k in range(60))
                 assert got.real == pytest.approx(direct, rel=1e-12)
-
-    def test_lorentz_pair_against_oracle(self):
-        # integral of f(x g(t)) with f = u^2 e^{-u^2}, g = 1/(1+t^2)
-        alpha = um.GammaRatioSequence(denom=((1.0, 1.0),))
-        spec = um.CoefficientSeries(alpha, stride=2, offset=2.0, geometric=-1.0)
-        for x in (0.5, 1.0, 2.0):
-            got = um.apply_mellin_multiplier(um.lorentz_power(), spec, x)
-
-            def integrand(t, _x=x):
-                g = 1.0 / (1.0 + t * t)
-                u = _x * g
-                return u * u * math.exp(-u * u)
-
-            quad = oracle.integrate_real_line(integrand, 1e-10)
-            assert abs(got - quad.value) <= 1e-7 * abs(quad.value)
 
     def test_bessel_power_series_matches_kernel(self):
         spec = um.bessel_power_series(2)
