@@ -173,23 +173,26 @@ def bessel_gauss_dilation(n: int, x: float, tol: float = 1e-12) -> float:
     return value.real
 
 
+# exp(-x^2) = sum_k (-x^2)^k/k! edited by F(a+2), for the Lorentz symbol
+# F(a) = sqrt(pi) Gamma(a-1/2)/Gamma(a)
+_LORENTZ_SERIES = umbral.MellinMultiplier(umbral.GammaRatioSequence(
+    scale=math.sqrt(math.pi), numer=((1.5, 1.0),), denom=((2.0, 1.0),))).edit(
+    umbral.CoefficientSeries(umbral.bessel_phi(), stride=2, geometric=-1.0))
+
+
 def lorentz_gauss_integral(x: float, method: str = "hypergeometric",
                            tol: float = DEFAULT_TOL) -> float:
     """Whole-line integral of exp(-x^2/(1+t^2)^2) / (1+t^2)^2.
 
-    method="series" sums sqrt(pi) sum_k (-x^2)^k/k! Gamma(2k+3/2)/Gamma(2k+2);
     method="hypergeometric" evaluates (pi/2) 2F2(3/4, 5/4; 1, 3/2; -x^2).
-    The law holds the Lorentz symbol F(a) = sqrt(pi) Gamma(a-1/2)/Gamma(a) at
-    a = 2k+2 itself: the multiplier engine cannot pair F(2k+2) with x^{2k}
-    without a new parameter, and x = 0, where x^{-2} fails, is on the grid.
+    method="series" applies the Lorentz symbol at the exponent shifted by the
+    weight, F(a+2) = sqrt(pi) Gamma(a+3/2)/Gamma(a+2), to sum_k (-x^2)^k/k!.
     """
     if method == "hypergeometric":
         return 0.5 * math.pi * hyper_pfq((0.75, 1.25), (1.0, 1.5), -x * x, tol=tol)
     if method != "series":
         raise DomainError(f"unknown method {method!r}")
-    law = umbral.GammaRatioSequence(scale=math.sqrt(math.pi), numer=((1.5, 2.0),),
-                                    denom=((1.0, 1.0), (2.0, 2.0)))
-    return _even_series(law, x, tol)
+    return _LORENTZ_SERIES.evaluate(x, tol=tol).real
 
 
 def lorentz_gauss_paper_literal(x: float, tol: float = DEFAULT_TOL) -> float:
@@ -201,13 +204,7 @@ def lorentz_gauss_paper_literal(x: float, tol: float = DEFAULT_TOL) -> float:
     """
     law = umbral.GammaRatioSequence(scale=0.5 * math.sqrt(math.pi), numer=((1.5, 2.0),),
                                     denom=((2.0, 1.0),))
-    return _even_series(law, x, tol)
-
-
-def _even_series(law, x: float, tol: float) -> float:
-    """sum_k law(k) (-x^2)^k."""
-    series = umbral.CoefficientSeries(law, stride=2, geometric=-1.0)
-    return series.evaluate(x, tol=tol).real
+    return umbral.CoefficientSeries(law, stride=2, geometric=-1.0).evaluate(x, tol=tol).real
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,9 @@ def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
 def _bessel_i_complex(mu: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
     """Modified Bessel series with a complex argument (principal powers).
 
-    The reciprocal Gamma is applied per term so that poles (negative integer
-    order) contribute exact zeros instead of breaking a term recurrence.
+    At a negative integer order 1/Gamma(k + mu + 1) is 0 for the leading k
+    and every z; those terms are skipped rather than summed, so that they
+    cannot pass the stopping rule before the series has started.
     """
     h = 0.5 * z
     pref = h ** mu
@@ -244,7 +245,8 @@ def _bessel_i_complex(mu: float, z: complex, tol: float = DEFAULT_TOL) -> comple
     def terms():
         u = complex(1.0)
         for k in count():
-            yield pref * u * inv_gamma(k + mu + 1.0)
+            if not is_nonpositive_integer(k + mu + 1.0):
+                yield pref * u * inv_gamma(k + mu + 1.0)
             u *= h * h / (k + 1.0)
 
     value, _ = sum_series(terms(), tol)
@@ -255,8 +257,9 @@ def _bessel_i_complex(mu: float, z: complex, tol: float = DEFAULT_TOL) -> comple
 def struve_h(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     """Struve function by power series.
 
-    Terms whose denominator Gamma sits at a pole are exactly zero (1/Gamma
-    takes its analytic value 0 there), so half-odd negative orders are fine.
+    At a half-odd negative order 1/Gamma(k + nu + 3/2) is 0 for the leading
+    k and every x; the series starts past those terms, so that they cannot
+    pass the stopping rule before it has started.
     """
     if x < 0:
         n = as_integer(nu, "struve_h order at x < 0", -math.inf)
@@ -271,15 +274,14 @@ def struve_h(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
 
     def term(k):
         a = k + nu + 1.5
-        if is_nonpositive_integer(a):
-            return 0.0
         sign = -1.0 if k % 2 else 1.0
         sign *= gamma_sign(a)
         # math.lgamma returns log|Gamma|, valid for negative non-integer a
         return sign * math.exp((2 * k + nu + 1.0) * lh
                                - math.lgamma(k + 1.5) - math.lgamma(a))
 
-    value, _ = sum_series((term(k) for k in count()), tol)
+    value, _ = sum_series((term(k) for k in count()
+                           if not is_nonpositive_integer(k + nu + 1.5)), tol)
     return value
 
 
@@ -323,15 +325,19 @@ def _b_nu_series(nu: float, z: complex, tol: float) -> complex:
         if p1:
             raise PoleError(a1, message=f"b_nu numerator pole at term k={k}")
         if p2:
-            return 0.0
+            return None  # 1/Gamma(a2) = 0: no term at any x
         s1, l1 = signed_log_gamma(a1)
         s2, l2 = signed_log_gamma(a2)
         return s1 * s2 * math.exp(l1 - l2)
 
     def terms():
+        # a skipped zero cannot pass the stopping rule before the series has
+        # started (2 nu + 1 an integer <= -2) or in its middle (integer nu <= -3)
         u = complex(1.0)
         for k in count():
-            yield ratio(k) * u
+            r = ratio(k)
+            if r is not None:
+                yield r * u
             u *= z / (k + 1.0)
 
     value, _ = sum_series(terms(), tol)
@@ -343,8 +349,15 @@ def _b_nu_series(nu: float, z: complex, tol: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+# Bound on the Hermite degree n and the pseudo_trig order m, whose loops run
+# O(n) and O(m) per call and term.  It is ten times the largest in use and
+# keeps a call such as truncated_e(1e9, ...) from running for minutes.
+_MAX_ORDER = 10_000
+
+
 def _check_order(n, m) -> tuple:
-    return as_integer(n, "polynomial degree n", 0), as_integer(m, "order m", 2)
+    return (as_integer(n, "polynomial degree n", 0, _MAX_ORDER),
+            as_integer(m, "order m", 2))
 
 
 @overflow_raises(DomainError)
@@ -396,7 +409,7 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     sum_r (-1)^r x^{mr+k} / (mr+k)!; for m = 2 these are cos (k=0) and
     sin (k=1).  Entire in x.
     """
-    m = as_integer(m, "pseudo_trig order m", 2)
+    m = as_integer(m, "pseudo_trig order m", 2, _MAX_ORDER)
     k = as_integer(k, "pseudo_trig index k", 0, m - 1)
 
     def terms():
@@ -429,9 +442,12 @@ def hermite_tricomi(n: int, m: int, x, y, tol: float = DEFAULT_TOL) -> complex:
 
     sum_k (-1)^k / (k! (n+k)!) * H_k(x, y) of order m.  The inner polynomial
     can grow before the factorials win, so the stopping rule is armed only
-    once the running term ratio drops below 0.9.
+    once the running term ratio drops below 0.9.  Past n = 177, 1/n!
+    underflows and with it every term, so such an n is a DomainError.
     """
     n, m = _check_order(n, m)
+    if inv_factorial(n) == 0.0:
+        raise DomainError(f"hermite_tricomi order n = {n} underflows: 1/n! is 0")
 
     def term(k):
         sign = -1.0 if k % 2 else 1.0

@@ -1,19 +1,18 @@
 """Borel transform pair and the Euler-kernel (Beta) transform.
 
-Both act termwise on a series, as edits of its Gamma-ratio law: the
-exponential-moment transform multiplies the coefficient of x^a by Gamma(a+1),
-its inverse divides by it, and the Euler kernel multiplies it by
-B(alpha+a, beta).  Each transform is verified elsewhere against direct
-quadrature of its defining integral.
+Both act termwise on a series through the Gamma-ratio symbols of
+``umbral``, as edits of its law: the exponential-moment transform
+multiplies the coefficient of x^a by Gamma(a+1), its inverse divides by it,
+and the Euler kernel multiplies it by B(alpha+a, beta).  Each transform is
+verified elsewhere against direct quadrature of its defining integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import DomainError
-from .specfun import gamma, inv_factorial
-from .umbral import CoefficientSeries, GammaRatioSequence
+from .specfun import inv_factorial
+from .umbral import (CoefficientSeries, GammaRatioSequence, MellinMultiplier,
+                     bessel_phi, beta_kernel, borel_factorial)
 
 __all__ = [
     "CoefficientSeries",
@@ -25,24 +24,19 @@ __all__ = [
 ]
 
 
-def _exponent_gamma(g: CoefficientSeries) -> tuple:
-    """Gamma(offset + 1 + stride k), the factorial of the exponent of term k."""
-    return ((g.offset + 1.0, float(g.stride)),)
-
-
 def borel_transform(g: CoefficientSeries) -> CoefficientSeries:
     """Multiply the coefficient of x^a by Gamma(a + 1).
 
     The resulting series evaluates the exponential moment integral
     of g(x t) dt over (0, infinity) wherever both sides converge.
     """
-    return replace(g, law=g.law.times(numer=_exponent_gamma(g)))
+    return borel_factorial().edit(g)
 
 
 def borel_inverse(L: CoefficientSeries) -> CoefficientSeries:
     """Divide the coefficient of x^a by Gamma(a + 1) (exact inverse of
     borel_transform: the two factors cancel in the canonical law)."""
-    return replace(L, law=L.law.times(denom=_exponent_gamma(L)))
+    return MellinMultiplier(bessel_phi()).edit(L)  # the symbol 1/Gamma(a + 1)
 
 
 def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
@@ -84,17 +78,9 @@ def borel_hybrid_hermite(n: int, m: int, x, y, variable: str = "first") -> compl
 
 
 def beta_transform(f: CoefficientSeries, alpha: float, beta_: float) -> CoefficientSeries:
-    """Euler-kernel transform of a plain series sum_n c(n) x^n.
-
-    Averaging f(u x) against u^{alpha-1} (1-u)^{beta-1} on (0, 1) multiplies
-    the n-th coefficient by B(alpha+n, beta), so the law gains
-    Gamma(alpha+n) Gamma(beta) / Gamma(alpha+beta+n) and stays in
-    Gamma-ratio form.
+    """Euler-kernel transform: averaging f(u x) against
+    u^{alpha-1} (1-u)^{beta-1} on (0, 1) multiplies the coefficient of x^a
+    by B(alpha+a, beta), a Gamma ratio in a, so the law stays in Gamma-ratio
+    form for any stride and offset.
     """
-    if not (f.stride == 1 and f.offset == 0.0):
-        raise DomainError("beta_transform needs a series with stride 1 and offset 0")
-    if not (alpha > 0 and beta_ > 0):
-        raise DomainError("beta_transform needs alpha > 0 and beta > 0")
-    law = f.law.times(scale=gamma(beta_), numer=((alpha, 1.0),),
-                      denom=((alpha + beta_, 1.0),))
-    return replace(f, law=law)
+    return beta_kernel(alpha, beta_).edit(f)

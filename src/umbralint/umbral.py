@@ -3,10 +3,10 @@
 A moment law phi is kept in Gamma-ratio form, which fixes its analytic
 continuation.  A series is one law together with a stride, an offset and a
 geometric factor: term k is law(k) geometric^k x^(stride k + offset).  The
-Mellin evaluator turns such a series into a closed form in one step, the
-transforms of the ``transforms`` module are edits of its Gamma ratio, and
-the Mellin-multiplier engine applies a dilation-kernel symbol F(x d/dx)
-term by term.
+Mellin evaluator turns such a series into a closed form in one step.  A
+dilation-kernel symbol F(x d/dx) with a Gamma-ratio symbol acts on a series
+as an edit of its law; the Mellin multipliers and the transforms of the
+``transforms`` module are all such edits.
 
 All types are immutable values and all operations are pure.
 """
@@ -14,13 +14,12 @@ All types are immutable values and all operations are pure.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 
-from .errors import DomainError, KernelDomainError, PoleError, StripError
+from .errors import DomainError, KernelDomainError, PoleError, StripError, overflow_raises
 from .specfun import DEFAULT_TOL, as_integer, gamma, gamma_sign, log_gamma
 from .summation import sum_series
 
@@ -28,7 +27,6 @@ __all__ = [
     "GammaRatioSequence",
     "CoefficientSeries",
     "MellinMultiplier",
-    "MultiplierKind",
     "phi_eval",
     "mellin_master",
     "mellin_master_strided",
@@ -214,24 +212,21 @@ class CoefficientSeries:
 
 
 def _sum_terms(series: CoefficientSeries, x: float, tol: float,
-               multiplier: MellinMultiplier | None = None) -> complex:
-    """sum_k law(k) geometric^k F(a_k) x^a_k with a_k = stride k + offset.
+               power: float = 0.0) -> complex:
+    """sum_k law(k) geometric^k a_k^power x^a_k with a_k = stride k + offset.
 
-    F is the multiplier's symbol, or 1 without one.  Terms are assembled in
-    log space, so factorially large pieces (a Borel-transformed law, the
-    exponential-moment symbol) cannot overflow against factorially small
-    ones.  A term beyond the double range ends the sum as a non-finite term.
+    A nonzero power needs every a_k > 0.  Terms are assembled in log space,
+    so factorially large pieces (a Borel-transformed law) cannot overflow
+    against factorially small ones.  A term beyond the double range ends
+    the sum as a non-finite term.
     """
     m, p, law = series.stride, series.offset, series.law
-    if multiplier is not None:
-        multiplier._check(p)  # k = 0 is the smallest exponent reached
     if x == 0:
         if p > 0:
             return complex(0.0)
         if p < 0:
             raise DomainError("series with negative offset power at x = 0")
-        value = series.coefficient(0)
-        return value * multiplier.value(0.0) if multiplier is not None else value
+        return series.coefficient(0)
     if x < 0 and p != int(p):
         raise DomainError("negative x needs an integer offset power")
 
@@ -259,8 +254,8 @@ def _sum_terms(series: CoefficientSeries, x: float, tol: float,
                     continue
                 term_sign *= gamma_sign_k
                 log_mag += log_gamma_k
-            if multiplier is not None:
-                log_mag += multiplier.log_value(m * k + p)
+            if power:
+                log_mag += power * math.log(m * k + p)
             yield term_sign * (math.exp(log_mag) if log_mag <= _LOG_MAX else math.inf)
 
     value, _ = sum_series(terms(), tol)
@@ -270,6 +265,7 @@ def _sum_terms(series: CoefficientSeries, x: float, tol: float,
 # -- cataloged series ---------------------------------------------------------
 
 
+@overflow_raises(DomainError)
 def struve_series(nu: float, b: float = 1.0) -> CoefficientSeries:
     """Series evaluating to the Struve function of b*x as a function of x.
 
@@ -345,71 +341,68 @@ def mellin_master_strided(f: CoefficientSeries, nu) -> complex:
 # ---------------------------------------------------------------------------
 
 
-class MultiplierKind(enum.Enum):
-    GAUSSIAN_KERNEL = "gaussian"
-    BOREL_FACTORIAL = "borel_factorial"
-    BETA_KERNEL = "beta_kernel"
-
-
 @dataclass(frozen=True)
 class MellinMultiplier:
-    """Symbol F of the operator sending x^n to F(n) x^n.
+    """Symbol F(a) = symbol(a) a^power of the operator F(x d/dx), which
+    sends x^a to F(a) x^a.  F(a) is the integral of g(t)^a over a dilation
+    kernel's domain, so applying F to a power series reproduces integrals
+    of f(x g(t)) term by term, as an edit of the series law by the Gamma
+    ratio ``symbol``.  Only the Gaussian kernel has a power."""
 
-    Each kind encodes the integral of a dilation family: F(a) is the
-    integral of g(t)^a over the kernel's domain, so applying the multiplier
-    to a power series reproduces integrals of f(x g(t)) term by term.
-    """
-
-    kind: MultiplierKind
-    alpha: float | None = None
-    beta: float | None = None
+    symbol: GammaRatioSequence
+    power: float = 0.0
 
     @property
     def lower_bound(self) -> float:
-        if self.kind is MultiplierKind.GAUSSIAN_KERNEL:
-            return 0.0
-        if self.kind is MultiplierKind.BOREL_FACTORIAL:
-            return -1.0
-        return -self.alpha
+        """F is finite for every a above this: each numerator Gamma argument
+        is positive, and a > 0 when there is a power."""
+        bound = max((-shift / slope for shift, slope in self.symbol.numer),
+                    default=-math.inf)
+        return max(bound, 0.0) if self.power else bound
 
     def _check(self, a: float) -> None:
         if a <= self.lower_bound:
-            raise KernelDomainError(
-                f"{self.kind.value} multiplier needs a > {self.lower_bound}, got {a}")
+            raise KernelDomainError(f"multiplier needs a > {self.lower_bound}, got {a}")
 
-    def log_value(self, a: float) -> float:
-        """log F(a); every kernel has positive F on its domain."""
-        self._check(a)
-        if self.kind is MultiplierKind.GAUSSIAN_KERNEL:
-            return 0.5 * (math.log(math.pi) - math.log(a))
-        if self.kind is MultiplierKind.BOREL_FACTORIAL:
-            return math.lgamma(a + 1.0)
-        return (math.lgamma(self.alpha + a) + math.lgamma(self.beta)
-                - math.lgamma(self.alpha + self.beta + a))
-
-    def value(self, a: float):
+    def value(self, a: float) -> complex:
         """F(a) itself."""
-        return math.exp(self.log_value(a))
+        self._check(a)
+        return self.symbol(a) * a ** self.power
+
+    def edit(self, series: CoefficientSeries) -> CoefficientSeries:
+        """The series with the symbol moved into its law: Gamma(s + sigma a) at
+        the exponent a = m k + p of term k is the law factor (s + sigma p, sigma m)."""
+        m, p = series.stride, series.offset
+        numer, denom = ([(shift + slope * p, slope * m) for shift, slope in side]
+                        for side in (self.symbol.numer, self.symbol.denom))
+        return replace(series, law=series.law.times(self.symbol.scale, numer, denom))
+
+
+_GAUSSIAN_KERNEL = MellinMultiplier(GammaRatioSequence(scale=math.sqrt(math.pi)),
+                                    power=-0.5)
+_BOREL_FACTORIAL = MellinMultiplier(GammaRatioSequence(numer=_FACTORIAL))
 
 
 def gaussian_kernel() -> MellinMultiplier:
     """F(a) = sqrt(pi/a), the whole-line integral of exp(-a t^2)."""
-    return MellinMultiplier(MultiplierKind.GAUSSIAN_KERNEL)
+    return _GAUSSIAN_KERNEL
 
 
 def borel_factorial() -> MellinMultiplier:
     """F(a) = Gamma(a+1), the exponential moment integral."""
-    return MellinMultiplier(MultiplierKind.BOREL_FACTORIAL)
+    return _BOREL_FACTORIAL
 
 
 def beta_kernel(alpha: float, beta: float) -> MellinMultiplier:
     """F(a) = B(alpha + a, beta), the Euler-kernel moment integral."""
-    if alpha <= 0 or beta <= 0:
+    if not (alpha > 0 and beta > 0):
         raise DomainError("beta_kernel needs alpha > 0 and beta > 0")
-    return MellinMultiplier(MultiplierKind.BETA_KERNEL, alpha=alpha, beta=beta)
+    return MellinMultiplier(GammaRatioSequence(
+        scale=gamma(beta), numer=((alpha, 1.0),), denom=((alpha + beta, 1.0),)))
 
 
 def apply_mellin_multiplier(multiplier: MellinMultiplier, series: CoefficientSeries,
                             x: float, tol: float = DEFAULT_TOL) -> complex:
     """sum_k c(k) F(m k + p) x^{m k + p}, the integral of the dilation family."""
-    return _sum_terms(series, x, tol, multiplier)
+    multiplier._check(series.offset)  # k = 0 is the smallest exponent reached
+    return _sum_terms(multiplier.edit(series), x, tol, multiplier.power)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,21 @@ class TestEval:
         assert code == 2
         assert err.startswith("domain error: ")
         assert "overflow" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("pseudo_trig", "0", "1e300", "0"),
+        ("hermite_hybrid", "1e9", "2", "1", "1"),
+        ("truncated_e", "1e9", "2", "1", "1"),
+        ("hermite_tricomi", "1e9", "2", "1", "1"),
+        ("hermite_tricomi", "200", "2", "1", "1"),
+    ])
+    def test_huge_integer_order_fails_promptly(self, capsys, argv):
+        # each of these ran for minutes or without end
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", *argv)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error: ")
 
     @pytest.mark.parametrize("argv", [
         ("gamma", "nan"),

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from umbralint import closedforms as cf, oracle, specfun as sf
+from umbralint import closedforms as cf, oracle, specfun as sf, umbral as um
 from umbralint.errors import DomainError
 from umbralint.reference import bessel_j_ref
 
@@ -184,6 +184,16 @@ class TestLorentzGauss:
             a = cf.lorentz_gauss_integral(x, method="series")
             b = cf.lorentz_gauss_integral(x, method="hypergeometric")
             assert abs(a - b) <= 1e-9 * abs(b)
+
+    def test_series_is_the_shifted_lorentz_symbol(self):
+        # the law once typed in by hand: sqrt(pi) Gamma(2k+3/2)/(k! Gamma(2k+2))
+        typed = um.GammaRatioSequence(scale=math.sqrt(math.pi), numer=((1.5, 2.0),),
+                                      denom=((1.0, 1.0), (2.0, 2.0)))
+        assert cf._LORENTZ_SERIES.law == typed
+        typed_series = um.CoefficientSeries(typed, stride=2, geometric=-1.0)
+        for x in (0.0, 0.5, 1.0, 2.0, 3.0, -1.7):
+            assert cf.lorentz_gauss_integral(x, method="series") == \
+                typed_series.evaluate(x).real
 
     def test_uncorrected_variant_disagrees_with_oracle(self):
         # the plain (2k+2) denominator gives pi/4 at x = 0, half the true

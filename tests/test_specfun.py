@@ -166,6 +166,13 @@ class TestStruveH:
         x = 1.7
         assert sf.struve_h(-1.5, x) == pytest.approx(-sf.bessel_j(1.5, x), rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [-3.5, -4.5, -5.5, -6.5])
+    def test_leading_vanishing_terms(self, nu):
+        # the first -(nu + 1/2) terms are 0 for every x; summed, three of
+        # them passed the stopping rule and the kernel returned 0
+        for x in (0.5, 1.0, 3.0):
+            assert sf.struve_h(nu, x) == pytest.approx(struve_h_ref(nu, x), rel=1e-13)
+
     @pytest.mark.parametrize("nu", [0.0, 1.0, -0.5, 2.5])
     def test_against_reference(self, nu):
         for x in (0.5, 1.0, 3.0, 10.0):
@@ -222,6 +229,30 @@ class TestBNu:
         value = sf.b_nu(-1.0, 1e-30)
         assert value.real == pytest.approx(-2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("nu", [-1.5, -2.5, -3.5, -4.5, -3.0, -4.0, -5.0])
+    def test_vanishing_terms_against_closed_form(self, nu):
+        # 1/Gamma(2 nu + k + 1) is 0 for the leading terms when 2 nu + 1 is
+        # an integer <= -2, and for terms in the middle at integer nu <= -3;
+        # I_{nu -+ 1/2} of the closed form has leading zeros at half-odd nu
+        for x in (-3.0, -1.0, 0.5, 1.0, 2.5):
+            series = sf.b_nu(nu, x)
+            closed = sf.b_nu(nu, x, method="bessel_closed_form")
+            assert abs(series - closed) <= 1e-12 * abs(closed)
+
+    def test_half_odd_order_against_mpmath(self):
+        # (sqrt(pi)/2) e^{1/2} (I_{-3}(1/2) + I_{-2}(1/2)) by mpmath at 30 digits
+        assert sf.b_nu(-2.5, 1.0).real == pytest.approx(0.0504842705743648, rel=1e-13)
+        assert sf.b_nu(-2.5, 1.0, method="bessel_closed_form").real == pytest.approx(
+            0.0504842705743648, rel=1e-13)
+
+    def test_zero_everywhere_series_stay_finite(self):
+        # with every term 0 the sum still ends, at 0
+        for nu in (-1.5, -3.5):
+            assert sf.b_nu(nu, 0.0) == 0.0
+        for m in (3, 4, 5):
+            for k in range(1, m):
+                assert sf.pseudo_trig(k, m, 0.0) == 0.0
+
     def test_closed_form_needs_nonzero_argument(self):
         with pytest.raises(DomainError):
             sf.b_nu(1.0, 0.0, method="bessel_closed_form")
@@ -267,6 +298,16 @@ class TestHermiteFamilies:
         assert sf.hermite_hybrid(2, 2, x, y) == pytest.approx(x * x / 4.0 + y, rel=1e-14)
         assert sf.truncated_e(2, 2, x, y) == pytest.approx(x * x / 4.0 + y, rel=1e-14)
 
+    def test_degree_is_bounded(self):
+        for family in (sf.hermite_higher, sf.hermite_hybrid, sf.truncated_e,
+                       sf.hermite_tricomi):
+            with pytest.raises(DomainError, match="degree"):
+                family(10_001, 2, 1.0, 1.0)
+            with pytest.raises(DomainError, match="degree"):
+                family(1e9, 2, 1.0, 1.0)
+        # at x = 0 only the term y^(n/m) / 0!^2 is left
+        assert sf.truncated_e(10_000, 2, 0.0, 1.0) == 1.0
+
     def test_order_validation(self):
         with pytest.raises(DomainError):
             sf.hermite_higher(-1, 2, 1.0, 1.0)
@@ -293,6 +334,14 @@ class TestPseudoTrig:
         with pytest.raises(DomainError):
             sf.pseudo_trig(2, 2, 1.0)
 
+    def test_order_is_bounded(self):
+        # the term loop is O(m); m = 1e300 would never end
+        assert sf.pseudo_trig(0, 10_000, 1.0) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(DomainError):
+            sf.pseudo_trig(0, 10_001, 1.0)
+        with pytest.raises(DomainError):
+            sf.pseudo_trig(0, 1e300, 0.0)
+
 
 class TestHermiteTricomi:
     def test_unit_at_origin(self):
@@ -304,6 +353,14 @@ class TestHermiteTricomi:
         value = sf.hermite_tricomi(0, 2, 1.0, 0.0)
         assert value.real == pytest.approx(sf.bessel_j(0.0, 2.0), rel=1e-12)
         assert value.imag == 0.0
+
+    def test_underflowing_order_is_a_domain_error(self):
+        # past n = 177 every term is 0, and the ratio guard never armed
+        assert sf.hermite_tricomi(177, 2, 1.0, 1.0).real > 0.0
+        with pytest.raises(DomainError, match="underflows"):
+            sf.hermite_tricomi(178, 2, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            sf.hermite_tricomi(200, 2, 1.0, 1.0)
 
     def test_brute_force_double_sum(self):
         # direct double summation oracle at (n, m, x, y) = (1, 2, 1, 1)

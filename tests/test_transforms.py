@@ -5,6 +5,7 @@ from scipy.special import hyp1f1
 
 from umbralint import oracle, specfun as sf, transforms as tr, umbral as um
 from umbralint.errors import ConvergenceError, DomainError
+from umbralint.reference import bessel_j_ref
 
 # sum_k (-x)^k / (k!)^2 and its exponential-moment preimage sum_k (-x)^k / (k!)^3
 BESSEL_MOMENTS = tr.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0),) * 2),
@@ -179,8 +180,18 @@ class TestBetaTransform:
     def test_validation(self):
         with pytest.raises(DomainError):
             tr.beta_transform(um.exponential_series(), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            tr.beta_transform(um.bessel_power_series(1), 1.0, 1.0)
+
+    @pytest.mark.parametrize("ab", [(1.0, 1.0), (2.0, 3.0), (0.5, 1.5)])
+    def test_strided_series_against_euler_kernel_quadrature(self, ab):
+        # J_1(u x) has stride 2 and offset 1; the edit is exact for any shape
+        a, b = ab
+        series = tr.beta_transform(um.bessel_power_series(1), a, b)
+        for x in (0.5, 2.0, 5.0):
+            quad = oracle.integrate_finite(
+                lambda u: u ** (a - 1.0) * (1.0 - u) ** (b - 1.0) * bessel_j_ref(1, u * x),
+                0.0, 1.0, 1e-12)
+            lhs = series.evaluate(x, tol=1e-13)
+            assert abs(lhs - quad.value) <= 1e-10 * abs(quad.value)
 
 
 class TestMultiplierCoherence:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from umbralint import oracle, specfun as sf, umbral as um
+from umbralint import oracle, specfun as sf, transforms as tr, umbral as um
 from umbralint.errors import DomainError, KernelDomainError, PoleError, StripError
 from umbralint.reference import bessel_j_ref, struve_h_ref
 
@@ -162,6 +162,12 @@ class TestUmbralSeries:
         with pytest.raises(DomainError):
             um.struve_series(-0.5, 1e300)
 
+    @pytest.mark.parametrize("b", [1e200, 1e300])
+    def test_overflowing_scale_power_is_a_domain_error(self, b):
+        # (b/2)^(nu+1) leaves the double range before (b/2)^2 is formed
+        with pytest.raises(DomainError, match="overflow"):
+            um.mellin_master_strided(um.struve_series(2.0, b), 1.0)
+
 
 class TestMellinMaster:
     def test_exponential(self):
@@ -236,12 +242,27 @@ class TestMellinMasterStrided:
             um.mellin_master_strided(bessel_series(2), -3.0)
 
 
+# F(a+2) for the Lorentz symbol F(a) = sqrt(pi) Gamma(a-1/2)/Gamma(a)
+LORENTZ_SHIFTED = um.MellinMultiplier(um.GammaRatioSequence(
+    scale=SQRT_PI, numer=((1.5, 1.0),), denom=((2.0, 1.0),)))
+
+
 def _kernels_with_domain():
     return [
         (um.gaussian_kernel(), 0.0),
         (um.borel_factorial(), -1.0),
         (um.beta_kernel(1.5, 2.0), -1.5),
+        (LORENTZ_SHIFTED, -1.5),
     ]
+
+
+def _series_shapes():
+    """x^n e^{-x} = sum_k (-1)^k x^(k+n)/k!, then stride-2 and stride-3
+    series with offsets."""
+    return ([um.CoefficientSeries(um.bessel_phi(), offset=n, geometric=-1.0)
+             for n in (0.0, 0.5, 1.0, 2.0, 3.5)]
+            + [um.bessel_power_series(n) for n in (1, 2)]
+            + [tr.pseudo_trig_series(k, 3) for k in range(3)])
 
 
 class TestMellinMultiplier:
@@ -251,18 +272,49 @@ class TestMellinMultiplier:
         assert um.beta_kernel(2.0, 3.0).value(1.0) == pytest.approx(sf.beta(3.0, 3.0))
 
     def test_eigenvalue_property(self):
-        # each power x^a of x^n e^{-x} = sum_k (-1)^k x^(k+n)/k! is scaled
-        # by F(a), so the result is the direct sum of the scaled terms
+        # each power x^a of the series is scaled by F(a), so the result is
+        # the direct sum of the scaled terms
         for multiplier, bound in _kernels_with_domain():
-            for n in (0.0, 0.5, 1.0, 2.0, 3.5):
-                if n <= bound:
+            for spec in _series_shapes():
+                if spec.offset <= bound:
                     continue
-                spec = um.CoefficientSeries(um.bessel_phi(), offset=n, geometric=-1.0)
+                # Gamma(a + 1) stays finite up to a = 150
+                exponents = [spec.stride * k + spec.offset
+                             for k in range(150 // spec.stride)]
                 for x in (0.3, 0.6):
                     got = um.apply_mellin_multiplier(multiplier, spec, x)
-                    direct = sum((-x) ** k / math.factorial(k) * multiplier.value(k + n)
-                                 for k in range(80)) * x ** n
-                    assert got.real == pytest.approx(direct, rel=1e-12)
+                    direct = sum(spec.coefficient(k) * multiplier.value(a) * x ** a
+                                 for k, a in enumerate(exponents))
+                    assert got == pytest.approx(direct, rel=1e-12)
+
+    def test_lower_bound_is_derived_from_the_symbol(self):
+        for multiplier, bound in _kernels_with_domain():
+            assert multiplier.lower_bound == bound
+
+    def test_symbol_with_slope_half(self):
+        # F(a) = Gamma(1 + a/2): its factor (s, sigma) = (1, 1/2) meets the
+        # exponent a = m k + p of term k as the law factor (1 + p/2, m/2)
+        half = um.MellinMultiplier(um.GammaRatioSequence(numer=((1.0, 0.5),)))
+        assert half.lower_bound == -2.0
+        spec = um.bessel_power_series(3)
+        assert half.edit(spec).law == spec.law.times(numer=((2.5, 1.0),))
+        for x in (0.8, 2.0):
+            got = um.apply_mellin_multiplier(half, spec, x)
+            direct = sum(spec.coefficient(k) * sf.gamma(k + 2.5) * x ** (2 * k + 3)
+                         for k in range(40))
+            assert got == pytest.approx(direct, rel=1e-12)
+        shifted = um.CoefficientSeries(um.bessel_phi(), offset=-1.5, geometric=-1.0)
+        got = um.apply_mellin_multiplier(half, shifted, 0.5)
+        direct = sum((-0.5) ** k / math.factorial(k) * sf.gamma(0.25 + 0.5 * k)
+                     for k in range(60)) * 0.5 ** -1.5
+        assert got == pytest.approx(direct, rel=1e-12)
+        with pytest.raises(KernelDomainError):
+            um.apply_mellin_multiplier(half, replace(shifted, offset=-2.0), 0.5)
+
+    def test_kernels_are_module_constants(self):
+        assert um.gaussian_kernel() is um.gaussian_kernel()
+        assert um.borel_factorial() is um.borel_factorial()
+        assert "MultiplierKind" not in um.__all__
 
     def test_kernel_domain_errors(self):
         with pytest.raises(KernelDomainError):
