@@ -149,14 +149,6 @@ def signed_log_gamma(x: float):
     return gamma_sign(x), math.lgamma(x)
 
 
-def inv_gamma(x: float) -> float:
-    """1/Gamma at real x, taking the analytic value 0 at the poles."""
-    if is_nonpositive_integer(x):
-        return 0.0
-    sign, lg = signed_log_gamma(x)
-    return sign * math.exp(-lg)
-
-
 def inv_factorial(n: int) -> float:
     """1/n! as a float, stable for arbitrarily large n."""
     if n < 0:
@@ -216,7 +208,8 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
 
 @overflow_raises(DomainError)
 def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Modified Bessel function of the first kind, by power series."""
+    """Modified Bessel function of the first kind, by power series: the law
+    (x/2)^(2k + mu) / (k! Gamma(k + mu + 1)), summed by its term ratio."""
     if mu < 0 and mu == int(mu):
         return bessel_i(-mu, x, tol)
     if x < 0:
@@ -228,29 +221,17 @@ def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
         if mu > 0.0:
             return 0.0
         raise DomainError("bessel_i diverges at x = 0 for negative order")
-    value = _bessel_i_complex(mu, complex(x), tol)
-    return value.real
+    return _bessel_i_complex(mu, x, tol).real
 
 
 def _bessel_i_complex(mu: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
-    """Modified Bessel series with a complex argument (principal powers).
-
-    At a negative integer order 1/Gamma(k + mu + 1) is 0 for the leading k
-    and every z; those terms are skipped rather than summed, so that they
-    cannot pass the stopping rule before the series has started.
-    """
-    h = 0.5 * z
-    pref = h ** mu
-
-    def terms():
-        u = complex(1.0)
-        for k in count():
-            if not is_nonpositive_integer(k + mu + 1.0):
-                yield pref * u * inv_gamma(k + mu + 1.0)
-            u *= h * h / (k + 1.0)
-
-    value, _ = sum_series(terms(), tol)
-    return complex(value)
+    """I_mu(z) with principal powers, the law (z/2)^(2k + mu) / (k! Gamma(k + mu + 1)).
+    At a negative integer order -j it starts past the terms k < j, 0 at every z."""
+    from .umbral import CoefficientSeries, GammaRatioSequence
+    j = int(-mu) if mu < 0 and mu == int(mu) else 0
+    law = GammaRatioSequence(scale=0.5 ** (mu + 2 * j),
+                             denom=((1.0 + j, 1.0), (mu + 1.0 + j, 1.0)))
+    return CoefficientSeries(law, stride=2, offset=mu + 2 * j, geometric=0.25).evaluate(z, tol)
 
 
 @overflow_raises(DomainError)
@@ -293,12 +274,30 @@ def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> comp
     bessel_closed_form:
              (sqrt(pi)/2) x^{1/2-nu} e^{x/2} [I_{nu-1/2}(x/2) + I_{nu+1/2}(x/2)]
 
-    The closed form uses principal-branch powers and needs x != 0.  Both
+    The series is a ``umbral.CoefficientSeries`` law summed by its term
+    ratio.  At integer nu = -n its first n terms, where both Gammas sit on
+    poles, are the ratio's limits along nu, summed as a finite head.  The
+    closed form uses principal-branch powers and needs x != 0.  Both
     methods accept complex x and agree on their common domain.
     """
     z = complex(x)
     if method == "series":
-        return _b_nu_series(nu, z, tol)
+        from .umbral import CoefficientSeries, GammaRatioSequence
+        # where 2 nu is an integer -j <= -1 the law starts at k = j, past the
+        # terms 1/Gamma(2 nu + k + 1) = 0 and an integer nu's head
+        j = int(-2.0 * nu) if nu <= -0.5 and (2.0 * nu).is_integer() else 0
+        head = 0.0
+        if j % 2 == 0 < j:
+            # integer nu = -n: for k < n both Gammas sit on poles, and the
+            # ratio's limit along nu is 2 (-1)^n (2n-1-k)!/(n-1-k)!
+            n = j // 2
+            t = (-2.0 if n % 2 else 2.0) * math.exp(math.lgamma(j) - math.lgamma(n))
+            for k in range(n):
+                head += t
+                t *= (n - 1 - k) / (j - 1 - k) * z / (k + 1)
+        law = GammaRatioSequence(numer=((nu + 1.0 + j, 1.0),),
+                                 denom=((2.0 * nu + 1.0 + j, 1.0), (1.0 + j, 1.0)))
+        return head + CoefficientSeries(law, offset=float(j)).evaluate(x, tol)
     if method == "bessel_closed_form":
         if z == 0:
             raise DomainError("the closed form of b_nu needs x != 0")
@@ -307,41 +306,6 @@ def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> comp
                 + _bessel_i_complex(nu + 0.5, half, tol))
         return 0.5 * math.sqrt(math.pi) * z ** (0.5 - nu) * cmath.exp(half) * ibes
     raise DomainError(f"unknown b_nu method {method!r}")
-
-
-def _b_nu_series(nu: float, z: complex, tol: float) -> complex:
-    def ratio(k: int) -> float:
-        a1 = nu + k + 1.0
-        a2 = 2.0 * nu + k + 1.0
-        p1 = is_nonpositive_integer(a1)
-        p2 = is_nonpositive_integer(a2)
-        if p1 and p2:
-            # Simultaneous poles: the ratio limit along nu is finite.  The
-            # two arguments move at rates 1 and 2 in nu, hence the factor 2.
-            n1 = int(round(-a1))
-            n2 = int(round(-a2))
-            sign = -1.0 if (n1 + n2) % 2 else 1.0
-            return 2.0 * sign * math.exp(math.lgamma(n2 + 1.0) - math.lgamma(n1 + 1.0))
-        if p1:
-            raise PoleError(a1, message=f"b_nu numerator pole at term k={k}")
-        if p2:
-            return None  # 1/Gamma(a2) = 0: no term at any x
-        s1, l1 = signed_log_gamma(a1)
-        s2, l2 = signed_log_gamma(a2)
-        return s1 * s2 * math.exp(l1 - l2)
-
-    def terms():
-        # a skipped zero cannot pass the stopping rule before the series has
-        # started (2 nu + 1 an integer <= -2) or in its middle (integer nu <= -3)
-        u = complex(1.0)
-        for k in count():
-            r = ratio(k)
-            if r is not None:
-                yield r * u
-            u *= z / (k + 1.0)
-
-    value, _ = sum_series(terms(), tol)
-    return complex(value)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ _POLE_TOL = 1e-12
 # A term whose log magnitude exceeds this is not a finite double.
 _LOG_MAX = math.log(sys.float_info.max)
 
+# The term after one below this (0 or subnormal) is not stepped from it.
+_TINY = sys.float_info.min
+
 # The factor Gamma(1 + k) that turns a series coefficient into its moment.
 _FACTORIAL = ((1.0, 1.0),)
 
@@ -182,7 +185,8 @@ class CoefficientSeries:
 
     The law is a Gamma ratio; signs, argument scales that no Gamma ratio
     can express (4^-k), overall constants and 1/k! all live in ``law`` and
-    ``geometric``.  x is real; a negative x needs an integer offset.
+    ``geometric``.  A complex x takes principal powers; a negative real x
+    needs an integer offset.
     """
 
     law: GammaRatioSequence
@@ -211,16 +215,28 @@ class CoefficientSeries:
         return _sum_terms(self, x, tol)
 
 
-def _sum_terms(series: CoefficientSeries, x: float, tol: float,
-               power: float = 0.0) -> complex:
+def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> complex:
     """sum_k law(k) geometric^k a_k^power x^a_k with a_k = stride k + offset.
 
-    A nonzero power needs every a_k > 0.  Terms are assembled in log space,
-    so factorially large pieces (a Borel-transformed law) cannot overflow
-    against factorially small ones.  A term beyond the double range ends
-    the sum as a non-finite term.
+    A nonzero power needs every a_k > 0.  A complex x takes principal
+    powers: its phase moves into the geometric factor and the scale, and
+    the sum runs at |x|.  With integer slopes the law is hypergeometric:
+    from k_safe on, where every Gamma argument is at least 1/2, term k + 1 is
+    term k times geometric x^m (a_{k+1}/a_k)^power and the Pochhammer ratio
+    prod (s_i + sigma_i k)_{sigma_i} / prod (s_j + sigma_j k)_{sigma_j}.
+    ``_log_phi`` gives the other terms in log space, so that factorially
+    large pieces cannot overflow against factorially small ones: the first,
+    those before k_safe, any after a term that is 0 or subnormal, and all of
+    a law with a non-integer slope.  A term at a denominator pole is 0 at
+    every x and is not summed.  A term beyond the double range ends the sum
+    as a non-finite term.
     """
     m, p, law = series.stride, series.offset, series.law
+    g, scale = series.geometric, law.scale
+    if isinstance(x, complex) and not (x.imag == 0.0 and x.real >= 0.0):
+        phase = x / abs(x)
+        g, scale, x = g * phase ** m, scale * phase ** p, abs(x)
+    x = x.real
     if x == 0:
         if p > 0:
             return complex(0.0)
@@ -231,7 +247,6 @@ def _sum_terms(series: CoefficientSeries, x: float, tol: float,
         raise DomainError("negative x needs an integer offset power")
 
     log_x = math.log(abs(x))
-    g, scale = series.geometric, law.scale
     step_log = math.log(abs(g)) + m * log_x
     step_sign = g / abs(g)
     log0 = math.log(abs(scale)) + p * log_x
@@ -239,24 +254,48 @@ def _sum_terms(series: CoefficientSeries, x: float, tol: float,
     if x < 0:
         step_sign = -step_sign if m % 2 else step_sign
         sign0 = -sign0 if int(p) % 2 else sign0
-    has_gamma = bool(law.numer or law.denom)
+    step = g * x ** m if m * log_x < _LOG_MAX else step_sign * math.inf
+    # Gamma(s + sigma (k + 1)) / Gamma(s + sigma k) = prod_i (s + i + sigma k)
+    k_safe, up, down = 0, [], []
+    for factors, linear in ((law.numer, up), (law.denom, down)):
+        for shift, slope in factors:
+            n = int(slope)
+            if n != slope:
+                k_safe = math.inf
+            elif shift < 0.5:
+                k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
+            for i in range(n):
+                linear.append((shift + i, slope))
+
+    def seed(k):
+        sign, log_mag = _log_phi(law, k)
+        if sign == 0.0:
+            return None  # a denominator pole: the term is 0 at every x
+        log_mag += log0 + k * step_log
+        if power:
+            log_mag += power * math.log(m * k + p)
+        return sign * sign0 * step_sign ** k * (math.exp(log_mag) if log_mag <= _LOG_MAX
+                                                 else math.inf)
 
     def terms():
-        sign = sign0
+        t = seed(0)
+        yield t
         for k in count():
-            log_mag = log0 + k * step_log
-            term_sign = sign
-            sign *= step_sign
-            if has_gamma:
-                gamma_sign_k, log_gamma_k = _log_phi(law, k)
-                if gamma_sign_k == 0.0:
-                    yield 0.0
+            if k < k_safe or abs(t) < _TINY:
+                t = seed(k + 1)
+                if t is None:  # not summed, so that it cannot pass the stopping rule
+                    t = 0.0
                     continue
-                term_sign *= gamma_sign_k
-                log_mag += log_gamma_k
-            if power:
-                log_mag += power * math.log(m * k + p)
-            yield term_sign * (math.exp(log_mag) if log_mag <= _LOG_MAX else math.inf)
+            else:
+                r = step
+                for c, slope in up:
+                    r *= c + slope * k
+                for c, slope in down:
+                    r /= c + slope * k
+                if power:
+                    r *= ((m * (k + 1) + p) / (m * k + p)) ** power
+                t *= r
+            yield t
 
     value, _ = sum_series(terms(), tol)
     return complex(value)

@@ -427,6 +427,41 @@ class TestVerifyAll:
         assert {r["identity_id"] for r in records} == {d.id for d in CATALOG}
         assert all(r["pass"] for r in records)
 
+    def test_default_grids_pass(self, capsys, tmp_path):
+        # judged on the oracle's budget scale, the eq12 points at nu = -1
+        # (closed form exactly 0, oracle about -3e-8) pass at tol 1e-5
+        out_path = tmp_path / "report.jsonl"
+        code, _, _ = run(capsys, "verify", "all", "--out", str(out_path))
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert code == 0 and len(records) == 87
+        for r in records:
+            closed = complex(r["closed_form_value"]["re"], r["closed_form_value"]["im"])
+            oracle = complex(r["oracle_value"]["re"], r["oracle_value"]["im"])
+            scale = max(abs(closed), abs(oracle), 1.0)
+            assert r["relative_error"] == abs(closed - oracle) / scale
+            assert r["pass"] is (r["relative_error"] <= r["tolerance"])
+        eq12 = [r for r in records if r["identity_id"] == "eq12_struve_halfline"
+                and r["point"]["nu"] == -1.0]
+        assert len(eq12) == 2 and all(r["closed_form_value"]["re"] == 0.0 for r in eq12)
+        assert all(0.0 < r["relative_error"] < 1e-7 for r in eq12)
+
+    def test_scipy_is_bound_before_the_first_point(self, capsys, tmp_path, monkeypatch):
+        # its import would otherwise be timed as the first point's oracle
+        from umbralint import reference
+        monkeypatch.setattr(reference, "_sp", None)
+        bound = []
+        original = cli.run_verification
+
+        def spy(*args):
+            bound.append(reference._sp is not None)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "run_verification", spy)
+        code, _, _ = run(capsys, "verify", "eq08_fresnel_bessel", "--grid", "nu=0",
+                         "--grid", "alpha=0.5", "--grid", "beta=1",
+                         "--out", str(tmp_path / "report.jsonl"))
+        assert code == 0 and bound == [True]
+
     def test_determinism(self, capsys, tmp_path):
         config = tmp_path / "quick.cfg"
         config.write_text(QUICK_CONFIG)

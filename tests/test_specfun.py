@@ -2,9 +2,10 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbralint import specfun as sf
-from umbralint.errors import ConvergenceError, DomainError, PoleError
+from umbralint.errors import ConvergenceError, DomainError, EngineError, PoleError
 from umbralint.reference import classical_hermite, struve_h_ref, struve_k_ref
 
 SQRT_PI = math.sqrt(math.pi)
@@ -224,6 +225,24 @@ class TestBNu:
         closed = sf.b_nu(0.5, z, method="bessel_closed_form")
         assert abs(series - closed) <= 1e-10 * abs(closed)
 
+    @pytest.mark.parametrize("nu", [-3.0, -1.5, -1.0])
+    def test_series_equals_direct_sum(self, nu):
+        # head, zeros and law of the term-ratio route against the defining
+        # coefficients, with the limit along nu where both Gammas sit on poles
+        def coefficient(k):
+            a1, a2 = nu + k + 1.0, 2.0 * nu + k + 1.0
+            if a2 <= 0 and a2.is_integer():
+                if a1 <= 0 and a1.is_integer():
+                    n1, n2 = int(-a1), int(-a2)
+                    return (2.0 * (-1) ** (n1 + n2) * math.factorial(n2)
+                            / (math.factorial(n1) * math.factorial(k)))
+                return 0.0
+            return math.gamma(a1) / (math.gamma(a2) * math.factorial(k))
+
+        for x in (-1.7, 0.9, 2.0):
+            direct = sum(coefficient(k) * x ** k for k in range(60))
+            assert abs(sf.b_nu(nu, x) - direct) <= 1e-13 * abs(direct)
+
     def test_simultaneous_pole_limit(self):
         # at nu = -1 the k = 0 ratio Gamma(0)/Gamma(-1) has the limit -2
         value = sf.b_nu(-1.0, 1e-30)
@@ -411,3 +430,32 @@ class TestHyperPfq:
     def test_divergent_raises(self):
         with pytest.raises(ConvergenceError):
             sf.hyper_pfq((1.0, 1.0), (1.0,), 2.0)
+
+
+class TestTermRatioKernelsProperties:
+    # Each value is within tol of its reference, or the kernel raises.  The
+    # arguments are positive and the orders keep every function free of
+    # zeros on x > 0: I_mu for mu >= -1, and b_nu's series has positive
+    # terms for nu >= 0.  At negative x b_nu's series cancels, which the
+    # stopping rule does not see yet.  scipy's iv loses tiny values (it gives
+    # I_1(1e-200) as 0 and I_0(5e-324) as nan), so its x starts at 1e-3.
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.floats(-1.0, 5.0), x=st.floats(1e-3, 50.0))
+    def test_bessel_i_against_scipy(self, mu, x):
+        special = pytest.importorskip("scipy.special")
+        try:
+            got = sf.bessel_i(mu, x)
+        except EngineError:
+            return
+        expected = float(special.iv(mu, x))
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.floats(0.0, 3.0), x=st.floats(0.0, 50.0, allow_subnormal=False))
+    def test_b_nu_series_against_closed_form(self, nu, x):
+        try:
+            series = sf.b_nu(nu, x)
+            closed = sf.b_nu(nu, x, method="bessel_closed_form")
+        except EngineError:
+            return
+        assert abs(series - closed) <= 1e-12 * abs(closed)

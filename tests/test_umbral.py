@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from umbralint import oracle, specfun as sf, transforms as tr, umbral as um
-from umbralint.errors import DomainError, KernelDomainError, PoleError, StripError
+from umbralint import closedforms, oracle, specfun as sf, transforms as tr, umbral as um
+from umbralint.errors import (ConvergenceError, DomainError, KernelDomainError,
+                              PoleError, StripError)
 from umbralint.reference import bessel_j_ref, struve_h_ref
 
 SQRT_PI = math.sqrt(math.pi)
@@ -354,3 +355,69 @@ class TestMellinMultiplier:
     def test_zero_argument(self):
         spec = um.bessel_power_series(1)
         assert um.apply_mellin_multiplier(um.gaussian_kernel(), spec, 0.0) == 0.0
+
+
+
+def _direct(series, x, terms=80, power=0.0):
+    """sum_k coefficient(k) a_k^power x^a_k, each coefficient built from the
+    law in log space, a_k = stride k + offset."""
+    total = 0.0
+    for k in range(terms):
+        a = series.stride * k + series.offset
+        total += series.coefficient(k) * a ** power * x ** a
+    return total
+
+
+class TestTermRatio:
+    # an integer-slope law is summed by its Pochhammer term ratio; each sum
+    # must agree with the term-by-term sum of its own coefficients
+    @pytest.mark.parametrize("series,xs", [
+        (bessel_series(2), (-1.7, 0.9, 2.0)),                        # stride 2
+        (tr.pseudo_trig_series(1, 3), (-1.7, 0.9, 2.0)),             # stride 3, slope 3
+        (tr.borel_transform(tr.pseudo_trig_series(2, 3)), (-0.6, 0.3, 0.6)),
+        (closedforms._LORENTZ_SERIES, (-1.7, 0.9, 2.0)),             # slope-2 factors
+        (um.struve_series(-3.5), (0.3, 0.9, 2.0)),                   # starts past zeros
+        (tr.beta_transform(um.exponential_series(), 0.7, 2.5), (-1.7, 0.9, 2.0)),
+        # b_nu's law at nu = -3 without its head: poles up to k = 5
+        (um.CoefficientSeries(um.GammaRatioSequence(
+            numer=((-2.0, 1.0),), denom=((-5.0, 1.0), (1.0, 1.0)))), (-1.7, 0.9, 2.0)),
+    ], ids=["stride2", "stride3", "borel_slope3", "eq30", "struve_-3.5", "beta", "poles"])
+    def test_equals_direct_sum(self, series, xs):
+        for x in xs:
+            direct = _direct(series, x)
+            assert abs(series.evaluate(x) - direct) <= 1e-13 * abs(direct)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_gaussian_kernel_power(self, n):
+        spec = um.bessel_power_series(n)
+        for x in (-0.5, 2.0, 4.0):
+            got = um.apply_mellin_multiplier(um.gaussian_kernel(), spec, x)
+            direct = SQRT_PI * _direct(spec, x, power=-0.5)
+            assert abs(got - direct) <= 1e-13 * abs(direct)
+
+    def test_slope_half_takes_every_term_from_the_law(self):
+        half = um.MellinMultiplier(um.GammaRatioSequence(numer=((1.0, 0.5),)))
+        for spec in (um.bessel_power_series(3),
+                     um.CoefficientSeries(um.bessel_phi(), offset=-1.5, geometric=-1.0)):
+            edited = half.edit(spec)
+            direct = _direct(edited, 0.5, terms=60)
+            assert abs(edited.evaluate(0.5) - direct) <= 1e-13 * abs(direct)
+
+    def test_subnormal_terms_are_reseeded(self):
+        # the first terms, 1e-320 * 30^k / k!, are subnormal; stepping from
+        # them would carry their few significant bits into the sum
+        law = um.GammaRatioSequence(scale=1e-320, denom=((1.0, 1.0),))
+        got = um.CoefficientSeries(law).evaluate(30.0)
+        assert got.real == pytest.approx(1e-320 * math.exp(30.0), rel=1e-12)
+
+    def test_complex_argument_takes_principal_powers(self):
+        # the phase of z moves into the geometric factor and the scale
+        spec = um.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0), (1.5, 1.0))),
+                                    stride=2, offset=0.5)
+        for z in (complex(-1.2, 0.0), complex(0.4, -1.1), -0.7j):
+            direct = sum(spec.coefficient(k) * z ** (2 * k + 0.5) for k in range(60))
+            assert abs(spec.evaluate(z) - direct) <= 1e-13 * abs(direct)
+
+    def test_overflowing_term_still_ends_in_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            um.exponential_series().evaluate(-800.0)
