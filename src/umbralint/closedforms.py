@@ -15,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
 from typing import Callable
 
 from . import oracle, reference, transforms, umbral
@@ -29,7 +28,7 @@ from .specfun import (
     hermite_tricomi,
     hyper_pfq,
 )
-from .summation import sum_series
+from .summation import hypergeometric_terms, sum_series
 from .umbral import (
     bessel_power_series,
     exponential_series,
@@ -151,13 +150,9 @@ def bessel_generating_function(x: float, t: float, m: int,
     if method != "direct":
         raise DomainError(f"unknown method {method!r}")
 
-    def terms():
-        u = 1.0
-        for n in count():
-            yield u * bessel_j(float(m * n), 2.0 * x, tol=tol * 1e-3)
-            u *= t / (n + 1.0)
-
-    value, _ = sum_series(terms(), tol, cap=2000)
+    weights = enumerate(hypergeometric_terms(1.0, (), (1.0,), t))  # t^n / n!
+    value, _ = sum_series((u * bessel_j(float(m * n), 2.0 * x, tol=tol * 1e-3)
+                           for n, u in weights), tol, cap=2000)
     return value
 
 
@@ -378,8 +373,12 @@ def _closed_eq35_c03(x):
 
 
 def _closed_eq36(alpha, beta, x):
-    series = transforms.beta_transform(exponential_series(), alpha, beta)
-    return series.evaluate(x, tol=1e-13)
+    # B(a, b) 1F1(a; a+b; -x) alternates at x > 0; Kummer's transformation
+    # (DLMF 13.2.39) makes it e^-x B(b, a) 1F1(b; a+b; x), whose terms are positive
+    if x > 0:
+        series = transforms.beta_transform(exponential_series(), beta, alpha)
+        return math.exp(-x) * series.evaluate(-x, tol=1e-13)
+    return transforms.beta_transform(exponential_series(), alpha, beta).evaluate(x, tol=1e-13)
 
 
 CATALOG = (

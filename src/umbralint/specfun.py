@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import count
+import sys
+from itertools import count, islice
 
 from .errors import DomainError, PoleError, overflow_raises
-from .summation import sum_series
+from .summation import hypergeometric_terms, sum_series
 
 __all__ = [
     "DEFAULT_TOL",
@@ -193,16 +194,9 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     h = 0.5 * x
-
-    def terms():
-        t = h ** nu / gamma(nu + 1.0)
-        k = 0
-        while True:
-            yield t
-            t *= -h * h / ((k + 1.0) * (k + nu + 1.0))
-            k += 1
-
-    value, _ = sum_series(terms(), tol)
+    # DLMF 10.2.2: (h^nu / Gamma(nu + 1)) 0F1(; nu + 1; -h^2)
+    terms = hypergeometric_terms(h ** nu / gamma(nu + 1.0), (), (1.0, nu + 1.0), -h * h)
+    value, _ = sum_series(terms, tol)
     return value
 
 
@@ -236,11 +230,13 @@ def _bessel_i_complex(mu: float, z: complex, tol: float = DEFAULT_TOL) -> comple
 
 @overflow_raises(DomainError)
 def struve_h(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Struve function by power series.
+    """Struve function by power series, DLMF 11.2.1: term k is
+    (-1)^k h^(2k + nu + 1) / (Gamma(k + 3/2) Gamma(k + nu + 3/2)), h = x/2,
+    stepped by the ratio -h^2 / ((k + 3/2)(k + nu + 3/2)).
 
-    At a half-odd negative order 1/Gamma(k + nu + 3/2) is 0 for the leading
-    k and every x; the series starts past those terms, so that they cannot
-    pass the stopping rule before it has started.
+    At a half-odd negative order nu + 3/2 = -n, 1/Gamma(k + nu + 3/2) is 0
+    for k <= n and every x; the series starts at k = n + 1, so that those
+    terms cannot pass the stopping rule before it has started.
     """
     if x < 0:
         n = as_integer(nu, "struve_h order at x < 0", -math.inf)
@@ -251,18 +247,12 @@ def struve_h(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
         if nu == -1.0:
             return 2.0 / math.pi
         raise DomainError("struve_h diverges at x = 0 for nu < -1")
-    lh = math.log(0.5 * x)
-
-    def term(k):
-        a = k + nu + 1.5
-        sign = -1.0 if k % 2 else 1.0
-        sign *= gamma_sign(a)
-        # math.lgamma returns log|Gamma|, valid for negative non-integer a
-        return sign * math.exp((2 * k + nu + 1.0) * lh
-                               - math.lgamma(k + 1.5) - math.lgamma(a))
-
-    value, _ = sum_series((term(k) for k in count()
-                           if not is_nonpositive_integer(k + nu + 1.5)), tol)
+    h = 0.5 * x
+    j = int(-nu - 0.5) if is_nonpositive_integer(nu + 1.5) else 0
+    # math.lgamma returns log|Gamma|, valid for negative non-integer arguments
+    first = (-1.0) ** j * gamma_sign(j + nu + 1.5) * math.exp(
+        (2 * j + nu + 1.0) * math.log(h) - math.lgamma(j + 1.5) - math.lgamma(j + nu + 1.5))
+    value, _ = sum_series(hypergeometric_terms(first, (), (1.5, nu + 1.5), -h * h, j), tol)
     return value
 
 
@@ -289,12 +279,11 @@ def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> comp
         head = 0.0
         if j % 2 == 0 < j:
             # integer nu = -n: for k < n both Gammas sit on poles, and the
-            # ratio's limit along nu is 2 (-1)^n (2n-1-k)!/(n-1-k)!
+            # ratio's limit along nu is 2 (-1)^n (2n-1-k)!/(n-1-k)!, whose
+            # head is the terminating (2 (-1)^n (2n-1)!/(n-1)!) 1F1(1-n; 1-2n; z)
             n = j // 2
             t = (-2.0 if n % 2 else 2.0) * math.exp(math.lgamma(j) - math.lgamma(n))
-            for k in range(n):
-                head += t
-                t *= (n - 1 - k) / (j - 1 - k) * z / (k + 1)
+            head = sum(islice(hypergeometric_terms(t, (1.0 - n,), (1.0 - j, 1.0), z), n))
         law = GammaRatioSequence(numer=((nu + 1.0 + j, 1.0),),
                                  denom=((2.0 * nu + 1.0 + j, 1.0), (1.0 + j, 1.0)))
         return head + CoefficientSeries(law, offset=float(j)).evaluate(x, tol)
@@ -317,6 +306,7 @@ def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> comp
 # O(n) and O(m) per call and term.  It is ten times the largest in use and
 # keeps a call such as truncated_e(1e9, ...) from running for minutes.
 _MAX_ORDER = 10_000
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 def _check_order(n, m) -> tuple:
@@ -371,23 +361,24 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     """m-sected alternating exponential series c_k.
 
     sum_r (-1)^r x^{mr+k} / (mr+k)!; for m = 2 these are cos (k=0) and
-    sin (k=1).  Entire in x.
+    sin (k=1).  Entire in x.  By Gauss's multiplication formula,
+    (mr + k + m)!/(mr + k)! = m^m prod_i (r + (k + i)/m), the series is
+    (x^k / k!) 0Fm-1(; (k+1)/m, ..., (k+m)/m; -(x/m)^m), one b being 1.
     """
     m = as_integer(m, "pseudo_trig order m", 2, _MAX_ORDER)
     k = as_integer(k, "pseudo_trig index k", 0, m - 1)
-
-    def terms():
-        t = x ** k * inv_factorial(k)
-        r = 0
-        while True:
-            yield t
-            f = 1.0
-            for j in range(1, m + 1):
-                f *= m * r + k + j
-            t *= -(x ** m) / f
-            r += 1
-
-    value, _ = sum_series(terms(), tol)
+    first = x ** k * inv_factorial(k)
+    y = -(x / m) ** m
+    # at large m, y or prod_i (k + i)/m can leave the normal range, where
+    # the loop cannot carry them; the sum is then its first term, if the
+    # ratio t_1/t_0 = -(x/m)^m / prod_i (k + i)/m is below tol
+    log_b = math.lgamma(k + m + 1.0) - math.lgamma(k + 1.0) - m * math.log(m)
+    if abs(y) < sys.float_info.min or log_b < _LOG_TINY:
+        if x != 0.0 and m * (math.log(abs(x)) - math.log(m)) - log_b > math.log(tol):
+            raise DomainError(f"pseudo_trig ratio leaves the double range at m={m}, x={x!r}")
+        return first
+    b = tuple((k + i) / m for i in range(1, m + 1))
+    value, _ = sum_series(hypergeometric_terms(first, (), b, y), tol)
     return value
 
 
@@ -429,10 +420,11 @@ def hermite_tricomi(n: int, m: int, x, y, tol: float = DEFAULT_TOL) -> complex:
 def hyper_pfq(a, b, y, tol: float = DEFAULT_TOL):
     """Generalized hypergeometric series pFq(a; b; y).
 
-    sum_k prod_i (a_i)_k / prod_j (b_j)_k * y^k / k!, with the Pochhammer
-    ratios folded into a term recurrence so nothing overflows.  Requires
-    p <= q + 1 and no lower parameter at a non-positive integer; an upper
-    parameter at a non-positive integer terminates the series.
+    sum_k prod_i (a_i)_k / prod_j (b_j)_k * y^k / k! (DLMF 16.2.1), summed
+    by its term ratio, so that no Pochhammer symbol is formed and nothing
+    overflows before the terms do.  Requires p <= q + 1 and no lower
+    parameter at a non-positive integer; an upper parameter at a
+    non-positive integer terminates the series.
     """
     a = tuple(a)
     b = tuple(b)
@@ -442,19 +434,5 @@ def hyper_pfq(a, b, y, tol: float = DEFAULT_TOL):
         if is_nonpositive_integer(bj):
             raise PoleError(bj, message="hyper_pfq lower parameter at a pole")
 
-    def terms():
-        t = 1.0
-        k = 0
-        while True:
-            yield t
-            num = 1.0
-            for ai in a:
-                num *= ai + k
-            den = 1.0
-            for bj in b:
-                den *= bj + k
-            t *= num / den * y / (k + 1.0)
-            k += 1
-
-    value, _ = sum_series(terms(), tol)
+    value, _ = sum_series(hypergeometric_terms(1.0, a, b + (1.0,), y), tol)
     return value

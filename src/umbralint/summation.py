@@ -1,4 +1,5 @@
-"""Guarded series summation shared by the function kernel and the oracle."""
+"""Guarded series summation shared by the function kernel and the oracle,
+and the one term recurrence of every hypergeometric power series."""
 
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ def sum_series(terms: Iterable, tol: float, cap: int = DEFAULT_CAP,
         mag = abs(term)
         if not math.isfinite(mag):
             raise ConvergenceError(
-                f"series diverged: non-finite term at index {k}",
+                f"series overflowed: non-finite term at index {k}",
                 partial=total,
                 tail=SeriesTail(used, mag, False),
             )
@@ -73,3 +74,25 @@ def sum_series(terms: Iterable, tol: float, cap: int = DEFAULT_CAP,
         else:
             small = 0
     return total, SeriesTail(used, last_mag, True)
+
+
+def hypergeometric_terms(t, a, b, y, k=0):
+    """The terms t_k, t_{k+1}, ... of a generalized hypergeometric series
+    (DLMF 16.2.1), from the term t = t_k:
+    t_{j+1} = t_j y prod_i (a_i + j) / prod_i (b_i + j).
+
+    The ratio is one division of y prod(a_i + j) by prod(b_i + j): with
+    integer or half-integer parameters the products are exact, which keeps
+    the rounding per term to about four.  The caller keeps prod(b_i + j)
+    in the normal range.  A k! in the denominator is a b of 1.
+    """
+    k = float(k)  # float + float is the cheaper addition in the loop
+    while True:
+        yield t
+        num, den = y, 1.0
+        for c in a:
+            num *= c + k
+        for c in b:
+            den *= c + k
+        t *= num / den
+        k += 1.0

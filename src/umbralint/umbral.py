@@ -17,11 +17,10 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import count
 
 from .errors import DomainError, KernelDomainError, PoleError, StripError, overflow_raises
 from .specfun import DEFAULT_TOL, as_integer, gamma, gamma_sign, log_gamma
-from .summation import sum_series
+from .summation import hypergeometric_terms, sum_series
 
 __all__ = [
     "GammaRatioSequence",
@@ -220,16 +219,18 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
 
     A nonzero power needs every a_k > 0.  A complex x takes principal
     powers: its phase moves into the geometric factor and the scale, and
-    the sum runs at |x|.  With integer slopes the law is hypergeometric:
-    from k_safe on, where every Gamma argument is at least 1/2, term k + 1 is
-    term k times geometric x^m (a_{k+1}/a_k)^power and the Pochhammer ratio
-    prod (s_i + sigma_i k)_{sigma_i} / prod (s_j + sigma_j k)_{sigma_j}.
+    the sum runs at |x|.  With integer slopes the law is hypergeometric
+    (DLMF 5.5.6): Gamma(s + sigma (k + 1)) / Gamma(s + sigma k) =
+    sigma^sigma prod_i ((s + i)/sigma + k), so from k_safe on, where every
+    Gamma argument is at least 1/2, ``hypergeometric_terms`` steps the terms
+    with the parameters (s + i)/sigma and y = geometric x^m prod sigma^sigma
+    / prod sigma^sigma.  The power is no such ratio; it multiplies each term.
     ``_log_phi`` gives the other terms in log space, so that factorially
     large pieces cannot overflow against factorially small ones: the first,
-    those before k_safe, any after a term that is 0 or subnormal, and all of
-    a law with a non-integer slope.  A term at a denominator pole is 0 at
-    every x and is not summed.  A term beyond the double range ends the sum
-    as a non-finite term.
+    those before k_safe, any after a term that is 0 or subnormal, and all
+    of a law with a non-integer slope.  A term at a denominator pole is 0
+    at every x and is not summed.  A term beyond the double range ends the
+    sum as a non-finite term.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -254,10 +255,9 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     if x < 0:
         step_sign = -step_sign if m % 2 else step_sign
         sign0 = -sign0 if int(p) % 2 else sign0
-    step = g * x ** m if m * log_x < _LOG_MAX else step_sign * math.inf
-    # Gamma(s + sigma (k + 1)) / Gamma(s + sigma k) = prod_i (s + i + sigma k)
+    y = g * x ** m if m * log_x < _LOG_MAX else step_sign * math.inf
     k_safe, up, down = 0, [], []
-    for factors, linear in ((law.numer, up), (law.denom, down)):
+    for factors, params in ((law.numer, up), (law.denom, down)):
         for shift, slope in factors:
             n = int(slope)
             if n != slope:
@@ -265,37 +265,30 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
             elif shift < 0.5:
                 k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
             for i in range(n):
-                linear.append((shift + i, slope))
+                params.append((shift + i) / slope)
+                y = y * slope if params is up else y / slope
 
     def seed(k):
         sign, log_mag = _log_phi(law, k)
         if sign == 0.0:
             return None  # a denominator pole: the term is 0 at every x
         log_mag += log0 + k * step_log
-        if power:
-            log_mag += power * math.log(m * k + p)
         return sign * sign0 * step_sign ** k * (math.exp(log_mag) if log_mag <= _LOG_MAX
                                                  else math.inf)
 
     def terms():
-        t = seed(0)
-        yield t
-        for k in count():
-            if k < k_safe or abs(t) < _TINY:
-                t = seed(k + 1)
-                if t is None:  # not summed, so that it cannot pass the stopping rule
-                    t = 0.0
-                    continue
-            else:
-                r = step
-                for c, slope in up:
-                    r *= c + slope * k
-                for c, slope in down:
-                    r /= c + slope * k
-                if power:
-                    r *= ((m * (k + 1) + p) / (m * k + p)) ** power
-                t *= r
-            yield t
+        k = 0
+        while True:
+            t = seed(k)
+            if t is None:  # not summed, so that it cannot pass the stopping rule
+                k += 1
+                continue
+            stepped = hypergeometric_terms(t, up, down, y, k) if k >= k_safe else (t,)
+            for t in stepped:
+                yield t * (m * k + p) ** power if power else t
+                k += 1
+                if abs(t) < _TINY:
+                    break
 
     value, _ = sum_series(terms(), tol)
     return complex(value)

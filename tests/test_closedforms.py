@@ -205,6 +205,17 @@ class TestLorentzGauss:
         assert abs(literal - quad.value) > 0.25 * math.pi - 1e-6
 
 
+class TestBetaExponential:
+    def test_kummer_route_where_the_alternating_sum_cancelled(self):
+        # B(a, b) 1F1(a; a+b; -x) at large a and x: the alternating series
+        # lost 5.5e-10 here; Kummer's transformation sums positive terms
+        special = pytest.importorskip("scipy.special")
+        closed = cf.get_identity("eq36_beta_exponential").closed
+        a, b, x = 8.0626, 0.1219, 9.5945
+        expected = special.beta(a, b) * special.hyp1f1(a, a + b, -x)
+        assert abs(closed(a, b, x) - expected) <= 1e-12 * abs(expected)
+
+
 class TestCatalog:
     def test_expected_identities_present(self):
         ids = {d.id for d in cf.CATALOG}

@@ -361,6 +361,14 @@ class TestPseudoTrig:
         with pytest.raises(DomainError):
             sf.pseudo_trig(0, 1e300, 0.0)
 
+    def test_underflowing_term_ratio_is_not_dropped(self):
+        # at m = 800 both (x/m)^m and prod (k + i)/m underflow; at x = 300 the
+        # second term is 1.7e-5 of the first, and c_0 is -64552, not 1
+        with pytest.raises(DomainError, match="double range"):
+            sf.pseudo_trig(0, 800, 300.0)
+        # at x = 250, m = 705 the ratio is 1e-13: the first term is the sum
+        assert sf.pseudo_trig(0, 705, 250.0) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestHermiteTricomi:
     def test_unit_at_origin(self):
@@ -459,3 +467,41 @@ class TestTermRatioKernelsProperties:
         except EngineError:
             return
         assert abs(series - closed) <= 1e-12 * abs(closed)
+
+
+class TestHypergeometricKernelsProperties:
+    # J_nu (DLMF 10.2.2), H_nu (DLMF 11.2.1) and c_k all step through
+    # summation.hypergeometric_terms; each value is within 1e-12 relative
+    # or 1e-14 absolute of its reference, or the kernel raises.
+    @staticmethod
+    def _close(got, expected):
+        return abs(got - expected) <= max(1e-12 * abs(expected), 1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.floats(0.0, 5.0), x=st.floats(1e-3, 5.0))
+    def test_bessel_j_against_scipy(self, nu, x):
+        special = pytest.importorskip("scipy.special")
+        try:
+            got = sf.bessel_j(nu, x)
+        except EngineError:
+            return
+        assert self._close(got, float(special.jv(nu, x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.floats(0.0, 5.0), x=st.floats(1e-3, 5.0))
+    def test_struve_h_against_scipy(self, nu, x):
+        special = pytest.importorskip("scipy.special")
+        try:
+            got = sf.struve_h(nu, x)
+        except EngineError:
+            return
+        assert self._close(got, float(special.struve(nu, x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from((0, 1)), x=st.floats(-5.0, 5.0))
+    def test_pseudo_trig_of_order_two_is_cos_and_sin(self, k, x):
+        try:
+            got = sf.pseudo_trig(k, 2, x)
+        except EngineError:
+            return
+        assert self._close(got, math.sin(x) if k else math.cos(x))
