@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from . import oracle, reference, transforms, umbral
@@ -47,6 +46,7 @@ __all__ = [
     "bessel_generating_function",
     "bessel_gauss_dilation",
     "lorentz_gauss_integral",
+    "lorentz_gauss_series",
     "lorentz_gauss_paper_literal",
 ]
 
@@ -135,24 +135,13 @@ def struve_moment_integral(nu: float) -> float:
 
 
 def bessel_generating_function(x: float, t: float, m: int,
-                               method: str = "direct",
                                tol: float = DEFAULT_TOL) -> float:
-    """Exponential generating function of Bessel orders m n at argument 2x.
-
-    method="direct" sums t^n/n! J_{m n}(2x); method="tricomi" evaluates the
-    equivalent Hermite-based Tricomi function of order m at
-    (x^2, (-x)^m t).  The two routes agree within tolerance.
-    """
+    """Exponential generating function of Bessel orders m n at argument 2x,
+    summed directly as sum_n t^n/n! J_{m n}(2x)."""
     _require("bessel_generating_function", _EQ19_DOMAIN, {"m": m})
-    if method == "tricomi":
-        value = hermite_tricomi(0, m, x * x, (-x) ** m * t, tol=tol)
-        return value.real
-    if method != "direct":
-        raise DomainError(f"unknown method {method!r}")
-
     weights = enumerate(hypergeometric_terms(1.0, (), (1.0,), t))  # t^n / n!
     value, _ = sum_series((u * bessel_j(float(m * n), 2.0 * x, tol=tol * 1e-3)
-                           for n, u in weights), tol, cap=2000)
+                           for n, u in weights), tol)
     return value
 
 
@@ -175,18 +164,16 @@ _LORENTZ_SERIES = umbral.MellinMultiplier(umbral.GammaRatioSequence(
     umbral.CoefficientSeries(umbral.bessel_phi(), stride=2, geometric=-1.0))
 
 
-def lorentz_gauss_integral(x: float, method: str = "hypergeometric",
-                           tol: float = DEFAULT_TOL) -> float:
-    """Whole-line integral of exp(-x^2/(1+t^2)^2) / (1+t^2)^2.
+def lorentz_gauss_integral(x: float, tol: float = DEFAULT_TOL) -> float:
+    """Whole-line integral of exp(-x^2/(1+t^2)^2) / (1+t^2)^2:
+    (pi/2) 2F2(3/4, 5/4; 1, 3/2; -x^2)."""
+    return 0.5 * math.pi * hyper_pfq((0.75, 1.25), (1.0, 1.5), -x * x, tol=tol)
 
-    method="hypergeometric" evaluates (pi/2) 2F2(3/4, 5/4; 1, 3/2; -x^2).
-    method="series" applies the Lorentz symbol at the exponent shifted by the
-    weight, F(a+2) = sqrt(pi) Gamma(a+3/2)/Gamma(a+2), to sum_k (-x^2)^k/k!.
-    """
-    if method == "hypergeometric":
-        return 0.5 * math.pi * hyper_pfq((0.75, 1.25), (1.0, 1.5), -x * x, tol=tol)
-    if method != "series":
-        raise DomainError(f"unknown method {method!r}")
+
+def lorentz_gauss_series(x: float, tol: float = DEFAULT_TOL) -> float:
+    """The same integral by the Lorentz symbol at the exponent shifted by the
+    weight, F(a+2) = sqrt(pi) Gamma(a+3/2)/Gamma(a+2), applied to
+    sum_k (-x^2)^k/k!."""
     return _LORENTZ_SERIES.evaluate(x, tol=tol).real
 
 
@@ -288,7 +275,7 @@ def _eq13_oracle(p, tol):
 
 def _eq19_oracle(p, tol):
     # the double-series route plays the independent side for this identity
-    value = bessel_generating_function(**p, method="direct", tol=min(tol * 1e-2, 1e-12))
+    value = bessel_generating_function(**p, tol=min(tol * 1e-2, 1e-12))
     return oracle.QuadratureResult(value, tol, 0, True)
 
 
@@ -354,6 +341,12 @@ _MELLIN_STRIP = (("0 < nu < 1", lambda p: 0.0 < p["nu"] < 1.0),)
 _UNIT_DISC = (("|x| < 1", lambda p: abs(p["x"]) < 1.0),)
 _COS_SERIES = transforms.pseudo_trig_series(0, 2)
 _C03_SERIES = transforms.pseudo_trig_series(0, 3)
+
+
+def _closed_eq19(x, t, m):
+    # the order-zero Hermite-based Tricomi function at (x^2, (-x)^m t)
+    _require("bessel_generating_function", _EQ19_DOMAIN, {"m": m})
+    return hermite_tricomi(0, m, x * x, (-x) ** m * t).real
 
 
 def _closed_eq02_exp(nu):
@@ -423,7 +416,7 @@ CATALOG = (
         default_grid={"m": (2.0, 3.0), "x": (0.25, 0.5, 1.0, 2.0),
                       "t": (-1.0, -0.5, 0.5, 1.0)},
         default_tol=1e-8,
-        closed=partial(bessel_generating_function, method="tricomi"),
+        closed=_closed_eq19,
         oracle_eval=_eq19_oracle,
     ),
     IdentityDescriptor(
@@ -448,7 +441,7 @@ CATALOG = (
         closed=lorentz_gauss_integral,
         oracle_eval=_eq30_oracle,
         variants={"hypergeometric": lorentz_gauss_integral,
-                  "series": partial(lorentz_gauss_integral, method="series"),
+                  "series": lorentz_gauss_series,
                   "paper-literal": lorentz_gauss_paper_literal},
     ),
     IdentityDescriptor(

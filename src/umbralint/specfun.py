@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import count, islice
+from itertools import islice
 
 from .errors import DomainError, PoleError, overflow_raises
 from .summation import hypergeometric_terms, sum_series
@@ -304,7 +304,8 @@ def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> comp
 
 # Bound on the Hermite degree n and the pseudo_trig order m, whose loops run
 # O(n) and O(m) per call and term.  It is ten times the largest in use and
-# keeps a call such as truncated_e(1e9, ...) from running for minutes.
+# keeps a call such as truncated_e(1e9, ...) from running for minutes.  The
+# order m of hermite_tricomi needs no bound: its loop ends at k = 177 - n.
 _MAX_ORDER = 10_000
 _LOG_TINY = math.log(sys.float_info.min)
 
@@ -382,33 +383,44 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     return value
 
 
-def _hermite_higher_over_factorial(k: int, m: int, x, y):
-    """H_k of order m divided by k!, assembled without large factorials."""
-    total = 0.0
-    for j in range(k // m + 1):
-        i = k - m * j
-        total += x ** i * y ** j * inv_factorial(i) * inv_factorial(j)
-    return total
+# 1/j! for j < 178; from j = 178 on, 1/j! is 0 in floats
+_INV_FACTORIALS = tuple(inv_factorial(j) for j in range(178))
+
+
+def _tricomi_sections(n: int, m: int, x, y):
+    """The sums of the sections of min(m, 178) terms of hermite_tricomi's
+    series, with h_k = H_k/k! stepped by k h_k = x h_(k-1) + m y h_(k-m)."""
+    size = min(m, len(_INV_FACTORIALS))
+    h = [1.0]
+    section = _INV_FACTORIALS[n]
+    for k in range(1, len(_INV_FACTORIALS) - n):
+        if k % size == 0:
+            yield section
+            section = 0.0
+        hk = x * h[-1]
+        if k >= m:
+            hk += m * y * h[k - m]
+        hk /= k
+        h.append(hk)
+        section += (-1.0 if k % 2 else 1.0) * _INV_FACTORIALS[n + k] * hk
+    yield section
 
 
 @overflow_raises(DomainError)
 def hermite_tricomi(n: int, m: int, x, y, tol: float = DEFAULT_TOL) -> complex:
     """Bessel-like series with higher-Hermite coefficients.
 
-    sum_k (-1)^k / (k! (n+k)!) * H_k(x, y) of order m.  The inner polynomial
-    can grow before the factorials win, so the stopping rule is armed only
-    once the running term ratio drops below 0.9.  Past n = 177, 1/n!
-    underflows and with it every term, so such an n is a DomainError.
+    sum_k (-1)^k / (k! (n+k)!) * H_k(x, y) of order m.  The generating
+    function exp(x z + y z^m) of the H_k gives their Appell recurrence, one
+    step a term; the terms go to the stopping rule as sections of m, each
+    holding one power of y.  From n + k = 178 on, 1/(n+k)! and with it
+    every term is 0 in floats: the series ends there, and an n past 177 is
+    a DomainError.
     """
     n, m = _check_order(n, m)
-    if inv_factorial(n) == 0.0:
+    if n >= len(_INV_FACTORIALS):
         raise DomainError(f"hermite_tricomi order n = {n} underflows: 1/n! is 0")
-
-    def term(k):
-        sign = -1.0 if k % 2 else 1.0
-        return sign * inv_factorial(n + k) * _hermite_higher_over_factorial(k, m, x, y)
-
-    value, _ = sum_series((term(k) for k in count()), tol, ratio_guard=0.9)
+    value, _ = sum_series(_tricomi_sections(n, m, x, y), tol)
     return complex(value)
 
 

@@ -12,8 +12,10 @@ from .errors import ConvergenceError
 DEFAULT_CAP = 10_000
 
 # Number of consecutive negligible terms required before a sum is accepted.
-# A single small term is not trusted: alternating and multi-sected series
-# routinely produce isolated near-zero terms well before convergence.
+# A single small term is not trusted: alternating series routinely produce
+# isolated near-zero terms well before convergence.  A multi-sected series,
+# whose nonzero terms are m apart, hands the sum of each section of m terms
+# as one term, so that its zero terms cannot pass the rule.
 CONSECUTIVE_SMALL = 3
 
 
@@ -26,30 +28,24 @@ class SeriesTail:
     converged: bool
 
 
-def sum_series(terms: Iterable, tol: float, cap: int = DEFAULT_CAP,
-               ratio_guard: float | None = None):
+def sum_series(terms: Iterable, tol: float):
     """Sum ``terms`` until they are negligible against the partial sum.
 
     Terminates once |term| <= tol * |partial sum| holds for
-    CONSECUTIVE_SMALL terms in a row.  With ``ratio_guard`` set, the test is
-    armed only after a decreasing step |t_k| < ratio_guard * |t_{k-1}| has
-    been seen, which protects series whose early terms grow before the
-    factorial denominators take over.
+    CONSECUTIVE_SMALL terms in a row.
 
-    Returns ``(value, SeriesTail)``.  Raises ConvergenceError when ``cap``
-    terms were consumed without convergence.  A series that simply runs out
-    of terms (a finite sum) is returned as converged.
+    Returns ``(value, SeriesTail)``.  Raises ConvergenceError when
+    DEFAULT_CAP terms were consumed without convergence.  A series that
+    simply runs out of terms (a finite sum) is returned as converged.
     """
     total = 0.0
     small = 0
-    armed = ratio_guard is None
-    prev_mag = None
     last_mag = 0.0
     used = 0
     for k, term in enumerate(terms):
-        if k >= cap:
+        if k >= DEFAULT_CAP:
             raise ConvergenceError(
-                f"series did not converge within {cap} terms "
+                f"series did not converge within {DEFAULT_CAP} terms "
                 f"(last |term| = {last_mag:.3e})",
                 partial=total,
                 tail=SeriesTail(used, last_mag, False),
@@ -63,11 +59,8 @@ def sum_series(terms: Iterable, tol: float, cap: int = DEFAULT_CAP,
                 partial=total,
                 tail=SeriesTail(used, mag, False),
             )
-        if not armed and prev_mag is not None and prev_mag > 0.0 and mag < ratio_guard * prev_mag:
-            armed = True
-        prev_mag = mag
         last_mag = mag
-        if armed and mag <= tol * abs(total):
+        if mag <= tol * abs(total):
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 return total, SeriesTail(used, mag, True)

@@ -56,6 +56,12 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[0].startswith("1.7724538509")
 
+    def test_hermite_tricomi_between_powers_of_y(self, capsys):
+        # the zero terms k = 1, 2, 3 between y^0 and y^1 must not stop the sum
+        code, out, _ = run(capsys, "eval", "hermite_tricomi", "0", "4", "0", "5")
+        assert code == 0
+        assert out.splitlines()[0].startswith("1.20864339667")
+
     def test_struve_moment(self, capsys):
         code, out, _ = run(capsys, "eval", "struve_moment", "0")
         assert code == 0

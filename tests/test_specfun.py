@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,7 +383,7 @@ class TestHermiteTricomi:
         assert value.imag == 0.0
 
     def test_underflowing_order_is_a_domain_error(self):
-        # past n = 177 every term is 0, and the ratio guard never armed
+        # past n = 177 every term is 0
         assert sf.hermite_tricomi(177, 2, 1.0, 1.0).real > 0.0
         with pytest.raises(DomainError, match="underflows"):
             sf.hermite_tricomi(178, 2, 1.0, 1.0)
@@ -396,6 +397,40 @@ class TestHermiteTricomi:
             h = hermite_higher_direct(k, 2, 1.0, 1.0)
             expected += (-1.0) ** k / (math.factorial(k) * math.factorial(1 + k)) * h
         assert sf.hermite_tricomi(1, 2, 1.0, 1.0).real == pytest.approx(expected, rel=1e-10)
+
+    @staticmethod
+    def direct(n, m, x, y, terms=80):
+        return sum((-1.0) ** k * hermite_higher_direct(k, m, x, y)
+                   / (math.factorial(k) * math.factorial(n + k)) for k in range(terms))
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("x", [0.0, 1e-8])
+    def test_zero_terms_between_powers_of_y_do_not_stop_the_sum(self, m, x):
+        # at x = 0 only every m-th term is nonzero, and the m - 1 zero (or,
+        # at x = 1e-8, near-zero) terms between must not stop the sum
+        expected = self.direct(0, m, x, 5.0)
+        assert sf.hermite_tricomi(0, m, x, 5.0).real == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 5), m=st.integers(2, 6),
+           x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0))
+    def test_matches_direct_double_sum(self, n, m, x, y):
+        expected = self.direct(n, m, x, y)
+        try:
+            value = sf.hermite_tricomi(n, m, x, y)
+        except EngineError:
+            return
+        assert value.imag == 0.0
+        assert abs(value.real - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    @pytest.mark.parametrize("m", [10_000, 1e300])
+    def test_huge_order_returns_promptly(self, m):
+        # past k = 177 every term is 0, so no section is longer than 178
+        # terms, and only powers y^0 of the order-m polynomials are reached
+        start = time.perf_counter()
+        value = sf.hermite_tricomi(0, m, 1.0, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert value.real == pytest.approx(sf.bessel_j(0.0, 2.0), rel=1e-12)
 
 
 class TestHyperPfq:
