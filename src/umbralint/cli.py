@@ -381,7 +381,7 @@ def _cmd_verify(args) -> int:
             return 2
         overrides[name] = values
 
-    # bind scipy.special now, so that its import is not timed as the first oracle
+    # bind scipy now, so that its import is not timed as the first oracle
     reference._special()
     all_reports = []
     for identity in identities:

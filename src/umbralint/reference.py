@@ -23,32 +23,36 @@ __all__ = [
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
 _SQRT_PI = math.sqrt(math.pi)
 
-# scipy.special, bound by _special() on first use: importing it takes most of
-# the package's import time, and only the oracle integrands need it
+# scipy.special.cython_special, bound by _special() on first use: importing
+# scipy takes most of the package's import time, and only the oracle
+# integrands need it.  Its scalar entry points run the same C code as the
+# scipy.special ufuncs and return the same bits as a Python float, without
+# the ufunc dispatch that costs more than the function itself; their fused
+# signatures reject an int argument, hence the float() on each one
 _sp = None
 
 
 def _special():
-    """scipy.special, imported and bound to ``_sp``."""
+    """scipy.special.cython_special, imported and bound to ``_sp``."""
     global _sp
-    from scipy import special
-    _sp = special
-    return special
+    from scipy.special import cython_special
+    _sp = cython_special
+    return cython_special
 
 
 def bessel_j_ref(v: float, x: float) -> float:
     """Bessel J of real order, any argument size."""
-    return float((_sp or _special()).jv(v, x))
+    return (_sp or _special()).jv(float(v), float(x))
 
 
 def struve_h_ref(v: float, x: float) -> float:
     """Struve function of real order, any argument size."""
-    return float((_sp or _special()).struve(v, x))
+    return (_sp or _special()).struve(float(v), float(x))
 
 
 def bessel_y_ref(v: float, x: float) -> float:
     """Bessel Y of real order, x > 0."""
-    return float((_sp or _special()).yv(v, x))
+    return (_sp or _special()).yv(float(v), float(x))
 
 
 def struve_k_ref(v: float, x: float) -> float:
@@ -61,9 +65,10 @@ def struve_k_ref(v: float, x: float) -> float:
     summed instead, as long as its terms fall until they reach rounding.
     """
     sp = _sp or _special()
+    v, x = float(v), float(x)
     if x >= 50.0:
         ratio = 4.0 / (x * x)
-        term = _SQRT_PI * (0.5 * x) ** (v - 1.0) * float(sp.rgamma(v + 0.5))
+        term = _SQRT_PI * (0.5 * x) ** (v - 1.0) * sp.rgamma(v + 0.5)
         total = term
         k = 0
         while abs(term) > 1e-17 * abs(total):
@@ -73,7 +78,7 @@ def struve_k_ref(v: float, x: float) -> float:
             term, total, k = step, total + step, k + 1
         else:
             return total / math.pi
-    return float(sp.struve(v, x) - sp.yv(v, x))
+    return sp.struve(v, x) - sp.yv(v, x)
 
 
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:

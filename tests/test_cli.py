@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from umbralint import cli
-from umbralint.closedforms import get_identity
+from umbralint.closedforms import IdentityDescriptor, get_identity
+from umbralint.oracle import integrate_finite
 
 
 def run(capsys, *argv):
@@ -378,23 +379,30 @@ class TestVerifyPoint:
         report = cli.verify_point(identity, {"x": x}, identity.default_tol)
         assert report.passed, report
 
-    # at nu = 1e-6 the extrapolated singular end would be 10^4 times the
-    # integral bisected so far, which the oracle does not trust, so it
-    # bisects on until x ** (nu - 1) overflows near the bottom of the
-    # double range
-    @pytest.mark.parametrize("identity_id", ["eq02_mellin_exponential",
-                                             "eq02_mellin_rational"])
-    def test_integrand_overflow_is_an_oracle_failure(self, identity_id):
-        identity = get_identity(identity_id)
-        report = cli.verify_point(identity, {"nu": 1e-6}, identity.default_tol)
+    # x^-1.98 is not integrable at 0, and an end panel that grows is never
+    # extrapolated, so the oracle bisects on until the integrand overflows
+    # near the bottom of the double range
+    def test_integrand_overflow_is_an_oracle_failure(self):
+        identity = IdentityDescriptor(
+            id="divergent", equation="", description="", parameter_domain=(),
+            default_grid={}, default_tol=1e-8, closed=lambda: 1.0,
+            oracle_eval=lambda p, tol: integrate_finite(
+                lambda x: x ** -1.98, 0.0, 1.0, tol))
+        report = cli.verify_point(identity, {}, identity.default_tol)
         assert not report.passed
         assert report.reason.startswith("oracle failure: ")
         assert "overflow" in report.reason
 
     # the origin singularity x^(nu - 1) once took bisection to the denormal
-    # floor, where it overflowed
+    # floor, where it overflowed (as it did at nu = 1e-6); at nu = 1e-12 the
+    # first panels saw only part of its mass near 0 and met the budget with
+    # 8.5 for an integral of 10^12
     @pytest.mark.parametrize("identity_id,nu", [
+        ("eq02_mellin_exponential", 1e-12), ("eq02_mellin_exponential", 1e-9),
+        ("eq02_mellin_exponential", 1e-6),
         ("eq02_mellin_exponential", 0.005), ("eq02_mellin_exponential", 0.02),
+        ("eq02_mellin_rational", 1e-12), ("eq02_mellin_rational", 1e-9),
+        ("eq02_mellin_rational", 1e-6),
         ("eq02_mellin_rational", 0.005), ("eq02_mellin_rational", 0.02),
         ("eq02_mellin_rational", 0.995),
     ])
