@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, count
 from typing import Callable
 
 from . import oracle, reference, transforms, umbral
@@ -27,7 +28,7 @@ from .specfun import (
     hermite_tricomi,
     hyper_pfq,
 )
-from .summation import hypergeometric_terms, sum_series
+from .summation import sum_series
 from .umbral import (
     bessel_power_series,
     exponential_series,
@@ -139,7 +140,8 @@ def bessel_generating_function(x: float, t: float, m: int,
     """Exponential generating function of Bessel orders m n at argument 2x,
     summed directly as sum_n t^n/n! J_{m n}(2x)."""
     _require("bessel_generating_function", _EQ19_DOMAIN, {"m": m})
-    weights = enumerate(hypergeometric_terms(1.0, (), (1.0,), t))  # t^n / n!
+    # t^n / n!, each from the one before
+    weights = enumerate(accumulate(count(), lambda u, n: u * (t / (1.0 + n)), initial=1.0))
     value, _ = sum_series((u * bessel_j(float(m * n), 2.0 * x, tol=tol * 1e-3)
                            for n, u in weights), tol)
     return value

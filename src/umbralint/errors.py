@@ -66,15 +66,15 @@ class ExtrapolationError(QuadratureError):
     """An extrapolated oscillatory tail failed to settle within tolerance."""
 
 
-def overflow_raises(error, what=None):
+def overflow_raises(error):
     """Decorator: an OverflowError inside the function leaves it as
-    ``error``, naming ``what`` (by default the function) as what overflowed."""
+    ``error``, naming the function as what overflowed."""
     def decorate(fn):
         @functools.wraps(fn)
         def guarded(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)
             except OverflowError as exc:
-                raise error(f"{what or fn.__name__} overflowed: {exc.args[-1]}") from exc
+                raise error(f"{fn.__name__} overflowed: {exc.args[-1]}") from exc
         return guarded
     return decorate

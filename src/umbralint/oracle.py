@@ -20,7 +20,8 @@ OscillatoryTail that describes f beyond x0 as smooth + wave: the head
 [0, x0] of f and the folded smooth part are integrated as above, and the
 wave one half-period at a time, its partial sums extrapolated by Wynn's
 epsilon algorithm (as in QUADPACK's QAWF).  An integrand that raises
-OverflowError ends the integration with a QuadratureError.
+OverflowError ends the integration with a QuadratureError that counts
+every integrand call made.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, ExtrapolationError, QuadratureError, overflow_raises
+from .errors import DomainError, ExtrapolationError, QuadratureError
 
 __all__ = [
     "QuadratureResult",
@@ -215,6 +216,20 @@ def _gauss_kronrod_15(f, a: float, b: float):
     return resk * h, err, err <= floor
 
 
+# The node values of a panel, in the order _gauss_kronrod_15 evaluates them.
+_NODES = ("fc", "f1l", "f1r", "f3l", "f3r", "f5l", "f5r", "f0l", "f0r",
+          "f2l", "f2r", "f4l", "f4r", "f6l", "f6r")
+
+
+def _calls_made(exc) -> int:
+    """The integrand calls of the panel that ``exc`` ended: the nodes that
+    hold a value, and the call that raised."""
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_frame.f_code is not _gauss_kronrod_15.__code__:
+        tb = tb.tb_next
+    return 0 if tb is None else min(15, 1 + sum(map(tb.tb_frame.f_locals.__contains__, _NODES)))
+
+
 class _EndExtrapolation:
     """Wynn's epsilon table over the bisection levels at one end of an
     interval (QUADPACK's QAGS).
@@ -259,7 +274,7 @@ class _EndExtrapolation:
 
 
 def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
-              panels: int):
+              panels: int, spent: int = 0):
     """Worst-panel-first adaptive bisection over [a, b], starting from
     ``panels`` equal panels.
 
@@ -278,7 +293,8 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     table (_EndExtrapolation).  The integral plus the corrections of both
     ends is the result once their QELG errors plus the other panels' errors
     are within ``tol``, unless it exceeds the integral it extrapolates by
-    more than _MAX_EXTRAPOLATION.
+    more than _MAX_EXTRAPOLATION.  An integrand's OverflowError raises a
+    QuadratureError counting its calls and ``spent``, the earlier pieces'.
     """
     heap = []
     total = 0.0
@@ -286,53 +302,58 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     frozen_err = 0.0
     evaluations = 0
     n = 0
-    right = a
-    for i in range(panels):
-        left, right = right, a + (b - a) * (i + 1) / panels
-        value, err, at_floor = _gauss_kronrod_15(f, left, right)
-        evaluations += 15
-        total += value
-        err_total += err
-        heapq.heappush(heap, (-err, n, left, right, value, err, at_floor))
-        n += 1
-    b = right   # as the panel edges round it
-    ends = (_EndExtrapolation(), _EndExtrapolation())
-    while frozen_err <= tol < err_total + frozen_err and n < max_intervals and heap:
-        _, _, left, right, value, err, at_floor = heapq.heappop(heap)
-        end = ends[0] if left == a else ends[1] if right == b else None
-        mid = 0.5 * (left + right)
-        splittable = left < mid < right
-        if end is not None and not (splittable and right - left > 200.0 * _EPS * abs(mid)):
-            break
-        if at_floor or not splittable:
+    try:
+        right = a
+        for i in range(panels):
+            left, right = right, a + (b - a) * (i + 1) / panels
+            value, err, at_floor = _gauss_kronrod_15(f, left, right)
+            evaluations += 15
+            total += value
+            err_total += err
+            heapq.heappush(heap, (-err, n, left, right, value, err, at_floor))
+            n += 1
+        b = right   # as the panel edges round it
+        ends = (_EndExtrapolation(), _EndExtrapolation())
+        while frozen_err <= tol < err_total + frozen_err and n < max_intervals and heap:
+            _, _, left, right, value, err, at_floor = heapq.heappop(heap)
+            end = ends[0] if left == a else ends[1] if right == b else None
+            mid = 0.5 * (left + right)
+            splittable = left < mid < right
+            if end is not None and not (splittable and right - left > 200.0 * _EPS * abs(mid)):
+                break
+            if at_floor or not splittable:
+                err_total -= err
+                frozen_err += err
+                continue
+            total -= value
             err_total -= err
-            frozen_err += err
-            continue
-        total -= value
-        err_total -= err
-        v1, e1, floor1 = _gauss_kronrod_15(f, left, mid)
-        v2, e2, floor2 = _gauss_kronrod_15(f, mid, right)
-        evaluations += 30
-        total += v1 + v2
-        err_total += e1 + e2
-        heapq.heappush(heap, (-e1, n, left, mid, v1, e1, floor1))
-        n += 1
-        heapq.heappush(heap, (-e2, n, mid, right, v2, e2, floor2))
-        n += 1
-        if end is None:
-            continue
-        end_value, end_err = (v1, e1) if end is ends[0] else (v2, e2)
-        end.feed(value, v1 + v2, end_value, end_err, total)
-        if not end.ready or err_total + frozen_err <= tol:
-            continue
-        estimate, estimate_err = total, err_total + frozen_err
-        for e in ends:
-            if e.ready:
-                estimate += e.correction
-                estimate_err += e.error - e.end_err
-        if estimate_err <= tol and abs(estimate) <= _MAX_EXTRAPOLATION * abs(total):
-            return estimate, estimate_err, evaluations
-    return total, err_total + frozen_err, evaluations
+            v1, e1, floor1 = _gauss_kronrod_15(f, left, mid)
+            evaluations += 15
+            v2, e2, floor2 = _gauss_kronrod_15(f, mid, right)
+            evaluations += 15
+            total += v1 + v2
+            err_total += e1 + e2
+            heapq.heappush(heap, (-e1, n, left, mid, v1, e1, floor1))
+            n += 1
+            heapq.heappush(heap, (-e2, n, mid, right, v2, e2, floor2))
+            n += 1
+            if end is None:
+                continue
+            end_value, end_err = (v1, e1) if end is ends[0] else (v2, e2)
+            end.feed(value, v1 + v2, end_value, end_err, total)
+            if not end.ready or err_total + frozen_err <= tol:
+                continue
+            estimate, estimate_err = total, err_total + frozen_err
+            for e in ends:
+                if e.ready:
+                    estimate += e.correction
+                    estimate_err += e.error - e.end_err
+            if estimate_err <= tol and abs(estimate) <= _MAX_EXTRAPOLATION * abs(total):
+                return estimate, estimate_err, evaluations
+        return total, err_total + frozen_err, evaluations
+    except OverflowError as exc:
+        raise QuadratureError(f"integrand overflowed: {exc.args[-1]}", partial=QuadratureResult(
+            math.nan, math.inf, spent + evaluations + _calls_made(exc), False)) from exc
 
 
 def _certified(interval: str, value, err: float, evaluations: int,
@@ -347,7 +368,6 @@ def _certified(interval: str, value, err: float, evaluations: int,
     return result
 
 
-@overflow_raises(QuadratureError, "integrand")
 def integrate_finite(f: Callable, a: float, b: float, tol: float,
                      max_intervals: int = 20_000) -> QuadratureResult:
     """Adaptive integral over [a, b] to absolute tolerance ``tol``.
@@ -423,7 +443,8 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
     table, sums, estimates = [], [], []
     for k in range(_MAX_PIECES):
         a = start + k * half_period
-        v, e, n = _adaptive(wave, a, a + half_period, piece_tol, max_intervals, 1)
+        v, e, n = _adaptive(wave, a, a + half_period, piece_tol, max_intervals, 1,
+                            evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not err <= tol:
             raise QuadratureError(
@@ -446,7 +467,6 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
     return result
 
 
-@overflow_raises(QuadratureError, "integrand")
 def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = None,
                         max_intervals: int = 40_000) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
@@ -464,7 +484,7 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     """
     if tail is None:
         head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals, 8)
-        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, 8)
+        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, 8, head[2])
         return _certified("half-line", head[0] + fold[0], head[1] + fold[1],
                           head[2] + fold[2], tol)
 
@@ -474,7 +494,7 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     if tail.smooth is not None:
         parts.append(("smooth part", _fold(tail.smooth, x0), 0.0, 1.0))
     for name, g, a, b in parts:
-        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, 8)
+        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, 8, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not e <= 0.25 * tol:   # nan included
             raise QuadratureError(
@@ -484,7 +504,6 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
                       value, err, evaluations)
 
 
-@overflow_raises(QuadratureError, "integrand")
 def integrate_real_line(f: Callable, tol: float) -> QuadratureResult:
     """Integral over the whole line via the rational map t = u/(1-u^2)."""
     def mapped(u):

@@ -18,10 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import islice
 
 from .errors import DomainError, PoleError, overflow_raises
-from .summation import hypergeometric_terms, sum_series
+from .summation import sum_hypergeometric, sum_series
 
 __all__ = [
     "DEFAULT_TOL",
@@ -195,8 +194,7 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
         return 1.0 if nu == 0.0 else 0.0
     h = 0.5 * x
     # DLMF 10.2.2: (h^nu / Gamma(nu + 1)) 0F1(; nu + 1; -h^2)
-    terms = hypergeometric_terms(h ** nu / gamma(nu + 1.0), (), (1.0, nu + 1.0), -h * h)
-    value, _ = sum_series(terms, tol)
+    value, _ = sum_hypergeometric(h ** nu / gamma(nu + 1.0), (), (1.0, nu + 1.0), -h * h, tol)
     return value
 
 
@@ -221,11 +219,11 @@ def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
 def _bessel_i_complex(mu: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
     """I_mu(z) with principal powers, the law (z/2)^(2k + mu) / (k! Gamma(k + mu + 1)).
     At a negative integer order -j it starts past the terms k < j, 0 at every z."""
-    from .umbral import CoefficientSeries, GammaRatioSequence
     j = int(-mu) if mu < 0 and mu == int(mu) else 0
-    law = GammaRatioSequence(scale=0.5 ** (mu + 2 * j),
-                             denom=((1.0 + j, 1.0), (mu + 1.0 + j, 1.0)))
-    return CoefficientSeries(law, stride=2, offset=mu + 2 * j, geometric=0.25).evaluate(z, tol)
+    law = _umbral.GammaRatioSequence(scale=0.5 ** (mu + 2 * j),
+                                     denom=((1.0 + j, 1.0), (mu + 1.0 + j, 1.0)))
+    return _umbral.CoefficientSeries(law, stride=2, offset=mu + 2 * j,
+                                     geometric=0.25).evaluate(z, tol)
 
 
 @overflow_raises(DomainError)
@@ -252,7 +250,7 @@ def struve_h(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
     # math.lgamma returns log|Gamma|, valid for negative non-integer arguments
     first = (-1.0) ** j * gamma_sign(j + nu + 1.5) * math.exp(
         (2 * j + nu + 1.0) * math.log(h) - math.lgamma(j + 1.5) - math.lgamma(j + nu + 1.5))
-    value, _ = sum_series(hypergeometric_terms(first, (), (1.5, nu + 1.5), -h * h, j), tol)
+    value, _ = sum_hypergeometric(first, (), (1.5, nu + 1.5), -h * h, tol, j)
     return value
 
 
@@ -272,7 +270,6 @@ def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> comp
     """
     z = complex(x)
     if method == "series":
-        from .umbral import CoefficientSeries, GammaRatioSequence
         # where 2 nu is an integer -j <= -1 the law starts at k = j, past the
         # terms 1/Gamma(2 nu + k + 1) = 0 and an integer nu's head
         j = int(-2.0 * nu) if nu <= -0.5 and (2.0 * nu).is_integer() else 0
@@ -283,10 +280,12 @@ def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> comp
             # head is the terminating (2 (-1)^n (2n-1)!/(n-1)!) 1F1(1-n; 1-2n; z)
             n = j // 2
             t = (-2.0 if n % 2 else 2.0) * math.exp(math.lgamma(j) - math.lgamma(n))
-            head = sum(islice(hypergeometric_terms(t, (1.0 - n,), (1.0 - j, 1.0), z), n))
-        law = GammaRatioSequence(numer=((nu + 1.0 + j, 1.0),),
-                                 denom=((2.0 * nu + 1.0 + j, 1.0), (1.0 + j, 1.0)))
-        return head + CoefficientSeries(law, offset=float(j)).evaluate(x, tol)
+            for i in range(n):
+                head += t
+                t *= z * (1.0 - n + i) / ((1.0 - j + i) * (1.0 + i))
+        law = _umbral.GammaRatioSequence(numer=((nu + 1.0 + j, 1.0),),
+                                         denom=((2.0 * nu + 1.0 + j, 1.0), (1.0 + j, 1.0)))
+        return head + _umbral.CoefficientSeries(law, offset=float(j)).evaluate(x, tol)
     if method == "bessel_closed_form":
         if z == 0:
             raise DomainError("the closed form of b_nu needs x != 0")
@@ -379,7 +378,7 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
             raise DomainError(f"pseudo_trig ratio leaves the double range at m={m}, x={x!r}")
         return first
     b = tuple((k + i) / m for i in range(1, m + 1))
-    value, _ = sum_series(hypergeometric_terms(first, (), b, y), tol)
+    value, _ = sum_hypergeometric(first, (), b, y, tol)
     return value
 
 
@@ -446,5 +445,8 @@ def hyper_pfq(a, b, y, tol: float = DEFAULT_TOL):
         if is_nonpositive_integer(bj):
             raise PoleError(bj, message="hyper_pfq lower parameter at a pole")
 
-    value, _ = sum_series(hypergeometric_terms(1.0, a, b + (1.0,), y), tol)
+    value, _ = sum_hypergeometric(1.0, a, b + (1.0,), y, tol)
     return value
+
+
+from . import umbral as _umbral  # noqa: E402  (umbral imports this module first)

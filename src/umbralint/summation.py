@@ -1,11 +1,12 @@
-"""Guarded series summation shared by the function kernel and the oracle,
-and the one term recurrence of every hypergeometric power series."""
+"""Guarded series summation shared by the function kernel and the oracle:
+the one stopping rule over a stream of terms, and in one loop with the
+term recurrence of every hypergeometric power series."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+import sys
+from typing import Iterable, NamedTuple
 
 from .errors import ConvergenceError
 
@@ -18,14 +19,25 @@ DEFAULT_CAP = 10_000
 # as one term, so that its zero terms cannot pass the rule.
 CONSECUTIVE_SMALL = 3
 
+# Above _INF a term is not finite; a step from a term below _TINY (0 or
+# subnormal) would keep too few bits.
+_INF, _TINY = math.inf, sys.float_info.min
 
-@dataclass(frozen=True)
-class SeriesTail:
+
+class SeriesTail(NamedTuple):
     """Metadata describing how a truncated series ended."""
 
     terms_used: int
     last_term_magnitude: float
     converged: bool
+
+
+def _not_converged(total, used: int, mag: float):
+    """The error of a sum whose term ``used`` is not finite, or that used
+    DEFAULT_CAP terms."""
+    message = (f"series overflowed: non-finite term at index {used - 1}" if not mag < _INF
+               else f"series did not converge within {used} terms (last |term| = {mag:.3e})")
+    return ConvergenceError(message, partial=total, tail=SeriesTail(used, mag, False))
 
 
 def sum_series(terms: Iterable, tol: float):
@@ -40,52 +52,67 @@ def sum_series(terms: Iterable, tol: float):
     """
     total = 0.0
     small = 0
-    last_mag = 0.0
+    mag = 0.0
     used = 0
-    for k, term in enumerate(terms):
-        if k >= DEFAULT_CAP:
-            raise ConvergenceError(
-                f"series did not converge within {DEFAULT_CAP} terms "
-                f"(last |term| = {last_mag:.3e})",
-                partial=total,
-                tail=SeriesTail(used, last_mag, False),
-            )
+    for used, term in enumerate(terms, 1):
+        if used > DEFAULT_CAP:
+            raise _not_converged(total, DEFAULT_CAP, mag)
         total += term
-        used = k + 1
         mag = abs(term)
-        if not math.isfinite(mag):
-            raise ConvergenceError(
-                f"series overflowed: non-finite term at index {k}",
-                partial=total,
-                tail=SeriesTail(used, mag, False),
-            )
-        last_mag = mag
+        if not mag < _INF:
+            raise _not_converged(total, used, mag)
         if mag <= tol * abs(total):
             small += 1
             if small >= CONSECUTIVE_SMALL:
                 return total, SeriesTail(used, mag, True)
         else:
             small = 0
-    return total, SeriesTail(used, last_mag, True)
+    return total, SeriesTail(used, mag, True)
 
 
-def hypergeometric_terms(t, a, b, y, k=0):
-    """The terms t_k, t_{k+1}, ... of a generalized hypergeometric series
-    (DLMF 16.2.1), from the term t = t_k:
-    t_{j+1} = t_j y prod_i (a_i + j) / prod_i (b_i + j).
+def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
+                       weight=None):
+    """Sum t_k + t_{k+1} + ... of a generalized hypergeometric series (DLMF
+    16.2.1) from t = t_k under ``sum_series``' rule, stepping each term in
+    the same loop by one division: t_{j+1} = t_j y prod_i (a_i + j) /
+    prod_i (b_i + j).  The caller keeps prod(b_i + j) in the normal range.
 
-    The ratio is one division of y prod(a_i + j) by prod(b_i + j): with
-    integer or half-integer parameters the products are exact, which keeps
-    the rounding per term to about four.  The caller keeps prod(b_i + j)
-    in the normal range.  A k! in the denominator is a b of 1.
+    A Gamma-ratio law passes t = None and ``seed``: seed(j) is term j
+    afresh, or None for a term that is 0 at every x and is not summed.
+    Terms up to j = ``k_safe`` are seeded, and so is each term after a 0 or
+    subnormal one.  ``weight(j)`` multiplies term j as it is summed only.
     """
     k = float(k)  # float + float is the cheaper addition in the loop
-    while True:
-        yield t
-        num, den = y, 1.0
-        for c in a:
-            num *= c + k
-        for c in b:
-            den *= c + k
-        t *= num / den
+    fresh = t is None
+    total = 0.0
+    small = 0
+    mag = 0.0
+    for used in range(1, DEFAULT_CAP + 1):
+        if fresh:
+            t = seed(k)
+            while t is None:
+                k += 1.0
+                t = seed(k)
+            fresh = False
+        term = t * weight(k) if weight else t
+        total += term
+        mag = abs(term)
+        if not mag < _INF:
+            raise _not_converged(total, used, mag)
+        if mag <= tol * abs(total):
+            small += 1
+            if small >= CONSECUTIVE_SMALL:
+                return total, SeriesTail(used, mag, True)
+        else:
+            small = 0
+        if seed and (k < k_safe or abs(t) < _TINY):
+            fresh = True
+        else:
+            num, den = y, 1.0
+            for c in a:
+                num *= c + k
+            for c in b:
+                den *= c + k
+            t *= num / den
         k += 1.0
+    raise _not_converged(total, DEFAULT_CAP, mag)

@@ -16,11 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, KernelDomainError, PoleError, StripError, overflow_raises
 from .specfun import DEFAULT_TOL, as_integer, gamma, gamma_sign, log_gamma
-from .summation import hypergeometric_terms, sum_series
+from .summation import sum_hypergeometric
 
 __all__ = [
     "GammaRatioSequence",
@@ -30,7 +30,6 @@ __all__ = [
     "mellin_master",
     "mellin_master_strided",
     "apply_mellin_multiplier",
-    "constant_phi",
     "bessel_phi",
     "struve_series",
     "exponential_series",
@@ -46,9 +45,6 @@ _POLE_TOL = 1e-12
 
 # A term whose log magnitude exceeds this is not a finite double.
 _LOG_MAX = math.log(sys.float_info.max)
-
-# The term after one below this (0 or subnormal) is not stepped from it.
-_TINY = sys.float_info.min
 
 # The factor Gamma(1 + k) that turns a series coefficient into its moment.
 _FACTORIAL = ((1.0, 1.0),)
@@ -69,9 +65,10 @@ class GammaRatioSequence:
     numer: tuple = ()
     denom: tuple = ()
 
-    def __post_init__(self):
-        numer = [(float(s), float(m)) for s, m in self.numer]
-        denom = [(float(s), float(m)) for s, m in self.denom]
+    def __init__(self, scale=1.0, numer=(), denom=()):
+        # each field is set once, in its canonical form, past the frozen __setattr__
+        numer = [(float(s), float(m)) for s, m in numer]
+        denom = [(float(s), float(m)) for s, m in denom]
         if numer and denom:
             for factor in tuple(numer):
                 if factor in denom:
@@ -79,15 +76,15 @@ class GammaRatioSequence:
                     denom.remove(factor)
         numer.sort()
         denom.sort()
-        object.__setattr__(self, "numer", tuple(numer))
-        object.__setattr__(self, "denom", tuple(denom))
-        if self.scale == 0:
+        numer, denom = tuple(numer), tuple(denom)
+        self.__dict__.update(scale=scale, numer=numer, denom=denom)
+        if scale == 0:
             raise DomainError("GammaRatioSequence scale must be nonzero")
-        for shift, slope in self.numer + self.denom:
+        for shift, slope in numer + denom:
             if slope <= 0:
                 raise DomainError("GammaRatioSequence slopes must be positive")
         sign, log_mag = _log_phi(self, 0.0)
-        if sign == 0 or log_mag > _LOG_MAX or not cmath.isfinite(self.scale):
+        if sign == 0 or log_mag > _LOG_MAX or not cmath.isfinite(scale):
             raise DomainError("GammaRatioSequence must have finite nonzero phi(0)")
 
     def __call__(self, s):
@@ -165,14 +162,13 @@ def phi_eval(phi: GammaRatioSequence, s) -> complex:
 # -- cataloged moment sequences ---------------------------------------------
 
 
-def constant_phi() -> GammaRatioSequence:
-    """phi(s) = 1, the moment law of exp(-x)."""
-    return GammaRatioSequence()
+# A law or series without a continuous parameter is one frozen value.
+_BESSEL_PHI = GammaRatioSequence(denom=_FACTORIAL)
 
 
 def bessel_phi() -> GammaRatioSequence:
     """phi(s) = 1/Gamma(1+s), the Bessel moment law."""
-    return GammaRatioSequence(denom=_FACTORIAL)
+    return _BESSEL_PHI
 
 
 # -- the series type ----------------------------------------------------------
@@ -222,15 +218,15 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     the sum runs at |x|.  With integer slopes the law is hypergeometric
     (DLMF 5.5.6): Gamma(s + sigma (k + 1)) / Gamma(s + sigma k) =
     sigma^sigma prod_i ((s + i)/sigma + k), so from k_safe on, where every
-    Gamma argument is at least 1/2, ``hypergeometric_terms`` steps the terms
-    with the parameters (s + i)/sigma and y = geometric x^m prod sigma^sigma
-    / prod sigma^sigma.  The power is no such ratio; it multiplies each term.
-    ``_log_phi`` gives the other terms in log space, so that factorially
-    large pieces cannot overflow against factorially small ones: the first,
-    those before k_safe, any after a term that is 0 or subnormal, and all
-    of a law with a non-integer slope.  A term at a denominator pole is 0
-    at every x and is not summed.  A term beyond the double range ends the
-    sum as a non-finite term.
+    Gamma argument is at least 1/2, ``summation.sum_hypergeometric`` steps
+    and sums the terms with the parameters (s + i)/sigma and y = geometric
+    x^m prod sigma^sigma / prod sigma^sigma.  The power is no such ratio; it
+    weights each term.  ``_log_phi`` gives the seeds in log space, so that
+    factorially large pieces cannot overflow against factorially small
+    ones: the terms up to k_safe, any after a term that is 0 or subnormal,
+    and all of a law with a non-integer slope.  A term at a denominator
+    pole is 0 at every x and is not summed.  A term beyond the double range
+    ends the sum as a non-finite term.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -276,21 +272,9 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
         return sign * sign0 * step_sign ** k * (math.exp(log_mag) if log_mag <= _LOG_MAX
                                                  else math.inf)
 
-    def terms():
-        k = 0
-        while True:
-            t = seed(k)
-            if t is None:  # not summed, so that it cannot pass the stopping rule
-                k += 1
-                continue
-            stepped = hypergeometric_terms(t, up, down, y, k) if k >= k_safe else (t,)
-            for t in stepped:
-                yield t * (m * k + p) ** power if power else t
-                k += 1
-                if abs(t) < _TINY:
-                    break
-
-    value, _ = sum_series(terms(), tol)
+    weight = (lambda k: (m * k + p) ** power) if power else None
+    value, _ = sum_hypergeometric(None, up, down, y, tol, seed=seed, k_safe=k_safe,
+                                  weight=weight)
     return complex(value)
 
 
@@ -315,14 +299,18 @@ def struve_series(nu: float, b: float = 1.0) -> CoefficientSeries:
     return CoefficientSeries(law, stride=2, offset=nu + 1.0 + 2 * j, geometric=geometric)
 
 
+_EXPONENTIAL = CoefficientSeries(bessel_phi(), geometric=-1.0)
+_RATIONAL = CoefficientSeries(GammaRatioSequence(), geometric=-1.0)
+
+
 def exponential_series() -> CoefficientSeries:
     """Series evaluating to exp(-x)."""
-    return CoefficientSeries(bessel_phi(), geometric=-1.0)
+    return _EXPONENTIAL
 
 
 def rational_series() -> CoefficientSeries:
     """Series whose Mellin data represents 1/(1+x) (converges for |x| < 1)."""
-    return CoefficientSeries(constant_phi(), geometric=-1.0)
+    return _RATIONAL
 
 
 def bessel_power_series(n: int) -> CoefficientSeries:
@@ -407,7 +395,8 @@ class MellinMultiplier:
         m, p = series.stride, series.offset
         numer, denom = ([(shift + slope * p, slope * m) for shift, slope in side]
                         for side in (self.symbol.numer, self.symbol.denom))
-        return replace(series, law=series.law.times(self.symbol.scale, numer, denom))
+        return CoefficientSeries(series.law.times(self.symbol.scale, numer, denom), m, p,
+                                 series.geometric)
 
 
 _GAUSSIAN_KERNEL = MellinMultiplier(GammaRatioSequence(scale=math.sqrt(math.pi)),

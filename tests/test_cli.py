@@ -383,15 +383,22 @@ class TestVerifyPoint:
     # extrapolated, so the oracle bisects on until the integrand overflows
     # near the bottom of the double range
     def test_integrand_overflow_is_an_oracle_failure(self):
+        calls = []
+
+        def integrand(x):
+            calls.append(x)
+            return x ** -1.98
+
         identity = IdentityDescriptor(
             id="divergent", equation="", description="", parameter_domain=(),
             default_grid={}, default_tol=1e-8, closed=lambda: 1.0,
-            oracle_eval=lambda p, tol: integrate_finite(
-                lambda x: x ** -1.98, 0.0, 1.0, tol))
+            oracle_eval=lambda p, tol: integrate_finite(integrand, 0.0, 1.0, tol))
         report = cli.verify_point(identity, {}, identity.default_tol)
         assert not report.passed
         assert report.reason.startswith("oracle failure: ")
         assert "overflow" in report.reason
+        # the failure reports every integrand call, the one that overflowed too
+        assert report.oracle_cost == len(calls) > 0
 
     # the origin singularity x^(nu - 1) once took bisection to the denormal
     # floor, where it overflowed (as it did at nu = 1e-6); at nu = 1e-12 the

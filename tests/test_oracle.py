@@ -462,3 +462,22 @@ class TestEvaluationCount:
                                       self.counted(tail.wave, calls), smooth)
         r = oracle.integrate_half_line(self.counted(f, calls), 2.5e-6, tail)
         assert calls[0] == r.evaluations > 0
+
+    # an overflow ends the integration in any piece; its partial result
+    # counts the calls of the pieces before it and of the panel it ended
+    @pytest.mark.parametrize("piece", ["head", "fold", "wave"])
+    def test_overflow_counts_every_call(self, piece):
+        def g(x):
+            if piece == "head" and x < 0.5 or piece == "fold" and x > 1e3:
+                return 10.0 ** (x if piece == "fold" else 1.0 / x)
+            return math.exp(-x)
+
+        calls = [0]
+        tail = None
+        if piece == "wave":
+            tail = oracle.OscillatoryTail(1.0, math.pi, self.counted(
+                lambda x: math.sin(x) / (x * x) if x < 8.0 else 10.0 ** (50.0 * x), calls))
+        with pytest.raises(QuadratureError, match="overflow") as excinfo:
+            oracle.integrate_half_line(self.counted(g, calls), 1e-10, tail)
+        assert calls[0] == excinfo.value.partial.evaluations > 0
+        assert excinfo.value.partial.abs_error_estimate == math.inf

@@ -2,9 +2,59 @@ import math
 from itertools import count, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbralint.errors import ConvergenceError
-from umbralint.summation import DEFAULT_CAP, SeriesTail, hypergeometric_terms, sum_series
+from umbralint.summation import DEFAULT_CAP, SeriesTail, sum_hypergeometric, sum_series
+
+
+def stepped_terms(t, a, b, y, k=0):
+    """The plain term stream t_k, t_(k+1), ... of a hypergeometric series,
+    stepped one division per term as the fused loop steps it."""
+    k = float(k)
+    while True:
+        yield t
+        num, den = y, 1.0
+        for c in a:
+            num *= c + k
+        for c in b:
+            den *= c + k
+        t *= num / den
+        k += 1.0
+
+
+def plain_sum(terms, tol):
+    """The stopping rule written out over a stream, as a reference."""
+    total, small, last_mag, used = 0.0, 0, 0.0, 0
+    for k, term in enumerate(terms):
+        if k >= DEFAULT_CAP:
+            raise ConvergenceError(f"series did not converge within {DEFAULT_CAP} terms "
+                                   f"(last |term| = {last_mag:.3e})", partial=total,
+                                   tail=SeriesTail(used, last_mag, False))
+        total += term
+        used = k + 1
+        mag = abs(term)
+        if not math.isfinite(mag):
+            raise ConvergenceError(f"series overflowed: non-finite term at index {k}",
+                                   partial=total, tail=SeriesTail(used, mag, False))
+        last_mag = mag
+        if mag <= tol * abs(total):
+            small += 1
+            if small >= 3:
+                return total, SeriesTail(used, mag, True)
+        else:
+            small = 0
+    return total, SeriesTail(used, last_mag, True)
+
+
+def outcome(sum_call):
+    """What a sum returned, or the ConvergenceError it raised, with every
+    float as its repr so that equal outcomes are equal to the bit."""
+    try:
+        value, tail = sum_call()
+    except ConvergenceError as exc:
+        return ("raised", str(exc), repr(exc.partial), repr(exc.tail))
+    return ("returned", repr(value), repr(tail))
 
 
 def test_geometric_series():
@@ -53,29 +103,73 @@ def test_all_zero_series():
     assert tail.converged
 
 
+@pytest.mark.parametrize("terms", [
+    [], [1.0, 2.0, 3.0], [1.0, 1e-30, 1.0, 1.0, 1e-20, 1e-20, 1e-20], [0.0] * 100,
+    [1.0, -1.0, 1e-300, 0.0, 0.0], [1.0, math.inf, 2.0], [1.0, math.nan], [2.0, 1j, -0.5j],
+], ids=["empty", "finite", "isolated_small", "zeros", "cancelled", "inf", "nan", "complex"])
+def test_streams_follow_the_plain_rule(terms):
+    assert (outcome(lambda: sum_series(iter(terms), 1e-12))
+            == outcome(lambda: plain_sum(iter(terms), 1e-12)))
+
+
 class TestHypergeometricTerms:
     # t_{j+1} = t_j y prod(a_i + j) / prod(b_i + j); a k! is a b of 1
 
     def test_0f0_is_exp(self):
         for y in (-3.0, 0.5, 2.0):
-            value, _ = sum_series(hypergeometric_terms(1.0, (), (1.0,), y), 1e-16)
+            value, _ = sum_hypergeometric(1.0, (), (1.0,), y, 1e-16)
             assert value == pytest.approx(math.exp(y), rel=1e-14)
 
     def test_1f0_is_a_binomial(self):
         # 1F0(a;; y) = (1 - y)^-a for |y| < 1
         for a, y in ((0.7, 0.3), (2.5, -0.6), (-1.3, 0.8)):
-            value, _ = sum_series(hypergeometric_terms(1.0, (a,), (1.0,), y), 1e-16)
+            value, _ = sum_hypergeometric(1.0, (a,), (1.0,), y, 1e-16)
             assert value == pytest.approx((1.0 - y) ** -a, rel=1e-13)
 
     def test_terminating_parameter_gives_a_cubic(self):
-        # 1F1(-3; 2; y) = 1 - 3y/2 + y^2/2 - y^3/24, then only zeros
+        # 1F1(-3; 2; y) = 1 - 3y/2 + y^2/2 - y^3/24, then three zeros stop it
         y = 1.7
-        terms = list(islice(hypergeometric_terms(1.0, (-3.0,), (2.0, 1.0), y), 8))
-        assert terms[4:] == [0.0] * 4
-        assert sum(terms) == pytest.approx(1.0 - 1.5 * y + 0.5 * y ** 2 - y ** 3 / 24.0,
-                                           rel=1e-15)
+        value, tail = sum_hypergeometric(1.0, (-3.0,), (2.0, 1.0), y, 1e-12)
+        assert value == pytest.approx(1.0 - 1.5 * y + 0.5 * y ** 2 - y ** 3 / 24.0,
+                                      rel=1e-15)
+        assert tail == SeriesTail(7, 0.0, True)
 
     def test_start_at_k_continues_the_stream(self):
         a, b, y = (0.75, 1.25), (1.0, 1.5, 1.0), -2.3
-        stream = list(islice(hypergeometric_terms(1.0, a, b, y), 20))
-        assert list(islice(hypergeometric_terms(stream[5], a, b, y, 5), 15)) == stream[5:]
+        stream = list(islice(stepped_terms(1.0, a, b, y), 200))
+        assert (outcome(lambda: sum_hypergeometric(stream[5], a, b, y, 1e-12, 5))
+                == outcome(lambda: sum_series(iter(stream[5:]), 1e-12)))
+
+
+upper = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -1.0, -2.0, -5.0]))
+lower = st.one_of(st.floats(0.25, 6.0), st.just(1.0))
+
+
+class TestFusedLoop:
+    # the fused loop is sum_series over the stepped stream, bit for bit
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(-1e3, 1e3), a=st.lists(upper, max_size=3),
+           b=st.lists(lower, max_size=3), y=st.floats(-60.0, 60.0),
+           k=st.integers(0, 20), tol=st.sampled_from([1e-16, 1e-12, 1e-8]))
+    def test_equals_sum_series_over_the_stream(self, t, a, b, y, k, tol):
+        fused = outcome(lambda: sum_hypergeometric(t, a, b, y, tol, k))
+        assert fused == outcome(lambda: sum_series(stepped_terms(t, a, b, y, k), tol))
+        assert fused == outcome(lambda: plain_sum(stepped_terms(t, a, b, y, k), tol))
+
+    @pytest.mark.parametrize("t,a,b,y", [
+        (1.0, (1.0,), (1.0,), 1.0),              # 1 + 1 + ...: the cap
+        (1.0, (1.0, 1.0), (1.0,), -1.0),         # k! (-1)^k: overflows
+        (1e300, (), (1.0,), 1e300),              # inf on the first step
+        (1.0, (-2.0,), (1.0,), 0.0),             # all zero after the first
+    ], ids=["cap", "factorial", "first_step", "zeros"])
+    def test_cap_and_overflow_raise_the_same_error(self, t, a, b, y):
+        fused = outcome(lambda: sum_hypergeometric(t, a, b, y, 1e-12))
+        assert fused == outcome(lambda: sum_series(stepped_terms(t, a, b, y), 1e-12))
+        assert fused == outcome(lambda: plain_sum(stepped_terms(t, a, b, y), 1e-12))
+
+    def test_cap_error_carries_partial_and_tail(self):
+        with pytest.raises(ConvergenceError) as excinfo:
+            sum_hypergeometric(1.0, (1.0,), (1.0,), 1.0, 1e-12)
+        assert excinfo.value.partial == DEFAULT_CAP
+        assert excinfo.value.tail == SeriesTail(DEFAULT_CAP, 1.0, False)

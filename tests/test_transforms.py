@@ -44,7 +44,7 @@ class TestBorelPair:
     def test_inverse_of_geometric_is_pseudo_trig(self):
         for m in (2, 3):
             # 1/(1 + x^m) = sum_r (-1)^r x^(m r)
-            geometric = tr.CoefficientSeries(um.constant_phi(), stride=m, geometric=-1.0)
+            geometric = tr.CoefficientSeries(um.GammaRatioSequence(), stride=m, geometric=-1.0)
             g = tr.borel_inverse(geometric)
             for k in range(40):
                 assert g.coefficient(k) == pytest.approx(

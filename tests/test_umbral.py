@@ -1,12 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbralint import closedforms, oracle, specfun as sf, transforms as tr, umbral as um
 from umbralint.errors import (ConvergenceError, DomainError, KernelDomainError,
                               PoleError, StripError)
 from umbralint.reference import bessel_j_ref, struve_h_ref
+from umbralint.summation import sum_series
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,10 +41,10 @@ class TestGammaRatioSequence:
     def test_canonical_form(self):
         # identical factors cancel and the rest are sorted, so a ratio and
         # its simplification compare equal
-        assert um.GammaRatioSequence(numer=((1, 1),), denom=((1, 1),)) == um.constant_phi()
+        assert um.GammaRatioSequence(numer=((1, 1),), denom=((1, 1),)) == um.GammaRatioSequence()
         assert (um.GammaRatioSequence(denom=((2.0, 1.0), (1.0, 1.0)))
                 == um.GammaRatioSequence(denom=((1.0, 1.0), (2.0, 1.0))))
-        assert um.bessel_phi().times(numer=((1.0, 1.0),)) == um.constant_phi()
+        assert um.bessel_phi().times(numer=((1.0, 1.0),)) == um.GammaRatioSequence()
 
     def test_callable_sugar(self):
         phi = um.bessel_phi()
@@ -140,7 +142,7 @@ class TestUmbralSeries:
     def test_coefficient_reconstruction(self):
         # phi(n) equals n! times the coefficient of (-x)^n for every
         # cataloged law, n <= 20
-        laws = [um.constant_phi(), um.bessel_phi(), FACTORIAL_LAW,
+        laws = [um.GammaRatioSequence(), um.bessel_phi(), FACTORIAL_LAW,
                 struve_law(0.0), struve_law(1.5)]
         for phi in laws:
             f = um.CoefficientSeries(phi.times(denom=((1.0, 1.0),)), geometric=-1.0)
@@ -368,20 +370,26 @@ def _direct(series, x, terms=80, power=0.0):
     return total
 
 
+# the series of TestTermRatio, each with the x it is summed at
+TERM_RATIO_CASES = [
+    (bessel_series(2), (-1.7, 0.9, 2.0)),                        # stride 2
+    (tr.pseudo_trig_series(1, 3), (-1.7, 0.9, 2.0)),             # stride 3, slope 3
+    (tr.borel_transform(tr.pseudo_trig_series(2, 3)), (-0.6, 0.3, 0.6)),
+    (closedforms._LORENTZ_SERIES, (-1.7, 0.9, 2.0)),             # slope-2 factors
+    (um.struve_series(-3.5), (0.3, 0.9, 2.0)),                   # starts past zeros
+    (tr.beta_transform(um.exponential_series(), 0.7, 2.5), (-1.7, 0.9, 2.0)),
+    # b_nu's law at nu = -3 without its head: poles up to k = 5
+    (um.CoefficientSeries(um.GammaRatioSequence(
+        numer=((-2.0, 1.0),), denom=((-5.0, 1.0), (1.0, 1.0)))), (-1.7, 0.9, 2.0)),
+]
+TERM_RATIO_IDS = ["stride2", "stride3", "borel_slope3", "eq30", "struve_-3.5", "beta", "poles"]
+TERM_RATIO_SERIES = [series for series, _ in TERM_RATIO_CASES]
+
+
 class TestTermRatio:
     # an integer-slope law is summed by its Pochhammer term ratio; each sum
     # must agree with the term-by-term sum of its own coefficients
-    @pytest.mark.parametrize("series,xs", [
-        (bessel_series(2), (-1.7, 0.9, 2.0)),                        # stride 2
-        (tr.pseudo_trig_series(1, 3), (-1.7, 0.9, 2.0)),             # stride 3, slope 3
-        (tr.borel_transform(tr.pseudo_trig_series(2, 3)), (-0.6, 0.3, 0.6)),
-        (closedforms._LORENTZ_SERIES, (-1.7, 0.9, 2.0)),             # slope-2 factors
-        (um.struve_series(-3.5), (0.3, 0.9, 2.0)),                   # starts past zeros
-        (tr.beta_transform(um.exponential_series(), 0.7, 2.5), (-1.7, 0.9, 2.0)),
-        # b_nu's law at nu = -3 without its head: poles up to k = 5
-        (um.CoefficientSeries(um.GammaRatioSequence(
-            numer=((-2.0, 1.0),), denom=((-5.0, 1.0), (1.0, 1.0)))), (-1.7, 0.9, 2.0)),
-    ], ids=["stride2", "stride3", "borel_slope3", "eq30", "struve_-3.5", "beta", "poles"])
+    @pytest.mark.parametrize("series,xs", TERM_RATIO_CASES, ids=TERM_RATIO_IDS)
     def test_equals_direct_sum(self, series, xs):
         for x in xs:
             direct = _direct(series, x)
@@ -421,3 +429,124 @@ class TestTermRatio:
     def test_overflowing_term_still_ends_in_convergence_error(self):
         with pytest.raises(ConvergenceError):
             um.exponential_series().evaluate(-800.0)
+
+
+def _stream_sum(t, a, b, y, tol, k=0, seed=None, k_safe=0, weight=None):
+    """sum_series over a generator of the same terms as the fused loop:
+    each run of stepped terms starts from a seed, at k_safe and after a
+    term that is 0 or subnormal; a None seed is skipped."""
+    def stepped(t, k):
+        while True:
+            yield t
+            num, den = y, 1.0
+            for c in a:
+                num *= c + k
+            for c in b:
+                den *= c + k
+            t *= num / den
+            k += 1.0
+
+    def terms():
+        k = 0
+        while True:
+            t = seed(k)
+            if t is None:
+                k += 1
+                continue
+            for t in stepped(t, float(k)) if k >= k_safe else (t,):
+                yield t * weight(k) if weight else t
+                k += 1
+                if abs(t) < 2.2250738585072014e-308:
+                    break
+
+    return sum_series(terms(), tol)
+
+
+def _bits(call):
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Gamma(k - 1.7) / k!: three terms seeded in log space before it is stepped
+NEGATIVE_SHIFT = um.CoefficientSeries(
+    um.GammaRatioSequence(numer=((-1.7, 1.0),), denom=((1.0, 1.0),)), geometric=-0.5)
+
+
+class TestFusedSum:
+    # a law's sum through the fused loop is the sum of its term stream, bit for bit
+
+    @staticmethod
+    def _both(call, monkeypatch):
+        fused = _bits(call)
+        with monkeypatch.context() as patch:
+            patch.setattr(um, "sum_hypergeometric", _stream_sum)
+            return fused, _bits(call)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.one_of(st.floats(-6.0, 6.0), st.floats(-60.0, 60.0)))
+    def test_series(self, x):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for series in TERM_RATIO_SERIES + [um.exponential_series(), NEGATIVE_SHIFT]:
+                fused, stream = self._both(lambda: series.evaluate(x), monkeypatch)
+                assert fused == stream, series
+
+    @pytest.mark.parametrize("x", [-1.9, -0.77, 0.3, 1.7])
+    def test_terms_up_to_k_safe_are_seeded(self, x, monkeypatch):
+        fused, stream = self._both(lambda: NEGATIVE_SHIFT.evaluate(x), monkeypatch)
+        assert fused == stream
+
+    @pytest.mark.parametrize("x", [30.0, 700.0, -5.0])
+    def test_subnormal_reseed(self, x, monkeypatch):
+        # the terms 1e-320 x^k / k! start subnormal and are seeded until normal
+        series = um.CoefficientSeries(um.GammaRatioSequence(scale=1e-320, denom=((1.0, 1.0),)))
+        fused, stream = self._both(lambda: series.evaluate(x), monkeypatch)
+        assert fused == stream
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("x", [-0.5, 2.0, 4.0, 25.0])
+    def test_gaussian_power(self, n, x, monkeypatch):
+        fused, stream = self._both(lambda: um.apply_mellin_multiplier(
+            um.gaussian_kernel(), um.bessel_power_series(n), x), monkeypatch)
+        assert fused == stream
+
+    def test_non_integer_slope_seeds_every_term(self, monkeypatch):
+        half = um.MellinMultiplier(um.GammaRatioSequence(numer=((1.0, 0.5),)))
+        series = half.edit(um.bessel_power_series(3))
+        fused, stream = self._both(lambda: series.evaluate(0.5), monkeypatch)
+        assert fused == stream
+
+
+def _replaced_edit(multiplier, series):
+    """MellinMultiplier.edit as dataclasses.replace of the series law."""
+    m, p = series.stride, series.offset
+    numer, denom = ([(shift + slope * p, slope * m) for shift, slope in side]
+                    for side in (multiplier.symbol.numer, multiplier.symbol.denom))
+    return replace(series, law=series.law.times(multiplier.symbol.scale, numer, denom))
+
+
+class TestConstantLaws:
+    def test_constants_are_one_value(self):
+        assert um.exponential_series() is um.exponential_series()
+        assert um.exponential_series() == um.CoefficientSeries(um.bessel_phi(), geometric=-1.0)
+        assert um.rational_series() is um.rational_series()
+        assert um.rational_series() == um.CoefficientSeries(um.GammaRatioSequence(), geometric=-1.0)
+        assert um.bessel_phi() is um.bessel_phi()
+        assert um.bessel_phi() == um.GammaRatioSequence(denom=((1.0, 1.0),))
+
+    @pytest.mark.parametrize("value,field", [
+        (um.exponential_series(), "geometric"), (um.rational_series(), "law"),
+        (um.bessel_phi(), "denom"), (um.gaussian_kernel(), "power"),
+    ])
+    def test_constants_are_frozen(self, value, field):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, 2.0)
+
+    @pytest.mark.parametrize("series", TERM_RATIO_SERIES, ids=TERM_RATIO_IDS)
+    @pytest.mark.parametrize("multiplier", [
+        um.gaussian_kernel(), um.borel_factorial(), um.beta_kernel(0.7, 2.5),
+        um.MellinMultiplier(um.GammaRatioSequence(numer=((1.0, 0.5),))),
+    ], ids=["gauss", "borel", "beta", "half"])
+    def test_edit_equals_replace(self, series, multiplier):
+        assert multiplier.edit(series) == _replaced_edit(multiplier, series)

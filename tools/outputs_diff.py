@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Compare the outputs of a revision with those of the working tree.
+
+    python3 tools/outputs_diff.py --base REV [--seeds 1 2 3]
+
+The base, revision REV, is extracted with ``git archive`` into a temporary
+directory; the change is the working tree at the repository root.  Each side
+runs in its own interpreter with its own ``src`` and ``bench/workloads.py``
+and records, for every input of the eval_kernel pool and every census point
+of verify_plain and verify_ladder at each seed, what the call returned or
+the type of what it raised.  A verify point is recorded as its report
+without the timing fields ``closed_time`` and ``oracle_time``.  Floats are
+compared by their exact repr, so -0.0 differs from 0.0.
+
+Every input whose record differs is printed; the exit status is 1 when
+there is any difference and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY_WORKLOADS = ("verify_plain", "verify_ladder")
+TIMING_FIELDS = ("closed_time", "oracle_time")
+
+
+def extract(rev: str, into: Path) -> Path:
+    """The tree of ``rev``, written under ``into`` by git archive."""
+    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def eval_pool_size(root: Path) -> int:
+    """``EVAL_POOL`` of the side's bench/run.py, read without importing it."""
+    tree = ast.parse((root / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "EVAL_POOL"):
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"no EVAL_POOL in {root / 'bench' / 'run.py'}")
+
+
+def _plain(value):
+    """A value as JSON-safe text that keeps every bit of its floats."""
+    if isinstance(value, complex):
+        return [repr(value.real), repr(value.imag)]
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def dump(root: Path, seeds) -> None:
+    """Print one JSON line per input: its key and its record."""
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import workloads
+    from umbralint import cli
+    from umbralint.closedforms import CATALOG
+
+    def record(key, call):
+        try:
+            out = {"value": _plain(call())}
+        except Exception as exc:   # the type is the record
+            out = {"raised": type(exc).__name__}
+        print(json.dumps([key, out]))
+
+    def report(identity, params):
+        fields = cli.verify_point(identity, params, identity.default_tol).to_record()
+        for name in TIMING_FIELDS:
+            del fields[name]
+        return fields
+
+    size = eval_pool_size(root)
+    catalog = {d.id: d for d in CATALOG}
+    for seed in seeds:
+        for slot, (kind, args) in enumerate(workloads.eval_pool(seed, size)):
+            record(f"eval_kernel seed {seed} #{slot} {kind}{_plain(args)}",
+                   lambda: workloads.EVAL_CALLS[kind](*args))
+        for workload in VERIFY_WORKLOADS:
+            pool = workloads.VerifyPool(workload, seed, catalog)
+            for slot in range(pool.size):
+                identity_id, params = pool[slot]
+                record(f"{workload} seed {seed} #{slot} {identity_id} {_plain(params)}",
+                       lambda: report(catalog[identity_id], params))
+
+
+def outputs(root: Path, seeds) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--dump", str(root), "--seeds",
+                           *map(str, seeds)], cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"the outputs of {root} could not be recorded")
+    return dict(json.loads(line) for line in done.stdout.splitlines())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="revision to compare the working tree with")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        dump(args.dump, args.seeds)
+        return 0
+    if args.base is None:
+        parser.error("--base is required")
+
+    with tempfile.TemporaryDirectory(prefix="outputs-diff-") as tmp:
+        base = outputs(extract(args.base, Path(tmp)), args.seeds)
+    change = outputs(ROOT, args.seeds)
+    differ = 0
+    for key in sorted(set(base) | set(change)):
+        if base.get(key) != change.get(key):
+            differ += 1
+            print(f"{key}\n  base:   {base.get(key)}\n  change: {change.get(key)}")
+    print(f"{differ} of {len(set(base) | set(change))} inputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
