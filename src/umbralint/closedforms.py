@@ -13,22 +13,22 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, count
+from itertools import repeat
 from typing import Callable
 
 from . import oracle, reference, transforms, umbral
-from .errors import DomainError, overflow_raises
+from .errors import ConvergenceError, DomainError, overflow_raises
 from .specfun import (
     DEFAULT_TOL,
     as_integer,
     b_nu,
-    bessel_j,
     gamma,
     hermite_tricomi,
     hyper_pfq,
 )
-from .summation import sum_series
+from .summation import CONSECUTIVE_SMALL, DEFAULT_CAP, sum_series
 from .umbral import (
     bessel_power_series,
     exponential_series,
@@ -138,13 +138,91 @@ def struve_moment_integral(nu: float) -> float:
 def bessel_generating_function(x: float, t: float, m: int,
                                tol: float = DEFAULT_TOL) -> float:
     """Exponential generating function of Bessel orders m n at argument 2x,
-    summed directly as sum_n t^n/n! J_{m n}(2x)."""
+    summed directly as sum_n t^n/n! J_{m n}(2x).
+
+    The orders come from one backward recurrence (``_strided_bessel_j``),
+    taken up to the term n where the bound |t|^n/n! |x|^(mn)/(mn)! of the
+    terms has been below tol for CONSECUTIVE_SMALL terms in a row.  Where
+    the stopping rule has not fired by then, the recurrence runs again to
+    twice as many terms; an order whose bound is 0 in floats adds exactly 0.
+    """
     _require("bessel_generating_function", _EQ19_DOMAIN, {"m": m})
-    # t^n / n!, each from the one before
-    weights = enumerate(accumulate(count(), lambda u, n: u * (t / (1.0 + n)), initial=1.0))
-    value, _ = sum_series((u * bessel_j(float(m * n), 2.0 * x, tol=tol * 1e-3)
-                           for n, u in weights), tol)
+    if not math.isfinite(x):
+        raise DomainError(f"bessel_generating_function needs a finite x, got {x!r}")
+    value, _ = sum_series(_generating_terms(x, t, int(m), tol), tol)
     return value
+
+
+# log(|x|^k / k!), the log of the bound |J_k(2x)| <= |x|^k / k! (DLMF 10.14.4)
+def _log_bound(log_x: float, k) -> float:
+    return k * log_x - math.lgamma(k + 1.0)
+
+
+# below _LOG_ZERO the bound rounds to 0 in floats; from _LOG_TINY down it is
+# subnormal
+_LOG_ZERO = math.log(math.ulp(0.0))
+_LOG_TINY = math.log(sys.float_info.min)
+
+
+def _generating_terms(x: float, t, m: int, tol: float):
+    """The terms t^n/n! J_{mn}(2x) of bessel_generating_function, n = 0, 1, ..."""
+    if x == 0.0:
+        yield 1.0   # J_0(0); every other order is 0 at x = 0
+        yield from repeat(0.0)
+    log_x = math.log(abs(x))
+    log_t = math.log(abs(t)) if t else -math.inf
+    log_tol = math.log(tol)
+    top = small = 0
+    while small < CONSECUTIVE_SMALL and m * top < DEFAULT_CAP:
+        log_j = _log_bound(log_x, m * (top + 1))
+        if log_j < _LOG_ZERO:
+            break
+        top += 1
+        small = small + 1 if top * log_t - math.lgamma(top + 1.0) + log_j <= log_tol else 0
+    weight, n = 1.0, 0
+    while True:
+        for j in _strided_bessel_j(x, m, top)[n:]:
+            yield weight * j
+            n += 1
+            weight *= t / n
+        if _log_bound(log_x, m * n) < _LOG_ZERO:
+            yield from repeat(0.0)   # and so is every higher order
+        top *= 2
+
+
+def _strided_bessel_j(x: float, m: int, top: int) -> list:
+    """[J_0(2x), J_m(2x), ..., J_{m top}(2x)] for x != 0, from one backward
+    (Miller) recurrence w_(k-1) = (k/x) w_k - w_(k+1) (DLMF 3.6(vi)),
+    normalised by J_0 + 2 (J_2 + J_4 + ...) = 1, the generating function
+    DLMF 10.12.1 at t = 1.
+
+    It starts from w_(N+1) = 0 at the first N past max(m top, e|x|) where the
+    bound B_N = |x|^N/N! is below e^-37, the relative error it leaves in the
+    normalisation, and e^-20 times B_(m top), or times the smallest float
+    where B_(m top) is 0 in floats: the relative error at order k is about
+    (B_N/B_k)^2.  w_N = B_N, kept in the normal range, starts the w near the
+    J they stand for, so that none overflows.
+    """
+    log_x = math.log(abs(x))
+    target = min(max(_log_bound(log_x, m * top), _LOG_ZERO) - 20.0, -37.0)
+    n = max(m * top, int(math.e * abs(x))) + 1
+    log_b = _log_bound(log_x, n)
+    while log_b > target and n <= DEFAULT_CAP:
+        n += 1
+        log_b += log_x - math.log(n)
+    if n > DEFAULT_CAP:
+        raise ConvergenceError(f"the Bessel recurrence at x={x!r} needs more than "
+                               f"{DEFAULT_CAP} orders")
+    w, w_next = math.exp(max(log_b, _LOG_TINY)), 0.0
+    ws = [w]
+    for k in range(n, 0, -1):
+        w, w_next = k * w / x - w_next, w
+        ws.append(w)
+    ws.reverse()
+    norm = ws[0] + 2.0 * sum(ws[2::2])
+    if not math.isfinite(norm):
+        raise ConvergenceError(f"the Bessel recurrence at x={x!r} overflowed")
+    return [w / norm for w in ws[:m * top + 1:m]]
 
 
 def bessel_gauss_dilation(n: int, x: float, tol: float = 1e-12) -> float:

@@ -9,6 +9,7 @@ the quadrature route never touches the series kernel being checked.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 __all__ = [
@@ -16,6 +17,7 @@ __all__ = [
     "struve_h_ref",
     "bessel_y_ref",
     "struve_k_ref",
+    "b_nu_closed",
     "pseudo_trig3_closed",
     "classical_hermite",
 ]
@@ -79,6 +81,23 @@ def struve_k_ref(v: float, x: float) -> float:
         else:
             return total / math.pi
     return sp.struve(v, x) - sp.yv(v, x)
+
+
+def b_nu_closed(nu: float, x) -> complex:
+    """The exponential-ratio function b_nu by its modified-Bessel form,
+    (sqrt(pi)/2) x^(1/2-nu) e^(x/2) [I_(nu-1/2)(x/2) + I_(nu+1/2)(x/2)],
+    with principal powers; x != 0.
+
+    I is taken at a complex argument, on the principal branch at x < 0,
+    where scipy's real iv is nan for non-integer orders.  There the two I
+    have opposite signs, so the form cancels as nu goes to 0 (b_0 = e^x)."""
+    z = complex(x)
+    if z == 0:
+        raise ValueError("the closed form of b_nu needs x != 0")
+    iv = (_sp or _special()).iv
+    half = 0.5 * z
+    return (0.5 * _SQRT_PI * z ** (0.5 - nu) * cmath.exp(half)
+            * (iv(nu - 0.5, half) + iv(nu + 0.5, half)))
 
 
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:

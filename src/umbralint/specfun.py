@@ -213,17 +213,9 @@ def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
         if mu > 0.0:
             return 0.0
         raise DomainError("bessel_i diverges at x = 0 for negative order")
-    return _bessel_i_complex(mu, x, tol).real
-
-
-def _bessel_i_complex(mu: float, z: complex, tol: float = DEFAULT_TOL) -> complex:
-    """I_mu(z) with principal powers, the law (z/2)^(2k + mu) / (k! Gamma(k + mu + 1)).
-    At a negative integer order -j it starts past the terms k < j, 0 at every z."""
-    j = int(-mu) if mu < 0 and mu == int(mu) else 0
-    law = _umbral.GammaRatioSequence(scale=0.5 ** (mu + 2 * j),
-                                     denom=((1.0 + j, 1.0), (mu + 1.0 + j, 1.0)))
-    return _umbral.CoefficientSeries(law, stride=2, offset=mu + 2 * j,
-                                     geometric=0.25).evaluate(z, tol)
+    law = _umbral.GammaRatioSequence(scale=0.5 ** mu, denom=((1.0, 1.0), (mu + 1.0, 1.0)))
+    return _umbral.CoefficientSeries(law, stride=2, offset=mu,
+                                     geometric=0.25).evaluate(x, tol).real
 
 
 @overflow_raises(DomainError)
@@ -255,45 +247,37 @@ def struve_h(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
 
 
 @overflow_raises(DomainError)
-def b_nu(nu: float, x, method: str = "series", tol: float = DEFAULT_TOL) -> complex:
-    """Gamma-ratio exponential-type series and its modified-Bessel form.
-
-    series:  sum_k Gamma(nu+k+1)/Gamma(2 nu+k+1) x^k / k!
-    bessel_closed_form:
-             (sqrt(pi)/2) x^{1/2-nu} e^{x/2} [I_{nu-1/2}(x/2) + I_{nu+1/2}(x/2)]
+def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
+    """Gamma-ratio exponential-type series
+    sum_k Gamma(nu+k+1)/Gamma(2 nu+k+1) x^k / k!, for complex x.
 
     The series is a ``umbral.CoefficientSeries`` law summed by its term
     ratio.  At integer nu = -n its first n terms, where both Gammas sit on
-    poles, are the ratio's limits along nu, summed as a finite head.  The
-    closed form uses principal-branch powers and needs x != 0.  Both
-    methods accept complex x and agree on their common domain.
+    poles, are the ratio's limits along nu, summed as a finite head.  At a
+    real x < 0 with nu >= 0 the terms alternate, and Kummer's transformation
+    (DLMF 13.2.39) sums it instead as Gamma(nu+1)/Gamma(2 nu+1) e^x
+    1F1(nu; 2 nu+1; -x), whose terms are positive.
     """
-    z = complex(x)
-    if method == "series":
-        # where 2 nu is an integer -j <= -1 the law starts at k = j, past the
-        # terms 1/Gamma(2 nu + k + 1) = 0 and an integer nu's head
-        j = int(-2.0 * nu) if nu <= -0.5 and (2.0 * nu).is_integer() else 0
-        head = 0.0
-        if j % 2 == 0 < j:
-            # integer nu = -n: for k < n both Gammas sit on poles, and the
-            # ratio's limit along nu is 2 (-1)^n (2n-1-k)!/(n-1-k)!, whose
-            # head is the terminating (2 (-1)^n (2n-1)!/(n-1)!) 1F1(1-n; 1-2n; z)
-            n = j // 2
-            t = (-2.0 if n % 2 else 2.0) * math.exp(math.lgamma(j) - math.lgamma(n))
-            for i in range(n):
-                head += t
-                t *= z * (1.0 - n + i) / ((1.0 - j + i) * (1.0 + i))
-        law = _umbral.GammaRatioSequence(numer=((nu + 1.0 + j, 1.0),),
-                                         denom=((2.0 * nu + 1.0 + j, 1.0), (1.0 + j, 1.0)))
-        return head + _umbral.CoefficientSeries(law, offset=float(j)).evaluate(x, tol)
-    if method == "bessel_closed_form":
-        if z == 0:
-            raise DomainError("the closed form of b_nu needs x != 0")
-        half = 0.5 * z
-        ibes = (_bessel_i_complex(nu - 0.5, half, tol)
-                + _bessel_i_complex(nu + 0.5, half, tol))
-        return 0.5 * math.sqrt(math.pi) * z ** (0.5 - nu) * cmath.exp(half) * ibes
-    raise DomainError(f"unknown b_nu method {method!r}")
+    if not isinstance(x, complex) and x < 0 and nu >= 0:
+        return complex(math.exp(math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0) + x)
+                       * hyper_pfq((nu,), (2.0 * nu + 1.0,), -x, tol))
+    # where 2 nu is an integer -j <= -1 the law starts at k = j, past the
+    # terms 1/Gamma(2 nu + k + 1) = 0 and an integer nu's head
+    j = int(-2.0 * nu) if nu <= -0.5 and (2.0 * nu).is_integer() else 0
+    head = 0.0
+    if j % 2 == 0 < j:
+        z = complex(x)
+        # integer nu = -n: for k < n both Gammas sit on poles, and the
+        # ratio's limit along nu is 2 (-1)^n (2n-1-k)!/(n-1-k)!, whose
+        # head is the terminating (2 (-1)^n (2n-1)!/(n-1)!) 1F1(1-n; 1-2n; z)
+        n = j // 2
+        t = (-2.0 if n % 2 else 2.0) * math.exp(math.lgamma(j) - math.lgamma(n))
+        for i in range(n):
+            head += t
+            t *= z * (1.0 - n + i) / ((1.0 - j + i) * (1.0 + i))
+    law = _umbral.GammaRatioSequence(numer=((nu + 1.0 + j, 1.0),),
+                                     denom=((2.0 * nu + 1.0 + j, 1.0), (1.0 + j, 1.0)))
+    return head + _umbral.CoefficientSeries(law, offset=float(j)).evaluate(x, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import cmath
 import math
 
 from umbralint import closedforms as cf, oracle, specfun as sf, transforms as tr, umbral as um
-from umbralint.reference import (bessel_j_ref, bessel_y_ref, classical_hermite, pseudo_trig3_closed,
-                                 struve_h_ref, struve_k_ref)
+from umbralint.reference import (b_nu_closed, bessel_j_ref, bessel_y_ref, classical_hermite,
+                                 pseudo_trig3_closed, struve_h_ref, struve_k_ref)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -53,8 +53,8 @@ def test_criterion_02_b_nu_dual_route():
     xs = [-5.0 + 0.5 * i for i in range(21) if i != 10]
     for nu in (0.0, 0.5, 1.0, 1.5, 2.0):
         for x in xs:
-            series = sf.b_nu(nu, x, method="series")
-            closed = sf.b_nu(nu, x, method="bessel_closed_form")
+            series = sf.b_nu(nu, x)
+            closed = b_nu_closed(nu, x)
             worst = max(worst, abs(series - closed) / abs(closed))
     ok = worst <= 1e-10
     report(2, "exponential-ratio function, two methods", ok,

@@ -12,7 +12,8 @@ import pytest
 
 from umbralint import cli
 from umbralint.closedforms import IdentityDescriptor, get_identity
-from umbralint.oracle import integrate_finite
+from umbralint.oracle import QuadratureResult, integrate_finite
+from umbralint.summation import sum_series
 
 
 def run(capsys, *argv):
@@ -281,7 +282,6 @@ class TestVerify:
     # each grid fails at its first point and must still report the second
     @pytest.mark.parametrize("identity_id,grid,reason", [
         ("eq13_struve_moment", ["nu=1e300,0"], "closed-form failure: "),
-        ("eq19_bessel_generating", ["m=1e300,2", "x=1", "t=1"], "oracle failure: "),
     ])
     def test_overflow_fails_the_point_and_the_run_goes_on(self, capsys, tmp_path,
                                                           identity_id, grid, reason):
@@ -399,6 +399,29 @@ class TestVerifyPoint:
         assert "overflow" in report.reason
         # the failure reports every integrand call, the one that overflowed too
         assert report.oracle_cost == len(calls) > 0
+
+    # a series oracle whose terms overflow fails the point at cost 0, with
+    # no error estimate
+    def test_series_oracle_overflow_is_an_oracle_failure(self):
+        identity = IdentityDescriptor(
+            id="divergent_series", equation="", description="", parameter_domain=(),
+            default_grid={}, default_tol=1e-8, closed=lambda: 1.0,
+            oracle_eval=lambda p, tol: QuadratureResult(
+                sum_series((1e300 * 10.0 ** k for k in range(20)), tol)[0], tol, 0, True))
+        report = cli.verify_point(identity, {}, identity.default_tol)
+        assert not report.passed
+        assert report.reason.startswith("oracle failure: ")
+        assert "overflow" in report.reason
+        assert report.oracle_cost == 0 and report.oracle_error_estimate is None
+
+    # every order past J_0(2) is 0 in floats at m = 1e300; the double-series
+    # side once raised "gamma overflowed" there
+    def test_eq19_at_a_huge_stride_passes(self):
+        identity = get_identity("eq19_bessel_generating")
+        report = cli.verify_point(identity, {"m": 1e300, "x": 1.0, "t": 1.0},
+                                  identity.default_tol)
+        assert report.passed, report
+        assert report.oracle_value == 0.22389077914123562
 
     # the origin singularity x^(nu - 1) once took bisection to the denormal
     # floor, where it overflowed (as it did at nu = 1e-6); at nu = 1e-12 the

@@ -3,9 +3,10 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbralint import closedforms as cf, oracle, specfun as sf, umbral as um
-from umbralint.errors import DomainError
+from umbralint.errors import DomainError, EngineError
 from umbralint.reference import bessel_j_ref
 
 SQRT_PI = math.sqrt(math.pi)
@@ -131,6 +132,52 @@ class TestBesselGenerating:
     def test_validation(self):
         with pytest.raises(DomainError):
             cf.bessel_generating_function(1.0, 0.5, 1)
+
+    # the sum by mpmath at 30 digits; the power series of each order cancel
+    # from |x| ~ 6 on, the one recurrence does not
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(2, 6), x=st.floats(-12.0, 12.0), t=st.floats(-4.0, 4.0))
+    def test_against_mpmath(self, m, x, t):
+        mpmath = pytest.importorskip("mpmath")
+        try:
+            got = cf.bessel_generating_function(x, t, m)
+        except EngineError:
+            return
+        with mpmath.workdps(30):
+            total, n = mpmath.mpf(0), 0
+            while True:
+                term = (mpmath.mpf(t) ** n / mpmath.factorial(n)
+                        * mpmath.besselj(m * n, 2 * mpmath.mpf(x)))
+                total += term
+                if n > 2 * abs(x) + 5 and abs(term) <= 1e-32 * max(abs(total), 1):
+                    break
+                n += 1
+            expected = float(total)
+        assert abs(got - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    # J_0(2x) ... J_top(2x) against scipy's jv, z = 2x in [-30, 30]: relative
+    # past the turning point k = |z|, where J_k has no zeros, and absolute
+    # before it, where |J_k| <= 1 and jv itself is off by up to 9e-16 next
+    # to the turning point.  scipy's jv loses tiny values, so |x| starts at
+    # 1e-3.
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.one_of(st.floats(-15.0, -1e-3), st.floats(1e-3, 15.0)),
+           top=st.integers(0, 60))
+    def test_recurrence_against_scipy(self, x, top):
+        got = cf._strided_bessel_j(x, 1, top)
+        assert len(got) == top + 1
+        for k, value in enumerate(got):
+            expected = bessel_j_ref(k, 2.0 * x)
+            if k > abs(2.0 * x):
+                assert abs(value - expected) <= 1e-12 * abs(expected), k
+            else:
+                assert abs(value - expected) <= 2e-15, k
+
+    # the power series of each order printed -0.00300444897825 here; the
+    # sum by mpmath at 30 digits is -0.0030044578642523027
+    def test_large_argument_case(self):
+        got = cf.bessel_generating_function(10.56954297182655, 2.941566501090506, 2)
+        assert got == pytest.approx(-0.0030044578642523027, rel=1e-12)
 
 
 class TestBesselGaussDilation:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbralint import specfun as sf
 from umbralint.errors import ConvergenceError, DomainError, EngineError, PoleError
-from umbralint.reference import classical_hermite, struve_h_ref, struve_k_ref
+from umbralint.reference import b_nu_closed, classical_hermite, struve_h_ref, struve_k_ref
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -216,14 +216,14 @@ class TestBNu:
         # 20 points in [-5, 5] \ {0}
         xs = [-5.0 + 0.5 * i for i in range(21) if i != 10]
         for x in xs:
-            series = sf.b_nu(nu, x, method="series")
-            closed = sf.b_nu(nu, x, method="bessel_closed_form")
+            series = sf.b_nu(nu, x)
+            closed = b_nu_closed(nu, x)
             assert abs(series - closed) <= 1e-10 * abs(closed)
 
     def test_dual_method_complex_argument(self):
         z = complex(-0.3, -0.25)
         series = sf.b_nu(0.5, z)
-        closed = sf.b_nu(0.5, z, method="bessel_closed_form")
+        closed = b_nu_closed(0.5, z)
         assert abs(series - closed) <= 1e-10 * abs(closed)
 
     @pytest.mark.parametrize("nu", [-3.0, -1.5, -1.0])
@@ -256,14 +256,19 @@ class TestBNu:
         # I_{nu -+ 1/2} of the closed form has leading zeros at half-odd nu
         for x in (-3.0, -1.0, 0.5, 1.0, 2.5):
             series = sf.b_nu(nu, x)
-            closed = sf.b_nu(nu, x, method="bessel_closed_form")
+            closed = b_nu_closed(nu, x)
             assert abs(series - closed) <= 1e-12 * abs(closed)
 
     def test_half_odd_order_against_mpmath(self):
         # (sqrt(pi)/2) e^{1/2} (I_{-3}(1/2) + I_{-2}(1/2)) by mpmath at 30 digits
         assert sf.b_nu(-2.5, 1.0).real == pytest.approx(0.0504842705743648, rel=1e-13)
-        assert sf.b_nu(-2.5, 1.0, method="bessel_closed_form").real == pytest.approx(
+        assert b_nu_closed(-2.5, 1.0).real == pytest.approx(
             0.0504842705743648, rel=1e-13)
+
+    # the alternating series printed -0.0683 here; Kummer's form sums
+    # positive terms, and mpmath at 30 digits gives 0.0020153595243972313
+    def test_kummer_route_at_negative_argument(self):
+        assert sf.b_nu(0.5, -40.0).real == pytest.approx(0.0020153595243972313, rel=1e-13)
 
     def test_zero_everywhere_series_stay_finite(self):
         # with every term 0 the sum still ends, at 0
@@ -274,8 +279,8 @@ class TestBNu:
                 assert sf.pseudo_trig(k, m, 0.0) == 0.0
 
     def test_closed_form_needs_nonzero_argument(self):
-        with pytest.raises(DomainError):
-            sf.b_nu(1.0, 0.0, method="bessel_closed_form")
+        with pytest.raises(ValueError):
+            b_nu_closed(1.0, 0.0)
 
 
 class TestHermiteFamilies:
@@ -477,11 +482,10 @@ class TestHyperPfq:
 
 class TestTermRatioKernelsProperties:
     # Each value is within tol of its reference, or the kernel raises.  The
-    # arguments are positive and the orders keep every function free of
-    # zeros on x > 0: I_mu for mu >= -1, and b_nu's series has positive
-    # terms for nu >= 0.  At negative x b_nu's series cancels, which the
-    # stopping rule does not see yet.  scipy's iv loses tiny values (it gives
-    # I_1(1e-200) as 0 and I_0(5e-324) as nan), so its x starts at 1e-3.
+    # orders keep every function free of zeros on x > 0: I_mu for mu >= -1,
+    # and b_nu's series has positive terms for nu >= 0, as has its Kummer
+    # form at x < 0.  scipy's iv loses tiny values (it gives I_1(1e-200) as
+    # 0 and I_0(5e-324) as nan), so its x starts at 1e-3.
     @settings(max_examples=300, deadline=None)
     @given(mu=st.floats(-1.0, 5.0), x=st.floats(1e-3, 50.0))
     def test_bessel_i_against_scipy(self, mu, x):
@@ -493,15 +497,24 @@ class TestTermRatioKernelsProperties:
         expected = float(special.iv(mu, x))
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
+    # The closed form is taken on scipy's iv, so |x| starts at 1e-3 as for
+    # I_mu.  At x < 0 it adds two I of opposite signs, since I_mu(-y) =
+    # e^(i pi mu) I_mu(y), and b_nu goes to e^x as nu goes to 0: the form
+    # keeps eps times the size of its terms, which is the scale there.  At
+    # x > 0 the scale is |closed|.
     @settings(max_examples=300, deadline=None)
-    @given(nu=st.floats(0.0, 3.0), x=st.floats(0.0, 50.0, allow_subnormal=False))
+    @given(nu=st.floats(0.0, 3.0),
+           x=st.one_of(st.floats(-40.0, -1e-3), st.floats(1e-3, 50.0)))
     def test_b_nu_series_against_closed_form(self, nu, x):
+        special = pytest.importorskip("scipy.special")
         try:
             series = sf.b_nu(nu, x)
-            closed = sf.b_nu(nu, x, method="bessel_closed_form")
+            closed = b_nu_closed(nu, x)
         except EngineError:
             return
-        assert abs(series - closed) <= 1e-12 * abs(closed)
+        terms = (0.5 * SQRT_PI * abs(x) ** (0.5 - nu) * math.exp(0.5 * x)
+                 * special.iv(nu - 0.5, 0.5 * abs(x)))
+        assert abs(series - closed) <= 1e-12 * max(abs(closed), terms)
 
 
 class TestHypergeometricKernelsProperties:

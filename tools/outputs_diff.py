@@ -12,8 +12,10 @@ the type of what it raised.  A verify point is recorded as its report
 without the timing fields ``closed_time`` and ``oracle_time``.  Floats are
 compared by their exact repr, so -0.0 differs from 0.0.
 
-Every input whose record differs is printed; the exit status is 1 when
-there is any difference and 0 otherwise.
+Every input whose record differs is printed, then the total, then the
+count per group that differs: per eval kind in eval_kernel, per identity in
+verify_plain and verify_ladder.  The exit status is 1 when there is any
+difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,6 +102,12 @@ def dump(root: Path, seeds) -> None:
                        lambda: report(catalog[identity_id], params))
 
 
+def group(key: str) -> str:
+    """The workload and the eval kind or verify identity of an input's key."""
+    workload, _, _, _, call = key.split(" ", 4)
+    return f"{workload} {call.split(' ')[0].split('[')[0]}"
+
+
 def outputs(root: Path, seeds) -> dict:
     done = subprocess.run([sys.executable, __file__, "--dump", str(root), "--seeds",
                            *map(str, seeds)], cwd=root, capture_output=True, text=True)
@@ -123,12 +132,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="outputs-diff-") as tmp:
         base = outputs(extract(args.base, Path(tmp)), args.seeds)
     change = outputs(ROOT, args.seeds)
-    differ = 0
-    for key in sorted(set(base) | set(change)):
-        if base.get(key) != change.get(key):
-            differ += 1
-            print(f"{key}\n  base:   {base.get(key)}\n  change: {change.get(key)}")
-    print(f"{differ} of {len(set(base) | set(change))} inputs differ")
+    keys = sorted(set(base) | set(change))
+    differ = [key for key in keys if base.get(key) != change.get(key)]
+    for key in differ:
+        print(f"{key}\n  base:   {base.get(key)}\n  change: {change.get(key)}")
+    print(f"{len(differ)} of {len(keys)} inputs differ")
+    inputs = Counter(map(group, keys))
+    for name, count in sorted(Counter(map(group, differ)).items()):
+        print(f"  {name}: {count} of {inputs[name]}")
     return 1 if differ else 0
 
 
