@@ -171,7 +171,9 @@ def _generating_terms(x: float, t, m: int, tol: float):
         yield from repeat(0.0)
     log_x = math.log(abs(x))
     log_t = math.log(abs(t)) if t else -math.inf
-    log_tol = math.log(tol)
+    log_tol = math.log(tol) if tol > 0 else -math.inf
+    # the top from the bound of the terms, with t and tol in it: a top from
+    # e|x| alone leaves the rule unfired, and reruns, on most inputs
     top = small = 0
     while small < CONSECUTIVE_SMALL and m * top < DEFAULT_CAP:
         log_j = _log_bound(log_x, m * (top + 1))

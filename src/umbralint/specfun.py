@@ -253,20 +253,21 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
 
     The series is a ``umbral.CoefficientSeries`` law summed by its term
     ratio.  At integer nu = -n its first n terms, where both Gammas sit on
-    poles, are the ratio's limits along nu, summed as a finite head.  At a
-    real x < 0 with nu >= 0 the terms alternate, and Kummer's transformation
-    (DLMF 13.2.39) sums it instead as Gamma(nu+1)/Gamma(2 nu+1) e^x
-    1F1(nu; 2 nu+1; -x), whose terms are positive.
+    poles, are the ratio's limits along nu, summed as a finite head.  At x
+    on the negative real axis, complex or not, with nu >= 0 the terms
+    alternate, and Kummer's transformation (DLMF 13.2.39) sums it instead as
+    Gamma(nu+1)/Gamma(2 nu+1) e^x 1F1(nu; 2 nu+1; -x), whose terms are
+    positive.
     """
-    if not isinstance(x, complex) and x < 0 and nu >= 0:
-        return complex(math.exp(math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0) + x)
-                       * hyper_pfq((nu,), (2.0 * nu + 1.0,), -x, tol))
+    z = complex(x)
+    if z.imag == 0 and z.real < 0 and nu >= 0:
+        return complex(math.exp(math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0) + z.real)
+                       * hyper_pfq((nu,), (2.0 * nu + 1.0,), -z.real, tol))
     # where 2 nu is an integer -j <= -1 the law starts at k = j, past the
     # terms 1/Gamma(2 nu + k + 1) = 0 and an integer nu's head
     j = int(-2.0 * nu) if nu <= -0.5 and (2.0 * nu).is_integer() else 0
     head = 0.0
     if j % 2 == 0 < j:
-        z = complex(x)
         # integer nu = -n: for k < n both Gammas sit on poles, and the
         # ratio's limit along nu is 2 (-1)^n (2n-1-k)!/(n-1-k)!, whose
         # head is the terminating (2 (-1)^n (2n-1)!/(n-1)!) 1F1(1-n; 1-2n; z)

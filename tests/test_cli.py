@@ -296,6 +296,19 @@ class TestVerify:
         assert first["oracle_cost"] == 0 and first["oracle_error_estimate"] is None
         assert second["pass"] is True
 
+    # eq19's oracle asks the double series for 1e-2 times the tolerance,
+    # which is 0 in floats here; the series still ends, on its exact zeros
+    def test_tolerance_that_underflows_still_reports_the_point(self, capsys, tmp_path):
+        out_path = tmp_path / "report.jsonl"
+        code, _, _ = run(capsys, "verify", "eq19_bessel_generating", "--grid", "m=3",
+                         "--grid", "x=2", "--grid", "t=-0.5", "--tol", "1e-322",
+                         "--out", str(out_path))
+        assert code in (0, 1)
+        record = json.loads(out_path.read_text())
+        assert record["reason"] == ""
+        assert record["oracle_value"]["re"] == pytest.approx(
+            record["closed_form_value"]["re"], rel=1e-14)
+
     def test_unknown_identity_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "eq99_bogus")
         assert code == 2

@@ -266,9 +266,13 @@ class TestBNu:
             0.0504842705743648, rel=1e-13)
 
     # the alternating series printed -0.0683 here; Kummer's form sums
-    # positive terms, and mpmath at 30 digits gives 0.0020153595243972313
+    # positive terms, and mpmath at 30 digits gives 0.0020153595243972313.
+    # The route goes by value: a complex x on the negative real axis takes it
+    # too, with the same bits
     def test_kummer_route_at_negative_argument(self):
         assert sf.b_nu(0.5, -40.0).real == pytest.approx(0.0020153595243972313, rel=1e-13)
+        assert sf.b_nu(0.5, complex(-40.0, 0.0)) == sf.b_nu(0.5, -40.0)
+        assert sf.b_nu(0.5, complex(-40.0, -0.0)) == sf.b_nu(0.5, -40.0)
 
     def test_zero_everywhere_series_stay_finite(self):
         # with every term 0 the sum still ends, at 0
@@ -497,21 +501,32 @@ class TestTermRatioKernelsProperties:
         expected = float(special.iv(mu, x))
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
-    # The closed form is taken on scipy's iv, so |x| starts at 1e-3 as for
-    # I_mu.  At x < 0 it adds two I of opposite signs, since I_mu(-y) =
+    # The closed form is taken on scipy's iv, which loses tiny values as for
+    # I_mu, so for |x| < 1e-3 the reference is the confluent form
+    # Gamma(nu+1)/Gamma(2 nu+1) 1F1(nu+1; 2 nu+1; x) by mpmath at 30 digits.
+    # At x < 0 the closed form adds two I of opposite signs, since I_mu(-y) =
     # e^(i pi mu) I_mu(y), and b_nu goes to e^x as nu goes to 0: the form
     # keeps eps times the size of its terms, which is the scale there.  At
     # x > 0 the scale is |closed|.
     @settings(max_examples=300, deadline=None)
     @given(nu=st.floats(0.0, 3.0),
-           x=st.one_of(st.floats(-40.0, -1e-3), st.floats(1e-3, 50.0)))
+           x=st.one_of(st.floats(-40.0, 50.0, allow_subnormal=False),
+                       st.floats(-1e-3, 1e-3, allow_subnormal=False)))
     def test_b_nu_series_against_closed_form(self, nu, x):
         special = pytest.importorskip("scipy.special")
         try:
             series = sf.b_nu(nu, x)
-            closed = b_nu_closed(nu, x)
         except EngineError:
             return
+        if abs(x) < 1e-3:
+            mpmath = pytest.importorskip("mpmath")
+            with mpmath.workdps(30):
+                a = mpmath.mpf(nu) + 1
+                expected = float(mpmath.gamma(a) / mpmath.gamma(2 * a - 1)
+                                 * mpmath.hyp1f1(a, 2 * a - 1, x))
+            assert abs(series - expected) <= 1e-12 * abs(expected)
+            return
+        closed = b_nu_closed(nu, x)
         terms = (0.5 * SQRT_PI * abs(x) ** (0.5 - nu) * math.exp(0.5 * x)
                  * special.iv(nu - 0.5, 0.5 * abs(x)))
         assert abs(series - closed) <= 1e-12 * max(abs(closed), terms)
