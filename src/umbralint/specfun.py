@@ -200,8 +200,8 @@ def bessel_j(nu: float, x: float, tol: float = DEFAULT_TOL) -> float:
 
 @overflow_raises(DomainError)
 def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
-    """Modified Bessel function of the first kind, by power series: the law
-    (x/2)^(2k + mu) / (k! Gamma(k + mu + 1)), summed by its term ratio."""
+    """Modified Bessel function of the first kind by power series, DLMF
+    10.25.2: (h^mu / Gamma(mu + 1)) 0F1(; mu + 1; h^2), h = x/2."""
     if mu < 0 and mu == int(mu):
         return bessel_i(-mu, x, tol)
     if x < 0:
@@ -213,9 +213,9 @@ def bessel_i(mu: float, x: float, tol: float = DEFAULT_TOL) -> float:
         if mu > 0.0:
             return 0.0
         raise DomainError("bessel_i diverges at x = 0 for negative order")
-    law = _umbral.GammaRatioSequence(scale=0.5 ** mu, denom=((1.0, 1.0), (mu + 1.0, 1.0)))
-    return _umbral.CoefficientSeries(law, stride=2, offset=mu,
-                                     geometric=0.25).evaluate(x, tol).real
+    h = 0.5 * x
+    first = gamma_sign(mu + 1.0) * math.exp(mu * math.log(h) - math.lgamma(mu + 1.0))
+    return sum_hypergeometric(first, (), (1.0, mu + 1.0), h * h, tol)[0]
 
 
 @overflow_raises(DomainError)
@@ -251,18 +251,24 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
     """Gamma-ratio exponential-type series
     sum_k Gamma(nu+k+1)/Gamma(2 nu+k+1) x^k / k!, for complex x.
 
-    The series is a ``umbral.CoefficientSeries`` law summed by its term
-    ratio.  At integer nu = -n its first n terms, where both Gammas sit on
-    poles, are the ratio's limits along nu, summed as a finite head.  At x
-    on the negative real axis, complex or not, with nu >= 0 the terms
-    alternate, and Kummer's transformation (DLMF 13.2.39) sums it instead as
-    Gamma(nu+1)/Gamma(2 nu+1) e^x 1F1(nu; 2 nu+1; -x), whose terms are
-    positive.
+    For nu >= 0 it is Gamma(nu+1)/Gamma(2 nu+1) 1F1(nu+1; 2 nu+1; x), DLMF
+    13.2.2, summed by its term ratio; at x < 0, where those terms alternate,
+    as Kummer's e^x 1F1(nu; 2 nu+1; -x), DLMF 13.2.39.  Off the real axis it
+    raises DomainError where eps times the terms' moduli, at most the first
+    term times e^|x|, pass tol |value|.  For nu < 0 it is a ``CoefficientSeries``
+    law, whose first n terms at nu = -n are the ratio's limits along nu.
     """
     z = complex(x)
-    if z.imag == 0 and z.real < 0 and nu >= 0:
-        return complex(math.exp(math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0) + z.real)
-                       * hyper_pfq((nu,), (2.0 * nu + 1.0,), -z.real, tol))
+    if nu >= 0:
+        log_first = math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0)
+        if z.imag == 0 and z.real < 0:
+            return complex(math.exp(log_first + z.real)
+                           * hyper_pfq((nu,), (2.0 * nu + 1.0,), -z.real, tol))
+        value, _ = sum_hypergeometric(math.exp(log_first), (nu + 1.0,),
+                                      (2.0 * nu + 1.0, 1.0), z if z.imag else z.real, tol)
+        if z.imag and tol * abs(value) < sys.float_info.epsilon * math.exp(log_first + abs(z)):
+            raise DomainError(f"b_nu's terms cancel past tol at x={x!r}")
+        return complex(value)
     # where 2 nu is an integer -j <= -1 the law starts at k = j, past the
     # terms 1/Gamma(2 nu + k + 1) = 0 and an integer nu's head
     j = int(-2.0 * nu) if nu <= -0.5 and (2.0 * nu).is_integer() else 0

@@ -22,6 +22,7 @@ CONSECUTIVE_SMALL = 3
 # Above _INF a term is not finite; a step from a term below _TINY (0 or
 # subnormal) would keep too few bits.
 _INF, _TINY = math.inf, sys.float_info.min
+_SHAPES = {(0, 2): 1, (2, 3): 2, (1, 2): 3, (2, 2): 4, (0, 0): 5}  # see sum_hypergeometric
 
 
 class SeriesTail(NamedTuple):
@@ -76,6 +77,8 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
     16.2.1) from t = t_k under ``sum_series``' rule, stepping each term in
     the same loop by one division: t_{j+1} = t_j y prod_i (a_i + j) /
     prod_i (b_i + j).  The caller keeps prod(b_i + j) in the normal range.
+    The shapes (len a, len b) in _SHAPES, most summed terms first, step in
+    one expression, in the loop's order of operations and so with its bits.
 
     A Gamma-ratio law passes t = None and ``seed``: seed(j) is term j
     afresh, or None for a term that is 0 at every x and is not summed.
@@ -83,6 +86,7 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
     subnormal one.  ``weight(j)`` multiplies term j as it is summed only.
     """
     k = float(k)  # float + float is the cheaper addition in the loop
+    shape = _SHAPES.get((len(a), len(b)), 0)
     fresh = t is None
     total = 0.0
     small = 0
@@ -107,6 +111,16 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
             small = 0
         if seed and (k < k_safe or abs(t) < _TINY):
             fresh = True
+        elif shape == 1:
+            t *= y / ((b[0] + k) * (b[1] + k))
+        elif shape == 2:
+            t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k) * (b[2] + k))
+        elif shape == 3:
+            t *= y * (a[0] + k) / ((b[0] + k) * (b[1] + k))
+        elif shape == 4:
+            t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k))
+        elif shape == 5:
+            t *= y / 1.0   # num / den of the loop below
         else:
             num, den = y, 1.0
             for c in a:

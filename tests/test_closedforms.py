@@ -179,6 +179,16 @@ class TestBesselGenerating:
         got = cf.bessel_generating_function(10.56954297182655, 2.941566501090506, 2)
         assert got == pytest.approx(-0.0030044578642523027, rel=1e-12)
 
+    # past |x| ~ 1,000 the w of the recurrence outgrew the double range and
+    # the function raised; rerun rescaled, it meets the sums by mpmath at
+    # 40 digits
+    @pytest.mark.parametrize("x,t,m,expected", [
+        (2000.0, 0.5, 2, -0.007647618904481982),
+        (3000.0, 0.3, 3, 0.006177682144773599),
+    ])
+    def test_recurrence_past_the_double_range(self, x, t, m, expected):
+        assert cf.bessel_generating_function(x, t, m) == pytest.approx(expected, rel=1e-12)
+
 
 class TestBesselGaussDilation:
     def test_odd_vanishing_at_zero(self):

@@ -490,10 +490,13 @@ class TestTermRatioKernelsProperties:
     # and b_nu's series has positive terms for nu >= 0, as has its Kummer
     # form at x < 0.  scipy's iv loses tiny values (it gives I_1(1e-200) as
     # 0 and I_0(5e-324) as nan), so its x starts at 1e-3.
+    # At x < 0 the orders are integers, where I_n(-x) = (-1)^n I_n(x).
     @settings(max_examples=300, deadline=None)
-    @given(mu=st.floats(-1.0, 5.0), x=st.floats(1e-3, 50.0))
-    def test_bessel_i_against_scipy(self, mu, x):
+    @given(mu=st.floats(-1.0, 5.0), x=st.floats(1e-3, 50.0), negative=st.booleans())
+    def test_bessel_i_against_scipy(self, mu, x, negative):
         special = pytest.importorskip("scipy.special")
+        if negative:
+            mu, x = float(round(mu)), -x
         try:
             got = sf.bessel_i(mu, x)
         except EngineError:
@@ -530,6 +533,23 @@ class TestTermRatioKernelsProperties:
         terms = (0.5 * SQRT_PI * abs(x) ** (0.5 - nu) * math.exp(0.5 * x)
                  * special.iv(nu - 0.5, 0.5 * abs(x)))
         assert abs(series - closed) <= 1e-12 * max(abs(closed), terms)
+
+    # b_nu for nu >= 0 off the negative real axis, the 1F1 summed by its
+    # term ratio, at the arguments of eq08's fresnel_bessel, i s, and in the
+    # right half-plane.  Where the terms cancel past tol it raises.
+    @settings(max_examples=300, deadline=None)
+    @given(nu=st.floats(0.0, 3.0),
+           z=st.one_of(st.one_of(st.floats(-20.0, -1e-3), st.floats(1e-3, 20.0)).map(
+                           lambda s: complex(0.0, s)),
+                       st.builds(cmath.rect, st.floats(1e-3, 10.0),
+                                 st.floats(-0.5 * math.pi, 0.5 * math.pi))))
+    def test_b_nu_ratio_route_against_closed_form(self, nu, z):
+        try:
+            series = sf.b_nu(nu, z)
+        except EngineError:
+            return
+        closed = b_nu_closed(nu, z)
+        assert abs(series - closed) <= 1e-12 * abs(closed)
 
 
 class TestHypergeometricKernelsProperties:

@@ -4,6 +4,7 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbralint import summation, umbral
 from umbralint.errors import ConvergenceError
 from umbralint.summation import DEFAULT_CAP, SeriesTail, sum_hypergeometric, sum_series
 
@@ -48,12 +49,15 @@ def plain_sum(terms, tol):
 
 
 def outcome(sum_call):
-    """What a sum returned, or the ConvergenceError it raised, with every
-    float as its repr so that equal outcomes are equal to the bit."""
+    """What a sum returned, or the ConvergenceError or OverflowError it
+    raised, with every float as its repr so that equal outcomes are equal
+    to the bit."""
     try:
         value, tail = sum_call()
     except ConvergenceError as exc:
         return ("raised", str(exc), repr(exc.partial), repr(exc.tail))
+    except OverflowError as exc:   # abs of a complex whose parts are finite
+        return ("overflowed", str(exc))
     return ("returned", repr(value), repr(tail))
 
 
@@ -173,3 +177,45 @@ class TestFusedLoop:
             sum_hypergeometric(1.0, (1.0,), (1.0,), 1.0, 1e-12)
         assert excinfo.value.partial == DEFAULT_CAP
         assert excinfo.value.tail == SeriesTail(DEFAULT_CAP, 1.0, False)
+
+
+# the shapes (len a, len b) stepped in one expression, and one that is not
+SHAPES = [*summation._SHAPES, (1, 3)]
+
+
+@st.composite
+def shaped_parameters(draw):
+    p, q = draw(st.sampled_from(SHAPES))
+    return (draw(st.lists(upper, min_size=p, max_size=p)),
+            draw(st.lists(lower, min_size=q, max_size=q)))
+
+
+class TestOneExpressionShapes:
+    # each shape's one expression gives the bits of the generic loop
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(-1e3, 1e3), ab=shaped_parameters(),
+           y=st.one_of(st.floats(-60.0, 60.0),
+                       st.complex_numbers(max_magnitude=60.0, allow_nan=False)),
+           k=st.integers(0, 20), tol=st.sampled_from([1e-16, 1e-12, 1e-8]))
+    def test_equals_the_stepped_stream(self, t, ab, y, k, tol):
+        a, b = ab
+        fused = outcome(lambda: sum_hypergeometric(t, a, b, y, tol, k))
+        assert fused == outcome(lambda: sum_series(stepped_terms(t, a, b, y, k), tol))
+        assert fused == outcome(lambda: plain_sum(stepped_terms(t, a, b, y, k), tol))
+
+    # through umbral._sum_terms, whose seeds and weights the stream above
+    # has not: the same bits with every shape on the generic loop
+    @pytest.mark.parametrize("call", [
+        # Gamma(k + 0.3) in the denominator: terms 0 and 1 are seeded, then
+        # the 0F1 shape (0, 2) steps
+        lambda x: umbral._sum_terms(umbral.struve_series(-1.2), x, 1e-12),
+        # the Gaussian multiplier weights each term by (2k + 1)^-1/2
+        lambda x: umbral.apply_mellin_multiplier(umbral.gaussian_kernel(),
+                                                 umbral.bessel_power_series(1), x),
+    ], ids=["seeded", "weight"])
+    def test_law_sums_equal_the_generic_loop(self, call, monkeypatch):
+        xs = (0.7, 3.1, 6.2, 8.5)
+        fused = [repr(call(x)) for x in xs]
+        monkeypatch.setattr(summation, "_SHAPES", {})
+        assert fused == [repr(call(x)) for x in xs]

@@ -14,14 +14,18 @@ compared by their exact repr, so -0.0 differs from 0.0.
 
 Every input whose record differs is printed, then the total, then the
 count per group that differs: per eval kind in eval_kernel, per identity in
-verify_plain and verify_ladder.  The exit status is 1 when there is any
-difference and 0 otherwise.
+verify_plain and verify_ladder.  With each count goes the largest relative
+difference |base - change| / max(|base|, |change|) among the group's inputs
+that returned a finite number on both sides: an eval's value, or a verify
+point's closed-form and oracle values.  The exit status is 1 when there is
+any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import cmath
 import io
 import json
 import subprocess
@@ -108,6 +112,37 @@ def group(key: str) -> str:
     return f"{workload} {call.split(' ')[0].split('[')[0]}"
 
 
+def _number(v):
+    """A recorded number as a finite complex, or None for anything else."""
+    if isinstance(v, dict):   # a verify value, {"re": ..., "im": ...}
+        v = [v.get("re"), v.get("im")]
+    elif isinstance(v, str):  # a float's repr
+        v = [v, "0.0"]
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError, IndexError):
+        return None
+    return z if cmath.isfinite(z) else None
+
+
+def numbers(record) -> list:
+    """The numbers of a record: an eval's value, or a verify point's
+    closed-form and oracle values; None where there is no finite one."""
+    value = (record or {}).get("value")
+    if isinstance(value, dict):
+        return [_number(value.get("closed_form_value")), _number(value.get("oracle_value"))]
+    return [_number(value)]
+
+
+def relative_difference(base, change) -> float | None:
+    """The largest relative difference of the numbers both records hold."""
+    pairs = [(b, c) for b, c in zip(numbers(base), numbers(change))
+             if b is not None and c is not None]
+    if not pairs:
+        return None
+    return max(abs(b - c) / max(abs(b), abs(c)) if b != c else 0.0 for b, c in pairs)
+
+
 def outputs(root: Path, seeds) -> dict:
     done = subprocess.run([sys.executable, __file__, "--dump", str(root), "--seeds",
                            *map(str, seeds)], cwd=root, capture_output=True, text=True)
@@ -138,8 +173,16 @@ def main(argv=None) -> int:
         print(f"{key}\n  base:   {base.get(key)}\n  change: {change.get(key)}")
     print(f"{len(differ)} of {len(keys)} inputs differ")
     inputs = Counter(map(group, keys))
+    largest: dict = {}
+    for key in differ:
+        rel = relative_difference(base.get(key), change.get(key))
+        if rel is not None:
+            name = group(key)
+            largest[name] = max(largest.get(name, 0.0), rel)
     for name, count in sorted(Counter(map(group, differ)).items()):
-        print(f"  {name}: {count} of {inputs[name]}")
+        rel = (f"largest relative difference {largest[name]:.2e}" if name in largest
+               else "no number on both sides")
+        print(f"  {name}: {count} of {inputs[name]}, {rel}")
     return 1 if differ else 0
 
 
