@@ -232,7 +232,7 @@ def _parse_scalar(text: str):
 
 _SERIES = "series, tolerance 1e-12"
 _CLOSED_APPROX = "closed approximation, <= 1e-13 relative"
-_FINITE = "exact (finite sum)"
+_FINITE = "finite sum in floating point, cancellation not bounded"
 _EXACT = "closed form (exact)"
 
 # (function, accuracy note); eval passes the required parameters, and each

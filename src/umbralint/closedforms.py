@@ -203,7 +203,8 @@ def _strided_bessel_j(x: float, m: int, top: int) -> list:
     normalisation, and e^-20 times B_(m top), or times the smallest float
     where B_(m top) is 0 in floats: the relative error at order k is about
     (B_N/B_k)^2.  w_N = B_N, kept in the normal range, starts the w near the
-    J they stand for, but past |x| ~ 1,000 they outgrow the double range.
+    J they stand for, but past |x| ~ 1,000 they outgrow the double range:
+    every w so far is divided by 2^900, exactly, whenever one passes it.
     """
     log_x = math.log(abs(x))
     target = min(max(_log_bound(log_x, m * top), _LOG_ZERO) - 20.0, -37.0)
@@ -219,19 +220,11 @@ def _strided_bessel_j(x: float, m: int, top: int) -> list:
     ws = [w]
     for k in range(n, 0, -1):
         w, w_next = k * w / x - w_next, w
+        if w > 2.0 ** 900 or w < -2.0 ** 900:
+            ws, w, w_next = [v / 2.0 ** 900 for v in ws], w / 2.0 ** 900, w_next / 2.0 ** 900
         ws.append(w)
     ws.reverse()
     norm = ws[0] + 2.0 * sum(ws[2::2])
-    if not math.isfinite(norm):
-        # rerun from w_N, dividing every w so far by 2^900 whenever one passes it
-        w, w_next, ws = ws[-1], 0.0, ws[-1:]
-        for k in range(n, 0, -1):
-            w, w_next = k * w / x - w_next, w
-            if abs(w) > 2.0 ** 900:
-                ws, w, w_next = [v / 2.0 ** 900 for v in ws], w / 2.0 ** 900, w_next / 2.0 ** 900
-            ws.append(w)
-        ws.reverse()
-        norm = ws[0] + 2.0 * sum(ws[2::2])
     if not math.isfinite(norm):
         raise ConvergenceError(f"the Bessel recurrence at x={x!r} overflowed")
     return [w / norm for w in ws[:m * top + 1:m]]

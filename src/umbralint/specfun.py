@@ -149,15 +149,6 @@ def signed_log_gamma(x: float):
     return gamma_sign(x), math.lgamma(x)
 
 
-def inv_factorial(n: int) -> float:
-    """1/n! as a float, stable for arbitrarily large n."""
-    if n < 0:
-        raise DomainError("factorial of a negative integer")
-    if n <= 170:
-        return 1.0 / math.factorial(n)
-    return math.exp(-math.lgamma(n + 1.0))
-
-
 @overflow_raises(DomainError)
 def beta(a, b):
     """Euler Beta, Gamma(a)Gamma(b)/Gamma(a+b), assembled in log space."""
@@ -252,20 +243,25 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
     sum_k Gamma(nu+k+1)/Gamma(2 nu+k+1) x^k / k!, for complex x.
 
     For nu >= 0 it is Gamma(nu+1)/Gamma(2 nu+1) 1F1(nu+1; 2 nu+1; x), DLMF
-    13.2.2, summed by its term ratio; at x < 0, where those terms alternate,
-    as Kummer's e^x 1F1(nu; 2 nu+1; -x), DLMF 13.2.39.  Off the real axis it
-    raises DomainError where eps times the terms' moduli, at most the first
-    term times e^|x|, pass tol |value|.  For nu < 0 it is a ``CoefficientSeries``
+    13.2.2, summed by its term ratio; at Re x < 0 as Kummer's
+    e^x 1F1(nu; 2 nu+1; -x), DLMF 13.2.39, whose terms' moduli sum to at
+    most the first times e^(Re x + |x|), not e^|x|, and on the real axis are
+    all positive.  Off the real axis it raises DomainError where eps times
+    that bound passes tol |value|.  For nu < 0 it is a ``CoefficientSeries``
     law, whose first n terms at nu = -n are the ratio's limits along nu.
     """
     z = complex(x)
     if nu >= 0:
         log_first = math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0)
-        if z.imag == 0 and z.real < 0:
-            return complex(math.exp(log_first + z.real)
-                           * hyper_pfq((nu,), (2.0 * nu + 1.0,), -z.real, tol))
-        value, _ = sum_hypergeometric(math.exp(log_first), (nu + 1.0,),
-                                      (2.0 * nu + 1.0, 1.0), z if z.imag else z.real, tol)
+        if z.real < 0:
+            log_first += z.real   # e^x = e^(Re x) e^(i Im x)
+            value = math.exp(log_first) * hyper_pfq((nu,), (2.0 * nu + 1.0,),
+                                                    -z if z.imag else -z.real, tol)
+            if z.imag:
+                value *= cmath.exp(1j * z.imag)
+        else:
+            value, _ = sum_hypergeometric(math.exp(log_first), (nu + 1.0,),
+                                          (2.0 * nu + 1.0, 1.0), z if z.imag else z.real, tol)
         if z.imag and tol * abs(value) < sys.float_info.epsilon * math.exp(log_first + abs(z)):
             raise DomainError(f"b_nu's terms cancel past tol at x={x!r}")
         return complex(value)
@@ -309,42 +305,49 @@ def _check_order(n, m) -> tuple:
 def hermite_higher(n: int, m: int, u, v):
     """Two-variable Hermite polynomial of order m.
 
-    n! * sum_{k=0}^{floor(n/m)} u^{n-mk} v^k / ((n-mk)! k!), an exact finite
-    sum with generating function exp(u z + v z^m).
+    n! * sum_{k=0}^{floor(n/m)} u^{n-mk} v^k / ((n-mk)! k!), a finite sum
+    with generating function exp(u z + v z^m), whose integer coefficients
+    n!/((n-mk)! k!) are stepped exactly; one past the double range raises.
     """
     n, m = _check_order(n, m)
+    total, coeff = 0.0, 1
+    for k in range(n // m + 1):
+        j = n - m * k
+        total += coeff * u ** j * v ** k
+        coeff = coeff * math.perm(j, m) // (k + 1)
+    return total
+
+
+# 1/j! for j < 178; from j = 178 on, 1/j! is 0 in floats
+_INV_FACTORIALS = tuple(1.0 / math.factorial(j) if j <= 170 else math.exp(-math.lgamma(j + 1.0))
+                        for j in range(178))
+
+
+def _hermite_sum(n: int, m: int, x, y, p: int, q: int):
+    """sum_k x^{n-mk} y^k / ((n-mk)!^p k!^q) for checked n and m.  Each term
+    is computed on its own: stepped from one that underflows, every later
+    term would lose its bits or be 0."""
+    f, top = _INV_FACTORIALS, len(_INV_FACTORIALS)
     total = 0.0
     for k in range(n // m + 1):
         j = n - m * k
-        if n <= 170:
-            coeff = math.factorial(n) // (math.factorial(j) * math.factorial(k))
-            total += coeff * u ** j * v ** k
-        else:
-            lc = math.lgamma(n + 1.0) - math.lgamma(j + 1.0) - math.lgamma(k + 1.0)
-            total += math.exp(lc) * u ** j * v ** k
+        term = x ** j * y ** k
+        if q:   # not a factor 1.0: a complex times 1.0 can lose a signed zero
+            term *= f[k] if k < top else 0.0
+        total += term * (f[j] if j < top else 0.0) ** p
     return total
 
 
 @overflow_raises(DomainError)
 def hermite_hybrid(n: int, m: int, x, y):
     """Hybrid Hermite polynomial: sum_k x^{n-mk} y^k / (k! ((n-mk)!)^2)."""
-    n, m = _check_order(n, m)
-    total = 0.0
-    for k in range(n // m + 1):
-        j = n - m * k
-        total += x ** j * y ** k * inv_factorial(k) * inv_factorial(j) ** 2
-    return total
+    return _hermite_sum(*_check_order(n, m), x, y, 2, 1)
 
 
 @overflow_raises(DomainError)
 def truncated_e(n: int, m: int, x, y):
     """Truncated-exponential polynomial: sum_k x^{n-mk} y^k / ((n-mk)!)^2."""
-    n, m = _check_order(n, m)
-    total = 0.0
-    for k in range(n // m + 1):
-        j = n - m * k
-        total += x ** j * y ** k * inv_factorial(j) ** 2
-    return total
+    return _hermite_sum(*_check_order(n, m), x, y, 2, 0)
 
 
 @overflow_raises(DomainError)
@@ -358,7 +361,7 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     """
     m = as_integer(m, "pseudo_trig order m", 2, _MAX_ORDER)
     k = as_integer(k, "pseudo_trig index k", 0, m - 1)
-    first = x ** k * inv_factorial(k)
+    first = x ** k * (_INV_FACTORIALS[k] if k < len(_INV_FACTORIALS) else 0.0)
     y = -(x / m) ** m
     # at large m, y or prod_i (k + i)/m can leave the normal range, where
     # the loop cannot carry them; the sum is then its first term, if the
@@ -371,10 +374,6 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     b = tuple((k + i) / m for i in range(1, m + 1))
     value, _ = sum_hypergeometric(first, (), b, y, tol)
     return value
-
-
-# 1/j! for j < 178; from j = 178 on, 1/j! is 0 in floats
-_INV_FACTORIALS = tuple(inv_factorial(j) for j in range(178))
 
 
 def _tricomi_sections(n: int, m: int, x, y):

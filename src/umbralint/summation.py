@@ -48,26 +48,30 @@ def sum_series(terms: Iterable, tol: float):
     CONSECUTIVE_SMALL terms in a row.
 
     Returns ``(value, SeriesTail)``.  Raises ConvergenceError when
-    DEFAULT_CAP terms were consumed without convergence.  A series that
+    DEFAULT_CAP terms were consumed without convergence, or at a term that
+    is not finite or whose modulus passes the double range.  A series that
     simply runs out of terms (a finite sum) is returned as converged.
     """
     total = 0.0
     small = 0
     mag = 0.0
     used = 0
-    for used, term in enumerate(terms, 1):
-        if used > DEFAULT_CAP:
-            raise _not_converged(total, DEFAULT_CAP, mag)
-        total += term
-        mag = abs(term)
-        if not mag < _INF:
-            raise _not_converged(total, used, mag)
-        if mag <= tol * abs(total):
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return total, SeriesTail(used, mag, True)
-        else:
-            small = 0
+    try:
+        for used, term in enumerate(terms, 1):
+            if used > DEFAULT_CAP:
+                raise _not_converged(total, DEFAULT_CAP, mag)
+            total += term
+            mag = abs(term)
+            if not mag < _INF:
+                raise _not_converged(total, used, mag)
+            if mag <= tol * abs(total):
+                small += 1
+                if small >= CONSECUTIVE_SMALL:
+                    return total, SeriesTail(used, mag, True)
+            else:
+                small = 0
+    except OverflowError:   # abs() of a complex past the double range
+        raise _not_converged(total, used, _INF) from None
     return total, SeriesTail(used, mag, True)
 
 
@@ -91,42 +95,45 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
     total = 0.0
     small = 0
     mag = 0.0
-    for used in range(1, DEFAULT_CAP + 1):
-        if fresh:
-            t = seed(k)
-            while t is None:
-                k += 1.0
+    try:
+        for used in range(1, DEFAULT_CAP + 1):
+            if fresh:
                 t = seed(k)
-            fresh = False
-        term = t * weight(k) if weight else t
-        total += term
-        mag = abs(term)
-        if not mag < _INF:
-            raise _not_converged(total, used, mag)
-        if mag <= tol * abs(total):
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return total, SeriesTail(used, mag, True)
-        else:
-            small = 0
-        if seed and (k < k_safe or abs(t) < _TINY):
-            fresh = True
-        elif shape == 1:
-            t *= y / ((b[0] + k) * (b[1] + k))
-        elif shape == 2:
-            t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k) * (b[2] + k))
-        elif shape == 3:
-            t *= y * (a[0] + k) / ((b[0] + k) * (b[1] + k))
-        elif shape == 4:
-            t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k))
-        elif shape == 5:
-            t *= y / 1.0   # num / den of the loop below
-        else:
-            num, den = y, 1.0
-            for c in a:
-                num *= c + k
-            for c in b:
-                den *= c + k
-            t *= num / den
-        k += 1.0
+                while t is None:
+                    k += 1.0
+                    t = seed(k)
+                fresh = False
+            term = t * weight(k) if weight else t
+            total += term
+            mag = abs(term)
+            if not mag < _INF:
+                raise _not_converged(total, used, mag)
+            if mag <= tol * abs(total):
+                small += 1
+                if small >= CONSECUTIVE_SMALL:
+                    return total, SeriesTail(used, mag, True)
+            else:
+                small = 0
+            if seed and (k < k_safe or abs(t) < _TINY):
+                fresh = True
+            elif shape == 1:
+                t *= y / ((b[0] + k) * (b[1] + k))
+            elif shape == 2:
+                t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k) * (b[2] + k))
+            elif shape == 3:
+                t *= y * (a[0] + k) / ((b[0] + k) * (b[1] + k))
+            elif shape == 4:
+                t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k))
+            elif shape == 5:
+                t *= y / 1.0   # num / den of the loop below
+            else:
+                num, den = y, 1.0
+                for c in a:
+                    num *= c + k
+                for c in b:
+                    den *= c + k
+                t *= num / den
+            k += 1.0
+    except OverflowError:   # abs() of a complex past the double range
+        raise _not_converged(total, used, _INF) from None
     raise _not_converged(total, DEFAULT_CAP, mag)

@@ -10,7 +10,7 @@ verified elsewhere against direct quadrature of its defining integral.
 from __future__ import annotations
 
 from .errors import DomainError
-from .specfun import inv_factorial
+from .specfun import _hermite_sum
 from .umbral import (CoefficientSeries, GammaRatioSequence, MellinMultiplier,
                      bessel_phi, beta_kernel, borel_factorial)
 
@@ -62,19 +62,11 @@ def borel_hybrid_hermite(n: int, m: int, x, y, variable: str = "first") -> compl
         raise DomainError("borel_hybrid_hermite needs integer n >= 0")
     if not isinstance(m, int) or m < 2:
         raise DomainError("borel_hybrid_hermite needs integer m >= 2")
-    total = 0.0
-    for k in range(n // m + 1):
-        j = n - m * k
-        base = x ** j * y ** k
-        if variable == "first":
-            # (j)! from the moment integral cancels one of the two 1/j!
-            total += base * inv_factorial(k) * inv_factorial(j)
-        elif variable == "second":
-            # k! from the moment integral cancels the 1/k!
-            total += base * inv_factorial(j) ** 2
-        else:
-            raise DomainError(f"unknown transform variable {variable!r}")
-    return complex(total) if isinstance(total, complex) else total
+    if variable == "first":   # (n-mk)! from the moment integral cancels one 1/(n-mk)!
+        return _hermite_sum(n, m, x, y, 1, 1)
+    if variable == "second":  # k! from the moment integral cancels the 1/k!
+        return _hermite_sum(n, m, x, y, 2, 0)
+    raise DomainError(f"unknown transform variable {variable!r}")
 
 
 def beta_transform(f: CoefficientSeries, alpha: float, beta_: float) -> CoefficientSeries:

@@ -274,6 +274,16 @@ class TestBNu:
         assert sf.b_nu(0.5, complex(-40.0, 0.0)) == sf.b_nu(0.5, -40.0)
         assert sf.b_nu(0.5, complex(-40.0, -0.0)) == sf.b_nu(0.5, -40.0)
 
+    # off the axis at Re x < 0 the moduli of Kummer's terms sum to at most
+    # e^(Re x + |x|) times the first, not e^|x|; at -3 + 30i the route is
+    # 1.3e-6 off and that bound says so
+    def test_kummer_route_off_the_axis(self):
+        for z in (complex(-40.0, 1.0), complex(-40.0, -1.0)):
+            closed = b_nu_closed(0.5, z)
+            assert abs(sf.b_nu(0.5, z) - closed) <= 1e-12 * abs(closed)
+        with pytest.raises(DomainError, match="cancel"):
+            sf.b_nu(0.5, complex(-3.0, 30.0))
+
     def test_zero_everywhere_series_stay_finite(self):
         # with every term 0 the sum still ends, at 0
         for nu in (-1.5, -3.5):
@@ -336,6 +346,26 @@ class TestHermiteFamilies:
                 family(1e9, 2, 1.0, 1.0)
         # at x = 0 only the term y^(n/m) / 0!^2 is left
         assert sf.truncated_e(10_000, 2, 0.0, 1.0) == 1.0
+
+    # the exact coefficients at n > 170, against the sum at 60 digits
+    @pytest.mark.parametrize("n,m,u,v", [(200, 2, 1.0, 1.0), (180, 4, -2.0, 1.1)])
+    def test_higher_past_170_against_mpmath(self, n, m, u, v):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            expected = mpmath.factorial(n) * mpmath.fsum(
+                mpmath.mpf(u) ** (n - m * k) * mpmath.mpf(v) ** k
+                / (mpmath.factorial(n - m * k) * mpmath.factorial(k))
+                for k in range(n // m + 1))
+            assert abs((sf.hermite_higher(n, m, u, v) - expected) / expected) <= 1e-15
+
+    def test_higher_coefficient_past_the_double_range(self):
+        with pytest.raises(DomainError, match="overflowed"):
+            sf.hermite_higher(300, 3, 1.5, -0.7)
+
+    # 1/j! is read from a table, 0 from j = 178 on; the values at its edge
+    def test_factorial_table_edge(self):
+        assert sf.hermite_hybrid(177, 3, 9.0, 2.0) == 6.434418376070381e-60
+        assert sf.truncated_e(178, 2, 11.0, 0.5) == 3.113012266779536e-25
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
@@ -550,6 +580,24 @@ class TestTermRatioKernelsProperties:
             return
         closed = b_nu_closed(nu, z)
         assert abs(series - closed) <= 1e-12 * abs(closed)
+
+    # b_nu for nu >= 0 in the left half-plane, by Kummer's form.  Against
+    # mpmath: scipy's iv under b_nu_closed is up to 2.7e-11 off here
+    @settings(max_examples=200, deadline=None)
+    @given(nu=st.floats(0.0, 3.0),
+           z=st.builds(cmath.rect, st.floats(1e-3, 20.0),
+                       st.floats(0.5 * math.pi, 1.5 * math.pi)))
+    def test_b_nu_kummer_route_against_mpmath(self, nu, z):
+        mpmath = pytest.importorskip("mpmath")
+        try:
+            series = sf.b_nu(nu, z)
+        except EngineError:
+            return
+        with mpmath.workdps(30):
+            a = mpmath.mpf(nu) + 1
+            expected = complex(mpmath.gamma(a) / mpmath.gamma(2 * a - 1)
+                               * mpmath.hyp1f1(a, 2 * a - 1, mpmath.mpc(z)))
+        assert abs(series - expected) <= 1e-12 * abs(expected)
 
 
 class TestHypergeometricKernelsProperties:

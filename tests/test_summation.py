@@ -34,12 +34,16 @@ def plain_sum(terms, tol):
                                    tail=SeriesTail(used, last_mag, False))
         total += term
         used = k + 1
-        mag = abs(term)
+        try:
+            mag = abs(term)
+            small_term = mag <= tol * abs(total)
+        except OverflowError:   # a complex whose modulus passes the double range
+            mag = math.inf
         if not math.isfinite(mag):
             raise ConvergenceError(f"series overflowed: non-finite term at index {k}",
                                    partial=total, tail=SeriesTail(used, mag, False))
         last_mag = mag
-        if mag <= tol * abs(total):
+        if small_term:
             small += 1
             if small >= 3:
                 return total, SeriesTail(used, mag, True)
@@ -49,15 +53,12 @@ def plain_sum(terms, tol):
 
 
 def outcome(sum_call):
-    """What a sum returned, or the ConvergenceError or OverflowError it
-    raised, with every float as its repr so that equal outcomes are equal
-    to the bit."""
+    """What a sum returned, or the ConvergenceError it raised, with every
+    float as its repr so that equal outcomes are equal to the bit."""
     try:
         value, tail = sum_call()
     except ConvergenceError as exc:
         return ("raised", str(exc), repr(exc.partial), repr(exc.tail))
-    except OverflowError as exc:   # abs of a complex whose parts are finite
-        return ("overflowed", str(exc))
     return ("returned", repr(value), repr(tail))
 
 
@@ -177,6 +178,19 @@ class TestFusedLoop:
             sum_hypergeometric(1.0, (1.0,), (1.0,), 1.0, 1e-12)
         assert excinfo.value.partial == DEFAULT_CAP
         assert excinfo.value.tail == SeriesTail(DEFAULT_CAP, 1.0, False)
+
+    # a complex term whose parts are finite but whose modulus is not: abs()
+    # raises OverflowError there, and the sum ends as at a non-finite term
+    @pytest.mark.parametrize("call", [
+        lambda: umbral.exponential_series().evaluate(540 + 540j),
+        lambda: sum_hypergeometric(391.0, (1.0, 1.0), (1.0, 1.0), 21.46875 + 5.6875j, 1e-16),
+        lambda: sum_series(iter([1.0, complex(1.5e308, 1.5e308)]), 1e-12),
+    ], ids=["law", "fused", "stream"])
+    def test_complex_modulus_past_the_double_range(self, call):
+        with pytest.raises(ConvergenceError, match="non-finite term") as excinfo:
+            call()
+        assert excinfo.value.tail.last_term_magnitude == math.inf
+        assert not excinfo.value.tail.converged
 
 
 # the shapes (len a, len b) stepped in one expression, and one that is not
