@@ -9,8 +9,8 @@ verified elsewhere against direct quadrature of its defining integral.
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .specfun import _hermite_sum
+from .errors import DomainError, overflow_raises
+from .specfun import _check_order, _hermite_sum
 from .umbral import (CoefficientSeries, GammaRatioSequence, MellinMultiplier,
                      bessel_phi, beta_kernel, borel_factorial)
 
@@ -49,6 +49,7 @@ def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
     return CoefficientSeries(law, stride=m, offset=float(k), geometric=-1.0)
 
 
+@overflow_raises(DomainError)
 def borel_hybrid_hermite(n: int, m: int, x, y, variable: str = "first") -> complex:
     """Exponential-moment transform of the hybrid Hermite polynomial.
 
@@ -58,10 +59,7 @@ def borel_hybrid_hermite(n: int, m: int, x, y, variable: str = "first") -> compl
     multiplies the coefficient of y^k by k! and yields the truncated
     exponential polynomial exactly.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("borel_hybrid_hermite needs integer n >= 0")
-    if not isinstance(m, int) or m < 2:
-        raise DomainError("borel_hybrid_hermite needs integer m >= 2")
+    n, m = _check_order(n, m)
     if variable == "first":   # (n-mk)! from the moment integral cancels one 1/(n-mk)!
         return _hermite_sum(n, m, x, y, 1, 1)
     if variable == "second":  # k! from the moment integral cancels the 1/k!

@@ -1,11 +1,13 @@
 import cmath
+import itertools
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbralint import closedforms as cf, oracle, specfun as sf, umbral as um
+from umbralint import closedforms as cf, oracle, specfun as sf, summation, umbral as um
 from umbralint.errors import DomainError, EngineError
 from umbralint.reference import bessel_j_ref
 
@@ -316,6 +318,40 @@ class TestCatalog:
             quad = d.oracle_eval(point, max(abs(closed), 1.0) * d.default_tol)
             assert abs(closed - quad.value) <= \
                 4.0 * d.default_tol * max(abs(quad.value), 1.0)
+
+    def test_oracles_never_reach_the_series_kernels(self, monkeypatch):
+        # every oracle on its default grid, at verify's tolerance, with
+        # specfun's public kernels, the two summation loops and umbral's
+        # series sum made to raise wherever they are bound; eq19's oracle is
+        # the double-series route by design
+        jobs = []
+        for d in cf.CATALOG:
+            if d.id == "eq19_bessel_generating":
+                continue
+            for values in itertools.product(*d.default_grid.values()):
+                point = dict(zip(d.parameters, values))
+                scale = max(abs(complex(d.closed(**point))), 1.0)
+                jobs.append((d, point, 0.25 * d.default_tol * scale))
+        public = [getattr(sf, name) for name in sf.__all__]
+        kernels = ([value for value in public if callable(value)]
+                   + [summation.sum_hypergeometric, summation.sum_series, um._sum_terms])
+        reached = []
+
+        def forbidden(*args, **kwargs):
+            reached.append(args)
+            raise AssertionError("an oracle reached a series kernel")
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "umbralint":
+                for attr, value in list(vars(module).items()):
+                    if any(value is kernel for kernel in kernels):
+                        monkeypatch.setattr(module, attr, forbidden)
+        with pytest.raises(AssertionError):   # the patch is in force
+            cf.get_identity("eq13_struve_moment").closed(nu=0.5)
+        reached.clear()
+        for d, point, tol in jobs:
+            d.oracle_eval(point, tol)
+        assert not reached
 
 
 # One point per identity and declared condition: the first default-grid

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbralint import specfun as sf
 from umbralint.errors import ConvergenceError, DomainError, EngineError, PoleError
-from umbralint.reference import b_nu_closed, classical_hermite, struve_h_ref, struve_k_ref
+from umbralint.reference import b_nu_closed, classical_hermite, struve_h_ref
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -180,22 +180,6 @@ class TestStruveH:
         for x in (0.5, 1.0, 3.0, 10.0):
             assert sf.struve_h(nu, x) == pytest.approx(struve_h_ref(nu, x),
                                                        rel=1e-10, abs=1e-13)
-
-
-class TestStruveK:
-    # K_nu = H_nu - Y_nu, the oracle's smooth Struve tail, against mpmath at
-    # 30 digits on both sides of the switch to the large-x expansion at x = 50
-    @pytest.mark.parametrize("nu", [-1.9, -1.5, -0.5, -0.2, 0.0, 2.5, 8.0])
-    @pytest.mark.parametrize("x", [10.0, 49.9, 50.0, 1e3, 1e8])
-    def test_against_mpmath(self, nu, x):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(30):
-            expected = float(mpmath.struveh(nu, x) - mpmath.bessely(nu, x))
-        got = struve_k_ref(nu, x)
-        if expected == 0.0:   # K_{-1/2} = 0; H - Y leaves rounding of Y
-            assert abs(got) <= 1e-15
-        else:
-            assert got == pytest.approx(expected, rel=1e-13 if x >= 50.0 else 1e-10)
 
 
 class TestBNu:

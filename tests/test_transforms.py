@@ -137,6 +137,18 @@ class TestBorelHybridHermite:
         with pytest.raises(DomainError):
             tr.borel_hybrid_hermite(2, 2, 1.0, 1.0, "third")
 
+    def test_overflow_is_a_domain_error_as_in_truncated_e(self):
+        with pytest.raises(DomainError, match="overflowed"):
+            sf.truncated_e(400, 2, 10.0, 10.0)
+        with pytest.raises(DomainError, match="borel_hybrid_hermite overflowed"):
+            tr.borel_hybrid_hermite(400, 2, 10.0, 10.0, "second")
+
+    def test_degree_takes_the_specfun_order_rule(self):
+        # an integral float is a degree, and the degree has the kernels' bound
+        assert tr.borel_hybrid_hermite(5.0, 2, 1.1, 0.7, "second") == sf.truncated_e(5, 2, 1.1, 0.7)
+        with pytest.raises(DomainError, match="polynomial degree n"):
+            tr.borel_hybrid_hermite(10_001, 2, 1.0, 1.0, "first")
+
 
 class TestBetaTransform:
     def test_uniform_average_of_exponential(self):
