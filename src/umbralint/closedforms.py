@@ -332,15 +332,28 @@ def _fresnel_oracle(p, tol):
 
 def _eq12_oracle(p, tol):
     # H_nu = Y_nu + K_nu (DLMF 11.2.5): Y_nu(b x) is the wave, with
-    # half-period pi/b, and K_nu(b x) the smooth rest
+    # half-period pi/b, and K_nu(b x) the smooth rest.  The head [0, x0]
+    # integrates H_nu(b x) less its leading term c (b x)^(nu+1), with
+    # c = 1/(2^(nu+1) Gamma(3/2) Gamma(nu+3/2)) (DLMF 11.2.1, k = 0): for
+    # nu < -1 that term is the head's singularity at 0.  Its integral
+    # c b^(nu+1) x0^(nu+2)/(nu+2) is added exactly.  1/Gamma(nu+3/2) is
+    # taken as (nu+3/2)/Gamma(nu+5/2), finite on -2 < nu < 0 and 0 at nu = -3/2
     nu, b = p["nu"], p["b"]
     half_period = math.pi / b
+    x0 = 1.0 + _TAIL_LEAD * half_period
+    c = (nu + 1.5) / (math.sqrt(math.pi) * 2.0 ** nu * math.gamma(nu + 2.5))
     tail = oracle.OscillatoryTail(
-        1.0 + _TAIL_LEAD * half_period, half_period,
+        x0, half_period,
         wave=lambda x: reference.bessel_y_ref(nu, b * x),
         smooth=lambda x: reference.struve_k_ref(nu, b * x))
-    return oracle.integrate_half_line(lambda x: reference.struve_h_ref(nu, b * x),
-                                      tol, tail)
+
+    def head(x):
+        bx = b * x
+        return reference.struve_h_ref(nu, bx) - c * bx ** (nu + 1.0)
+
+    result = oracle.integrate_half_line(head, tol, tail)
+    return replace(result, value=result.value
+                   + c * b ** (nu + 1.0) * x0 ** (nu + 2.0) / (nu + 2.0))
 
 
 def _eq13_oracle(p, tol):
@@ -354,8 +367,10 @@ def _eq13_oracle(p, tol):
                                   wave=weighted(reference.bessel_y_ref),
                                   smooth=weighted(reference.struve_k_ref))
     half = oracle.integrate_half_line(weighted(reference.struve_h_ref), tol / 2.0, tail)
-    return oracle.QuadratureResult(2.0 * half.value, 2.0 * half.abs_error_estimate,
-                                   half.evaluations, half.converged, half.trace)
+    trace = replace(half.trace, values=tuple(2.0 * v for v in half.trace.values),
+                    residual=2.0 * half.trace.residual)
+    return replace(half, value=2.0 * half.value,
+                   abs_error_estimate=2.0 * half.abs_error_estimate, trace=trace)
 
 
 def _eq19_oracle(p, tol):

@@ -17,9 +17,10 @@ that is still unresolved when its panels run out of floats raises.  A
 half-line integral splits at a point x0 and folds [x0, infinity) onto
 (0, 1] by x = x0/u.  A conditionally convergent integral comes with an
 OscillatoryTail that describes f beyond x0 as smooth + wave: the head
-[0, x0] of f and the folded smooth part are integrated as above, and the
-wave one half-period at a time, its partial sums extrapolated by Wynn's
-epsilon algorithm (as in QUADPACK's QAWF).  An integrand that raises
+[0, x0] of f and the folded smooth part are integrated as above, each
+starting from one panel as QUADPACK's QAGS does, and the wave one
+half-period at a time, its partial sums extrapolated by Wynn's epsilon
+algorithm (as in QUADPACK's QAWF).  An integrand that raises
 OverflowError ends the integration with a QuadratureError that counts
 every integrand call made.
 
@@ -276,7 +277,11 @@ class _EndExtrapolation:
 def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
               panels: int, spent: int = 0):
     """Worst-panel-first adaptive bisection over [a, b], starting from
-    ``panels`` equal panels.
+    ``panels`` equal panels: one for finite intervals and for the pieces of
+    an oscillatory tail, as in QUADPACK's QAGS, and eight for untailed
+    half-line and whole-line integrals (from one panel the catalog's
+    whole-line oracles of Eq. 28 and 30 take 27% and 48% more evaluations
+    on their default grids).
 
     A panel that cannot be refined, because its midpoint is no longer
     representable or its error is at its rounding floor, has its error
@@ -480,7 +485,9 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     and ``wave`` over [start, infinity), summed one half-period at a time
     and extrapolated by Wynn's epsilon algorithm (as in QUADPACK's QAWF).
     The head and the smooth part each get a quarter of ``tol``, the wave
-    the rest.  ``max_intervals`` bounds each adaptive piece.
+    the rest.  Every piece starts from one GK15 panel, so a piece that one
+    panel resolves costs 15 evaluations.  ``max_intervals`` bounds each
+    adaptive piece.
     """
     if tail is None:
         head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals, 8)
@@ -494,7 +501,7 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     if tail.smooth is not None:
         parts.append(("smooth part", _fold(tail.smooth, x0), 0.0, 1.0))
     for name, g, a, b in parts:
-        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, 8, evaluations)
+        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, 1, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not e <= 0.25 * tol:   # nan included
             raise QuadratureError(

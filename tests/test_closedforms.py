@@ -113,6 +113,16 @@ class TestOscillatoryOracleDomain:
         _oracle_meets_closed_form("eq13_struve_moment", {"nu": nu})
 
 
+class TestOscillatoryOracleTrace:
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_eq13_trace_on_the_scale_of_its_value(self, nu):
+        # the oracle doubles a half-line integral; its partial sums double
+        # too (at nu = 0 the last half-period still holds 0.2% of the value)
+        r = cf.get_identity("eq13_struve_moment").oracle_eval({"nu": nu}, 1e-6)
+        assert r.trace.values[-1] == pytest.approx(r.value, rel=1e-3)
+        assert 0.0 < r.trace.residual <= r.abs_error_estimate
+
+
 class TestBesselGenerating:
     def test_zero_argument_collapses(self):
         for m in (2, 3):

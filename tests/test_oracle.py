@@ -200,9 +200,24 @@ class TestOscillatoryTail:
             alone = oracle.integrate_finite(tail.wave, a, a + tail.half_period, tol / 100.0)
             assert abs(after - before - alone.value) <= tol / 50.0, k
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_head_and_smooth_part_start_from_one_panel(self, tol):
+        # a cubic head is exact on one GK15 panel, and the smooth part
+        # x0/x^2 folds to the constant 1: 15 calls each, then 15 a piece
+        x0 = math.pi
+        tail = oracle.OscillatoryTail(x0, math.pi, wave=lambda x: math.sin(x) / x,
+                                      smooth=lambda x: x0 / (x * x))
+        r = oracle.integrate_half_line(lambda x: 1.0 + x * x * (x - 2.0), tol, tail)
+        assert r.evaluations == 15 + 15 + 15 * len(r.trace.values)
+        # x0 + x0^4/4 - 2 x0^3/3, then 1, then pi/2 - Si(pi)
+        si_pi = 1.8519370519824661703610534
+        exact = x0 + x0 ** 4 / 4.0 - 2.0 * x0 ** 3 / 3.0 + 1.0 + 0.5 * math.pi - si_pi
+        assert abs(r.value - exact) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
+
     def test_stalled_head_raises_with_partial(self):
+        # the head starts from one panel; 12 panels already meet 2.5e-6 / 4
         with pytest.raises(QuadratureError, match="head stalled") as excinfo:
-            run_tail(struve_tail(-0.5), 2.5e-6, max_intervals=12)
+            run_tail(struve_tail(-0.5), 2.5e-6, max_intervals=8)
         partial = excinfo.value.partial
         assert not partial.converged
         assert partial.evaluations > 0
@@ -270,6 +285,36 @@ class TestErrorEstimateHonesty:
 
         honest = sum(1 for true_err, est in cases if true_err <= 3.0 * est)
         assert honest / len(cases) >= 0.95, cases
+
+    @pytest.mark.parametrize("nu,b", [
+        (-1.5, 1.0),    # the end term's coefficient is 0
+        (-1.0, 2.0),    # the integral is 0
+        (-1.99, 0.1),
+        (-0.01, 1.0),
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_eq12_end_term_taken_out_exactly(self, nu, b, tol):
+        identity = closedforms.get_identity("eq12_struve_halfline")
+        closed = identity.closed(nu=nu, b=b)
+        r = identity.oracle_eval({"nu": nu, "b": b}, tol * max(abs(closed), 1.0))
+        assert abs(r.value - closed) <= 3.0 * r.abs_error_estimate
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_every_tailed_oracle_within_three_times_estimate(self, tol):
+        points = [("eq12_struve_halfline", {"nu": -1.99 + 0.2 * i, "b": b})
+                  for i in range(10) for b in (0.1, 0.3, 1.0, 3.0)]
+        points += [("eq13_struve_moment", {"nu": -0.49 + 0.5 * i}) for i in range(17)]
+        points += [("eq08_fresnel_bessel", {"nu": nu, "alpha": math.sqrt(beta), "beta": beta})
+                   for nu in (0.0, 0.7, 1.5, 2.5) for beta in (0.1, 1.0, 10.0)]
+        dishonest = []
+        for identity_id, params in points:
+            identity = closedforms.get_identity(identity_id)
+            closed = identity.closed(**params)
+            r = identity.oracle_eval(params, tol * max(abs(closed), 1.0))
+            if not abs(r.value - closed) <= 3.0 * r.abs_error_estimate:
+                dishonest.append((identity_id, params, r.value, closed, r.abs_error_estimate))
+        assert len(points) == 69
+        assert not dishonest
 
     # endpoint singularities the adaptive core extrapolates: each result is
     # within three times its estimate, or the integration raises

@@ -17,8 +17,10 @@ count per group that differs: per eval kind in eval_kernel, per identity in
 verify_plain and verify_ladder.  With each count goes the largest relative
 difference |base - change| / max(|base|, |change|) among the group's inputs
 that returned a finite number on both sides: an eval's value, or a verify
-point's closed-form and oracle values.  The exit status is 1 when there is
-any difference and 0 otherwise.
+point's closed-form and oracle values.  A verify group also gets the total
+``oracle_cost`` of its inputs on each side, the machine-independent count
+of integrand evaluations.  The exit status is 1 when there is any
+difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -134,6 +136,12 @@ def numbers(record) -> list:
     return [_number(value)]
 
 
+def oracle_cost(records: dict, keys) -> int:
+    """The summed ``oracle_cost`` of the verify records among ``keys``."""
+    return sum(((records.get(key) or {}).get("value") or {}).get("oracle_cost") or 0
+               for key in keys)
+
+
 def relative_difference(base, change) -> float | None:
     """The largest relative difference of the numbers both records hold."""
     pairs = [(b, c) for b, c in zip(numbers(base), numbers(change))
@@ -182,7 +190,12 @@ def main(argv=None) -> int:
     for name, count in sorted(Counter(map(group, differ)).items()):
         rel = (f"largest relative difference {largest[name]:.2e}" if name in largest
                else "no number on both sides")
-        print(f"  {name}: {count} of {inputs[name]}, {rel}")
+        cost = ""
+        if name.split(" ")[0] in VERIFY_WORKLOADS:
+            members = [key for key in keys if group(key) == name]
+            cost = (f", oracle_cost {oracle_cost(base, members)}"
+                    f" -> {oracle_cost(change, members)}")
+        print(f"  {name}: {count} of {inputs[name]}, {rel}{cost}")
     return 1 if differ else 0
 
 
