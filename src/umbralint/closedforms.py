@@ -366,9 +366,16 @@ def _eq13_oracle(p, tol):
     tail = oracle.OscillatoryTail(max(nu, 1.0) + _TAIL_LEAD * math.pi, math.pi,
                                   wave=weighted(reference.bessel_y_ref),
                                   smooth=weighted(reference.struve_k_ref))
-    half = oracle.integrate_half_line(weighted(reference.struve_h_ref), tol / 2.0, tail)
-    trace = replace(half.trace, values=tuple(2.0 * v for v in half.trace.values),
-                    residual=2.0 * half.trace.residual)
+    return _doubled(oracle.integrate_half_line(weighted(reference.struve_h_ref),
+                                               tol / 2.0, tail))
+
+
+def _doubled(half):
+    """Twice a half-line result taken to half the tolerance: its value,
+    error estimate and trace."""
+    trace = half.trace and replace(
+        half.trace, values=tuple(2.0 * v for v in half.trace.values),
+        residual=2.0 * half.trace.residual)
     return replace(half, value=2.0 * half.value,
                    abs_error_estimate=2.0 * half.abs_error_estimate, trace=trace)
 
@@ -379,10 +386,12 @@ def _eq19_oracle(p, tol):
     return oracle.QuadratureResult(value, tol, 0, True)
 
 
+# The integrands of Eq. 28 and 30 are even in t, so their whole-line
+# integrals are twice the half-line ones, each node |t| evaluated once.
 def _eq28_oracle(p, tol):
     n, x = p["n"], p["x"]
-    return oracle.integrate_real_line(
-        lambda t: reference.bessel_j_ref(n, x * math.exp(-t * t)), tol)
+    return _doubled(oracle.integrate_half_line(
+        lambda t: reference.bessel_j_ref(n, x * math.exp(-t * t)), tol / 2.0))
 
 
 def _eq30_oracle(p, tol):
@@ -392,7 +401,7 @@ def _eq30_oracle(p, tol):
         w = 1.0 + t * t
         return math.exp(-x * x / (w * w)) / (w * w)
 
-    return oracle.integrate_real_line(integrand, tol)
+    return _doubled(oracle.integrate_half_line(integrand, tol / 2.0))
 
 
 # The Mellin integrands x^(nu-1) g(x), with g(0) = 1, carry a mass of about

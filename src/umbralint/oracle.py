@@ -1,8 +1,9 @@
 """Independent numerical ground truth.
 
 Adaptive Gauss-Kronrod quadrature on finite, half-line, and whole-line
-domains.  This module never calls the closed-form or umbral evaluators;
-integrands arrive as plain callables of one float and may be complex valued.
+domains, every piece starting from one GK15 panel as in QUADPACK's QAGS.
+This module never calls the closed-form or umbral evaluators; integrands
+arrive as plain callables of one float and may be complex valued.
 
 Every integral refines one panel at a time, worst first.  An integrable
 singularity at an end of the interval, such as x^(nu-1) at 0 in a Mellin
@@ -15,12 +16,12 @@ once its error estimate is within the tolerance (as in QUADPACK's QAGS).
 An end panel that grows (a divergent end) is never extrapolated, and an end
 that is still unresolved when its panels run out of floats raises.  A
 half-line integral splits at a point x0 and folds [x0, infinity) onto
-(0, 1] by x = x0/u.  A conditionally convergent integral comes with an
+(0, 1] by x = x0/u; a whole-line integral is the half-line integrals of
+f(t) and f(-t).  A conditionally convergent integral comes with an
 OscillatoryTail that describes f beyond x0 as smooth + wave: the head
-[0, x0] of f and the folded smooth part are integrated as above, each
-starting from one panel as QUADPACK's QAGS does, and the wave one
-half-period at a time, its partial sums extrapolated by Wynn's epsilon
-algorithm (as in QUADPACK's QAWF).  An integrand that raises
+[0, x0] of f and the folded smooth part are integrated as above, and the
+wave one half-period at a time, its partial sums extrapolated by Wynn's
+epsilon algorithm (as in QUADPACK's QAWF).  An integrand that raises
 OverflowError ends the integration with a QuadratureError that counts
 every integrand call made.
 
@@ -275,13 +276,9 @@ class _EndExtrapolation:
 
 
 def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
-              panels: int, spent: int = 0):
-    """Worst-panel-first adaptive bisection over [a, b], starting from
-    ``panels`` equal panels: one for finite intervals and for the pieces of
-    an oscillatory tail, as in QUADPACK's QAGS, and eight for untailed
-    half-line and whole-line integrals (from one panel the catalog's
-    whole-line oracles of Eq. 28 and 30 take 27% and 48% more evaluations
-    on their default grids).
+              spent: int = 0):
+    """Worst-panel-first adaptive bisection over [a, b], starting from one
+    panel, as in QUADPACK's QAGS.
 
     A panel that cannot be refined, because its midpoint is no longer
     representable or its error is at its rounding floor, has its error
@@ -301,23 +298,13 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     more than _MAX_EXTRAPOLATION.  An integrand's OverflowError raises a
     QuadratureError counting its calls and ``spent``, the earlier pieces'.
     """
-    heap = []
-    total = 0.0
-    err_total = 0.0
     frozen_err = 0.0
     evaluations = 0
-    n = 0
     try:
-        right = a
-        for i in range(panels):
-            left, right = right, a + (b - a) * (i + 1) / panels
-            value, err, at_floor = _gauss_kronrod_15(f, left, right)
-            evaluations += 15
-            total += value
-            err_total += err
-            heapq.heappush(heap, (-err, n, left, right, value, err, at_floor))
-            n += 1
-        b = right   # as the panel edges round it
+        total, err_total, at_floor = _gauss_kronrod_15(f, a, b)
+        evaluations = 15
+        heap = [(-err_total, 0, a, b, total, err_total, at_floor)]
+        n = 1
         ends = (_EndExtrapolation(), _EndExtrapolation())
         while frozen_err <= tol < err_total + frozen_err and n < max_intervals and heap:
             _, _, left, right, value, err, at_floor = heapq.heappop(heap)
@@ -383,7 +370,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float,
     """
     if not a < b:
         raise DomainError("integrate_finite needs a < b")
-    return _certified("finite-interval", *_adaptive(f, a, b, tol, max_intervals, 1),
+    return _certified("finite-interval", *_adaptive(f, a, b, tol, max_intervals),
                       tol)
 
 
@@ -440,15 +427,15 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
 
     Each piece aims at a sixteenth of what ``err`` leaves of ``tol``; the
     integration stalls when the errors pass ``tol`` itself.  The error
-    estimate is the distance of the newest extrapolated value from each of
-    the two before it, as in QUADPACK's QELG, plus ``err`` and the pieces'
-    own errors.
+    estimate is, as in QUADPACK's QELG, the distance of the newest
+    extrapolated value from each of the three before it, at least 5 eps of
+    that value, plus ``err`` and the pieces' own errors.
     """
     piece_tol = (tol - err) / 16.0
     table, sums, estimates = [], [], []
     for k in range(_MAX_PIECES):
         a = start + k * half_period
-        v, e, n = _adaptive(wave, a, a + half_period, piece_tol, max_intervals, 1,
+        v, e, n = _adaptive(wave, a, a + half_period, piece_tol, max_intervals,
                             evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not err <= tol:
@@ -460,7 +447,8 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
         estimates.append(_epsilon_step(table, value))
         if k >= _MIN_PIECES:
             last = estimates[-1]
-            total_err = abs(last - estimates[-2]) + abs(last - estimates[-3]) + err
+            total_err = err + max(abs(last - estimates[-2]) + abs(last - estimates[-3])
+                                  + abs(last - estimates[-4]), 5.0 * _EPS * abs(last))
             if total_err <= tol:
                 break
     trace = ExtrapolationTrace(tuple(sums), abs(last - estimates[-2]))
@@ -472,12 +460,21 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
     return result
 
 
+def _split_at_one(f, tol: float, max_intervals: int, spent: int = 0):
+    """(value, error, evaluations) of f over (0, infinity) as [0, 1] plus
+    [1, infinity) folded by x = 1/u, each piece to half of ``tol``."""
+    head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals, spent)
+    fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, spent + head[2])
+    return head[0] + fold[0], head[1] + fold[1], head[2] + fold[2]
+
+
 def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = None,
                         max_intervals: int = 40_000) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
 
     Without ``tail`` the integral splits at x = 1, folds [1, infinity) by
-    x = 1/u, and integrates both pieces adaptively; f must decay.
+    x = 1/u, and integrates both pieces adaptively, each to half of
+    ``tol``; f must decay.
 
     With ``tail``, which describes f as ``smooth + wave`` beyond
     ``tail.start``, the integral is the sum of three parts: f over
@@ -490,10 +487,7 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     adaptive piece.
     """
     if tail is None:
-        head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals, 8)
-        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, 8, head[2])
-        return _certified("half-line", head[0] + fold[0], head[1] + fold[1],
-                          head[2] + fold[2], tol)
+        return _certified("half-line", *_split_at_one(f, tol, max_intervals), tol)
 
     x0 = tail.start
     value, err, evaluations = 0.0, 0.0, 0
@@ -501,7 +495,7 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     if tail.smooth is not None:
         parts.append(("smooth part", _fold(tail.smooth, x0), 0.0, 1.0))
     for name, g, a, b in parts:
-        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, 1, evaluations)
+        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not e <= 0.25 * tol:   # nan included
             raise QuadratureError(
@@ -512,18 +506,10 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
 
 
 def integrate_real_line(f: Callable, tol: float) -> QuadratureResult:
-    """Integral over the whole line via the rational map t = u/(1-u^2)."""
-    def mapped(u):
-        w = 1.0 - u * u
-        if w <= 0.0:
-            return 0.0
-        t = u / w
-        if not math.isfinite(t):
-            return 0.0
-        ft = f(t)
-        if ft == 0.0:
-            return 0.0
-        return ft * (1.0 + u * u) / (w * w)
-
-    return _certified("whole-line", *_adaptive(mapped, -1.0, 1.0, tol, 40_000, 8),
-                      tol)
+    """Integral over the whole line to absolute tolerance ``tol``: the
+    untailed half-line integrals of f(t) and of f(-t), each to half of
+    ``tol``."""
+    right = _split_at_one(f, 0.5 * tol, 40_000)
+    left = _split_at_one(lambda t: f(-t), 0.5 * tol, 40_000, right[2])
+    return _certified("whole-line", right[0] + left[0], right[1] + left[1],
+                      right[2] + left[2], tol)

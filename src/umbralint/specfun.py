@@ -255,8 +255,12 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
         log_first = math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0)
         if z.real < 0:
             log_first += z.real   # e^x = e^(Re x) e^(i Im x)
-            value = math.exp(log_first) * hyper_pfq((nu,), (2.0 * nu + 1.0,),
-                                                    -z if z.imag else -z.real, tol)
+            # 1 + the terms from k = 1, which are O(nu): summed apart, they
+            # stop at tol against their own sum, not against the leading 1
+            w = -z if z.imag else -z.real
+            rest, _ = sum_hypergeometric(nu * w / (2.0 * nu + 1.0), (nu,),
+                                         (2.0 * nu + 1.0, 1.0), w, tol, k=1)
+            value = math.exp(log_first) * (1.0 + rest)
             if z.imag:
                 value *= cmath.exp(1j * z.imag)
         else:

@@ -461,6 +461,20 @@ class TestVerifyPoint:
         assert report.passed
         assert report.oracle_cost <= 1_000
 
+    def test_untailed_oracle_evaluation_ceiling(self):
+        # the untailed half-line oracles over their default grids, eq28's and
+        # eq30's even integrands integrated once; counts are exact
+        cost = 0
+        for identity_id in ("eq02_mellin_exponential", "eq02_mellin_rational",
+                            "eq28_bessel_gauss_dilation", "eq30_lorentz_gauss",
+                            "eq31_borel_cosine", "eq35_borel_pseudo_trig3"):
+            identity = get_identity(identity_id)
+            reports = cli.run_verification(identity, dict(identity.default_grid),
+                                           identity.default_tol)
+            assert all(r.passed for r in reports)
+            cost += sum(r.oracle_cost for r in reports)
+        assert cost <= 4_800
+
     def test_closed_form_overflow_is_a_closed_form_failure(self):
         identity = get_identity("eq13_struve_moment")
         report = cli.verify_point(identity, {"nu": 200.0}, identity.default_tol)

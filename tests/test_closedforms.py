@@ -222,6 +222,23 @@ class TestBesselGaussDilation:
                 lambda t, _n=n, _x=x: bessel_j_ref(_n, _x * math.exp(-t * t)), 1e-10)
             assert abs(closed - quad.value) <= 1e-7 * abs(quad.value)
 
+    def test_oracle_evaluates_each_node_once(self, monkeypatch):
+        # the integrand is even in t: a whole-line rule would call J_n at
+        # t and -t with the same argument.  Far out x e^{-t^2} underflows,
+        # and those calls all share the argument 0
+        calls = []
+
+        def counting(n, x):
+            calls.append((n, x))
+            return bessel_j_ref(n, x)
+
+        monkeypatch.setattr(cf.reference, "bessel_j_ref", counting)
+        identity = cf.get_identity("eq28_bessel_gauss_dilation")
+        r = identity.oracle_eval({"n": 2.0, "x": 1.0}, 0.25 * identity.default_tol)
+        assert len(calls) == r.evaluations > 0
+        inside = [c for c in calls if c[1] != 0.0]
+        assert len(set(inside)) == len(inside)
+
     def test_needs_positive_integer_order(self):
         with pytest.raises(DomainError):
             cf.bessel_gauss_dilation(0, 1.0)

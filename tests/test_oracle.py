@@ -134,6 +134,16 @@ class TestIntegrateRealLine:
         assert r.value == pytest.approx(
             SQRT_PI * math.gamma(2.5) / math.gamma(3.0), abs=1e-10)
 
+    @pytest.mark.parametrize("f,expected", [
+        (lambda t: math.exp(-(t - 1.0) ** 2), SQRT_PI),
+        (lambda t: (1.0 + (t - 3.0) ** 2) ** -2, 0.5 * math.pi),
+    ])
+    def test_asymmetric(self, f, expected):
+        # off-center peaks, so the halves t > 0 and t < 0 differ
+        r = oracle.integrate_real_line(f, 1e-10)
+        assert r.value == pytest.approx(expected, abs=1e-10)
+        assert abs(r.value - expected) <= 3.0 * r.abs_error_estimate
+
     def test_substitution_invariance(self):
         # whole-line of an even function equals twice the half-line value
         for f, tol in [(lambda t: math.exp(-t * t), 1e-10),
@@ -285,6 +295,15 @@ class TestErrorEstimateHonesty:
 
         honest = sum(1 for true_err, est in cases if true_err <= 3.0 * est)
         assert honest / len(cases) >= 0.95, cases
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_eq12_wave_tail_error_near_the_singular_end(self, tol):
+        # two of the wave's epsilon limits can agree by chance at the fewest
+        # half-periods; the third earlier one keeps the estimate honest
+        identity = closedforms.get_identity("eq12_struve_halfline")
+        params = {"nu": -1.999, "b": 2.0}
+        r = identity.oracle_eval(params, tol)
+        assert abs(r.value - identity.closed(**params)) <= 3.0 * r.abs_error_estimate
 
     @pytest.mark.parametrize("nu,b", [
         (-1.5, 1.0),    # the end term's coefficient is 0
@@ -483,6 +502,7 @@ class TestEvaluationCount:
     @pytest.mark.parametrize("g", [
         lambda t: math.exp(-t * t),
         lambda t: (1.0 + t * t) ** -2,
+        lambda t: math.exp(-(t - 1.0) ** 2),
     ])
     def test_real_line(self, g):
         calls = [0]

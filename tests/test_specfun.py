@@ -3,7 +3,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbralint import specfun as sf
 from umbralint.errors import ConvergenceError, DomainError, EngineError, PoleError
@@ -566,7 +566,10 @@ class TestTermRatioKernelsProperties:
         assert abs(series - closed) <= 1e-12 * abs(closed)
 
     # b_nu for nu >= 0 in the left half-plane, by Kummer's form.  Against
-    # mpmath: scipy's iv under b_nu_closed is up to 2.7e-11 off here
+    # mpmath: scipy's iv under b_nu_closed is up to 2.7e-11 off here.  At
+    # nu = 1e-13 every term past the first is below 1e-12 while they grow,
+    # and a sum that stopped there was 1.9e-12 off
+    @example(nu=1e-13, z=cmath.rect(5.0, 3.0))
     @settings(max_examples=200, deadline=None)
     @given(nu=st.floats(0.0, 3.0),
            z=st.builds(cmath.rect, st.floats(1e-3, 20.0),
