@@ -15,11 +15,11 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable
 
 from . import oracle, reference, transforms, umbral
-from .errors import ConvergenceError, DomainError, overflow_raises
+from .errors import ConvergenceError, DomainError, QuadratureError, overflow_raises
 from .specfun import (
     DEFAULT_TOL,
     as_integer,
@@ -315,9 +315,64 @@ class IdentityDescriptor:
 _TAIL_LEAD = 3.0
 
 
+# Each oracle integrand below behaves like x^p sum_k c_k x^(s k) at an end
+# of an interval (DLMF 10.2.2, 11.2.1, Taylor series), which bisection
+# meets by halving the end panel again and again.  So, as QUADPACK's QAWS
+# integrates an algebraic end weight exactly, the oracle integrates f less
+# the first terms and adds their integral exactly.  The coefficients come
+# from math.gamma, math.lgamma and math.factorial, not the series kernels.
+
+
+def _power_integral(r: float, lo: float, hi: float) -> float:
+    """The integral of x^(r-1) over [lo, hi], 0 <= lo < hi <= infinity,
+    where it converges: r > 0 at lo = 0 and r < 0 at hi = infinity."""
+    return ((hi ** r if hi < math.inf else 0.0) - (lo ** r if lo > 0.0 else 0.0)) / r
+
+
+def _less_power_terms(f, lo: float, hi: float, p1: float, s: int, coefficients: tuple,
+                      tol: float):
+    """f on [lo, hi] less the terms sum_k c_k x^(p + s k) of its expansion
+    at 0 (s > 0) or at infinity (s < 0), and (their exact integral over
+    [lo, hi], eps sum_k |c_k integral x^(p + s k)|, which bounds its rounding).
+
+    p comes as p1 = p + 1, and x^p is formed as x^p1 / x, as f must form
+    it: at a tiny p1 (a Mellin moment near nu = 0), p1 - 1 keeps few of its
+    digits.  Far from the end the terms can outgrow f by many digits (the
+    Beta kernel at a large x and beta), so a term is taken out only while
+    that rounding stays within tol/200, which keeps the panels' rounding
+    floors, 50 eps of what they integrate, within a quarter of ``tol``; the
+    first term, the end's own mass, always is.
+    """
+    integrals = [c * _power_integral(p1 + s * k, lo, hi) for k, c in enumerate(coefficients)]
+    roundings = [sys.float_info.epsilon * r for r in accumulate(map(abs, integrals))]
+    kept = 1 + sum(r <= tol / 200.0 for r in roundings[1:])
+    top, *rest = coefficients[kept - 1::-1]
+
+    def less_terms(x):
+        xs = x ** s
+        series = top
+        for c in rest:
+            series = series * xs + c
+        return f(x) - x ** p1 / x * series
+
+    return less_terms, (sum(integrals[:kept]), roundings[kept - 1])
+
+
+def _plus_terms(result, *terms):
+    """``result`` with the exact integrals of ``terms`` added to its value and
+    their rounding bounds to its error estimate."""
+    return replace(result, value=result.value + sum(value for value, _ in terms),
+                   abs_error_estimate=result.abs_error_estimate
+                   + sum(rounding for _, rounding in terms))
+
+
+@overflow_raises(QuadratureError)
 def _fresnel_oracle(p, tol):
     # in s = x^2 the integrand is 1/2 J_{2nu}(alpha sqrt(s)) e^{i beta s}:
-    # all wave, with half-period pi/beta
+    # all wave, with half-period pi/beta.  At s = 0 it is s^nu sum_n d_n s^n,
+    # the series of J_{2nu} (DLMF 10.2.2) times that of e^{i beta s}; the
+    # head takes out d_0 and d_1.  d_0 = (alpha/2)^(2 nu) / (2 Gamma(2 nu + 1))
+    # is formed from its log, which underflows, not overflows, at a large nu
     nu, alpha, beta = p["nu"], p["alpha"], p["beta"]
 
     def integrand(s):
@@ -325,35 +380,38 @@ def _fresnel_oracle(p, tol):
                 * cmath.exp(1j * beta * s))
 
     half_period = math.pi / beta
-    tail = oracle.OscillatoryTail(1.0 + _TAIL_LEAD * half_period, half_period,
-                                  integrand)
-    return oracle.integrate_half_line(integrand, tol, tail)
+    x0 = 1.0 + _TAIL_LEAD * half_period
+    d0 = 0.5 * math.exp(2.0 * nu * math.log(0.5 * alpha) - math.lgamma(2.0 * nu + 1.0))
+    d1 = d0 * complex(-0.25 * alpha * alpha / (2.0 * nu + 1.0), beta)
+    head, terms = _less_power_terms(integrand, 0.0, x0, nu + 1.0, 1, (d0, d1), 0.25 * tol)
+    tail = oracle.OscillatoryTail(x0, half_period, integrand)
+    return _plus_terms(oracle.integrate_half_line(head, tol, tail), terms)
 
 
+@overflow_raises(QuadratureError)
 def _eq12_oracle(p, tol):
     # H_nu = Y_nu + K_nu (DLMF 11.2.5): Y_nu(b x) is the wave, with
-    # half-period pi/b, and K_nu(b x) the smooth rest.  The head [0, x0]
-    # integrates H_nu(b x) less its leading term c (b x)^(nu+1), with
-    # c = 1/(2^(nu+1) Gamma(3/2) Gamma(nu+3/2)) (DLMF 11.2.1, k = 0): for
-    # nu < -1 that term is the head's singularity at 0.  Its integral
-    # c b^(nu+1) x0^(nu+2)/(nu+2) is added exactly.  1/Gamma(nu+3/2) is
-    # taken as (nu+3/2)/Gamma(nu+5/2), finite on -2 < nu < 0 and 0 at nu = -3/2
+    # half-period pi/b, and K_nu(b x) the smooth rest.  The head takes out
+    # two terms c_k z^(nu+1+2k) of H_nu(z), z = b x, c_k = (-1)^k
+    # 2^-(nu+1+2k) / (Gamma(k+3/2) Gamma(k+nu+3/2)) (DLMF 11.2.1); for nu < -1
+    # the first is the head's singularity.  In z the c_k do not depend on b;
+    # the terms' integral over [0, b x0] is divided by b.  At k = 0,
+    # 1/Gamma(nu+3/2) is taken as (nu+3/2)/Gamma(nu+5/2), finite on
+    # -2 < nu < 0 and 0 at nu = -3/2
     nu, b = p["nu"], p["b"]
     half_period = math.pi / b
     x0 = 1.0 + _TAIL_LEAD * half_period
-    c = (nu + 1.5) / (math.sqrt(math.pi) * 2.0 ** nu * math.gamma(nu + 2.5))
+    c0 = (nu + 1.5) / (math.sqrt(math.pi) * 2.0 ** nu * math.gamma(nu + 2.5))
+    c1 = -0.5 ** (nu + 3.0) / (0.75 * math.sqrt(math.pi) * math.gamma(nu + 2.5))
+    less_terms, (value, rounding) = _less_power_terms(
+        lambda z: reference.struve_h_ref(nu, z), 0.0, b * x0, nu + 2.0, 2, (c0, c1),
+        0.25 * tol * b)
     tail = oracle.OscillatoryTail(
         x0, half_period,
         wave=lambda x: reference.bessel_y_ref(nu, b * x),
         smooth=lambda x: reference.struve_k_ref(nu, b * x))
-
-    def head(x):
-        bx = b * x
-        return reference.struve_h_ref(nu, bx) - c * bx ** (nu + 1.0)
-
-    result = oracle.integrate_half_line(head, tol, tail)
-    return replace(result, value=result.value
-                   + c * b ** (nu + 1.0) * x0 ** (nu + 2.0) / (nu + 2.0))
+    return _plus_terms(oracle.integrate_half_line(lambda x: less_terms(b * x), tol, tail),
+                       (value / b, rounding / b))
 
 
 def _eq13_oracle(p, tol):
@@ -404,37 +462,35 @@ def _eq30_oracle(p, tol):
     return _doubled(oracle.integrate_half_line(integrand, tol / 2.0))
 
 
-# The Mellin integrands x^(nu-1) g(x), with g(0) = 1, carry a mass of about
-# 1/nu next to x = 0, which GK15's nodes see only in part: at a tiny nu the
-# first panels meet the budget with a value far below the integral.  So
-# below x = 1 the oracles integrate x^(nu-1) (g(x) - 1) and add 1/nu, the
-# integral of x^(nu-1) over [0, 1], exactly; integrate_half_line splits at
-# x = 1, so the jump between the two pieces is never sampled.
-def _plus_singular_mass(result, nu):
-    return replace(result, value=result.value + 1.0 / nu)
+# The Mellin oracles take out four Taylor terms of g in x^(nu-1) g(x) on
+# [0, 1], whose first holds the mass 1/nu that GK15's nodes see only in
+# part at a tiny nu; the rational one also four terms of x^(nu-2)/(1+1/x)
+# on [1, infinity), whose first holds 1/(1-nu).  integrate_half_line
+# splits at x = 1, so the jump between the pieces is never sampled, and
+# gives each piece half of tol.
+_EXP_TAYLOR = (1.0, -1.0, 0.5, -1.0 / 6.0)
+_ALTERNATING = (1.0, -1.0, 1.0, -1.0)
+
+
+def _mellin_oracle(f, nu, tol, head_coefficients, tail_coefficients=None):
+    head, head_terms = _less_power_terms(f, 0.0, 1.0, nu, 1, head_coefficients, 0.5 * tol)
+    tail, tail_terms = f, (0.0, 0.0)
+    if tail_coefficients:
+        tail, tail_terms = _less_power_terms(f, 1.0, math.inf, nu - 1.0, -1,
+                                             tail_coefficients, 0.5 * tol)
+    return _plus_terms(oracle.integrate_half_line(
+        lambda x: head(x) if x < 1.0 else tail(x), tol), head_terms, tail_terms)
 
 
 def _eq02_exp_oracle(p, tol):
     nu = p["nu"]
-
-    def integrand(x):
-        if x < 1.0:
-            # x^(nu-1) (e^-x - 1), with x^(nu-1) never formed at a tiny x
-            return x ** nu * (math.expm1(-x) / x)
-        return x ** (nu - 1.0) * math.exp(-x)
-
-    return _plus_singular_mass(oracle.integrate_half_line(integrand, tol), nu)
+    return _mellin_oracle(lambda x: x ** nu / x * math.exp(-x), nu, tol, _EXP_TAYLOR)
 
 
 def _eq02_rat_oracle(p, tol):
     nu = p["nu"]
-
-    def integrand(x):
-        if x < 1.0:
-            return -x ** nu / (1.0 + x)   # x^(nu-1) (1/(1+x) - 1)
-        return x ** (nu - 1.0) / (1.0 + x)
-
-    return _plus_singular_mass(oracle.integrate_half_line(integrand, tol), nu)
+    return _mellin_oracle(lambda x: x ** nu / x / (1.0 + x), nu, tol,
+                          _ALTERNATING, _ALTERNATING)
 
 
 def _eq31_cos_oracle(p, tol):
@@ -453,26 +509,53 @@ def _eq35_oracle(p, tol):
     return oracle.integrate_half_line(integrand, tol)
 
 
+# terms of u^(a-1) (1-u)^(b-1) e^(-u x) taken out at each end of the Beta kernel
+_BETA_TERMS = 6
+
+
+def _beta_end_coefficients(b, x):
+    """The Taylor coefficients at u = 0 of (1-u)^(b-1) e^(-u x), the factor
+    that multiplies u^(a-1) in the Beta kernel: the Cauchy product of
+    (1-u)^(b-1) = sum_j (1-b)(2-b)...(j-b)/j! u^j and e^(-u x)."""
+    binomial, exponential = [], []
+    rising = 1.0
+    for j in range(_BETA_TERMS):
+        binomial.append(rising / math.factorial(j))
+        exponential.append((-x) ** j / math.factorial(j))
+        rising *= j + 1.0 - b
+    return tuple(sum(binomial[j] * exponential[k - j] for j in range(k + 1))
+                 for k in range(_BETA_TERMS))
+
+
+@overflow_raises(QuadratureError)
 def _eq36_oracle(p, tol):
     # the weight is singular at both ends, and floats near u = 1 are too
     # sparse to resolve it there, so [1/2, 1] moves to v = 1 - u and each
-    # singular end sits at 0
+    # singular end sits at 0.  Each piece takes out the terms of its series
+    # at 0.  The right one keeps e^((v-1) x) inside and e^-x only in the
+    # coefficients: a factor e^-x outside its integral would scale its error
+    # too, e^8.8 = 6,600 times at x = -8.8
     a, b, x = p["alpha"], p["beta"], p["x"]
-    left = oracle.integrate_finite(
-        lambda u: u ** (a - 1.0) * (1.0 - u) ** (b - 1.0) * math.exp(-u * x),
-        0.0, 0.5, tol / 2.0)
-    right = oracle.integrate_finite(
-        lambda v: v ** (b - 1.0) * (1.0 - v) ** (a - 1.0) * math.exp((v - 1.0) * x),
-        0.0, 0.5, tol / 2.0)
-    return oracle.QuadratureResult(
+    left, left_terms = _less_power_terms(
+        lambda u: u ** a / u * (1.0 - u) ** (b - 1.0) * math.exp(-u * x),
+        0.0, 0.5, a, 1, _beta_end_coefficients(b, x), tol / 2.0)
+    right, right_terms = _less_power_terms(
+        lambda v: v ** b / v * (1.0 - v) ** (a - 1.0) * math.exp((v - 1.0) * x),
+        0.0, 0.5, b, 1,
+        tuple(math.exp(-x) * c for c in _beta_end_coefficients(a, -x)), tol / 2.0)
+    left = oracle.integrate_finite(left, 0.0, 0.5, tol / 2.0)
+    right = oracle.integrate_finite(right, 0.0, 0.5, tol / 2.0)
+    return _plus_terms(oracle.QuadratureResult(
         left.value + right.value, left.abs_error_estimate + right.abs_error_estimate,
-        left.evaluations + right.evaluations, True)
+        left.evaluations + right.evaluations, True), left_terms, right_terms)
 
 
 _MELLIN_STRIP = (("0 < nu < 1", lambda p: 0.0 < p["nu"] < 1.0),)
 _UNIT_DISC = (("|x| < 1", lambda p: abs(p["x"]) < 1.0),)
-_COS_SERIES = transforms.pseudo_trig_series(0, 2)
-_C03_SERIES = transforms.pseudo_trig_series(0, 3)
+# the Borel edits of cos and of the 3-sected alternating exponential, whose
+# sums are 1/(1+x^2) and 1/(1+x^3): fixed laws, built once
+_BOREL_COS_SERIES = transforms.borel_transform(transforms.pseudo_trig_series(0, 2))
+_BOREL_C03_SERIES = transforms.borel_transform(transforms.pseudo_trig_series(0, 3))
 
 
 def _closed_eq19(x, t, m):
@@ -490,11 +573,11 @@ def _closed_eq02_rat(nu):
 
 
 def _closed_eq31_cos(x):
-    return transforms.borel_transform(_COS_SERIES).evaluate(x, tol=1e-13)
+    return _BOREL_COS_SERIES.evaluate(x, tol=1e-13)
 
 
 def _closed_eq35_c03(x):
-    return transforms.borel_transform(_C03_SERIES).evaluate(x, tol=1e-13)
+    return _BOREL_C03_SERIES.evaluate(x, tol=1e-13)
 
 
 def _closed_eq36(alpha, beta, x):

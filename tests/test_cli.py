@@ -461,19 +461,33 @@ class TestVerifyPoint:
         assert report.passed
         assert report.oracle_cost <= 1_000
 
-    def test_untailed_oracle_evaluation_ceiling(self):
-        # the untailed half-line oracles over their default grids, eq28's and
-        # eq30's even integrands integrated once; counts are exact
+    @staticmethod
+    def default_grid_cost(identity_ids):
         cost = 0
-        for identity_id in ("eq02_mellin_exponential", "eq02_mellin_rational",
-                            "eq28_bessel_gauss_dilation", "eq30_lorentz_gauss",
-                            "eq31_borel_cosine", "eq35_borel_pseudo_trig3"):
+        for identity_id in identity_ids:
             identity = get_identity(identity_id)
             reports = cli.run_verification(identity, dict(identity.default_grid),
                                            identity.default_tol)
             assert all(r.passed for r in reports)
             cost += sum(r.oracle_cost for r in reports)
-        assert cost <= 4_800
+        return cost
+
+    def test_untailed_oracle_evaluation_ceiling(self):
+        # the untailed oracles over their default grids, eq28's and eq30's
+        # even integrands integrated once, the power-law ends of eq02 and
+        # eq36 taken out exactly; counts are exact
+        assert self.default_grid_cost((
+            "eq02_mellin_exponential", "eq02_mellin_rational",
+            "eq28_bessel_gauss_dilation", "eq30_lorentz_gauss",
+            "eq31_borel_cosine", "eq35_borel_pseudo_trig3",
+            "eq36_beta_exponential")) <= 3_660
+
+    def test_tailed_oracle_evaluation_ceiling(self):
+        # the oscillatory-tail oracles over their default grids, with the
+        # power-law heads of eq08 and eq12 taken out exactly; counts are exact
+        assert self.default_grid_cost((
+            "eq08_fresnel_bessel", "eq12_struve_halfline",
+            "eq13_struve_moment")) <= 2_550
 
     def test_closed_form_overflow_is_a_closed_form_failure(self):
         identity = get_identity("eq13_struve_moment")

@@ -289,6 +289,54 @@ class TestLorentzGauss:
         assert abs(literal - quad.value) > 0.25 * math.pi - 1e-6
 
 
+class TestPowerTerms:
+    # x^(-1/2) (1 + 2x + 3x^2) on [0, 1] and x^-2 (1 - 1/x + 1/x^2) on
+    # [1, infinity), each plus a part the terms do not hold
+    @pytest.mark.parametrize("lo,hi,p1,s,coefficients,exact,extra,extra_integral", [
+        (0.0, 1.0, 0.5, 1, (1.0, 2.0, 3.0), 2.0 + 4.0 / 3.0 + 6.0 / 5.0,
+         math.exp, math.e - 1.0),
+        (1.0, math.inf, -1.0, -1, (1.0, -1.0, 1.0), 1.0 - 0.5 + 1.0 / 3.0,
+         lambda x: 1.0 / (x * x * x * x), 1.0 / 3.0),
+    ])
+    def test_pure_power_series_is_integrated_exactly(self, lo, hi, p1, s, coefficients,
+                                                     exact, extra, extra_integral):
+        def series(x):
+            return sum(c * x ** (p1 - 1.0 + s * k) for k, c in enumerate(coefficients))
+
+        rest, (value, rounding) = cf._less_power_terms(series, lo, hi, p1, s, coefficients,
+                                                       1.0)
+        assert value == pytest.approx(exact, rel=1e-15)
+        assert rounding == pytest.approx(
+            sys.float_info.epsilon * sum(abs(c) / abs(p1 + s * k)
+                                         for k, c in enumerate(coefficients)), rel=1e-14)
+        for x in (1e-6, 0.3, 1.0, 7.0, 1e6):
+            if lo <= x <= hi:
+                assert abs(rest(x)) <= 8.0 * sys.float_info.epsilon * abs(series(x))
+        # with a part the terms do not hold, the rest integrates to that part
+        rest, (value, _) = cf._less_power_terms(lambda x: series(x) + extra(x),
+                                                lo, hi, p1, s, coefficients, 1.0)
+        if math.isinf(hi):
+            r = oracle.integrate_finite(lambda u: rest(lo / u) * lo / (u * u), 0.0, 1.0, 1e-12)
+        else:
+            r = oracle.integrate_finite(rest, lo, hi, 1e-12)
+        assert r.value + value == pytest.approx(exact + extra_integral, rel=1e-12)
+        assert r.evaluations == 15
+
+    def test_terms_that_would_round_past_the_budget_stay_in(self):
+        # on [0, 1/2] the terms of e^(40 u) reach 20^k/k!: at tol 1e-11 only
+        # the first three are taken out, at tol 0 only the first, which is
+        # the end's own mass
+        coefficients = tuple(40.0 ** k / math.factorial(k) for k in range(8))
+        for tol, kept in ((1.0, 8), (1e-11, 3), (0.0, 1)):
+            rest, (value, rounding) = cf._less_power_terms(
+                lambda u: u ** -0.5 * math.exp(40.0 * u), 0.0, 0.5, 0.5, 1, coefficients, tol)
+            integrals = [c * 0.5 ** (k + 0.5) / (k + 0.5) for k, c in enumerate(coefficients)]
+            assert value == pytest.approx(sum(integrals[:kept]), rel=1e-14)
+            assert rounding <= max(tol / 200.0, sys.float_info.epsilon * abs(integrals[0]))
+            assert rest(0.25) == pytest.approx(0.25 ** -0.5 * (math.exp(10.0) - sum(
+                c * 0.25 ** k for k, c in enumerate(coefficients[:kept]))), rel=1e-12)
+
+
 class TestBetaExponential:
     def test_kummer_route_where_the_alternating_sum_cancelled(self):
         # B(a, b) 1F1(a; a+b; -x) at large a and x: the alternating series

@@ -355,6 +355,38 @@ class TestErrorEstimateHonesty:
             return
         assert abs(r.value - closed) <= 3.0 * r.abs_error_estimate
 
+    # the Mellin oracles at the strip-edge nu of verify's strip-edge test,
+    # against Gamma(nu) and pi/sin(pi nu) from math: at nu = 1e-12 the
+    # closed sides are a few ulps of 10^12 off, more than the estimate
+    @pytest.mark.parametrize("identity_id,exact", [
+        ("eq02_mellin_exponential", math.gamma),
+        ("eq02_mellin_rational", lambda nu: math.pi / math.sin(math.pi * min(nu, 1.0 - nu))),
+    ])
+    @pytest.mark.parametrize("nu", [1e-12, 1e-9, 1e-6, 0.005, 0.02, 0.995])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_mellin_strip_edge_estimates(self, identity_id, exact, nu, tol):
+        value = exact(nu)
+        r = closedforms.get_identity(identity_id).oracle_eval({"nu": nu}, tol * value)
+        assert abs(r.value - value) <= 3.0 * r.abs_error_estimate
+
+    # the Beta kernel takes out the terms of its integrand at both ends;
+    # at x = -8.8, e^-x outside the right piece once made its error 6,500
+    # times larger
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_beta_oracle_within_three_times_estimate(self, tol):
+        identity = closedforms.get_identity("eq36_beta_exponential")
+        shapes = (0.1, 0.3, 1.0, 3.0, 10.0)
+        dishonest = []
+        for a in shapes:
+            for b in shapes:
+                for x in (-10.0, -8.8, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0):
+                    closed = identity.closed(a, b, x)
+                    r = identity.oracle_eval({"alpha": a, "beta": b, "x": x},
+                                             tol * max(abs(closed), 1.0))
+                    if not abs(r.value - closed) <= 3.0 * r.abs_error_estimate:
+                        dishonest.append((a, b, x, r.value, closed, r.abs_error_estimate))
+        assert not dishonest
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_near_non_integrable_end_estimate(self, tol):
         try:
