@@ -235,36 +235,27 @@ _CLOSED_APPROX = "closed approximation, <= 1e-13 relative"
 _FINITE = "finite sum in floating point, cancellation not bounded"
 _EXACT = "closed form (exact)"
 
-# (function, accuracy note); eval passes the required parameters, and each
-# function checks its own integer orders
+# (function, accuracy note, the parameters that take complex values); eval
+# passes the required parameters, all others must be real since the kernels
+# order them, and each function checks its own integer orders
 _EVAL_FUNCS = {
-    "gamma": (specfun.gamma, _CLOSED_APPROX),
-    "beta": (specfun.beta, _CLOSED_APPROX),
-    "bessel_j": (specfun.bessel_j, _SERIES),
-    "bessel_i": (specfun.bessel_i, _SERIES),
-    "struve_h": (specfun.struve_h, _SERIES),
-    "b_nu": (specfun.b_nu, _SERIES),
-    "pseudo_trig": (specfun.pseudo_trig, _SERIES),
-    "hermite_higher": (specfun.hermite_higher, _FINITE),
-    "hermite_hybrid": (specfun.hermite_hybrid, _FINITE),
-    "truncated_e": (specfun.truncated_e, _FINITE),
-    "hermite_tricomi": (specfun.hermite_tricomi, _SERIES),
-    "fresnel_bessel": (closedforms.fresnel_bessel, _SERIES),
-    "struve_halfline": (closedforms.struve_halfline_integral, _EXACT),
-    "struve_moment": (closedforms.struve_moment_integral, _EXACT),
-    "bessel_gauss_dilation": (closedforms.bessel_gauss_dilation, _SERIES),
-    "lorentz_gauss": (closedforms.lorentz_gauss_integral, _SERIES),
-    "bessel_generating": (closedforms.bessel_generating_function, _SERIES),
-}
-
-
-# the parameters of an eval function that take complex values; all others
-# must be real, since the kernels order them
-_COMPLEX_PARAMS = {
-    "gamma": ("z",), "beta": ("a", "b"), "b_nu": ("x",), "pseudo_trig": ("x",),
-    "hermite_higher": ("u", "v"), "hermite_hybrid": ("x", "y"),
-    "truncated_e": ("x", "y"), "hermite_tricomi": ("x", "y"),
-    "lorentz_gauss": ("x",), "bessel_generating": ("t",),
+    "gamma": (specfun.gamma, _CLOSED_APPROX, ("z",)),
+    "beta": (specfun.beta, _CLOSED_APPROX, ("a", "b")),
+    "bessel_j": (specfun.bessel_j, _SERIES, ()),
+    "bessel_i": (specfun.bessel_i, _SERIES, ()),
+    "struve_h": (specfun.struve_h, _SERIES, ()),
+    "b_nu": (specfun.b_nu, _SERIES, ("x",)),
+    "pseudo_trig": (specfun.pseudo_trig, _SERIES, ("x",)),
+    "hermite_higher": (specfun.hermite_higher, _FINITE, ("u", "v")),
+    "hermite_hybrid": (specfun.hermite_hybrid, _FINITE, ("x", "y")),
+    "truncated_e": (specfun.truncated_e, _FINITE, ("x", "y")),
+    "hermite_tricomi": (specfun.hermite_tricomi, _SERIES, ("x", "y")),
+    "fresnel_bessel": (closedforms.fresnel_bessel, _SERIES, ()),
+    "struve_halfline": (closedforms.struve_halfline_integral, _EXACT, ()),
+    "struve_moment": (closedforms.struve_moment_integral, _EXACT, ()),
+    "bessel_gauss_dilation": (closedforms.bessel_gauss_dilation, _SERIES, ()),
+    "lorentz_gauss": (closedforms.lorentz_gauss_integral, _SERIES, ("x",)),
+    "bessel_generating": (closedforms.bessel_generating_function, _SERIES, ("t",)),
 }
 
 
@@ -298,7 +289,7 @@ def _cmd_eval(args) -> int:
         print(f"unknown function {name!r}; choose from: "
               f"{', '.join(sorted(_EVAL_FUNCS))}", file=sys.stderr)
         return 2
-    fn, note = _EVAL_FUNCS[name]
+    fn, note, complex_params = _EVAL_FUNCS[name]
     params = [p.name for p in inspect.signature(fn).parameters.values()
               if p.default is p.empty]
     if len(args.args) != len(params):
@@ -310,7 +301,7 @@ def _cmd_eval(args) -> int:
         print(f"bad argument: {exc}", file=sys.stderr)
         return 2
     for param, value in zip(params, values):
-        if isinstance(value, complex) and param not in _COMPLEX_PARAMS.get(name, ()):
+        if isinstance(value, complex) and param not in complex_params:
             print(f"domain error: {name} needs a real {param}, got {value!r}",
                   file=sys.stderr)
             return 2

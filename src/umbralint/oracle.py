@@ -1,9 +1,9 @@
 """Independent numerical ground truth.
 
-Adaptive Gauss-Kronrod quadrature on finite, half-line, and whole-line
-domains, every piece starting from one GK15 panel as in QUADPACK's QAGS.
-This module never calls the closed-form or umbral evaluators; integrands
-arrive as plain callables of one float and may be complex valued.
+Adaptive Gauss-Kronrod quadrature on finite and half-line domains, every
+piece starting from one GK15 panel as in QUADPACK's QAGS.  This module
+never calls the closed-form or umbral evaluators; integrands arrive as
+plain callables of one float and may be complex valued.
 
 Every integral refines one panel at a time, worst first.  An integrable
 singularity at an end of the interval, such as x^(nu-1) at 0 in a Mellin
@@ -16,8 +16,7 @@ once its error estimate is within the tolerance (as in QUADPACK's QAGS).
 An end panel that grows (a divergent end) is never extrapolated, and an end
 that is still unresolved when its panels run out of floats raises.  A
 half-line integral splits at a point x0 and folds [x0, infinity) onto
-(0, 1] by x = x0/u; a whole-line integral is the half-line integrals of
-f(t) and f(-t).  A conditionally convergent integral comes with an
+(0, 1] by x = x0/u.  A conditionally convergent integral comes with an
 OscillatoryTail that describes f beyond x0 as smooth + wave: the head
 [0, x0] of f and the folded smooth part are integrated as above, and the
 wave one half-period at a time, its partial sums extrapolated by Wynn's
@@ -44,7 +43,6 @@ __all__ = [
     "OscillatoryTail",
     "integrate_finite",
     "integrate_half_line",
-    "integrate_real_line",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -460,14 +458,6 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
     return result
 
 
-def _split_at_one(f, tol: float, max_intervals: int, spent: int = 0):
-    """(value, error, evaluations) of f over (0, infinity) as [0, 1] plus
-    [1, infinity) folded by x = 1/u, each piece to half of ``tol``."""
-    head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals, spent)
-    fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, spent + head[2])
-    return head[0] + fold[0], head[1] + fold[1], head[2] + fold[2]
-
-
 def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = None,
                         max_intervals: int = 40_000) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
@@ -487,7 +477,10 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     adaptive piece.
     """
     if tail is None:
-        return _certified("half-line", *_split_at_one(f, tol, max_intervals), tol)
+        head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals)
+        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, head[2])
+        return _certified("half-line", head[0] + fold[0], head[1] + fold[1],
+                          head[2] + fold[2], tol)
 
     x0 = tail.start
     value, err, evaluations = 0.0, 0.0, 0
@@ -503,13 +496,3 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
                 partial=QuadratureResult(value, err, evaluations, False))
     return _wave_tail(tail.wave, x0, tail.half_period, tol, max_intervals,
                       value, err, evaluations)
-
-
-def integrate_real_line(f: Callable, tol: float) -> QuadratureResult:
-    """Integral over the whole line to absolute tolerance ``tol``: the
-    untailed half-line integrals of f(t) and of f(-t), each to half of
-    ``tol``."""
-    right = _split_at_one(f, 0.5 * tol, 40_000)
-    left = _split_at_one(lambda t: f(-t), 0.5 * tol, 40_000, right[2])
-    return _certified("whole-line", right[0] + left[0], right[1] + left[1],
-                      right[2] + left[2], tol)

@@ -10,7 +10,6 @@ kernel being checked.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 __all__ = [
@@ -18,9 +17,7 @@ __all__ = [
     "struve_h_ref",
     "bessel_y_ref",
     "struve_k_ref",
-    "b_nu_closed",
     "pseudo_trig3_closed",
-    "classical_hermite",
 ]
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
@@ -155,25 +152,6 @@ def struve_k_ref(v: float, x: float) -> float:
     return sp.struve(v, x) - sp.yv(v, x)
 
 
-def b_nu_closed(nu: float, x) -> complex:
-    """The exponential-ratio function b_nu by its modified-Bessel form,
-    (sqrt(pi)/2) x^(1/2-nu) e^(x/2) [I_(nu-1/2)(x/2) + I_(nu+1/2)(x/2)],
-    with principal powers; x != 0.
-
-    I is taken at a complex argument, on the principal branch at x < 0,
-    where scipy's real iv is nan for non-integer orders.  In the left
-    half-plane, not only on the real axis, the two I nearly cancel as nu
-    goes to 0 (b_0 = e^x): at nu = 0.0107, x = -14.13+4.48i the form is
-    2.7e-11 off a 40-digit 1F1."""
-    z = complex(x)
-    if z == 0:
-        raise ValueError("the closed form of b_nu needs x != 0")
-    iv = (_sp or _special()).iv
-    half = 0.5 * z
-    return (0.5 * _SQRT_PI * z ** (0.5 - nu) * cmath.exp(half)
-            * (iv(nu - 0.5, half) + iv(nu + 0.5, half)))
-
-
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:
     """The 3-sected alternating exponential via cube roots of unity, times
     e^{log_weight}: (e^{w-u} + 2 e^{w+u/2} cos(sqrt(3) u / 2)) / 3.
@@ -183,15 +161,3 @@ def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:
     return (math.exp(log_weight - u)
             + 2.0 * math.exp(log_weight + 0.5 * u) * math.cos(_SQRT3_HALF * u)) / 3.0
 
-
-def classical_hermite(n: int, z):
-    """Physicists' Hermite polynomial by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("classical_hermite needs n >= 0")
-    h_prev = 1.0
-    if n == 0:
-        return h_prev
-    h = 2.0 * z
-    for k in range(1, n):
-        h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
-    return h

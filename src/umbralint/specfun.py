@@ -142,13 +142,6 @@ def log_gamma(z) -> complex:
     return (w + 0.5) * cmath.log(t) - t + cmath.log(_SQRT_TWO_PI * _lanczos_sum(w))
 
 
-def signed_log_gamma(x: float):
-    """(sign, log|Gamma(x)|) for real non-pole x, via the C library lgamma."""
-    if is_nonpositive_integer(x):
-        raise PoleError(x)
-    return gamma_sign(x), math.lgamma(x)
-
-
 @overflow_raises(DomainError)
 def beta(a, b):
     """Euler Beta, Gamma(a)Gamma(b)/Gamma(a+b), assembled in log space."""
@@ -157,10 +150,8 @@ def beta(a, b):
             raise PoleError(value)
     if isinstance(a, complex) or isinstance(b, complex):
         return cmath.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
-    sa, la = signed_log_gamma(a)
-    sb, lb = signed_log_gamma(b)
-    sab, lab = signed_log_gamma(a + b)
-    return sa * sb * sab * math.exp(la + lb - lab)
+    return (gamma_sign(a) * gamma_sign(b) * gamma_sign(a + b)
+            * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
 
 
 # ---------------------------------------------------------------------------

@@ -215,11 +215,11 @@ class TestBesselGaussDilation:
                 for k in range(60))
             assert cf.bessel_gauss_dilation(n, x) == pytest.approx(literal, rel=1e-12)
 
-    def test_against_real_line_oracle(self):
+    def test_against_oracle(self):
+        identity = cf.get_identity("eq28_bessel_gauss_dilation")
         for (n, x) in [(1, 1.0), (2, 2.0)]:
             closed = cf.bessel_gauss_dilation(n, x)
-            quad = oracle.integrate_real_line(
-                lambda t, _n=n, _x=x: bessel_j_ref(_n, _x * math.exp(-t * t)), 1e-10)
+            quad = identity.oracle_eval({"n": n, "x": x}, 1e-10)
             assert abs(closed - quad.value) <= 1e-7 * abs(quad.value)
 
     def test_oracle_evaluates_each_node_once(self, monkeypatch):
@@ -255,12 +255,7 @@ class TestLorentzGauss:
 
     def test_against_oracle(self):
         closed = cf.lorentz_gauss_integral(1.0)
-
-        def integrand(t):
-            w = 1.0 + t * t
-            return math.exp(-1.0 / (w * w)) / (w * w)
-
-        quad = oracle.integrate_real_line(integrand, 1e-11)
+        quad = cf.get_identity("eq30_lorentz_gauss").oracle_eval({"x": 1.0}, 1e-11)
         assert abs(closed - quad.value) <= 1e-9 * abs(quad.value)
 
     def test_methods_agree(self):
@@ -284,7 +279,7 @@ class TestLorentzGauss:
         # integral; the disagreement is the point of keeping the variant
         literal = cf.lorentz_gauss_paper_literal(0.0)
         assert literal == pytest.approx(0.25 * math.pi, rel=1e-13)
-        quad = oracle.integrate_real_line(lambda t: (1.0 + t * t) ** -2, 1e-11)
+        quad = cf.get_identity("eq30_lorentz_gauss").oracle_eval({"x": 0.0}, 1e-11)
         assert quad.value == pytest.approx(0.5 * math.pi, abs=1e-10)
         assert abs(literal - quad.value) > 0.25 * math.pi - 1e-6
 

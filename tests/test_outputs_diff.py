@@ -1,0 +1,42 @@
+"""tools/outputs_diff.py, imported from its file, unchanged."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs_diff.py"
+
+
+@pytest.fixture(scope="module")
+def outputs_diff():
+    spec = importlib.util.spec_from_file_location("outputs_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def verify_record(closed, oracle):
+    """A verify point's record as the tool dumps it, floats by their repr."""
+    return {"value": {"closed_form_value": {"re": repr(closed), "im": "0.0"},
+                      "oracle_value": {"re": repr(oracle), "im": "0.0"}}}
+
+
+def test_verify_point_is_judged_on_verify_scale(outputs_diff):
+    # eq12 at nu = -1: the integral is exactly 0 and both oracle values are
+    # about 5e-10 from it, so the move is 4e-11 on verify's scale of 1, not
+    # 8e-2 of the oracle values themselves
+    rel = outputs_diff.relative_difference(verify_record(0.0, 5.0e-10),
+                                           verify_record(0.0, 4.6e-10))
+    assert rel == pytest.approx(4.0e-11, rel=1e-6)
+    # past 1 the scale is the largest of the closed and oracle values
+    rel = outputs_diff.relative_difference(verify_record(-40.0, -40.0 + 2e-9),
+                                           verify_record(-40.0, -40.0 + 1e-9))
+    assert rel == pytest.approx(1e-9 / 40.0, rel=1e-6)
+
+
+def test_eval_value_keeps_its_own_scale(outputs_diff):
+    rel = outputs_diff.relative_difference({"value": repr(5.0e-10)},
+                                           {"value": repr(4.6e-10)})
+    assert rel == pytest.approx(0.08, rel=1e-12)
+    assert outputs_diff.relative_difference({"value": "1.0"}, {"raised": "DomainError"}) is None

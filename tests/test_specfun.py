@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from umbralint import specfun as sf
 from umbralint.errors import ConvergenceError, DomainError, EngineError, PoleError
-from umbralint.reference import b_nu_closed, classical_hermite, struve_h_ref
+from umbralint.reference import struve_h_ref
+
+from references import b_nu_closed, classical_hermite
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -12,6 +12,8 @@ BESSEL_MOMENTS = tr.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0),) 
                                       geometric=-1.0)
 BESSEL_PREIMAGE = tr.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0),) * 3),
                                        geometric=-1.0)
+# the symbol 1/Gamma(a + 1), which undoes borel_transform's Gamma(a + 1)
+BOREL_INVERSE = um.MellinMultiplier(um.bessel_phi())
 
 
 class TestCoefficientSeries:
@@ -45,7 +47,7 @@ class TestBorelPair:
         for m in (2, 3):
             # 1/(1 + x^m) = sum_r (-1)^r x^(m r)
             geometric = tr.CoefficientSeries(um.GammaRatioSequence(), stride=m, geometric=-1.0)
-            g = tr.borel_inverse(geometric)
+            g = BOREL_INVERSE.edit(geometric)
             for k in range(40):
                 assert g.coefficient(k) == pytest.approx(
                     tr.pseudo_trig_series(0, m).coefficient(k), rel=1e-12)
@@ -55,7 +57,7 @@ class TestBorelPair:
     def test_inverse_of_exponential(self):
         # e^x coefficients divided by k! give sum x^k/(k!)^2
         L = tr.CoefficientSeries(law=um.bessel_phi())
-        g = tr.borel_inverse(L)
+        g = BOREL_INVERSE.edit(L)
         direct = sum(1.0 / math.factorial(k) ** 2 for k in range(40))
         assert g.evaluate(1.0).real == pytest.approx(direct, rel=1e-12)
 
@@ -68,7 +70,7 @@ class TestBorelPair:
                                  geometric=-0.25),
         ]
         for g in candidates:
-            back = tr.borel_inverse(tr.borel_transform(g))
+            back = BOREL_INVERSE.edit(tr.borel_transform(g))
             assert back == g
             for k in range(50):
                 assert back.coefficient(k) == g.coefficient(k)
@@ -103,51 +105,6 @@ class TestBorelPair:
 
             quad = oracle.integrate_half_line(integrand, 1e-11)
             assert abs(lhs - quad.value) <= 1e-8 * abs(quad.value)
-
-
-class TestBorelHybridHermite:
-    def test_trivial(self):
-        assert tr.borel_hybrid_hermite(0, 2, 1.3, -0.4, "first") == 1.0
-        assert tr.borel_hybrid_hermite(0, 3, 1.3, -0.4, "second") == 1.0
-
-    def test_hand_expansion(self):
-        x, y = 1.7, -0.6
-        assert tr.borel_hybrid_hermite(2, 2, x, y, "first") == pytest.approx(
-            x * x / 2.0 + y, rel=1e-13)
-        assert tr.borel_hybrid_hermite(2, 2, x, y, "second") == pytest.approx(
-            x * x / 4.0 + y, rel=1e-13)
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_first_variable_reproduces_scaled_polynomial(self, m):
-        x, y = 0.9, 1.4
-        for n in range(9):
-            lhs = tr.borel_hybrid_hermite(n, m, x, y, "first")
-            rhs = sf.hermite_higher(n, m, x, y) / math.factorial(n)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    # the same finite sum, so the same bits, up to past the 1/j! table's edge
-    @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_second_variable_reproduces_truncated_polynomial(self, m):
-        for n in (*range(9), *range(9, 201, 7)):
-            for x, y in ((-1.1, 0.8), (9.0, 2.0), (0.5 + 1.5j, -3.0)):
-                assert (tr.borel_hybrid_hermite(n, m, x, y, "second")
-                        == sf.truncated_e(n, m, x, y))
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            tr.borel_hybrid_hermite(2, 2, 1.0, 1.0, "third")
-
-    def test_overflow_is_a_domain_error_as_in_truncated_e(self):
-        with pytest.raises(DomainError, match="overflowed"):
-            sf.truncated_e(400, 2, 10.0, 10.0)
-        with pytest.raises(DomainError, match="borel_hybrid_hermite overflowed"):
-            tr.borel_hybrid_hermite(400, 2, 10.0, 10.0, "second")
-
-    def test_degree_takes_the_specfun_order_rule(self):
-        # an integral float is a degree, and the degree has the kernels' bound
-        assert tr.borel_hybrid_hermite(5.0, 2, 1.1, 0.7, "second") == sf.truncated_e(5, 2, 1.1, 0.7)
-        with pytest.raises(DomainError, match="polynomial degree n"):
-            tr.borel_hybrid_hermite(10_001, 2, 1.0, 1.0, "first")
 
 
 class TestBetaTransform:

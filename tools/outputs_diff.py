@@ -15,9 +15,10 @@ compared by their exact repr, so -0.0 differs from 0.0.
 Every input whose record differs is printed, then the total, then the
 count per group that differs: per eval kind in eval_kernel, per identity in
 verify_plain and verify_ladder.  With each count goes the largest relative
-difference |base - change| / max(|base|, |change|) among the group's inputs
-that returned a finite number on both sides: an eval's value, or a verify
-point's closed-form and oracle values.  A verify group also gets the total
+difference among the group's inputs that returned a finite number on both
+sides: |base - change| / max(|base|, |change|) of an eval's value, and of
+a verify point's closed-form and oracle values |base - change| on verify's
+own scale, max(|closed|, |oracle|, 1).  A verify group also gets the total
 ``oracle_cost`` of its inputs on each side, the machine-independent count
 of integrand evaluations.  The exit status is 1 when there is any
 difference and 0 otherwise.
@@ -143,11 +144,19 @@ def oracle_cost(records: dict, keys) -> int:
 
 
 def relative_difference(base, change) -> float | None:
-    """The largest relative difference of the numbers both records hold."""
+    """The largest relative difference of the numbers both records hold.
+
+    An eval's value is judged on max(|base|, |change|).  A verify point is
+    judged on the scale verify judges it on, max(|closed|, |oracle|, 1) over
+    both sides, so an integral that is exactly 0 does not turn the noise of
+    its oracle into a large relative move."""
     pairs = [(b, c) for b, c in zip(numbers(base), numbers(change))
              if b is not None and c is not None]
     if not pairs:
         return None
+    if isinstance(base["value"], dict):   # a verify point
+        scale = max(1.0, *(abs(z) for pair in pairs for z in pair))
+        return max(abs(b - c) for b, c in pairs) / scale
     return max(abs(b - c) / max(abs(b), abs(c)) if b != c else 0.0 for b, c in pairs)
 
 
