@@ -6,6 +6,7 @@ live here and not in ``umbralint.reference``.
 
 import cmath
 import math
+from fractions import Fraction
 
 from scipy.special import cython_special
 
@@ -42,3 +43,17 @@ def classical_hermite(n: int, z):
     for k in range(1, n):
         h, h_prev = 2.0 * z * h - 2.0 * k * h_prev, h
     return h
+
+
+def hybrid_hermite_moment(n: int, m: int, x, y, variable: str):
+    """The exponential-moment transform of the hybrid Hermite polynomial
+    sum_k x^j y^k / (k! j!^2), j = n - mk, taken termwise in one variable:
+    in x it multiplies each term by j!, in y by k!.  Each coefficient is an
+    exact fraction, rounded once, so no factorial leaves the double range."""
+    total = 0.0
+    for k in range(n // m + 1):
+        j = n - m * k
+        moment = math.factorial(j if variable == "first" else k)
+        coefficient = Fraction(moment, math.factorial(k) * math.factorial(j) ** 2)
+        total += float(coefficient) * x ** j * y ** k
+    return total

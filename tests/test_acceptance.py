@@ -11,7 +11,7 @@ from umbralint import closedforms as cf, oracle, specfun as sf, transforms as tr
 from umbralint.reference import (bessel_j_ref, bessel_y_ref, pseudo_trig3_closed, struve_h_ref,
                                  struve_k_ref)
 
-from references import b_nu_closed, classical_hermite
+from references import b_nu_closed, classical_hermite, hybrid_hermite_moment
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -249,27 +249,16 @@ def test_criterion_11_gamma_and_hermite_kernel():
 
 
 def test_criterion_12_hybrid_borel_relations():
-    # the exponential-moment transform of the hybrid Hermite polynomial
-    # sum_k x^j y^k / (k! j!^2), j = n - mk, taken termwise in one variable:
-    # in x it multiplies each term by j!, in y by k!
-    def transformed(n, m, x, y, variable):
-        total = 0.0
-        for k in range(n // m + 1):
-            j = n - m * k
-            moment = math.factorial(j if variable == "first" else k)
-            total += moment * x ** j * y ** k / (math.factorial(k) * math.factorial(j) ** 2)
-        return total
-
     worst_first = 0.0
     worst_second = 0.0
     for m in (2, 3):
         for n in range(9):
             for (x, y) in ((0.9, 1.4), (-1.2, 0.5)):
-                first = transformed(n, m, x, y, "first")
+                first = hybrid_hermite_moment(n, m, x, y, "first")
                 expected = sf.hermite_higher(n, m, x, y) / math.factorial(n)
                 worst_first = max(worst_first,
                                   abs(first - expected) / max(abs(expected), 1.0))
-                second = transformed(n, m, x, y, "second")
+                second = hybrid_hermite_moment(n, m, x, y, "second")
                 truncated = sf.truncated_e(n, m, x, y)
                 worst_second = max(worst_second,
                                    abs(second - truncated) / max(abs(truncated), 1.0))

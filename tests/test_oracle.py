@@ -151,6 +151,15 @@ class TestWholeLineByHalves:
         assert r.value == pytest.approx(expected, abs=1e-10)
         assert abs(r.value - expected) <= 3.0 * r.abs_error_estimate
 
+    def test_substitution_invariance(self):
+        # whole-line of an even function equals twice the half-line value
+        for f, tol in [(lambda t: math.exp(-t * t), 1e-10),
+                       (lambda t: (1.0 + t * t) ** -2, 1e-10)]:
+            whole = oracle.integrate_half_line(both_halves(f), tol)
+            half = oracle.integrate_half_line(f, tol)
+            assert abs(whole.value - 2.0 * half.value) <= \
+                whole.abs_error_estimate + 2.0 * half.abs_error_estimate + 1e-13
+
 
 class TestOscillatoryTail:
     def test_quadratic_phase_moment(self):

@@ -7,6 +7,8 @@ from umbralint import oracle, specfun as sf, transforms as tr, umbral as um
 from umbralint.errors import ConvergenceError, DomainError
 from umbralint.reference import bessel_j_ref
 
+from references import hybrid_hermite_moment
+
 # sum_k (-x)^k / (k!)^2 and its exponential-moment preimage sum_k (-x)^k / (k!)^3
 BESSEL_MOMENTS = tr.CoefficientSeries(um.GammaRatioSequence(denom=((1.0, 1.0),) * 2),
                                       geometric=-1.0)
@@ -105,6 +107,41 @@ class TestBorelPair:
 
             quad = oracle.integrate_half_line(integrand, 1e-11)
             assert abs(lhs - quad.value) <= 1e-8 * abs(quad.value)
+
+
+class TestHybridHermiteMoments:
+    """Eq. 34: the termwise exponential-moment transform of the hybrid
+    Hermite polynomial is the order-m Hermite polynomial over n! in the
+    first variable and the truncated exponential in the second."""
+
+    def test_trivial(self):
+        assert hybrid_hermite_moment(0, 2, 1.3, -0.4, "first") == 1.0
+        assert hybrid_hermite_moment(0, 3, 1.3, -0.4, "second") == 1.0
+
+    def test_hand_expansion(self):
+        x, y = 1.7, -0.6
+        assert hybrid_hermite_moment(2, 2, x, y, "first") == pytest.approx(
+            x * x / 2.0 + y, rel=1e-13)
+        assert hybrid_hermite_moment(2, 2, x, y, "second") == pytest.approx(
+            x * x / 4.0 + y, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_first_variable_reproduces_scaled_polynomial(self, m):
+        x, y = 0.9, 1.4
+        for n in range(9):
+            lhs = hybrid_hermite_moment(n, m, x, y, "first")
+            rhs = sf.hermite_higher(n, m, x, y) / math.factorial(n)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    # up to past the edge of specfun's 1/j! table; the scale is the sum of
+    # the terms' moduli, the transform at |x|, |y|
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_second_variable_reproduces_truncated_polynomial(self, m):
+        for n in (*range(9), *range(9, 201, 7)):
+            for x, y in ((-1.1, 0.8), (9.0, 2.0), (0.5 + 1.5j, -3.0)):
+                lhs = hybrid_hermite_moment(n, m, x, y, "second")
+                scale = hybrid_hermite_moment(n, m, abs(x), abs(y), "second")
+                assert abs(lhs - sf.truncated_e(n, m, x, y)) <= 1e-14 * scale
 
 
 class TestBetaTransform:
