@@ -311,8 +311,11 @@ class IdentityDescriptor:
 
 
 # An oscillatory tail starts this many half-periods past where its wave
-# settles into oscillation.
-_TAIL_LEAD = 3.0
+# settles into oscillation.  The head bisects each half-period it keeps on
+# the whole integrand (for eq12 and eq13 H_nu, about twice the cost of
+# their wave Y_nu), while the wave pays one GK15 panel for it, and its
+# extrapolation about half a piece more for starting earlier.
+_TAIL_LEAD = 1.0
 
 
 # Each oracle integrand below behaves like x^p sum_k c_k x^(s k) at an end
@@ -388,30 +391,48 @@ def _fresnel_oracle(p, tol):
     return _plus_terms(oracle.integrate_half_line(head, tol, tail), terms)
 
 
+def _struve_k_terms(nu):
+    """k_0 and k_1 of K_nu(z) ~ sum_j k_j z^(nu-1-2j) as z -> infinity,
+    k_j = Gamma(j+1/2) 2^(2j+1-nu) / (pi Gamma(nu+1/2-j)) (DLMF 11.6.1), so
+    k_1 = 2 (nu-1/2) k_0.  1/Gamma(nu+1/2) is taken as
+    (nu+1/2)(nu+3/2)/Gamma(nu+5/2), finite on -2 < nu < 0 and exactly 0 at
+    nu = -1/2 and -3/2, where K_nu = 0."""
+    k0 = (2.0 ** (1.0 - nu) * (nu + 0.5) * (nu + 1.5)
+          / (math.sqrt(math.pi) * math.gamma(nu + 2.5)))
+    return k0, 2.0 * (nu - 0.5) * k0
+
+
 @overflow_raises(QuadratureError)
 def _eq12_oracle(p, tol):
     # H_nu = Y_nu + K_nu (DLMF 11.2.5): Y_nu(b x) is the wave, with
-    # half-period pi/b, and K_nu(b x) the smooth rest.  The head takes out
-    # two terms c_k z^(nu+1+2k) of H_nu(z), z = b x, c_k = (-1)^k
-    # 2^-(nu+1+2k) / (Gamma(k+3/2) Gamma(k+nu+3/2)) (DLMF 11.2.1); for nu < -1
-    # the first is the head's singularity.  In z the c_k do not depend on b;
-    # the terms' integral over [0, b x0] is divided by b.  At k = 0,
+    # half-period pi/b, and K_nu(b x) the smooth rest.  In z = b x the head
+    # takes out two terms c_k z^(nu+1+2k) of H_nu(z) at 0, c_k = (-1)^k
+    # 2^-(nu+1+2k) / (Gamma(k+3/2) Gamma(k+nu+3/2)) (DLMF 11.2.1), of which
+    # for nu < -1 the first is the head's singularity; at k = 0,
     # 1/Gamma(nu+3/2) is taken as (nu+3/2)/Gamma(nu+5/2), finite on
-    # -2 < nu < 0 and 0 at nu = -3/2
+    # -2 < nu < 0 and 0 at nu = -3/2.  The smooth part takes out two terms
+    # of K_nu(z) at infinity, whose fractional power z^(nu-1) the fold
+    # x = x0/u would leave at u = 0.  Neither set of coefficients depends
+    # on b; their integrals and tolerances are in z, so divided (multiplied)
+    # by b
     nu, b = p["nu"], p["b"]
     half_period = math.pi / b
     x0 = 1.0 + _TAIL_LEAD * half_period
     c0 = (nu + 1.5) / (math.sqrt(math.pi) * 2.0 ** nu * math.gamma(nu + 2.5))
     c1 = -0.5 ** (nu + 3.0) / (0.75 * math.sqrt(math.pi) * math.gamma(nu + 2.5))
-    less_terms, (value, rounding) = _less_power_terms(
+    head, head_terms = _less_power_terms(
         lambda z: reference.struve_h_ref(nu, z), 0.0, b * x0, nu + 2.0, 2, (c0, c1),
         0.25 * tol * b)
+    smooth, smooth_terms = _less_power_terms(
+        lambda z: reference.struve_k_ref(nu, z), b * x0, math.inf, nu, -2,
+        _struve_k_terms(nu), 0.25 * tol * b)
     tail = oracle.OscillatoryTail(
         x0, half_period,
         wave=lambda x: reference.bessel_y_ref(nu, b * x),
-        smooth=lambda x: reference.struve_k_ref(nu, b * x))
-    return _plus_terms(oracle.integrate_half_line(lambda x: less_terms(b * x), tol, tail),
-                       (value / b, rounding / b))
+        smooth=lambda x: smooth(b * x))
+    return _plus_terms(oracle.integrate_half_line(lambda x: head(b * x), tol, tail),
+                       *((value / b, rounding / b) for value, rounding in
+                         (head_terms, smooth_terms)))
 
 
 def _eq13_oracle(p, tol):

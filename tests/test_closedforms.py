@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbralint import closedforms as cf, oracle, specfun as sf, summation, umbral as um
 from umbralint.errors import DomainError, EngineError
-from umbralint.reference import bessel_j_ref
+from umbralint.reference import bessel_j_ref, struve_k_ref
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -64,6 +64,22 @@ class TestStruveHalfline:
         assert cf.struve_halfline_integral(-0.5, 1.0) == pytest.approx(1.0, rel=1e-14)
         assert cf.struve_halfline_integral(-0.5, 2.0) == pytest.approx(0.5, rel=1e-14)
         assert cf.struve_halfline_integral(-1.0, 3.0) == 0.0
+
+    @pytest.mark.parametrize("nu", [-1.9, -1.8, -1.7, -1.55])
+    @pytest.mark.parametrize("b", [0.3, 0.7, 1.2, 2.0])
+    def test_smooth_part_is_one_panel(self, monkeypatch, nu, b):
+        # with K_nu's z^(nu-1) and z^(nu-3) out, the folded smooth part is
+        # one GK15 panel; with them in it took 45 to 135 evaluations here
+        calls = []
+
+        def counting(v, x):
+            calls.append(x)
+            return struve_k_ref(v, x)
+
+        monkeypatch.setattr(cf.reference, "struve_k_ref", counting)
+        identity = cf.get_identity("eq12_struve_halfline")
+        identity.oracle_eval({"nu": nu, "b": b}, 0.25 * identity.default_tol)
+        assert len(calls) == 15
 
     def test_domain(self):
         for nu in (-2.0, 0.0, 0.5, -2.5):
@@ -330,6 +346,28 @@ class TestPowerTerms:
             assert rounding <= max(tol / 200.0, sys.float_info.epsilon * abs(integrals[0]))
             assert rest(0.25) == pytest.approx(0.25 ** -0.5 * (math.exp(10.0) - sum(
                 c * 0.25 ** k for k, c in enumerate(coefficients[:kept]))), rel=1e-12)
+
+
+class TestStruveKExpansion:
+    # K_nu(z) less k_0 z^(nu-1) + k_1 z^(nu-3), the terms eq12's smooth part
+    # takes out, against 40-digit mpmath: for real nu and z > 0 the rest of
+    # DLMF 11.6.1 has the sign of its first neglected term, k_2 z^(nu-5),
+    # with k_2 = 12 (nu-1/2)(nu-3/2) k_0, and is within it
+    @pytest.mark.parametrize("nu", [-1.9, -1.7, -1.2, -0.7, -0.3])
+    @pytest.mark.parametrize("z", [3.0 * math.pi, 20.0, 100.0])
+    def test_rest_is_within_the_next_term(self, nu, z):
+        mpmath = pytest.importorskip("mpmath")
+        k0, k1 = cf._struve_k_terms(nu)
+        with mpmath.workdps(40):
+            nu_, z_ = mpmath.mpf(nu), mpmath.mpf(z)
+            rest = (mpmath.struveh(nu_, z_) - mpmath.bessely(nu_, z_)
+                    - k0 * z_ ** (nu_ - 1) - k1 * z_ ** (nu_ - 3))
+            next_term = 12 * (nu_ - 0.5) * (nu_ - 1.5) * k0 * z_ ** (nu_ - 5)
+            assert 0.0 < rest / next_term <= 1.01
+
+    @pytest.mark.parametrize("nu", [-0.5, -1.5])
+    def test_terms_vanish_with_k_nu(self, nu):
+        assert cf._struve_k_terms(nu) == (0.0, 0.0)
 
 
 class TestBetaExponential:

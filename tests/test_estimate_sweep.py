@@ -1,0 +1,43 @@
+"""tools/estimate_sweep.py, imported from its file, unchanged."""
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from umbralint.closedforms import get_identity
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "estimate_sweep.py"
+
+
+@pytest.fixture(scope="module")
+def estimate_sweep():
+    spec = importlib.util.spec_from_file_location("estimate_sweep", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_points_are_seeded_and_in_each_domain(estimate_sweep):
+    points = estimate_sweep.points(1)
+    assert Counter(i for i, _ in points) == {"eq12_struve_halfline": 100,
+                                            "eq13_struve_moment": 70,
+                                            "eq08_fresnel_bessel": 65}
+    assert points == estimate_sweep.points(1) != estimate_sweep.points(2)
+    for identity_id, params in points:
+        assert get_identity(identity_id).check_point(params) == (True, ""), params
+
+
+def test_sweep_summarises_each_identity(estimate_sweep, monkeypatch):
+    # two points of each identity at the three tolerances
+    monkeypatch.setattr(estimate_sweep, "DRAWS", {
+        i: (2, draw) for i, (_, draw) in estimate_sweep.DRAWS.items()})
+    summary = estimate_sweep.sweep(ROOT, 1)
+    assert set(summary) == set(estimate_sweep.DRAWS)
+    for row in summary.values():
+        assert row["results"] == 2 * len(estimate_sweep.TOLERANCES)
+        assert row["over"] == 0 and not row["errors"]
+        assert 0.0 < row["worst"] <= estimate_sweep.RULE
+        assert row["evaluations"] > 0

@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Check the oscillatory-tail oracles' error estimates on seeded points.
+
+    python3 tools/estimate_sweep.py [--base REV] [--seed N]
+
+Draws 235 points, 100 of eq12, 70 of eq13 and 65 of eq08, uniformly over
+eq12's nu in (-2, 0) with b log-uniform in [0.1, 5], eq13's nu in
+[-0.49, 8], and eq08's nu in [0, 3.9] with beta log-uniform in [0.1, 10]
+and alpha a uniform share of its bound 2 sqrt(beta).  Each point's oracle
+runs at the tolerances 1e-4, 1e-6 and 1e-9, each times max(|closed|, 1),
+and its true error is taken as its distance from the closed form.  The
+oracle's rule is that this error stays within 3x its estimate.
+
+Per identity the output gives the worst ratio |oracle - closed| / estimate,
+the count of results over 3x, the EngineErrors by type, and the total
+integrand evaluations, those of raised results' partials included.  With
+``--base`` the revision REV, extracted with ``git archive`` into a
+temporary directory, is swept on the same points first, and both sides are
+printed.  The exit status is 1 when the working tree has a result over 3x
+and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOLERANCES = (1e-4, 1e-6, 1e-9)
+RULE = 3.0
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _eq08(rng):
+    beta = _log_uniform(rng, 0.1, 10.0)
+    return {"nu": rng.uniform(0.0, 3.9), "alpha": rng.random() * 2.0 * math.sqrt(beta),
+            "beta": beta}
+
+
+# identity -> (points, draw of one parameter dict)
+DRAWS = {
+    "eq12_struve_halfline": (100, lambda rng: {"nu": rng.uniform(-2.0, 0.0),
+                                               "b": _log_uniform(rng, 0.1, 5.0)}),
+    "eq13_struve_moment": (70, lambda rng: {"nu": rng.uniform(-0.49, 8.0)}),
+    "eq08_fresnel_bessel": (65, _eq08),
+}
+
+
+def points(seed: int) -> list:
+    """The (identity, params) pairs of ``seed``."""
+    rng = random.Random(seed)
+    return [(identity_id, draw(rng)) for identity_id, (count, draw) in DRAWS.items()
+            for _ in range(count)]
+
+
+def sweep(root: Path, seed: int) -> dict:
+    """Per identity: worst ratio, count over the rule, errors, evaluations."""
+    sys.path.insert(0, str(root / "src"))
+    from umbralint.closedforms import get_identity
+    from umbralint.errors import EngineError
+
+    summary = {i: {"worst": 0.0, "over": 0, "errors": Counter(), "evaluations": 0,
+                   "results": 0} for i in DRAWS}
+    for identity_id, params in points(seed):
+        identity = get_identity(identity_id)
+        closed = identity.closed(**params)
+        row = summary[identity_id]
+        for tol in TOLERANCES:
+            tol *= max(abs(closed), 1.0)
+            try:
+                result = identity.oracle_eval(params, tol)
+            except EngineError as exc:
+                row["errors"][type(exc).__name__] += 1
+                partial = getattr(exc, "partial", None)
+                row["evaluations"] += getattr(partial, "evaluations", 0)
+                continue
+            error, estimate = abs(result.value - closed), result.abs_error_estimate
+            ratio = error / estimate if estimate > 0.0 else (0.0 if error == 0.0 else math.inf)
+            row["worst"] = max(row["worst"], ratio)
+            row["over"] += ratio > RULE
+            row["evaluations"] += result.evaluations
+            row["results"] += 1
+    return summary
+
+
+def side(root: Path, seed: int) -> dict:
+    """The sweep of ``root``, run in its own interpreter."""
+    done = subprocess.run([sys.executable, __file__, "--dump", str(root),
+                           "--seed", str(seed)], cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"the sweep of {root} failed")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="revision to sweep before the working tree")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        print(json.dumps(sweep(args.dump, args.seed)))
+        return 0
+
+    sides = {}
+    if args.base is not None:
+        with tempfile.TemporaryDirectory(prefix="estimate-sweep-") as tmp:
+            data = subprocess.run(["git", "archive", "--format=tar", args.base], cwd=ROOT,
+                                  capture_output=True, check=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+                tar.extractall(tmp, filter="data")
+            sides[args.base] = side(Path(tmp), args.seed)
+    sides["working tree"] = side(ROOT, args.seed)
+
+    print(f"seed {args.seed}: {len(points(args.seed))} points at tolerances "
+          f"{', '.join(map(str, TOLERANCES))} times max(|closed|, 1)")
+    for name, summary in sides.items():
+        print(name)
+        for identity_id, row in summary.items():
+            errors = ", ".join(f"{k} {v}" for k, v in sorted(row["errors"].items())) or "none"
+            print(f"  {identity_id}: worst {row['worst']:.3f}, over {RULE:g}x "
+                  f"{row['over']} of {row['results']}, errors: {errors}, "
+                  f"evaluations {row['evaluations']}")
+        total = sum(row["evaluations"] for row in summary.values())
+        print(f"  total evaluations {total}")
+    return 1 if any(row["over"] for row in sides["working tree"].values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
