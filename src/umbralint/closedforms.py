@@ -312,9 +312,9 @@ class IdentityDescriptor:
 
 # An oscillatory tail starts this many half-periods past where its wave
 # settles into oscillation.  The head bisects each half-period it keeps on
-# the whole integrand (for eq12 and eq13 H_nu, about twice the cost of
-# their wave Y_nu), while the wave pays one GK15 panel for it, and its
-# extrapolation about half a piece more for starting earlier.
+# the whole integrand (for eq12 and eq13 H_nu, below x = 8 about ten times
+# the cost of their wave Y_nu), while the wave pays one GK15 panel for it,
+# and its extrapolation about half a piece more for starting earlier.
 _TAIL_LEAD = 1.0
 
 

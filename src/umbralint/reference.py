@@ -121,13 +121,21 @@ def struve_h_ref(v: float, x: float) -> float:
 
 
 def bessel_y_ref(v: float, x: float) -> float:
-    """Bessel Y of real order, x > 0."""
-    return (_sp or _special()).yv(float(v), float(x))
+    """Bessel Y of real order, x > 0: Im H1_v(x) (DLMF 10.4.3), one AMOS
+    call where ``yv`` makes two and reflects through J_v at a negative
+    order; ``yv`` where H1 is nan (x past about 1e17, Y overflowing near 0)
+    or x <= 0.  J_v stays on ``jv``: Re H1 loses its digits where |Y| >> |J|.
+    An order below 1e-300 in size, where both fail for x < 2, is taken as 0."""
+    sp = _sp or _special()
+    x = float(x)
+    v = 0.0 if abs(v) < 1e-300 else float(v)   # Y_v is Y_0 in floats there
+    y = sp.hankel1(v, x + 0j).imag if x > 0.0 else math.nan
+    return y if y == y else sp.yv(v, x)
 
 
 def struve_k_ref(v: float, x: float) -> float:
     """K_v = H_v - Y_v (DLMF 11.2.5), the part of the Struve function that
-    does not oscillate for large x; x > 0.
+    does not oscillate for large x; x > 0.  Y_v is ``bessel_y_ref``'s.
 
     The difference of H_v and Y_v in floats has an absolute error of about
     eps |Y_v|, which swamps K_v for v < 1/2, where K_v decays faster than
@@ -149,7 +157,7 @@ def struve_k_ref(v: float, x: float) -> float:
         for q, w in _LAGUERRE:
             total += w * (1.0 + q * r) ** e
         return (0.5 * x) ** (v - 1.0) * sp.rgamma(v + 0.5) / _SQRT_PI * total
-    return sp.struve(v, x) - sp.yv(v, x)
+    return sp.struve(v, x) - bessel_y_ref(v, x)
 
 
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:

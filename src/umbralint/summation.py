@@ -22,7 +22,8 @@ CONSECUTIVE_SMALL = 3
 # Above _INF a term is not finite; a step from a term below _TINY (0 or
 # subnormal) would keep too few bits.
 _INF, _TINY = math.inf, sys.float_info.min
-_SHAPES = {(0, 2): 1, (2, 3): 2, (1, 2): 3, (2, 2): 4, (0, 0): 5}  # see sum_hypergeometric
+_SHAPES = {(0, 2): 1, (2, 3): 2, (1, 2): 3, (2, 2): 4, (0, 0): 5, (2, 4): 6, (0, 3): 7,
+           (0, 4): 8}  # see sum_hypergeometric
 
 
 class SeriesTail(NamedTuple):
@@ -126,6 +127,13 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
                 t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k))
             elif shape == 5:
                 t *= y / 1.0   # num / den of the loop below
+            elif shape == 6:
+                t *= (y * (a[0] + k) * (a[1] + k)
+                      / ((b[0] + k) * (b[1] + k) * (b[2] + k) * (b[3] + k)))
+            elif shape == 7:
+                t *= y / ((b[0] + k) * (b[1] + k) * (b[2] + k))
+            elif shape == 8:
+                t *= y / ((b[0] + k) * (b[1] + k) * (b[2] + k) * (b[3] + k))
             else:
                 num, den = y, 1.0
                 for c in a:

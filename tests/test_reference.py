@@ -1,11 +1,13 @@
 """The oracle's scipy references, called through scipy.special.cython_special,
 against the scipy.special ufuncs over the same C code: the same bits."""
 
+import collections
 import math
 import random
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from umbralint import reference
 
@@ -28,12 +30,89 @@ def same_bits(got, want):
 @pytest.mark.parametrize("ref,ufunc", [
     (reference.bessel_j_ref, "jv"),
     (reference.struve_h_ref, "struve"),
-    (reference.bessel_y_ref, "yv"),
 ])
 def test_scalar_entry_points_match_the_ufuncs(ref, ufunc):
     ufunc = getattr(special, ufunc)
     for v, x in POINTS:
         assert same_bits(ref(v, x), ufunc(v, x)), (v, x)
+
+
+# where Im H1 is not Y: x = 0 (yv gives +-inf), Y overflowing at a tiny x
+# (-inf), x past about 1e17 (AMOS gives nan, yv finite values) and x < 0
+# (H1 is continued to a finite value, yv gives nan)
+Y_FALLBACK = ([(v, 0.0) for v in (-1.7, 0.0, 0.5, 2.0)]
+              + [(v, 1e-300) for v in (-2.5, -1.7, 1.5, 2.0, 6.5)] + [(2.0, 5e-324)]
+              + [(v, x) for v in (0.3, 1.0, -1.7) for x in (1e17, 2e17, 3e19)]
+              + [(v, x) for v in (-1.7, 1.0, 2.5) for x in (-2.0, -1e-300)])
+
+
+def test_bessel_y_is_the_imaginary_part_of_hankel1():
+    # Im H1_v(x) (DLMF 10.4.3) from the C code of the hankel1 ufunc, and
+    # yv's value where H1 is nan or x <= 0
+    for v, x in POINTS + Y_FALLBACK:
+        h = special.hankel1(v, x).imag
+        want = h if x > 0.0 and not math.isnan(h) else special.yv(v, x)
+        assert same_bits(reference.bessel_y_ref(v, x), want), (v, x)
+    for v, x in Y_FALLBACK:
+        assert x <= 0.0 or math.isnan(special.hankel1(v, x).imag), (v, x)
+    assert math.isfinite(reference.bessel_y_ref(1.0, 1e17))
+    assert reference.bessel_y_ref(2.0, 1e-300) == -math.inf
+    assert math.isnan(reference.bessel_y_ref(1.0, -2.0))
+    # at a subnormal order AMOS gives nan and yv 0 for x < 2; Y_v is Y_0
+    for v in (5e-324, -1e-310, 2e-308):
+        assert reference.bessel_y_ref(v, 1.0) == reference.bessel_y_ref(0.0, 1.0)
+    assert math.isnan(reference.bessel_y_ref(math.nan, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.floats(-3.0, 9.0), log_x=st.floats(-2.0, 4.0))
+@example(v=-1.7, log_x=math.log10(7.3))   # where yv is 7.4e-14 off, relative
+@example(v=-1.9, log_x=0.5)   # eq12's orders, nu in (-1.9, -1.55)
+@example(v=-1.8, log_x=1.2)
+@example(v=-1.55, log_x=2.0)
+@example(v=-3.0, log_x=-2.0)
+@example(v=9.0, log_x=4.0)
+def test_bessel_y_against_mpmath(v, log_x):
+    # on the scale of Y's envelope sqrt(2 / (pi x)), as Y passes its zeros
+    mpmath = pytest.importorskip("mpmath")
+    x = 10.0 ** log_x
+    with mpmath.workdps(40):
+        expected = float(mpmath.bessely(v, x))
+    scale = max(abs(expected), math.sqrt(2.0 / (math.pi * x)))
+    assert abs(reference.bessel_y_ref(v, x) - expected) <= 5e-14 * scale
+
+
+class CountingSpecial:
+    """A stand-in for cython_special that counts the calls of each name."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, collections.Counter()
+
+    def __getattr__(self, name):
+        function = getattr(self.module, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+        return counted
+
+
+def test_bessel_y_makes_one_hankel1_call(monkeypatch):
+    # one AMOS call for Y, at any order, with H - Y below x = 8 one more
+    # for H, and no yv call
+    proxy = CountingSpecial(pytest.importorskip("scipy.special.cython_special"))
+    monkeypatch.setattr(reference, "_sp", proxy)
+    rng = random.Random(26)
+    points = ([(v, x) for v, x in POINTS if 0.0 < x <= 1e4]
+              + [(rng.uniform(-3.0, 9.0), 10.0 ** rng.uniform(-2.0, 4.0)) for _ in range(200)])
+    for v, x in points:
+        proxy.calls.clear()
+        reference.bessel_y_ref(v, x)
+        assert proxy.calls == {"hankel1": 1}, (v, x)
+        if x < 8.0:
+            proxy.calls.clear()
+            reference.struve_k_ref(v, x)
+            assert proxy.calls == {"struve": 1, "hankel1": 1}, (v, x)
 
 
 def test_struve_k_matches_its_ufunc_evaluation(monkeypatch):
