@@ -602,11 +602,7 @@ def _closed_eq35_c03(x):
 
 
 def _closed_eq36(alpha, beta, x):
-    # B(a, b) 1F1(a; a+b; -x) alternates at x > 0; Kummer's transformation
-    # (DLMF 13.2.39) makes it e^-x B(b, a) 1F1(b; a+b; x), whose terms are positive
-    if x > 0:
-        series = transforms.beta_transform(exponential_series(), beta, alpha)
-        return math.exp(-x) * series.evaluate(-x, tol=1e-13)
+    # B(a, b) 1F1(a; a+b; -x), by Kummer's transformation at x > 0
     return transforms.beta_transform(exponential_series(), alpha, beta).evaluate(x, tol=1e-13)
 
 

@@ -20,7 +20,7 @@ import math
 import sys
 
 from .errors import DomainError, PoleError, overflow_raises
-from .summation import sum_hypergeometric, sum_series
+from .summation import sum_hypergeometric, sum_kummer, sum_series
 
 __all__ = [
     "DEFAULT_TOL",
@@ -234,29 +234,23 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
     sum_k Gamma(nu+k+1)/Gamma(2 nu+k+1) x^k / k!, for complex x.
 
     For nu >= 0 it is Gamma(nu+1)/Gamma(2 nu+1) 1F1(nu+1; 2 nu+1; x), DLMF
-    13.2.2, summed by its term ratio; at Re x < 0 as Kummer's
-    e^x 1F1(nu; 2 nu+1; -x), DLMF 13.2.39, whose terms' moduli sum to at
-    most the first times e^(Re x + |x|), not e^|x|, and on the real axis are
-    all positive.  Off the real axis it raises DomainError where eps times
-    that bound passes tol |value|.  For nu < 0 it is a ``CoefficientSeries``
-    law, whose first n terms at nu = -n are the ratio's limits along nu.
+    13.2.2, summed by its term ratio; at Re x < 0 by ``sum_kummer`` as
+    e^x 1F1(nu; 2 nu+1; -x), whose terms' moduli sum to at most the first
+    times e^(Re x + |x|), not e^|x|, and on the real axis are all positive.
+    Off the real axis it raises DomainError where eps times that bound
+    passes tol |value|.  For nu < 0 it is a ``CoefficientSeries`` law,
+    whose first n terms at nu = -n are the ratio's limits along nu.
     """
     z = complex(x)
     if nu >= 0:
         log_first = math.lgamma(nu + 1.0) - math.lgamma(2.0 * nu + 1.0)
+        y = z if z.imag else z.real
         if z.real < 0:
-            log_first += z.real   # e^x = e^(Re x) e^(i Im x)
-            # 1 + the terms from k = 1, which are O(nu): summed apart, they
-            # stop at tol against their own sum, not against the leading 1
-            w = -z if z.imag else -z.real
-            rest, _ = sum_hypergeometric(nu * w / (2.0 * nu + 1.0), (nu,),
-                                         (2.0 * nu + 1.0, 1.0), w, tol, k=1)
-            value = math.exp(log_first) * (1.0 + rest)
-            if z.imag:
-                value *= cmath.exp(1j * z.imag)
+            value = sum_kummer(log_first, nu, 2.0 * nu + 1.0, y, tol)
+            log_first += z.real   # the terms' bound is e^(Re x + |x|) times the first
         else:
             value, _ = sum_hypergeometric(math.exp(log_first), (nu + 1.0,),
-                                          (2.0 * nu + 1.0, 1.0), z if z.imag else z.real, tol)
+                                          (2.0 * nu + 1.0, 1.0), y, tol)
         if z.imag and tol * abs(value) < sys.float_info.epsilon * math.exp(log_first + abs(z)):
             raise DomainError(f"b_nu's terms cancel past tol at x={x!r}")
         return complex(value)

@@ -1,6 +1,6 @@
 """Guarded series summation shared by the function kernel and the oracle:
-the one stopping rule over a stream of terms, and in one loop with the
-term recurrence of every hypergeometric power series."""
+the one stopping rule, in one loop with the term recurrence of every
+hypergeometric power series, and Kummer's transformation of a 1F1."""
 
 from __future__ import annotations
 
@@ -43,59 +43,42 @@ def _not_converged(total, used: int, mag: float):
 
 
 def sum_series(terms: Iterable, tol: float):
-    """Sum ``terms`` until they are negligible against the partial sum.
-
-    Terminates once |term| <= tol * |partial sum| holds for
-    CONSECUTIVE_SMALL terms in a row.
-
-    Returns ``(value, SeriesTail)``.  Raises ConvergenceError when
-    DEFAULT_CAP terms were consumed without convergence, or at a term that
-    is not finite or whose modulus passes the double range.  A series that
-    simply runs out of terms (a finite sum) is returned as converged.
-    """
-    total = 0.0
-    small = 0
-    mag = 0.0
-    used = 0
+    """Sum a stream of terms in ``sum_hypergeometric``'s loop, with its rule,
+    returns and errors, each term seeded from the stream.  A stream that runs
+    out, at DEFAULT_CAP terms too, is a finite sum, returned as converged."""
+    stream = iter(terms)
     try:
-        for used, term in enumerate(terms, 1):
-            if used > DEFAULT_CAP:
-                raise _not_converged(total, DEFAULT_CAP, mag)
-            total += term
-            mag = abs(term)
-            if not mag < _INF:
-                raise _not_converged(total, used, mag)
-            if mag <= tol * abs(total):
-                small += 1
-                if small >= CONSECUTIVE_SMALL:
-                    return total, SeriesTail(used, mag, True)
-            else:
-                small = 0
-    except OverflowError:   # abs() of a complex past the double range
-        raise _not_converged(total, used, _INF) from None
-    return total, SeriesTail(used, mag, True)
+        return sum_hypergeometric(None, (), (), 0.0, tol, seed=lambda _: next(stream),
+                                  k_safe=_INF)
+    except ConvergenceError as exc:
+        if exc.tail.terms_used == DEFAULT_CAP and exc.tail.last_term_magnitude < _INF:
+            if next(stream, None) is None:
+                return exc.partial, exc.tail._replace(converged=True)
+        raise
 
 
 def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
                        weight=None):
     """Sum t_k + t_{k+1} + ... of a generalized hypergeometric series (DLMF
-    16.2.1) from t = t_k under ``sum_series``' rule, stepping each term in
-    the same loop by one division: t_{j+1} = t_j y prod_i (a_i + j) /
-    prod_i (b_i + j).  The caller keeps prod(b_i + j) in the normal range.
-    The shapes (len a, len b) in _SHAPES, most summed terms first, step in
-    one expression, in the loop's order of operations and so with its bits.
+    16.2.1) from t = t_k until CONSECUTIVE_SMALL terms in a row have |term|
+    <= tol |sum|, stepping each term in the same loop by one division:
+    t_{j+1} = t_j y prod_i (a_i + j) / prod_i (b_i + j).  The caller keeps
+    prod(b_i + j) in the normal range.  The shapes (len a, len b) in
+    _SHAPES, most summed terms first, step in one expression, in the loop's
+    order of operations and so with its bits.  Returns (value, SeriesTail).
+    Raises ConvergenceError after DEFAULT_CAP terms, or at a term that is
+    not finite or whose modulus passes the double range.
 
     A Gamma-ratio law passes t = None and ``seed``: seed(j) is term j
     afresh, or None for a term that is 0 at every x and is not summed.
     Terms up to j = ``k_safe`` are seeded, and so is each term after a 0 or
     subnormal one.  ``weight(j)`` multiplies term j as it is summed only.
+    A seed that raises StopIteration ends a finite sum.
     """
     k = float(k)  # float + float is the cheaper addition in the loop
     shape = _SHAPES.get((len(a), len(b)), 0)
     fresh = t is None
-    total = 0.0
-    small = 0
-    mag = 0.0
+    total, small, mag = 0.0, 0, 0.0
     try:
         for used in range(1, DEFAULT_CAP + 1):
             if fresh:
@@ -144,4 +127,22 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
             k += 1.0
     except OverflowError:   # abs() of a complex past the double range
         raise _not_converged(total, used, _INF) from None
+    except StopIteration:
+        return total, SeriesTail(used - 1, mag, True)
     raise _not_converged(total, DEFAULT_CAP, mag)
+
+
+def sum_kummer(log_t: float, c, b, y, tol: float):
+    """e^log_t 1F1(b - c; b; y) at Re y < 0 by Kummer's transformation, DLMF
+    13.2.39: e^(log_t + y) (1 + the terms of 1F1(c; b; -y) from k = 1),
+    positive at real y, b > 0 and c >= 0, and summed apart from the 1.  The
+    caller passes c = b - a.  A law's fl(alpha + beta) - alpha is exact at
+    beta <= alpha (Sterbenz), so c keeps only the rounding of alpha + beta, a
+    relative error eps (alpha + beta) / (2 beta), at most about 6e-15 for
+    beta >= 0.2 and alpha <= 10.  ``specfun.b_nu``'s c = nu is exact.
+    """
+    rest, tail = sum_hypergeometric(c * -y / b, (c,), (b, 1.0), -y, tol, k=1)
+    if not abs(rest) < _INF:   # finite terms whose sum passes the double range
+        raise _not_converged(rest, tail.terms_used, _INF)
+    value = math.exp(log_t + y.real) * (1.0 + rest)
+    return value * complex(math.cos(y.imag), math.sin(y.imag)) if y.imag else value

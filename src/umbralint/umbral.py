@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, KernelDomainError, PoleError, StripError, overflow_raises
 from .specfun import DEFAULT_TOL, as_integer, gamma, gamma_sign, log_gamma
-from .summation import sum_hypergeometric
+from .summation import sum_hypergeometric, sum_kummer
 
 __all__ = [
     "GammaRatioSequence",
@@ -226,7 +226,9 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     ones: the terms up to k_safe, any after a term that is 0 or subnormal,
     and all of a law with a non-integer slope.  A term at a denominator
     pole is 0 at every x and is not summed.  A term beyond the double range
-    ends the sum as a non-finite term.
+    ends the sum as a non-finite term.  A law t_0 1F1(a; b; y), one a
+    beside k!'s 1 or a = 1 cancelled against it, with integer slopes,
+    positive Gamma shifts and no power, goes at y < 0 to ``sum_kummer``.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -263,6 +265,12 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
             for i in range(n):
                 params.append((shift + i) / slope)
                 y = y * slope if params is up else y / slope
+
+    if (not power and k_safe < math.inf and not y.imag and y.real < 0
+            and (len(up), len(down)) in ((0, 1), (1, 2)) and (not up or 1.0 in down)
+            and min(shift for shift, _ in law.numer + law.denom) > 0):
+        a, b = up[0] if up else 1.0, down[-1] if down[0] == 1.0 else down[0]
+        return complex(sign0 * sum_kummer(_log_phi(law, 0.0)[1] + log0, b - a, b, y.real, tol))
 
     def seed(k):
         sign, log_mag = _log_phi(law, k)

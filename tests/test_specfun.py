@@ -270,6 +270,24 @@ class TestBNu:
         with pytest.raises(DomainError, match="cancel"):
             sf.b_nu(0.5, complex(-3.0, 30.0))
 
+    # at -1/2 < nu < 0 the law is 1F1(nu+1; 2 nu+1; x) with every Gamma
+    # shift positive, so the series type takes Kummer's form at x < 0 too;
+    # the alternating sum printed -1.104 at (-0.45, -38)
+    @pytest.mark.parametrize("nu,x", [(-0.45, -38.0), (-0.3, -30.0), (-0.2, -5.0)])
+    def test_kummer_route_at_negative_order(self, nu, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            expected = float(mpmath.gamma(nu + 1) / mpmath.gamma(2 * nu + 1)
+                             * mpmath.hyp1f1(nu + 1, 2 * nu + 1, x))
+        assert abs(sf.b_nu(nu, x).real - expected) <= 1e-12 * abs(expected)
+
+    # from x ~ -722 the terms of Kummer's 1F1 stay finite while their sum
+    # does not; b_nu printed inf there, and nan once e^x is 0
+    @pytest.mark.parametrize("x", [-725.0, -760.0])
+    def test_kummer_sum_past_the_double_range_raises(self, x):
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            sf.b_nu(0.5, x)
+
     def test_zero_everywhere_series_stay_finite(self):
         # with every term 0 the sum still ends, at 0
         for nu in (-1.5, -3.5):

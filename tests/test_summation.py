@@ -111,7 +111,9 @@ def test_all_zero_series():
 @pytest.mark.parametrize("terms", [
     [], [1.0, 2.0, 3.0], [1.0, 1e-30, 1.0, 1.0, 1e-20, 1e-20, 1e-20], [0.0] * 100,
     [1.0, -1.0, 1e-300, 0.0, 0.0], [1.0, math.inf, 2.0], [1.0, math.nan], [2.0, 1j, -0.5j],
-], ids=["empty", "finite", "isolated_small", "zeros", "cancelled", "inf", "nan", "complex"])
+    [1.0] * DEFAULT_CAP,
+], ids=["empty", "finite", "isolated_small", "zeros", "cancelled", "inf", "nan", "complex",
+        "ends_at_the_cap"])
 def test_streams_follow_the_plain_rule(terms):
     assert (outcome(lambda: sum_series(iter(terms), 1e-12))
             == outcome(lambda: plain_sum(iter(terms), 1e-12)))

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import hyp1f1
 
 from umbralint import oracle, specfun as sf, transforms as tr, umbral as um
@@ -186,6 +187,30 @@ class TestBetaTransform:
     def test_validation(self):
         with pytest.raises(DomainError):
             tr.beta_transform(um.exponential_series(), 0.0, 1.0)
+
+    # B(a, b) 1F1(a; a+b; -x) alternates at x > 0, where the law's sum takes
+    # Kummer's form; the first example was 2.5e4 off in the alternating sum,
+    # the second is the law 1/Gamma(b + 1 + k), where a = 1 cancels k!
+    @settings(max_examples=150, deadline=None)
+    @given(log_a=st.floats(math.log(0.2), math.log(5.0)),
+           log_b=st.floats(math.log(0.2), math.log(5.0)), x=st.floats(-40.0, 40.0))
+    @example(log_a=math.log(4.746068968522609), log_b=math.log(0.24160655423795416),
+             x=34.76075441066281)
+    @example(log_a=0.0, log_b=math.log(0.5), x=30.0)
+    def test_exponential_against_mpmath(self, log_a, log_b, x):
+        mpmath = pytest.importorskip("mpmath")
+        a, b = math.exp(log_a), math.exp(log_b)
+        with mpmath.workdps(40):
+            expected = float(mpmath.beta(a, b) * mpmath.hyp1f1(a, a + b, -x))
+        got = tr.beta_transform(um.exponential_series(), a, b).evaluate(x)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    # past x ~ 722 the sum of Kummer's terms leaves the double range while
+    # e^-x goes to 0: a ConvergenceError, not the nan of their product
+    @pytest.mark.parametrize("x", [725.0, 760.0])
+    def test_exponential_past_the_double_range_raises(self, x):
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            tr.beta_transform(um.exponential_series(), 2.0, 3.0).evaluate(x)
 
     @pytest.mark.parametrize("ab", [(1.0, 1.0), (2.0, 3.0), (0.5, 1.5)])
     def test_strided_series_against_euler_kernel_quadrature(self, ab):

@@ -114,6 +114,14 @@ class TestUmbralSeries:
         assert f.evaluate(1.0) == pytest.approx(
             complex(math.exp(-1.0)), rel=1e-13)
 
+    # exp(-x) and exp(-x^2) at positive x: the 1F1 laws 1/k! at y < 0,
+    # whose alternating sums printed 6.1e-6 and -0.0332 here
+    def test_alternating_exponentials_take_kummers_form(self):
+        assert um.exponential_series().evaluate(30.0).real == pytest.approx(
+            math.exp(-30.0), rel=1e-12)
+        gauss = um.CoefficientSeries(um.bessel_phi(), stride=2, geometric=-1.0)
+        assert gauss.evaluate(6.0).real == pytest.approx(math.exp(-36.0), rel=1e-12)
+
     def test_bessel_instance_matches_kernel(self):
         f = bessel_series(0)
         assert f.evaluate(1.0) == pytest.approx(
