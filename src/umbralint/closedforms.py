@@ -377,10 +377,10 @@ def _fresnel_oracle(p, tol):
     # head takes out d_0 and d_1.  d_0 = (alpha/2)^(2 nu) / (2 Gamma(2 nu + 1))
     # is formed from its log, which underflows, not overflows, at a large nu
     nu, alpha, beta = p["nu"], p["alpha"], p["beta"]
+    bessel_j = reference.bessel_j_ref(2.0 * nu)
 
     def integrand(s):
-        return (0.5 * reference.bessel_j_ref(2.0 * nu, alpha * math.sqrt(s))
-                * cmath.exp(1j * beta * s))
+        return cmath.rect(0.5 * bessel_j(alpha * math.sqrt(s)), beta * s)
 
     half_period = math.pi / beta
     x0 = 1.0 + _TAIL_LEAD * half_period
@@ -420,16 +420,13 @@ def _eq12_oracle(p, tol):
     x0 = 1.0 + _TAIL_LEAD * half_period
     c0 = (nu + 1.5) / (math.sqrt(math.pi) * 2.0 ** nu * math.gamma(nu + 2.5))
     c1 = -0.5 ** (nu + 3.0) / (0.75 * math.sqrt(math.pi) * math.gamma(nu + 2.5))
-    head, head_terms = _less_power_terms(
-        lambda z: reference.struve_h_ref(nu, z), 0.0, b * x0, nu + 2.0, 2, (c0, c1),
-        0.25 * tol * b)
-    smooth, smooth_terms = _less_power_terms(
-        lambda z: reference.struve_k_ref(nu, z), b * x0, math.inf, nu, -2,
-        _struve_k_terms(nu), 0.25 * tol * b)
-    tail = oracle.OscillatoryTail(
-        x0, half_period,
-        wave=lambda x: reference.bessel_y_ref(nu, b * x),
-        smooth=lambda x: smooth(b * x))
+    struve_h, bessel_y, struve_k = reference.struve_ref(nu)
+    head, head_terms = _less_power_terms(struve_h, 0.0, b * x0, nu + 2.0, 2, (c0, c1),
+                                         0.25 * tol * b)
+    smooth, smooth_terms = _less_power_terms(struve_k, b * x0, math.inf, nu, -2,
+                                             _struve_k_terms(nu), 0.25 * tol * b)
+    tail = oracle.OscillatoryTail(x0, half_period, wave=lambda x: bessel_y(b * x),
+                                  smooth=lambda x: smooth(b * x))
     return _plus_terms(oracle.integrate_half_line(lambda x: head(b * x), tol, tail),
                        *((value / b, rounding / b) for value, rounding in
                          (head_terms, smooth_terms)))
@@ -438,15 +435,15 @@ def _eq12_oracle(p, tol):
 def _eq13_oracle(p, tol):
     # as eq12, with the weight x^{-(nu+1)}; Y_nu oscillates beyond x ~ nu
     nu = p["nu"]
+    power = -(nu + 1.0)
+    struve_h, bessel_y, struve_k = reference.struve_ref(nu)
 
     def weighted(ref):
-        return lambda x: x ** (-(nu + 1.0)) * ref(nu, x)
+        return lambda x: x ** power * ref(x)
 
     tail = oracle.OscillatoryTail(max(nu, 1.0) + _TAIL_LEAD * math.pi, math.pi,
-                                  wave=weighted(reference.bessel_y_ref),
-                                  smooth=weighted(reference.struve_k_ref))
-    return _doubled(oracle.integrate_half_line(weighted(reference.struve_h_ref),
-                                               tol / 2.0, tail))
+                                  wave=weighted(bessel_y), smooth=weighted(struve_k))
+    return _doubled(oracle.integrate_half_line(weighted(struve_h), tol / 2.0, tail))
 
 
 def _doubled(half):
@@ -469,8 +466,9 @@ def _eq19_oracle(p, tol):
 # integrals are twice the half-line ones, each node |t| evaluated once.
 def _eq28_oracle(p, tol):
     n, x = p["n"], p["x"]
+    bessel_j = reference.bessel_j_ref(n)
     return _doubled(oracle.integrate_half_line(
-        lambda t: reference.bessel_j_ref(n, x * math.exp(-t * t)), tol / 2.0))
+        lambda t: bessel_j(x * math.exp(-t * t)), tol / 2.0))
 
 
 def _eq30_oracle(p, tol):

@@ -301,6 +301,8 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
     try:
         total, err_total, at_floor = _gauss_kronrod_15(f, a, b)
         evaluations = 15
+        if err_total <= tol:   # one panel resolves most pieces
+            return total, err_total, evaluations
         heap = [(-err_total, 0, a, b, total, err_total, at_floor)]
         n = 1
         ends = (_EndExtrapolation(), _EndExtrapolation())

@@ -6,17 +6,20 @@ module supplies it from an independent source (scipy's C implementations,
 classical elementary reductions, or Laplace integrals on a fixed
 Gauss-Laguerre rule), so the quadrature route never touches the series
 kernel being checked.
+
+Each special function is bound once per order and returns callables of
+x, so that a quadrature node pays at most one Python frame around its
+scipy call: J and H are ``functools.partial`` objects of their entry points.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 __all__ = [
     "bessel_j_ref",
-    "struve_h_ref",
-    "bessel_y_ref",
-    "struve_k_ref",
+    "struve_ref",
     "pseudo_trig3_closed",
 ]
 
@@ -97,8 +100,11 @@ _LAGUERRE = tuple(zip([s * s for s in _LAGUERRE_NODES], _LAGUERRE_WEIGHTS))  # (
 # scipy takes most of the package's import time, and only the oracle
 # integrands need it.  Its scalar entry points run the same C code as the
 # scipy.special ufuncs and return the same bits as a Python float, without
-# the ufunc dispatch that costs more than the function itself; their fused
-# signatures reject an int argument, hence the float() on each one
+# the ufunc dispatch that costs more than the function itself.  A fused
+# entry point (jv, yv) rejects an int argument; jv's "double" specialisation
+# takes one as a C double and skips the dispatch on the argument types, and
+# yv, called off the nodes' path, gets float(x), so a callable of x takes an
+# int or a float x
 _sp = None
 
 
@@ -110,37 +116,26 @@ def _special():
     return cython_special
 
 
-def bessel_j_ref(v: float, x: float) -> float:
-    """Bessel J of real order, any argument size."""
-    return (_sp or _special()).jv(float(v), float(x))
+def bessel_j_ref(v: float):
+    """x -> J_v(x), Bessel J of real order v at a real x of any size."""
+    return partial((_sp or _special()).jv["double"], float(v))
 
 
-def struve_h_ref(v: float, x: float) -> float:
-    """Struve function of real order, any argument size."""
-    return (_sp or _special()).struve(float(v), float(x))
+def struve_ref(v: float):
+    """(H_v, Y_v, K_v) at real order v, each a callable of a real x:
+    the Struve function H_v of any argument and its split H_v = Y_v + K_v
+    (DLMF 11.2.5) for x > 0 into the Bessel Y_v, which oscillates, and the
+    rest K_v, which does not for large x.
 
+    Y_v(x) is Im H1_v(x) (DLMF 10.4.3), one AMOS call where ``yv`` makes
+    two and reflects through J_v at a negative order; ``yv`` where H1 is
+    nan (x past about 1e17, Y overflowing near 0) or x <= 0.  J_v stays on
+    ``jv``: Re H1 loses its digits where |Y| >> |J|.  An order below 1e-300
+    in size, where both fail for x < 2, is taken as 0 for Y.
 
-def bessel_y_ref(v: float, x: float) -> float:
-    """Bessel Y of real order, x > 0: Im H1_v(x) (DLMF 10.4.3), one AMOS
-    call where ``yv`` makes two and reflects through J_v at a negative
-    order; ``yv`` where H1 is nan (x past about 1e17, Y overflowing near 0)
-    or x <= 0.  J_v stays on ``jv``: Re H1 loses its digits where |Y| >> |J|.
-    An order below 1e-300 in size, where both fail for x < 2, is taken as 0."""
-    sp = _sp or _special()
-    x = float(x)
-    v = 0.0 if abs(v) < 1e-300 else float(v)   # Y_v is Y_0 in floats there
-    y = sp.hankel1(v, x + 0j).imag if x > 0.0 else math.nan
-    return y if y == y else sp.yv(v, x)
-
-
-def struve_k_ref(v: float, x: float) -> float:
-    """K_v = H_v - Y_v (DLMF 11.2.5), the part of the Struve function that
-    does not oscillate for large x; x > 0.  Y_v is ``bessel_y_ref``'s.
-
-    The difference of H_v and Y_v in floats has an absolute error of about
-    eps |Y_v|, which swamps K_v for v < 1/2, where K_v decays faster than
-    Y_v.  So from x = 8 on K_v is taken from its Laplace integral (DLMF
-    11.5.2), in s = x t
+    K_v = H_v - Y_v in floats has an absolute error of about eps |Y_v|,
+    which swamps K_v for v < 1/2, where K_v decays faster than Y_v.  So from
+    x = 8 on K_v is taken from its Laplace integral (DLMF 11.5.2), in s = x t
 
         K_v(x) = (x/2)^(v-1) / (sqrt(pi) Gamma(v+1/2))
                  * integral over (0, infinity) of e^(-s) (1 + (s/x)^2)^(v-1/2) ds,
@@ -150,14 +145,26 @@ def struve_k_ref(v: float, x: float) -> float:
     the rule's reach, and H_v - Y_v, which no longer cancels there, is kept.
     """
     sp = _sp or _special()
-    v, x = float(v), float(x)
-    if x >= 8.0 and v <= 30.0:
-        r, e = 1.0 / (x * x), v - 0.5
-        total = 0.0
-        for q, w in _LAGUERRE:
-            total += w * (1.0 + q * r) ** e
-        return (0.5 * x) ** (v - 1.0) * sp.rgamma(v + 0.5) / _SQRT_PI * total
-    return sp.struve(v, x) - bessel_y_ref(v, x)
+    struve, hankel1, yv = sp.struve, sp.hankel1, sp.yv
+    v = float(v)
+    vy = 0.0 if abs(v) < 1e-300 else v   # Y_v is Y_0 in floats there
+    e, p, rg = v - 0.5, v - 1.0, sp.rgamma(v + 0.5)
+    struve_h = partial(struve, v)
+
+    def bessel_y(x):
+        y = hankel1(vy, x + 0j).imag if x > 0.0 else math.nan
+        return y if y == y else yv(vy, float(x))
+
+    def struve_k(x):
+        if x >= 8.0 and v <= 30.0:
+            r = 1.0 / (x * x)
+            total = 0.0
+            for q, w in _LAGUERRE:
+                total += w * (1.0 + q * r) ** e
+            return (0.5 * x) ** p * rg / _SQRT_PI * total
+        return struve(v, x) - bessel_y(x)
+
+    return struve_h, bessel_y, struve_k
 
 
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:

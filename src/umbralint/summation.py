@@ -42,6 +42,14 @@ def _not_converged(total, used: int, mag: float):
     return ConvergenceError(message, partial=total, tail=SeriesTail(used, mag, False))
 
 
+def _finished(total, used: int, mag: float):
+    """A sum's return, or its error where the sum of finite terms passes the double range."""
+    if abs(total) < _INF:
+        return total, SeriesTail(used, mag, True)
+    raise ConvergenceError(f"series overflowed: the sum of {used} terms passed the double "
+                           "range", partial=total, tail=SeriesTail(used, _INF, False))
+
+
 def sum_series(terms: Iterable, tol: float):
     """Sum a stream of terms in ``sum_hypergeometric``'s loop, with its rule,
     returns and errors, each term seeded from the stream.  A stream that runs
@@ -53,7 +61,7 @@ def sum_series(terms: Iterable, tol: float):
     except ConvergenceError as exc:
         if exc.tail.terms_used == DEFAULT_CAP and exc.tail.last_term_magnitude < _INF:
             if next(stream, None) is None:
-                return exc.partial, exc.tail._replace(converged=True)
+                return _finished(exc.partial, DEFAULT_CAP, exc.tail.last_term_magnitude)
         raise
 
 
@@ -66,8 +74,8 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
     prod(b_i + j) in the normal range.  The shapes (len a, len b) in
     _SHAPES, most summed terms first, step in one expression, in the loop's
     order of operations and so with its bits.  Returns (value, SeriesTail).
-    Raises ConvergenceError after DEFAULT_CAP terms, or at a term that is
-    not finite or whose modulus passes the double range.
+    Raises ConvergenceError after DEFAULT_CAP terms, or where a term, its
+    modulus or the sum of finite terms passes the double range.
 
     A Gamma-ratio law passes t = None and ``seed``: seed(j) is term j
     afresh, or None for a term that is 0 at every x and is not summed.
@@ -95,7 +103,7 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
             if mag <= tol * abs(total):
                 small += 1
                 if small >= CONSECUTIVE_SMALL:
-                    return total, SeriesTail(used, mag, True)
+                    return _finished(total, used, mag)
             else:
                 small = 0
             if seed and (k < k_safe or abs(t) < _TINY):
@@ -128,7 +136,7 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
     except OverflowError:   # abs() of a complex past the double range
         raise _not_converged(total, used, _INF) from None
     except StopIteration:
-        return total, SeriesTail(used - 1, mag, True)
+        return _finished(total, used - 1, mag)
     raise _not_converged(total, DEFAULT_CAP, mag)
 
 
@@ -141,8 +149,10 @@ def sum_kummer(log_t: float, c, b, y, tol: float):
     relative error eps (alpha + beta) / (2 beta), at most about 6e-15 for
     beta >= 0.2 and alpha <= 10.  ``specfun.b_nu``'s c = nu is exact.
     """
-    rest, tail = sum_hypergeometric(c * -y / b, (c,), (b, 1.0), -y, tol, k=1)
-    if not abs(rest) < _INF:   # finite terms whose sum passes the double range
-        raise _not_converged(rest, tail.terms_used, _INF)
-    value = math.exp(log_t + y.real) * (1.0 + rest)
+    rest, _ = sum_hypergeometric(c * -y / b, (c,), (b, 1.0), -y, tol, k=1)
+    factor, whole = math.exp(log_t + y.real), 1.0 + rest
+    if factor < _TINY and whole:   # a subnormal factor: |whole| joins its exponent
+        size = abs(whole)
+        factor, whole = math.exp(log_t + y.real + math.log(size)), whole / size
+    value = factor * whole
     return value * complex(math.cos(y.imag), math.sin(y.imag)) if y.imag else value

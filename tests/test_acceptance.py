@@ -8,8 +8,7 @@ import cmath
 import math
 
 from umbralint import closedforms as cf, oracle, specfun as sf, transforms as tr, umbral as um
-from umbralint.reference import (bessel_j_ref, bessel_y_ref, pseudo_trig3_closed, struve_h_ref,
-                                 struve_k_ref)
+from umbralint.reference import bessel_j_ref, pseudo_trig3_closed, struve_ref
 
 from references import b_nu_closed, classical_hermite, hybrid_hermite_moment
 
@@ -37,8 +36,8 @@ def test_criterion_01_fresnel_bessel():
         closed = cf.fresnel_bessel(0.0, alpha, beta)
 
         # in s = x^2 the integrand is a wave of half-period pi/beta
-        def integrand(s, _a=alpha, _b=beta):
-            return 0.5 * bessel_j_ref(0.0, _a * math.sqrt(s)) * cmath.exp(1j * _b * s)
+        def integrand(s, _a=alpha, _b=beta, _j=bessel_j_ref(0.0)):
+            return 0.5 * _j(_a * math.sqrt(s)) * cmath.exp(1j * _b * s)
 
         half_period = math.pi / beta
         tail = oracle.OscillatoryTail(1.0 + 3.0 * half_period, half_period, integrand)
@@ -70,13 +69,14 @@ def test_criterion_03_struve_halfline():
         for b in (1.0, 2.0):
             closed = cf.struve_halfline_integral(nu, b)
             scale = 1.0 / b
+            struve_h, bessel_y, struve_k = struve_ref(nu)
             # H_nu = Y_nu + K_nu: Y_nu(b x) is the wave, K_nu(b x) the smooth rest
             tail = oracle.OscillatoryTail(
                 1.0 + 3.0 * math.pi / b, math.pi / b,
-                wave=lambda x, _n=nu, _b=b: bessel_y_ref(_n, _b * x),
-                smooth=lambda x, _n=nu, _b=b: struve_k_ref(_n, _b * x))
+                wave=lambda x, _b=b, _y=bessel_y: _y(_b * x),
+                smooth=lambda x, _b=b, _k=struve_k: _k(_b * x))
             quad = oracle.integrate_half_line(
-                lambda x, _n=nu, _b=b: struve_h_ref(_n, _b * x), 2.5e-6 * scale, tail)
+                lambda x, _b=b, _h=struve_h: _h(_b * x), 2.5e-6 * scale, tail)
             if nu == -1.0:
                 assert closed == 0.0
                 zero_case = max(zero_case, abs(quad.value) / scale)
@@ -94,12 +94,13 @@ def test_criterion_04_struve_moment():
     worst = 0.0
     for nu in (0.0, 0.5, 1.0, 2.0):
         closed = cf.struve_moment_integral(nu)
+        struve_h, bessel_y, struve_k = struve_ref(nu)
         tail = oracle.OscillatoryTail(
             max(nu, 1.0) + 3.0 * math.pi, math.pi,
-            wave=lambda x, _n=nu: x ** (-(_n + 1.0)) * bessel_y_ref(_n, x),
-            smooth=lambda x, _n=nu: x ** (-(_n + 1.0)) * struve_k_ref(_n, x))
+            wave=lambda x, _n=nu, _y=bessel_y: x ** (-(_n + 1.0)) * _y(x),
+            smooth=lambda x, _n=nu, _k=struve_k: x ** (-(_n + 1.0)) * _k(x))
         half = oracle.integrate_half_line(
-            lambda x, _n=nu: x ** (-(_n + 1.0)) * struve_h_ref(_n, x),
+            lambda x, _n=nu, _h=struve_h: x ** (-(_n + 1.0)) * _h(x),
             closed * 2.5e-7 / 2.0, tail)
         worst = max(worst, abs(closed - 2.0 * half.value) / closed)
     ok = worst <= 1e-6 and spot <= 1e-12

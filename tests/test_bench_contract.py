@@ -66,7 +66,10 @@ def test_tracing_instruments_and_restores(workloads, tmp_path):
 
 def test_ladder_evaluates_each_reference_argument_once(tmp_path):
     # tracing.py wraps integrands and reference calls with scalar code, and
-    # counts a reference call whose arguments already occurred in the op
+    # counts a reference call whose arguments already occurred in the op.
+    # The references bind one order per oracle and return the callables
+    # each node calls, so this sees the bindings; test_closedforms.py's
+    # TestOscillatoryOracleNodes counts the nodes
     tracing = _load("tracing")
     identity = closedforms.get_identity("eq13_struve_moment")
     tracer = tracing.Tracer(tmp_path / "trace.jsonl.gz")

@@ -7,9 +7,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbralint import closedforms as cf, oracle, specfun as sf, summation, umbral as um
+from umbralint import cli, closedforms as cf, oracle, specfun as sf, summation, umbral as um
 from umbralint.errors import DomainError, EngineError
-from umbralint.reference import bessel_j_ref, struve_k_ref
+from umbralint.reference import bessel_j_ref, struve_ref
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -36,8 +36,10 @@ class TestFresnelBessel:
         closed = cf.fresnel_bessel(nu, alpha, beta)
 
         # in s = x^2 the integrand is a wave of half-period pi/beta
+        bessel_j = bessel_j_ref(2.0 * nu)
+
         def integrand(s):
-            return 0.5 * bessel_j_ref(2.0 * nu, alpha * math.sqrt(s)) * cmath.exp(1j * beta * s)
+            return 0.5 * bessel_j(alpha * math.sqrt(s)) * cmath.exp(1j * beta * s)
 
         tail = oracle.OscillatoryTail(1.0 + 3.0 * math.pi / beta, math.pi / beta, integrand)
         quad = oracle.integrate_half_line(integrand, abs(closed) * 2.5e-6, tail)
@@ -72,11 +74,15 @@ class TestStruveHalfline:
         # one GK15 panel; with them in it took 45 to 135 evaluations here
         calls = []
 
-        def counting(v, x):
-            calls.append(x)
-            return struve_k_ref(v, x)
+        def counting(v):
+            struve_h, bessel_y, struve_k = struve_ref(v)
 
-        monkeypatch.setattr(cf.reference, "struve_k_ref", counting)
+            def counted_k(x):
+                calls.append(x)
+                return struve_k(x)
+            return struve_h, bessel_y, counted_k
+
+        monkeypatch.setattr(cf.reference, "struve_ref", counting)
         identity = cf.get_identity("eq12_struve_halfline")
         identity.oracle_eval({"nu": nu, "b": b}, 0.25 * identity.default_tol)
         assert len(calls) == 15
@@ -139,6 +145,40 @@ class TestOscillatoryOracleTrace:
         assert 0.0 < r.trace.residual <= r.abs_error_estimate
 
 
+class TestOscillatoryOracleNodes:
+    # every integrand evaluation of a ladder oracle calls one reference
+    # callable, and no callable twice at the same argument
+    @pytest.mark.parametrize("identity_id,point", [
+        ("eq08_fresnel_bessel", {"nu": 0.0, "alpha": 0.5, "beta": 2.0}),
+        ("eq08_fresnel_bessel", {"nu": 1.5, "alpha": 1.0, "beta": 1.0}),
+        ("eq12_struve_halfline", {"nu": -1.5, "b": 1.0}),
+        ("eq12_struve_halfline", {"nu": -0.5, "b": 2.0}),
+        ("eq13_struve_moment", {"nu": 0.0}),
+        ("eq13_struve_moment", {"nu": 5.0}),
+    ])
+    def test_each_reference_argument_once(self, monkeypatch, identity_id, point):
+        seen = []
+
+        def counted(ref):
+            xs = []
+            seen.append(xs)
+
+            def call(x):
+                xs.append(x)
+                return ref(x)
+            return call
+
+        monkeypatch.setattr(cf.reference, "bessel_j_ref", lambda v: counted(bessel_j_ref(v)))
+        monkeypatch.setattr(cf.reference, "struve_ref",
+                            lambda v: tuple(map(counted, struve_ref(v))))
+        identity = cf.get_identity(identity_id)
+        report = cli.verify_point(identity, point, identity.default_tol)
+        assert report.passed, report
+        assert sum(map(len, seen)) == report.oracle_cost > 0
+        for xs in seen:
+            assert len(set(xs)) == len(xs)
+
+
 class TestBesselGenerating:
     def test_zero_argument_collapses(self):
         for m in (2, 3):
@@ -195,7 +235,7 @@ class TestBesselGenerating:
         got = cf._strided_bessel_j(x, 1, top)
         assert len(got) == top + 1
         for k, value in enumerate(got):
-            expected = bessel_j_ref(k, 2.0 * x)
+            expected = bessel_j_ref(k)(2.0 * x)
             if k > abs(2.0 * x):
                 assert abs(value - expected) <= 1e-12 * abs(expected), k
             else:
@@ -244,9 +284,13 @@ class TestBesselGaussDilation:
         # and those calls all share the argument 0
         calls = []
 
-        def counting(n, x):
-            calls.append((n, x))
-            return bessel_j_ref(n, x)
+        def counting(n):
+            bessel_j = bessel_j_ref(n)
+
+            def counted(x):
+                calls.append((n, x))
+                return bessel_j(x)
+            return counted
 
         monkeypatch.setattr(cf.reference, "bessel_j_ref", counting)
         identity = cf.get_identity("eq28_bessel_gauss_dilation")

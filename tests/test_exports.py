@@ -57,3 +57,25 @@ def _used_names():
 def test_every_public_name_is_reached(module):
     unreached = sorted(set(module.__all__) - _used_names())
     assert not unreached, f"{module.__name__} exports names nothing uses: {unreached}"
+
+
+# the oracle side never reaches the series kernel it checks, not even at
+# a function-level import
+SERIES_KERNEL = {"specfun", "umbral", "summation", "transforms", "closedforms"}
+
+
+def _imported_names(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", [oracle, reference], ids=lambda m: m.__name__)
+def test_oracle_side_imports_no_series_kernel(module):
+    reached = _imported_names(Path(module.__file__)) & SERIES_KERNEL
+    assert not reached, f"{module.__name__} imports {sorted(reached)}"

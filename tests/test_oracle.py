@@ -10,7 +10,7 @@ from umbralint.errors import (
     ExtrapolationError,
     QuadratureError,
 )
-from umbralint.reference import bessel_j_ref, bessel_y_ref, struve_h_ref, struve_k_ref
+from umbralint.reference import bessel_j_ref, struve_ref
 from umbralint.specfun import beta as beta_fn
 
 SQRT_PI = math.sqrt(math.pi)
@@ -19,10 +19,11 @@ SQRT_PI = math.sqrt(math.pi)
 def struve_tail(nu, b=1.0):
     """H_nu(b x) and its tail Y_nu(b x) + K_nu(b x), from three half-periods past 1."""
     half_period = math.pi / b
+    struve_h, bessel_y, struve_k = struve_ref(nu)
     tail = oracle.OscillatoryTail(1.0 + 3.0 * half_period, half_period,
-                                  wave=lambda x: bessel_y_ref(nu, b * x),
-                                  smooth=lambda x: struve_k_ref(nu, b * x))
-    return (lambda x: struve_h_ref(nu, b * x)), tail
+                                  wave=lambda x: bessel_y(b * x),
+                                  smooth=lambda x: struve_k(b * x))
+    return (lambda x: struve_h(b * x)), tail
 
 
 def run_tail(integrand_and_tail, tol, **kw):
@@ -47,8 +48,10 @@ def chirp(beta):
 
 def fresnel():
     """x J_0(x) e^{i x^2} in s = x^2, all wave."""
+    bessel_j = bessel_j_ref(0)
+
     def f(s):
-        return 0.5 * bessel_j_ref(0, math.sqrt(s)) * cmath.exp(1j * s)
+        return 0.5 * bessel_j(math.sqrt(s)) * cmath.exp(1j * s)
 
     return f, oracle.OscillatoryTail(1.0 + 3.0 * math.pi, math.pi, f)
 

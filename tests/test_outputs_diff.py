@@ -40,3 +40,20 @@ def test_eval_value_keeps_its_own_scale(outputs_diff):
                                            {"value": repr(4.6e-10)})
     assert rel == pytest.approx(0.08, rel=1e-12)
     assert outputs_diff.relative_difference({"value": "1.0"}, {"raised": "DomainError"}) is None
+
+
+def test_only_the_fields_that_differ_are_printed(outputs_diff):
+    base = {"value": {"identity": "eq12_struve_halfline", "oracle_cost": 435,
+                      "oracle_value": {"re": "0.5", "im": "0.0"},
+                      "oracle_error_estimate": "2.924842762661863e-07"}}
+    change = {"value": {**base["value"], "oracle_error_estimate": "2.9248427626436267e-07"}}
+    assert outputs_diff.field_changes(base, change) == [
+        "oracle_error_estimate: 2.924842762661863e-07 -> 2.9248427626436267e-07"]
+    moved = {"value": {**base["value"], "oracle_value": {"re": "0.5", "im": "-0.0"}}}
+    assert outputs_diff.field_changes(base, moved) == ["oracle_value.im: 0.0 -> -0.0"]
+    assert outputs_diff.field_changes(base, base) == []
+
+
+def test_an_eval_that_raises_on_one_side(outputs_diff):
+    assert outputs_diff.field_changes({"value": ["1.0", "0.0"]}, {"raised": "DomainError"}) == [
+        'value: ["1.0", "0.0"] -> null', "raised: null -> DomainError"]

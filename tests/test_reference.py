@@ -1,5 +1,8 @@
 """The oracle's scipy references, called through scipy.special.cython_special,
-against the scipy.special ufuncs over the same C code: the same bits."""
+against the scipy.special ufuncs over the same C code: the same bits.
+
+Each reference is bound once per order and called at each x; the helpers
+below do both at one point."""
 
 import collections
 import math
@@ -23,14 +26,28 @@ POINTS = ([(_rng.uniform(-3.0, 9.0), _rng.uniform(0.0, 120.0)) for _ in range(20
           + [(v, n) for v in (-1.5, 0.5, 2.0) for n in (0, 1, 7, 80)])
 
 
+def bessel_j(v, x):
+    return reference.bessel_j_ref(v)(x)
+
+
+def struve_h(v, x):
+    return reference.struve_ref(v)[0](x)
+
+
+def bessel_y(v, x):
+    return reference.struve_ref(v)[1](x)
+
+
+def struve_k(v, x):
+    return reference.struve_ref(v)[2](x)
+
+
 def same_bits(got, want):
     return type(got) is float and got.hex() == float(want).hex()
 
 
-@pytest.mark.parametrize("ref,ufunc", [
-    (reference.bessel_j_ref, "jv"),
-    (reference.struve_h_ref, "struve"),
-])
+@pytest.mark.parametrize("ref,ufunc", [(bessel_j, "jv"), (struve_h, "struve")],
+                         ids=["bessel_j_ref-jv", "struve_h_ref-struve"])
 def test_scalar_entry_points_match_the_ufuncs(ref, ufunc):
     ufunc = getattr(special, ufunc)
     for v, x in POINTS:
@@ -52,16 +69,16 @@ def test_bessel_y_is_the_imaginary_part_of_hankel1():
     for v, x in POINTS + Y_FALLBACK:
         h = special.hankel1(v, x).imag
         want = h if x > 0.0 and not math.isnan(h) else special.yv(v, x)
-        assert same_bits(reference.bessel_y_ref(v, x), want), (v, x)
+        assert same_bits(bessel_y(v, x), want), (v, x)
     for v, x in Y_FALLBACK:
         assert x <= 0.0 or math.isnan(special.hankel1(v, x).imag), (v, x)
-    assert math.isfinite(reference.bessel_y_ref(1.0, 1e17))
-    assert reference.bessel_y_ref(2.0, 1e-300) == -math.inf
-    assert math.isnan(reference.bessel_y_ref(1.0, -2.0))
+    assert math.isfinite(bessel_y(1.0, 1e17))
+    assert bessel_y(2.0, 1e-300) == -math.inf
+    assert math.isnan(bessel_y(1.0, -2.0))
     # at a subnormal order AMOS gives nan and yv 0 for x < 2; Y_v is Y_0
     for v in (5e-324, -1e-310, 2e-308):
-        assert reference.bessel_y_ref(v, 1.0) == reference.bessel_y_ref(0.0, 1.0)
-    assert math.isnan(reference.bessel_y_ref(math.nan, 1.0))
+        assert bessel_y(v, 1.0) == bessel_y(0.0, 1.0)
+    assert math.isnan(bessel_y(math.nan, 1.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,7 +96,7 @@ def test_bessel_y_against_mpmath(v, log_x):
     with mpmath.workdps(40):
         expected = float(mpmath.bessely(v, x))
     scale = max(abs(expected), math.sqrt(2.0 / (math.pi * x)))
-    assert abs(reference.bessel_y_ref(v, x) - expected) <= 5e-14 * scale
+    assert abs(bessel_y(v, x) - expected) <= 5e-14 * scale
 
 
 class CountingSpecial:
@@ -99,19 +116,20 @@ class CountingSpecial:
 
 def test_bessel_y_makes_one_hankel1_call(monkeypatch):
     # one AMOS call for Y, at any order, with H - Y below x = 8 one more
-    # for H, and no yv call
+    # for H, and no yv call; the order is bound before the count
     proxy = CountingSpecial(pytest.importorskip("scipy.special.cython_special"))
     monkeypatch.setattr(reference, "_sp", proxy)
     rng = random.Random(26)
     points = ([(v, x) for v, x in POINTS if 0.0 < x <= 1e4]
               + [(rng.uniform(-3.0, 9.0), 10.0 ** rng.uniform(-2.0, 4.0)) for _ in range(200)])
     for v, x in points:
+        _, y, k = reference.struve_ref(v)
         proxy.calls.clear()
-        reference.bessel_y_ref(v, x)
+        y(x)
         assert proxy.calls == {"hankel1": 1}, (v, x)
         if x < 8.0:
             proxy.calls.clear()
-            reference.struve_k_ref(v, x)
+            k(x)
             assert proxy.calls == {"struve": 1, "hankel1": 1}, (v, x)
 
 
@@ -122,11 +140,11 @@ def test_struve_k_matches_its_ufunc_evaluation(monkeypatch):
     # H - Y can be inf - inf, which numpy warns of and Python floats do not
     points = POINTS + [(v, x) for v in (-1.9, -0.5, 0.0, 2.5, 3, 30.0, 30.5)
                        for x in (7.9, 8.0, 8.1, 1e3, 1e8)]
-    got = [reference.struve_k_ref(v, x) for v, x in points]
+    got = [struve_k(v, x) for v, x in points]
     monkeypatch.setattr(reference, "_sp", special)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        want = [reference.struve_k_ref(v, x) for v, x in points]
+        want = [struve_k(v, x) for v, x in points]
     for point, value, expected in zip(points, got, want):
         assert same_bits(value, expected), point
 
@@ -138,7 +156,7 @@ class TestStruveK:
     @pytest.mark.parametrize("x", [7.9, 8.0, 9.5, 10.0, 12.0, 20.0, 30.0, 49.9, 50.0,
                                    1e3, 1e8])
     def test_against_mpmath(self, nu, x):
-        got = reference.struve_k_ref(nu, x)
+        got = struve_k(nu, x)
         if nu in (-1.5, -0.5):   # K_{-n-1/2} = 0: 1/Gamma(nu + 1/2) is 0,
             # and H - Y leaves the rounding of scipy's H and Y
             assert got == 0.0 if x >= 8.0 else abs(got) <= 1e-14

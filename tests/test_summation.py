@@ -2,7 +2,7 @@ import math
 from itertools import count, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbralint import summation, umbral
 from umbralint.errors import ConvergenceError
@@ -26,6 +26,13 @@ def stepped_terms(t, a, b, y, k=0):
 
 def plain_sum(terms, tol):
     """The stopping rule written out over a stream, as a reference."""
+    def finished(total, used, mag):
+        if not abs(total) < math.inf:   # finite terms whose sum passes the double range
+            raise ConvergenceError(f"series overflowed: the sum of {used} terms passed the "
+                                   "double range", partial=total,
+                                   tail=SeriesTail(used, math.inf, False))
+        return total, SeriesTail(used, mag, True)
+
     total, small, last_mag, used = 0.0, 0, 0.0, 0
     for k, term in enumerate(terms):
         if k >= DEFAULT_CAP:
@@ -46,10 +53,10 @@ def plain_sum(terms, tol):
         if small_term:
             small += 1
             if small >= 3:
-                return total, SeriesTail(used, mag, True)
+                return finished(total, used, mag)
         else:
             small = 0
-    return total, SeriesTail(used, last_mag, True)
+    return finished(total, used, last_mag)
 
 
 def outcome(sum_call):
@@ -111,9 +118,9 @@ def test_all_zero_series():
 @pytest.mark.parametrize("terms", [
     [], [1.0, 2.0, 3.0], [1.0, 1e-30, 1.0, 1.0, 1e-20, 1e-20, 1e-20], [0.0] * 100,
     [1.0, -1.0, 1e-300, 0.0, 0.0], [1.0, math.inf, 2.0], [1.0, math.nan], [2.0, 1j, -0.5j],
-    [1.0] * DEFAULT_CAP,
+    [1.0] * DEFAULT_CAP, [1.0] * (DEFAULT_CAP - 2) + [1.7e308, 1.7e308],
 ], ids=["empty", "finite", "isolated_small", "zeros", "cancelled", "inf", "nan", "complex",
-        "ends_at_the_cap"])
+        "ends_at_the_cap", "overflows_at_the_cap"])
 def test_streams_follow_the_plain_rule(terms):
     assert (outcome(lambda: sum_series(iter(terms), 1e-12))
             == outcome(lambda: plain_sum(iter(terms), 1e-12)))
@@ -214,6 +221,8 @@ class TestOneExpressionShapes:
            y=st.one_of(st.floats(-60.0, 60.0),
                        st.complex_numbers(max_magnitude=60.0, allow_nan=False)),
            k=st.integers(0, 20), tol=st.sampled_from([1e-16, 1e-12, 1e-8]))
+    # finite terms whose sum passes the double range: both raise 'series overflowed'
+    @example(t=1.0, ab=([0.0, 0.0], [1.0, 1.0]), y=1.5, k=1, tol=1e-16)
     def test_equals_the_stepped_stream(self, t, ab, y, k, tol):
         a, b = ab
         fused = outcome(lambda: sum_hypergeometric(t, a, b, y, tol, k))

@@ -212,14 +212,26 @@ class TestBetaTransform:
         with pytest.raises(ConvergenceError, match="overflowed"):
             tr.beta_transform(um.exponential_series(), 2.0, 3.0).evaluate(x)
 
+    # from x ~ 708 Kummer's factor e^-x B(2, 3) is subnormal and kept few
+    # bits: 7e-11 off at x = 720; at tol 1e-14 the truncation is below them
+    @pytest.mark.parametrize("x", [712.0, 715.0, 720.0])
+    def test_exponential_where_kummers_factor_is_subnormal(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            expected = float(mpmath.beta(2, 3) * mpmath.hyp1f1(2, 5, -x))
+        got = tr.beta_transform(um.exponential_series(), 2.0, 3.0).evaluate(x, tol=1e-14)
+        assert got.imag == 0.0
+        assert abs(got.real - expected) <= 1e-12 * expected
+
     @pytest.mark.parametrize("ab", [(1.0, 1.0), (2.0, 3.0), (0.5, 1.5)])
     def test_strided_series_against_euler_kernel_quadrature(self, ab):
         # J_1(u x) has stride 2 and offset 1; the edit is exact for any shape
         a, b = ab
         series = tr.beta_transform(um.bessel_power_series(1), a, b)
+        bessel_j = bessel_j_ref(1)
         for x in (0.5, 2.0, 5.0):
             quad = oracle.integrate_finite(
-                lambda u: u ** (a - 1.0) * (1.0 - u) ** (b - 1.0) * bessel_j_ref(1, u * x),
+                lambda u: u ** (a - 1.0) * (1.0 - u) ** (b - 1.0) * bessel_j(u * x),
                 0.0, 1.0, 1e-12)
             lhs = series.evaluate(x, tol=1e-13)
             assert abs(lhs - quad.value) <= 1e-10 * abs(quad.value)

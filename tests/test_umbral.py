@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from umbralint import closedforms, oracle, specfun as sf, transforms as tr, umbral as um
 from umbralint.errors import (ConvergenceError, DomainError, KernelDomainError,
                               PoleError, StripError)
-from umbralint.reference import bessel_j_ref, struve_h_ref
+from umbralint.reference import bessel_j_ref, struve_ref
 from umbralint.summation import sum_series
 
 SQRT_PI = math.sqrt(math.pi)
@@ -122,6 +122,15 @@ class TestUmbralSeries:
         gauss = um.CoefficientSeries(um.bessel_phi(), stride=2, geometric=-1.0)
         assert gauss.evaluate(6.0).real == pytest.approx(math.exp(-36.0), rel=1e-12)
 
+    # (k + 720)/k! at y = -x is Kummer's c = b - a = -1: its terms 1 - x/720
+    # sum to exactly 0 at x = 720 under a subnormal factor 720 e^-720, and
+    # the value, 6.5e-358, is 0 in floats
+    def test_kummer_sum_of_zero_under_a_subnormal_factor(self):
+        law = um.GammaRatioSequence(numer=[(721.0, 1.0)], denom=[(1.0, 1.0), (720.0, 1.0)])
+        series = um.CoefficientSeries(law, geometric=-1.0)
+        assert series.evaluate(720.0) == 0.0
+        assert series.evaluate(721.0).real == pytest.approx(-7.476159319272408e-314, rel=1e-9)
+
     def test_bessel_instance_matches_kernel(self):
         f = bessel_series(0)
         assert f.evaluate(1.0) == pytest.approx(
@@ -143,9 +152,9 @@ class TestUmbralSeries:
     def test_struve_instance_skips_vanishing_terms(self, nu):
         # 1/Gamma(k + nu + 3/2) is 0 for the first -(nu + 1/2) terms, so the
         # series starts past them
-        f = um.struve_series(nu)
+        f, struve_h = um.struve_series(nu), struve_ref(nu)[0]
         for x in (0.7, 2.0):
-            assert f.evaluate(x).real == pytest.approx(struve_h_ref(nu, x), rel=1e-13)
+            assert f.evaluate(x).real == pytest.approx(struve_h(x), rel=1e-13)
 
     def test_coefficient_reconstruction(self):
         # phi(n) equals n! times the coefficient of (-x)^n for every
@@ -243,7 +252,8 @@ class TestMellinMasterStrided:
         value = um.mellin_master_strided(bessel_series(0), 1.0)
         assert value.real == pytest.approx(0.5, rel=1e-13)
         # J_0(2 x) is all wave beyond its start, with half-period pi/2
-        f = lambda x: bessel_j_ref(0, 2.0 * x)  # noqa: E731
+        bessel_j = bessel_j_ref(0)
+        f = lambda x: bessel_j(2.0 * x)  # noqa: E731
         tail = oracle.OscillatoryTail(1.0 + 1.5 * math.pi, 0.5 * math.pi, f)
         got = oracle.integrate_half_line(f, 1e-6, tail)
         assert abs(got.value - 0.5) <= 1e-6

@@ -12,8 +12,9 @@ the type of what it raised.  A verify point is recorded as its report
 without the timing fields ``closed_time`` and ``oracle_time``.  Floats are
 compared by their exact repr, so -0.0 differs from 0.0.
 
-Every input whose record differs is printed, then the total, then the
-count per group that differs: per eval kind in eval_kernel, per identity in
+Every input whose record differs is printed with the fields that differ,
+one ``field: base -> change`` line each, then the total, then the count per
+group that differs: per eval kind in eval_kernel, per identity in
 verify_plain and verify_ladder.  With each count goes the largest relative
 difference among the group's inputs that returned a finite number on both
 sides: |base - change| / max(|base|, |change|) of an eval's value, and of
@@ -160,6 +161,32 @@ def relative_difference(base, change) -> float | None:
     return max(abs(b - c) / max(abs(b), abs(c)) if b != c else 0.0 for b, c in pairs)
 
 
+def _fields(record, prefix="") -> dict:
+    """The leaves of a record by their dotted path: a verify report's fields
+    by their own names, an eval's ``value`` and a ``raised`` type as such."""
+    if not isinstance(record, dict):
+        return {prefix: record}
+    fields = {}
+    for name, value in record.items():
+        path = name if prefix in ("", "value") else f"{prefix}.{name}"
+        fields.update(_fields(value, path))
+    return fields
+
+
+def field_changes(base, change) -> list:
+    """One ``field: base -> change`` line per field that differs, a field
+    that one side lacks shown as null there."""
+    old, new = _fields(base or {}), _fields(change or {})
+    return [f"{name}: {_shown(old.get(name))} -> {_shown(new.get(name))}"
+            for name in [*old, *(name for name in new if name not in old)]
+            if old.get(name) != new.get(name)]
+
+
+def _shown(leaf) -> str:
+    """A recorded leaf as printed: a float by its repr, as it was recorded."""
+    return leaf if isinstance(leaf, str) else json.dumps(leaf)
+
+
 def outputs(root: Path, seeds) -> dict:
     done = subprocess.run([sys.executable, __file__, "--dump", str(root), "--seeds",
                            *map(str, seeds)], cwd=root, capture_output=True, text=True)
@@ -187,7 +214,8 @@ def main(argv=None) -> int:
     keys = sorted(set(base) | set(change))
     differ = [key for key in keys if base.get(key) != change.get(key)]
     for key in differ:
-        print(f"{key}\n  base:   {base.get(key)}\n  change: {change.get(key)}")
+        print(key, *(f"  {line}" for line in field_changes(base.get(key), change.get(key))),
+              sep="\n")
     print(f"{len(differ)} of {len(keys)} inputs differ")
     inputs = Counter(map(group, keys))
     largest: dict = {}
