@@ -75,7 +75,7 @@ def as_integer(value, name: str, lo: int, hi: float = math.inf) -> int:
     """
     try:
         v = float(value)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         v = math.nan
     if not (v.is_integer() and lo <= v <= hi):
         raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")

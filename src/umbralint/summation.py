@@ -22,8 +22,11 @@ CONSECUTIVE_SMALL = 3
 # Above _INF a term is not finite; a step from a term below _TINY (0 or
 # subnormal) would keep too few bits.
 _INF, _TINY = math.inf, sys.float_info.min
-_SHAPES = {(0, 2): 1, (2, 3): 2, (1, 2): 3, (2, 2): 4, (0, 0): 5, (2, 4): 6, (0, 3): 7,
-           (0, 4): 8}  # see sum_hypergeometric
+
+# Shapes with at most this many parameters step in one expression; larger
+# ones, such as pseudo_trig's (0, m), share one loop over a and b.
+_UNROLLED = 8
+_LOOPS = {}   # (len a, len b), or None past _UNROLLED: its compiled loop
 
 
 class SeriesTail(NamedTuple):
@@ -50,6 +53,13 @@ def _finished(total, used: int, mag: float):
                            "range", partial=total, tail=SeriesTail(used, _INF, False))
 
 
+def _zero_divisor(total, used: int, mag: float):
+    """The error of a step after term ``used`` whose prod(b_i + k) is 0."""
+    return ConvergenceError(f"series step divided by zero after term {used - 1}: "
+                            "prod(b_i + k) underflowed or some b_i + k is 0",
+                            partial=total, tail=SeriesTail(used, mag, False))
+
+
 def sum_series(terms: Iterable, tol: float):
     """Sum a stream of terms in ``sum_hypergeometric``'s loop, with its rule,
     returns and errors, each term seeded from the stream.  A stream that runs
@@ -70,12 +80,14 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
     """Sum t_k + t_{k+1} + ... of a generalized hypergeometric series (DLMF
     16.2.1) from t = t_k until CONSECUTIVE_SMALL terms in a row have |term|
     <= tol |sum|, stepping each term in the same loop by one division:
-    t_{j+1} = t_j y prod_i (a_i + j) / prod_i (b_i + j).  The caller keeps
-    prod(b_i + j) in the normal range.  The shapes (len a, len b) in
-    _SHAPES, most summed terms first, step in one expression, in the loop's
-    order of operations and so with its bits.  Returns (value, SeriesTail).
-    Raises ConvergenceError after DEFAULT_CAP terms, or where a term, its
-    modulus or the sum of finite terms passes the double range.
+    t_{j+1} = t_j y prod_i (a_i + j) / prod_i (b_i + j).  The loop is
+    compiled once per shape (len a, len b); up to _UNROLLED parameters its
+    step is one expression over parameters bound to locals, in the order of
+    operations of the loop over a and b that larger shapes keep, and so with
+    its bits.  Returns (value, SeriesTail).  Raises ConvergenceError after
+    DEFAULT_CAP terms, where a term, its modulus or the sum of finite terms
+    passes the double range, or where prod(b_i + j) is 0; the caller keeps
+    it in the normal range.
 
     A Gamma-ratio law passes t = None and ``seed``: seed(j) is term j
     afresh, or None for a term that is 0 at every x and is not summed.
@@ -83,8 +95,15 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
     subnormal one.  ``weight(j)`` multiplies term j as it is summed only.
     A seed that raises StopIteration ends a finite sum.
     """
-    k = float(k)  # float + float is the cheaper addition in the loop
-    shape = _SHAPES.get((len(a), len(b)), 0)
+    loop = _LOOPS.get((len(a), len(b))) or _compile(len(a), len(b))
+    # float + float is the cheaper addition in the loop
+    return loop(t, a, b, y, tol, float(k), seed, k_safe, weight)
+
+
+# The one loop of sum_hypergeometric; _compile fills in a shape's step.
+_LOOP = """
+def {name}(t, a, b, y, tol, k, seed, k_safe, weight):
+    {bind}
     fresh = t is None
     total, small, mag = 0.0, 0, 0.0
     try:
@@ -108,36 +127,47 @@ def sum_hypergeometric(t, a, b, y, tol: float, k=0, seed=None, k_safe=0,
                 small = 0
             if seed and (k < k_safe or abs(t) < _TINY):
                 fresh = True
-            elif shape == 1:
-                t *= y / ((b[0] + k) * (b[1] + k))
-            elif shape == 2:
-                t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k) * (b[2] + k))
-            elif shape == 3:
-                t *= y * (a[0] + k) / ((b[0] + k) * (b[1] + k))
-            elif shape == 4:
-                t *= y * (a[0] + k) * (a[1] + k) / ((b[0] + k) * (b[1] + k))
-            elif shape == 5:
-                t *= y / 1.0   # num / den of the loop below
-            elif shape == 6:
-                t *= (y * (a[0] + k) * (a[1] + k)
-                      / ((b[0] + k) * (b[1] + k) * (b[2] + k) * (b[3] + k)))
-            elif shape == 7:
-                t *= y / ((b[0] + k) * (b[1] + k) * (b[2] + k))
-            elif shape == 8:
-                t *= y / ((b[0] + k) * (b[1] + k) * (b[2] + k) * (b[3] + k))
             else:
-                num, den = y, 1.0
-                for c in a:
-                    num *= c + k
-                for c in b:
-                    den *= c + k
-                t *= num / den
+                try:
+                    {step}
+                except ZeroDivisionError:
+                    raise _zero_divisor(total, used, mag) from None
             k += 1.0
     except OverflowError:   # abs() of a complex past the double range
         raise _not_converged(total, used, _INF) from None
     except StopIteration:
         return _finished(total, used - 1, mag)
     raise _not_converged(total, DEFAULT_CAP, mag)
+"""
+
+# The step past _UNROLLED parameters; a shape within it multiplies out the same products.
+_STEP = """num, den = y, 1.0
+                    for c in a:
+                        num *= c + k
+                    for c in b:
+                        den *= c + k
+                    t *= num / den"""
+
+
+def _compile(p: int, q: int):
+    """The loop of the shape (p, q), compiled on its first use."""
+    key = (p, q) if p + q <= _UNROLLED else None
+    if key not in _LOOPS:
+        if key is None:
+            name, bind, step = "loop_past_unrolled", "", _STEP
+        else:
+            upper, lower = ([f"{c}{i}" for i in range(n)] for c, n in (("a", p), ("b", q)))
+            bind = "; ".join(f"{', '.join(names)}, = {side}"
+                             for names, side in ((upper, "a"), (lower, "b")) if names)
+            num = " * ".join(["y"] + [f"({c} + k)" for c in upper])
+            # without b it divides by 1.0 as the loop does: a complex / 1.0 can
+            # differ from the complex in a signed zero
+            den = f"({' * '.join(f'({c} + k)' for c in lower)})" if lower else "1.0"
+            name, step = f"loop_{p}_{q}", f"t *= {num} / {den}"
+        namespace = {}
+        exec(_LOOP.format(name=name, bind=bind, step=step), globals(), namespace)
+        _LOOPS[key] = namespace[name]
+    return _LOOPS[key]
 
 
 def sum_kummer(log_t: float, c, b, y, tol: float):

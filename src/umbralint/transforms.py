@@ -9,8 +9,11 @@ against direct quadrature of its defining integral.
 
 from __future__ import annotations
 
-from .errors import DomainError
-from .umbral import CoefficientSeries, GammaRatioSequence, beta_kernel, borel_factorial
+import functools
+
+from .specfun import _MAX_ORDER, as_integer
+from .umbral import (_SERIES_CACHE, CoefficientSeries, GammaRatioSequence, beta_kernel,
+                     borel_factorial)
 
 __all__ = [
     "CoefficientSeries",
@@ -30,11 +33,14 @@ def borel_transform(g: CoefficientSeries) -> CoefficientSeries:
 
 
 def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
-    """The m-sected alternating exponential c_k = sum_r (-1)^r x^{m r + k}/(m r + k)!."""
-    if not isinstance(m, int) or m < 2:
-        raise DomainError("pseudo_trig_series needs integer m >= 2")
-    if not isinstance(k, int) or not 0 <= k < m:
-        raise DomainError("pseudo_trig_series needs 0 <= k < m")
+    """The m-sected alternating exponential c_k = sum_r (-1)^r x^{m r + k}/(m r + k)!,
+    for the orders ``specfun.pseudo_trig`` takes."""
+    m = as_integer(m, "pseudo_trig_series order m", 2, _MAX_ORDER)
+    return _pseudo_trig_series(as_integer(k, "pseudo_trig_series index k", 0, m - 1), m)
+
+
+@functools.lru_cache(maxsize=_SERIES_CACHE)
+def _pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
     law = GammaRatioSequence(denom=((k + 1.0, float(m)),))
     return CoefficientSeries(law, stride=m, offset=float(k), geometric=-1.0)
 

@@ -14,6 +14,7 @@ All types are immutable values and all operations are pure.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,8 +44,11 @@ __all__ = [
 # Tolerance used when deciding whether a real Gamma argument sits on a pole.
 _POLE_TOL = 1e-12
 
-# A term whose log magnitude exceeds this is not a finite double.
+# A term whose log magnitude exceeds this is not a finite double; a product
+# whose log is below _LOG_TINY is not a normal one.
 _LOG_MAX = math.log(sys.float_info.max)
+_TINY = sys.float_info.min
+_LOG_TINY = math.log(_TINY)
 
 # The factor Gamma(1 + k) that turns a series coefficient into its moment.
 _FACTORIAL = ((1.0, 1.0),)
@@ -224,11 +228,13 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     weights each term.  ``_log_phi`` gives the seeds in log space, so that
     factorially large pieces cannot overflow against factorially small
     ones: the terms up to k_safe, any after a term that is 0 or subnormal,
-    and all of a law with a non-integer slope.  A term at a denominator
-    pole is 0 at every x and is not summed.  A term beyond the double range
-    ends the sum as a non-finite term.  A law t_0 1F1(a; b; y), one a
-    beside k!'s 1 or a = 1 cancelled against it, with integer slopes,
-    positive Gamma shifts and no power, goes at y < 0 to ``sum_kummer``.
+    and all of a law with a non-integer slope, with parameters whose
+    products would leave the normal range (``_steps_in_range``) or with a y
+    that is not a normal number.  A term at a denominator pole is 0 at every
+    x and is not summed.  A term beyond the double range ends the sum as a
+    non-finite term.  A law t_0 1F1(a; b; y), one a beside k!'s 1 or a = 1
+    cancelled against it, with integer slopes, positive Gamma shifts and no
+    power, goes at y < 0 to ``sum_kummer``.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -254,17 +260,25 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
         step_sign = -step_sign if m % 2 else step_sign
         sign0 = -sign0 if int(p) % 2 else sign0
     y = g * x ** m if m * log_x < _LOG_MAX else step_sign * math.inf
-    k_safe, up, down = 0, [], []
-    for factors, params in ((law.numer, up), (law.denom, down)):
-        for shift, slope in factors:
-            n = int(slope)
-            if n != slope:
-                k_safe = math.inf
-            elif shift < 0.5:
-                k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
-            for i in range(n):
-                params.append((shift + i) / slope)
-                y = y * slope if params is up else y / slope
+    k_safe, slopes, up, down = 0, 0.0, [], []
+    for shift, slope in law.numer + law.denom:
+        slopes += slope
+        if slope != int(slope):
+            k_safe = math.inf
+        elif shift < 0.5:
+            k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
+    # no partial product of a factor is below e^-slope (see _steps_in_range)
+    if (k_safe < math.inf and slopes > -_LOG_TINY
+            and not (_steps_in_range(law.numer, k_safe) and _steps_in_range(law.denom, k_safe))):
+        k_safe = math.inf
+    if k_safe < math.inf:
+        for factors, params in ((law.numer, up), (law.denom, down)):
+            for shift, slope in factors:
+                for i in range(int(slope)):
+                    params.append((shift + i) / slope)
+                    y = y * slope if params is up else y / slope
+        if not _TINY <= abs(y) < math.inf:
+            k_safe = math.inf
 
     if (not power and k_safe < math.inf and not y.imag and y.real < 0
             and (len(up), len(down)) in ((0, 1), (1, 2)) and (not up or 1.0 in down)
@@ -284,6 +298,29 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     value, _ = sum_hypergeometric(None, up, down, y, tol, seed=seed, k_safe=k_safe,
                                   weight=weight)
     return complex(value)
+
+
+def _steps_in_range(factors, k: int) -> bool:
+    """Whether the parameters (shift + i)/slope + k, i < slope, of integer-slope
+    factors keep every partial product of their step in the normal range.
+
+    Each product grows with k, so its first step, at k, is the smallest.  A
+    factor's parameters are (u + i)/slope with u = shift + slope k >= 1/2;
+    its partial products are least once the j of them below 1 are taken,
+    at log Gamma(u + j) - log Gamma(u) - j log(slope), as in
+    ``specfun.pseudo_trig``'s bound.  The sum of these logs over the factors
+    bounds every partial product below.  From a slope of about 700 one
+    factor leaves the range: 900!/900^900 underflows.  At u = 1/2 the bound
+    is Gamma(slope + 1/2) / (Gamma(1/2) slope^slope) > e^-slope, so a law
+    whose slopes add up to at most -_LOG_TINY, about 708, needs no check.
+    """
+    log_least = 0.0
+    for shift, slope in factors:
+        u = shift + slope * k
+        j = min(slope, max(0.0, math.ceil(slope - u)))
+        if j:
+            log_least += math.lgamma(u + j) - math.lgamma(u) - j * math.log(slope)
+    return log_least >= _LOG_TINY
 
 
 # -- cataloged series ---------------------------------------------------------
@@ -321,9 +358,18 @@ def rational_series() -> CoefficientSeries:
     return _RATIONAL
 
 
+# A series of an integer order is one frozen value per order, built on its
+# first use and kept among the _SERIES_CACHE last used.
+_SERIES_CACHE = 256
+
+
 def bessel_power_series(n: int) -> CoefficientSeries:
     """J_n(x) in x (coefficients (-1)^k 2^{-n} 4^{-k}/(k!(n+k)!))."""
-    n = as_integer(n, "bessel_power_series order n", 0)
+    return _bessel_power_series(as_integer(n, "bessel_power_series order n", 0))
+
+
+@functools.lru_cache(maxsize=_SERIES_CACHE)
+def _bessel_power_series(n: int) -> CoefficientSeries:
     law = GammaRatioSequence(scale=2.0 ** (-n), denom=_FACTORIAL + ((n + 1.0, 1.0),))
     return CoefficientSeries(law, stride=2, offset=float(n), geometric=-0.25)
 

@@ -6,6 +6,7 @@ live here and not in ``umbralint.reference``.
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 from scipy.special import cython_special
@@ -57,3 +58,68 @@ def hybrid_hermite_moment(n: int, m: int, x, y, variable: str):
         coefficient = Fraction(moment, math.factorial(k) * math.factorial(j) ** 2)
         total += float(coefficient) * x ** j * y ** k
     return total
+
+
+def hypergeometric_sum(t, a, b, y, tol, k=0, seed=None, k_safe=0, weight=None):
+    """``summation.sum_hypergeometric`` written out as one plain loop, with
+    every step a loop over a and b: the same seeds, weight, stopping rule,
+    returns and errors, as a reference for the compiled loops."""
+    from umbralint.errors import ConvergenceError
+    from umbralint.summation import CONSECUTIVE_SMALL, DEFAULT_CAP, SeriesTail
+
+    def overflowed(total, used, mag):
+        return ConvergenceError(f"series overflowed: non-finite term at index {used - 1}",
+                                partial=total, tail=SeriesTail(used, mag, False))
+
+    def finished(total, used, mag):
+        if abs(total) < math.inf:
+            return total, SeriesTail(used, mag, True)
+        raise ConvergenceError(f"series overflowed: the sum of {used} terms passed the "
+                               "double range", partial=total,
+                               tail=SeriesTail(used, math.inf, False))
+
+    k = float(k)
+    fresh = t is None
+    total, small, mag = 0.0, 0, 0.0
+    for used in range(1, DEFAULT_CAP + 1):
+        if fresh:
+            try:
+                t = seed(k)
+                while t is None:
+                    k += 1.0
+                    t = seed(k)
+            except StopIteration:
+                return finished(total, used - 1, mag)
+            fresh = False
+        term = t * weight(k) if weight else t
+        total += term
+        try:
+            mag = abs(term)
+            if not mag < math.inf:
+                raise overflowed(total, used, mag)
+            small_term = mag <= tol * abs(total)
+        except OverflowError:   # a complex whose modulus passes the double range
+            raise overflowed(total, used, math.inf) from None
+        if small_term:
+            small += 1
+            if small >= CONSECUTIVE_SMALL:
+                return finished(total, used, mag)
+        else:
+            small = 0
+        if seed and (k < k_safe or abs(t) < sys.float_info.min):
+            fresh = True
+        else:
+            num, den = y, 1.0
+            for c in a:
+                num *= c + k
+            for c in b:
+                den *= c + k
+            if den == 0:
+                raise ConvergenceError(f"series step divided by zero after term {used - 1}: "
+                                       "prod(b_i + k) underflowed or some b_i + k is 0",
+                                       partial=total, tail=SeriesTail(used, mag, False))
+            t *= num / den
+        k += 1.0
+    raise ConvergenceError(f"series did not converge within {DEFAULT_CAP} terms "
+                           f"(last |term| = {mag:.3e})", partial=total,
+                           tail=SeriesTail(DEFAULT_CAP, mag, False))

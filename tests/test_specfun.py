@@ -527,6 +527,11 @@ class TestHyperPfq:
         with pytest.raises(ConvergenceError):
             sf.hyper_pfq((1.0, 1.0), (1.0,), 2.0)
 
+    # prod_j (b_j + k) underflows to 0: the step raised a bare ZeroDivisionError
+    def test_lower_product_underflow_raises(self):
+        with pytest.raises(ConvergenceError, match="divided by zero"):
+            sf.hyper_pfq((), (0.001,) * 120, 1e-300)
+
 
 class TestTermRatioKernelsProperties:
     # Each value is within tol of its reference, or the kernel raises.  The

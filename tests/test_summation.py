@@ -2,11 +2,13 @@ import math
 from itertools import count, islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from umbralint import summation, umbral
+from umbralint import summation, transforms, umbral
 from umbralint.errors import ConvergenceError
 from umbralint.summation import DEFAULT_CAP, SeriesTail, sum_hypergeometric, sum_series
+
+from references import hypergeometric_sum
 
 
 def stepped_terms(t, a, b, y, k=0):
@@ -202,35 +204,61 @@ class TestFusedLoop:
         assert not excinfo.value.tail.converged
 
 
-# the shapes (len a, len b) stepped in one expression, and one that is not
-SHAPES = [*summation._SHAPES, (1, 3)]
+# every shape (len a, len b) up to three a and five b, each compiled with its
+# step in one expression, and one past _UNROLLED, which loops over a and b
+SHAPES = [(p, q) for p in range(4) for q in range(6)] + [(1, summation._UNROLLED)]
 
 
-@st.composite
-def shaped_parameters(draw):
-    p, q = draw(st.sampled_from(SHAPES))
-    return (draw(st.lists(upper, min_size=p, max_size=p)),
-            draw(st.lists(lower, min_size=q, max_size=q)))
+class TestCompiledShapes:
+    # each shape's compiled loop is the plain rule over the stepped stream, bit for bit
 
-
-class TestOneExpressionShapes:
-    # each shape's one expression gives the bits of the generic loop
-
-    @settings(max_examples=300, deadline=None)
-    @given(t=st.floats(-1e3, 1e3), ab=shaped_parameters(),
+    @pytest.mark.parametrize("p,q", SHAPES, ids=[f"{p}_{q}" for p, q in SHAPES])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), t=st.floats(-1e3, 1e3),
            y=st.one_of(st.floats(-60.0, 60.0),
                        st.complex_numbers(max_magnitude=60.0, allow_nan=False)),
            k=st.integers(0, 20), tol=st.sampled_from([1e-16, 1e-12, 1e-8]))
-    # finite terms whose sum passes the double range: both raise 'series overflowed'
-    @example(t=1.0, ab=([0.0, 0.0], [1.0, 1.0]), y=1.5, k=1, tol=1e-16)
-    def test_equals_the_stepped_stream(self, t, ab, y, k, tol):
-        a, b = ab
+    def test_equals_the_stepped_stream(self, p, q, data, t, y, k, tol):
+        a = data.draw(st.lists(upper, min_size=p, max_size=p))
+        b = data.draw(st.lists(lower, min_size=q, max_size=q))
         fused = outcome(lambda: sum_hypergeometric(t, a, b, y, tol, k))
         assert fused == outcome(lambda: sum_series(stepped_terms(t, a, b, y, k), tol))
         assert fused == outcome(lambda: plain_sum(stepped_terms(t, a, b, y, k), tol))
 
+    # terms, or at complex y their sum, past the double range: both raise
+    # 'series overflowed'
+    @pytest.mark.parametrize("y", [1.5, 1.5 + 0.5j])
+    def test_sum_past_the_double_range(self, y):
+        a, b = [0.0, 0.0], [1.0, 1.0]
+        fused = outcome(lambda: sum_hypergeometric(1.0, a, b, y, 1e-16, 1))
+        assert fused[0] == "raised" and fused[1].startswith("series overflowed")
+        assert fused == outcome(lambda: sum_series(stepped_terms(1.0, a, b, y, 1), 1e-16))
+        assert fused == outcome(lambda: plain_sum(stepped_terms(1.0, a, b, y, 1), 1e-16))
+
+    def test_one_loop_per_shape(self):
+        sum_hypergeometric(1.0, (0.5,), (1.5, 1.0), 0.3, 1e-12)
+        loop = summation._LOOPS[(1, 2)]
+        sum_hypergeometric(2.0, (0.7,), (2.5, 1.0), -0.3, 1e-12)
+        assert summation._LOOPS[(1, 2)] is loop
+        for q in (summation._UNROLLED + 1, 40):
+            sum_hypergeometric(1.0, (), [1.0] * q, 0.5, 1e-12)
+        assert all(key is None or sum(key) <= summation._UNROLLED for key in summation._LOOPS)
+
+    # prod(b_i + k) at 0, by underflow or by a b_i + k that is 0, raised a
+    # bare ZeroDivisionError from the step
+    @pytest.mark.parametrize("b,used", [([1e-200, 1e-200], 1), ([1e-3] * 120, 1),
+                                        ([-2.0, 1.0], 3)],
+                             ids=["underflow", "underflow_past_unrolled", "zero"])
+    def test_zero_divisor_raises(self, b, used):
+        with pytest.raises(ConvergenceError, match="divided by zero") as excinfo:
+            sum_hypergeometric(1.0, (), b, 1e-300, 1e-12)
+        assert excinfo.value.tail.terms_used == used
+        assert not excinfo.value.tail.converged
+        assert (outcome(lambda: sum_hypergeometric(1.0, (), b, 1e-300, 1e-12))
+                == outcome(lambda: hypergeometric_sum(1.0, (), b, 1e-300, 1e-12)))
+
     # through umbral._sum_terms, whose seeds and weights the stream above
-    # has not: the same bits with every shape on the generic loop
+    # has not: the bits of the loop written out in tests/references.py
     @pytest.mark.parametrize("call", [
         # Gamma(k + 0.3) in the denominator: terms 0 and 1 are seeded, then
         # the 0F1 shape (0, 2) steps
@@ -238,9 +266,11 @@ class TestOneExpressionShapes:
         # the Gaussian multiplier weights each term by (2k + 1)^-1/2
         lambda x: umbral.apply_mellin_multiplier(umbral.gaussian_kernel(),
                                                  umbral.bessel_power_series(1), x),
-    ], ids=["seeded", "weight"])
-    def test_law_sums_equal_the_generic_loop(self, call, monkeypatch):
+        # slope 12: the shape (0, 12) is past _UNROLLED
+        lambda x: transforms.pseudo_trig_series(5, 12).evaluate(x),
+    ], ids=["seeded", "weight", "past_unrolled"])
+    def test_law_sums_equal_the_reference_loop(self, call, monkeypatch):
         xs = (0.7, 3.1, 6.2, 8.5)
         fused = [repr(call(x)) for x in xs]
-        monkeypatch.setattr(summation, "_SHAPES", {})
+        monkeypatch.setattr(umbral, "sum_hypergeometric", hypergeometric_sum)
         assert fused == [repr(call(x)) for x in xs]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import hyp1f1
@@ -30,6 +31,45 @@ class TestCoefficientSeries:
         s = tr.CoefficientSeries(law=um.bessel_phi(), geometric=0.5)
         # sum (x/2)^k / k! = e^{x/2}
         assert s.evaluate(2.0) == pytest.approx(complex(math.e), rel=1e-12)
+
+
+class TestPseudoTrigSeries:
+    # the orders of specfun.pseudo_trig, by its rule as_integer: a float
+    # order raised DomainError and no order was too large
+    def test_float_orders_are_the_integer_series(self):
+        assert tr.pseudo_trig_series(0, 3.0) is tr.pseudo_trig_series(0, 3)
+        assert tr.pseudo_trig_series(1.0, 3) is tr.pseudo_trig_series(1, 3)
+        assert (tr.pseudo_trig_series(0, 3.0).evaluate(0.8).real
+                == pytest.approx(sf.pseudo_trig(0, 3.0, 0.8), rel=1e-14))
+
+    @pytest.mark.parametrize("k,m", [(0, 1), (0, 10_001), (3, 3), (-1, 3), (0, 2.5),
+                                     (0.5, 3), (0, math.nan), (0, 1j), ("zero", 3)])
+    def test_orders_out_of_range_raise(self, k, m):
+        with pytest.raises(DomainError):
+            tr.pseudo_trig_series(k, m)
+        with pytest.raises(DomainError):
+            sf.pseudo_trig(k, m, 0.5)
+
+    def test_largest_order(self):
+        assert tr.pseudo_trig_series(9_999, 10_000).stride == 10_000
+
+    # from slope ~ 700 the law's expanded product 900!/900^900 underflows;
+    # the step divided by zero and _sum_terms raised a bare ZeroDivisionError
+    def test_slope_past_the_normal_range_is_specfuns(self):
+        assert tr.pseudo_trig_series(0, 900).evaluate(0.5) == sf.pseudo_trig(0, 900, 0.5)
+
+    # the steps leave the normal range, and each term is seeded in log space:
+    # 900!/900^900 underflows, and x^m overflowed before y = -x^m/m^m was
+    # scaled, so that (0, 300) at x = 100 raised 'series overflowed'
+    @pytest.mark.parametrize("k,m,x", [(0, 900, 330.0), (7, 900, 250.0), (450, 900, 300.0),
+                                       (0, 300, 100.0)])
+    def test_steps_past_the_normal_range(self, k, m, x):
+        with mpmath.workdps(40):
+            expected = float(mpmath.nsum(
+                lambda r: (-1) ** r * mpmath.mpf(x) ** (m * r + k)
+                / mpmath.factorial(m * r + k), [0, mpmath.inf]))
+        assert tr.pseudo_trig_series(k, m).evaluate(x).real == pytest.approx(
+            expected, rel=1e-13, abs=0.0)
 
 
 class TestBorelPair:

@@ -553,6 +553,26 @@ class TestConstantLaws:
         assert um.bessel_phi() is um.bessel_phi()
         assert um.bessel_phi() == um.GammaRatioSequence(denom=((1.0, 1.0),))
 
+    def test_fixed_order_series_are_one_value(self):
+        assert um.bessel_power_series(2) is um.bessel_power_series(2.0)
+        assert um.bessel_power_series(2) == um.CoefficientSeries(
+            um.GammaRatioSequence(scale=0.25, denom=((1.0, 1.0), (3.0, 1.0))), stride=2,
+            offset=2.0, geometric=-0.25)
+        assert tr.pseudo_trig_series(1, 3) is tr.pseudo_trig_series(1.0, 3.0)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf, 1j, "two", None])
+    def test_fixed_order_series_check_the_order(self, n):
+        with pytest.raises(DomainError):
+            um.bessel_power_series(n)
+
+    def test_fixed_order_series_cache_is_bounded(self):
+        for n in range(2 * um._SERIES_CACHE):
+            um.bessel_power_series(n)
+            tr.pseudo_trig_series(0, n + 2)
+        for cached in (um._bessel_power_series, tr._pseudo_trig_series):
+            assert cached.cache_info().currsize == um._SERIES_CACHE
+        assert um.bessel_power_series(1) == um.bessel_power_series(1)
+
     @pytest.mark.parametrize("value,field", [
         (um.exponential_series(), "geometric"), (um.rational_series(), "law"),
         (um.bessel_phi(), "denom"), (um.gaussian_kernel(), "power"),
