@@ -28,7 +28,7 @@ from .specfun import (
     hermite_tricomi,
     hyper_pfq,
 )
-from .summation import CONSECUTIVE_SMALL, DEFAULT_CAP, sum_series
+from .summation import _LOG_TINY, CONSECUTIVE_SMALL, DEFAULT_CAP, sum_series
 from .umbral import (
     bessel_power_series,
     exponential_series,
@@ -161,7 +161,6 @@ def _log_bound(log_x: float, k) -> float:
 # below _LOG_ZERO the bound rounds to 0 in floats; from _LOG_TINY down it is
 # subnormal
 _LOG_ZERO = math.log(math.ulp(0.0))
-_LOG_TINY = math.log(sys.float_info.min)
 
 
 def _generating_terms(x: float, t, m: int, tol: float):

@@ -20,7 +20,7 @@ import math
 import sys
 
 from .errors import DomainError, PoleError, overflow_raises
-from .summation import sum_hypergeometric, sum_kummer, sum_series
+from .summation import _LOG_TINY, _TINY, sum_hypergeometric, sum_kummer, sum_series
 
 __all__ = [
     "DEFAULT_TOL",
@@ -59,11 +59,16 @@ _SQRT_TWO_PI = 2.5066282746310002
 
 
 def is_nonpositive_integer(z) -> bool:
-    """True when z sits exactly on a Gamma pole (0, -1, -2, ...)."""
+    """True when z sits exactly on a Gamma pole (0, -1, -2, ...).  A
+    non-finite z is no Gamma argument: DomainError."""
     if isinstance(z, complex):
+        if not cmath.isfinite(z):
+            raise DomainError(f"a Gamma argument must be finite, got {z!r}")
         if z.imag != 0.0:
             return False
         z = z.real
+    elif not -math.inf < z < math.inf:
+        raise DomainError(f"a Gamma argument must be finite, got {z!r}")
     return z <= 0.0 and z == math.floor(z)
 
 
@@ -83,9 +88,11 @@ def as_integer(value, name: str, lo: int, hi: float = math.inf) -> int:
 
 
 def gamma_sign(x: float) -> float:
-    """Sign of Gamma at a real non-pole argument."""
-    if x > 0.0:
+    """Sign of Gamma at a real non-pole argument; a non-finite x raises DomainError."""
+    if 0.0 < x < math.inf:
         return 1.0
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"a Gamma argument must be finite, got {x!r}")
     return -1.0 if math.floor(x) % 2 else 1.0
 
 
@@ -282,12 +289,17 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
 # keeps a call such as truncated_e(1e9, ...) from running for minutes.  The
 # order m of hermite_tricomi needs no bound: its loop ends at k = 177 - n.
 _MAX_ORDER = 10_000
-_LOG_TINY = math.log(sys.float_info.min)
 
 
 def _check_order(n, m) -> tuple:
     return (as_integer(n, "polynomial degree n", 0, _MAX_ORDER),
             as_integer(m, "order m", 2))
+
+
+def pseudo_trig_orders(k, m) -> tuple:
+    """(k, m) of c_k as ints, 2 <= m <= _MAX_ORDER and 0 <= k < m."""
+    m = as_integer(m, "pseudo_trig order m", 2, _MAX_ORDER)
+    return as_integer(k, "pseudo_trig index k", 0, m - 1), m
 
 
 @overflow_raises(DomainError)
@@ -346,22 +358,19 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     sum_r (-1)^r x^{mr+k} / (mr+k)!; for m = 2 these are cos (k=0) and
     sin (k=1).  Entire in x.  By Gauss's multiplication formula,
     (mr + k + m)!/(mr + k)! = m^m prod_i (r + (k + i)/m), the series is
-    (x^k / k!) 0Fm-1(; (k+1)/m, ..., (k+m)/m; -(x/m)^m), one b being 1.
+    (x^k / k!) 0Fm-1(; (k+1)/m, ..., (k+m)/m; -(x/m)^m), one b being 1,
+    summed by its term ratio where the loop can step it: 1/k! in the table,
+    y normal or x = 0, and m <= -log(float_info.min) ~ 708, as the b's least
+    partial product m!/m^m > e^-m is then normal (``umbral._steps_in_range``).
+    Elsewhere c_k is its law ``umbral.pseudo_trig_series``, seeded in logs.
     """
-    m = as_integer(m, "pseudo_trig order m", 2, _MAX_ORDER)
-    k = as_integer(k, "pseudo_trig index k", 0, m - 1)
-    first = x ** k * (_INV_FACTORIALS[k] if k < len(_INV_FACTORIALS) else 0.0)
+    k, m = pseudo_trig_orders(k, m)
     y = -(x / m) ** m
-    # at large m, y or prod_i (k + i)/m can leave the normal range, where
-    # the loop cannot carry them; the sum is then its first term, if the
-    # ratio t_1/t_0 = -(x/m)^m / prod_i (k + i)/m is below tol
-    log_b = math.lgamma(k + m + 1.0) - math.lgamma(k + 1.0) - m * math.log(m)
-    if abs(y) < sys.float_info.min or log_b < _LOG_TINY:
-        if x != 0.0 and m * (math.log(abs(x)) - math.log(m)) - log_b > math.log(tol):
-            raise DomainError(f"pseudo_trig ratio leaves the double range at m={m}, x={x!r}")
-        return first
+    if m > -_LOG_TINY or k >= len(_INV_FACTORIALS) or (x and abs(y) < _TINY):
+        value = _umbral.pseudo_trig_series(k, m).evaluate(x, tol)
+        return value if isinstance(x, complex) else value.real
     b = tuple((k + i) / m for i in range(1, m + 1))
-    value, _ = sum_hypergeometric(first, (), b, y, tol)
+    value, _ = sum_hypergeometric(x ** k * _INV_FACTORIALS[k], (), b, y, tol)
     return value
 
 
@@ -414,15 +423,21 @@ def hyper_pfq(a, b, y, tol: float = DEFAULT_TOL):
     by its term ratio, so that no Pochhammer symbol is formed and nothing
     overflows before the terms do.  Requires p <= q + 1 and no lower
     parameter at a non-positive integer; an upper parameter at a
-    non-positive integer terminates the series.
+    non-positive integer terminates the series.  Where the first step's
+    product prod_j b_j (times k!'s 1) is subnormal, the ratio would keep
+    only its few bits: DomainError.  Where it is 0 the loop raises.
     """
     a = tuple(a)
     b = tuple(b)
     if len(a) > len(b) + 1:
         raise DomainError("hyper_pfq needs p <= q + 1")
+    lower = 1.0
     for bj in b:
         if is_nonpositive_integer(bj):
             raise PoleError(bj, message="hyper_pfq lower parameter at a pole")
+        lower *= bj
+    if 0.0 < abs(lower) < _TINY:
+        raise DomainError(f"hyper_pfq's lower parameters multiply to a subnormal {lower!r}")
 
     value, _ = sum_hypergeometric(1.0, a, b + (1.0,), y, tol)
     return value

@@ -20,8 +20,9 @@ DEFAULT_CAP = 10_000
 CONSECUTIVE_SMALL = 3
 
 # Above _INF a term is not finite; a step from a term below _TINY (0 or
-# subnormal) would keep too few bits.
+# subnormal) would keep too few bits.  Normal numbers' logs: [_LOG_TINY, _LOG_MAX].
 _INF, _TINY = math.inf, sys.float_info.min
+_LOG_TINY, _LOG_MAX = math.log(_TINY), math.log(sys.float_info.max)
 
 # Shapes with at most this many parameters step in one expression; larger
 # ones, such as pseudo_trig's (0, m), share one loop over a and b.

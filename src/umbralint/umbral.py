@@ -16,12 +16,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, KernelDomainError, PoleError, StripError, overflow_raises
-from .specfun import DEFAULT_TOL, as_integer, gamma, gamma_sign, log_gamma
-from .summation import sum_hypergeometric, sum_kummer
+from .specfun import DEFAULT_TOL, as_integer, gamma, gamma_sign, log_gamma, pseudo_trig_orders
+from .summation import _LOG_MAX, _LOG_TINY, _TINY, sum_hypergeometric, sum_kummer
 
 __all__ = [
     "GammaRatioSequence",
@@ -36,6 +35,7 @@ __all__ = [
     "exponential_series",
     "rational_series",
     "bessel_power_series",
+    "pseudo_trig_series",
     "gaussian_kernel",
     "borel_factorial",
     "beta_kernel",
@@ -44,12 +44,6 @@ __all__ = [
 # Tolerance used when deciding whether a real Gamma argument sits on a pole.
 _POLE_TOL = 1e-12
 
-# A term whose log magnitude exceeds this is not a finite double; a product
-# whose log is below _LOG_TINY is not a normal one.
-_LOG_MAX = math.log(sys.float_info.max)
-_TINY = sys.float_info.min
-_LOG_TINY = math.log(_TINY)
-
 # The factor Gamma(1 + k) that turns a series coefficient into its moment.
 _FACTORIAL = ((1.0, 1.0),)
 
@@ -57,7 +51,7 @@ _FACTORIAL = ((1.0, 1.0),)
 @dataclass(frozen=True)
 class GammaRatioSequence:
     """Moment functional phi(s) = scale * prod Gamma(shift_i + slope_i s)
-    / prod Gamma(shift_j + slope_j s), with positive slopes.
+    / prod Gamma(shift_j + slope_j s), with finite shifts and positive finite slopes.
 
     The Gamma-ratio form guarantees a well-defined analytic continuation,
     which the Mellin evaluator relies on.  phi(0) must be finite and
@@ -73,6 +67,12 @@ class GammaRatioSequence:
         # each field is set once, in its canonical form, past the frozen __setattr__
         numer = [(float(s), float(m)) for s, m in numer]
         denom = [(float(s), float(m)) for s, m in denom]
+        # checked before equal factors cancel, which shifts -inf and -inf would
+        for shift, slope in numer + denom:
+            if not -math.inf < shift < math.inf:
+                raise DomainError("GammaRatioSequence shifts must be finite")
+            if not 0.0 < slope < math.inf:
+                raise DomainError("GammaRatioSequence slopes must be positive and finite")
         if numer and denom:
             for factor in tuple(numer):
                 if factor in denom:
@@ -84,9 +84,6 @@ class GammaRatioSequence:
         self.__dict__.update(scale=scale, numer=numer, denom=denom)
         if scale == 0:
             raise DomainError("GammaRatioSequence scale must be nonzero")
-        for shift, slope in numer + denom:
-            if slope <= 0:
-                raise DomainError("GammaRatioSequence slopes must be positive")
         sign, log_mag = _log_phi(self, 0.0)
         if sign == 0 or log_mag > _LOG_MAX or not cmath.isfinite(scale):
             raise DomainError("GammaRatioSequence must have finite nonzero phi(0)")
@@ -101,7 +98,9 @@ class GammaRatioSequence:
 
 
 def _classify_pole(arg: float):
-    """Return the pole index n (arg ~ -n) or None."""
+    """Return the pole index n (arg ~ -n) or None; a non-finite arg raises DomainError."""
+    if not -math.inf < arg < math.inf:
+        raise DomainError(f"a Gamma argument must be finite, got {arg!r}")
     near = round(arg)
     if near <= 0 and abs(arg - near) <= _POLE_TOL * max(1.0, abs(arg)):
         return int(-near)
@@ -307,12 +306,12 @@ def _steps_in_range(factors, k: int) -> bool:
     Each product grows with k, so its first step, at k, is the smallest.  A
     factor's parameters are (u + i)/slope with u = shift + slope k >= 1/2;
     its partial products are least once the j of them below 1 are taken,
-    at log Gamma(u + j) - log Gamma(u) - j log(slope), as in
-    ``specfun.pseudo_trig``'s bound.  The sum of these logs over the factors
-    bounds every partial product below.  From a slope of about 700 one
-    factor leaves the range: 900!/900^900 underflows.  At u = 1/2 the bound
-    is Gamma(slope + 1/2) / (Gamma(1/2) slope^slope) > e^-slope, so a law
-    whose slopes add up to at most -_LOG_TINY, about 708, needs no check.
+    at log Gamma(u + j) - log Gamma(u) - j log(slope).  The sum of these
+    logs over the factors bounds every partial product below.  From a slope
+    of about 700 one factor leaves the range: 900!/900^900 underflows.  At
+    u = 1/2 the bound is Gamma(slope + 1/2) / (Gamma(1/2) slope^slope) >
+    e^-slope, so a law whose slopes add up to at most -_LOG_TINY, about 708,
+    needs no check, and nor does ``specfun.pseudo_trig`` up to that order.
     """
     log_least = 0.0
     for shift, slope in factors:
@@ -372,6 +371,18 @@ def bessel_power_series(n: int) -> CoefficientSeries:
 def _bessel_power_series(n: int) -> CoefficientSeries:
     law = GammaRatioSequence(scale=2.0 ** (-n), denom=_FACTORIAL + ((n + 1.0, 1.0),))
     return CoefficientSeries(law, stride=2, offset=float(n), geometric=-0.25)
+
+
+def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
+    """The m-sected alternating exponential c_k = sum_r (-1)^r x^{m r + k}/(m r + k)!,
+    which ``specfun.pseudo_trig`` sums where its term ratio cannot step."""
+    return _pseudo_trig_series(*pseudo_trig_orders(k, m))
+
+
+@functools.lru_cache(maxsize=_SERIES_CACHE)
+def _pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
+    law = GammaRatioSequence(denom=((k + 1.0, float(m)),))
+    return CoefficientSeries(law, stride=m, offset=float(k), geometric=-1.0)
 
 
 # -- Mellin evaluation ------------------------------------------------------

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from umbralint import specfun as sf
+from umbralint import specfun as sf, umbral as um
 from umbralint.errors import ConvergenceError, DomainError, EngineError, PoleError
 from umbralint.reference import struve_ref
 
@@ -87,6 +87,13 @@ class TestGamma:
         with pytest.raises(DomainError, match="overflow"):
             sf.gamma(171.7)
 
+    # t^(z + 1/2) overflows, and Gamma is taken from the logs of its factors
+    def test_complex_overflow_fallback_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            expected = complex(mpmath.gamma(mpmath.mpc(170.0, 0.5)))
+        assert abs(sf.gamma(170 + 0.5j) / expected - 1.0) <= 1e-13
+
     def test_known_complex_modulus(self):
         # |Gamma(1+i)| = sqrt(pi / sinh(pi))
         assert abs(sf.gamma(1 + 1j)) == pytest.approx(
@@ -109,6 +116,14 @@ class TestBeta:
         assert sf.beta(200.0, 150.0) == pytest.approx(sf.beta(150.0, 200.0), rel=1e-12)
         assert sf.beta(200.0, 150.0) > 0.0
 
+    @pytest.mark.parametrize("a,b", [(1.5 + 0.5j, 2.0), (0.3 - 1.2j, 0.7 + 0.4j),
+                                     (2.0, -0.5 + 1j), (-1.3 + 0.2j, 2.5)])
+    def test_complex_arguments_against_mpmath(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            expected = complex(mpmath.beta(a, b))
+        assert abs(sf.beta(a, b) / expected - 1.0) <= 1e-13
+
     def test_pole(self):
         with pytest.raises(PoleError):
             sf.beta(0.0, 1.0)
@@ -130,6 +145,14 @@ class TestBesselJ:
     def test_negative_integer_order(self):
         assert sf.bessel_j(-3.0, 1.7) == pytest.approx(-sf.bessel_j(3.0, 1.7), rel=1e-13)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_negative_argument_against_scipy(self, n):
+        # J_n(-x) = (-1)^n J_n(x)
+        from scipy.special import jv
+        for x in (0.7, 3.2, 6.1):
+            assert sf.bessel_j(float(n), -x) == pytest.approx((-1) ** n * jv(n, x),
+                                                              rel=1e-12, abs=1e-15)
+
     def test_half_integer_reduction(self):
         x = 1.3
         assert sf.bessel_j(0.5, x) == pytest.approx(
@@ -146,6 +169,12 @@ class TestBesselI:
     def test_trivial(self):
         assert sf.bessel_i(0.0, 0.0) == 1.0
 
+    def test_zero_argument(self):
+        assert sf.bessel_i(2.5, 0.0) == 0.0
+        assert sf.bessel_i(-3.0, 0.0) == 0.0   # I_-3 = I_3
+        with pytest.raises(DomainError, match="diverges"):
+            sf.bessel_i(-0.5, 0.0)
+
     def test_half_integer_reductions(self):
         assert sf.bessel_i(0.5, 1.0) == pytest.approx(
             math.sqrt(2.0 / math.pi) * math.sinh(1.0), rel=1e-12)
@@ -156,6 +185,17 @@ class TestBesselI:
 class TestStruveH:
     def test_trivial_zero(self):
         assert sf.struve_h(0.0, 0.0) == 0.0
+        assert sf.struve_h(-1.0, 0.0) == 2.0 / math.pi
+        with pytest.raises(DomainError, match="diverges"):
+            sf.struve_h(-1.5, 0.0)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 3])
+    def test_negative_argument_against_scipy(self, n):
+        # H_n(-x) = (-1)^(n+1) H_n(x)
+        from scipy.special import struve
+        for x in (0.7, 3.2, 6.1):
+            assert sf.struve_h(float(n), -x) == pytest.approx((-1) ** (n + 1) * struve(n, x),
+                                                              rel=1e-11, abs=1e-15)
 
     def test_half_integer_reductions(self):
         x = 2.0
@@ -417,11 +457,26 @@ class TestPseudoTrig:
 
     def test_underflowing_term_ratio_is_not_dropped(self):
         # at m = 800 both (x/m)^m and prod (k + i)/m underflow; at x = 300 the
-        # second term is 1.7e-5 of the first, and c_0 is -64552, not 1
-        with pytest.raises(DomainError, match="double range"):
-            sf.pseudo_trig(0, 800, 300.0)
-        # at x = 250, m = 705 the ratio is 1e-13: the first term is the sum
-        assert sf.pseudo_trig(0, 705, 250.0) == pytest.approx(1.0, rel=1e-12)
+        # second term is 1.7e-5 of the first, and c_0 is -64552, not 1: the
+        # law seeds the terms in log space (40-digit mpmath values)
+        assert sf.pseudo_trig(0, 800, 300.0) == pytest.approx(-64552.4619509249, rel=1e-12)
+        # at x = 250, m = 705 the ratio is 8.5e-14, and the sum is not 1.0
+        assert sf.pseudo_trig(0, 705, 250.0) == pytest.approx(0.99999999999991513, abs=1e-15)
+
+    # from m ~ 708 on, at a k past the 1/k! table and where y underflows,
+    # c_k is the sum of its law; a complex x keeps its complex value
+    @pytest.mark.parametrize("k,m,x", [(0, 900, 330.0), (0, 800, 300.0), (3, 705, 250.0),
+                                       (0, 10_000, -1.0), (178, 200, 2.0), (0, 900, 300j)])
+    def test_past_the_normal_range_is_the_law(self, k, m, x):
+        law = um.pseudo_trig_series(k, m).evaluate(x)
+        assert sf.pseudo_trig(k, m, x) == (law if isinstance(x, complex) else law.real)
+
+    # from k = 178 on 1/k! is 0 in floats, and the first term x^k/k! was
+    # taken as 0: both sums came out 0.0 (40-digit mpmath values)
+    def test_index_past_the_factorial_table_against_mpmath(self):
+        for k, m, x, expected in [(178, 200, 2.0, 6.144596080238222e-272),
+                                  (200, 300, 20.0, 2.0375604057921704e-115)]:
+            assert abs(sf.pseudo_trig(k, m, x) / expected - 1.0) <= 1e-12
 
 
 class TestHermiteTricomi:
@@ -531,6 +586,30 @@ class TestHyperPfq:
     def test_lower_product_underflow_raises(self):
         with pytest.raises(ConvergenceError, match="divided by zero"):
             sf.hyper_pfq((), (0.001,) * 120, 1e-300)
+
+    # a subnormal prod_j b_j kept few bits: the sums were 333447.87 and
+    # 331807.97, where mpmath gives 333334.33 for both
+    @pytest.mark.parametrize("b,y", [((3e-161, 1e-160), 1e-315), ((3e-162, 1e-160), 1e-316)])
+    def test_subnormal_lower_product_raises(self, b, y):
+        with pytest.raises(DomainError, match="subnormal"):
+            sf.hyper_pfq((), b, y)
+
+
+# a non-finite order escaped as a bare ValueError (math.floor, round) or
+# OverflowError, b_nu(-inf, 1) returned e: its law cancelled the shifts
+# -inf and -inf, and a law took a nan slope
+@pytest.mark.parametrize("call", [
+    lambda: sf.beta(math.nan, 1.0),
+    lambda: sf.bessel_i(math.nan, 1.0),
+    lambda: sf.struve_h(math.nan, 1.0),
+    lambda: um.struve_series(math.nan, 1.0),
+    lambda: sf.hyper_pfq((1.0,), (-math.inf,), 0.5),
+    lambda: sf.b_nu(-math.inf, 1.0),
+    lambda: um.GammaRatioSequence(denom=((1.0, math.nan),)),
+], ids=["beta", "bessel_i", "struve_h", "struve_series", "hyper_pfq", "b_nu", "law_slope"])
+def test_non_finite_order_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="finite"):
+        call()
 
 
 class TestTermRatioKernelsProperties:

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -199,6 +200,12 @@ class TestMellinMaster:
             complex(math.pi), rel=1e-13)
         assert um.mellin_master(um.rational_series(), 1.0 / 3.0) == pytest.approx(
             complex(math.pi / math.sin(math.pi / 3.0)), rel=1e-13)
+
+    # a complex nu takes phi_eval's sum of log Gammas
+    @pytest.mark.parametrize("nu", [0.3 + 0.4j, 0.7 - 1.1j, 0.5 + 2j])
+    def test_rational_reflection_at_complex_nu(self, nu):
+        expected = cmath.pi / cmath.sin(cmath.pi * nu)
+        assert abs(um.mellin_master(um.rational_series(), nu) / expected - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
     def test_oracle_consistency(self, nu):
@@ -569,7 +576,7 @@ class TestConstantLaws:
         for n in range(2 * um._SERIES_CACHE):
             um.bessel_power_series(n)
             tr.pseudo_trig_series(0, n + 2)
-        for cached in (um._bessel_power_series, tr._pseudo_trig_series):
+        for cached in (um._bessel_power_series, um._pseudo_trig_series):
             assert cached.cache_info().currsize == um._SERIES_CACHE
         assert um.bessel_power_series(1) == um.bessel_power_series(1)
 
