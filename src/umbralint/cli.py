@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import inspect
 import io
 import json
@@ -23,7 +24,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from . import closedforms, reference, specfun
@@ -33,42 +34,38 @@ from .errors import EngineError, QuadratureError
 __all__ = ["main", "VerificationReport"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VerificationReport:
-    """One grid-point comparison record."""
+    """One grid-point comparison record, its fields in the record's order.
+    What the comparison did not reach is None, 0 or False."""
 
     identity_id: str
     equation: str
     point: dict
-    closed_form_value: complex | None
-    oracle_value: complex | None
-    relative_error: float | None
+    closed_form_value: complex | None = None
+    oracle_value: complex | None = None
+    relative_error: float | None = None
     tolerance: float
-    passed: bool
-    oracle_cost: int
-    closed_time: float
-    oracle_time: float
-    reason: str = ""
+    passed: bool = False
+    oracle_cost: int = 0
     oracle_error_estimate: float | None = None
     ladder_residual: float | None = None
+    closed_time: float = 0.0
+    oracle_time: float = 0.0
+    reason: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "equation": self.equation,
-            "point": self.point,
-            "closed_form_value": _complex_json(self.closed_form_value),
-            "oracle_value": _complex_json(self.oracle_value),
-            "relative_error": self.relative_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "oracle_cost": self.oracle_cost,
-            "oracle_error_estimate": self.oracle_error_estimate,
-            "ladder_residual": self.ladder_residual,
-            "closed_time": self.closed_time,
-            "oracle_time": self.oracle_time,
-            "reason": self.reason,
-        }
+        """The fields under their record keys, each complex value as {re, im}."""
+        return {key: _complex_json(getattr(self, name)) if name in _COMPLEX_COLUMNS
+                else getattr(self, name) for name, key in _RECORD_KEYS}
+
+
+# (field, record key) in order, ``passed`` written as ``pass``; the CSV
+# writes each complex value as two columns, its real and imaginary parts
+_RECORD_KEYS = tuple((f.name, "pass" if f.name == "passed" else f.name)
+                     for f in fields(VerificationReport))
+_COMPLEX_COLUMNS = {"closed_form_value": ("closed_re", "closed_im"),
+                    "oracle_value": ("oracle_re", "oracle_im")}
 
 
 def _complex_json(value):
@@ -90,20 +87,18 @@ def _format_value(value) -> str:
 def verify_point(identity, params: dict, tol: float, variant=None) -> VerificationReport:
     """Compare closed form and oracle at one grid point.  It passes when the
     ``relative_error`` |closed - oracle| / max(|closed|, |oracle|, 1) <= tol."""
+    report = functools.partial(VerificationReport, identity_id=identity.id,
+                               equation=identity.equation, point=dict(params), tolerance=tol)
     ok, reason = identity.check_point(params)
     if not ok:
-        return VerificationReport(identity.id, identity.equation, dict(params),
-                                  None, None, None, tol, False, 0, 0.0, 0.0,
-                                  f"outside domain: {reason}")
+        return report(reason=f"outside domain: {reason}")
     closed_form = identity.variants[variant] if variant else identity.closed
     start = time.perf_counter()
     try:
         closed = complex(closed_form(**params))
     except EngineError as exc:
-        return VerificationReport(identity.id, identity.equation, dict(params),
-                                  None, None, None, tol, False, 0,
-                                  time.perf_counter() - start, 0.0,
-                                  f"closed-form failure: {exc}")
+        return report(closed_time=time.perf_counter() - start,
+                      reason=f"closed-form failure: {exc}")
     closed_time = time.perf_counter() - start
     # run the oracle a factor 4 tighter than the comparison so its own
     # error budget cannot consume the tolerance being certified
@@ -113,29 +108,26 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
         oracle_result = identity.oracle_eval(params, 0.25 * tol * scale)
     except EngineError as exc:
         partial = exc.partial if isinstance(exc, QuadratureError) else None
-        cost = partial.evaluations if partial is not None else 0
-        return VerificationReport(identity.id, identity.equation, dict(params),
-                                  closed, None, None, tol, False, cost,
-                                  closed_time, time.perf_counter() - start,
-                                  f"oracle failure: {exc}",
-                                  *_oracle_accuracy(partial))
+        return report(closed_form_value=closed, closed_time=closed_time,
+                      oracle_time=time.perf_counter() - start,
+                      reason=f"oracle failure: {exc}", **_oracle_fields(partial))
     oracle_time = time.perf_counter() - start
     oracle_value = complex(oracle_result.value)
     # judged on the scale the oracle's budget used, and never below 1
     error = abs(closed - oracle_value) / max(abs(closed), abs(oracle_value), 1.0)
-    return VerificationReport(identity.id, identity.equation, dict(params),
-                              closed, oracle_value, error, tol, error <= tol,
-                              oracle_result.evaluations, closed_time, oracle_time, "",
-                              *_oracle_accuracy(oracle_result))
+    return report(closed_form_value=closed, oracle_value=oracle_value, relative_error=error,
+                  passed=error <= tol, closed_time=closed_time, oracle_time=oracle_time,
+                  **_oracle_fields(oracle_result))
 
 
-def _oracle_accuracy(result):
-    """The error estimate of an oracle result, partial or not, and its
-    ladder residual; None where there is no result or no ladder."""
+def _oracle_fields(result) -> dict:
+    """The report fields of an oracle result, partial or not: its cost, error
+    estimate and ladder residual (None without a ladder); none without a result."""
     if result is None:
-        return None, None
+        return {}
     trace = result.trace
-    return result.abs_error_estimate, trace.residual if trace is not None else None
+    return {"oracle_cost": result.evaluations, "oracle_error_estimate": result.abs_error_estimate,
+            "ladder_residual": trace.residual if trace is not None else None}
 
 
 def run_verification(identity, grid: dict, tol: float, variant=None):
@@ -319,18 +311,14 @@ def _write_reports(reports, path, fmt):
     if fmt == "jsonl":
         text = "\n".join(json.dumps(r.to_record()) for r in reports) + "\n"
     else:
-        # the JSON record's fields in order, each complex value as two columns
         buffer = io.StringIO()
         writer = csv.writer(buffer)
-        writer.writerow(["identity_id", "equation", "point",
-                         "closed_re", "closed_im", "oracle_re", "oracle_im",
-                         "relative_error", "tolerance", "pass", "oracle_cost",
-                         "oracle_error_estimate", "ladder_residual",
-                         "closed_time", "oracle_time", "reason"])
+        writer.writerow([column for name, key in _RECORD_KEYS
+                         for column in _COMPLEX_COLUMNS.get(name, (key,))])
         for r in reports:
             row = []
             for key, value in r.to_record().items():
-                if key in ("closed_form_value", "oracle_value"):
+                if key in _COMPLEX_COLUMNS:
                     row += (value["re"], value["im"]) if value else ("", "")
                 else:
                     row.append(json.dumps(value) if key == "point" else

@@ -9,8 +9,9 @@ series with a shared stopping rule; no external special-function library
 is used.  A kernel whose value or an intermediate leaves the double range
 raises DomainError.
 
-All functions here are pure and hold no mutable state, so they are safe to
-call concurrently.
+All functions here are pure and share only caches of immutable values (the
+compiled loops of ``summation``, the series of ``umbral``), so they are safe
+to call concurrently.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import sys
 
 from .errors import DomainError, PoleError, overflow_raises
-from .summation import _LOG_TINY, _TINY, sum_hypergeometric, sum_kummer, sum_series
+from .summation import _TINY, sum_hypergeometric, sum_kummer, sum_series
 
 __all__ = [
     "DEFAULT_TOL",
@@ -356,22 +357,11 @@ def pseudo_trig(k: int, m: int, x: float, tol: float = DEFAULT_TOL) -> float:
     """m-sected alternating exponential series c_k.
 
     sum_r (-1)^r x^{mr+k} / (mr+k)!; for m = 2 these are cos (k=0) and
-    sin (k=1).  Entire in x.  By Gauss's multiplication formula,
-    (mr + k + m)!/(mr + k)! = m^m prod_i (r + (k + i)/m), the series is
-    (x^k / k!) 0Fm-1(; (k+1)/m, ..., (k+m)/m; -(x/m)^m), one b being 1,
-    summed by its term ratio where the loop can step it: 1/k! in the table,
-    y normal or x = 0, and m <= -log(float_info.min) ~ 708, as the b's least
-    partial product m!/m^m > e^-m is then normal (``umbral._steps_in_range``).
-    Elsewhere c_k is its law ``umbral.pseudo_trig_series``, seeded in logs.
+    sin (k=1).  Entire in x.  It is the sum of its cached law
+    ``umbral.pseudo_trig_series(k, m)``, the real part for a real x.
     """
-    k, m = pseudo_trig_orders(k, m)
-    y = -(x / m) ** m
-    if m > -_LOG_TINY or k >= len(_INV_FACTORIALS) or (x and abs(y) < _TINY):
-        value = _umbral.pseudo_trig_series(k, m).evaluate(x, tol)
-        return value if isinstance(x, complex) else value.real
-    b = tuple((k + i) / m for i in range(1, m + 1))
-    value, _ = sum_hypergeometric(x ** k * _INV_FACTORIALS[k], (), b, y, tol)
-    return value
+    value = _umbral.pseudo_trig_series(k, m).evaluate(x, tol)
+    return value if isinstance(x, complex) else value.real
 
 
 def _tricomi_sections(n: int, m: int, x, y):
@@ -423,21 +413,24 @@ def hyper_pfq(a, b, y, tol: float = DEFAULT_TOL):
     by its term ratio, so that no Pochhammer symbol is formed and nothing
     overflows before the terms do.  Requires p <= q + 1 and no lower
     parameter at a non-positive integer; an upper parameter at a
-    non-positive integer terminates the series.  Where the first step's
-    product prod_j b_j (times k!'s 1) is subnormal, the ratio would keep
-    only its few bits: DomainError.  Where it is 0 the loop raises.
+    non-positive integer terminates the series.  Where a partial product
+    of the first step's b_1 b_2 ... (times k!'s 1), taken in the loop's
+    order, is subnormal, the ratio would keep only its few bits:
+    DomainError.  Where the whole product is 0 the loop raises.
     """
     a = tuple(a)
     b = tuple(b)
     if len(a) > len(b) + 1:
         raise DomainError("hyper_pfq needs p <= q + 1")
-    lower = 1.0
+    lower, subnormal = 1.0, None
     for bj in b:
         if is_nonpositive_integer(bj):
             raise PoleError(bj, message="hyper_pfq lower parameter at a pole")
         lower *= bj
-    if 0.0 < abs(lower) < _TINY:
-        raise DomainError(f"hyper_pfq's lower parameters multiply to a subnormal {lower!r}")
+        if 0.0 < abs(lower) < _TINY:
+            subnormal = lower
+    if lower and subnormal is not None:
+        raise DomainError(f"hyper_pfq's lower parameters multiply to a subnormal {subnormal!r}")
 
     value, _ = sum_hypergeometric(1.0, a, b + (1.0,), y, tol)
     return value

@@ -8,7 +8,7 @@ dilation-kernel symbol F(x d/dx) with a Gamma-ratio symbol acts on a series
 as an edit of its law; the Mellin multipliers and the transforms of the
 ``transforms`` module are all such edits.
 
-All types are immutable values and all operations are pure.
+Types are immutable values, operations are pure, and caches hold such values.
 """
 
 from __future__ import annotations
@@ -227,13 +227,16 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     weights each term.  ``_log_phi`` gives the seeds in log space, so that
     factorially large pieces cannot overflow against factorially small
     ones: the terms up to k_safe, any after a term that is 0 or subnormal,
-    and all of a law with a non-integer slope, with parameters whose
-    products would leave the normal range (``_steps_in_range``) or with a y
-    that is not a normal number.  A term at a denominator pole is 0 at every
-    x and is not summed.  A term beyond the double range ends the sum as a
-    non-finite term.  A law t_0 1F1(a; b; y), one a beside k!'s 1 or a = 1
-    cancelled against it, with integer slopes, positive Gamma shifts and no
-    power, goes at y < 0 to ``sum_kummer``.
+    and all of a law with a non-integer slope, with integer slopes that add
+    past -log(float_info.min) ~ 708 (below that a factor's parameters
+    (u + i)/sigma, u >= 1/2, keep each partial product of a step above
+    e^-sigma, where 900!/900^900 underflows) or with a y that is not a
+    normal number; a seed is one ``_log_phi``, a step O(slopes) products.
+    A term at a denominator pole is 0 at every x and is not summed.  A term
+    beyond the double range ends the sum as a non-finite term.  A law t_0
+    1F1(a; b; y), one a beside k!'s 1 or a = 1 cancelled against it, with
+    integer slopes, positive Gamma shifts and no power, goes at y < 0 to
+    ``sum_kummer``.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -266,9 +269,7 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
             k_safe = math.inf
         elif shift < 0.5:
             k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
-    # no partial product of a factor is below e^-slope (see _steps_in_range)
-    if (k_safe < math.inf and slopes > -_LOG_TINY
-            and not (_steps_in_range(law.numer, k_safe) and _steps_in_range(law.denom, k_safe))):
+    if slopes > -_LOG_TINY:
         k_safe = math.inf
     if k_safe < math.inf:
         for factors, params in ((law.numer, up), (law.denom, down)):
@@ -297,29 +298,6 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     value, _ = sum_hypergeometric(None, up, down, y, tol, seed=seed, k_safe=k_safe,
                                   weight=weight)
     return complex(value)
-
-
-def _steps_in_range(factors, k: int) -> bool:
-    """Whether the parameters (shift + i)/slope + k, i < slope, of integer-slope
-    factors keep every partial product of their step in the normal range.
-
-    Each product grows with k, so its first step, at k, is the smallest.  A
-    factor's parameters are (u + i)/slope with u = shift + slope k >= 1/2;
-    its partial products are least once the j of them below 1 are taken,
-    at log Gamma(u + j) - log Gamma(u) - j log(slope).  The sum of these
-    logs over the factors bounds every partial product below.  From a slope
-    of about 700 one factor leaves the range: 900!/900^900 underflows.  At
-    u = 1/2 the bound is Gamma(slope + 1/2) / (Gamma(1/2) slope^slope) >
-    e^-slope, so a law whose slopes add up to at most -_LOG_TINY, about 708,
-    needs no check, and nor does ``specfun.pseudo_trig`` up to that order.
-    """
-    log_least = 0.0
-    for shift, slope in factors:
-        u = shift + slope * k
-        j = min(slope, max(0.0, math.ceil(slope - u)))
-        if j:
-            log_least += math.lgamma(u + j) - math.lgamma(u) - j * math.log(slope)
-    return log_least >= _LOG_TINY
 
 
 # -- cataloged series ---------------------------------------------------------
@@ -375,7 +353,7 @@ def _bessel_power_series(n: int) -> CoefficientSeries:
 
 def pseudo_trig_series(k: int, m: int) -> CoefficientSeries:
     """The m-sected alternating exponential c_k = sum_r (-1)^r x^{m r + k}/(m r + k)!,
-    which ``specfun.pseudo_trig`` sums where its term ratio cannot step."""
+    whose sum is ``specfun.pseudo_trig``."""
     return _pseudo_trig_series(*pseudo_trig_orders(k, m))
 
 

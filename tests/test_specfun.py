@@ -463,13 +463,20 @@ class TestPseudoTrig:
         # at x = 250, m = 705 the ratio is 8.5e-14, and the sum is not 1.0
         assert sf.pseudo_trig(0, 705, 250.0) == pytest.approx(0.99999999999991513, abs=1e-15)
 
-    # from m ~ 708 on, at a k past the 1/k! table and where y underflows,
-    # c_k is the sum of its law; a complex x keeps its complex value
+    # c_k is the sum of its law, inside the normal range and past it (from
+    # m ~ 708 on, at a k past the 1/k! table, where y underflows); a complex
+    # x keeps its complex value
     @pytest.mark.parametrize("k,m,x", [(0, 900, 330.0), (0, 800, 300.0), (3, 705, 250.0),
-                                       (0, 10_000, -1.0), (178, 200, 2.0), (0, 900, 300j)])
-    def test_past_the_normal_range_is_the_law(self, k, m, x):
+                                       (0, 10_000, -1.0), (178, 200, 2.0), (0, 900, 300j),
+                                       (1, 3, 5.0), (2, 4, -38.660959681726126)])
+    def test_is_the_sum_of_its_law(self, k, m, x):
         law = um.pseudo_trig_series(k, m).evaluate(x)
         assert sf.pseudo_trig(k, m, x) == (law if isinstance(x, complex) else law.real)
+
+    # x^k overflowed before it was divided by k!: DomainError('pseudo_trig
+    # overflowed') where c_k is 1.4e33 (40-digit mpmath value)
+    def test_power_past_the_double_range_against_mpmath(self):
+        assert abs(sf.pseudo_trig(170, 171, 100.0) / 1.3779009677917706e33 - 1.0) <= 1e-12
 
     # from k = 178 on 1/k! is 0 in floats, and the first term x^k/k! was
     # taken as 0: both sums came out 0.0 (40-digit mpmath values)
@@ -593,6 +600,15 @@ class TestHyperPfq:
     def test_subnormal_lower_product_raises(self, b, y):
         with pytest.raises(DomainError, match="subnormal"):
             sf.hyper_pfq((), b, y)
+
+    # the check saw only the whole product 3e-221, while the step forms
+    # 3e-161 * 1e-160 = 3e-321 first: the sum was 1.33344688, where mpmath
+    # gives 1.33333333; in an order whose partial products stay normal it is right
+    def test_subnormal_partial_product_raises(self):
+        with pytest.raises(DomainError, match="subnormal"):
+            sf.hyper_pfq((), (3e-161, 1e-160, 1e100), 1e-221)
+        assert sf.hyper_pfq((), (1e100, 3e-161, 1e-160), 1e-221) == pytest.approx(
+            4.0 / 3.0, rel=1e-15)
 
 
 # a non-finite order escaped as a bare ValueError (math.floor, round) or

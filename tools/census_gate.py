@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Check that no census failure count rises above its ceiling.
+
+    python3 tools/census_gate.py
+
+Runs the seed-1 census of each workload of ``bench/run.py``, with its
+``make_ops`` and ``run_census``: every input of the pool once, untimed,
+judged as the benchmark judges it (an eval output against its mpmath
+reference, a verify point by its report).  The non-pass outcomes are
+counted as the run record's notes name them: per "kind: outcome" in
+eval_kernel, per "identity (timed): outcome" among seeded verify points,
+and one for each failing default-grid point.
+
+The counts are compared with the ceilings of ``CENSUS.json`` at the root of
+the repository.  The exit status is 1 when a count rises above its ceiling,
+when a (workload, kind, outcome) key without a ceiling appears, or when the
+census reports a checker problem, and 0 otherwise.  Counts that fell are
+printed, then the file with them lowered, so that the change that lowers a
+count lowers its ceiling in the same commit.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CEILINGS = ROOT / "CENSUS.json"
+SEED = 1
+WORKLOADS = ("verify_ladder", "verify_plain", "eval_kernel")
+
+
+def failure_counts(notes: dict) -> dict:
+    """The non-pass counts of one census from the notes of its ops."""
+    counts = Counter(notes.get("census_failures", {}))
+    counts.update(notes.get("seeded_failures", {}))
+    counts.update(notes.get("default_grid_failures", []))
+    return dict(sorted(counts.items()))
+
+
+def census(workload: str):
+    """(failure counts, checker problems) of the workload's seed-1 census."""
+    for path in (ROOT / "src", ROOT / "bench"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import run
+    ops = run.make_ops(workload, SEED)
+    run.run_census(ops)
+    return failure_counts(ops.notes()), list(ops.problems)
+
+
+def compare(ceilings: dict, counts: dict):
+    """(rose, fell) lines of the counts against the ceilings, per workload;
+    a key without a ceiling rises from none, a ceiling without a count
+    falls to 0."""
+    rose, fell = [], []
+    for workload, found in counts.items():
+        ceiling = ceilings.get(workload, {})
+        for key in sorted(set(found) | set(ceiling)):
+            now, was = found.get(key, 0), ceiling.get(key)
+            line = f"{workload}: {key!r} {'none' if was is None else was} -> {now}"
+            if was is None or now > was:
+                rose.append(line)
+            elif now < was:
+                fell.append(line)
+    return rose, fell
+
+
+def lowered(ceilings: dict, counts: dict) -> dict:
+    """The ceilings with every count that fell taken as the new ceiling."""
+    return {workload: {key: min(was, counts.get(workload, {}).get(key, 0))
+                       for key, was in ceiling.items()
+                       if counts.get(workload, {}).get(key, 0)}
+            for workload, ceiling in ceilings.items()}
+
+
+def main() -> int:
+    ceilings = json.loads(CEILINGS.read_text())
+    counts, problems = {}, []
+    for workload in WORKLOADS:
+        counts[workload], found = census(workload)
+        problems += [f"{workload}: {p}" for p in found]
+        print(f"{workload}: {sum(counts[workload].values())} non-pass outcomes")
+    rose, fell = compare(ceilings, counts)
+    for line in problems:
+        print(f"checker problem: {line}")
+    for line in rose:
+        print(f"rose: {line}")
+    for line in fell:
+        print(f"fell: {line}")
+    if fell:
+        print(f"{CEILINGS.name} with the counts that fell:")
+        print(json.dumps(lowered(ceilings, counts), indent=2))
+    return 1 if rose or problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
