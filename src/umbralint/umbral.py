@@ -8,7 +8,11 @@ dilation-kernel symbol F(x d/dx) with a Gamma-ratio symbol acts on a series
 as an edit of its law; the Mellin multipliers and the transforms of the
 ``transforms`` module are all such edits.
 
-Types are immutable values, operations are pure, and caches hold such values.
+Types are immutable values and operations are pure.  Caches hold such
+values: the series of an integer order and the edits of the two symbols
+without a parameter, each among the _SERIES_CACHE last used, and, outside
+the fields, a law's phi(0) and moment law and a series' summing plan, each
+written once on its instance; two threads that build one write equal ones.
 """
 
 from __future__ import annotations
@@ -84,7 +88,8 @@ class GammaRatioSequence:
         self.__dict__.update(scale=scale, numer=numer, denom=denom)
         if scale == 0:
             raise DomainError("GammaRatioSequence scale must be nonzero")
-        sign, log_mag = _log_phi(self, 0.0)
+        # kept, outside the fields, for the sums that seed term 0 from it
+        sign, log_mag = self.__dict__["_log_phi0"] = _log_phi(self, 0.0)
         if sign == 0 or log_mag > _LOG_MAX or not cmath.isfinite(scale):
             raise DomainError("GammaRatioSequence must have finite nonzero phi(0)")
 
@@ -231,12 +236,13 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     past -log(float_info.min) ~ 708 (below that a factor's parameters
     (u + i)/sigma, u >= 1/2, keep each partial product of a step above
     e^-sigma, where 900!/900^900 underflows) or with a y that is not a
-    normal number; a seed is one ``_log_phi``, a step O(slopes) products.
-    A term at a denominator pole is 0 at every x and is not summed.  A term
-    beyond the double range ends the sum as a non-finite term.  A law t_0
-    1F1(a; b; y), one a beside k!'s 1 or a = 1 cancelled against it, with
-    integer slopes, positive Gamma shifts and no power, goes at y < 0 to
-    ``sum_kummer``.
+    normal number; a seed is one ``_log_phi``, a step O(slopes) products,
+    and term 0 is the phi(0) its law keeps.  A term at a denominator pole
+    is 0 at every x and is not summed.  A term beyond the double range ends
+    the sum as a non-finite term.  A law t_0 1F1(a; b; y), one a beside
+    k!'s 1 or a = 1 cancelled against it, with integer slopes, positive
+    Gamma shifts and no power, goes at y < 0 to ``sum_kummer``.  What x
+    does not change is the series' ``_plan``, built on its first sum.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -262,32 +268,22 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
         step_sign = -step_sign if m % 2 else step_sign
         sign0 = -sign0 if int(p) % 2 else sign0
     y = g * x ** m if m * log_x < _LOG_MAX else step_sign * math.inf
-    k_safe, slopes, up, down = 0, 0.0, [], []
-    for shift, slope in law.numer + law.denom:
-        slopes += slope
-        if slope != int(slope):
-            k_safe = math.inf
-        elif shift < 0.5:
-            k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
-    if slopes > -_LOG_TINY:
-        k_safe = math.inf
+    k_safe, up, down, times, over, kummer = series.__dict__.get("_plan") or _plan(series)
     if k_safe < math.inf:
-        for factors, params in ((law.numer, up), (law.denom, down)):
-            for shift, slope in factors:
-                for i in range(int(slope)):
-                    params.append((shift + i) / slope)
-                    y = y * slope if params is up else y / slope
+        # a slope of 1.0 multiplies too: complex(3.0, -0.0) * 1.0 is 3+0j
+        for slope in times:
+            y = y * slope
+        for slope in over:
+            y = y / slope
         if not _TINY <= abs(y) < math.inf:
             k_safe = math.inf
 
-    if (not power and k_safe < math.inf and not y.imag and y.real < 0
-            and (len(up), len(down)) in ((0, 1), (1, 2)) and (not up or 1.0 in down)
-            and min(shift for shift, _ in law.numer + law.denom) > 0):
-        a, b = up[0] if up else 1.0, down[-1] if down[0] == 1.0 else down[0]
-        return complex(sign0 * sum_kummer(_log_phi(law, 0.0)[1] + log0, b - a, b, y.real, tol))
+    if kummer and not power and k_safe < math.inf and not y.imag and y.real < 0:
+        c, b, log_phi0 = kummer
+        return complex(sign0 * sum_kummer(log_phi0 + log0, c, b, y.real, tol))
 
     def seed(k):
-        sign, log_mag = _log_phi(law, k)
+        sign, log_mag = _log_phi(law, k) if k else law._log_phi0
         if sign == 0.0:
             return None  # a denominator pole: the term is 0 at every x
         log_mag += log0 + k * step_log
@@ -298,6 +294,37 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     value, _ = sum_hypergeometric(None, up, down, y, tol, seed=seed, k_safe=k_safe,
                                   weight=weight)
     return complex(value)
+
+
+def _plan(series: CoefficientSeries) -> tuple:
+    """What ``_sum_terms`` needs of a series at every x, kept in its __dict__,
+    unseen by ==, hash and repr: k_safe before y is known, the parameters
+    up and down, the slopes that multiply, then divide y, and the Kummer
+    route's (b - a, b, log phi(0)) or None."""
+    law = series.law
+    k_safe, slopes, up, down, times, over = 0, 0.0, [], [], [], []
+    for shift, slope in law.numer + law.denom:
+        slopes += slope
+        if slope != int(slope):
+            k_safe = math.inf
+        elif shift < 0.5:
+            k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
+    if slopes > -_LOG_TINY:
+        k_safe = math.inf
+    if k_safe < math.inf:
+        for factors, params, scaling in ((law.numer, up, times), (law.denom, down, over)):
+            for shift, slope in factors:
+                for i in range(int(slope)):
+                    params.append((shift + i) / slope)
+                    scaling.append(slope)
+    kummer = None
+    if ((len(up), len(down)) in ((0, 1), (1, 2)) and (not up or 1.0 in down)
+            and min(shift for shift, _ in law.numer + law.denom) > 0):
+        a, b = up[0] if up else 1.0, down[-1] if down[0] == 1.0 else down[0]
+        kummer = b - a, b, law._log_phi0[1]
+    plan = series.__dict__["_plan"] = (k_safe, tuple(up), tuple(down), tuple(times),
+                                       tuple(over), kummer)
+    return plan
 
 
 # -- cataloged series ---------------------------------------------------------
@@ -395,8 +422,10 @@ def mellin_master_strided(f: CoefficientSeries, nu) -> complex:
     if w.imag == 0.0:
         w = w.real
     a = complex(-f.geometric)
-    return (a ** (-w) / f.stride * complex(gamma(w))
-            * phi_eval(f.law.times(numer=_FACTORIAL), -w))
+    # the moment law is kept, outside its fields, on the law it extends
+    moments = f.law.__dict__.get("_moments") or f.law.__dict__.setdefault(
+        "_moments", f.law.times(numer=_FACTORIAL))
+    return a ** (-w) / f.stride * complex(gamma(w)) * phi_eval(moments, -w)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +463,15 @@ class MellinMultiplier:
 
     def edit(self, series: CoefficientSeries) -> CoefficientSeries:
         """The series with the symbol moved into its law: Gamma(s + sigma a) at
-        the exponent a = m k + p of term k is the law factor (s + sigma p, sigma m)."""
+        the exponent a = m k + p of term k is the law factor (s + sigma p, sigma m).
+        The edits of ``gaussian_kernel()`` and ``borel_factorial()``, the symbols
+        without a parameter, are kept among the _SERIES_CACHE last made."""
+        if self is _GAUSSIAN_KERNEL or self is _BOREL_FACTORIAL:
+            # keyed on the object: an equal series may hold -0.0 or complex fields
+            return _kept_edit(self, series, id(series))
+        return self._edit(series)
+
+    def _edit(self, series: CoefficientSeries) -> CoefficientSeries:
         m, p = series.stride, series.offset
         numer, denom = ([(shift + slope * p, slope * m) for shift, slope in side]
                         for side in (self.symbol.numer, self.symbol.denom))
@@ -445,6 +482,8 @@ class MellinMultiplier:
 _GAUSSIAN_KERNEL = MellinMultiplier(GammaRatioSequence(scale=math.sqrt(math.pi)),
                                     power=-0.5)
 _BOREL_FACTORIAL = MellinMultiplier(GammaRatioSequence(numer=_FACTORIAL))
+_kept_edit = functools.lru_cache(maxsize=_SERIES_CACHE)(
+    lambda symbol, series, _: symbol._edit(series))
 
 
 def gaussian_kernel() -> MellinMultiplier:

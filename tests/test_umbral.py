@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -543,6 +545,101 @@ class TestFusedSum:
         assert fused == stream
 
 
+def _fresh(series):
+    """An equal series built anew, its law too, so without the memos of ``series``."""
+    law = series.law
+    return um.CoefficientSeries(um.GammaRatioSequence(law.scale, law.numer, law.denom),
+                                series.stride, series.offset, series.geometric)
+
+
+# (symbol or None, series): the kept edits of the symbols without a
+# parameter, and series summed through their kept plans
+KEPT_CASES = ([(um.gaussian_kernel(), um.bessel_power_series(n)) for n in range(1, 6)]
+              + [(um.borel_factorial(), um.bessel_power_series(n)) for n in range(1, 5)]
+              + [(um.borel_factorial(), tr.pseudo_trig_series(k, m))
+                 for m in (2, 3) for k in range(m)]
+              + [(None, tr.pseudo_trig_series(k, m)) for m in (2, 3) for k in range(m)]
+              + [(None, um.exponential_series())])   # the Kummer route at x > 0
+
+
+def _kept_and_fresh(symbol, series, x):
+    """The sum through the kept edit and plan, and that of a fresh equal series."""
+    if symbol is None:
+        return _bits(lambda: series.evaluate(x)), _bits(lambda: _fresh(series).evaluate(x))
+    return (_bits(lambda: um.apply_mellin_multiplier(symbol, series, x)),
+            _bits(lambda: um._sum_terms(_fresh(symbol.edit(series)), x, sf.DEFAULT_TOL,
+                                        symbol.power)))
+
+
+class TestKeptPlans:
+    # a series' plan, a law's phi(0) and the edits of the fixed symbols are
+    # built once and kept; every sum through them keeps every bit
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.one_of(
+        st.floats(-4.0, 4.0),
+        st.sampled_from([0.0, complex(-2.0, 0.0), complex(3.0, -0.0), complex(0.0, -0.5),
+                         complex(-0.4, -0.0)]),
+        st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+    def test_kept_sums_keep_every_bit(self, x):
+        for symbol, series in KEPT_CASES:
+            _kept_and_fresh(symbol, series, 0.5)   # the plan is kept from here on
+            assert "_plan" in vars(symbol.edit(series) if symbol else series)
+            kept, fresh = _kept_and_fresh(symbol, series, x)
+            assert kept == fresh, (symbol, series, x)
+
+    def test_seeded_law_keeps_every_bit(self):
+        # slopes past 708: every term is seeded in log space
+        series = tr.pseudo_trig_series(0, 900)
+        kept, fresh = _kept_and_fresh(None, series, 330.0)
+        assert kept == fresh
+        assert vars(series)["_plan"][0] == math.inf
+
+    def test_term_0_is_the_phi0_its_law_keeps(self, monkeypatch):
+        # a law stepped from k = 0, and the Kummer route, take no _log_phi of their own
+        stepped, kummer = _fresh(tr.pseudo_trig_series(1, 3)), _fresh(um.exponential_series())
+        calls, log_phi = [], um._log_phi
+        monkeypatch.setattr(um, "_log_phi", lambda *args: calls.append(args) or log_phi(*args))
+        stepped.evaluate(2.0)
+        kummer.evaluate(3.0)
+        assert calls == []
+
+    def test_memos_are_not_seen(self):
+        series = _fresh(tr.pseudo_trig_series(1, 3))
+        law = series.law
+
+        def seen(value, field, new):
+            copied, pickled = copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+            return (hash(value), repr(value), repr(replace(value, **{field: new})),
+                    repr(copied), copied == value, repr(pickled), pickled == value)
+
+        before = seen(series, "stride", 2), seen(law, "scale", 2.0)
+        value = _bits(lambda: series.evaluate(0.5))
+        um.mellin_master_strided(series, 0.7)
+        um.borel_factorial().edit(series).evaluate(0.5)
+        assert "_plan" in vars(series) and "_moments" in vars(law)
+        assert (seen(series, "stride", 2), seen(law, "scale", 2.0)) == before
+        for copied in (copy.deepcopy(series), pickle.loads(pickle.dumps(series))):
+            assert _bits(lambda: copied.evaluate(0.5)) == value
+
+    def test_moment_law_is_kept_on_its_law(self):
+        um.mellin_master(um.exponential_series(), 0.7)
+        moments = vars(um.exponential_series().law)["_moments"]
+        um.mellin_master(um.exponential_series(), 1.3)
+        assert vars(um.exponential_series().law)["_moments"] is moments
+
+    def test_a_kept_edit_is_keyed_on_the_object(self):
+        # equal series, one with a complex field: each is edited as it is
+        law = um.GammaRatioSequence(denom=((2.0, 3.0),))
+        real, cplx = (um.CoefficientSeries(law, stride=3, offset=1.0, geometric=g)
+                      for g in (-1.0, complex(-1.0, 0.0)))
+        assert real == cplx and hash(real) == hash(cplx)
+        borel = um.borel_factorial()
+        assert borel.edit(real) is borel.edit(real)
+        assert borel.edit(cplx) is not borel.edit(real)
+        assert isinstance(borel.edit(cplx).geometric, complex)
+
+
 def _replaced_edit(multiplier, series):
     """MellinMultiplier.edit as dataclasses.replace of the series law."""
     m, p = series.stride, series.offset
@@ -576,9 +673,14 @@ class TestConstantLaws:
         for n in range(2 * um._SERIES_CACHE):
             um.bessel_power_series(n)
             tr.pseudo_trig_series(0, n + 2)
-        for cached in (um._bessel_power_series, um._pseudo_trig_series):
+            um.borel_factorial().edit(um.bessel_power_series(n))
+        for cached in (um._bessel_power_series, um._pseudo_trig_series, um._kept_edit):
             assert cached.cache_info().currsize == um._SERIES_CACHE
         assert um.bessel_power_series(1) == um.bessel_power_series(1)
+        # a symbol with a parameter keeps none of its edits
+        series, kept = um.bessel_power_series(1), um._kept_edit.cache_info()
+        assert um.beta_kernel(1.3, 2.2).edit(series) is not um.beta_kernel(1.3, 2.2).edit(series)
+        assert um._kept_edit.cache_info() == kept
 
     @pytest.mark.parametrize("value,field", [
         (um.exponential_series(), "geometric"), (um.rational_series(), "law"),
