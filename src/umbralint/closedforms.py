@@ -6,7 +6,7 @@ and is exposed through a machine-readable catalog entry carrying its
 equation tag, parameter domain, default grid, and default tolerance.
 
 Identity evaluations are independent across grid points and may run in
-parallel; nothing here holds mutable state.
+parallel; the module-level series keep their plans and edits once made.
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ dilation-kernel symbol F(x d/dx) with a Gamma-ratio symbol acts on a series
 as an edit of its law; the Mellin multipliers and the transforms of the
 ``transforms`` module are all such edits.
 
-Types are immutable values and operations are pure.  Caches hold such
-values: the series of an integer order and the edits of the two symbols
-without a parameter, each among the _SERIES_CACHE last used, and, outside
-the fields, a law's phi(0) and moment law and a series' summing plan, each
-written once on its instance; two threads that build one write equal ones.
+Types are immutable values and operations are pure.  What is derived from
+such a value is its cached property, which ==, hash and repr do not see: a
+law's moment law, a series' plan and edits by the symbols without a
+parameter, a multiplier's lower bound; a law's constructor keeps its phi(0).
+The series of an integer order are cached among the _SERIES_CACHE last used.
 """
 
 from __future__ import annotations
@@ -100,6 +100,9 @@ class GammaRatioSequence:
         """This law multiplied by scale * prod Gamma(numer) / prod Gamma(denom)."""
         return GammaRatioSequence(self.scale * scale, self.numer + tuple(numer),
                                   self.denom + tuple(denom))
+
+    # phi(k) = k! law(k), the moment law of mellin_master_strided
+    _moments = functools.cached_property(lambda self: self.times(numer=_FACTORIAL))
 
 
 def _classify_pole(arg: float):
@@ -217,6 +220,37 @@ class CoefficientSeries:
         """Sum the series at x under the shared stopping rule."""
         return _sum_terms(self, x, tol)
 
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """What ``_sum_terms`` needs at every x: k_safe before y is known, the
+        parameters up and down, the slopes that multiply, then divide y, and
+        the Kummer route's (b - a, b, log phi(0)) or None."""
+        law = self.law
+        k_safe, slopes, up, down, times, over = 0, 0.0, [], [], [], []
+        for shift, slope in law.numer + law.denom:
+            slopes += slope
+            if slope != int(slope):
+                k_safe = math.inf
+            elif shift < 0.5:
+                k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
+        if slopes > -_LOG_TINY:
+            k_safe = math.inf
+        if k_safe < math.inf:
+            for factors, params, scaling in ((law.numer, up, times), (law.denom, down, over)):
+                for shift, slope in factors:
+                    for i in range(int(slope)):
+                        params.append((shift + i) / slope)
+                        scaling.append(slope)
+        kummer = None
+        if ((len(up), len(down)) in ((0, 1), (1, 2)) and (not up or 1.0 in down)
+                and min(shift for shift, _ in law.numer + law.denom) > 0):
+            a, b = up[0] if up else 1.0, down[-1] if down[0] == 1.0 else down[0]
+            kummer = b - a, b, law._log_phi0[1]
+        return k_safe, tuple(up), tuple(down), tuple(times), tuple(over), kummer
+
+    _gaussian_edit = functools.cached_property(lambda self: _GAUSSIAN_KERNEL._edit(self))
+    _borel_edit = functools.cached_property(lambda self: _BOREL_FACTORIAL._edit(self))
+
 
 def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> complex:
     """sum_k law(k) geometric^k a_k^power x^a_k with a_k = stride k + offset.
@@ -242,7 +276,7 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     the sum as a non-finite term.  A law t_0 1F1(a; b; y), one a beside
     k!'s 1 or a = 1 cancelled against it, with integer slopes, positive
     Gamma shifts and no power, goes at y < 0 to ``sum_kummer``.  What x
-    does not change is the series' ``_plan``, built on its first sum.
+    does not change is the series' cached ``_plan``.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -268,7 +302,7 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
         step_sign = -step_sign if m % 2 else step_sign
         sign0 = -sign0 if int(p) % 2 else sign0
     y = g * x ** m if m * log_x < _LOG_MAX else step_sign * math.inf
-    k_safe, up, down, times, over, kummer = series.__dict__.get("_plan") or _plan(series)
+    k_safe, up, down, times, over, kummer = series._plan
     if k_safe < math.inf:
         # a slope of 1.0 multiplies too: complex(3.0, -0.0) * 1.0 is 3+0j
         for slope in times:
@@ -294,37 +328,6 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     value, _ = sum_hypergeometric(None, up, down, y, tol, seed=seed, k_safe=k_safe,
                                   weight=weight)
     return complex(value)
-
-
-def _plan(series: CoefficientSeries) -> tuple:
-    """What ``_sum_terms`` needs of a series at every x, kept in its __dict__,
-    unseen by ==, hash and repr: k_safe before y is known, the parameters
-    up and down, the slopes that multiply, then divide y, and the Kummer
-    route's (b - a, b, log phi(0)) or None."""
-    law = series.law
-    k_safe, slopes, up, down, times, over = 0, 0.0, [], [], [], []
-    for shift, slope in law.numer + law.denom:
-        slopes += slope
-        if slope != int(slope):
-            k_safe = math.inf
-        elif shift < 0.5:
-            k_safe = max(k_safe, math.floor((0.5 - shift) / slope) + 1)
-    if slopes > -_LOG_TINY:
-        k_safe = math.inf
-    if k_safe < math.inf:
-        for factors, params, scaling in ((law.numer, up, times), (law.denom, down, over)):
-            for shift, slope in factors:
-                for i in range(int(slope)):
-                    params.append((shift + i) / slope)
-                    scaling.append(slope)
-    kummer = None
-    if ((len(up), len(down)) in ((0, 1), (1, 2)) and (not up or 1.0 in down)
-            and min(shift for shift, _ in law.numer + law.denom) > 0):
-        a, b = up[0] if up else 1.0, down[-1] if down[0] == 1.0 else down[0]
-        kummer = b - a, b, law._log_phi0[1]
-    plan = series.__dict__["_plan"] = (k_safe, tuple(up), tuple(down), tuple(times),
-                                       tuple(over), kummer)
-    return plan
 
 
 # -- cataloged series ---------------------------------------------------------
@@ -422,10 +425,7 @@ def mellin_master_strided(f: CoefficientSeries, nu) -> complex:
     if w.imag == 0.0:
         w = w.real
     a = complex(-f.geometric)
-    # the moment law is kept, outside its fields, on the law it extends
-    moments = f.law.__dict__.get("_moments") or f.law.__dict__.setdefault(
-        "_moments", f.law.times(numer=_FACTORIAL))
-    return a ** (-w) / f.stride * complex(gamma(w)) * phi_eval(moments, -w)
+    return a ** (-w) / f.stride * complex(gamma(w)) * phi_eval(f.law._moments, -w)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ class MellinMultiplier:
     symbol: GammaRatioSequence
     power: float = 0.0
 
-    @property
+    @functools.cached_property
     def lower_bound(self) -> float:
         """F is finite for every a above this: each numerator Gamma argument
         is positive, and a > 0 when there is a power."""
@@ -464,11 +464,12 @@ class MellinMultiplier:
     def edit(self, series: CoefficientSeries) -> CoefficientSeries:
         """The series with the symbol moved into its law: Gamma(s + sigma a) at
         the exponent a = m k + p of term k is the law factor (s + sigma p, sigma m).
-        The edits of ``gaussian_kernel()`` and ``borel_factorial()``, the symbols
-        without a parameter, are kept among the _SERIES_CACHE last made."""
-        if self is _GAUSSIAN_KERNEL or self is _BOREL_FACTORIAL:
-            # keyed on the object: an equal series may hold -0.0 or complex fields
-            return _kept_edit(self, series, id(series))
+        The edits by ``gaussian_kernel()`` and ``borel_factorial()``, the symbols
+        without a parameter, are kept on the series they edit."""
+        if self is _GAUSSIAN_KERNEL:
+            return series._gaussian_edit
+        if self is _BOREL_FACTORIAL:
+            return series._borel_edit
         return self._edit(series)
 
     def _edit(self, series: CoefficientSeries) -> CoefficientSeries:
@@ -482,8 +483,6 @@ class MellinMultiplier:
 _GAUSSIAN_KERNEL = MellinMultiplier(GammaRatioSequence(scale=math.sqrt(math.pi)),
                                     power=-0.5)
 _BOREL_FACTORIAL = MellinMultiplier(GammaRatioSequence(numer=_FACTORIAL))
-_kept_edit = functools.lru_cache(maxsize=_SERIES_CACHE)(
-    lambda symbol, series, _: symbol._edit(series))
 
 
 def gaussian_kernel() -> MellinMultiplier:

@@ -1,6 +1,7 @@
 """tools/estimate_sweep.py, imported from its file, unchanged."""
 
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,14 +10,18 @@ import pytest
 from umbralint.closedforms import get_identity
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "estimate_sweep.py"
+TOOLS = ROOT / "tools"
 
 
 @pytest.fixture(scope="module")
 def estimate_sweep():
-    spec = importlib.util.spec_from_file_location("estimate_sweep", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(TOOLS))   # for its import of bench_pairs, as when run as a script
+    try:
+        spec = importlib.util.spec_from_file_location("estimate_sweep", TOOLS / "estimate_sweep.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(TOOLS))
     return module
 
 

@@ -1,18 +1,23 @@
 """tools/outputs_diff.py, imported from its file, unchanged."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs_diff.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture(scope="module")
 def outputs_diff():
-    spec = importlib.util.spec_from_file_location("outputs_diff", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(TOOLS))   # for its import of bench_pairs, as when run as a script
+    try:
+        spec = importlib.util.spec_from_file_location("outputs_diff", TOOLS / "outputs_diff.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(TOOLS))
     return module
 
 

@@ -1,7 +1,9 @@
 import cmath
 import copy
+import gc
 import math
 import pickle
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -607,20 +609,50 @@ class TestKeptPlans:
     def test_memos_are_not_seen(self):
         series = _fresh(tr.pseudo_trig_series(1, 3))
         law = series.law
+        # equal to gaussian_kernel(), but not it, so that it starts with no memo
+        gauss = um.MellinMultiplier(um.GammaRatioSequence(scale=SQRT_PI), power=-0.5)
 
         def seen(value, field, new):
             copied, pickled = copy.deepcopy(value), pickle.loads(pickle.dumps(value))
             return (hash(value), repr(value), repr(replace(value, **{field: new})),
                     repr(copied), copied == value, repr(pickled), pickled == value)
 
-        before = seen(series, "stride", 2), seen(law, "scale", 2.0)
+        def all_seen():
+            return seen(series, "stride", 2), seen(law, "scale", 2.0), seen(gauss, "power", 1.0)
+
+        before = all_seen()
         value = _bits(lambda: series.evaluate(0.5))
+        gaussed = _bits(lambda: um.apply_mellin_multiplier(gauss, series, 0.5))
         um.mellin_master_strided(series, 0.7)
         um.borel_factorial().edit(series).evaluate(0.5)
-        assert "_plan" in vars(series) and "_moments" in vars(law)
-        assert (seen(series, "stride", 2), seen(law, "scale", 2.0)) == before
+        um.gaussian_kernel().edit(series).evaluate(0.5)
+        assert {"_plan", "_borel_edit", "_gaussian_edit"} <= set(vars(series))
+        assert "_moments" in vars(law) and "lower_bound" in vars(gauss)
+        assert all_seen() == before
         for copied in (copy.deepcopy(series), pickle.loads(pickle.dumps(series))):
             assert _bits(lambda: copied.evaluate(0.5)) == value
+            assert _bits(lambda: um.apply_mellin_multiplier(gauss, copied, 0.5)) == gaussed
+        for copied in (copy.deepcopy(gauss), pickle.loads(pickle.dumps(gauss))):
+            assert _bits(lambda: um.apply_mellin_multiplier(copied, series, 0.5)) == gaussed
+
+    def test_lower_bound_is_kept_on_the_multiplier(self):
+        multiplier = um.beta_kernel(0.7, 2.5)
+        assert "lower_bound" not in vars(multiplier)
+        um.apply_mellin_multiplier(multiplier, um.bessel_power_series(2), 0.5)
+        assert vars(multiplier)["lower_bound"] == -0.7
+
+    @pytest.mark.parametrize("symbol", [um.gaussian_kernel(), um.borel_factorial()],
+                             ids=["gauss", "borel"])
+    def test_an_edited_series_is_freed_when_dropped(self, symbol):
+        # the edit lives on its series, so nothing else holds the series
+        series = _fresh(um.bessel_power_series(2))
+        edited = symbol.edit(series)
+        um.apply_mellin_multiplier(symbol, series, 0.5)
+        assert symbol.edit(series) is edited
+        dropped = weakref.ref(series)
+        del series
+        gc.collect()
+        assert dropped() is None
 
     def test_moment_law_is_kept_on_its_law(self):
         um.mellin_master(um.exponential_series(), 0.7)
@@ -673,14 +705,14 @@ class TestConstantLaws:
         for n in range(2 * um._SERIES_CACHE):
             um.bessel_power_series(n)
             tr.pseudo_trig_series(0, n + 2)
-            um.borel_factorial().edit(um.bessel_power_series(n))
-        for cached in (um._bessel_power_series, um._pseudo_trig_series, um._kept_edit):
+        for cached in (um._bessel_power_series, um._pseudo_trig_series):
             assert cached.cache_info().currsize == um._SERIES_CACHE
         assert um.bessel_power_series(1) == um.bessel_power_series(1)
-        # a symbol with a parameter keeps none of its edits
-        series, kept = um.bessel_power_series(1), um._kept_edit.cache_info()
+        # a symbol with a parameter keeps none of its edits on the series
+        series = um.bessel_power_series(1)
+        kept = dict(vars(series))
         assert um.beta_kernel(1.3, 2.2).edit(series) is not um.beta_kernel(1.3, 2.2).edit(series)
-        assert um._kept_edit.cache_info() == kept
+        assert vars(series).keys() == kept.keys()
 
     @pytest.mark.parametrize("value,field", [
         (um.exponential_series(), "geometric"), (um.rational_series(), "law"),

@@ -52,6 +52,17 @@ def extract(rev: str, into: Path) -> Path:
     return into
 
 
+def dumped(script: str, root: Path, args, failed: str) -> list:
+    """The JSON lines that ``script --dump ROOT *args`` prints when run in
+    ``root`` in its own interpreter; ``failed`` is the exit message if it fails."""
+    done = subprocess.run([sys.executable, script, "--dump", str(root), *args], cwd=root,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(failed)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One run of bench/run.py in ``root``: its metrics and op counts."""
     done = subprocess.run(

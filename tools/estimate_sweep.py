@@ -23,16 +23,15 @@ and 0 otherwise.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import random
-import subprocess
 import sys
-import tarfile
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+from bench_pairs import dumped, extract   # this directory leads sys.path when run as a script
 
 ROOT = Path(__file__).resolve().parent.parent
 TOLERANCES = (1e-4, 1e-6, 1e-9)
@@ -97,12 +96,8 @@ def sweep(root: Path, seed: int) -> dict:
 
 def side(root: Path, seed: int) -> dict:
     """The sweep of ``root``, run in its own interpreter."""
-    done = subprocess.run([sys.executable, __file__, "--dump", str(root),
-                           "--seed", str(seed)], cwd=root, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.stderr.write(done.stderr)
-        raise SystemExit(f"the sweep of {root} failed")
-    return json.loads(done.stdout)
+    (summary,) = dumped(__file__, root, ["--seed", str(seed)], f"the sweep of {root} failed")
+    return summary
 
 
 def main(argv=None) -> int:
@@ -118,11 +113,7 @@ def main(argv=None) -> int:
     sides = {}
     if args.base is not None:
         with tempfile.TemporaryDirectory(prefix="estimate-sweep-") as tmp:
-            data = subprocess.run(["git", "archive", "--format=tar", args.base], cwd=ROOT,
-                                  capture_output=True, check=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-                tar.extractall(tmp, filter="data")
-            sides[args.base] = side(Path(tmp), args.seed)
+            sides[args.base] = side(extract(args.base, Path(tmp)), args.seed)
     sides["working tree"] = side(ROOT, args.seed)
 
     print(f"seed {args.seed}: {len(points(args.seed))} points at tolerances "

@@ -30,27 +30,17 @@ from __future__ import annotations
 import argparse
 import ast
 import cmath
-import io
 import json
-import subprocess
 import sys
-import tarfile
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+from bench_pairs import dumped, extract   # this directory leads sys.path when run as a script
+
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_WORKLOADS = ("verify_plain", "verify_ladder")
 TIMING_FIELDS = ("closed_time", "oracle_time")
-
-
-def extract(rev: str, into: Path) -> Path:
-    """The tree of ``rev``, written under ``into`` by git archive."""
-    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                          capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(into, filter="data")
-    return into
 
 
 def eval_pool_size(root: Path) -> int:
@@ -188,12 +178,8 @@ def _shown(leaf) -> str:
 
 
 def outputs(root: Path, seeds) -> dict:
-    done = subprocess.run([sys.executable, __file__, "--dump", str(root), "--seeds",
-                           *map(str, seeds)], cwd=root, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.stderr.write(done.stderr)
-        raise SystemExit(f"the outputs of {root} could not be recorded")
-    return dict(json.loads(line) for line in done.stdout.splitlines())
+    return dict(dumped(__file__, root, ["--seeds", *map(str, seeds)],
+                       f"the outputs of {root} could not be recorded"))
 
 
 def main(argv=None) -> int:
