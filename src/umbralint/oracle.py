@@ -87,6 +87,11 @@ _MAX_PIECES = 50
 # QAGS); beyond it the limit rests on differences near rounding level.
 _MAX_EXTRAPOLATION = 100.0
 
+# The panels one adaptive piece may split into: all of integrate_finite,
+# and each piece of integrate_half_line.
+_FINITE_MAX_INTERVALS = 20_000
+_HALF_LINE_MAX_INTERVALS = 40_000
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -360,18 +365,17 @@ def _certified(interval: str, value, err: float, evaluations: int,
     return result
 
 
-def integrate_finite(f: Callable, a: float, b: float, tol: float,
-                     max_intervals: int = 20_000) -> QuadratureResult:
+def integrate_finite(f: Callable, a: float, b: float, tol: float) -> QuadratureResult:
     """Adaptive integral over [a, b] to absolute tolerance ``tol``.
 
     Interior nodes only, so integrable endpoint singularities are handled by
     subdivision.  Raises QuadratureError (with the partial result attached)
-    when the interval budget runs out first.
+    when the interval budget, ``_FINITE_MAX_INTERVALS``, runs out first.
     """
     if not a < b:
         raise DomainError("integrate_finite needs a < b")
-    return _certified("finite-interval", *_adaptive(f, a, b, tol, max_intervals),
-                      tol)
+    return _certified("finite-interval",
+                      *_adaptive(f, a, b, tol, _FINITE_MAX_INTERVALS), tol)
 
 
 def _fold(f, x0: float):
@@ -420,7 +424,7 @@ def _epsilon_step(table: list, partial_sum):
 
 
 def _wave_tail(wave, start: float, half_period: float, tol: float,
-               max_intervals: int, value, err: float, evaluations: int):
+               value, err: float, evaluations: int):
     """Add to the integral ``value`` of the rest of f the integral of
     ``wave`` over [start, infinity), one half-period at a time, with the
     partial sums extrapolated by Wynn's epsilon algorithm.
@@ -435,8 +439,8 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
     table, sums, estimates = [], [], []
     for k in range(_MAX_PIECES):
         a = start + k * half_period
-        v, e, n = _adaptive(wave, a, a + half_period, piece_tol, max_intervals,
-                            evaluations)
+        v, e, n = _adaptive(wave, a, a + half_period, piece_tol,
+                            _HALF_LINE_MAX_INTERVALS, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not err <= tol:
             raise QuadratureError(
@@ -460,8 +464,8 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
     return result
 
 
-def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = None,
-                        max_intervals: int = 40_000) -> QuadratureResult:
+def integrate_half_line(f: Callable, tol: float,
+                        tail: OscillatoryTail | None = None) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
 
     Without ``tail`` the integral splits at x = 1, folds [1, infinity) by
@@ -475,12 +479,13 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     and extrapolated by Wynn's epsilon algorithm (as in QUADPACK's QAWF).
     The head and the smooth part each get a quarter of ``tol``, the wave
     the rest.  Every piece starts from one GK15 panel, so a piece that one
-    panel resolves costs 15 evaluations.  ``max_intervals`` bounds each
-    adaptive piece.
+    panel resolves costs 15 evaluations.  ``_HALF_LINE_MAX_INTERVALS``
+    bounds each adaptive piece.
     """
     if tail is None:
-        head = _adaptive(f, 0.0, 1.0, 0.5 * tol, max_intervals)
-        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, max_intervals, head[2])
+        head = _adaptive(f, 0.0, 1.0, 0.5 * tol, _HALF_LINE_MAX_INTERVALS)
+        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, _HALF_LINE_MAX_INTERVALS,
+                         head[2])
         return _certified("half-line", head[0] + fold[0], head[1] + fold[1],
                           head[2] + fold[2], tol)
 
@@ -490,11 +495,10 @@ def integrate_half_line(f: Callable, tol: float, tail: OscillatoryTail | None = 
     if tail.smooth is not None:
         parts.append(("smooth part", _fold(tail.smooth, x0), 0.0, 1.0))
     for name, g, a, b in parts:
-        v, e, n = _adaptive(g, a, b, 0.25 * tol, max_intervals, evaluations)
+        v, e, n = _adaptive(g, a, b, 0.25 * tol, _HALF_LINE_MAX_INTERVALS, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not e <= 0.25 * tol:   # nan included
             raise QuadratureError(
                 f"half-line {name} stalled at error {e:.3e} > {0.25 * tol:.3e}",
                 partial=QuadratureResult(value, err, evaluations, False))
-    return _wave_tail(tail.wave, x0, tail.half_period, tol, max_intervals,
-                      value, err, evaluations)
+    return _wave_tail(tail.wave, x0, tail.half_period, tol, value, err, evaluations)

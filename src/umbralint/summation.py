@@ -174,11 +174,14 @@ def _compile(p: int, q: int):
 def sum_kummer(log_t: float, c, b, y, tol: float):
     """e^log_t 1F1(b - c; b; y) at Re y < 0 by Kummer's transformation, DLMF
     13.2.39: e^(log_t + y) (1 + the terms of 1F1(c; b; -y) from k = 1),
-    positive at real y, b > 0 and c >= 0, and summed apart from the 1.  The
-    caller passes c = b - a.  A law's fl(alpha + beta) - alpha is exact at
-    beta <= alpha (Sterbenz), so c keeps only the rounding of alpha + beta, a
-    relative error eps (alpha + beta) / (2 beta), at most about 6e-15 for
-    beta >= 0.2 and alpha <= 10.  ``specfun.b_nu``'s c = nu is exact.
+    summed apart from the 1.  At real y, b > 0 and c >= 0 the terms are
+    positive; ``specfun.b_nu`` passes c < 0 at nu < 0 off the half-integers,
+    and b < 0 too at nu < -1/2, where they can change sign.  The caller
+    passes c = b - a.  A law's fl(alpha + beta) - alpha is exact at
+    beta <= alpha (Sterbenz), so c keeps only the rounding of alpha + beta,
+    a relative error eps (alpha + beta) / (2 beta), at most about 6e-15 for
+    beta >= 0.2 and alpha <= 10.  ``specfun.b_nu``'s c = nu + j is exact:
+    j is 0, or -2 nu and c = -nu.
     """
     rest, _ = sum_hypergeometric(c * -y / b, (c,), (b, 1.0), -y, tol, k=1)
     factor, whole = math.exp(log_t + y.real), 1.0 + rest

@@ -26,9 +26,9 @@ def struve_tail(nu, b=1.0):
     return (lambda x: struve_h(b * x)), tail
 
 
-def run_tail(integrand_and_tail, tol, **kw):
+def run_tail(integrand_and_tail, tol):
     f, tail = integrand_and_tail
-    return oracle.integrate_half_line(f, tol, tail, **kw)
+    return oracle.integrate_half_line(f, tol, tail)
 
 
 def both_halves(f):
@@ -71,10 +71,10 @@ class TestIntegrateFinite:
         assert r.value == pytest.approx(beta_fn(2.0, 3.0), rel=1e-11)
         assert r.value == pytest.approx(1.0 / 12.0, rel=1e-11)
 
-    def test_budget_exhaustion_raises_with_partial(self):
+    def test_budget_exhaustion_raises_with_partial(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_FINITE_MAX_INTERVALS", 12)
         with pytest.raises(QuadratureError) as excinfo:
-            oracle.integrate_finite(lambda u: math.sin(3000.0 * u), 0.0, 1.0,
-                                    1e-14, max_intervals=12)
+            oracle.integrate_finite(lambda u: math.sin(3000.0 * u), 0.0, 1.0, 1e-14)
         partial = excinfo.value.partial
         assert partial is not None
         assert not partial.converged
@@ -234,21 +234,22 @@ class TestOscillatoryTail:
         exact = x0 + x0 ** 4 / 4.0 - 2.0 * x0 ** 3 / 3.0 + 1.0 + 0.5 * math.pi - si_pi
         assert abs(r.value - exact) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
 
-    def test_stalled_head_raises_with_partial(self):
+    def test_stalled_head_raises_with_partial(self, monkeypatch):
         # the head starts from one panel; 12 panels already meet 2.5e-6 / 4
+        monkeypatch.setattr(oracle, "_HALF_LINE_MAX_INTERVALS", 8)
         with pytest.raises(QuadratureError, match="head stalled") as excinfo:
-            run_tail(struve_tail(-0.5), 2.5e-6, max_intervals=8)
+            run_tail(struve_tail(-0.5), 2.5e-6)
         partial = excinfo.value.partial
         assert not partial.converged
         assert partial.evaluations > 0
 
-    def test_stalled_wave_raises_with_partial(self):
+    def test_stalled_wave_raises_with_partial(self, monkeypatch):
         # integrable singularities at the zeros of cos x, inside every piece
         tail = oracle.OscillatoryTail(
             math.pi, math.pi, lambda x: math.sin(x) * abs(math.cos(x)) ** -0.9 / x)
+        monkeypatch.setattr(oracle, "_HALF_LINE_MAX_INTERVALS", 40)
         with pytest.raises(QuadratureError, match="tail stalled") as excinfo:
-            oracle.integrate_half_line(lambda x: math.exp(-x), 2.5e-6, tail,
-                                       max_intervals=40)
+            oracle.integrate_half_line(lambda x: math.exp(-x), 2.5e-6, tail)
         partial = excinfo.value.partial
         assert not partial.converged
         assert partial.evaluations > 0

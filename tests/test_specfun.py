@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import time
 
 import pytest
@@ -87,7 +88,8 @@ class TestGamma:
         with pytest.raises(DomainError, match="overflow"):
             sf.gamma(171.7)
 
-    # t^(z + 1/2) overflows, and Gamma is taken from the logs of its factors
+    # t^(z + 1/2) of the Lanczos form passes the double range here while
+    # Gamma does not; exp(log Gamma) takes it in logs
     def test_complex_overflow_fallback_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
@@ -103,6 +105,25 @@ class TestGamma:
         for z in (0.3, 2.7, complex(1.5, 2.0), complex(-0.7, 0.4)):
             assert cmath.exp(sf.log_gamma(z)) == pytest.approx(
                 complex(sf.gamma(z)), rel=1e-12)
+
+    # Gamma of a complex z is exp(log_gamma(z)), on the left half-plane
+    # through reflection; the Lanczos product gave inf + nan i at the first
+    # point, where its t^(z + 1/2) overflowed without an OverflowError.
+    # Uniform draws: the reflection's sin(pi z) is not reduced by the
+    # nearest integer, so within about 1e-6 of a pole on the real axis the
+    # error passes this bound, as it did on the Lanczos product
+    def test_complex_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20)
+        points = [complex(142.2587269976899, 4.007487446694519)]
+        points += [complex(rng.uniform(-60.0, 170.0), rng.uniform(-30.0, 30.0))
+                   for _ in range(2000)]
+        worst = 0.0
+        with mpmath.workdps(30):
+            for z in points:
+                expected = complex(mpmath.gamma(mpmath.mpc(z)))
+                worst = max(worst, abs(sf.gamma(z) - expected) / abs(expected))
+        assert worst <= 5e-13
 
 
 class TestBeta:
@@ -321,6 +342,65 @@ class TestBNu:
             expected = float(mpmath.gamma(nu + 1) / mpmath.gamma(2 * nu + 1)
                              * mpmath.hyp1f1(nu + 1, 2 * nu + 1, x))
         assert abs(sf.b_nu(nu, x).real - expected) <= 1e-12 * abs(expected)
+
+    # every order is one 1F1 summed in ``summation``: no law is built
+    @pytest.mark.parametrize("nu,x", [(-0.3, -5.0), (-2.5, 1.0), (-3.0, 1.5)])
+    def test_negative_orders_build_no_law(self, monkeypatch, nu, x):
+        def no_law(*args, **kwargs):
+            raise AssertionError("b_nu built an umbral law")
+        monkeypatch.setattr(um, "CoefficientSeries", no_law)
+        monkeypatch.setattr(um, "GammaRatioSequence", no_law)
+        assert cmath.isfinite(sf.b_nu(nu, x))
+
+    # at nu < 0 away from half-integers, Gamma(nu+1)/Gamma(2 nu+1)
+    # 1F1(nu+1; 2 nu+1; x) on both routes; the law's alternating sum was up
+    # to 7e-3 off at x < 0 and nu < -1/2.  b_nu has real zeros here (at
+    # nu = -0.01 near x = -6.2), so the scale is the larger of |b_nu| and
+    # the first term, times e^x at x < 0 (Kummer's 1)
+    @example(nu=-0.950879670168232, x=-29.894697332444466)
+    @example(nu=-0.01, x=-6.2)
+    @settings(max_examples=150, deadline=None)
+    @given(nu=st.builds(lambda h, d: 0.5 * h + d, st.integers(-8, -1),
+                        st.floats(1e-3, 0.5 - 1e-3)),
+           x=st.floats(-30.0, 20.0))
+    def test_negative_order_against_mpmath(self, nu, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            expected = float(mpmath.gamma(nu + 1) / mpmath.gamma(2 * nu + 1)
+                             * mpmath.hyp1f1(nu + 1, 2 * nu + 1, x))
+        first = abs(math.gamma(nu + 1.0) / math.gamma(2.0 * nu + 1.0)) * math.exp(min(x, 0.0))
+        assert abs(sf.b_nu(nu, x) - expected) <= 1e-12 * max(abs(expected), first)
+
+    # at half-odd and integer orders, against mpmath's limit along nu: the
+    # mean of the 1F1 form at nu -+ 1e-30, at 80 digits, is the limit to
+    # O(1e-60).  The law was up to 1.2e-11 off at -10 + 4i, and more than
+    # 1e-12 off at 11 of the 12 orders
+    @pytest.mark.parametrize("x", [complex(-10.0, 4.0), -38.0, -25.0])
+    @pytest.mark.parametrize("nu", [-0.5 * i for i in range(1, 13)])
+    def test_half_odd_and_integer_orders_against_mpmath(self, nu, x):
+        mpmath = pytest.importorskip("mpmath")
+
+        def form(order):
+            return (mpmath.gamma(order + 1) * mpmath.rgamma(2 * order + 1)
+                    * mpmath.hyp1f1(order + 1, 2 * order + 1, mpmath.mpmathify(x)))
+
+        with mpmath.workdps(80):
+            step = mpmath.mpf(10) ** -30
+            expected = complex((form(nu + step) + form(nu - step)) / 2)
+        assert abs(sf.b_nu(nu, x) - expected) <= 1e-12 * abs(expected)
+
+    # at nu = -100.5 the sum starts at k = 201, where x^201 alone passes the
+    # double range while the value does not: |x|^j is taken in the logs of
+    # the first term.  Against mpmath's sum of the defining terms
+    @pytest.mark.parametrize("x", [50.0, -50.0])
+    def test_large_power_of_x_stays_in_range(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(-100.5)
+            expected = float(mpmath.nsum(
+                lambda k: mpmath.gamma(nu + k + 1) / mpmath.gamma(2 * nu + k + 1)
+                * mpmath.mpf(x) ** k / mpmath.factorial(k), [201, mpmath.inf]))
+        assert abs(sf.b_nu(-100.5, x) - expected) <= 1e-12 * abs(expected)
 
     # from x ~ -722 the terms of Kummer's 1F1 stay finite while their sum
     # does not; b_nu printed inf there, and nan once e^x is 0
