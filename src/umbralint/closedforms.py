@@ -511,9 +511,50 @@ def _eq02_rat_oracle(p, tol):
                           _ALTERNATING, _ALTERNATING)
 
 
+# The Borel integrands e^-t g(x t) are bounded by sums of exponentials.
+# Folded by x = 1/u, e^-t becomes a boundary layer e^(-1/u) at u = 0 that
+# bisection meets by evaluating every panel on its way down to it, so their
+# oracle stops where the envelope's tail is below tol instead, and integrates
+# the rest as finite pieces.
+def _laplace_oracle(f, envelope, tol):
+    """The integral of f over (0, infinity), where |f(t)| <= sum_i a_i
+    e^(-r_i t) for the pairs (a_i, r_i > 0) of ``envelope``.
+
+    Term i is cut at c_i, where its tail a_i e^(-r_i c_i) / r_i is its share
+    of tol/2, fastest term first; a slower term whose cut comes no later adds
+    none.  Each piece between two cuts is an ``oracle.integrate_finite`` to
+    its share of the other tol/2, so no piece spans a fast term's decay and
+    a slow term's length: one GK15 panel over both could sample only the
+    slow one and accept its own error estimate.  The envelope's integral
+    beyond the last cut joins the error estimate.
+    """
+    share = 0.5 * tol / len(envelope)
+    cuts = [0.0]
+    for a, r in sorted(envelope, key=lambda term: term[1], reverse=True):
+        cut = math.log(a / (r * share)) / r
+        if cut > cuts[-1]:
+            cuts.append(cut)
+    pieces = list(zip(cuts, cuts[1:]))
+    value = 0.0
+    err = sum(a * math.exp(-r * cuts[-1]) / r for a, r in envelope)
+    evaluations = 0
+    for lo, hi in pieces:
+        try:
+            piece = oracle.integrate_finite(f, lo, hi, 0.5 * tol / len(pieces))
+        except QuadratureError as exc:
+            raise QuadratureError(str(exc), partial=replace(
+                exc.partial, value=value + exc.partial.value,
+                abs_error_estimate=err + exc.partial.abs_error_estimate,
+                evaluations=evaluations + exc.partial.evaluations)) from exc
+        value += piece.value
+        err += piece.abs_error_estimate
+        evaluations += piece.evaluations
+    return oracle.QuadratureResult(value, err, evaluations, True)
+
+
 def _eq31_cos_oracle(p, tol):
     x = p["x"]
-    return oracle.integrate_half_line(lambda t: math.exp(-t) * math.cos(x * t), tol)
+    return _laplace_oracle(lambda t: math.exp(-t) * math.cos(x * t), ((1.0, 1.0),), tol)
 
 
 def _eq35_oracle(p, tol):
@@ -524,7 +565,9 @@ def _eq35_oracle(p, tol):
         # after e^{-x t} alone has overflowed, so the weight goes inside
         return reference.pseudo_trig3_closed(x * t, -t)
 
-    return oracle.integrate_half_line(integrand, tol)
+    # (e^(-(1+x) t) + 2 e^(-(1-x/2) t) cos(sqrt(3) x t / 2)) / 3
+    envelope = ((1.0 / 3.0, 1.0 + x), (2.0 / 3.0, 1.0 - 0.5 * x))
+    return _laplace_oracle(integrand, envelope, tol)
 
 
 # terms of u^(a-1) (1-u)^(b-1) e^(-u x) taken out at each end of the Beta kernel

@@ -301,7 +301,8 @@ def hermite_higher(n: int, m: int, u, v):
 
     n! * sum_{k=0}^{floor(n/m)} u^{n-mk} v^k / ((n-mk)! k!), a finite sum
     with generating function exp(u z + v z^m), whose integer coefficients
-    n!/((n-mk)! k!) are stepped exactly; one past the double range raises.
+    n!/((n-mk)! k!) are stepped exactly; a coefficient, a term or a sum
+    past the double range raises.
     """
     n, m = _check_order(n, m)
     total, coeff = 0.0, 1
@@ -309,6 +310,13 @@ def hermite_higher(n: int, m: int, u, v):
         j = n - m * k
         total += coeff * u ** j * v ** k
         coeff = coeff * math.perm(j, m) // (k + 1)
+    return _finite_sum(total)
+
+
+def _finite_sum(total):
+    """``total``, or DomainError where finite terms summed past the double range."""
+    if not cmath.isfinite(total):
+        raise DomainError(f"the sum is not finite: {total!r}")
     return total
 
 
@@ -320,7 +328,7 @@ _INV_FACTORIALS = tuple(1.0 / math.factorial(j) if j <= 170 else math.exp(-math.
 def _hermite_sum(n: int, m: int, x, y, p: int, q: int):
     """sum_k x^{n-mk} y^k / ((n-mk)!^p k!^q) for checked n and m.  Each term
     is computed on its own: stepped from one that underflows, every later
-    term would lose its bits or be 0."""
+    term would lose its bits or be 0.  A sum past the double range raises."""
     f, top = _INV_FACTORIALS, len(_INV_FACTORIALS)
     total = 0.0
     for k in range(n // m + 1):
@@ -329,7 +337,7 @@ def _hermite_sum(n: int, m: int, x, y, p: int, q: int):
         if q:   # not a factor 1.0: a complex times 1.0 can lose a signed zero
             term *= f[k] if k < top else 0.0
         total += term * (f[j] if j < top else 0.0) ** p
-    return total
+    return _finite_sum(total)
 
 
 @overflow_raises(DomainError)

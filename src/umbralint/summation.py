@@ -70,9 +70,10 @@ def sum_series(terms: Iterable, tol: float):
         return sum_hypergeometric(None, (), (), 0.0, tol, seed=lambda _: next(stream),
                                   k_safe=_INF)
     except ConvergenceError as exc:
-        if exc.tail.terms_used == DEFAULT_CAP and exc.tail.last_term_magnitude < _INF:
-            if next(stream, None) is None:
-                return _finished(exc.partial, DEFAULT_CAP, exc.tail.last_term_magnitude)
+        tail = exc.tail   # None where the stream itself raised
+        if tail is not None and tail.terms_used == DEFAULT_CAP:
+            if tail.last_term_magnitude < _INF and next(stream, None) is None:
+                return _finished(exc.partial, DEFAULT_CAP, tail.last_term_magnitude)
         raise
 
 

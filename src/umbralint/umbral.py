@@ -275,8 +275,11 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     is 0 at every x and is not summed.  A term beyond the double range ends
     the sum as a non-finite term.  A law t_0 1F1(a; b; y), one a beside
     k!'s 1 or a = 1 cancelled against it, with integer slopes, positive
-    Gamma shifts and no power, goes at y < 0 to ``sum_kummer``.  What x
-    does not change is the series' cached ``_plan``.
+    Gamma shifts and no power, goes at y < 0 to ``sum_kummer``.  A law
+    without Gamma factors and without a power is geometric: at a normal y
+    with |y| < 1 its sum is term 0 / (1 - y), where the loop would need
+    more than ``summation.DEFAULT_CAP`` terms as |y| nears 1.  What x does
+    not change is the series' cached ``_plan``.
     """
     m, p, law = series.stride, series.offset, series.law
     g, scale = series.geometric, law.scale
@@ -323,6 +326,9 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
         log_mag += log0 + k * step_log
         return sign * sign0 * step_sign ** k * (math.exp(log_mag) if log_mag <= _LOG_MAX
                                                  else math.inf)
+
+    if not (up or down or power) and k_safe == 0 and abs(y) < 1.0:
+        return complex(seed(0) / (1.0 - y))
 
     weight = (lambda k: (m * k + p) ** power) if power else None
     value, _ = sum_hypergeometric(None, up, down, y, tol, seed=seed, k_safe=k_safe,

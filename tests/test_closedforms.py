@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 import re
 import sys
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbralint import cli, closedforms as cf, oracle, specfun as sf, summation, umbral as um
-from umbralint.errors import DomainError, EngineError
-from umbralint.reference import bessel_j_ref, struve_ref
+from umbralint.errors import ConvergenceError, DomainError, EngineError
+from umbralint.reference import bessel_j_ref, pseudo_trig3_closed, struve_ref
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -257,6 +258,11 @@ class TestBesselGenerating:
     def test_recurrence_past_the_double_range(self, x, t, m, expected):
         assert cf.bessel_generating_function(x, t, m) == pytest.approx(expected, rel=1e-12)
 
+    def test_recurrence_past_its_order_cap_raises_convergence_error(self):
+        # the recurrence's own error has no tail for sum_series to read
+        with pytest.raises(ConvergenceError, match="10000 orders"):
+            cf.bessel_generating_function(3800.0, 0.5, 2)
+
 
 class TestBesselGaussDilation:
     def test_odd_vanishing_at_zero(self):
@@ -390,6 +396,59 @@ class TestPowerTerms:
             assert rounding <= max(tol / 200.0, sys.float_info.epsilon * abs(integrals[0]))
             assert rest(0.25) == pytest.approx(0.25 ** -0.5 * (math.exp(10.0) - sum(
                 c * 0.25 ** k for k, c in enumerate(coefficients[:kept]))), rel=1e-12)
+
+
+# eq31 and eq35: the Borel integrand as each oracle forms it, and its closed form
+BOREL_PAIRS = {
+    "eq31_borel_cosine": (lambda x: lambda t: math.exp(-t) * math.cos(x * t),
+                          lambda x: 1.0 / (1.0 + x * x)),
+    "eq35_borel_pseudo_trig3": (lambda x: lambda t: pseudo_trig3_closed(x * t, -t),
+                                lambda x: 1.0 / (1.0 + x ** 3)),
+}
+
+
+class TestLaplaceOracle:
+    # each at tol times max(|closed|, 1), as tools/estimate_sweep.py draws them
+    @pytest.mark.parametrize("identity_id", sorted(BOREL_PAIRS))
+    def test_error_within_three_estimates_on_seeded_points(self, identity_id):
+        oracle_eval, closed = cf.get_identity(identity_id).oracle_eval, BOREL_PAIRS[identity_id][1]
+        rng = random.Random(36)
+        for x in (rng.uniform(-0.999, 0.999) for _ in range(20)):
+            for tol in (1e-4, 1e-6, 1e-9):
+                result = oracle_eval({"x": x}, tol * max(closed(x), 1.0))
+                assert abs(result.value - closed(x)) <= 3.0 * result.abs_error_estimate, (x, tol)
+
+    def test_no_piece_spans_a_fast_and_a_slow_term(self):
+        # e^(-1.5 t) and e^(-0.005 t) at x = -0.995: one cut at the slow
+        # term's end, about t = 2,000, left one GK15 panel to accept 66.665
+        # for 67.001 at 178 times its estimate
+        x = -0.995
+        closed = 1.0 / (1.0 + x ** 3)
+        result = cf.get_identity("eq35_borel_pseudo_trig3").oracle_eval({"x": x}, 1e-4 * closed)
+        assert abs(result.value - closed) <= 3.0 * result.abs_error_estimate
+
+    @pytest.mark.parametrize("identity_id", sorted(BOREL_PAIRS))
+    def test_default_grid_costs_fewer_evaluations_than_the_fold(self, identity_id):
+        identity = cf.get_identity(identity_id)
+        integrand, closed = BOREL_PAIRS[identity_id]
+        for x in identity.default_grid["x"]:
+            tol = 0.25 * identity.default_tol * max(closed(x), 1.0)
+            cut = identity.oracle_eval({"x": x}, tol)
+            folded = oracle.integrate_half_line(integrand(x), tol)
+            assert cut.value == pytest.approx(folded.value, abs=2.0 * tol)
+            assert cut.evaluations < folded.evaluations, x
+
+    # the geometric sum of the closed side reaches the radius, where the
+    # loop's terms fell too slowly to end within its term budget
+    @pytest.mark.parametrize("identity_id", sorted(BOREL_PAIRS))
+    @pytest.mark.parametrize("x", [-0.9999, 0.9999])
+    def test_verify_passes_near_the_radius(self, identity_id, x):
+        report = cli.verify_point(cf.get_identity(identity_id), {"x": x}, 1e-8)
+        assert report.passed, report.reason
+
+    def test_envelope_below_tol_needs_no_piece(self):
+        result = cf._laplace_oracle(lambda t: math.exp(-4.0 * t), ((1.0, 4.0),), 1.0)
+        assert (result.value, result.abs_error_estimate, result.evaluations) == (0.0, 0.25, 0)
 
 
 class TestStruveKExpansion:

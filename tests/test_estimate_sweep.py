@@ -29,7 +29,9 @@ def test_points_are_seeded_and_in_each_domain(estimate_sweep):
     points = estimate_sweep.points(1)
     assert Counter(i for i, _ in points) == {"eq12_struve_halfline": 100,
                                             "eq13_struve_moment": 70,
-                                            "eq08_fresnel_bessel": 65}
+                                            "eq08_fresnel_bessel": 65,
+                                            "eq31_borel_cosine": 50,
+                                            "eq35_borel_pseudo_trig3": 50}
     assert points == estimate_sweep.points(1) != estimate_sweep.points(2)
     for identity_id, params in points:
         assert get_identity(identity_id).check_point(params) == (True, ""), params

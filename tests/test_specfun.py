@@ -496,6 +496,15 @@ class TestHermiteFamilies:
         with pytest.raises(DomainError, match="overflowed"):
             sf.hermite_higher(300, 3, 1.5, -0.7)
 
+    # finite terms whose sum passes the double range: the first is 1.05e425
+    # by mpmath, and the others are x^2/4 + y = 4.2e307 + 1.7e308
+    def test_sum_past_the_double_range(self):
+        with pytest.raises(DomainError, match="not finite"):
+            sf.hermite_higher(200, 3, 1.0593482901826574, 147.33232510641187)
+        for family in (sf.hermite_hybrid, sf.truncated_e):
+            with pytest.raises(DomainError, match="not finite"):
+                family(2, 2, 1.3e154, 1.7e308)
+
     # 1/j! is read from a table, 0 from j = 178 on; the values at its edge
     def test_factorial_table_edge(self):
         assert sf.hermite_hybrid(177, 3, 9.0, 2.0) == 6.434418376070381e-60

@@ -96,6 +96,16 @@ def test_cap_exceeded_raises_with_partial():
     assert err.partial == pytest.approx(sum(1.0 / (k + 1.0) for k in range(DEFAULT_CAP)))
 
 
+def test_stream_error_without_a_tail_is_raised_as_it_is():
+    def terms():
+        yield 1.0
+        raise ConvergenceError("the stream gave up")
+
+    with pytest.raises(ConvergenceError, match="gave up") as excinfo:
+        sum_series(terms(), 1e-12)
+    assert excinfo.value.tail is None
+
+
 def test_finite_iterable_is_converged():
     value, tail = sum_series(iter([1.0, 2.0, 3.0]), 1e-12)
     assert value == 6.0

@@ -403,7 +403,7 @@ def _direct(series, x, terms=80, power=0.0):
 TERM_RATIO_CASES = [
     (bessel_series(2), (-1.7, 0.9, 2.0)),                        # stride 2
     (tr.pseudo_trig_series(1, 3), (-1.7, 0.9, 2.0)),             # stride 3, slope 3
-    (tr.borel_transform(tr.pseudo_trig_series(2, 3)), (-0.6, 0.3, 0.6)),
+    (tr.beta_transform(tr.pseudo_trig_series(2, 3), 0.7, 2.5), (-1.7, 0.9, 2.0)),
     (closedforms._LORENTZ_SERIES, (-1.7, 0.9, 2.0)),             # slope-2 factors
     (um.struve_series(-3.5), (0.3, 0.9, 2.0)),                   # starts past zeros
     (tr.beta_transform(um.exponential_series(), 0.7, 2.5), (-1.7, 0.9, 2.0)),
@@ -411,7 +411,7 @@ TERM_RATIO_CASES = [
     (um.CoefficientSeries(um.GammaRatioSequence(
         numer=((-2.0, 1.0),), denom=((-5.0, 1.0), (1.0, 1.0)))), (-1.7, 0.9, 2.0)),
 ]
-TERM_RATIO_IDS = ["stride2", "stride3", "borel_slope3", "eq30", "struve_-3.5", "beta", "poles"]
+TERM_RATIO_IDS = ["stride2", "stride3", "beta_slope3", "eq30", "struve_-3.5", "beta", "poles"]
 TERM_RATIO_SERIES = [series for series, _ in TERM_RATIO_CASES]
 
 
@@ -454,6 +454,15 @@ class TestTermRatio:
         for z in (complex(-1.2, 0.0), complex(0.4, -1.1), -0.7j):
             direct = sum(spec.coefficient(k) * z ** (2 * k + 0.5) for k in range(60))
             assert abs(spec.evaluate(z) - direct) <= 1e-13 * abs(direct)
+
+    # the Borel edits of c_0: their Gamma factors cancel, and the sum is
+    # geometric, 1 / (1 + x^m), also where the loop needed over 10000 terms
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("x", [-0.9999, 0.5, 0.9999, 0.3 + 0.4j])
+    def test_law_without_factors_sums_as_geometric(self, m, x):
+        series = tr.borel_transform(tr.pseudo_trig_series(0, m))
+        assert series.law == um.GammaRatioSequence()
+        assert series.evaluate(x) == pytest.approx(1.0 / (1.0 + x ** m), rel=1e-14)
 
     def test_overflowing_term_still_ends_in_convergence_error(self):
         with pytest.raises(ConvergenceError):

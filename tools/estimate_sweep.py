@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Check the oscillatory-tail oracles' error estimates on seeded points.
+"""Check the oscillatory-tail and Borel oracles' error estimates on seeded points.
 
     python3 tools/estimate_sweep.py [--base REV] [--seed N]
 
-Draws 235 points, 100 of eq12, 70 of eq13 and 65 of eq08, uniformly over
-eq12's nu in (-2, 0) with b log-uniform in [0.1, 5], eq13's nu in
-[-0.49, 8], and eq08's nu in [0, 3.9] with beta log-uniform in [0.1, 10]
-and alpha a uniform share of its bound 2 sqrt(beta).  Each point's oracle
-runs at the tolerances 1e-4, 1e-6 and 1e-9, each times max(|closed|, 1),
+Draws 335 points, 100 of eq12, 70 of eq13, 65 of eq08 and 50 each of eq31
+and eq35, uniformly over eq12's nu in (-2, 0) with b log-uniform in
+[0.1, 5], eq13's nu in [-0.49, 8], eq08's nu in [0, 3.9] with beta
+log-uniform in [0.1, 10] and alpha a uniform share of its bound
+2 sqrt(beta), and eq31's and eq35's x in (-0.999, 0.999).  Each point's
+oracle runs at the tolerances 1e-4, 1e-6 and 1e-9, each times max(|closed|, 1),
 and its true error is taken as its distance from the closed form.  The
 oracle's rule is that this error stays within 3x its estimate.
 
@@ -54,6 +55,8 @@ DRAWS = {
                                                "b": _log_uniform(rng, 0.1, 5.0)}),
     "eq13_struve_moment": (70, lambda rng: {"nu": rng.uniform(-0.49, 8.0)}),
     "eq08_fresnel_bessel": (65, _eq08),
+    "eq31_borel_cosine": (50, lambda rng: {"x": rng.uniform(-0.999, 0.999)}),
+    "eq35_borel_pseudo_trig3": (50, lambda rng: {"x": rng.uniform(-0.999, 0.999)}),
 }
 
 
