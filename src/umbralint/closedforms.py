@@ -431,28 +431,23 @@ def _eq12_oracle(p, tol):
                          (head_terms, smooth_terms)))
 
 
+# The integrands of Eq. 13, 28 and 30 are even, so their whole-line
+# integrals are the half-line ones of twice the integrand, each node |x|
+# evaluated once.  Doubling is exact in binary floating point, so every
+# panel, estimate and trace value is exactly twice the half-line one's at
+# half the tolerance.
 def _eq13_oracle(p, tol):
     # as eq12, with the weight x^{-(nu+1)}; Y_nu oscillates beyond x ~ nu
     nu = p["nu"]
     power = -(nu + 1.0)
     struve_h, bessel_y, struve_k = reference.struve_ref(nu)
 
-    def weighted(ref):
-        return lambda x: x ** power * ref(x)
+    def doubled(ref):
+        return lambda x: 2.0 * (x ** power * ref(x))
 
     tail = oracle.OscillatoryTail(max(nu, 1.0) + _TAIL_LEAD * math.pi, math.pi,
-                                  wave=weighted(bessel_y), smooth=weighted(struve_k))
-    return _doubled(oracle.integrate_half_line(weighted(struve_h), tol / 2.0, tail))
-
-
-def _doubled(half):
-    """Twice a half-line result taken to half the tolerance: its value,
-    error estimate and trace."""
-    trace = half.trace and replace(
-        half.trace, values=tuple(2.0 * v for v in half.trace.values),
-        residual=2.0 * half.trace.residual)
-    return replace(half, value=2.0 * half.value,
-                   abs_error_estimate=2.0 * half.abs_error_estimate, trace=trace)
+                                  wave=doubled(bessel_y), smooth=doubled(struve_k))
+    return oracle.integrate_half_line(doubled(struve_h), tol, tail)
 
 
 def _eq19_oracle(p, tol):
@@ -461,23 +456,19 @@ def _eq19_oracle(p, tol):
     return oracle.QuadratureResult(value, tol, 0, True)
 
 
-# The integrands of Eq. 28 and 30 are even in t, so their whole-line
-# integrals are twice the half-line ones, each node |t| evaluated once.
 def _eq28_oracle(p, tol):
-    n, x = p["n"], p["x"]
-    bessel_j = reference.bessel_j_ref(n)
-    return _doubled(oracle.integrate_half_line(
-        lambda t: bessel_j(x * math.exp(-t * t)), tol / 2.0))
+    bessel_j, x = reference.bessel_j_ref(p["n"]), p["x"]
+    return oracle.integrate_half_line(lambda t: 2.0 * bessel_j(x * math.exp(-t * t)), tol)
 
 
 def _eq30_oracle(p, tol):
     x = p["x"]
 
-    def integrand(t):
+    def doubled(t):
         w = 1.0 + t * t
-        return math.exp(-x * x / (w * w)) / (w * w)
+        return 2.0 * (math.exp(-x * x / (w * w)) / (w * w))
 
-    return _doubled(oracle.integrate_half_line(integrand, tol / 2.0))
+    return oracle.integrate_half_line(doubled, tol)
 
 
 # The Mellin oracles take out four Taylor terms of g in x^(nu-1) g(x) on
@@ -511,63 +502,22 @@ def _eq02_rat_oracle(p, tol):
                           _ALTERNATING, _ALTERNATING)
 
 
-# The Borel integrands e^-t g(x t) are bounded by sums of exponentials.
-# Folded by x = 1/u, e^-t becomes a boundary layer e^(-1/u) at u = 0 that
-# bisection meets by evaluating every panel on its way down to it, so their
-# oracle stops where the envelope's tail is below tol instead, and integrates
-# the rest as finite pieces.
-def _laplace_oracle(f, envelope, tol):
-    """The integral of f over (0, infinity), where |f(t)| <= sum_i a_i
-    e^(-r_i t) for the pairs (a_i, r_i > 0) of ``envelope``.
-
-    Term i is cut at c_i, where its tail a_i e^(-r_i c_i) / r_i is its share
-    of tol/2, fastest term first; a slower term whose cut comes no later adds
-    none.  Each piece between two cuts is an ``oracle.integrate_finite`` to
-    its share of the other tol/2, so no piece spans a fast term's decay and
-    a slow term's length: one GK15 panel over both could sample only the
-    slow one and accept its own error estimate.  The envelope's integral
-    beyond the last cut joins the error estimate.
-    """
-    share = 0.5 * tol / len(envelope)
-    cuts = [0.0]
-    for a, r in sorted(envelope, key=lambda term: term[1], reverse=True):
-        cut = math.log(a / (r * share)) / r
-        if cut > cuts[-1]:
-            cuts.append(cut)
-    pieces = list(zip(cuts, cuts[1:]))
-    value = 0.0
-    err = sum(a * math.exp(-r * cuts[-1]) / r for a, r in envelope)
-    evaluations = 0
-    for lo, hi in pieces:
-        try:
-            piece = oracle.integrate_finite(f, lo, hi, 0.5 * tol / len(pieces))
-        except QuadratureError as exc:
-            raise QuadratureError(str(exc), partial=replace(
-                exc.partial, value=value + exc.partial.value,
-                abs_error_estimate=err + exc.partial.abs_error_estimate,
-                evaluations=evaluations + exc.partial.evaluations)) from exc
-        value += piece.value
-        err += piece.abs_error_estimate
-        evaluations += piece.evaluations
-    return oracle.QuadratureResult(value, err, evaluations, True)
-
-
+# The Borel integrands e^-t g(x t) are bounded by sums of exponentials,
+# which the oracle cuts where their tail is below tol.
 def _eq31_cos_oracle(p, tol):
     x = p["x"]
-    return _laplace_oracle(lambda t: math.exp(-t) * math.cos(x * t), ((1.0, 1.0),), tol)
+    return oracle.integrate_half_line(lambda t: math.exp(-t) * math.cos(x * t), tol,
+                                      oracle.ExponentialTail(((1.0, 1.0),)))
 
 
 def _eq35_oracle(p, tol):
+    # for x near -1 the product decays only like e^{-(1+x) t}, long after
+    # e^{-x t} alone has overflowed, so the weight goes inside.  The
+    # envelope is (e^(-(1+x) t) + 2 e^(-(1-x/2) t) cos(sqrt(3) x t / 2)) / 3
     x = p["x"]
-
-    def integrand(t):
-        # for x near -1 the product decays only like e^{-(1+x) t}, long
-        # after e^{-x t} alone has overflowed, so the weight goes inside
-        return reference.pseudo_trig3_closed(x * t, -t)
-
-    # (e^(-(1+x) t) + 2 e^(-(1-x/2) t) cos(sqrt(3) x t / 2)) / 3
     envelope = ((1.0 / 3.0, 1.0 + x), (2.0 / 3.0, 1.0 - 0.5 * x))
-    return _laplace_oracle(integrand, envelope, tol)
+    return oracle.integrate_half_line(lambda t: reference.pseudo_trig3_closed(x * t, -t), tol,
+                                      oracle.ExponentialTail(envelope))
 
 
 # terms of u^(a-1) (1-u)^(b-1) e^(-u x) taken out at each end of the Beta kernel
@@ -605,10 +555,19 @@ def _eq36_oracle(p, tol):
         0.0, 0.5, b, 1,
         tuple(math.exp(-x) * c for c in _beta_end_coefficients(a, -x)), tol / 2.0)
     left = oracle.integrate_finite(left, 0.0, 0.5, tol / 2.0)
-    right = oracle.integrate_finite(right, 0.0, 0.5, tol / 2.0)
-    return _plus_terms(oracle.QuadratureResult(
+    try:
+        right = oracle.integrate_finite(right, 0.0, 0.5, tol / 2.0)
+    except QuadratureError as exc:   # the partial result holds both pieces
+        exc.partial = _joined(left, exc.partial)
+        raise
+    return _plus_terms(_joined(left, right), left_terms, right_terms)
+
+
+def _joined(left, right):
+    """The sum of two piece results, converged as ``right`` is."""
+    return oracle.QuadratureResult(
         left.value + right.value, left.abs_error_estimate + right.abs_error_estimate,
-        left.evaluations + right.evaluations, True), left_terms, right_terms)
+        left.evaluations + right.evaluations, right.converged)
 
 
 _MELLIN_STRIP = (("0 < nu < 1", lambda p: 0.0 < p["nu"] < 1.0),)
@@ -619,6 +578,7 @@ _BOREL_COS_SERIES = transforms.borel_transform(transforms.pseudo_trig_series(0, 
 _BOREL_C03_SERIES = transforms.borel_transform(transforms.pseudo_trig_series(0, 3))
 
 
+@overflow_raises(DomainError)
 def _closed_eq19(x, t, m):
     # the order-zero Hermite-based Tricomi function at (x^2, (-x)^m t)
     _require("bessel_generating_function", _EQ19_DOMAIN, {"m": m})

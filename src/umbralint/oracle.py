@@ -14,15 +14,20 @@ integral after each bisection of that panel also goes into a
 Wynn's epsilon table for that end, and the extrapolated limit is the result
 once its error estimate is within the tolerance (as in QUADPACK's QAGS).
 An end panel that grows (a divergent end) is never extrapolated, and an end
-that is still unresolved when its panels run out of floats raises.  A
-half-line integral splits at a point x0 and folds [x0, infinity) onto
-(0, 1] by x = x0/u.  A conditionally convergent integral comes with an
+that is still unresolved when its panels run out of floats raises.
+
+Every integral is a list of pieces, each integrated as above to its share
+of the tolerance; a piece that misses its share raises with the sum so
+far.  A half-line integral splits at a point x0 and folds [x0, infinity)
+onto (0, 1] by x = x0/u.  An integrand bounded by a sum of exponentials
+comes with an ExponentialTail instead, and is cut where that bound's tail
+is below the tolerance.  A conditionally convergent integral comes with an
 OscillatoryTail that describes f beyond x0 as smooth + wave: the head
-[0, x0] of f and the folded smooth part are integrated as above, and the
-wave one half-period at a time, its partial sums extrapolated by Wynn's
-epsilon algorithm (as in QUADPACK's QAWF).  An integrand that raises
-OverflowError ends the integration with a QuadratureError that counts
-every integrand call made.
+[0, x0] of f and the folded smooth part are pieces as above, and the wave
+is integrated one half-period at a time, its partial sums extrapolated by
+Wynn's epsilon algorithm (as in QUADPACK's QAWF).  An integrand that
+raises OverflowError ends the integration with a QuadratureError that
+counts every integrand call made.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -41,6 +46,7 @@ __all__ = [
     "QuadratureResult",
     "ExtrapolationTrace",
     "OscillatoryTail",
+    "ExponentialTail",
     "integrate_finite",
     "integrate_half_line",
 ]
@@ -87,10 +93,8 @@ _MAX_PIECES = 50
 # QAGS); beyond it the limit rests on differences near rounding level.
 _MAX_EXTRAPOLATION = 100.0
 
-# The panels one adaptive piece may split into: all of integrate_finite,
-# and each piece of integrate_half_line.
-_FINITE_MAX_INTERVALS = 20_000
-_HALF_LINE_MAX_INTERVALS = 40_000
+# The panels one adaptive piece may split into.
+_MAX_INTERVALS = 20_000
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,18 @@ class OscillatoryTail:
     def __post_init__(self):
         if not (self.start > 0.0 and self.half_period > 0.0):
             raise DomainError("an oscillatory tail needs start > 0 and half_period > 0")
+
+
+@dataclass(frozen=True)
+class ExponentialTail:
+    """The envelope of an integrand on (0, infinity): |f(x)| <= sum_i a_i
+    e^(-r_i x) for the pairs (a_i, r_i), all positive, of ``envelope``."""
+
+    envelope: tuple
+
+    def __post_init__(self):
+        if not (self.envelope and all(a > 0.0 and r > 0.0 for a, r in self.envelope)):
+            raise DomainError("an exponential tail needs terms, each with a > 0 and r > 0")
 
 
 def _nudged_inside(f, a: float, b: float):
@@ -278,8 +294,7 @@ class _EndExtrapolation:
             self.end_err = end_err
 
 
-def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
-              spent: int = 0):
+def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
     """Worst-panel-first adaptive bisection over [a, b], starting from one
     panel, as in QUADPACK's QAGS.
 
@@ -311,7 +326,7 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
         heap = [(-err_total, 0, a, b, total, err_total, at_floor)]
         n = 1
         ends = (_EndExtrapolation(), _EndExtrapolation())
-        while frozen_err <= tol < err_total + frozen_err and n < max_intervals and heap:
+        while frozen_err <= tol < err_total + frozen_err and n < _MAX_INTERVALS and heap:
             _, _, left, right, value, err, at_floor = heapq.heappop(heap)
             end = ends[0] if left == a else ends[1] if right == b else None
             mid = 0.5 * (left + right)
@@ -353,16 +368,21 @@ def _adaptive(f, a: float, b: float, tol: float, max_intervals: int,
             math.nan, math.inf, spent + evaluations + _calls_made(exc), False)) from exc
 
 
-def _certified(interval: str, value, err: float, evaluations: int,
-               tol: float) -> QuadratureResult:
-    """The result of a single integral, or QuadratureError with it attached
-    as the partial result when its error is above ``tol``."""
-    result = QuadratureResult(value, err, evaluations, err <= tol)
-    if not result.converged:
-        raise QuadratureError(
-            f"{interval} quadrature stalled at error {err:.3e} > {tol:.3e}",
-            partial=result)
-    return result
+def _integrate_pieces(pieces, share: float, err: float = 0.0) -> QuadratureResult:
+    """The sum of the integrals of the pieces (name, f, a, b), f over
+    [a, b], each to absolute tolerance ``share``, with ``err`` added to
+    its error estimate.  A piece that misses its share raises
+    QuadratureError with the sum so far, that piece included, attached as
+    the partial result.
+    """
+    value, evaluations = 0.0, 0
+    for name, f, a, b in pieces:
+        v, e, n = _adaptive(f, a, b, share, evaluations)
+        value, err, evaluations = value + v, err + e, evaluations + n
+        if not e <= share:   # nan included
+            raise QuadratureError(f"{name} stalled at error {e:.3e} > {share:.3e}",
+                                  partial=QuadratureResult(value, err, evaluations, False))
+    return QuadratureResult(value, err, evaluations, True)
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float) -> QuadratureResult:
@@ -370,12 +390,11 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float) -> QuadratureR
 
     Interior nodes only, so integrable endpoint singularities are handled by
     subdivision.  Raises QuadratureError (with the partial result attached)
-    when the interval budget, ``_FINITE_MAX_INTERVALS``, runs out first.
+    when the interval budget, ``_MAX_INTERVALS``, runs out first.
     """
     if not a < b:
         raise DomainError("integrate_finite needs a < b")
-    return _certified("finite-interval",
-                      *_adaptive(f, a, b, tol, _FINITE_MAX_INTERVALS), tol)
+    return _integrate_pieces((("finite-interval quadrature", f, a, b),), tol)
 
 
 def _fold(f, x0: float):
@@ -383,11 +402,9 @@ def _fold(f, x0: float):
 
     The fold puts a slow algebraic tail at u -> 0, where floats are
     logarithmically dense, so adaptive bisection can keep refining instead
-    of hitting resolution limits.
+    of hitting resolution limits.  The panels call it at u > 0 only.
     """
     def folded(u):
-        if u <= 0.0:
-            return 0.0
         x = x0 / u
         if not math.isfinite(x):
             return 0.0
@@ -423,28 +440,27 @@ def _epsilon_step(table: list, partial_sum):
     return table[(len(table) - 1) % 2]
 
 
-def _wave_tail(wave, start: float, half_period: float, tol: float,
-               value, err: float, evaluations: int):
-    """Add to the integral ``value`` of the rest of f the integral of
-    ``wave`` over [start, infinity), one half-period at a time, with the
-    partial sums extrapolated by Wynn's epsilon algorithm.
+def _wave_tail(tail: OscillatoryTail, tol: float, rest: QuadratureResult):
+    """Add to ``rest``, the integral of the rest of f, the integral of
+    ``tail.wave`` over [start, infinity), one half-period at a time, with
+    the partial sums extrapolated by Wynn's epsilon algorithm.
 
-    Each piece aims at a sixteenth of what ``err`` leaves of ``tol``; the
-    integration stalls when the errors pass ``tol`` itself.  The error
-    estimate is, as in QUADPACK's QELG, the distance of the newest
-    extrapolated value from each of the three before it, at least 5 eps of
-    that value, plus ``err`` and the pieces' own errors.
+    Each piece aims at a sixteenth of what the error of ``rest`` leaves of
+    ``tol``; the integration stalls when the errors pass ``tol`` itself.
+    The error estimate is, as in QUADPACK's QELG, the distance of the
+    newest extrapolated value from each of the three before it, at least
+    5 eps of that value, plus the error of ``rest`` and the pieces' own.
     """
+    value, err, evaluations = rest.value, rest.abs_error_estimate, rest.evaluations
     piece_tol = (tol - err) / 16.0
     table, sums, estimates = [], [], []
     for k in range(_MAX_PIECES):
-        a = start + k * half_period
-        v, e, n = _adaptive(wave, a, a + half_period, piece_tol,
-                            _HALF_LINE_MAX_INTERVALS, evaluations)
+        a = tail.start + k * tail.half_period
+        v, e, n = _adaptive(tail.wave, a, a + tail.half_period, piece_tol, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not err <= tol:
             raise QuadratureError(
-                f"oscillatory tail stalled on [{a:g}, {a + half_period:g}] "
+                f"oscillatory tail stalled on [{a:g}, {a + tail.half_period:g}] "
                 f"at error {err:.3e} > {tol:.3e}",
                 partial=QuadratureResult(value, err, evaluations, False))
         sums.append(value)
@@ -465,40 +481,47 @@ def _wave_tail(wave, start: float, half_period: float, tol: float,
 
 
 def integrate_half_line(f: Callable, tol: float,
-                        tail: OscillatoryTail | None = None) -> QuadratureResult:
+                        tail: OscillatoryTail | ExponentialTail | None = None
+                        ) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
 
     Without ``tail`` the integral splits at x = 1, folds [1, infinity) by
     x = 1/u, and integrates both pieces adaptively, each to half of
     ``tol``; f must decay.
 
-    With ``tail``, which describes f as ``smooth + wave`` beyond
+    With an ExponentialTail, whose envelope bounds |f| by sum_i a_i
+    e^(-r_i x), term i is cut at c_i, where its tail a_i e^(-r_i c_i) / r_i
+    is its share of tol/2, fastest term first; a slower term whose cut comes
+    no later adds none.  The pieces between two cuts share the other tol/2,
+    so no GK15 panel spans a fast term's decay and a slow term's length,
+    and the envelope's integral beyond the last cut joins the error
+    estimate.  The fold would turn e^(-x) into a boundary layer e^(-1/u)
+    at u = 0 that bisection meets by evaluating every panel on its way.
+
+    With an OscillatoryTail, which describes f as ``smooth + wave`` beyond
     ``tail.start``, the integral is the sum of three parts: f over
     [0, start]; ``smooth`` over [start, infinity), folded by x = start/u;
     and ``wave`` over [start, infinity), summed one half-period at a time
     and extrapolated by Wynn's epsilon algorithm (as in QUADPACK's QAWF).
     The head and the smooth part each get a quarter of ``tol``, the wave
     the rest.  Every piece starts from one GK15 panel, so a piece that one
-    panel resolves costs 15 evaluations.  ``_HALF_LINE_MAX_INTERVALS``
-    bounds each adaptive piece.
+    panel resolves costs 15 evaluations.
     """
+    if isinstance(tail, ExponentialTail):
+        share = 0.5 * tol / len(tail.envelope)
+        cuts = [0.0]
+        for a, r in sorted(tail.envelope, key=lambda term: term[1], reverse=True):
+            cuts.append(max(cuts[-1], math.log(a / (r * share)) / r))
+        pieces = [(f"half-line piece [{lo:g}, {hi:g}]", f, lo, hi)
+                  for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+        beyond = sum(a * math.exp(-r * cuts[-1]) / r for a, r in tail.envelope)
+        return _integrate_pieces(pieces, 0.5 * tol / max(len(pieces), 1), beyond)
+    # the head [0, x0] and the rest folded by x = x0/u: without a tail, f
+    # itself from x0 = 1; with an oscillatory one, its smooth part
+    x0, rest = (1.0, f) if tail is None else (tail.start, tail.smooth)
+    pieces = [("half-line head", f, 0.0, x0)]
+    if rest is not None:
+        pieces.append(("half-line fold", _fold(rest, x0), 0.0, 1.0))
     if tail is None:
-        head = _adaptive(f, 0.0, 1.0, 0.5 * tol, _HALF_LINE_MAX_INTERVALS)
-        fold = _adaptive(_fold(f, 1.0), 0.0, 1.0, 0.5 * tol, _HALF_LINE_MAX_INTERVALS,
-                         head[2])
-        return _certified("half-line", head[0] + fold[0], head[1] + fold[1],
-                          head[2] + fold[2], tol)
-
-    x0 = tail.start
-    value, err, evaluations = 0.0, 0.0, 0
-    parts = [("head", f, 0.0, x0)]
-    if tail.smooth is not None:
-        parts.append(("smooth part", _fold(tail.smooth, x0), 0.0, 1.0))
-    for name, g, a, b in parts:
-        v, e, n = _adaptive(g, a, b, 0.25 * tol, _HALF_LINE_MAX_INTERVALS, evaluations)
-        value, err, evaluations = value + v, err + e, evaluations + n
-        if not e <= 0.25 * tol:   # nan included
-            raise QuadratureError(
-                f"half-line {name} stalled at error {e:.3e} > {0.25 * tol:.3e}",
-                partial=QuadratureResult(value, err, evaluations, False))
-    return _wave_tail(tail.wave, x0, tail.half_period, tol, value, err, evaluations)
+        return _integrate_pieces(pieces, 0.5 * tol)
+    return _wave_tail(tail, tol, _integrate_pieces(pieces, 0.25 * tol))

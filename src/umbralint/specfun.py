@@ -118,13 +118,18 @@ def log_gamma(z) -> complex:
 
     On Re z >= 0.5 this is the principal branch; to the left it is produced
     through reflection and may differ from the principal branch by a
-    multiple of 2*pi*i, which is irrelevant once exponentiated.
+    multiple of 2*pi*i, which is irrelevant once exponentiated.  The
+    reflection takes sin(pi z) as (-1)^n sin(pi (z - n)), n the integer
+    nearest Re z, where z - n is exact: near a pole pi z keeps few of the
+    bits of z - n.
     """
     if is_nonpositive_integer(z):
         raise PoleError(z)
     z = complex(z)
     if z.real < 0.5:
-        return cmath.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) - log_gamma(1.0 - z)
+        n = round(z.real)
+        sine = cmath.sin(math.pi * (z - n)) * (-1.0 if n % 2 else 1.0)
+        return cmath.log(math.pi) - cmath.log(sine) - log_gamma(1.0 - z)
     w = z - 1.0
     t = w + 7.5
     s = _LANCZOS[0]
@@ -234,7 +239,9 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
     |x^j Gamma(a)/Gamma(b)| e^(Re x + |x|) on Kummer's route, or e^|x| on
     the other, passes tol |value|.  That bounds the terms' moduli at
     nu >= 0 and where j > 0; at the other nu < 0, where |(a)_k/(b)_k| can
-    pass 1, it may not.  A non-finite nu is a DomainError.
+    pass 1, it may not.  The same check holds eps times the largest term of
+    an integer order's head, which alternates at x < 0, against tol |value|.
+    A non-finite nu is a DomainError.
     """
     z = complex(x)
     a, b, j = nu + 1.0, 2.0 * nu + 1.0, 0
@@ -253,6 +260,7 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
         log_first += z.real   # the terms' bound is e^(Re x + |x|) times the first
     else:
         value, _ = sum_hypergeometric(math.exp(log_first), (a,), (b, 1.0), y, tol)
+    bound = math.exp(log_first + abs(z)) if z.imag else 0.0
     if nu < 0:
         if gamma_sign(a) != gamma_sign(b):   # at j > 0 both are positive
             value = -value
@@ -266,8 +274,9 @@ def b_nu(nu: float, x, tol: float = DEFAULT_TOL) -> complex:
             t = (-2.0 if n % 2 else 2.0) * math.exp(math.lgamma(j) - math.lgamma(n))
             for i in range(n):
                 value += t
+                bound = max(bound, abs(t))
                 t *= z * (1.0 - n + i) / ((1.0 - j + i) * (1.0 + i))
-    if z.imag and tol * abs(value) < sys.float_info.epsilon * math.exp(log_first + abs(z)):
+    if tol * abs(value) < sys.float_info.epsilon * bound:
         raise DomainError(f"b_nu's terms cancel past tol at x={x!r}")
     return complex(value)
 

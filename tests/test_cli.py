@@ -382,6 +382,15 @@ eq36_beta_exponential.grid.x = 1
 
 
 class TestVerifyPoint:
+    # (-x)^m t overflowed in floats inside eq19's domain, and the
+    # OverflowError ended verify in a traceback
+    def test_eq19_closed_side_overflow_is_a_closed_form_failure(self):
+        identity = get_identity("eq19_bessel_generating")
+        report = cli.verify_point(identity, {"m": 200.0, "x": -37.9, "t": 1e-8},
+                                  identity.default_tol)
+        assert not report.passed
+        assert report.reason.startswith("closed-form failure: ")
+
     # the Borel closed forms once overflowed here: their coefficient law
     # multiplied 1/j! by j! separately, which overflows past j = 170
     @pytest.mark.parametrize("identity_id", ["eq31_borel_cosine",

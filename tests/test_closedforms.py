@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbralint import cli, closedforms as cf, oracle, specfun as sf, summation, umbral as um
-from umbralint.errors import ConvergenceError, DomainError, EngineError
+from umbralint.errors import ConvergenceError, DomainError, EngineError, QuadratureError
 from umbralint.reference import bessel_j_ref, pseudo_trig3_closed, struve_ref
 
 SQRT_PI = math.sqrt(math.pi)
@@ -447,8 +447,59 @@ class TestLaplaceOracle:
         assert report.passed, report.reason
 
     def test_envelope_below_tol_needs_no_piece(self):
-        result = cf._laplace_oracle(lambda t: math.exp(-4.0 * t), ((1.0, 4.0),), 1.0)
+        result = oracle.integrate_half_line(lambda t: math.exp(-4.0 * t), 1.0,
+                                           oracle.ExponentialTail(((1.0, 4.0),)))
         assert (result.value, result.abs_error_estimate, result.evaluations) == (0.0, 0.25, 0)
+
+
+def _eq13_half(p):
+    nu = p["nu"]
+    struve_h, bessel_y, struve_k = struve_ref(nu)
+
+    def weighted(ref):
+        return lambda x: x ** -(nu + 1.0) * ref(x)
+
+    tail = oracle.OscillatoryTail(max(nu, 1.0) + cf._TAIL_LEAD * math.pi, math.pi,
+                                  wave=weighted(bessel_y), smooth=weighted(struve_k))
+    return weighted(struve_h), tail
+
+
+def _eq28_half(p):
+    bessel_j = bessel_j_ref(p["n"])
+    return (lambda t: bessel_j(p["x"] * math.exp(-t * t))), None
+
+
+def _eq30_half(p):
+    def integrand(t):
+        w = 1.0 + t * t
+        return math.exp(-p["x"] ** 2 / (w * w)) / (w * w)
+
+    return integrand, None
+
+
+class TestEvenOracles:
+    # an even integrand's whole-line oracle integrates twice its half-line
+    # integrand to the whole tol; doubling is exact in binary floating
+    # point, so each result is twice the half-line one at tol/2, bit for bit
+    @pytest.mark.parametrize("identity_id, half", [("eq13_struve_moment", _eq13_half),
+                                                   ("eq28_bessel_gauss_dilation", _eq28_half),
+                                                   ("eq30_lorentz_gauss", _eq30_half)])
+    def test_twice_the_half_line_result(self, identity_id, half):
+        identity = cf.get_identity(identity_id)
+        tol = 0.25 * identity.default_tol
+        for values in itertools.product(*identity.default_grid.values()):
+            p = dict(zip(identity.parameters, values))
+            whole = identity.oracle_eval(p, tol)
+            f, tail = half(p)
+            half_result = oracle.integrate_half_line(f, tol / 2.0, tail)
+            assert whole.value == 2.0 * half_result.value, p
+            assert whole.abs_error_estimate == 2.0 * half_result.abs_error_estimate, p
+            assert whole.evaluations == half_result.evaluations, p
+            if tail is None:
+                assert whole.trace is half_result.trace is None
+            else:
+                assert whole.trace.values == tuple(2.0 * v for v in half_result.trace.values)
+                assert whole.trace.residual == 2.0 * half_result.trace.residual
 
 
 class TestStruveKExpansion:
@@ -474,6 +525,15 @@ class TestStruveKExpansion:
 
 
 class TestBetaExponential:
+    # with 3 panels a piece the left one converges in 45 evaluations and the
+    # right one stalls after 45 more; its partial result held the right's only
+    def test_partial_result_holds_both_pieces(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_INTERVALS", 3)
+        with pytest.raises(QuadratureError, match="stalled") as excinfo:
+            cf.get_identity("eq36_beta_exponential").oracle_eval(
+                {"alpha": 0.3, "beta": 0.1, "x": -5.0}, 1e-12)
+        assert excinfo.value.partial.evaluations == 90
+
     def test_kummer_route_where_the_alternating_sum_cancelled(self):
         # B(a, b) 1F1(a; a+b; -x) at large a and x: the alternating series
         # lost 5.5e-10 here; Kummer's transformation sums positive terms

@@ -72,7 +72,7 @@ class TestIntegrateFinite:
         assert r.value == pytest.approx(1.0 / 12.0, rel=1e-11)
 
     def test_budget_exhaustion_raises_with_partial(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_FINITE_MAX_INTERVALS", 12)
+        monkeypatch.setattr(oracle, "_MAX_INTERVALS", 12)
         with pytest.raises(QuadratureError) as excinfo:
             oracle.integrate_finite(lambda u: math.sin(3000.0 * u), 0.0, 1.0, 1e-14)
         partial = excinfo.value.partial
@@ -118,6 +118,14 @@ class TestIntegrateHalfLine:
         partial = excinfo.value.partial
         assert not partial.converged
         assert partial.evaluations <= 5_000
+
+    # with no splits the head's error, 0.092, is within tol but not within
+    # its half, while the fold's is 1.2e-6: the sum alone would pass
+    def test_each_piece_keeps_its_half_of_tol(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_INTERVALS", 1)
+        with pytest.raises(QuadratureError, match="head stalled") as excinfo:
+            oracle.integrate_half_line(lambda x: x ** 0.1 / (1.0 + x ** 4), 0.15)
+        assert excinfo.value.partial.abs_error_estimate <= 0.15
 
     def test_oscillatory_struve_matches_closed_form(self):
         r = run_tail(struve_tail(-0.5), 2.5e-6)
@@ -236,7 +244,7 @@ class TestOscillatoryTail:
 
     def test_stalled_head_raises_with_partial(self, monkeypatch):
         # the head starts from one panel; 12 panels already meet 2.5e-6 / 4
-        monkeypatch.setattr(oracle, "_HALF_LINE_MAX_INTERVALS", 8)
+        monkeypatch.setattr(oracle, "_MAX_INTERVALS", 8)
         with pytest.raises(QuadratureError, match="head stalled") as excinfo:
             run_tail(struve_tail(-0.5), 2.5e-6)
         partial = excinfo.value.partial
@@ -247,7 +255,7 @@ class TestOscillatoryTail:
         # integrable singularities at the zeros of cos x, inside every piece
         tail = oracle.OscillatoryTail(
             math.pi, math.pi, lambda x: math.sin(x) * abs(math.cos(x)) ** -0.9 / x)
-        monkeypatch.setattr(oracle, "_HALF_LINE_MAX_INTERVALS", 40)
+        monkeypatch.setattr(oracle, "_MAX_INTERVALS", 40)
         with pytest.raises(QuadratureError, match="tail stalled") as excinfo:
             oracle.integrate_half_line(lambda x: math.exp(-x), 2.5e-6, tail)
         partial = excinfo.value.partial
@@ -257,6 +265,23 @@ class TestOscillatoryTail:
     def test_integrand_overflow_is_a_quadrature_error(self):
         with pytest.raises(QuadratureError, match="overflow"):
             oracle.integrate_half_line(lambda x: x ** -1.98, 1e-8)
+
+
+class TestExponentialTail:
+    @pytest.mark.parametrize("envelope", [(), ((0.0, 1.0),), ((-1.0, 1.0),), ((1.0, 0.0),),
+                                          ((1.0, 1.0), (2.0, -0.5)), ((math.nan, 1.0),)])
+    def test_rejects_an_empty_or_nonpositive_envelope(self, envelope):
+        with pytest.raises(DomainError):
+            oracle.ExponentialTail(envelope)
+
+    # e^-t cut where its tail is below tol/2: [0, log(2/tol)] is one piece
+    def test_cut_where_the_envelope_tail_is_half_of_tol(self):
+        tol = 1e-8
+        r = oracle.integrate_half_line(lambda t: math.exp(-t), tol,
+                                       oracle.ExponentialTail(((1.0, 1.0),)))
+        assert r.converged
+        assert abs(r.value - 1.0) <= r.abs_error_estimate <= tol
+        assert r.abs_error_estimate >= 0.5 * tol * (1.0 - 1e-12)
 
 
 class TestErrorEstimateHonesty:

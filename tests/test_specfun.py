@@ -101,6 +101,15 @@ class TestGamma:
         assert abs(sf.gamma(1 + 1j)) == pytest.approx(
             math.sqrt(math.pi / math.sinh(math.pi)), rel=1e-13)
 
+    # the reflection took sin(pi z) unreduced, and pi z keeps few of the
+    # bits of z - n near a pole n: 1.4e-6, 1.2e-4 and 2.7e-11 off here
+    @pytest.mark.parametrize("z", [complex(-3 + 1e-10, 0), -3 + 1e-12j, -2.999999 + 1e-8j])
+    def test_complex_near_a_pole_against_mpmath(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            expected = complex(mpmath.gamma(mpmath.mpc(z)))
+        assert abs(sf.gamma(z) - expected) <= 1e-14 * abs(expected)
+
     def test_log_gamma_consistency(self):
         for z in (0.3, 2.7, complex(1.5, 2.0), complex(-0.7, 0.4)):
             assert cmath.exp(sf.log_gamma(z)) == pytest.approx(
@@ -109,9 +118,7 @@ class TestGamma:
     # Gamma of a complex z is exp(log_gamma(z)), on the left half-plane
     # through reflection; the Lanczos product gave inf + nan i at the first
     # point, where its t^(z + 1/2) overflowed without an OverflowError.
-    # Uniform draws: the reflection's sin(pi z) is not reduced by the
-    # nearest integer, so within about 1e-6 of a pole on the real axis the
-    # error passes this bound, as it did on the Lanczos product
+    # Uniform draws; near the poles see the test below
     def test_complex_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(20)
@@ -388,6 +395,27 @@ class TestBNu:
             step = mpmath.mpf(10) ** -30
             expected = complex((form(nu + step) + form(nu - step)) / 2)
         assert abs(sf.b_nu(nu, x) - expected) <= 1e-12 * abs(expected)
+
+    # the head of an integer order alternates at x < 0 with terms far above
+    # its sum: at (-60, -300) eps times the largest is 1.1e-6 of the value,
+    # which was 6.9e-7 off, and at (-40, -200) 4.8e-10, 4.1e-11 off
+    @pytest.mark.parametrize("nu, x", [(-60.0, -300.0), (-40.0, -200.0)])
+    def test_cancelling_integer_order_head_raises(self, nu, x):
+        with pytest.raises(DomainError, match="cancel"):
+            sf.b_nu(nu, x)
+
+    # there it is 2.5e-13 of the value: returned, against mpmath's sum of
+    # the terms past the head and the head's terminating 1F1
+    def test_integer_order_head_within_tol_returns(self):
+        mpmath = pytest.importorskip("mpmath")
+        n, x = 20, -100.0
+        with mpmath.workdps(60):
+            head = (-1) ** n * 2 * mpmath.factorial(2 * n - 1) / mpmath.factorial(n - 1) \
+                * mpmath.hyp1f1(1 - n, 1 - 2 * n, x)
+            rest = mpmath.nsum(lambda k: mpmath.factorial(k - n) / mpmath.factorial(k - 2 * n)
+                               * mpmath.mpf(x) ** k / mpmath.factorial(k), [2 * n, mpmath.inf])
+            expected = float(head + rest)
+        assert abs(sf.b_nu(-float(n), x) - expected) <= 1e-12 * abs(expected)
 
     # at nu = -100.5 the sum starts at k = 201, where x^201 alone passes the
     # double range while the value does not: |x|^j is taken in the logs of
