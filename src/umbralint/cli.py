@@ -122,7 +122,8 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
 
 def _oracle_fields(result) -> dict:
     """The report fields of an oracle result, partial or not: its cost, error
-    estimate and ladder residual (None without a ladder); none without a result."""
+    estimate and the oscillatory tail's last extrapolation step (None without
+    such a tail); none without a result."""
     if result is None:
         return {}
     trace = result.trace
@@ -186,7 +187,9 @@ def _parse_grid_option(option: str):
 
 def _load_config(path: str):
     """Key-value config, one entry per line: <identity>.grid.<param> = values
-    or <identity>.tol = x.  '#' starts a comment."""
+    or <identity>.tol = x, for any cataloged identity and one of its
+    parameters.  '#' starts a comment."""
+    parameters = {d.id: d.parameters for d in CATALOG}
     grids: dict = {}
     tols: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -199,11 +202,12 @@ def _load_config(path: str):
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            parts = key.split(".")
-            if len(parts) == 3 and parts[1] == "grid":
-                grids.setdefault(parts[0], {})[parts[2]] = _parse_values(value)
-            elif len(parts) == 2 and parts[1] == "tol":
-                tols[parts[0]] = _parse_tol(value)
+            identity, *rest = key.split(".")
+            if identity in parameters and rest == ["tol"]:
+                tols[identity] = _parse_tol(value)
+            elif (identity in parameters and len(rest) == 2 and rest[0] == "grid"
+                  and rest[1] in parameters[identity]):
+                grids.setdefault(identity, {})[rest[1]] = _parse_values(value)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     return grids, tols
@@ -332,57 +336,52 @@ def _write_reports(reports, path, fmt):
         sys.stdout.write(text)
 
 
-def _cmd_verify(args) -> int:
-    if args.identity == "all":
-        identities = list(CATALOG)
-    else:
-        try:
-            identities = [get_identity(args.identity)]
-        except KeyError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    config_grids: dict = {}
-    config_tols: dict = {}
+def _settings(args):
+    """(identity, grid, tolerance, variant) for each selected identity, in
+    catalog order.  A grid is the defaults, then the config's lines, then the
+    --grid values the identity takes; the tolerance is --tol, else the
+    config's, else the default.  A setting that no selected identity takes
+    raises ValueError with the message to print."""
+    try:
+        identities = list(CATALOG) if args.identity == "all" else [get_identity(args.identity)]
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    grids, tols = {}, {}
     if args.config:
         try:
-            config_grids, config_tols = _load_config(args.config)
+            grids, tols = _load_config(args.config)
         except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"config error: {exc}") from None
+    try:
+        overrides = dict(_parse_grid_option(option) for option in args.grid or ())
+    except ValueError as exc:
+        raise ValueError(f"grid error: {exc}") from None
+    taken = {name for d in identities for name in d.parameters}
+    if not taken.issuperset(overrides):
+        raise ValueError(f"grid error: unknown grid parameter(s) {sorted(set(overrides) - taken)} "
+                         f"for {args.identity}; expected one of {sorted(taken)}")
+    variants = {name for d in identities for name in d.variants}
+    if args.variant is not None and args.variant not in variants:
+        raise ValueError(f"{args.identity} has no variant {args.variant!r}; "
+                         f"expected one of {sorted(variants)}")
+    return [(d, {**d.default_grid, **grids.get(d.id, {}),
+                 **{name: values for name, values in overrides.items() if name in d.parameters}},
+             args.tol if args.tol is not None else tols.get(d.id, d.default_tol),
+             args.variant if args.variant in d.variants else None)
+            for d in identities]
 
-    overrides = {}
-    for option in args.grid or ():
-        try:
-            name, values = _parse_grid_option(option)
-        except ValueError as exc:
-            print(f"grid error: {exc}", file=sys.stderr)
-            return 2
-        overrides[name] = values
+
+def _cmd_verify(args) -> int:
+    try:
+        settings = _settings(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     # bind scipy now, so that its import is not timed as the first oracle
     reference._special()
     all_reports = []
-    for identity in identities:
-        grid = dict(identity.default_grid)
-        grid.update(config_grids.get(identity.id, {}))
-        unknown = set(overrides) - set(identity.parameters)
-        if unknown and len(identities) == 1:
-            print(f"unknown grid parameter(s) {sorted(unknown)} for "
-                  f"{identity.id}; expected {list(identity.parameters)}",
-                  file=sys.stderr)
-            return 2
-        for name, values in overrides.items():
-            if name in identity.parameters:
-                grid[name] = values
-        tol = args.tol if args.tol is not None else \
-            config_tols.get(identity.id, identity.default_tol)
-        variant = args.variant
-        if variant is not None and variant not in identity.variants:
-            if len(identities) == 1:
-                print(f"{identity.id} has no variant {variant!r}", file=sys.stderr)
-                return 2
-            variant = None
+    for identity, grid, tol, variant in settings:
         reports = run_verification(identity, grid, tol, variant)
         all_reports.extend(reports)
         # progress goes to stderr so a report streamed to stdout stays parseable

@@ -117,11 +117,15 @@ def struve_halfline_integral(nu: float, b: float) -> float:
     """Half-line integral of the Struve function of b x:
     -1/(b tan(pi nu / 2)) for -2 < nu < 0, exactly 0 at nu = -1."""
     _require("struve_halfline_integral", _EQ12_DOMAIN, {"nu": nu, "b": b})
-    if nu == -1.0:
-        return 0.0
-    # a float quotient past the double range is inf, not an OverflowError
-    denominator = b * math.tan(0.5 * math.pi * nu)
-    value = -1.0 / denominator if denominator else math.inf
+    # tan is taken at an angle formed exactly, since nu + 2 and nu + 1 are
+    # exact where they are used (Sterbenz): tan(pi nu/2) = tan(pi (nu+2)/2)
+    # = -1/tan(pi (nu+1)/2); a float quotient past the double range is inf,
+    # not an OverflowError
+    if -1.5 <= nu < -0.5:
+        value = math.tan(0.5 * math.pi * (nu + 1.0)) / b
+    else:
+        denominator = b * math.tan(0.5 * math.pi * (nu + 2.0 if nu < -1.5 else nu))
+        value = -1.0 / denominator if denominator else math.inf
     if math.isinf(value):
         raise DomainError(f"struve_halfline_integral overflowed at nu={nu!r}, b={b!r}")
     return value

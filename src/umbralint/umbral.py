@@ -278,7 +278,9 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
     Gamma shifts and no power, goes at y < 0 to ``sum_kummer``.  A law
     without Gamma factors and without a power is geometric: at a normal y
     with |y| < 1 its sum is term 0 / (1 - y), where the loop would need
-    more than ``summation.DEFAULT_CAP`` terms as |y| nears 1.  What x does
+    more than ``summation.DEFAULT_CAP`` terms as |y| nears 1; at g = -1, an
+    odd m and a real x < 0, 1 - y is 1 + x^m, formed from the exact factor
+    1 + x rather than from the rounded y.  What x does
     not change is the series' cached ``_plan``.
     """
     m, p, law = series.stride, series.offset, series.law
@@ -328,6 +330,10 @@ def _sum_terms(series: CoefficientSeries, x, tol: float, power: float = 0.0) -> 
                                                  else math.inf)
 
     if not (up or down or power) and k_safe == 0 and abs(y) < 1.0:
+        if g == -1.0 and x < 0 and m % 2:
+            # 1 + x^m = (1 + x) sum_{i<m} (-x)^i, whose factor 1 + x is
+            # exact for x in [-1, -1/2] (Sterbenz)
+            return complex(seed(0) / ((1.0 + x) * sum((-x) ** i for i in range(int(m)))))
         return complex(seed(0) / (1.0 - y))
 
     weight = (lambda k: (m * k + p) ** power) if power else None

@@ -12,7 +12,8 @@ TOOL = ROOT / "tools" / "census_gate.py"
 
 CEILINGS = {"verify_ladder": {},
             "verify_plain": {"eq30_lorentz_gauss (timed): mismatch": 60},
-            "eval_kernel": {"pseudo_trig: mismatch": 38, "beta: mismatch": 7}}
+            "eval_kernel": {"pseudo_trig: mismatch": 38, "beta: mismatch": 7},
+            "found": {"pseudo_trig: mismatch": 1}}
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +79,28 @@ def test_a_fall_passes_and_prints_the_lowered_file(gate, capsys):
     assert "fell: eval_kernel: 'beta: mismatch' 7 -> 0" in out
     lowered = json.loads(out[out.index("{"):])
     assert lowered == {**CEILINGS, "eval_kernel": {"pseudo_trig: mismatch": 30}}
+
+
+def test_a_rise_in_found_fails(gate, capsys):
+    counts = {**CEILINGS, "found": {"pseudo_trig: mismatch": 1, "struve_halfline: mismatch": 1}}
+    assert gate(counts) == 1
+    assert "rose: found: 'struve_halfline: mismatch' none -> 1" in capsys.readouterr().out
+
+
+def test_found_inputs_are_judged_against_their_references(census_gate, monkeypatch,
+                                                          tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    path = tmp_path / "FOUND.json"
+    path.write_text(json.dumps([
+        {"kind": "gamma", "args": [5.0], "reference": "24"},
+        {"kind": "gamma", "args": [6.0], "reference": "24"},
+        {"kind": "gamma", "args": [-1.0], "reference": "1"}]))
+    monkeypatch.setattr(census_gate, "FOUND", path)
+    assert census_gate.found_counts() == {"gamma: engine_error": 1, "gamma: mismatch": 1}
+
+
+def test_every_found_entry_names_its_changes_line():
+    lines = (ROOT / "CHANGES.md").read_text().splitlines()
+    for entry in json.loads((ROOT / "FOUND.json").read_text()):
+        assert any(line.startswith((f"FOUND: {entry['changes']}", f"MENDED: {entry['changes']}"))
+                   for line in lines), entry

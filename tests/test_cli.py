@@ -326,6 +326,51 @@ class TestVerify:
                            "--variant", "bogus")
         assert code == 2
 
+    # each once ran the default grids and closed sides and passed; a setting
+    # that no selected identity takes now stops the run before any point
+    @pytest.mark.parametrize("argv,config,prefix", [
+        (["all", "--grid", "bogus=1"], None, "grid error: "),
+        (["all", "--variant", "paper_literal"], None, "all has no variant 'paper_literal'"),
+        (["eq30_lorentz_gauss"], "eq30_lorentz_gaus.grid.x = 7\n", "config error: "),
+        (["eq30_lorentz_gauss"], "eq30_lorentz_gauss.grid.y = 1\n", "config error: "),
+    ])
+    def test_setting_no_identity_takes_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                      argv, config, prefix):
+        points = []
+        monkeypatch.setattr(cli, "verify_point", lambda *args: points.append(args))
+        if config is not None:
+            (tmp_path / "c.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "c.cfg")]
+        out_path = tmp_path / "report.jsonl"
+        code, out, err = run(capsys, "verify", *argv, "--out", str(out_path))
+        assert (code, out, points) == (2, "", [])
+        assert err.startswith(prefix)
+        assert not out_path.exists()
+
+    # a config may cover identities that are not selected, and under 'all'
+    # each option goes to the identities that take it
+    def test_settings_go_to_the_identities_that_take_them(self, capsys, tmp_path,
+                                                          monkeypatch):
+        points = []
+        monkeypatch.setattr(cli, "verify_point", lambda identity, params, tol, variant: (
+            points.append((identity.id, params, tol, variant))
+            or cli.VerificationReport(identity_id=identity.id, equation="", point=params,
+                                      tolerance=tol, passed=True)))
+        config = tmp_path / "c.cfg"
+        config.write_text("eq13_struve_moment.grid.nu = 2\neq13_struve_moment.tol = 1e-6\n"
+                          "eq30_lorentz_gauss.grid.x = 5\n")
+        code, _, _ = run(capsys, "verify", "eq30_lorentz_gauss", "--config", str(config),
+                         "--out", str(tmp_path / "a.jsonl"))
+        assert code == 0
+        assert points == [("eq30_lorentz_gauss", {"x": 5.0}, 1e-8, None)]
+        points.clear()
+        code, _, _ = run(capsys, "verify", "all", "--config", str(config), "--grid", "x=0",
+                         "--variant", "paper-literal", "--out", str(tmp_path / "b.jsonl"))
+        assert code == 0
+        assert ("eq13_struve_moment", {"nu": 2.0}, 1e-6, None) in points
+        assert ("eq30_lorentz_gauss", {"x": 0.0}, 1e-8, "paper-literal") in points
+        assert ("eq31_borel_cosine", {"x": 0.0}, 1e-8, None) in points
+
     @pytest.mark.parametrize("grid", ["nu=nan", "nu=0,inf", "nu=0:inf:3"])
     def test_non_finite_grid_is_usage_error(self, capsys, grid):
         code, out, err = run(capsys, "verify", "eq13_struve_moment", "--grid", grid)

@@ -68,6 +68,27 @@ class TestStruveHalfline:
         assert cf.struve_halfline_integral(-0.5, 2.0) == pytest.approx(0.5, rel=1e-14)
         assert cf.struve_halfline_integral(-1.0, 3.0) == 0.0
 
+    # tan(pi nu / 2) at a rounded pi nu / 2 was 1.6e-10, 1.5e-10 and 3.0e-13
+    # off here; the values are 40-digit mpmath's
+    @pytest.mark.parametrize("nu,b,exact", [
+        (-1.999999, 2.0, -318309.8862097151563135553973239766064269),
+        (-1.0000001, 1.0, -1.570796327712045955212063407547208783474e-7),
+        (-1.9999, 0.3, -21220.65890438879052003034970904744835043),
+    ])
+    def test_near_a_pole_or_the_zero(self, nu, b, exact):
+        assert cf.struve_halfline_integral(nu, b) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(38)
+        with mpmath.workdps(40):
+            for _ in range(500):
+                nu = rng.uniform(-2.0, 0.0)
+                b = math.exp(rng.uniform(math.log(0.1), math.log(1000.0)))
+                exact = -1 / (b * mpmath.tan(mpmath.pi * mpmath.mpf(nu) / 2))
+                got = cf.struve_halfline_integral(nu, b)
+                assert abs(got - exact) <= 1e-15 * abs(exact), (nu, b)
+
     @pytest.mark.parametrize("nu", [-1.9, -1.8, -1.7, -1.55])
     @pytest.mark.parametrize("b", [0.3, 0.7, 1.2, 2.0])
     def test_smooth_part_is_one_panel(self, monkeypatch, nu, b):

@@ -5,6 +5,7 @@ import math
 import pickle
 import weakref
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -457,12 +458,25 @@ class TestTermRatio:
 
     # the Borel edits of c_0: their Gamma factors cancel, and the sum is
     # geometric, 1 / (1 + x^m), also where the loop needed over 10000 terms
+    # (a real x is taken exactly, since 1 + x^m in floats cancels near -1)
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("x", [-0.9999, 0.5, 0.9999, 0.3 + 0.4j])
     def test_law_without_factors_sums_as_geometric(self, m, x):
         series = tr.borel_transform(tr.pseudo_trig_series(0, m))
         assert series.law == um.GammaRatioSequence()
-        assert series.evaluate(x) == pytest.approx(1.0 / (1.0 + x ** m), rel=1e-14)
+        exact = (float(1 / (1 + Fraction(x) ** m)) if isinstance(x, float)
+                 else 1.0 / (1.0 + x ** m))
+        assert series.evaluate(x) == pytest.approx(exact, rel=1e-14)
+
+    # 1 - y from the rounded y = -x^3 was 1.5e-11 and 1.6e-13 off here; the
+    # values of 1 / (1 + x^3) are 40-digit mpmath's
+    @pytest.mark.parametrize("x,exact", [
+        (-0.999999, 333333.6666573036674948783050976110284621),
+        (-0.9999, 3333.666688890367150781398669362220522909),
+    ])
+    def test_geometric_sum_near_its_pole(self, x, exact):
+        got = tr.borel_transform(tr.pseudo_trig_series(0, 3)).evaluate(x)
+        assert got == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     def test_overflowing_term_still_ends_in_convergence_error(self):
         with pytest.raises(ConvergenceError):

@@ -9,7 +9,11 @@ judged as the benchmark judges it (an eval output against its mpmath
 reference, a verify point by its report).  The non-pass outcomes are
 counted as the run record's notes name them: per "kind: outcome" in
 eval_kernel, per "identity (timed): outcome" among seeded verify points,
-and one for each failing default-grid point.
+and one for each failing default-grid point.  A fourth pool, ``found``,
+holds the inputs of ``FOUND.json`` at the root of the repository: each is
+called through its eval kind in ``bench/workloads.py`` and judged as an
+eval_kernel input, against the reference stored with it, so no mpmath is
+needed; its non-pass outcomes are counted per "kind: outcome" too.
 
 The counts are compared with the ceilings of ``CENSUS.json`` at the root of
 the repository.  The exit status is 1 when a count rises above its ceiling,
@@ -28,8 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CEILINGS = ROOT / "CENSUS.json"
+FOUND = ROOT / "FOUND.json"
 SEED = 1
-WORKLOADS = ("verify_ladder", "verify_plain", "eval_kernel")
+POOLS = ("verify_ladder", "verify_plain", "eval_kernel", "found")
 
 
 def failure_counts(notes: dict) -> dict:
@@ -40,15 +45,35 @@ def failure_counts(notes: dict) -> dict:
     return dict(sorted(counts.items()))
 
 
-def census(workload: str):
-    """(failure counts, checker problems) of the workload's seed-1 census."""
+def census(pool: str):
+    """(failure counts, checker problems) of a workload's seed-1 census, or
+    of the ``found`` pool."""
     for path in (ROOT / "src", ROOT / "bench"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     import run
-    ops = run.make_ops(workload, SEED)
+    if pool == "found":
+        return found_counts(), []
+    ops = run.make_ops(pool, SEED)
     run.run_census(ops)
     return failure_counts(ops.notes()), list(ops.problems)
+
+
+def found_counts() -> dict:
+    """The non-pass counts of the ``FOUND.json`` inputs, each judged against
+    its stored reference."""
+    import accuracy
+    import run
+    import workloads
+    counts = Counter()
+    for entry in json.loads(FOUND.read_text()):
+        kind = entry["kind"]
+        output, error = run.attempt(lambda: workloads.EVAL_CALLS[kind](*entry["args"]))
+        if error is not None:
+            counts[f"{kind}: {run.error_outcome(error)}"] += 1
+        elif not accuracy.check(kind, output, complex(entry["reference"]))[0]:
+            counts[f"{kind}: mismatch"] += 1
+    return dict(sorted(counts.items()))
 
 
 def compare(ceilings: dict, counts: dict):
@@ -79,10 +104,10 @@ def lowered(ceilings: dict, counts: dict) -> dict:
 def main() -> int:
     ceilings = json.loads(CEILINGS.read_text())
     counts, problems = {}, []
-    for workload in WORKLOADS:
-        counts[workload], found = census(workload)
-        problems += [f"{workload}: {p}" for p in found]
-        print(f"{workload}: {sum(counts[workload].values())} non-pass outcomes")
+    for pool in POOLS:
+        counts[pool], found = census(pool)
+        problems += [f"{pool}: {p}" for p in found]
+        print(f"{pool}: {sum(counts[pool].values())} non-pass outcomes")
     rose, fell = compare(ceilings, counts)
     for line in problems:
         print(f"checker problem: {line}")

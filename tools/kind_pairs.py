@@ -12,15 +12,14 @@ timed loop at the seed: ``bench/run.py``'s ``make_ops`` and ``run_census``
 run the census of the working tree and set the loop's order, one cycle of
 which is one pass here.
 
-The output gives how many of the distinct inputs return a different value
-on the two sides (repr of the value, or the type of what was raised), then
-R whole passes per side, alternating, the base first in even rounds and
-the change first in odd ones: each side's best and median pass and the
-rounds each side won.  Then, per kind, the best of R passes over that
-kind's inputs, in microseconds per call.  A per-kind pass repeats the same
-inputs back to back, so a cache keyed on inputs looks like a gain there
-that the benchmark, which cycles over all kinds, does not see; the
-whole-pass figure is the one to quote.
+The output gives R whole passes per side, alternating, the base first in
+even rounds and the change first in odd ones: each side's best and median
+pass and the rounds each side won.  Then, per kind, the best of R passes
+over that kind's inputs, in microseconds per call.  A per-kind pass repeats
+the same inputs back to back, so a cache keyed on inputs looks like a gain
+there that the benchmark, which cycles over all kinds, does not see; the
+whole-pass figure is the one to quote.  Whether the two sides return the
+same values is ``outputs_diff.py``'s question, not this tool's.
 """
 
 from __future__ import annotations
@@ -70,20 +69,6 @@ def load_tree(root: Path, name: str):
             module = sys.modules.pop(key)
             sys.modules.setdefault(name + key[len(PACKAGE):], module)
         sys.modules.update(own)
-
-
-def outcome(fn, args) -> str:
-    """repr of what fn(*args) returns, or the name of the type it raises."""
-    try:
-        return repr(fn(*args))
-    except Exception as exc:   # the type is the outcome
-        return type(exc).__name__
-
-
-def differing(inputs, calls: dict) -> list:
-    """The (kind, args) among ``inputs`` whose outcomes differ between the sides."""
-    return [(kind, args) for kind, args in inputs
-            if outcome(calls["base"][kind], args) != outcome(calls["change"][kind], args)]
 
 
 def timed_pass(calls: dict, inputs) -> float:
@@ -145,14 +130,9 @@ def main(argv=None) -> int:
 
 
 def report(args, inputs, calls) -> None:
-    """Print the differences, the whole passes and the per-kind passes."""
-    distinct = list(dict.fromkeys(inputs))
-    differ = differing(distinct, calls)
+    """Print the whole passes and the per-kind passes."""
     print(f"base {args.base} against the working tree, seed {args.seed}: "
-          f"{len(inputs)} inputs a pass, {len(distinct)} distinct")
-    print(f"{len(differ)} of {len(distinct)} inputs return a different value")
-    for kind, params in differ[:20]:
-        print(f"  {kind}{params}")
+          f"{len(inputs)} inputs a pass")
 
     whole = summary(alternate(lambda side: timed_pass(calls[side], inputs), args.rounds))
     print(f"whole passes, {args.rounds} rounds (ms):")
