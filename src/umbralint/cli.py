@@ -122,8 +122,8 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
 
 def _oracle_fields(result) -> dict:
     """The report fields of an oracle result, partial or not: its cost, error
-    estimate and the oscillatory tail's last extrapolation step (None without
-    such a tail); none without a result."""
+    estimate and an OscillatoryTail's last extrapolation step (None without
+    one, as for every catalog oracle); none without a result."""
     if result is None:
         return {}
     trace = result.trace

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Callable
 
@@ -313,12 +313,36 @@ class IdentityDescriptor:
         return (True, "") if text is None else (False, f"needs {text}")
 
 
-# An oscillatory tail starts this many half-periods past where its wave
-# settles into oscillation.  The head bisects each half-period it keeps on
-# the whole integrand (for eq12 and eq13 H_nu, below x = 8 about ten times
-# the cost of their wave Y_nu), while the wave pays one GK15 panel for it,
-# and its extrapolation about half a piece more for starting earlier.
+# The oracles of Eq. 6-8, 12 and 13 hand the oscillatory part of their
+# integrand beyond x0 to the oracle as a ContourTail: it is the trace of a
+# function analytic in the upper half-plane, whose integral is taken up the
+# vertical line from x0 instead, where it decays exponentially.  x0 lies
+# this many half-periods past where the wave settles into oscillation: the
+# Hankel bound of the line's envelope loosens as |z| nears half the order,
+# and the head, which bisects each half-period it keeps, costs more the
+# later x0 is.
 _TAIL_LEAD = 1.0
+
+
+def _log_hankel_bound(nu: float, r: float) -> float:
+    """The log of a bound of |H1_nu(z)| e^(Im z) for real nu over Im z >= 0,
+    Re z > 0 and |z| >= r > (|nu| - 1/2)/2.
+
+    Hankel's integral (Watson 7.2) at the order |nu|, which has the same
+    |H1| (DLMF 10.4.6), gives |H1_nu(z)| <= sqrt(2/(pi |z|)) e^(-Im z)
+    max(1, (1 - c/(2|z|))^-(|nu|+1/2)) with c = |nu| - 1/2: the factor
+    (1 + i u/(2z))^c of its integrand is at most e^(c u/(2|z|)) in size for
+    c >= 0, and at most 1 for c < 0.  Both factors fall as |z| grows.
+    """
+    c = abs(nu) - 0.5
+    return 0.5 * math.log(2.0 / (math.pi * r)) - min(0.0, (abs(nu) + 0.5)
+                                                      * math.log1p(-c / (2.0 * r)))
+
+
+def _envelope_term(log_a: float, r: float) -> tuple:
+    """The envelope term (e^log_a, r), raised to the smallest normal float
+    where e^log_a is below it: a larger a still bounds."""
+    return max(math.exp(log_a), sys.float_info.min), r
 
 
 # Each oracle integrand below behaves like x^p sum_k c_k x^(s k) at an end
@@ -367,30 +391,46 @@ def _less_power_terms(f, lo: float, hi: float, p1: float, s: int, coefficients: 
 def _plus_terms(result, *terms):
     """``result`` with the exact integrals of ``terms`` added to its value and
     their rounding bounds to its error estimate."""
-    return replace(result, value=result.value + sum(value for value, _ in terms),
-                   abs_error_estimate=result.abs_error_estimate
-                   + sum(rounding for _, rounding in terms))
+    return oracle.QuadratureResult(
+        result.value + sum(value for value, _ in terms),
+        result.abs_error_estimate + sum(rounding for _, rounding in terms),
+        result.evaluations, result.converged, result.trace)
 
 
 @overflow_raises(QuadratureError)
 def _fresnel_oracle(p, tol):
-    # in s = x^2 the integrand is 1/2 J_{2nu}(alpha sqrt(s)) e^{i beta s}:
-    # all wave, with half-period pi/beta.  At s = 0 it is s^nu sum_n d_n s^n,
-    # the series of J_{2nu} (DLMF 10.2.2) times that of e^{i beta s}; the
-    # head takes out d_0 and d_1.  d_0 = (alpha/2)^(2 nu) / (2 Gamma(2 nu + 1))
-    # is formed from its log, which underflows, not overflows, at a large nu
+    # in s = x^2 the integrand is g(s) = 1/2 J_{2nu}(alpha sqrt(s)) e^{i beta s}.
+    # At s = 0 it is s^nu sum_n d_n s^n, the series of J_{2nu} (DLMF 10.2.2)
+    # times that of e^{i beta s}; the head takes out d_0 and d_1.
+    # d_0 = (alpha/2)^(2 nu) / (2 Gamma(2 nu + 1)) is formed from its log,
+    # which underflows, not overflows, at a large nu.  Beyond s0 all of g
+    # goes up the line s0 + i t.  There, by DLMF 10.14.4 with
+    # Im sqrt(s) <= sqrt(t/2), |g| <= d_0 |s|^nu e^(alpha sqrt(t/2) - beta t);
+    # |s|^nu <= (s0 + t)^nu <= (nu/(e delta))^nu e^(delta (s0 + t)) at
+    # delta = beta/4, and alpha sqrt(t/2) <= alpha^2/(2 beta) + beta t/4, so
+    # one term with rate beta/2 bounds it.  The head's J is the real part of
+    # the line's complex-argument J, the float J of the same AMOS call, so
+    # one binding of the order serves both
     nu, alpha, beta = p["nu"], p["alpha"], p["beta"]
-    bessel_j = reference.bessel_j_ref(2.0 * nu)
+    bessel_j = reference.bessel_j_complex_ref(2.0 * nu)
 
     def integrand(s):
-        return cmath.rect(0.5 * bessel_j(alpha * math.sqrt(s)), beta * s)
+        return cmath.rect(0.5 * bessel_j(alpha * math.sqrt(s)).real, beta * s)
 
-    half_period = math.pi / beta
-    x0 = 1.0 + _TAIL_LEAD * half_period
-    d0 = 0.5 * math.exp(2.0 * nu * math.log(0.5 * alpha) - math.lgamma(2.0 * nu + 1.0))
+    s0 = 1.0 + _TAIL_LEAD * math.pi / beta
+    turn = cmath.rect(0.5, beta * s0 + 0.5 * math.pi)   # i e^(i beta s0) / 2
+
+    def line(t):
+        return turn * math.exp(-beta * t) * bessel_j(alpha * cmath.sqrt(complex(s0, t)))
+
+    log_d0 = 2.0 * nu * math.log(0.5 * alpha) - math.lgamma(2.0 * nu + 1.0)
+    d0 = 0.5 * math.exp(log_d0)
     d1 = d0 * complex(-0.25 * alpha * alpha / (2.0 * nu + 1.0), beta)
-    head, terms = _less_power_terms(integrand, 0.0, x0, nu + 1.0, 1, (d0, d1), 0.25 * tol)
-    tail = oracle.OscillatoryTail(x0, half_period, integrand)
+    head, terms = _less_power_terms(integrand, 0.0, s0, nu + 1.0, 1, (d0, d1), 0.25 * tol)
+    log_power = nu * math.log(4.0 * nu / (math.e * beta)) if nu else 0.0
+    envelope = (_envelope_term(math.log(0.5) + log_d0 + log_power + 0.25 * beta * s0
+                               + 0.5 * alpha * alpha / beta, 0.5 * beta),)
+    tail = oracle.ContourTail(s0, line, envelope)
     return _plus_terms(oracle.integrate_half_line(head, tol, tail), terms)
 
 
@@ -407,29 +447,32 @@ def _struve_k_terms(nu):
 
 @overflow_raises(QuadratureError)
 def _eq12_oracle(p, tol):
-    # H_nu = Y_nu + K_nu (DLMF 11.2.5): Y_nu(b x) is the wave, with
-    # half-period pi/b, and K_nu(b x) the smooth rest.  In z = b x the head
-    # takes out two terms c_k z^(nu+1+2k) of H_nu(z) at 0, c_k = (-1)^k
-    # 2^-(nu+1+2k) / (Gamma(k+3/2) Gamma(k+nu+3/2)) (DLMF 11.2.1), of which
-    # for nu < -1 the first is the head's singularity; at k = 0,
+    # H_nu = Y_nu + K_nu (DLMF 11.2.5): Y_nu(b x) = Im H1_nu(b x) oscillates,
+    # with half-period pi/b, and K_nu(b x) is the smooth rest.  In z = b x
+    # the head takes out two terms c_k z^(nu+1+2k) of H_nu(z) at 0,
+    # c_k = (-1)^k 2^-(nu+1+2k) / (Gamma(k+3/2) Gamma(k+nu+3/2)) (DLMF 11.2.1),
+    # of which for nu < -1 the first is the head's singularity; at k = 0,
     # 1/Gamma(nu+3/2) is taken as (nu+3/2)/Gamma(nu+5/2), finite on
     # -2 < nu < 0 and 0 at nu = -3/2.  The smooth part takes out two terms
     # of K_nu(z) at infinity, whose fractional power z^(nu-1) the fold
     # x = x0/u would leave at u = 0.  Neither set of coefficients depends
     # on b; their integrals and tolerances are in z, so divided (multiplied)
-    # by b
+    # by b.  The integral of Y_nu(b x) over [x0, infinity) is
+    # Re of that of H1_nu(b (x0 + i y)) over y > 0, whose integrand is at
+    # most e^(-b y) times the bound of _log_hankel_bound at b x0 in size
     nu, b = p["nu"], p["b"]
-    half_period = math.pi / b
-    x0 = 1.0 + _TAIL_LEAD * half_period
+    x0 = 1.0 + _TAIL_LEAD * math.pi / b
     c0 = (nu + 1.5) / (math.sqrt(math.pi) * 2.0 ** nu * math.gamma(nu + 2.5))
     c1 = -0.5 ** (nu + 3.0) / (0.75 * math.sqrt(math.pi) * math.gamma(nu + 2.5))
-    struve_h, bessel_y, struve_k = reference.struve_ref(nu)
-    head, head_terms = _less_power_terms(struve_h, 0.0, b * x0, nu + 2.0, 2, (c0, c1),
+    struve_h, _, struve_k, hankel1 = reference.struve_ref(nu)
+    z0 = b * x0
+    head, head_terms = _less_power_terms(struve_h, 0.0, z0, nu + 2.0, 2, (c0, c1),
                                          0.25 * tol * b)
-    smooth, smooth_terms = _less_power_terms(struve_k, b * x0, math.inf, nu, -2,
+    smooth, smooth_terms = _less_power_terms(struve_k, z0, math.inf, nu, -2,
                                              _struve_k_terms(nu), 0.25 * tol * b)
-    tail = oracle.OscillatoryTail(x0, half_period, wave=lambda x: bessel_y(b * x),
-                                  smooth=lambda x: smooth(b * x))
+    tail = oracle.ContourTail(x0, lambda y: hankel1(complex(z0, b * y)).real,
+                              (_envelope_term(_log_hankel_bound(nu, z0), b),),
+                              smooth=lambda x: smooth(b * x))
     return _plus_terms(oracle.integrate_half_line(lambda x: head(b * x), tol, tail),
                        *((value / b, rounding / b) for value, rounding in
                          (head_terms, smooth_terms)))
@@ -438,19 +481,25 @@ def _eq12_oracle(p, tol):
 # The integrands of Eq. 13, 28 and 30 are even, so their whole-line
 # integrals are the half-line ones of twice the integrand, each node |x|
 # evaluated once.  Doubling is exact in binary floating point, so every
-# panel, estimate and trace value is exactly twice the half-line one's at
+# panel, envelope, cut and estimate is exactly twice the half-line one's at
 # half the tolerance.
 def _eq13_oracle(p, tol):
-    # as eq12, with the weight x^{-(nu+1)}; Y_nu oscillates beyond x ~ nu
+    # as eq12, with the weight z^-(nu+1), at most x0^-(nu+1) in size on the
+    # line x0 + i y; Y_nu oscillates beyond x ~ nu
     nu = p["nu"]
     power = -(nu + 1.0)
-    struve_h, bessel_y, struve_k = reference.struve_ref(nu)
+    struve_h, _, struve_k, hankel1 = reference.struve_ref(nu)
+    x0 = max(nu, 1.0) + _TAIL_LEAD * math.pi
 
     def doubled(ref):
         return lambda x: 2.0 * (x ** power * ref(x))
 
-    tail = oracle.OscillatoryTail(max(nu, 1.0) + _TAIL_LEAD * math.pi, math.pi,
-                                  wave=doubled(bessel_y), smooth=doubled(struve_k))
+    def line(y):
+        z = complex(x0, y)
+        return 2.0 * (z ** power * hankel1(z)).real
+
+    a, r = _envelope_term(power * math.log(x0) + _log_hankel_bound(nu, x0), 1.0)
+    tail = oracle.ContourTail(x0, line, ((2.0 * a, r),), smooth=doubled(struve_k))
     return oracle.integrate_half_line(doubled(struve_h), tol, tail)
 
 

@@ -21,13 +21,17 @@ of the tolerance; a piece that misses its share raises with the sum so
 far.  A half-line integral splits at a point x0 and folds [x0, infinity)
 onto (0, 1] by x = x0/u.  An integrand bounded by a sum of exponentials
 comes with an ExponentialTail instead, and is cut where that bound's tail
-is below the tolerance.  A conditionally convergent integral comes with an
-OscillatoryTail that describes f beyond x0 as smooth + wave: the head
-[0, x0] of f and the folded smooth part are pieces as above, and the wave
-is integrated one half-period at a time, its partial sums extrapolated by
-Wynn's epsilon algorithm (as in QUADPACK's QAWF).  An integrand that
-raises OverflowError ends the integration with a QuadratureError that
-counts every integrand call made.
+is below the tolerance.  A conditionally convergent integral comes with a
+ContourTail that describes f beyond x0 as smooth + w, where w is the trace
+of a function analytic and exponentially decaying in the upper half-plane:
+the head [0, x0] of f and the folded smooth part are pieces as above, and
+the integral of w moves up the vertical line from x0 (numerical steepest
+descent), where it is cut as an ExponentialTail's integrand is.  The older
+OscillatoryTail integrates such a wave on the real axis instead, one
+half-period at a time, its partial sums extrapolated by Wynn's epsilon
+algorithm (as in QUADPACK's QAWF).  An integrand that raises OverflowError
+ends the integration with a QuadratureError that counts every integrand
+call made.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -47,6 +51,7 @@ __all__ = [
     "ExtrapolationTrace",
     "OscillatoryTail",
     "ExponentialTail",
+    "ContourTail",
     "integrate_finite",
     "integrate_half_line",
 ]
@@ -136,6 +141,11 @@ class OscillatoryTail:
             raise DomainError("an oscillatory tail needs start > 0 and half_period > 0")
 
 
+def _check_envelope(envelope, what: str) -> None:
+    if not (envelope and all(0.0 < a < math.inf and 0.0 < r < math.inf for a, r in envelope)):
+        raise DomainError(f"{what} needs envelope terms, each with finite a > 0 and r > 0")
+
+
 @dataclass(frozen=True)
 class ExponentialTail:
     """The envelope of an integrand on (0, infinity): |f(x)| <= sum_i a_i
@@ -144,8 +154,32 @@ class ExponentialTail:
     envelope: tuple
 
     def __post_init__(self):
-        if not (self.envelope and all(a > 0.0 and r > 0.0 for a, r in self.envelope)):
-            raise DomainError("an exponential tail needs terms, each with a > 0 and r > 0")
+        _check_envelope(self.envelope, "an exponential tail")
+
+
+@dataclass(frozen=True)
+class ContourTail:
+    """The integrand beyond ``start`` as smooth + w, where w is the trace on
+    the real axis of a function analytic in the upper half-plane that decays
+    there exponentially.  By Cauchy's theorem the integral of w over
+    [start, infinity) is i times that of w(start + i y) over y > 0, a smooth
+    and exponentially decaying integrand (numerical steepest descent,
+    Huybrechs & Vandewalle 2006).
+
+    ``line`` is that integrand of y, i w(start + i y), or its real part
+    where f is real; ``envelope`` bounds it as ExponentialTail's does, by
+    sum_i a_i e^(-r_i y); ``smooth`` is the rest, None when f is all w.
+    """
+
+    start: float
+    line: Callable
+    envelope: tuple
+    smooth: Callable | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.start < math.inf:
+            raise DomainError("a contour tail needs a finite start > 0")
+        _check_envelope(self.envelope, "a contour tail")
 
 
 def _nudged_inside(f, a: float, b: float):
@@ -294,7 +328,7 @@ class _EndExtrapolation:
             self.end_err = end_err
 
 
-def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
+def _adaptive(f, a: float, b: float, tol: float, spent: int = 0, extrapolate: bool = True):
     """Worst-panel-first adaptive bisection over [a, b], starting from one
     panel, as in QUADPACK's QAGS.
 
@@ -310,9 +344,12 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
 
     When the worst panel touches an end and its split leaves a smaller end
     panel, the integral after the split also goes into that end's epsilon
-    table (_EndExtrapolation).  The integral plus the corrections of both
-    ends is the result once their QELG errors plus the other panels' errors
-    are within ``tol``, unless it exceeds the integral it extrapolates by
+    table (_EndExtrapolation), unless ``extrapolate`` is False: an
+    integrand smooth at both ends has no singularity there to extrapolate,
+    and three bisections of an end panel that is merely not yet resolved
+    can give limits that agree by chance.  The integral plus the
+    corrections of both ends is the result once their QELG errors plus the
+    other panels' errors are within ``tol``, unless it exceeds the integral it extrapolates by
     more than _MAX_EXTRAPOLATION.  An integrand's OverflowError raises a
     QuadratureError counting its calls and ``spent``, the earlier pieces'.
     """
@@ -349,7 +386,7 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
             n += 1
             heapq.heappush(heap, (-e2, n, mid, right, v2, e2, floor2))
             n += 1
-            if end is None:
+            if end is None or not extrapolate:
                 continue
             end_value, end_err = (v1, e1) if end is ends[0] else (v2, e2)
             end.feed(value, v1 + v2, end_value, end_err, total)
@@ -369,15 +406,15 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
 
 
 def _integrate_pieces(pieces, share: float, err: float = 0.0) -> QuadratureResult:
-    """The sum of the integrals of the pieces (name, f, a, b), f over
-    [a, b], each to absolute tolerance ``share``, with ``err`` added to
-    its error estimate.  A piece that misses its share raises
+    """The sum of the integrals of the pieces (name, f, a, b, extrapolate),
+    f over [a, b] by _adaptive, each to absolute tolerance ``share``, with
+    ``err`` added to its error estimate.  A piece that misses its share raises
     QuadratureError with the sum so far, that piece included, attached as
     the partial result.
     """
     value, evaluations = 0.0, 0
-    for name, f, a, b in pieces:
-        v, e, n = _adaptive(f, a, b, share, evaluations)
+    for name, f, a, b, extrapolate in pieces:
+        v, e, n = _adaptive(f, a, b, share, evaluations, extrapolate)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not e <= share:   # nan included
             raise QuadratureError(f"{name} stalled at error {e:.3e} > {share:.3e}",
@@ -394,7 +431,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float) -> QuadratureR
     """
     if not a < b:
         raise DomainError("integrate_finite needs a < b")
-    return _integrate_pieces((("finite-interval quadrature", f, a, b),), tol)
+    return _integrate_pieces((("finite-interval quadrature", f, a, b, True),), tol)
 
 
 def _fold(f, x0: float):
@@ -480,8 +517,27 @@ def _wave_tail(tail: OscillatoryTail, tol: float, rest: QuadratureResult):
     return result
 
 
+def _envelope_cut(name: str, f, envelope, tol: float, extrapolate: bool = True):
+    """The pieces (name, f, a, b, extrapolate) of f over (0, infinity) up
+    to where the tail of ``envelope``, a bound sum_i a_i e^(-r_i x) of |f|,
+    is below ``tol``, and the envelope's integral beyond the last cut.
+
+    Term i is cut at c_i, where its tail a_i e^(-r_i c_i) / r_i is its share
+    of ``tol``, fastest term first; a slower term whose cut comes no later
+    adds none.  Each piece lies between two cuts, so no GK15 panel spans a
+    fast term's decay and a slow term's length.
+    """
+    share = tol / len(envelope)
+    cuts = [0.0]
+    for a, r in sorted(envelope, key=lambda term: term[1], reverse=True):
+        cuts.append(max(cuts[-1], math.log(a / (r * share)) / r))
+    pieces = [(f"{name} [{lo:g}, {hi:g}]", f, lo, hi, extrapolate)
+              for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    return pieces, sum(a * math.exp(-r * cuts[-1]) / r for a, r in envelope)
+
+
 def integrate_half_line(f: Callable, tol: float,
-                        tail: OscillatoryTail | ExponentialTail | None = None
+                        tail: OscillatoryTail | ExponentialTail | ContourTail | None = None
                         ) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
 
@@ -490,13 +546,19 @@ def integrate_half_line(f: Callable, tol: float,
     ``tol``; f must decay.
 
     With an ExponentialTail, whose envelope bounds |f| by sum_i a_i
-    e^(-r_i x), term i is cut at c_i, where its tail a_i e^(-r_i c_i) / r_i
-    is its share of tol/2, fastest term first; a slower term whose cut comes
-    no later adds none.  The pieces between two cuts share the other tol/2,
-    so no GK15 panel spans a fast term's decay and a slow term's length,
-    and the envelope's integral beyond the last cut joins the error
-    estimate.  The fold would turn e^(-x) into a boundary layer e^(-1/u)
-    at u = 0 that bisection meets by evaluating every panel on its way.
+    e^(-r_i x), f is cut where the envelope's tail is below tol/2
+    (_envelope_cut), and the pieces up to there share the other tol/2; the
+    envelope's integral beyond the cut joins the error estimate.  The fold
+    would turn e^(-x) into a boundary layer e^(-1/u) at u = 0 that
+    bisection meets by evaluating every panel on its way.
+
+    With a ContourTail the integral is the sum of f over [0, start],
+    ``smooth`` over [start, infinity), folded by x = start/u, and ``line``
+    over (0, infinity), cut as an ExponentialTail's integrand is where its
+    envelope's tail is below tol/4.  These pieces share the other three
+    quarters of ``tol`` equally, and the envelope's tail joins the error
+    estimate.  The line is smooth, so its pieces bisect without end
+    extrapolation.
 
     With an OscillatoryTail, which describes f as ``smooth + wave`` beyond
     ``tail.start``, the integral is the sum of three parts: f over
@@ -504,24 +566,25 @@ def integrate_half_line(f: Callable, tol: float,
     and ``wave`` over [start, infinity), summed one half-period at a time
     and extrapolated by Wynn's epsilon algorithm (as in QUADPACK's QAWF).
     The head and the smooth part each get a quarter of ``tol``, the wave
-    the rest.  Every piece starts from one GK15 panel, so a piece that one
-    panel resolves costs 15 evaluations.
+    the rest.
+
+    Every piece starts from one GK15 panel, so a piece that one panel
+    resolves costs 15 evaluations.
     """
     if isinstance(tail, ExponentialTail):
-        share = 0.5 * tol / len(tail.envelope)
-        cuts = [0.0]
-        for a, r in sorted(tail.envelope, key=lambda term: term[1], reverse=True):
-            cuts.append(max(cuts[-1], math.log(a / (r * share)) / r))
-        pieces = [(f"half-line piece [{lo:g}, {hi:g}]", f, lo, hi)
-                  for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-        beyond = sum(a * math.exp(-r * cuts[-1]) / r for a, r in tail.envelope)
+        pieces, beyond = _envelope_cut("half-line piece", f, tail.envelope, 0.5 * tol)
         return _integrate_pieces(pieces, 0.5 * tol / max(len(pieces), 1), beyond)
     # the head [0, x0] and the rest folded by x = x0/u: without a tail, f
-    # itself from x0 = 1; with an oscillatory one, its smooth part
+    # itself from x0 = 1; with an oscillatory or contour one, its smooth part
     x0, rest = (1.0, f) if tail is None else (tail.start, tail.smooth)
-    pieces = [("half-line head", f, 0.0, x0)]
+    pieces = [("half-line head", f, 0.0, x0, True)]
     if rest is not None:
-        pieces.append(("half-line fold", _fold(rest, x0), 0.0, 1.0))
+        pieces.append(("half-line fold", _fold(rest, x0), 0.0, 1.0, True))
     if tail is None:
         return _integrate_pieces(pieces, 0.5 * tol)
+    if isinstance(tail, ContourTail):
+        line, beyond = _envelope_cut("contour piece", tail.line, tail.envelope, 0.25 * tol,
+                                     extrapolate=False)
+        pieces += line
+        return _integrate_pieces(pieces, 0.75 * tol / len(pieces), beyond)
     return _wave_tail(tail, tol, _integrate_pieces(pieces, 0.25 * tol))

@@ -9,7 +9,8 @@ kernel being checked.
 
 Each special function is bound once per order and returns callables of
 x, so that a quadrature node pays at most one Python frame around its
-scipy call: J and H are ``functools.partial`` objects of their entry points.
+scipy call: J, H and H1 are ``functools.partial`` objects of their entry
+points.  An oracle binds each order once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import partial
 
 __all__ = [
     "bessel_j_ref",
+    "bessel_j_complex_ref",
     "struve_ref",
     "pseudo_trig3_closed",
 ]
@@ -121,17 +123,27 @@ def bessel_j_ref(v: float):
     return partial((_sp or _special()).jv["double"], float(v))
 
 
+def bessel_j_complex_ref(v: float):
+    """z -> J_v(z), Bessel J of real order v at a complex z (principal
+    branch, cut along the negative real axis), one AMOS call.  At a real
+    x >= 0 and v >= 0 its real part is, where that call succeeds, the float
+    ``bessel_j_ref`` returns: jv's "double" specialisation makes the same
+    call and keeps its real part."""
+    return partial((_sp or _special()).jv["double complex"], float(v))
+
+
 def struve_ref(v: float):
-    """(H_v, Y_v, K_v) at real order v, each a callable of a real x:
-    the Struve function H_v of any argument and its split H_v = Y_v + K_v
-    (DLMF 11.2.5) for x > 0 into the Bessel Y_v, which oscillates, and the
-    rest K_v, which does not for large x.
+    """(H_v, Y_v, K_v, H1_v) at real order v: the Struve function H_v of
+    any real argument, its split H_v = Y_v + K_v (DLMF 11.2.5) for real
+    x > 0 into the Bessel Y_v, which oscillates, and the rest K_v, which
+    does not for large x, and the Hankel function H1_v of a complex z, whose
+    imaginary part Y_v is on the real axis.
 
     Y_v(x) is Im H1_v(x) (DLMF 10.4.3), one AMOS call where ``yv`` makes
     two and reflects through J_v at a negative order; ``yv`` where H1 is
     nan (x past about 1e17, Y overflowing near 0) or x <= 0.  J_v stays on
     ``jv``: Re H1 loses its digits where |Y| >> |J|.  An order below 1e-300
-    in size, where both fail for x < 2, is taken as 0 for Y.
+    in size, where both fail for x < 2, is taken as 0 for Y and H1.
 
     K_v = H_v - Y_v in floats has an absolute error of about eps |Y_v|,
     which swamps K_v for v < 1/2, where K_v decays faster than Y_v.  So from
@@ -149,10 +161,10 @@ def struve_ref(v: float):
     v = float(v)
     vy = 0.0 if abs(v) < 1e-300 else v   # Y_v is Y_0 in floats there
     e, p, rg = v - 0.5, v - 1.0, sp.rgamma(v + 0.5)
-    struve_h = partial(struve, v)
+    struve_h, hankel1_v = partial(struve, v), partial(hankel1, vy)
 
     def bessel_y(x):
-        y = hankel1(vy, x + 0j).imag if x > 0.0 else math.nan
+        y = hankel1_v(x + 0j).imag if x > 0.0 else math.nan
         return y if y == y else yv(vy, float(x))
 
     def struve_k(x):
@@ -164,7 +176,7 @@ def struve_ref(v: float):
             return (0.5 * x) ** p * rg / _SQRT_PI * total
         return struve(v, x) - bessel_y(x)
 
-    return struve_h, bessel_y, struve_k
+    return struve_h, bessel_y, struve_k, hankel1_v
 
 
 def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:

@@ -244,8 +244,8 @@ class TestVerify:
         assert len(records) == 2
         assert all(r["pass"] for r in records)
         assert all(0 < r["oracle_cost"] <= 5000 for r in records)
-        assert all(0.0 < r["ladder_residual"] <= r["oracle_error_estimate"]
-                   for r in records)
+        # the wave goes up a contour, with no extrapolation step to report
+        assert all(r["ladder_residual"] is None for r in records)
 
     def test_uncorrected_variant_fails_at_origin(self, capsys, tmp_path):
         out_path = tmp_path / "report.jsonl"
@@ -570,7 +570,9 @@ class TestVerifyAll:
 
     def test_default_grids_pass(self, capsys, tmp_path):
         # judged on the oracle's budget scale, the eq12 points at nu = -1
-        # (closed form exactly 0, oracle about -3e-8) pass at tol 1e-5
+        # (closed form exactly 0, oracle about 1e-7 to 2e-7 off, what the
+        # contour line's cut leaves out) pass at tol 1e-5, each within 3x
+        # its oracle's error estimate
         out_path = tmp_path / "report.jsonl"
         code, _, _ = run(capsys, "verify", "all", "--out", str(out_path))
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
@@ -584,7 +586,7 @@ class TestVerifyAll:
         eq12 = [r for r in records if r["identity_id"] == "eq12_struve_halfline"
                 and r["point"]["nu"] == -1.0]
         assert len(eq12) == 2 and all(r["closed_form_value"]["re"] == 0.0 for r in eq12)
-        assert all(0.0 < r["relative_error"] < 1e-7 for r in eq12)
+        assert all(0.0 < r["relative_error"] <= 3.0 * r["oracle_error_estimate"] for r in eq12)
 
     def test_scipy_is_bound_before_the_first_point(self, capsys, tmp_path, monkeypatch):
         # its import would otherwise be timed as the first point's oracle

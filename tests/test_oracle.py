@@ -19,7 +19,7 @@ SQRT_PI = math.sqrt(math.pi)
 def struve_tail(nu, b=1.0):
     """H_nu(b x) and its tail Y_nu(b x) + K_nu(b x), from three half-periods past 1."""
     half_period = math.pi / b
-    struve_h, bessel_y, struve_k = struve_ref(nu)
+    struve_h, bessel_y, struve_k, _ = struve_ref(nu)
     tail = oracle.OscillatoryTail(1.0 + 3.0 * half_period, half_period,
                                   wave=lambda x: bessel_y(b * x),
                                   smooth=lambda x: struve_k(b * x))
@@ -269,7 +269,8 @@ class TestOscillatoryTail:
 
 class TestExponentialTail:
     @pytest.mark.parametrize("envelope", [(), ((0.0, 1.0),), ((-1.0, 1.0),), ((1.0, 0.0),),
-                                          ((1.0, 1.0), (2.0, -0.5)), ((math.nan, 1.0),)])
+                                          ((1.0, 1.0), (2.0, -0.5)), ((math.nan, 1.0),),
+                                          ((math.inf, 1.0),)])
     def test_rejects_an_empty_or_nonpositive_envelope(self, envelope):
         with pytest.raises(DomainError):
             oracle.ExponentialTail(envelope)
@@ -282,6 +283,69 @@ class TestExponentialTail:
         assert r.converged
         assert abs(r.value - 1.0) <= r.abs_error_estimate <= tol
         assert r.abs_error_estimate >= 0.5 * tol * (1.0 - 1e-12)
+
+
+def sine_integral_tail(x0):
+    """sin x / x beyond x0 as a contour tail: Im e^(ix)/x is the trace of
+    e^(iz)/z, so its integral over [x0, infinity) is Re of that of
+    e^(i(x0+iy))/(x0+iy) over y > 0, at most e^-y/x0 in size."""
+    def line(y):
+        z = complex(x0, y)
+        return (cmath.exp(1j * z) / z).real
+
+    return oracle.ContourTail(x0, line, ((1.0 / x0, 1.0),))
+
+
+class TestContourTail:
+    @pytest.mark.parametrize("start", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_start(self, start):
+        with pytest.raises(DomainError):
+            oracle.ContourTail(start, math.exp, ((1.0, 1.0),))
+
+    @pytest.mark.parametrize("envelope", [(), ((0.0, 1.0),), ((-1.0, 1.0),), ((1.0, 0.0),),
+                                          ((1.0, -2.0),), ((1.0, 1.0), (2.0, -0.5)),
+                                          ((math.nan, 1.0),), ((math.inf, 1.0),)])
+    def test_rejects_an_empty_or_nonpositive_envelope(self, envelope):
+        with pytest.raises(DomainError):
+            oracle.ContourTail(1.0, math.exp, envelope)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_sine_integral_beyond_one(self, tol):
+        # with a zero head, the integral of sin x / x over [1, infinity),
+        # pi/2 - Si(1), at fewer evaluations than the half-period route
+        si_1 = 0.9460830703671830149413533
+        r = oracle.integrate_half_line(lambda x: 0.0, tol, sine_integral_tail(1.0))
+        assert r.converged and r.trace is None
+        assert abs(r.value - (0.5 * math.pi - si_1)) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
+        wave = oracle.OscillatoryTail(1.0, math.pi, lambda x: math.sin(x) / x)
+        assert r.evaluations < oracle.integrate_half_line(lambda x: 0.0, tol, wave).evaluations
+
+    def test_line_cut_where_the_envelope_tail_is_a_quarter_of_tol(self):
+        # e^-y cut at log(4/tol), the head and the line a piece each, each
+        # exact to well within their 3/8 of tol
+        tol = 1e-8
+        r = oracle.integrate_half_line(lambda x: 1.0, tol, oracle.ContourTail(
+            2.0, lambda y: math.exp(-y), ((1.0, 1.0),)))
+        assert abs(r.value - 3.0) <= r.abs_error_estimate <= tol
+        assert r.abs_error_estimate >= 0.25 * tol * (1.0 - 1e-12)
+
+    def test_each_node_evaluated_once(self):
+        seen = []
+
+        def counting(g):
+            def counted(x):
+                seen.append(x)
+                return g(x)
+            return counted
+
+        tail = sine_integral_tail(2.0)
+        tail = oracle.ContourTail(tail.start, counting(tail.line), tail.envelope,
+                                  smooth=counting(lambda x: 1.0 / (x * x * x)))
+        r = oracle.integrate_half_line(counting(lambda x: math.sin(x) / x), 1e-8, tail)
+        assert len(seen) == r.evaluations > 0
+        assert len(set(seen)) == len(seen)
+        # Si(infinity) = pi/2, and the smooth part 1/x^3 adds 1/(2 x0^2)
+        assert abs(r.value - (0.5 * math.pi + 0.125)) <= 3.0 * r.abs_error_estimate
 
 
 class TestErrorEstimateHonesty:

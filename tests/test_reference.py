@@ -123,7 +123,7 @@ def test_bessel_y_makes_one_hankel1_call(monkeypatch):
     points = ([(v, x) for v, x in POINTS if 0.0 < x <= 1e4]
               + [(rng.uniform(-3.0, 9.0), 10.0 ** rng.uniform(-2.0, 4.0)) for _ in range(200)])
     for v, x in points:
-        _, y, k = reference.struve_ref(v)
+        _, y, k, _ = reference.struve_ref(v)
         proxy.calls.clear()
         y(x)
         assert proxy.calls == {"hankel1": 1}, (v, x)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check the oscillatory-tail and Borel oracles' error estimates on seeded points.
+"""Check the contour-tail and Borel oracles' error estimates on seeded points.
 
     python3 tools/estimate_sweep.py [--base REV] [--seed N]
 
@@ -10,7 +10,11 @@ log-uniform in [0.1, 10] and alpha a uniform share of its bound
 2 sqrt(beta), and eq31's and eq35's x in (-0.999, 0.999).  Each point's
 oracle runs at the tolerances 1e-4, 1e-6 and 1e-9, each times max(|closed|, 1),
 and its true error is taken as its distance from the closed form.  The
-oracle's rule is that this error stays within 3x its estimate.
+oracle's rule is that this error stays within 3x its estimate.  eq08, eq12
+and eq13 take their oscillatory tails up a vertical contour, cut where an
+exponential envelope's tail is below a share of the tolerance, and eq31 and
+eq35 cut the half-line at such an envelope: a wrong envelope or a cut too
+early shows here as a result over 3x.
 
 Per identity the output gives the worst ratio |oracle - closed| / estimate,
 the count of results over 3x, the EngineErrors by type, and the total
