@@ -12,7 +12,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EngineError,
-    ExtrapolationError,
     KernelDomainError,
     PoleError,
     QuadratureError,
@@ -32,7 +31,6 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "EngineError",
-    "ExtrapolationError",
     "KernelDomainError",
     "PoleError",
     "QuadratureError",

@@ -49,7 +49,6 @@ class VerificationReport:
     passed: bool = False
     oracle_cost: int = 0
     oracle_error_estimate: float | None = None
-    ladder_residual: float | None = None
     closed_time: float = 0.0
     oracle_time: float = 0.0
     reason: str = ""
@@ -121,14 +120,11 @@ def verify_point(identity, params: dict, tol: float, variant=None) -> Verificati
 
 
 def _oracle_fields(result) -> dict:
-    """The report fields of an oracle result, partial or not: its cost, error
-    estimate and an OscillatoryTail's last extrapolation step (None without
-    one, as for every catalog oracle); none without a result."""
+    """The report fields of an oracle result, partial or not: its cost and
+    error estimate; none without a result."""
     if result is None:
         return {}
-    trace = result.trace
-    return {"oracle_cost": result.evaluations, "oracle_error_estimate": result.abs_error_estimate,
-            "ladder_residual": trace.residual if trace is not None else None}
+    return {"oracle_cost": result.evaluations, "oracle_error_estimate": result.abs_error_estimate}
 
 
 def run_verification(identity, grid: dict, tol: float, variant=None):

@@ -394,7 +394,7 @@ def _plus_terms(result, *terms):
     return oracle.QuadratureResult(
         result.value + sum(value for value, _ in terms),
         result.abs_error_estimate + sum(rounding for _, rounding in terms),
-        result.evaluations, result.converged, result.trace)
+        result.evaluations, result.converged)
 
 
 @overflow_raises(QuadratureError)

@@ -62,10 +62,6 @@ class QuadratureError(EngineError, ArithmeticError):
         super().__init__(message)
 
 
-class ExtrapolationError(QuadratureError):
-    """An extrapolated oscillatory tail failed to settle within tolerance."""
-
-
 def overflow_raises(error):
     """Decorator: an OverflowError inside the function leaves it as
     ``error``, naming the function as what overflowed."""

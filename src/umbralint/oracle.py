@@ -26,12 +26,9 @@ ContourTail that describes f beyond x0 as smooth + w, where w is the trace
 of a function analytic and exponentially decaying in the upper half-plane:
 the head [0, x0] of f and the folded smooth part are pieces as above, and
 the integral of w moves up the vertical line from x0 (numerical steepest
-descent), where it is cut as an ExponentialTail's integrand is.  The older
-OscillatoryTail integrates such a wave on the real axis instead, one
-half-period at a time, its partial sums extrapolated by Wynn's epsilon
-algorithm (as in QUADPACK's QAWF).  An integrand that raises OverflowError
-ends the integration with a QuadratureError that counts every integrand
-call made.
+descent), where it is cut as an ExponentialTail's integrand is.  An
+integrand that raises OverflowError ends the integration with a
+QuadratureError that counts every integrand call made.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -44,12 +41,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, ExtrapolationError, QuadratureError
+from .errors import DomainError, QuadratureError
 
 __all__ = [
     "QuadratureResult",
-    "ExtrapolationTrace",
-    "OscillatoryTail",
     "ExponentialTail",
     "ContourTail",
     "integrate_finite",
@@ -88,11 +83,6 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
-# An oscillatory tail is summed over at least _MIN_PIECES + 1 and at most
-# _MAX_PIECES half-periods (QUADPACK's QAWF allows 50 cycles).
-_MIN_PIECES = 3
-_MAX_PIECES = 50
-
 # An extrapolated end is trusted only while its limit stays within this
 # factor of the integral it extrapolates (QUADPACK's divergence test in
 # QAGS); beyond it the limit rests on differences near rounding level.
@@ -110,35 +100,6 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
-    trace: "ExtrapolationTrace | None" = None
-
-
-@dataclass(frozen=True)
-class ExtrapolationTrace:
-    """Record of an extrapolated oscillatory tail: the partial sums of the
-    integral after each of its half-periods, and the last change of their
-    epsilon-algorithm limit, which is the result's value."""
-
-    values: tuple
-    residual: float
-
-
-@dataclass(frozen=True)
-class OscillatoryTail:
-    """The integrand beyond ``start`` as smooth + wave.
-
-    ``wave`` changes sign about once every ``half_period``; ``smooth`` is
-    the decaying rest, None when the integrand is all wave.
-    """
-
-    start: float
-    half_period: float
-    wave: Callable
-    smooth: Callable | None = None
-
-    def __post_init__(self):
-        if not (self.start > 0.0 and self.half_period > 0.0):
-            raise DomainError("an oscillatory tail needs start > 0 and half_period > 0")
 
 
 def _check_envelope(envelope, what: str) -> None:
@@ -477,46 +438,6 @@ def _epsilon_step(table: list, partial_sum):
     return table[(len(table) - 1) % 2]
 
 
-def _wave_tail(tail: OscillatoryTail, tol: float, rest: QuadratureResult):
-    """Add to ``rest``, the integral of the rest of f, the integral of
-    ``tail.wave`` over [start, infinity), one half-period at a time, with
-    the partial sums extrapolated by Wynn's epsilon algorithm.
-
-    Each piece aims at a sixteenth of what the error of ``rest`` leaves of
-    ``tol``; the integration stalls when the errors pass ``tol`` itself.
-    The error estimate is, as in QUADPACK's QELG, the distance of the
-    newest extrapolated value from each of the three before it, at least
-    5 eps of that value, plus the error of ``rest`` and the pieces' own.
-    """
-    value, err, evaluations = rest.value, rest.abs_error_estimate, rest.evaluations
-    piece_tol = (tol - err) / 16.0
-    table, sums, estimates = [], [], []
-    for k in range(_MAX_PIECES):
-        a = tail.start + k * tail.half_period
-        v, e, n = _adaptive(tail.wave, a, a + tail.half_period, piece_tol, evaluations)
-        value, err, evaluations = value + v, err + e, evaluations + n
-        if not err <= tol:
-            raise QuadratureError(
-                f"oscillatory tail stalled on [{a:g}, {a + tail.half_period:g}] "
-                f"at error {err:.3e} > {tol:.3e}",
-                partial=QuadratureResult(value, err, evaluations, False))
-        sums.append(value)
-        estimates.append(_epsilon_step(table, value))
-        if k >= _MIN_PIECES:
-            last = estimates[-1]
-            total_err = err + max(abs(last - estimates[-2]) + abs(last - estimates[-3])
-                                  + abs(last - estimates[-4]), 5.0 * _EPS * abs(last))
-            if total_err <= tol:
-                break
-    trace = ExtrapolationTrace(tuple(sums), abs(last - estimates[-2]))
-    result = QuadratureResult(last, total_err, evaluations, total_err <= tol, trace)
-    if not result.converged:
-        raise ExtrapolationError(
-            f"oscillatory tail extrapolation settled at {total_err:.3e} > {tol:.3e}",
-            partial=result)
-    return result
-
-
 def _envelope_cut(name: str, f, envelope, tol: float, extrapolate: bool = True):
     """The pieces (name, f, a, b, extrapolate) of f over (0, infinity) up
     to where the tail of ``envelope``, a bound sum_i a_i e^(-r_i x) of |f|,
@@ -537,8 +458,7 @@ def _envelope_cut(name: str, f, envelope, tol: float, extrapolate: bool = True):
 
 
 def integrate_half_line(f: Callable, tol: float,
-                        tail: OscillatoryTail | ExponentialTail | ContourTail | None = None
-                        ) -> QuadratureResult:
+                        tail: ExponentialTail | ContourTail | None = None) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
 
     Without ``tail`` the integral splits at x = 1, folds [1, infinity) by
@@ -560,14 +480,6 @@ def integrate_half_line(f: Callable, tol: float,
     estimate.  The line is smooth, so its pieces bisect without end
     extrapolation.
 
-    With an OscillatoryTail, which describes f as ``smooth + wave`` beyond
-    ``tail.start``, the integral is the sum of three parts: f over
-    [0, start]; ``smooth`` over [start, infinity), folded by x = start/u;
-    and ``wave`` over [start, infinity), summed one half-period at a time
-    and extrapolated by Wynn's epsilon algorithm (as in QUADPACK's QAWF).
-    The head and the smooth part each get a quarter of ``tol``, the wave
-    the rest.
-
     Every piece starts from one GK15 panel, so a piece that one panel
     resolves costs 15 evaluations.
     """
@@ -575,16 +487,14 @@ def integrate_half_line(f: Callable, tol: float,
         pieces, beyond = _envelope_cut("half-line piece", f, tail.envelope, 0.5 * tol)
         return _integrate_pieces(pieces, 0.5 * tol / max(len(pieces), 1), beyond)
     # the head [0, x0] and the rest folded by x = x0/u: without a tail, f
-    # itself from x0 = 1; with an oscillatory or contour one, its smooth part
+    # itself from x0 = 1; with a contour tail, its smooth part
     x0, rest = (1.0, f) if tail is None else (tail.start, tail.smooth)
     pieces = [("half-line head", f, 0.0, x0, True)]
     if rest is not None:
         pieces.append(("half-line fold", _fold(rest, x0), 0.0, 1.0, True))
     if tail is None:
         return _integrate_pieces(pieces, 0.5 * tol)
-    if isinstance(tail, ContourTail):
-        line, beyond = _envelope_cut("contour piece", tail.line, tail.envelope, 0.25 * tol,
-                                     extrapolate=False)
-        pieces += line
-        return _integrate_pieces(pieces, 0.75 * tol / len(pieces), beyond)
-    return _wave_tail(tail, tol, _integrate_pieces(pieces, 0.25 * tol))
+    line, beyond = _envelope_cut("contour piece", tail.line, tail.envelope, 0.25 * tol,
+                                 extrapolate=False)
+    pieces += line
+    return _integrate_pieces(pieces, 0.75 * tol / len(pieces), beyond)

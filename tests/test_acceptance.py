@@ -8,7 +8,7 @@ import cmath
 import math
 
 from umbralint import closedforms as cf, oracle, specfun as sf, transforms as tr, umbral as um
-from umbralint.reference import bessel_j_ref, pseudo_trig3_closed, struve_ref
+from umbralint.reference import pseudo_trig3_closed
 
 from references import b_nu_closed, classical_hermite, hybrid_hermite_moment
 
@@ -30,18 +30,14 @@ def test_criterion_01_fresnel_bessel():
         elementary = (0.5j / beta) * cmath.exp(-1j * alpha * alpha / (4.0 * beta))
         worst_internal = max(worst_internal,
                              abs(closed - elementary) / abs(elementary))
-    # oracle: quadrature of the defining integrand, its tail extrapolated, rel 1e-5
+    # oracle: quadrature of the defining integrand, its tail taken up a
+    # contour, rel 1e-5
+    eq08 = cf.get_identity("eq08_fresnel_bessel")
     worst_oracle = 0.0
     for alpha, beta in pairs:
         closed = cf.fresnel_bessel(0.0, alpha, beta)
-
-        # in s = x^2 the integrand is a wave of half-period pi/beta
-        def integrand(s, _a=alpha, _b=beta, _j=bessel_j_ref(0.0)):
-            return 0.5 * _j(_a * math.sqrt(s)) * cmath.exp(1j * _b * s)
-
-        half_period = math.pi / beta
-        tail = oracle.OscillatoryTail(1.0 + 3.0 * half_period, half_period, integrand)
-        quad = oracle.integrate_half_line(integrand, abs(closed) * 2.5e-6, tail)
+        quad = eq08.oracle_eval({"nu": 0.0, "alpha": alpha, "beta": beta},
+                                abs(closed) * 2.5e-6)
         worst_oracle = max(worst_oracle, abs(closed - quad.value) / abs(closed))
     ok = worst_internal <= 1e-12 and worst_oracle <= 1e-5
     report(1, "Fresnel-Bessel integral, Eq. 6-8", ok,
@@ -63,20 +59,15 @@ def test_criterion_02_b_nu_dual_route():
 
 
 def test_criterion_03_struve_halfline():
+    eq12 = cf.get_identity("eq12_struve_halfline")
     worst = 0.0
     zero_case = 0.0
     for nu in (-1.5, -1.0, -0.5):
         for b in (1.0, 2.0):
             closed = cf.struve_halfline_integral(nu, b)
             scale = 1.0 / b
-            struve_h, bessel_y, struve_k, _ = struve_ref(nu)
-            # H_nu = Y_nu + K_nu: Y_nu(b x) is the wave, K_nu(b x) the smooth rest
-            tail = oracle.OscillatoryTail(
-                1.0 + 3.0 * math.pi / b, math.pi / b,
-                wave=lambda x, _b=b, _y=bessel_y: _y(_b * x),
-                smooth=lambda x, _b=b, _k=struve_k: _k(_b * x))
-            quad = oracle.integrate_half_line(
-                lambda x, _b=b, _h=struve_h: _h(_b * x), 2.5e-6 * scale, tail)
+            # H_nu = Y_nu + K_nu: Y_nu(b x) goes up a contour, K_nu(b x) is folded
+            quad = eq12.oracle_eval({"nu": nu, "b": b}, 2.5e-6 * scale)
             if nu == -1.0:
                 assert closed == 0.0
                 zero_case = max(zero_case, abs(quad.value) / scale)
@@ -91,18 +82,13 @@ def test_criterion_03_struve_halfline():
 def test_criterion_04_struve_moment():
     spot = abs(cf.struve_moment_integral(0.0) - math.pi)
     spot = max(spot, abs(cf.struve_moment_integral(0.5) - math.sqrt(2.0 * math.pi)))
+    eq13 = cf.get_identity("eq13_struve_moment")
     worst = 0.0
     for nu in (0.0, 0.5, 1.0, 2.0):
         closed = cf.struve_moment_integral(nu)
-        struve_h, bessel_y, struve_k, _ = struve_ref(nu)
-        tail = oracle.OscillatoryTail(
-            max(nu, 1.0) + 3.0 * math.pi, math.pi,
-            wave=lambda x, _n=nu, _y=bessel_y: x ** (-(_n + 1.0)) * _y(x),
-            smooth=lambda x, _n=nu, _k=struve_k: x ** (-(_n + 1.0)) * _k(x))
-        half = oracle.integrate_half_line(
-            lambda x, _n=nu, _h=struve_h: x ** (-(_n + 1.0)) * _h(x),
-            closed * 2.5e-7 / 2.0, tail)
-        worst = max(worst, abs(closed - 2.0 * half.value) / closed)
+        # the whole-line oracle: twice the half-line integral at half the tol
+        quad = eq13.oracle_eval({"nu": nu}, closed * 2.5e-7)
+        worst = max(worst, abs(closed - quad.value) / closed)
     ok = worst <= 1e-6 and spot <= 1e-12
     report(4, "whole-line Struve moment, Eq. 13", ok,
            f"max_rel={worst:.2e} (tol 1e-6), sqrt(2 pi) spot diff={spot:.1e}")

@@ -219,11 +219,10 @@ class TestVerify:
             assert set(record) == {
                 "identity_id", "equation", "point", "closed_form_value",
                 "oracle_value", "relative_error", "tolerance", "pass",
-                "oracle_cost", "oracle_error_estimate", "ladder_residual",
+                "oracle_cost", "oracle_error_estimate",
                 "closed_time", "oracle_time", "reason"}
             assert record["closed_time"] > 0.0 and record["oracle_time"] > 0.0
             assert record["oracle_error_estimate"] > 0.0
-            assert record["ladder_residual"] is None
             assert set(record["closed_form_value"]) == {"re", "im"}
 
     def test_range_grid_syntax(self, capsys, tmp_path):
@@ -234,7 +233,7 @@ class TestVerify:
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert [r["point"]["x"] for r in records] == [0.0, 1.0, 2.0]
 
-    def test_damped_identity_over_default_tolerance(self, capsys, tmp_path):
+    def test_contour_identity_over_default_tolerance(self, capsys, tmp_path):
         out_path = tmp_path / "report.jsonl"
         code, _, _ = run(capsys, "verify", "eq12_struve_halfline",
                          "--grid", "nu=-0.5", "--grid", "b=1,2",
@@ -244,8 +243,6 @@ class TestVerify:
         assert len(records) == 2
         assert all(r["pass"] for r in records)
         assert all(0 < r["oracle_cost"] <= 5000 for r in records)
-        # the wave goes up a contour, with no extrapolation step to report
-        assert all(r["ladder_residual"] is None for r in records)
 
     def test_uncorrected_variant_fails_at_origin(self, capsys, tmp_path):
         out_path = tmp_path / "report.jsonl"

@@ -37,18 +37,10 @@ class TestFresnelBessel:
         assert value.real == pytest.approx(0.5 * math.sin(0.25), rel=1e-12)
         assert value.imag == pytest.approx(0.5 * math.cos(0.25), rel=1e-12)
 
-    def test_half_order_against_oscillatory_oracle(self):
-        nu, alpha, beta = 0.5, 1.0, 2.0
-        closed = cf.fresnel_bessel(nu, alpha, beta)
-
-        # in s = x^2 the integrand is a wave of half-period pi/beta
-        bessel_j = bessel_j_ref(2.0 * nu)
-
-        def integrand(s):
-            return 0.5 * bessel_j(alpha * math.sqrt(s)) * cmath.exp(1j * beta * s)
-
-        tail = oracle.OscillatoryTail(1.0 + 3.0 * math.pi / beta, math.pi / beta, integrand)
-        quad = oracle.integrate_half_line(integrand, abs(closed) * 2.5e-6, tail)
+    def test_half_order_against_the_contour_oracle(self):
+        params = {"nu": 0.5, "alpha": 1.0, "beta": 2.0}
+        closed = cf.fresnel_bessel(**params)
+        quad = cf.get_identity("eq08_fresnel_bessel").oracle_eval(params, abs(closed) * 2.5e-6)
         assert abs(closed - quad.value) <= 1e-5 * abs(closed)
 
     def test_continuity_toward_order_zero(self):
@@ -218,18 +210,17 @@ class TestContourEnvelopes:
                 assert abs(tail.line(y)) <= bound, (params, y)
 
 
-class TestOscillatoryOracleTrace:
+class TestContourOracleEstimate:
     @pytest.mark.parametrize("nu", [1.0, 2.0])
-    def test_eq13_has_no_trace_and_meets_its_estimate(self, nu):
-        # the wave goes up a vertical line, with nothing extrapolated, so
-        # the result has no trace; its error is within 3x its estimate
+    def test_eq13_meets_its_estimate(self, nu):
+        # Y_nu goes up a vertical line, with nothing extrapolated; the
+        # error is within 3x the estimate
         r = cf.get_identity("eq13_struve_moment").oracle_eval({"nu": nu}, 1e-6)
-        assert r.trace is None
         assert abs(r.value - cf.struve_moment_integral(nu)) <= 3.0 * r.abs_error_estimate
 
 
 class TestOscillatoryOracleNodes:
-    # every integrand evaluation of a ladder oracle calls one reference
+    # every integrand evaluation of a contour oracle calls one reference
     # callable, the complex-argument J and H1 of its contour line included,
     # and no callable twice at the same argument
     @pytest.mark.parametrize("identity_id,point", [
@@ -587,7 +578,6 @@ class TestEvenOracles:
             assert whole.value == 2.0 * half_result.value, p
             assert whole.abs_error_estimate == 2.0 * half_result.abs_error_estimate, p
             assert whole.evaluations == half_result.evaluations, p
-            assert whole.trace is half_result.trace is None
 
 
 class TestStruveKExpansion:

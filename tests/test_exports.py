@@ -4,7 +4,9 @@ A helper that only its own unit tests call is dead weight: it has to be
 kept correct without serving any result.  This test parses ``src/`` and
 ``bench/`` and asserts that each name in the ``__all__`` of every engine
 module is used somewhere outside its own definition, with no exemptions.
-Test references live under ``tests/``.  The package's own ``__all__`` only
+A type annotation (of an argument, a return or an annotated assignment)
+is no use: a name that only annotations mention serves no result.  Test
+references live under ``tests/``.  The package's own ``__all__`` only
 re-exports these modules and the error types, so it is not checked.
 """
 
@@ -19,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 class _Uses(ast.NodeVisitor):
-    """Names read or attributes taken, outside the definition of that name."""
+    """Names read or attributes taken, outside the definition of that name
+    and outside type annotations."""
 
     def __init__(self):
         self.used = set()
@@ -27,10 +30,20 @@ class _Uses(ast.NodeVisitor):
 
     def _visit_definition(self, node):
         self._inside.append(node.name)
-        self.generic_visit(node)
+        for child in ast.iter_child_nodes(node):
+            if child is not getattr(node, "returns", None):
+                self.visit(child)
         self._inside.pop()
 
-    visit_FunctionDef = visit_ClassDef = _visit_definition
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_definition
+
+    def visit_arg(self, node):
+        pass   # an argument's annotation is no use
+
+    def visit_AnnAssign(self, node):
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
 
     def _use(self, name):
         if name not in self._inside:

@@ -62,3 +62,19 @@ def test_only_the_fields_that_differ_are_printed(outputs_diff):
 def test_an_eval_that_raises_on_one_side(outputs_diff):
     assert outputs_diff.field_changes({"value": ["1.0", "0.0"]}, {"raised": "DomainError"}) == [
         'value: ["1.0", "0.0"] -> null', "raised: null -> DomainError"]
+
+
+def test_a_field_one_side_lacks_as_null_is_no_difference(outputs_diff, monkeypatch, capsys):
+    # a report field the change drops, null on every base record, moves no
+    # input; a field that was not null does
+    point = {"oracle_cost": 435, "oracle_value": {"re": "0.5", "im": "0.0"}}
+    base = {"verify_plain seed 1 #0 eq12_struve_halfline {}": {"value": {**point, "gone": None}},
+            "verify_plain seed 1 #1 eq12_struve_halfline {}": {"value": {**point, "gone": 1}}}
+    change = {key: {"value": dict(point)} for key in base}
+    sides = iter([base, change])
+    monkeypatch.setattr(outputs_diff, "extract", lambda rev, tmp: tmp)
+    monkeypatch.setattr(outputs_diff, "outputs", lambda root, seeds: next(sides))
+    assert outputs_diff.main(["--base", "HEAD", "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "1 of 2 inputs differ" in out
+    assert "#0" not in out and "  gone: 1 -> null" in out

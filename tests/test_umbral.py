@@ -260,14 +260,18 @@ class TestMellinMasterStrided:
         assert um.mellin_master_strided(gaussian, 1.0) == pytest.approx(
             complex(0.5 * SQRT_PI), rel=1e-13)
 
-    def test_bessel_halfline_with_oscillatory_oracle(self):
+    def test_bessel_halfline_with_contour_oracle(self):
         value = um.mellin_master_strided(bessel_series(0), 1.0)
         assert value.real == pytest.approx(0.5, rel=1e-13)
-        # J_0(2 x) is all wave beyond its start, with half-period pi/2
-        bessel_j = bessel_j_ref(0)
-        f = lambda x: bessel_j(2.0 * x)  # noqa: E731
-        tail = oracle.OscillatoryTail(1.0 + 1.5 * math.pi, 0.5 * math.pi, f)
-        got = oracle.integrate_half_line(f, 1e-6, tail)
+        # J_0 = Re H1_0 on the real axis, so beyond x0 the integral of
+        # J_0(2 x) is Re i times that of H1_0(2 (x0 + i y)) over y > 0,
+        # within the Hankel bound at 2 x0 times e^(-2 y)
+        bessel_j, hankel1 = bessel_j_ref(0), struve_ref(0.0)[3]
+        x0 = 1.0 + 0.5 * math.pi
+        tail = oracle.ContourTail(
+            x0, lambda y: -hankel1(complex(2.0 * x0, 2.0 * y)).imag,
+            ((math.exp(closedforms._log_hankel_bound(0.0, 2.0 * x0)), 2.0),))
+        got = oracle.integrate_half_line(lambda x: bessel_j(2.0 * x), 1e-6, tail)
         assert abs(got.value - 0.5) <= 1e-6
 
     def test_strip_error(self):

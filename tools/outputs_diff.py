@@ -12,8 +12,10 @@ the type of what it raised.  A verify point is recorded as its report
 without the timing fields ``closed_time`` and ``oracle_time``.  Floats are
 compared by their exact repr, so -0.0 differs from 0.0.
 
-Every input whose record differs is printed with the fields that differ,
-one ``field: base -> change`` line each, then the total, then the count per
+An input differs when a field of its record differs, a field that one side
+lacks (a report field that only one revision has) counting as null there.
+Every input that differs is printed with the fields that differ, one
+``field: base -> change`` line each, then the total, then the count per
 group that differs: per eval kind in eval_kernel, per identity in
 verify_plain and verify_ladder.  With each count goes the largest relative
 difference among the group's inputs that returned a finite number on both
@@ -198,10 +200,10 @@ def main(argv=None) -> int:
         base = outputs(extract(args.base, Path(tmp)), args.seeds)
     change = outputs(ROOT, args.seeds)
     keys = sorted(set(base) | set(change))
-    differ = [key for key in keys if base.get(key) != change.get(key)]
+    changes = {key: field_changes(base.get(key), change.get(key)) for key in keys}
+    differ = [key for key in keys if changes[key]]
     for key in differ:
-        print(key, *(f"  {line}" for line in field_changes(base.get(key), change.get(key))),
-              sep="\n")
+        print(key, *(f"  {line}" for line in changes[key]), sep="\n")
     print(f"{len(differ)} of {len(keys)} inputs differ")
     inputs = Counter(map(group, keys))
     largest: dict = {}
