@@ -214,6 +214,24 @@ class TestTailedHalfLine:
         assert 0 < len(seen) <= r.evaluations
         assert len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("kind", ["struve", "fresnel", "chirp"])
+    def test_sum_of_independently_integrated_parts(self, kind):
+        # the head on [0, x0], the smooth part shifted to start at 0 and the
+        # line with its envelope as an ExponentialTail, each on its own
+        f, tail = {"struve": lambda: struve_tail(-0.7, 2.0), "fresnel": fresnel,
+                   "chirp": lambda: chirp(1.0)}[kind]()
+        tol = 2.5e-6
+        r = oracle.integrate_half_line(f, tol, tail)
+        parts = [oracle.integrate_finite(f, 0.0, tail.start, tol / 100.0),
+                 oracle.integrate_half_line(tail.line, tol / 100.0,
+                                            oracle.ExponentialTail(tail.envelope))]
+        if tail.smooth is not None:
+            parts.append(oracle.integrate_half_line(
+                lambda x: tail.smooth(tail.start + x), tol / 100.0))
+        alone = sum(p.value for p in parts)
+        assert abs(r.value - alone) <= r.abs_error_estimate + \
+            sum(p.abs_error_estimate for p in parts)
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_head_and_smooth_part_start_from_one_panel(self, tol):
         # a cubic head is exact on one GK15 panel, and the smooth part
@@ -314,6 +332,15 @@ class TestContourTail:
         r = oracle.integrate_half_line(lambda x: 0.0, tol, sine_integral_tail(1.0))
         assert r.converged
         assert abs(r.value - (0.5 * math.pi - si_1)) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
+
+    @pytest.mark.parametrize("x0", [0.5, math.pi, 10.0])
+    def test_dirichlet_integral_from_any_start(self, x0):
+        # sin x / x on [0, x0] and up the line beyond: pi/2 wherever the
+        # contour leaves the real axis
+        tol = 1e-8
+        r = oracle.integrate_half_line(lambda x: math.sin(x) / x, tol, sine_integral_tail(x0))
+        assert r.converged
+        assert abs(r.value - 0.5 * math.pi) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
 
     def test_line_cut_where_the_envelope_tail_is_a_quarter_of_tol(self):
         # e^-y cut at log(4/tol), the head and the line a piece each, each
