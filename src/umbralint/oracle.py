@@ -10,11 +10,9 @@ singularity at an end of the interval, such as x^(nu-1) at 0 in a Mellin
 moment, keeps the panel at that end the worst one, and bisection alone
 must halve it about log2(1/tol)/nu times before the mass it misses,
 h^nu/nu, is below tol: for small nu, more often than floats allow.  So the
-integral after each bisection of that panel also goes into a
-Wynn's epsilon table for that end, and the extrapolated limit is the result
-once its error estimate is within the tolerance (as in QUADPACK's QAGS).
-An end panel that grows (a divergent end) is never extrapolated, and an end
-that is still unresolved when its panels run out of floats raises.
+caller takes the singular terms out and integrates them exactly, as
+QUADPACK's QAWS does (closedforms._less_power_terms); an end still
+unresolved when its panels run out of floats raises.
 
 Every integral is a list of pieces, each integrated as above to its share
 of the tolerance; a piece that misses its share raises with the sum so
@@ -82,11 +80,6 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-
-# An extrapolated end is trusted only while its limit stays within this
-# factor of the integral it extrapolates (QUADPACK's divergence test in
-# QAGS); beyond it the limit rests on differences near rounding level.
-_MAX_EXTRAPOLATION = 100.0
 
 # The panels one adaptive piece may split into.
 _MAX_INTERVALS = 20_000
@@ -246,50 +239,7 @@ def _calls_made(exc) -> int:
     return 0 if tb is None else min(15, 1 + sum(map(tb.tb_frame.f_locals.__contains__, _NODES)))
 
 
-class _EndExtrapolation:
-    """Wynn's epsilon table over the bisection levels at one end of an
-    interval (QUADPACK's QAGS).
-
-    It is fed the integral after each bisection of the end panel.  Splits
-    of other panels between two feeds would make steps in that sequence, so
-    the table holds the integral as it would be with only this end refined,
-    ``level_sum``.  Once three limits exist, ``correction`` is what the
-    newest adds to that sum, ``error`` its QELG error (the distance from
-    the two limits before it), and ``end_err`` the error estimate of the
-    end panel, which the extrapolation replaces.
-    """
-
-    def __init__(self):
-        self.table, self.limits = [], []
-        self.level_sum = 0.0
-        self.ready = False
-        self.correction = self.error = self.end_err = 0.0
-
-    def feed(self, value, children, end_value, end_err, total):
-        """Record the split of the end panel of ``value`` into panels summing
-        to ``children``, the one at the end of ``end_value`` and
-        ``end_err``, with ``total`` the integral after it.  An end panel
-        that does not shrink is no convergent singularity: the table starts
-        again.
-        """
-        if not abs(end_value) < abs(value):
-            self.__init__()
-            return
-        limits = self.limits
-        if not self.table:   # the level before this split starts the table
-            self.level_sum = total - (children - value)
-            limits.append(_epsilon_step(self.table, self.level_sum))
-        self.level_sum += children - value
-        limit = _epsilon_step(self.table, self.level_sum)
-        limits.append(limit)
-        if len(limits) >= 3:
-            self.ready = True
-            self.correction = limit - self.level_sum
-            self.error = abs(limit - limits[-2]) + abs(limit - limits[-3])
-            self.end_err = end_err
-
-
-def _adaptive(f, a: float, b: float, tol: float, spent: int = 0, extrapolate: bool = True):
+def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
     """Worst-panel-first adaptive bisection over [a, b], starting from one
     panel, as in QUADPACK's QAGS.
 
@@ -302,17 +252,8 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0, extrapolate: bo
     when it is no wider than 200 eps of its midpoint (QUADPACK's test for
     bad integrand behaviour): its nodes have collapsed onto a few floats,
     so its own error estimate no longer measures the singularity there.
-
-    When the worst panel touches an end and its split leaves a smaller end
-    panel, the integral after the split also goes into that end's epsilon
-    table (_EndExtrapolation), unless ``extrapolate`` is False: an
-    integrand smooth at both ends has no singularity there to extrapolate,
-    and three bisections of an end panel that is merely not yet resolved
-    can give limits that agree by chance.  The integral plus the
-    corrections of both ends is the result once their QELG errors plus the
-    other panels' errors are within ``tol``, unless it exceeds the integral it extrapolates by
-    more than _MAX_EXTRAPOLATION.  An integrand's OverflowError raises a
-    QuadratureError counting its calls and ``spent``, the earlier pieces'.
+    An integrand's OverflowError raises a QuadratureError counting its
+    calls and ``spent``, the earlier pieces'.
     """
     frozen_err = 0.0
     evaluations = 0
@@ -323,13 +264,12 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0, extrapolate: bo
             return total, err_total, evaluations
         heap = [(-err_total, 0, a, b, total, err_total, at_floor)]
         n = 1
-        ends = (_EndExtrapolation(), _EndExtrapolation())
         while frozen_err <= tol < err_total + frozen_err and n < _MAX_INTERVALS and heap:
             _, _, left, right, value, err, at_floor = heapq.heappop(heap)
-            end = ends[0] if left == a else ends[1] if right == b else None
             mid = 0.5 * (left + right)
             splittable = left < mid < right
-            if end is not None and not (splittable and right - left > 200.0 * _EPS * abs(mid)):
+            if (left == a or right == b) and not (
+                    splittable and right - left > 200.0 * _EPS * abs(mid)):
                 break
             if at_floor or not splittable:
                 err_total -= err
@@ -347,19 +287,6 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0, extrapolate: bo
             n += 1
             heapq.heappush(heap, (-e2, n, mid, right, v2, e2, floor2))
             n += 1
-            if end is None or not extrapolate:
-                continue
-            end_value, end_err = (v1, e1) if end is ends[0] else (v2, e2)
-            end.feed(value, v1 + v2, end_value, end_err, total)
-            if not end.ready or err_total + frozen_err <= tol:
-                continue
-            estimate, estimate_err = total, err_total + frozen_err
-            for e in ends:
-                if e.ready:
-                    estimate += e.correction
-                    estimate_err += e.error - e.end_err
-            if estimate_err <= tol and abs(estimate) <= _MAX_EXTRAPOLATION * abs(total):
-                return estimate, estimate_err, evaluations
         return total, err_total + frozen_err, evaluations
     except OverflowError as exc:
         raise QuadratureError(f"integrand overflowed: {exc.args[-1]}", partial=QuadratureResult(
@@ -367,15 +294,15 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0, extrapolate: bo
 
 
 def _integrate_pieces(pieces, share: float, err: float = 0.0) -> QuadratureResult:
-    """The sum of the integrals of the pieces (name, f, a, b, extrapolate),
+    """The sum of the integrals of the pieces (name, f, a, b),
     f over [a, b] by _adaptive, each to absolute tolerance ``share``, with
     ``err`` added to its error estimate.  A piece that misses its share raises
     QuadratureError with the sum so far, that piece included, attached as
     the partial result.
     """
     value, evaluations = 0.0, 0
-    for name, f, a, b, extrapolate in pieces:
-        v, e, n = _adaptive(f, a, b, share, evaluations, extrapolate)
+    for name, f, a, b in pieces:
+        v, e, n = _adaptive(f, a, b, share, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
         if not e <= share:   # nan included
             raise QuadratureError(f"{name} stalled at error {e:.3e} > {share:.3e}",
@@ -386,13 +313,15 @@ def _integrate_pieces(pieces, share: float, err: float = 0.0) -> QuadratureResul
 def integrate_finite(f: Callable, a: float, b: float, tol: float) -> QuadratureResult:
     """Adaptive integral over [a, b] to absolute tolerance ``tol``.
 
-    Interior nodes only, so integrable endpoint singularities are handled by
-    subdivision.  Raises QuadratureError (with the partial result attached)
-    when the interval budget, ``_MAX_INTERVALS``, runs out first.
+    Interior nodes only, so f need not be defined at a or b.  A raw end
+    singularity is the caller's to take out: bisection alone resolves a
+    mild one, such as u^(-1/2) at 0, but one whose end panels run out of
+    floats first makes the call raise QuadratureError, as does the interval
+    budget, ``_MAX_INTERVALS``, running out; the partial result is attached.
     """
     if not a < b:
         raise DomainError("integrate_finite needs a < b")
-    return _integrate_pieces((("finite-interval quadrature", f, a, b, True),), tol)
+    return _integrate_pieces((("finite-interval quadrature", f, a, b),), tol)
 
 
 def _fold(f, x0: float):
@@ -414,32 +343,8 @@ def _fold(f, x0: float):
     return folded
 
 
-def _epsilon_step(table: list, partial_sum):
-    """Append one partial sum to Wynn's epsilon table and return the newest
-    estimate of the limit.
-
-    ``table`` holds the last counter-diagonal of the table, highest column
-    first, and gets one rhombus-rule pass per new sum (Weniger 1989); the
-    estimate is its highest even-column entry.  Entry j of the diagonal
-    depends only on the sums from row j on, so where two entries of a
-    column agree to rounding, the entries past that column are noise and
-    the table restarts from row j.
-    """
-    table.append(partial_sum)
-    aux2 = 0.0
-    for j in range(len(table) - 1, 0, -1):
-        aux1 = aux2
-        aux2 = table[j - 1]
-        diff = table[j] - aux2
-        if abs(diff) <= _EPS * abs(aux2):
-            del table[:j]
-            break
-        table[j - 1] = aux1 + 1.0 / diff
-    return table[(len(table) - 1) % 2]
-
-
-def _envelope_cut(name: str, f, envelope, tol: float, extrapolate: bool = True):
-    """The pieces (name, f, a, b, extrapolate) of f over (0, infinity) up
+def _envelope_cut(name: str, f, envelope, tol: float):
+    """The pieces (name, f, a, b) of f over (0, infinity) up
     to where the tail of ``envelope``, a bound sum_i a_i e^(-r_i x) of |f|,
     is below ``tol``, and the envelope's integral beyond the last cut.
 
@@ -452,7 +357,7 @@ def _envelope_cut(name: str, f, envelope, tol: float, extrapolate: bool = True):
     cuts = [0.0]
     for a, r in sorted(envelope, key=lambda term: term[1], reverse=True):
         cuts.append(max(cuts[-1], math.log(a / (r * share)) / r))
-    pieces = [(f"{name} [{lo:g}, {hi:g}]", f, lo, hi, extrapolate)
+    pieces = [(f"{name} [{lo:g}, {hi:g}]", f, lo, hi)
               for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     return pieces, sum(a * math.exp(-r * cuts[-1]) / r for a, r in envelope)
 
@@ -477,8 +382,7 @@ def integrate_half_line(f: Callable, tol: float,
     over (0, infinity), cut as an ExponentialTail's integrand is where its
     envelope's tail is below tol/4.  These pieces share the other three
     quarters of ``tol`` equally, and the envelope's tail joins the error
-    estimate.  The line is smooth, so its pieces bisect without end
-    extrapolation.
+    estimate.
 
     Every piece starts from one GK15 panel, so a piece that one panel
     resolves costs 15 evaluations.
@@ -489,12 +393,11 @@ def integrate_half_line(f: Callable, tol: float,
     # the head [0, x0] and the rest folded by x = x0/u: without a tail, f
     # itself from x0 = 1; with a contour tail, its smooth part
     x0, rest = (1.0, f) if tail is None else (tail.start, tail.smooth)
-    pieces = [("half-line head", f, 0.0, x0, True)]
+    pieces = [("half-line head", f, 0.0, x0)]
     if rest is not None:
-        pieces.append(("half-line fold", _fold(rest, x0), 0.0, 1.0, True))
+        pieces.append(("half-line fold", _fold(rest, x0), 0.0, 1.0))
     if tail is None:
         return _integrate_pieces(pieces, 0.5 * tol)
-    line, beyond = _envelope_cut("contour piece", tail.line, tail.envelope, 0.25 * tol,
-                                 extrapolate=False)
+    line, beyond = _envelope_cut("contour piece", tail.line, tail.envelope, 0.25 * tol)
     pieces += line
     return _integrate_pieces(pieces, 0.75 * tol / len(pieces), beyond)

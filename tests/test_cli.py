@@ -443,9 +443,8 @@ class TestVerifyPoint:
         report = cli.verify_point(identity, {"x": x}, identity.default_tol)
         assert report.passed, report
 
-    # x^-1.98 is not integrable at 0, and an end panel that grows is never
-    # extrapolated, so the oracle bisects on until the integrand overflows
-    # near the bottom of the double range
+    # x^-1.98 is not integrable at 0, so the oracle bisects on until the
+    # integrand overflows near the bottom of the double range
     def test_integrand_overflow_is_an_oracle_failure(self):
         calls = []
 
@@ -505,8 +504,9 @@ class TestVerifyPoint:
         report = cli.verify_point(identity, {"nu": nu}, identity.default_tol)
         assert report.passed, report
 
-    def test_extrapolated_singularity_evaluation_ceiling(self):
-        # bisection alone spent 27,540 evaluations here; counts are exact
+    def test_end_terms_taken_out_evaluation_ceiling(self):
+        # bisection of the raw x^(nu - 1) end spent 27,540 evaluations
+        # here; counts are exact
         identity = get_identity("eq02_mellin_exponential")
         report = cli.verify_point(identity, {"nu": 0.03}, identity.default_tol)
         assert report.passed

@@ -31,7 +31,12 @@ def test_points_are_seeded_and_in_each_domain(estimate_sweep):
                                             "eq13_struve_moment": 70,
                                             "eq08_fresnel_bessel": 65,
                                             "eq31_borel_cosine": 50,
-                                            "eq35_borel_pseudo_trig3": 50}
+                                            "eq35_borel_pseudo_trig3": 50,
+                                            "eq02_mellin_exponential": 60,
+                                            "eq02_mellin_rational": 60,
+                                            "eq28_bessel_gauss_dilation": 60,
+                                            "eq30_lorentz_gauss": 60,
+                                            "eq36_beta_exponential": 60}
     assert points == estimate_sweep.points(1) != estimate_sweep.points(2)
     for identity_id, params in points:
         assert get_identity(identity_id).check_point(params) == (True, ""), params

@@ -94,19 +94,19 @@ class TestIntegrateFinite:
         with pytest.raises(DomainError):
             oracle.integrate_finite(lambda u: u, 1.0, 0.0, 1e-8)
 
-    def test_endpoint_singularity_is_extrapolated(self):
-        # bisection alone would go down to the denormal floor
-        r = oracle.integrate_finite(lambda u: u ** -0.99, 0.0, 1.0, 1e-8)
-        assert r.value == pytest.approx(100.0, abs=1e-8)
-        assert r.evaluations <= 500
-
-    def test_singularities_at_both_ends(self):
-        r = oracle.integrate_finite(lambda u: (u * (1.0 - u)) ** -0.5, 0.0, 1.0, 1e-11)
-        assert r.value == pytest.approx(math.pi, abs=1e-11)
+    def test_raw_end_singularity_raises_with_partial(self):
+        # the mass u^0.01/0.01 that the end panel [0, u] misses stays above
+        # tol down to the denormal floor, where u^-0.99 overflows: an end
+        # singularity is the caller's to take out
+        with pytest.raises(QuadratureError) as excinfo:
+            oracle.integrate_finite(lambda u: u ** -0.99, 0.0, 1.0, 1e-8)
+        partial = excinfo.value.partial
+        assert not partial.converged
+        assert partial.evaluations > 0
 
     def test_end_singularity_finer_than_floats_raises(self):
         # the panels next to u = 1 run out of floats long before the missing
-        # mass, about 9964 of 10^4, is resolved or extrapolated
+        # mass, about 9964 of 10^4, is resolved
         with pytest.raises(QuadratureError, match="stalled") as excinfo:
             oracle.integrate_finite(lambda u: (1.0 - u) ** -0.9999, 0.0, 1.0, 1e-6)
         assert excinfo.value.partial.evaluations <= 5_000
@@ -459,8 +459,8 @@ class TestErrorEstimateHonesty:
         assert len(points) == 69
         assert not dishonest
 
-    # endpoint singularities the adaptive core extrapolates: each result is
-    # within three times its estimate, or the integration raises
+    # endpoint singularities whose terms the catalog takes out exactly: each
+    # result is within three times its estimate, or the integration raises
     @pytest.mark.parametrize("identity_id,params", [
         ("eq02_mellin_exponential", {"nu": 0.005}),
         ("eq02_mellin_exponential", {"nu": 0.03}),
@@ -510,6 +510,15 @@ class TestErrorEstimateHonesty:
                     if not abs(r.value - closed) <= 3.0 * r.abs_error_estimate:
                         dishonest.append((a, b, x, r.value, closed, r.abs_error_estimate))
         assert not dishonest
+
+    # the line of e^(ix)/x up from x = 1, on a finite interval: smooth at
+    # both ends.  When three bisections of an unresolved end panel were
+    # extrapolated, it returned 0.6247143913, 15 times its estimate off
+    def test_unresolved_smooth_end_within_three_times_estimate(self):
+        r = oracle.integrate_finite(
+            lambda y: (cmath.exp(1j * complex(1.0, y)) / complex(1.0, y)).real,
+            0.0, math.log(4e6), 1e-7)
+        assert abs(r.value - 0.62471324293133) <= 3.0 * r.abs_error_estimate
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_near_non_integrable_end_estimate(self, tol):

@@ -1,20 +1,28 @@
 #!/usr/bin/env python3
-"""Check the contour-tail and Borel oracles' error estimates on seeded points.
+"""Check the oracles' error estimates against the closed forms on seeded points.
 
     python3 tools/estimate_sweep.py [--base REV] [--seed N]
 
-Draws 335 points, 100 of eq12, 70 of eq13, 65 of eq08 and 50 each of eq31
-and eq35, uniformly over eq12's nu in (-2, 0) with b log-uniform in
-[0.1, 5], eq13's nu in [-0.49, 8], eq08's nu in [0, 3.9] with beta
-log-uniform in [0.1, 10] and alpha a uniform share of its bound
-2 sqrt(beta), and eq31's and eq35's x in (-0.999, 0.999).  Each point's
-oracle runs at the tolerances 1e-4, 1e-6 and 1e-9, each times max(|closed|, 1),
-and its true error is taken as its distance from the closed form.  The
-oracle's rule is that this error stays within 3x its estimate.  eq08, eq12
-and eq13 take their oscillatory tails up a vertical contour, cut where an
-exponential envelope's tail is below a share of the tolerance, and eq31 and
-eq35 cut the half-line at such an envelope: a wrong envelope or a cut too
-early shows here as a result over 3x.
+Draws 635 points: 100 of eq12, 70 of eq13, 65 of eq08, 50 each of eq31 and
+eq35, and 60 each of eq02 (both), eq28, eq30 and eq36.  They are uniform
+over eq12's nu in (-2, 0) with b log-uniform in [0.1, 5], eq13's nu in
+[-0.49, 8], eq08's nu in [0, 3.9] with beta log-uniform in [0.1, 10] and
+alpha a uniform share of its bound 2 sqrt(beta), eq31's and eq35's x in
+(-0.999, 0.999), eq02's nu in (0, 1), eq28's integer n in [1, 6] with x in
+(-8, 8), eq30's x in (-3.5, 3.5) and eq36's x in (-10, 10) with alpha and
+beta log-uniform in [0.1, 10].  Each point's oracle runs at the tolerances
+1e-4, 1e-6 and 1e-9, each times max(|closed|, 1), and its true error is
+taken as its distance from the closed form.  The oracle's rule is that this
+error stays within 3x its estimate.  eq08, eq12 and eq13 take their
+oscillatory tails up a vertical contour, cut where an exponential
+envelope's tail is below a share of the tolerance, and eq31 and eq35 cut
+the half-line at such an envelope: a wrong envelope or a cut too early
+shows here as a result over 3x.  eq02, eq08, eq12 and eq36 take the first
+terms of their integrands out at a singular end and integrate them
+exactly; the adaptive core has no other treatment of an end singularity.
+eq30's closed side cancels as |x| grows: it is 2e-12 off the integral at
+x = 3.6 and 2.4e-9 at 4.5, more than the oracle's estimates at 1e-9, so
+it is drawn only where it holds to about 4.5e-13.
 
 Per identity the output gives the worst ratio |oracle - closed| / estimate,
 the count of results over 3x, the EngineErrors by type, and the total
@@ -61,6 +69,15 @@ DRAWS = {
     "eq08_fresnel_bessel": (65, _eq08),
     "eq31_borel_cosine": (50, lambda rng: {"x": rng.uniform(-0.999, 0.999)}),
     "eq35_borel_pseudo_trig3": (50, lambda rng: {"x": rng.uniform(-0.999, 0.999)}),
+    "eq02_mellin_exponential": (60, lambda rng: {"nu": rng.uniform(0.0, 1.0)}),
+    "eq02_mellin_rational": (60, lambda rng: {"nu": rng.uniform(0.0, 1.0)}),
+    "eq28_bessel_gauss_dilation": (60, lambda rng: {"n": float(rng.randint(1, 6)),
+                                                    "x": rng.uniform(-8.0, 8.0)}),
+    # eq30's closed side cancels past |x| of about 3.5 (see above)
+    "eq30_lorentz_gauss": (60, lambda rng: {"x": rng.uniform(-3.5, 3.5)}),
+    "eq36_beta_exponential": (60, lambda rng: {"alpha": _log_uniform(rng, 0.1, 10.0),
+                                               "beta": _log_uniform(rng, 0.1, 10.0),
+                                               "x": rng.uniform(-10.0, 10.0)}),
 }
 
 
