@@ -526,33 +526,37 @@ def _eq30_oracle(p, tol):
 
 # The Mellin oracles take out four Taylor terms of g in x^(nu-1) g(x) on
 # [0, 1], whose first holds the mass 1/nu that GK15's nodes see only in
-# part at a tiny nu; the rational one also four terms of x^(nu-2)/(1+1/x)
-# on [1, infinity), whose first holds 1/(1-nu).  integrate_half_line
-# splits at x = 1, so the jump between the pieces is never sampled, and
-# gives each piece half of tol.
+# part at a tiny nu, and give [0, 1] and [1, infinity) half of tol each.
+# The rational one also takes out four terms of x^(nu-2)/(1+1/x) beyond 1,
+# whose first holds 1/(1-nu).  The exponential one is cut beyond 1 where
+# its bound e^-x has a tail below tol, not folded: one GK15 panel over the
+# fold's layer e^(-1/u) at u = 0 was 24 times its estimate off at nu = 0.527.
 _EXP_TAYLOR = (1.0, -1.0, 0.5, -1.0 / 6.0)
 _ALTERNATING = (1.0, -1.0, 1.0, -1.0)
 
 
-def _mellin_oracle(f, nu, tol, head_coefficients, tail_coefficients=None):
-    head, head_terms = _less_power_terms(f, 0.0, 1.0, nu, 1, head_coefficients, 0.5 * tol)
-    tail, tail_terms = f, (0.0, 0.0)
-    if tail_coefficients:
-        tail, tail_terms = _less_power_terms(f, 1.0, math.inf, nu - 1.0, -1,
-                                             tail_coefficients, 0.5 * tol)
-    return _plus_terms(oracle.integrate_half_line(
-        lambda x: head(x) if x < 1.0 else tail(x), tol), head_terms, tail_terms)
-
-
 def _eq02_exp_oracle(p, tol):
     nu = p["nu"]
-    return _mellin_oracle(lambda x: x ** nu / x * math.exp(-x), nu, tol, _EXP_TAYLOR)
+    head, terms = _less_power_terms(lambda x: x ** nu / x * math.exp(-x), 0.0, 1.0, nu, 1,
+                                    _EXP_TAYLOR, 0.5 * tol)
+    head = oracle.integrate_finite(head, 0.0, 1.0, 0.5 * tol)
+    tail = oracle.ExponentialTail(((math.exp(-1.0), 1.0),))
+    return _plus_terms(_joined_with(head, lambda: oracle.integrate_half_line(
+        lambda t: (1.0 + t) ** nu / (1.0 + t) * math.exp(-1.0 - t), 0.5 * tol, tail)), terms)
 
 
 def _eq02_rat_oracle(p, tol):
     nu = p["nu"]
-    return _mellin_oracle(lambda x: x ** nu / x / (1.0 + x), nu, tol,
-                          _ALTERNATING, _ALTERNATING)
+
+    def f(x):
+        return x ** nu / x / (1.0 + x)
+
+    head, head_terms = _less_power_terms(f, 0.0, 1.0, nu, 1, _ALTERNATING, 0.5 * tol)
+    tail, tail_terms = _less_power_terms(f, 1.0, math.inf, nu - 1.0, -1, _ALTERNATING,
+                                         0.5 * tol)
+    # integrate_half_line splits at x = 1, so the jump there is never sampled
+    return _plus_terms(oracle.integrate_half_line(
+        lambda x: head(x) if x < 1.0 else tail(x), tol), head_terms, tail_terms)
 
 
 # The Borel integrands e^-t g(x t) are bounded by sums of exponentials,
@@ -608,12 +612,8 @@ def _eq36_oracle(p, tol):
         0.0, 0.5, b, 1,
         tuple(math.exp(-x) * c for c in _beta_end_coefficients(a, -x)), tol / 2.0)
     left = oracle.integrate_finite(left, 0.0, 0.5, tol / 2.0)
-    try:
-        right = oracle.integrate_finite(right, 0.0, 0.5, tol / 2.0)
-    except QuadratureError as exc:   # the partial result holds both pieces
-        exc.partial = _joined(left, exc.partial)
-        raise
-    return _plus_terms(_joined(left, right), left_terms, right_terms)
+    return _plus_terms(_joined_with(left, lambda: oracle.integrate_finite(
+        right, 0.0, 0.5, tol / 2.0)), left_terms, right_terms)
 
 
 def _joined(left, right):
@@ -621,6 +621,16 @@ def _joined(left, right):
     return oracle.QuadratureResult(
         left.value + right.value, left.abs_error_estimate + right.abs_error_estimate,
         left.evaluations + right.evaluations, right.converged)
+
+
+def _joined_with(left, integrate):
+    """``left`` joined with the result of ``integrate()``; when that raises,
+    its partial result holds ``left`` too."""
+    try:
+        return _joined(left, integrate())
+    except QuadratureError as exc:
+        exc.partial = _joined(left, exc.partial)
+        raise
 
 
 _MELLIN_STRIP = (("0 < nu < 1", lambda p: 0.0 < p["nu"] < 1.0),)

@@ -481,12 +481,14 @@ class TestErrorEstimateHonesty:
 
     # the Mellin oracles at the strip-edge nu of verify's strip-edge test,
     # against Gamma(nu) and pi/sin(pi nu) from math: at nu = 1e-12 the
-    # closed sides are a few ulps of 10^12 off, more than the estimate
+    # closed sides are a few ulps of 10^12 off, more than the estimate.  At
+    # nu = 0.527 one GK15 panel over e^-x folded onto (0, 1] was 24 times
+    # its estimate off
     @pytest.mark.parametrize("identity_id,exact", [
         ("eq02_mellin_exponential", math.gamma),
         ("eq02_mellin_rational", lambda nu: math.pi / math.sin(math.pi * min(nu, 1.0 - nu))),
     ])
-    @pytest.mark.parametrize("nu", [1e-12, 1e-9, 1e-6, 0.005, 0.02, 0.995])
+    @pytest.mark.parametrize("nu", [1e-12, 1e-9, 1e-6, 0.005, 0.02, 0.527, 0.995])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_mellin_strip_edge_estimates(self, identity_id, exact, nu, tol):
         value = exact(nu)
