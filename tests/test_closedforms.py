@@ -213,8 +213,7 @@ class TestContourEnvelopes:
 class TestContourOracleEstimate:
     @pytest.mark.parametrize("nu", [1.0, 2.0])
     def test_eq13_meets_its_estimate(self, nu):
-        # Y_nu goes up a vertical line, with nothing extrapolated; the
-        # error is within 3x the estimate
+        # Y_nu goes up a vertical line; the error is within 3x the estimate
         r = cf.get_identity("eq13_struve_moment").oracle_eval({"nu": nu}, 1e-6)
         assert abs(r.value - cf.struve_moment_integral(nu)) <= 3.0 * r.abs_error_estimate
 
