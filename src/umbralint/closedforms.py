@@ -316,12 +316,11 @@ class IdentityDescriptor:
 # The oracles of Eq. 6-8, 12 and 13 hand the oscillatory part of their
 # integrand beyond x0 to the oracle as a ContourTail: it is the trace of a
 # function analytic in the upper half-plane, whose integral is taken up the
-# vertical line from x0 instead, where it decays exponentially.  x0 lies
-# this many half-periods past where the wave settles into oscillation: the
-# Hankel bound of the line's envelope loosens as |z| nears half the order,
-# and the head, which bisects each half-period it keeps, costs more the
-# later x0 is.
-_TAIL_LEAD = 1.0
+# vertical line from x0 instead, where it decays exponentially.  The line
+# needs no settled wave, so where the frequency is a parameter (Eq. 6-8
+# and 12) and above 1, x0 lies at the fixed phase 1 + pi of the wave: the
+# head then holds about half a period at any frequency, and Eq. 6-8's
+# envelope stays finite.
 
 
 def _log_hankel_bound(nu: float, r: float) -> float:
@@ -408,16 +407,17 @@ def _fresnel_oracle(p, tol):
     # Im sqrt(s) <= sqrt(t/2), |g| <= d_0 |s|^nu e^(alpha sqrt(t/2) - beta t);
     # |s|^nu <= (s0 + t)^nu <= (nu/(e delta))^nu e^(delta (s0 + t)) at
     # delta = beta/4, and alpha sqrt(t/2) <= alpha^2/(2 beta) + beta t/4, so
-    # one term with rate beta/2 bounds it.  The head's J is the real part of
-    # the line's complex-argument J, the float J of the same AMOS call, so
-    # one binding of the order serves both
+    # one term with rate beta/2 bounds it; beta s0 <= 1 + pi keeps it
+    # finite.  The head's J is the real part of the line's complex-argument
+    # J, the float J of the same AMOS call, so one binding of the order
+    # serves both
     nu, alpha, beta = p["nu"], p["alpha"], p["beta"]
     bessel_j = reference.bessel_j_complex_ref(2.0 * nu)
 
     def integrand(s):
         return cmath.rect(0.5 * bessel_j(alpha * math.sqrt(s)).real, beta * s)
 
-    s0 = 1.0 + _TAIL_LEAD * math.pi / beta
+    s0 = min(1.0 + math.pi / beta, (1.0 + math.pi) / beta)
     turn = cmath.rect(0.5, beta * s0 + 0.5 * math.pi)   # i e^(i beta s0) / 2
 
     def line(t):
@@ -459,9 +459,10 @@ def _eq12_oracle(p, tol):
     # on b; their integrals and tolerances are in z, so divided (multiplied)
     # by b.  The integral of Y_nu(b x) over [x0, infinity) is
     # Re of that of H1_nu(b (x0 + i y)) over y > 0, whose integrand is at
-    # most e^(-b y) times the bound of _log_hankel_bound at b x0 in size
+    # most e^(-b y) times the bound of _log_hankel_bound at b x0 = 1 + pi
+    # in size
     nu, b = p["nu"], p["b"]
-    x0 = 1.0 + _TAIL_LEAD * math.pi / b
+    x0 = (1.0 + math.pi) / b
     c0 = (nu + 1.5) / (math.sqrt(math.pi) * 2.0 ** nu * math.gamma(nu + 2.5))
     c1 = -0.5 ** (nu + 3.0) / (0.75 * math.sqrt(math.pi) * math.gamma(nu + 2.5))
     struve_h, _, struve_k, hankel1 = reference.struve_ref(nu)
@@ -489,7 +490,7 @@ def _eq13_oracle(p, tol):
     nu = p["nu"]
     power = -(nu + 1.0)
     struve_h, _, struve_k, hankel1 = reference.struve_ref(nu)
-    x0 = max(nu, 1.0) + _TAIL_LEAD * math.pi
+    x0 = max(nu, 1.0) + math.pi
 
     def doubled(ref):
         return lambda x: 2.0 * (x ** power * ref(x))

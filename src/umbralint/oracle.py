@@ -12,7 +12,9 @@ must halve it about log2(1/tol)/nu times before the mass it misses,
 h^nu/nu, is below tol: for small nu, more often than floats allow.  So the
 caller takes the singular terms out and integrates them exactly, as
 QUADPACK's QAWS does (closedforms._less_power_terms); an end still
-unresolved when its panels run out of floats raises.
+unresolved when its panels run out of floats, or at 0 when halving its
+panel no longer shrinks the error fast enough to reach tol before they
+do, raises.
 
 Every integral is a list of pieces, each integrated as above to its share
 of the tolerance; a piece that misses its share raises with the sum so
@@ -24,9 +26,11 @@ ContourTail that describes f beyond x0 as smooth + w, where w is the trace
 of a function analytic and exponentially decaying in the upper half-plane:
 the head [0, x0] of f and the folded smooth part are pieces as above, and
 the integral of w moves up the vertical line from x0 (numerical steepest
-descent), where it is cut as an ExponentialTail's integrand is.  An
-integrand that raises OverflowError ends the integration with a
-QuadratureError that counts every integrand call made.
+descent).  There it is summed by the rule of that method, a pair of
+Gauss-Laguerre rules (12 and 18 points) whose difference is the error
+estimate; a line the pair does not resolve is cut as an ExponentialTail's
+integrand is.  An integrand that raises OverflowError ends the
+integration with a QuadratureError that counts every integrand call made.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,6 +86,80 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
+# The 12- and 18-point Gauss-Laguerre rules for the weight e^-x, computed in
+# mpmath: the nodes x_i, and the weights w_i times e^(x_i), so that
+# sum_i W_i g(x_i) integrates g itself, of the form e^-x times a polynomial
+# of degree below 24 (36), exactly over (0, infinity).
+_XGL12 = (
+    0.115722117358020675267196428240494,
+    0.61175748451513066539163005304167,
+    1.5126102697764187867817379268667,
+    2.83375133774350722862747177657214,
+    4.59922763941834848460572922485053,
+    6.84452545311517734775433041849384,
+    9.62131684245686704391238234923099,
+    13.006054993306347720346052429401,
+    17.1168551874622557281840528007592,
+    22.1510903793970056699218950836638,
+    28.4879672509840003125686072325215,
+    37.0991210444669203366389142763581,
+)
+_WGL12 = (
+    0.297209636044410797791981220367544,
+    0.696462980430597230678066955855312,
+    1.1077813946157521533394673801419,
+    1.53846423904282912479403863350538,
+    1.99832760627424276519696409653673,
+    2.50074576910086687475087066330432,
+    3.06532151828238623620460341805104,
+    3.72328911078277159999560977971293,
+    4.52981402998173506209331191236788,
+    5.59725846183532109269052390850947,
+    7.21299546092587700817113516652025,
+    10.5438374619100811117158467701544,
+)
+_XGL18 = (
+    0.078169166669705471298674761533442,
+    0.412490085259129291039101536535819,
+    1.01652017962353968919093686186689,
+    1.89488850996976091426727831954126,
+    3.05435311320265975115241130718887,
+    4.50420553888989282633795571454897,
+    6.25672507394911145274209116326313,
+    8.32782515660563002170470261563667,
+    10.737990047757609335217903339663,
+    13.5136562075550898190863812108221,
+    16.6893062819301059378183984162744,
+    20.3107676262677428561313764553274,
+    24.4406813592837027656442257980448,
+    29.1682086625796161312980677804599,
+    34.6279270656601721454012429438273,
+    41.0418167728087581392948614283871,
+    48.833922716086522748658609329002,
+    59.0905464359012507037157810180769,
+)
+_WGL18 = (
+    0.200677989208906042456711735385868,
+    0.468552686891879312345103840472362,
+    0.740265682653508482132884895216518,
+    1.01759171730396685757336019638846,
+    1.3028787020654185274613294165011,
+    1.59886213975724197146416362631925,
+    1.90881390696969144940538318579055,
+    2.23677787785692886280874548803744,
+    2.58792416679275046526546324054277,
+    2.96910237772625302688999754513983,
+    3.38974887385400469321494313335621,
+    3.86346227604296058350217721957299,
+    4.41093689696631678729455746167988,
+    5.06593151461139059797696717983251,
+    5.88894626367338954443867767663227,
+    7.00435926919015216807565159336225,
+    8.73234485076647154208563069167394,
+    12.3799064921737474506342507203262,
+)
+_GL_NODES = _XGL12 + _XGL18
+
 # The panels one adaptive piece may split into.
 _MAX_INTERVALS = 20_000
 
@@ -123,6 +202,9 @@ class ContourTail:
     ``line`` is that integrand of y, i w(start + i y), or its real part
     where f is real; ``envelope`` bounds it as ExponentialTail's does, by
     sum_i a_i e^(-r_i y); ``smooth`` is the rest, None when f is all w.
+    The line is summed at the Gauss-Laguerre nodes in r y, r the
+    envelope's slowest rate, and its envelope places the cut where that
+    pair falls short.
     """
 
     start: float
@@ -252,11 +334,17 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
     when it is no wider than 200 eps of its midpoint (QUADPACK's test for
     bad integrand behaviour): its nodes have collapsed onto a few floats,
     so its own error estimate no longer measures the singularity there.
+    Next to an end at 0 floats stay dense, and that test never holds; an
+    end panel no wider than 200 eps of the piece's scale, max(|a|, |b|),
+    ends the integration there when halving it shrank its error too slowly
+    to reach ``tol`` before its width reaches the float floor, as for
+    u^-0.99, whose missed mass u^0.01/0.01 stays above 1e-8 down to 1e-308.
     An integrand's OverflowError raises a QuadratureError counting its
     calls and ``spent``, the earlier pieces'.
     """
     frozen_err = 0.0
     evaluations = 0
+    deep = 200.0 * _EPS * max(abs(a), abs(b))
     try:
         total, err_total, at_floor = _gauss_kronrod_15(f, a, b)
         evaluations = 15
@@ -287,20 +375,28 @@ def _adaptive(f, a: float, b: float, tol: float, spent: int = 0):
             n += 1
             heapq.heappush(heap, (-e2, n, mid, right, v2, e2, floor2))
             n += 1
+            if (left == a or right == b) and right - left <= deep:
+                # the end half's error, shrinking by e_end/err a halving,
+                # carried on down to the width of the smallest normal float
+                e_end = e1 if left == a else e2
+                halvings = max(1.0, math.log2(0.5 * (right - left) / _UNDERFLOW))
+                if e_end > tol and e_end >= err * (tol / e_end) ** (1.0 / halvings):
+                    break
         return total, err_total + frozen_err, evaluations
     except OverflowError as exc:
         raise QuadratureError(f"integrand overflowed: {exc.args[-1]}", partial=QuadratureResult(
             math.nan, math.inf, spent + evaluations + _calls_made(exc), False)) from exc
 
 
-def _integrate_pieces(pieces, share: float, err: float = 0.0) -> QuadratureResult:
+def _integrate_pieces(pieces, share: float, err: float = 0.0, value: complex = 0.0,
+                      evaluations: int = 0) -> QuadratureResult:
     """The sum of the integrals of the pieces (name, f, a, b),
     f over [a, b] by _adaptive, each to absolute tolerance ``share``, with
-    ``err`` added to its error estimate.  A piece that misses its share raises
+    ``value``, ``err`` and ``evaluations``, those of what was integrated
+    before, added to its own.  A piece that misses its share raises
     QuadratureError with the sum so far, that piece included, attached as
     the partial result.
     """
-    value, evaluations = 0.0, 0
     for name, f, a, b in pieces:
         v, e, n = _adaptive(f, a, b, share, evaluations)
         value, err, evaluations = value + v, err + e, evaluations + n
@@ -362,6 +458,26 @@ def _envelope_cut(name: str, f, envelope, tol: float):
     return pieces, sum(a * math.exp(-r * cuts[-1]) / r for a, r in envelope)
 
 
+def _gauss_laguerre_pair(f, r: float):
+    """The integral of f over (0, infinity), where f decays as e^(-r y)
+    times a smooth function, as (Q18, max(|Q18 - Q12|, 50 eps
+    sum_i |W_i f_i| / r)): Qn is the n-point Gauss-Laguerre rule in r y, and
+    the second term of the estimate is the rounding floor GK15 uses.  An
+    integrand's OverflowError raises a QuadratureError counting its calls.
+    """
+    values = []
+    try:
+        for x in _GL_NODES:
+            values.append(f(x / r))
+    except OverflowError as exc:
+        raise QuadratureError(f"integrand overflowed: {exc.args[-1]}", partial=QuadratureResult(
+            math.nan, math.inf, len(values) + 1, False)) from exc
+    q12 = sum(map(operator.mul, _WGL12, values)) / r
+    terms = list(map(operator.mul, _WGL18, values[len(_XGL12):]))
+    q18 = sum(terms) / r
+    return q18, max(abs(q18 - q12), 50.0 * _EPS * sum(map(abs, terms)) / r)
+
+
 def integrate_half_line(f: Callable, tol: float,
                         tail: ExponentialTail | ContourTail | None = None) -> QuadratureResult:
     """Integral over (0, infinity) to absolute tolerance ``tol``.
@@ -379,10 +495,18 @@ def integrate_half_line(f: Callable, tol: float,
 
     With a ContourTail the integral is the sum of f over [0, start],
     ``smooth`` over [start, infinity), folded by x = start/u, and ``line``
-    over (0, infinity), cut as an ExponentialTail's integrand is where its
-    envelope's tail is below tol/4.  These pieces share the other three
-    quarters of ``tol`` equally, and the envelope's tail joins the error
-    estimate.
+    over (0, infinity).  A line whose envelope's whole integral is within
+    tol/4 is left out, and that integral joins the error estimate.  Any
+    other line is first summed by the 12- and 18-point
+    Gauss-Laguerre rules in r y, r the envelope's slowest rate, the rule
+    of numerical steepest descent on its path: when the pair's estimate,
+    max(|Q18 - Q12|, its rounding floor), is within tol/4, the line is Q18
+    and costs 30 evaluations.  Otherwise it is cut as an ExponentialTail's
+    integrand is, where its envelope's tail is below tol/4, and the
+    envelope's tail joins the error estimate; the pair's 30 evaluations
+    count all the same.  The head, the fold and the line's cut pieces
+    share the other three quarters of ``tol`` equally, whether or not the
+    cut pieces are integrated.
 
     Every piece starts from one GK15 panel, so a piece that one panel
     resolves costs 15 evaluations.
@@ -399,5 +523,10 @@ def integrate_half_line(f: Callable, tol: float,
     if tail is None:
         return _integrate_pieces(pieces, 0.5 * tol)
     line, beyond = _envelope_cut("contour piece", tail.line, tail.envelope, 0.25 * tol)
-    pieces += line
-    return _integrate_pieces(pieces, 0.75 * tol / len(pieces), beyond)
+    share = 0.75 * tol / (len(pieces) + len(line))
+    if not line:   # the envelope's whole integral is within tol/4
+        return _integrate_pieces(pieces, share, beyond)
+    value, err = _gauss_laguerre_pair(tail.line, min(r for _, r in tail.envelope))
+    if err <= 0.25 * tol:
+        return _integrate_pieces(pieces, share, err, value, len(_GL_NODES))
+    return _integrate_pieces(pieces + line, share, beyond, evaluations=len(_GL_NODES))

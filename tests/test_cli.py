@@ -443,14 +443,14 @@ class TestVerifyPoint:
         report = cli.verify_point(identity, {"x": x}, identity.default_tol)
         assert report.passed, report
 
-    # x^-1.98 is not integrable at 0, so the oracle bisects on until the
-    # integrand overflows near the bottom of the double range
+    # e^(1/x) overflows below x = 1/710, which the bisection of the end
+    # panel at 0 reaches after a few halvings
     def test_integrand_overflow_is_an_oracle_failure(self):
         calls = []
 
         def integrand(x):
             calls.append(x)
-            return x ** -1.98
+            return math.exp(1.0 / x)
 
         identity = IdentityDescriptor(
             id="divergent", equation="", description="", parameter_domain=(),
@@ -534,13 +534,27 @@ class TestVerifyPoint:
             "eq36_beta_exponential")) <= 3_660
 
     def test_tailed_oracle_evaluation_ceiling(self):
-        # the oscillatory-tail oracles over their default grids, with the
-        # power-law heads of eq08 and eq12 and K_nu's terms at infinity of
-        # eq12 taken out exactly, and each tail one half-period in; counts
-        # are exact
+        # the contour oracles over their default grids, with the power-law
+        # heads of eq08 and eq12 and K_nu's terms at infinity of eq12 taken
+        # out exactly, each tail starting at a fixed phase and each line
+        # summed by the Gauss-Laguerre pair; counts are exact
         assert self.default_grid_cost((
             "eq08_fresnel_bessel", "eq12_struve_halfline",
-            "eq13_struve_moment")) <= 2_370
+            "eq13_struve_moment")) <= 780
+
+    @pytest.mark.parametrize("identity_id,point", [
+        ("eq08_fresnel_bessel", {"nu": 0.0, "alpha": 1.0, "beta": 3000.0}),
+        ("eq08_fresnel_bessel", {"nu": 1.5, "alpha": 150.0, "beta": 10000.0}),
+        ("eq12_struve_halfline", {"nu": -0.5, "b": 10000.0}),
+    ])
+    def test_contour_oracle_at_a_high_frequency(self, identity_id, point):
+        # the tails start at a fixed phase of the wave, so the heads hold
+        # about half a period and eq08's envelope, e^(beta s0/4) in part,
+        # stays finite (it overflowed from beta = 2,840 at s0 = 1 + pi/beta)
+        identity = get_identity(identity_id)
+        report = cli.verify_point(identity, point, identity.default_tol)
+        assert report.passed, report.reason
+        assert report.oracle_cost <= 200
 
     def test_closed_form_overflow_is_a_closed_form_failure(self):
         identity = get_identity("eq13_struve_moment")
@@ -567,9 +581,8 @@ class TestVerifyAll:
 
     def test_default_grids_pass(self, capsys, tmp_path):
         # judged on the oracle's budget scale, the eq12 points at nu = -1
-        # (closed form exactly 0, oracle about 1e-7 to 2e-7 off, what the
-        # contour line's cut leaves out) pass at tol 1e-5, each within 3x
-        # its oracle's error estimate
+        # (closed form exactly 0, oracle about 4e-11 to 9e-11 off) pass at
+        # tol 1e-5, each within 3x its oracle's error estimate
         out_path = tmp_path / "report.jsonl"
         code, _, _ = run(capsys, "verify", "all", "--out", str(out_path))
         records = [json.loads(line) for line in out_path.read_text().splitlines()]

@@ -531,7 +531,7 @@ def _eq13_half(p):
     nu = p["nu"]
     power = -(nu + 1.0)
     struve_h, _, struve_k, hankel1 = struve_ref(nu)
-    x0 = max(nu, 1.0) + cf._TAIL_LEAD * math.pi
+    x0 = max(nu, 1.0) + math.pi
 
     def weighted(ref):
         return lambda x: x ** power * ref(x)

@@ -94,15 +94,26 @@ class TestIntegrateFinite:
         with pytest.raises(DomainError):
             oracle.integrate_finite(lambda u: u, 1.0, 0.0, 1e-8)
 
-    def test_raw_end_singularity_raises_with_partial(self):
+    @pytest.mark.parametrize("f", [lambda u: u ** -0.99, lambda u: (1.0 - u) ** -0.99,
+                                   lambda u: u ** -1.98])
+    def test_raw_end_singularity_raises_with_partial(self, f):
         # the mass u^0.01/0.01 that the end panel [0, u] misses stays above
-        # tol down to the denormal floor, where u^-0.99 overflows: an end
-        # singularity is the caller's to take out
-        with pytest.raises(QuadratureError) as excinfo:
-            oracle.integrate_finite(lambda u: u ** -0.99, 0.0, 1.0, 1e-8)
+        # tol down to the bottom of the float range (u^-1.98 is not even
+        # integrable there): an end singularity is
+        # the caller's to take out, and one at 0 stalls about as soon as one
+        # at 1, once its end panel is 200 eps of the piece wide
+        with pytest.raises(QuadratureError, match="stalled") as excinfo:
+            oracle.integrate_finite(f, 0.0, 1.0, 1e-8)
         partial = excinfo.value.partial
         assert not partial.converged
-        assert partial.evaluations > 0
+        assert 0 < partial.evaluations < 2_000
+
+    @pytest.mark.parametrize("power,evaluations", [(-0.9, 8_715), (-0.95, 17_595)])
+    def test_slow_end_singularity_at_zero_still_bisects_to_tol(self, power, evaluations):
+        # the missed mass u^(1+power)/(1+power) reaches 1e-8 above u = 1e-300
+        r = oracle.integrate_finite(lambda u: u ** power, 0.0, 1.0, 1e-8)
+        assert r.converged and r.evaluations == evaluations
+        assert abs(r.value - 1.0 / (1.0 + power)) <= 3.0 * r.abs_error_estimate
 
     def test_end_singularity_finer_than_floats_raises(self):
         # the panels next to u = 1 run out of floats long before the missing
@@ -267,19 +278,28 @@ class TestTailedHalfLine:
         assert partial.evaluations > 0
 
     def test_stalled_line_raises_with_partial(self, monkeypatch):
-        # cos(200 y) e^-y needs more than 40 panels on its piece of the line
-        tail = oracle.ContourTail(1.0, lambda y: math.cos(200.0 * y) * math.exp(-y),
-                                  ((1.0, 1.0),))
+        # the Gauss-Laguerre pair misses cos(200 y) e^-y, which then needs
+        # more than 40 panels on its piece of the line; the partial counts
+        # the pair's 30 calls with the rest
+        line_calls = []
+
+        def line(y):
+            line_calls.append(y)
+            return math.cos(200.0 * y) * math.exp(-y)
+
         monkeypatch.setattr(oracle, "_MAX_INTERVALS", 40)
         with pytest.raises(QuadratureError, match="contour piece .* stalled") as excinfo:
-            oracle.integrate_half_line(lambda x: math.exp(-x), 2.5e-6, tail)
+            oracle.integrate_half_line(lambda x: math.exp(-x), 2.5e-6,
+                                       oracle.ContourTail(1.0, line, ((1.0, 1.0),)))
         partial = excinfo.value.partial
         assert not partial.converged
-        assert partial.evaluations > 0
+        assert line_calls[:30] == list(oracle._GL_NODES)
+        assert partial.evaluations == 15 + len(line_calls) > 30 + 15
 
     def test_integrand_overflow_is_a_quadrature_error(self):
+        # e^(1/x) overflows below x = 1/710, a few halvings into the head
         with pytest.raises(QuadratureError, match="overflow"):
-            oracle.integrate_half_line(lambda x: x ** -1.98, 1e-8)
+            oracle.integrate_half_line(lambda x: math.exp(1.0 / x), 1e-8)
 
 
 class TestExponentialTail:
@@ -343,13 +363,45 @@ class TestContourTail:
         assert abs(r.value - 0.5 * math.pi) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
 
     def test_line_cut_where_the_envelope_tail_is_a_quarter_of_tol(self):
-        # e^-y cut at log(4/tol), the head and the line a piece each, each
-        # exact to well within their 3/8 of tol
+        # the Gauss-Laguerre pair misses cos(20 y) e^-y, whose integral is
+        # 1/401, so the line is cut at log(4/tol), and the envelope's tail
+        # beyond, a quarter of tol, joins the estimate
         tol = 1e-8
         r = oracle.integrate_half_line(lambda x: 1.0, tol, oracle.ContourTail(
-            2.0, lambda y: math.exp(-y), ((1.0, 1.0),)))
-        assert abs(r.value - 3.0) <= r.abs_error_estimate <= tol
+            2.0, lambda y: math.cos(20.0 * y) * math.exp(-y), ((1.0, 1.0),)))
+        assert abs(r.value - (2.0 + 1.0 / 401.0)) <= r.abs_error_estimate <= tol
         assert r.abs_error_estimate >= 0.25 * tol * (1.0 - 1e-12)
+        assert r.evaluations > 15 + 30 + 15
+
+    def test_resolved_line_costs_thirty_evaluations(self):
+        # e^-y is exact for both rules of the pair: the head's one panel
+        # and the pair's 12 + 18 nodes
+        calls = []
+
+        def line(y):
+            calls.append(y)
+            return math.exp(-y)
+
+        r = oracle.integrate_half_line(lambda x: 1.0, 1e-8,
+                                       oracle.ContourTail(2.0, line, ((1.0, 1.0),)))
+        assert r.converged
+        assert (len(calls), r.evaluations) == (30, 45)
+        assert abs(r.value - 3.0) <= r.abs_error_estimate <= 1e-13
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+    def test_gauss_laguerre_pair_exact_to_degree_23(self, r):
+        # both rules integrate y^k e^(-r y), k!/r^(k+1), exactly for k <= 23
+        for k in range(24):
+            value, estimate = oracle._gauss_laguerre_pair(lambda y: y ** k * math.exp(-r * y), r)
+            exact = math.factorial(k) / r ** (k + 1)
+            assert abs(value - exact) <= estimate <= 1e-13 * exact, k
+
+    def test_exact_line_gets_the_rounding_floor(self):
+        # both rules sum 2 e^-y to 2 up to rounding, and the estimate is at
+        # least 50 eps of sum |w_i f_i|, as a GK15 panel's
+        value, estimate = oracle._gauss_laguerre_pair(lambda y: 2.0 * math.exp(-y), 1.0)
+        assert abs(value - 2.0) <= estimate
+        assert 100.0 * 2.220446049250313e-16 * (1.0 - 1e-12) <= estimate <= 1e-13
 
     def test_each_node_evaluated_once(self):
         seen = []
@@ -688,8 +740,12 @@ class TestEvaluationCount:
         assert calls[0] == r.evaluations > 0
 
     # an overflow ends the integration in any piece; its partial result
-    # counts the calls of the pieces before it and of the panel it ended
-    @pytest.mark.parametrize("piece", ["head", "fold", "line"])
+    # counts the calls of the pieces before it and of the panel it ended.
+    # The line is summed by the Gauss-Laguerre pair before any piece: its
+    # nodes reach y = 8 ("line"); cos(20 y) e^-y makes the pair fall back
+    # to the line's cut, whose first panel, [0, log(4e15)], has a node in
+    # (30, 34), where the pair has none ("cut")
+    @pytest.mark.parametrize("piece", ["head", "fold", "line", "cut"])
     def test_overflow_counts_every_call(self, piece):
         def g(x):
             if piece == "head" and x < 0.5 or piece == "fold" and x > 1e3:
@@ -701,6 +757,10 @@ class TestEvaluationCount:
         if piece == "line":
             tail = oracle.ContourTail(1.0, self.counted(
                 lambda y: math.exp(-y) if y < 8.0 else 10.0 ** (50.0 * y), calls), ((1.0, 1.0),))
+        if piece == "cut":
+            tail = oracle.ContourTail(1.0, self.counted(
+                lambda y: 10.0 ** (50.0 * y) if 30.0 < y < 34.0
+                else math.cos(20.0 * y) * math.exp(-y), calls), ((1e5, 1.0),))
         with pytest.raises(QuadratureError, match="overflow") as excinfo:
             oracle.integrate_half_line(self.counted(g, calls), 1e-10, tail)
         assert calls[0] == excinfo.value.partial.evaluations > 0

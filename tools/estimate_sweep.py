@@ -5,8 +5,8 @@
 
 Draws 635 points: 100 of eq12, 70 of eq13, 65 of eq08, 50 each of eq31 and
 eq35, and 60 each of eq02 (both), eq28, eq30 and eq36.  They are uniform
-over eq12's nu in (-2, 0) with b log-uniform in [0.1, 5], eq13's nu in
-[-0.49, 8], eq08's nu in [0, 3.9] with beta log-uniform in [0.1, 10] and
+over eq12's nu in (-2, 0) with b log-uniform in [0.1, 10^4], eq13's nu in
+[-0.49, 8], eq08's nu in [0, 3.9] with beta log-uniform in [0.1, 10^4] and
 alpha a uniform share of its bound 2 sqrt(beta), eq31's and eq35's x in
 (-0.999, 0.999), eq02's nu in (0, 1), eq28's integer n in [1, 6] with x in
 (-8, 8), eq30's x in (-3.5, 3.5) and eq36's x in (-10, 10) with alpha and
@@ -56,7 +56,7 @@ def _log_uniform(rng, lo, hi):
 
 
 def _eq08(rng):
-    beta = _log_uniform(rng, 0.1, 10.0)
+    beta = _log_uniform(rng, 0.1, 1e4)
     return {"nu": rng.uniform(0.0, 3.9), "alpha": rng.random() * 2.0 * math.sqrt(beta),
             "beta": beta}
 
@@ -64,7 +64,7 @@ def _eq08(rng):
 # identity -> (points, draw of one parameter dict)
 DRAWS = {
     "eq12_struve_halfline": (100, lambda rng: {"nu": rng.uniform(-2.0, 0.0),
-                                               "b": _log_uniform(rng, 0.1, 5.0)}),
+                                               "b": _log_uniform(rng, 0.1, 1e4)}),
     "eq13_struve_moment": (70, lambda rng: {"nu": rng.uniform(-0.49, 8.0)}),
     "eq08_fresnel_bessel": (65, _eq08),
     "eq31_borel_cosine": (50, lambda rng: {"x": rng.uniform(-0.999, 0.999)}),
