@@ -736,8 +736,7 @@ CATALOG = (
         default_tol=1e-8,
         closed=lorentz_gauss_integral,
         oracle_eval=_eq30_oracle,
-        variants={"hypergeometric": lorentz_gauss_integral,
-                  "series": lorentz_gauss_series,
+        variants={"series": lorentz_gauss_series,
                   "paper-literal": lorentz_gauss_paper_literal},
     ),
     IdentityDescriptor(

@@ -20,17 +20,19 @@ Every integral is a list of pieces, each integrated as above to its share
 of the tolerance; a piece that misses its share raises with the sum so
 far.  A half-line integral splits at a point x0 and folds [x0, infinity)
 onto (0, 1] by x = x0/u.  An integrand bounded by a sum of exponentials
-comes with an ExponentialTail instead, and is cut where that bound's tail
-is below the tolerance.  A conditionally convergent integral comes with a
-ContourTail that describes f beyond x0 as smooth + w, where w is the trace
-of a function analytic and exponentially decaying in the upper half-plane:
-the head [0, x0] of f and the folded smooth part are pieces as above, and
-the integral of w moves up the vertical line from x0 (numerical steepest
-descent).  There it is summed by the rule of that method, a pair of
-Gauss-Laguerre rules (12 and 18 points) whose difference is the error
-estimate; a line the pair does not resolve is cut as an ExponentialTail's
-integrand is.  An integrand that raises OverflowError ends the
-integration with a QuadratureError that counts every integrand call made.
+comes with an ExponentialTail instead, and is cut at that bound.  A
+conditionally convergent integral comes with a ContourTail that describes
+f beyond x0 as smooth + w, where w is the trace of a function analytic
+and exponentially decaying in the upper half-plane: the head [0, x0] of f
+and the folded smooth part are pieces as above, and the integral of w
+moves up the vertical line from x0 (numerical steepest descent).  There
+it is summed by the rule of that method, a pair of Gauss-Laguerre rules
+(12 and 18 points) whose difference is the error estimate, or, where the
+pair falls short, cut as an ExponentialTail's integrand is.  What bounds
+a tail, the pair's estimate or the envelope's integral beyond the cut,
+takes half of the tolerance, and the pieces share the other half.  An
+integrand that raises OverflowError ends the integration with a
+QuadratureError that counts every integrand call made.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -174,9 +176,14 @@ class QuadratureResult:
     converged: bool
 
 
-def _check_envelope(envelope, what: str) -> None:
-    if not (envelope and all(0.0 < a < math.inf and 0.0 < r < math.inf for a, r in envelope)):
-        raise DomainError(f"{what} needs envelope terms, each with finite a > 0 and r > 0")
+def _check_envelope(envelope, needs: str, most: float = math.inf) -> None:
+    try:   # 1 to ``most`` pairs (a, r) of finite positive numbers
+        ok = 0 < len(envelope) <= most and all(
+            len(term) == 2 and all(0.0 < x < math.inf for x in term) for term in envelope)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{needs} (a, r), each with finite a > 0 and r > 0")
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,7 @@ class ExponentialTail:
     envelope: tuple
 
     def __post_init__(self):
-        _check_envelope(self.envelope, "an exponential tail")
+        _check_envelope(self.envelope, "an exponential tail needs envelope terms")
 
 
 @dataclass(frozen=True)
@@ -200,11 +207,11 @@ class ContourTail:
     Huybrechs & Vandewalle 2006).
 
     ``line`` is that integrand of y, i w(start + i y), or its real part
-    where f is real; ``envelope`` bounds it as ExponentialTail's does, by
-    sum_i a_i e^(-r_i y); ``smooth`` is the rest, None when f is all w.
-    The line is summed at the Gauss-Laguerre nodes in r y, r the
-    envelope's slowest rate, and its envelope places the cut where that
-    pair falls short.
+    where f is real; ``envelope``, one term ((a, r),), bounds it by
+    a e^(-r y); ``smooth`` is the rest, None when f is all w.  The line is
+    summed at Gauss-Laguerre nodes in r y (one rate: nodes scaled by a slow
+    one miss a fast term), or cut at its envelope where they fall short.
+    What bounds the tail takes half of the tolerance, the pieces the rest.
     """
 
     start: float
@@ -215,7 +222,7 @@ class ContourTail:
     def __post_init__(self):
         if not 0.0 < self.start < math.inf:
             raise DomainError("a contour tail needs a finite start > 0")
-        _check_envelope(self.envelope, "a contour tail")
+        _check_envelope(self.envelope, "a contour tail needs one envelope term", 1)
 
 
 def _nudged_inside(f, a: float, b: float):
@@ -486,47 +493,40 @@ def integrate_half_line(f: Callable, tol: float,
     x = 1/u, and integrates both pieces adaptively, each to half of
     ``tol``; f must decay.
 
-    With an ExponentialTail, whose envelope bounds |f| by sum_i a_i
-    e^(-r_i x), f is cut where the envelope's tail is below tol/2
-    (_envelope_cut), and the pieces up to there share the other tol/2; the
-    envelope's integral beyond the cut joins the error estimate.  The fold
-    would turn e^(-x) into a boundary layer e^(-1/u) at u = 0 that
-    bisection meets by evaluating every panel on its way.
+    With a tail, what bounds the tail takes half of ``tol``, and the pieces
+    integrated by GK15 panels share the other half equally.  With an
+    ExponentialTail, whose envelope bounds |f| by sum_i a_i e^(-r_i x), f
+    is cut where the envelope's tail is below tol/2 (_envelope_cut), and
+    that tail joins the error estimate: the fold would turn e^(-x) into a
+    boundary layer e^(-1/u) at u = 0 that bisection meets by evaluating
+    every panel on its way.
 
     With a ContourTail the integral is the sum of f over [0, start],
     ``smooth`` over [start, infinity), folded by x = start/u, and ``line``
-    over (0, infinity).  A line whose envelope's whole integral is within
-    tol/4 is left out, and that integral joins the error estimate.  Any
-    other line is first summed by the 12- and 18-point
-    Gauss-Laguerre rules in r y, r the envelope's slowest rate, the rule
-    of numerical steepest descent on its path: when the pair's estimate,
-    max(|Q18 - Q12|, its rounding floor), is within tol/4, the line is Q18
-    and costs 30 evaluations.  Otherwise it is cut as an ExponentialTail's
-    integrand is, where its envelope's tail is below tol/4, and the
-    envelope's tail joins the error estimate; the pair's 30 evaluations
-    count all the same.  The head, the fold and the line's cut pieces
-    share the other three quarters of ``tol`` equally, whether or not the
-    cut pieces are integrated.
+    over (0, infinity).  The line is first summed by the 12- and 18-point
+    Gauss-Laguerre rules in r y, r the envelope's rate, the rule of
+    numerical steepest descent on its path: when the pair's estimate,
+    max(|Q18 - Q12|, its rounding floor), is within tol/2, the line is Q18
+    and costs 30 evaluations.  Otherwise the line is cut as an
+    ExponentialTail's integrand is, and its pieces join the head and the
+    fold; the pair's 30 evaluations count all the same.
 
     Every piece starts from one GK15 panel, so a piece that one panel
     resolves costs 15 evaluations.
     """
-    if isinstance(tail, ExponentialTail):
-        pieces, beyond = _envelope_cut("half-line piece", f, tail.envelope, 0.5 * tol)
-        return _integrate_pieces(pieces, 0.5 * tol / max(len(pieces), 1), beyond)
-    # the head [0, x0] and the rest folded by x = x0/u: without a tail, f
-    # itself from x0 = 1; with a contour tail, its smooth part
-    x0, rest = (1.0, f) if tail is None else (tail.start, tail.smooth)
-    pieces = [("half-line head", f, 0.0, x0)]
-    if rest is not None:
-        pieces.append(("half-line fold", _fold(rest, x0), 0.0, 1.0))
     if tail is None:
-        return _integrate_pieces(pieces, 0.5 * tol)
-    line, beyond = _envelope_cut("contour piece", tail.line, tail.envelope, 0.25 * tol)
-    share = 0.75 * tol / (len(pieces) + len(line))
-    if not line:   # the envelope's whole integral is within tol/4
-        return _integrate_pieces(pieces, share, beyond)
-    value, err = _gauss_laguerre_pair(tail.line, min(r for _, r in tail.envelope))
-    if err <= 0.25 * tol:
-        return _integrate_pieces(pieces, share, err, value, len(_GL_NODES))
-    return _integrate_pieces(pieces + line, share, beyond, evaluations=len(_GL_NODES))
+        return _integrate_pieces((("half-line head", f, 0.0, 1.0),
+                                  ("half-line fold", _fold(f, 1.0), 0.0, 1.0)), 0.5 * tol)
+    half, name, pieces, evaluations = 0.5 * tol, "half-line piece", [], 0
+    if isinstance(tail, ContourTail):
+        pieces.append(("half-line head", f, 0.0, tail.start))
+        if tail.smooth is not None:
+            pieces.append(("half-line fold", _fold(tail.smooth, tail.start), 0.0, 1.0))
+        ((_, r),) = tail.envelope
+        value, err = _gauss_laguerre_pair(tail.line, r)
+        if err <= half:
+            return _integrate_pieces(pieces, half / len(pieces), err, value, len(_GL_NODES))
+        name, f, evaluations = "contour piece", tail.line, len(_GL_NODES)
+    cut, beyond = _envelope_cut(name, f, tail.envelope, half)
+    pieces += cut
+    return _integrate_pieces(pieces, half / max(len(pieces), 1), beyond, evaluations=evaluations)

@@ -48,8 +48,13 @@ def test_sweep_summarises_each_identity(estimate_sweep, monkeypatch):
         i: (2, draw) for i, (_, draw) in estimate_sweep.DRAWS.items()})
     summary = estimate_sweep.sweep(ROOT, 1)
     assert set(summary) == set(estimate_sweep.DRAWS)
-    for row in summary.values():
+    points = estimate_sweep.points(1)
+    for identity_id, row in summary.items():
         assert row["results"] == 2 * len(estimate_sweep.TOLERANCES)
         assert row["over"] == 0 and not row["errors"]
         assert 0.0 < row["worst"] <= estimate_sweep.RULE
         assert row["evaluations"] > 0
+        # the most evaluations one oracle call made, at one of the points
+        most, params, tol = row["costliest"]
+        assert 0 < most <= row["evaluations"]
+        assert (identity_id, params) in points and tol > 0.0

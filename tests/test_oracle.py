@@ -302,6 +302,23 @@ class TestTailedHalfLine:
             oracle.integrate_half_line(lambda x: math.exp(1.0 / x), 1e-8)
 
 
+# envelopes that are not a sequence of pairs (a, r) of numbers: a bare
+# pair, a term of one or three numbers, a string, None
+MALFORMED_ENVELOPES = [(1.0, 1.0), ((1.0,),), ((1.0, 1.0, 2.0),), (("a", 1.0),),
+                       ((1.0, 1j),), None, "ab"]
+
+
+@pytest.mark.parametrize("make", [oracle.ExponentialTail,
+                                  lambda envelope: oracle.ContourTail(1.0, math.exp, envelope)],
+                         ids=["exponential", "contour"])
+@pytest.mark.parametrize("envelope", MALFORMED_ENVELOPES,
+                         ids=["bare-pair", "one-number", "three-numbers", "string-a", "complex-r",
+                              "none", "string"])
+def test_malformed_envelope_is_a_domain_error(make, envelope):
+    with pytest.raises(DomainError, match="envelope term"):
+        make(envelope)
+
+
 class TestExponentialTail:
     @pytest.mark.parametrize("envelope", [(), ((0.0, 1.0),), ((-1.0, 1.0),), ((1.0, 0.0),),
                                           ((1.0, 1.0), (2.0, -0.5)), ((math.nan, 1.0),),
@@ -344,6 +361,12 @@ class TestContourTail:
         with pytest.raises(DomainError):
             oracle.ContourTail(1.0, math.exp, envelope)
 
+    def test_rejects_an_envelope_of_two_terms(self):
+        # the pair scales its nodes by one rate, and nodes scaled by the
+        # slow one miss the fast term's decay
+        with pytest.raises(DomainError, match="one envelope term"):
+            oracle.ContourTail(1.0, math.exp, ((1.0, 1.0), (2.0, 3.0)))
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     def test_sine_integral_beyond_one(self, tol):
         # with a zero head, the integral of sin x / x over [1, infinity),
@@ -362,16 +385,35 @@ class TestContourTail:
         assert r.converged
         assert abs(r.value - 0.5 * math.pi) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
 
-    def test_line_cut_where_the_envelope_tail_is_a_quarter_of_tol(self):
+    def test_line_cut_where_the_envelope_tail_is_half_of_tol(self):
         # the Gauss-Laguerre pair misses cos(20 y) e^-y, whose integral is
-        # 1/401, so the line is cut at log(4/tol), and the envelope's tail
-        # beyond, a quarter of tol, joins the estimate
+        # 1/401, so the line is cut at log(2/tol), and the envelope's tail
+        # beyond, half of tol, joins the estimate
         tol = 1e-8
         r = oracle.integrate_half_line(lambda x: 1.0, tol, oracle.ContourTail(
             2.0, lambda y: math.cos(20.0 * y) * math.exp(-y), ((1.0, 1.0),)))
         assert abs(r.value - (2.0 + 1.0 / 401.0)) <= r.abs_error_estimate <= tol
-        assert r.abs_error_estimate >= 0.25 * tol * (1.0 - 1e-12)
+        assert r.abs_error_estimate >= 0.5 * tol * (1.0 - 1e-12)
         assert r.evaluations > 15 + 30 + 15
+
+    def test_negligible_line_is_summed_by_the_pair(self):
+        # the envelope's whole integral, 1e-12, is far below tol/2, and the
+        # pair still sums the line: the head, alone, takes the other half
+        tol = 1e-8
+        calls = []
+
+        def line(y):
+            calls.append(y)
+            return 1e-12 * math.exp(-y)
+
+        r = oracle.integrate_half_line(lambda x: 1.0 + x * x, tol,
+                                       oracle.ContourTail(2.0, line, ((1e-12, 1.0),)))
+        assert (len(calls), r.evaluations) == (30, 45)
+        value, estimate = oracle._gauss_laguerre_pair(line, 1.0)
+        head = oracle.integrate_finite(lambda x: 1.0 + x * x, 0.0, 2.0, 0.5 * tol)
+        assert (r.value, r.abs_error_estimate) == (value + head.value,
+                                                   estimate + head.abs_error_estimate)
+        assert r.abs_error_estimate < 1e-13
 
     def test_resolved_line_costs_thirty_evaluations(self):
         # e^-y is exact for both rules of the pair: the head's one panel
@@ -743,7 +785,7 @@ class TestEvaluationCount:
     # counts the calls of the pieces before it and of the panel it ended.
     # The line is summed by the Gauss-Laguerre pair before any piece: its
     # nodes reach y = 8 ("line"); cos(20 y) e^-y makes the pair fall back
-    # to the line's cut, whose first panel, [0, log(4e15)], has a node in
+    # to the line's cut, whose first panel, [0, log(2e15)], has a node in
     # (30, 34), where the pair has none ("cut")
     @pytest.mark.parametrize("piece", ["head", "fold", "line", "cut"])
     def test_overflow_counts_every_call(self, piece):

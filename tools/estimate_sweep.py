@@ -14,10 +14,11 @@ beta log-uniform in [0.1, 10].  Each point's oracle runs at the tolerances
 1e-4, 1e-6 and 1e-9, each times max(|closed|, 1), and its true error is
 taken as its distance from the closed form.  The oracle's rule is that this
 error stays within 3x its estimate.  eq08, eq12 and eq13 take their
-oscillatory tails up a vertical contour, cut where an exponential
-envelope's tail is below a share of the tolerance, and eq31 and eq35 cut
-the half-line at such an envelope: a wrong envelope or a cut too early
-shows here as a result over 3x.  eq02, eq08, eq12 and eq36 take the first
+oscillatory tails up a vertical contour, summed by a Gauss-Laguerre pair
+and, where the pair falls short, cut where an exponential envelope's tail
+is below half of the tolerance; eq31 and eq35 cut the half-line at such
+an envelope: a wrong envelope, a cut too early or a pair that misses a
+term shows here as a result over 3x.  eq02, eq08, eq12 and eq36 take the first
 terms of their integrands out at a singular end and integrate them
 exactly; the adaptive core has no other treatment of an end singularity.
 eq30's closed side cancels as |x| grows: it is 2e-12 off the integral at
@@ -25,8 +26,10 @@ x = 3.6 and 2.4e-9 at 4.5, more than the oracle's estimates at 1e-9, so
 it is drawn only where it holds to about 4.5e-13.
 
 Per identity the output gives the worst ratio |oracle - closed| / estimate,
-the count of results over 3x, the EngineErrors by type, and the total
-integrand evaluations, those of raised results' partials included.  With
+the count of results over 3x, the EngineErrors by type, the total
+integrand evaluations, those of raised results' partials included, and
+the costliest point: the most evaluations one oracle call made, partials
+included, with its parameters and tolerance.  With
 ``--base`` the revision REV, extracted with ``git archive`` into a
 temporary directory, is swept on the same points first, and both sides are
 printed.  The exit status is 1 when the working tree has a result over 3x
@@ -89,13 +92,14 @@ def points(seed: int) -> list:
 
 
 def sweep(root: Path, seed: int) -> dict:
-    """Per identity: worst ratio, count over the rule, errors, evaluations."""
+    """Per identity: worst ratio, count over the rule, errors, evaluations and
+    the costliest point."""
     sys.path.insert(0, str(root / "src"))
     from umbralint.closedforms import get_identity
     from umbralint.errors import EngineError
 
     summary = {i: {"worst": 0.0, "over": 0, "errors": Counter(), "evaluations": 0,
-                   "results": 0} for i in DRAWS}
+                   "results": 0, "costliest": [0, {}, 0.0]} for i in DRAWS}
     for identity_id, params in points(seed):
         identity = get_identity(identity_id)
         closed = identity.closed(**params)
@@ -106,15 +110,17 @@ def sweep(root: Path, seed: int) -> dict:
                 result = identity.oracle_eval(params, tol)
             except EngineError as exc:
                 row["errors"][type(exc).__name__] += 1
-                partial = getattr(exc, "partial", None)
-                row["evaluations"] += getattr(partial, "evaluations", 0)
-                continue
-            error, estimate = abs(result.value - closed), result.abs_error_estimate
-            ratio = error / estimate if estimate > 0.0 else (0.0 if error == 0.0 else math.inf)
-            row["worst"] = max(row["worst"], ratio)
-            row["over"] += ratio > RULE
-            row["evaluations"] += result.evaluations
-            row["results"] += 1
+                evaluations = getattr(getattr(exc, "partial", None), "evaluations", 0)
+            else:
+                error, estimate = abs(result.value - closed), result.abs_error_estimate
+                ratio = error / estimate if estimate > 0.0 else (0.0 if error == 0.0 else math.inf)
+                row["worst"] = max(row["worst"], ratio)
+                row["over"] += ratio > RULE
+                row["results"] += 1
+                evaluations = result.evaluations
+            row["evaluations"] += evaluations
+            if evaluations > row["costliest"][0]:
+                row["costliest"] = [evaluations, params, tol]
     return summary
 
 
@@ -146,9 +152,10 @@ def main(argv=None) -> int:
         print(name)
         for identity_id, row in summary.items():
             errors = ", ".join(f"{k} {v}" for k, v in sorted(row["errors"].items())) or "none"
+            most, params, tol = row["costliest"]
             print(f"  {identity_id}: worst {row['worst']:.3f}, over {RULE:g}x "
                   f"{row['over']} of {row['results']}, errors: {errors}, "
-                  f"evaluations {row['evaluations']}")
+                  f"evaluations {row['evaluations']}, costliest {most} at {params}, tol {tol:.3g}")
         total = sum(row["evaluations"] for row in summary.values())
         print(f"  total evaluations {total}")
     return 1 if any(row["over"] for row in sides["working tree"].values()) else 0
