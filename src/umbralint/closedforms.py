@@ -525,25 +525,28 @@ def _eq30_oracle(p, tol):
     return oracle.integrate_half_line(doubled, tol)
 
 
-# The Mellin oracles take out four Taylor terms of g in x^(nu-1) g(x) on
-# [0, 1], whose first holds the mass 1/nu that GK15's nodes see only in
-# part at a tiny nu, and give [0, 1] and [1, infinity) half of tol each.
-# The rational one also takes out four terms of x^(nu-2)/(1+1/x) beyond 1,
-# whose first holds 1/(1-nu).  The exponential one is cut beyond 1 where
-# its bound e^-x has a tail below tol, not folded: one GK15 panel over the
+# The Mellin oracles take out the first Taylor terms of g in x^(nu-1) g(x)
+# on a head [0, x0], the first of which holds the mass 1/nu that GK15's
+# nodes see only in part at a tiny nu, and give the head and the tail
+# half of tol each.  The rational one splits at 1 and also takes out four
+# terms of x^(nu-2)/(1+1/x) beyond 1, whose first holds 1/(1-nu).  The
+# exponential one splits at 4, where six terms of e^-x leave a head that
+# one GK15 panel resolves, and sums its tail (4+t)^(nu-1) e^(-4-t), at most
+# 4^(nu-1) e^-4, as an ExponentialTail, not folded: one GK15 panel over the
 # fold's layer e^(-1/u) at u = 0 was 24 times its estimate off at nu = 0.527.
-_EXP_TAYLOR = (1.0, -1.0, 0.5, -1.0 / 6.0)
+_EXP_SPLIT = 4.0
+_EXP_TAYLOR = (1.0, -1.0, 1.0 / 2.0, -1.0 / 6.0, 1.0 / 24.0, -1.0 / 120.0)
 _ALTERNATING = (1.0, -1.0, 1.0, -1.0)
 
 
 def _eq02_exp_oracle(p, tol):
-    nu = p["nu"]
-    head, terms = _less_power_terms(lambda x: x ** nu / x * math.exp(-x), 0.0, 1.0, nu, 1,
+    nu, x0 = p["nu"], _EXP_SPLIT
+    head, terms = _less_power_terms(lambda x: x ** nu / x * math.exp(-x), 0.0, x0, nu, 1,
                                     _EXP_TAYLOR, 0.5 * tol)
-    head = oracle.integrate_finite(head, 0.0, 1.0, 0.5 * tol)
-    tail = oracle.ExponentialTail(((math.exp(-1.0), 1.0),))
+    head = oracle.integrate_finite(head, 0.0, x0, 0.5 * tol)
+    tail = oracle.ExponentialTail(((x0 ** nu / x0 * math.exp(-x0), 1.0),))
     return _plus_terms(_joined_with(head, lambda: oracle.integrate_half_line(
-        lambda t: (1.0 + t) ** nu / (1.0 + t) * math.exp(-1.0 - t), 0.5 * tol, tail)), terms)
+        lambda t: (x0 + t) ** nu / (x0 + t) * math.exp(-x0 - t), 0.5 * tol, tail)), terms)
 
 
 def _eq02_rat_oracle(p, tol):
@@ -560,22 +563,30 @@ def _eq02_rat_oracle(p, tol):
         lambda x: head(x) if x < 1.0 else tail(x), tol), head_terms, tail_terms)
 
 
-# The Borel integrands e^-t g(x t) are bounded by sums of exponentials,
-# which the oracle cuts where their tail is below tol.
+# The Borel integrands e^-t g(x t) are sums of exponentials, each term
+# summed as an ExponentialTail of its own rate.
 def _eq31_cos_oracle(p, tol):
     x = p["x"]
     return oracle.integrate_half_line(lambda t: math.exp(-t) * math.cos(x * t), tol,
                                       oracle.ExponentialTail(((1.0, 1.0),)))
 
 
+_SQRT3_HALF = math.sqrt(3.0) / 2.0
+
+
 def _eq35_oracle(p, tol):
-    # for x near -1 the product decays only like e^{-(1+x) t}, long after
-    # e^{-x t} alone has overflowed, so the weight goes inside.  The
-    # envelope is (e^(-(1+x) t) + 2 e^(-(1-x/2) t) cos(sqrt(3) x t / 2)) / 3
+    # e^-t c_0(x t) = (e^(-(1+x) t) + 2 e^(-(1-x/2) t) cos(sqrt(3) x t / 2)) / 3,
+    # each term formed whole, e^(-r t), which e^(-x t) alone would overflow
+    # long before for x near -1, and each summed at tol/2 at its own rate
+    # r: one pair for the sum in the slow rate 1 + x was 3e8 times its
+    # estimate off at x = -0.995
     x = p["x"]
-    envelope = ((1.0 / 3.0, 1.0 + x), (2.0 / 3.0, 1.0 - 0.5 * x))
-    return oracle.integrate_half_line(lambda t: reference.pseudo_trig3_closed(x * t, -t), tol,
-                                      oracle.ExponentialTail(envelope))
+    r1, r2, w = 1.0 + x, 1.0 - 0.5 * x, _SQRT3_HALF * x
+    first = oracle.integrate_half_line(lambda t: math.exp(-r1 * t) / 3.0, 0.5 * tol,
+                                       oracle.ExponentialTail(((1.0 / 3.0, r1),)))
+    return _joined_with(first, lambda: oracle.integrate_half_line(
+        lambda t: 2.0 / 3.0 * math.exp(-r2 * t) * math.cos(w * t), 0.5 * tol,
+        oracle.ExponentialTail(((2.0 / 3.0, r2),))))
 
 
 # terms of u^(a-1) (1-u)^(b-1) e^(-u x) taken out at each end of the Beta kernel

@@ -19,20 +19,21 @@ do, raises.
 Every integral is a list of pieces, each integrated as above to its share
 of the tolerance; a piece that misses its share raises with the sum so
 far.  A half-line integral splits at a point x0 and folds [x0, infinity)
-onto (0, 1] by x = x0/u.  An integrand bounded by a sum of exponentials
-comes with an ExponentialTail instead, and is cut at that bound.  A
-conditionally convergent integral comes with a ContourTail that describes
-f beyond x0 as smooth + w, where w is the trace of a function analytic
-and exponentially decaying in the upper half-plane: the head [0, x0] of f
-and the folded smooth part are pieces as above, and the integral of w
-moves up the vertical line from x0 (numerical steepest descent).  There
-it is summed by the rule of that method, a pair of Gauss-Laguerre rules
-(12 and 18 points) whose difference is the error estimate, or, where the
-pair falls short, cut as an ExponentialTail's integrand is.  What bounds
-a tail, the pair's estimate or the envelope's integral beyond the cut,
-takes half of the tolerance, and the pieces share the other half.  An
-integrand that raises OverflowError ends the integration with a
-QuadratureError that counts every integrand call made.
+onto (0, 1] by x = x0/u.  An integrand bounded by one exponential,
+a e^(-r x), comes with an ExponentialTail instead.  A conditionally
+convergent integral comes with a ContourTail that describes f beyond x0
+as smooth + w, where w is the trace of a function analytic and exponentially decaying
+in the upper half-plane: the head [0, x0] of f and the folded smooth part
+are pieces as above, and the integral of w moves up the vertical line from
+x0 (numerical steepest descent).  Every tail, of either type, has one
+envelope term and one rule: it is summed first by the rule of that method,
+a pair of Gauss-Laguerre rules (12 and 18 points) in r x whose difference
+is the error estimate, and only where the pair misses is it cut where the
+envelope's tail is below its share of the tolerance and integrated in
+pieces.  What bounds a tail, the pair's estimate or the envelope's
+integral beyond the cut, takes half of the tolerance, and the pieces share
+the other half.  An integrand that raises OverflowError ends the
+integration with a QuadratureError that counts every integrand call made.
 
 All routines are pure functions over caller-supplied integrands; the
 integrand contract requires that it be safe to evaluate concurrently.
@@ -176,25 +177,30 @@ class QuadratureResult:
     converged: bool
 
 
-def _check_envelope(envelope, needs: str, most: float = math.inf) -> None:
-    try:   # 1 to ``most`` pairs (a, r) of finite positive numbers
-        ok = 0 < len(envelope) <= most and all(
+def _check_envelope(envelope, needs: str) -> None:
+    try:   # exactly one pair (a, r) of finite positive numbers
+        ok = len(envelope) == 1 and all(
             len(term) == 2 and all(0.0 < x < math.inf for x in term) for term in envelope)
     except TypeError:
         ok = False
     if not ok:
-        raise DomainError(f"{needs} (a, r), each with finite a > 0 and r > 0")
+        raise DomainError(f"{needs} (a, r), with finite a > 0 and r > 0")
 
 
 @dataclass(frozen=True)
 class ExponentialTail:
-    """The envelope of an integrand on (0, infinity): |f(x)| <= sum_i a_i
-    e^(-r_i x) for the pairs (a_i, r_i), all positive, of ``envelope``."""
+    """The envelope of an integrand on (0, infinity), one term ((a, r),):
+    |f(x)| <= a e^(-r x), with a and r positive.  f is summed at
+    Gauss-Laguerre nodes in r x, or cut at its envelope where they fall
+    short.  An integrand that is a sum of terms decaying at different
+    rates is integrated term by term, one tail each: nodes scaled by a
+    slow rate miss a fast term, and a cut at the slow term's end leaves
+    the fast term's decay to one panel."""
 
     envelope: tuple
 
     def __post_init__(self):
-        _check_envelope(self.envelope, "an exponential tail needs envelope terms")
+        _check_envelope(self.envelope, "an exponential tail needs one envelope term")
 
 
 @dataclass(frozen=True)
@@ -208,10 +214,9 @@ class ContourTail:
 
     ``line`` is that integrand of y, i w(start + i y), or its real part
     where f is real; ``envelope``, one term ((a, r),), bounds it by
-    a e^(-r y); ``smooth`` is the rest, None when f is all w.  The line is
-    summed at Gauss-Laguerre nodes in r y (one rate: nodes scaled by a slow
-    one miss a fast term), or cut at its envelope where they fall short.
-    What bounds the tail takes half of the tolerance, the pieces the rest.
+    a e^(-r y), as an ExponentialTail's bounds its integrand, and the line
+    is summed as that integrand is.  ``smooth`` is the rest, None when f
+    is all w.
     """
 
     start: float
@@ -222,7 +227,7 @@ class ContourTail:
     def __post_init__(self):
         if not 0.0 < self.start < math.inf:
             raise DomainError("a contour tail needs a finite start > 0")
-        _check_envelope(self.envelope, "a contour tail needs one envelope term", 1)
+        _check_envelope(self.envelope, "a contour tail needs one envelope term")
 
 
 def _nudged_inside(f, a: float, b: float):
@@ -447,22 +452,16 @@ def _fold(f, x0: float):
 
 
 def _envelope_cut(name: str, f, envelope, tol: float):
-    """The pieces (name, f, a, b) of f over (0, infinity) up
-    to where the tail of ``envelope``, a bound sum_i a_i e^(-r_i x) of |f|,
-    is below ``tol``, and the envelope's integral beyond the last cut.
-
-    Term i is cut at c_i, where its tail a_i e^(-r_i c_i) / r_i is its share
-    of ``tol``, fastest term first; a slower term whose cut comes no later
-    adds none.  Each piece lies between two cuts, so no GK15 panel spans a
-    fast term's decay and a slow term's length.
+    """The pieces (name, f, a, b) of f over (0, infinity) up to the cut c
+    where the tail a e^(-r c) / r of ``envelope``, ((a, r),), a bound of
+    |f|, is ``tol``, and that tail: the fallback of a tail that the
+    Gauss-Laguerre pair misses.  An envelope whose whole integral a/r is
+    within ``tol`` leaves no piece.
     """
-    share = tol / len(envelope)
-    cuts = [0.0]
-    for a, r in sorted(envelope, key=lambda term: term[1], reverse=True):
-        cuts.append(max(cuts[-1], math.log(a / (r * share)) / r))
-    pieces = [(f"{name} [{lo:g}, {hi:g}]", f, lo, hi)
-              for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    return pieces, sum(a * math.exp(-r * cuts[-1]) / r for a, r in envelope)
+    ((a, r),) = envelope
+    cut = max(0.0, math.log(a / (r * tol)) / r)
+    pieces = [(f"{name} [0, {cut:g}]", f, 0.0, cut)] if cut > 0.0 else []
+    return pieces, a * math.exp(-r * cut) / r
 
 
 def _gauss_laguerre_pair(f, r: float):
@@ -493,23 +492,21 @@ def integrate_half_line(f: Callable, tol: float,
     x = 1/u, and integrates both pieces adaptively, each to half of
     ``tol``; f must decay.
 
-    With a tail, what bounds the tail takes half of ``tol``, and the pieces
-    integrated by GK15 panels share the other half equally.  With an
-    ExponentialTail, whose envelope bounds |f| by sum_i a_i e^(-r_i x), f
-    is cut where the envelope's tail is below tol/2 (_envelope_cut), and
-    that tail joins the error estimate: the fold would turn e^(-x) into a
-    boundary layer e^(-1/u) at u = 0 that bisection meets by evaluating
-    every panel on its way.
+    With a tail, f, or with a ContourTail its ``line``, is summed by one
+    rule: first by the 12- and 18-point Gauss-Laguerre rules in r x, r the
+    envelope's rate, the rule of numerical steepest descent.  When the
+    pair's estimate, max(|Q18 - Q12|, its rounding floor), is within tol/2,
+    the tail is Q18 and costs 30 evaluations.  Otherwise it is cut where
+    the envelope's tail is below tol/2 (_envelope_cut), that tail joins the
+    error estimate, and the pieces integrated by GK15 panels share the
+    other half of ``tol`` equally; the pair's 30 evaluations count all the
+    same.  An ExponentialTail's f is not folded: the fold would turn
+    e^(-x) into a boundary layer e^(-1/u) at u = 0 that bisection meets by
+    evaluating every panel on its way.
 
     With a ContourTail the integral is the sum of f over [0, start],
-    ``smooth`` over [start, infinity), folded by x = start/u, and ``line``
-    over (0, infinity).  The line is first summed by the 12- and 18-point
-    Gauss-Laguerre rules in r y, r the envelope's rate, the rule of
-    numerical steepest descent on its path: when the pair's estimate,
-    max(|Q18 - Q12|, its rounding floor), is within tol/2, the line is Q18
-    and costs 30 evaluations.  Otherwise the line is cut as an
-    ExponentialTail's integrand is, and its pieces join the head and the
-    fold; the pair's 30 evaluations count all the same.
+    ``smooth`` over [start, infinity), folded by x = start/u, and the line
+    over (0, infinity); the head and the fold are pieces too.
 
     Every piece starts from one GK15 panel, so a piece that one panel
     resolves costs 15 evaluations.
@@ -517,16 +514,15 @@ def integrate_half_line(f: Callable, tol: float,
     if tail is None:
         return _integrate_pieces((("half-line head", f, 0.0, 1.0),
                                   ("half-line fold", _fold(f, 1.0), 0.0, 1.0)), 0.5 * tol)
-    half, name, pieces, evaluations = 0.5 * tol, "half-line piece", [], 0
+    half, name, pieces = 0.5 * tol, "half-line piece", []
     if isinstance(tail, ContourTail):
         pieces.append(("half-line head", f, 0.0, tail.start))
         if tail.smooth is not None:
             pieces.append(("half-line fold", _fold(tail.smooth, tail.start), 0.0, 1.0))
-        ((_, r),) = tail.envelope
-        value, err = _gauss_laguerre_pair(tail.line, r)
-        if err <= half:
-            return _integrate_pieces(pieces, half / len(pieces), err, value, len(_GL_NODES))
-        name, f, evaluations = "contour piece", tail.line, len(_GL_NODES)
-    cut, beyond = _envelope_cut(name, f, tail.envelope, half)
-    pieces += cut
-    return _integrate_pieces(pieces, half / max(len(pieces), 1), beyond, evaluations=evaluations)
+        name, f = "contour piece", tail.line
+    ((_, r),) = tail.envelope
+    value, err = _gauss_laguerre_pair(f, r)
+    if not err <= half:   # nan included: the pair misses, so cut at the envelope
+        cut, err = _envelope_cut(name, f, tail.envelope, half)
+        pieces, value = pieces + cut, 0.0
+    return _integrate_pieces(pieces, half / max(len(pieces), 1), err, value, len(_GL_NODES))

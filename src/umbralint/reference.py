@@ -3,9 +3,8 @@
 The verification oracle integrates the *defining* integrand of each
 identity.  Where that integrand contains a named special function, this
 module supplies it from an independent source (scipy's C implementations,
-classical elementary reductions, or Laplace integrals on a fixed
-Gauss-Laguerre rule), so the quadrature route never touches the series
-kernel being checked.
+or Laplace integrals on a fixed Gauss-Laguerre rule), so the quadrature
+route never touches the series kernel being checked.
 
 Each special function is bound once per order and returns callables of
 x, so that a quadrature node pays at most one Python frame around its
@@ -22,10 +21,8 @@ __all__ = [
     "bessel_j_ref",
     "bessel_j_complex_ref",
     "struve_ref",
-    "pseudo_trig3_closed",
 ]
 
-_SQRT3_HALF = math.sqrt(3.0) / 2.0
 _SQRT_PI = math.sqrt(math.pi)
 
 # The 30-point Gauss-Laguerre rule, sum_i w_i f(s_i) for the integral of
@@ -177,14 +174,3 @@ def struve_ref(v: float):
         return struve(v, x) - bessel_y(x)
 
     return struve_h, bessel_y, struve_k, hankel1_v
-
-
-def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:
-    """The 3-sected alternating exponential via cube roots of unity, times
-    e^{log_weight}: (e^{w-u} + 2 e^{w+u/2} cos(sqrt(3) u / 2)) / 3.
-
-    Folding the weight into each exponential keeps a decaying product
-    finite where e^{-u} alone would overflow."""
-    return (math.exp(log_weight - u)
-            + 2.0 * math.exp(log_weight + 0.5 * u) * math.cos(_SQRT3_HALF * u)) / 3.0
-

@@ -12,6 +12,7 @@ from fractions import Fraction
 from scipy.special import cython_special
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 
 def b_nu_closed(nu: float, x) -> complex:
@@ -123,3 +124,13 @@ def hypergeometric_sum(t, a, b, y, tol, k=0, seed=None, k_safe=0, weight=None):
     raise ConvergenceError(f"series did not converge within {DEFAULT_CAP} terms "
                            f"(last |term| = {mag:.3e})", partial=total,
                            tail=SeriesTail(DEFAULT_CAP, mag, False))
+
+
+def pseudo_trig3_closed(u: float, log_weight: float = 0.0) -> float:
+    """The 3-sected alternating exponential via cube roots of unity, times
+    e^{log_weight}: (e^{w-u} + 2 e^{w+u/2} cos(sqrt(3) u / 2)) / 3.
+
+    Folding the weight into each exponential keeps a decaying product
+    finite where e^{-u} alone would overflow."""
+    return (math.exp(log_weight - u)
+            + 2.0 * math.exp(log_weight + 0.5 * u) * math.cos(_SQRT3_HALF * u)) / 3.0

@@ -8,9 +8,8 @@ import cmath
 import math
 
 from umbralint import closedforms as cf, oracle, specfun as sf, transforms as tr, umbral as um
-from umbralint.reference import pseudo_trig3_closed
 
-from references import b_nu_closed, classical_hermite, hybrid_hermite_moment
+from references import b_nu_closed, classical_hermite, hybrid_hermite_moment, pseudo_trig3_closed
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -10,12 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from umbralint import cli, closedforms as cf, oracle, specfun as sf, summation, umbral as um
 from umbralint.errors import ConvergenceError, DomainError, EngineError, QuadratureError
-from umbralint.reference import (
-    bessel_j_complex_ref,
-    bessel_j_ref,
-    pseudo_trig3_closed,
-    struve_ref,
-)
+from umbralint.reference import bessel_j_complex_ref, bessel_j_ref, struve_ref
+
+from references import pseudo_trig3_closed
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -473,7 +470,7 @@ class TestPowerTerms:
                 c * 0.25 ** k for k, c in enumerate(coefficients[:kept]))), rel=1e-12)
 
 
-# eq31 and eq35: the Borel integrand as each oracle forms it, and its closed form
+# eq31 and eq35: the Borel integrand and its closed form
 BOREL_PAIRS = {
     "eq31_borel_cosine": (lambda x: lambda t: math.exp(-t) * math.cos(x * t),
                           lambda x: 1.0 / (1.0 + x * x)),
@@ -496,7 +493,9 @@ class TestLaplaceOracle:
     def test_no_piece_spans_a_fast_and_a_slow_term(self):
         # e^(-1.5 t) and e^(-0.005 t) at x = -0.995: one cut at the slow
         # term's end, about t = 2,000, left one GK15 panel to accept 66.665
-        # for 67.001 at 178 times its estimate
+        # for 67.001 at 178 times its estimate, and one Gauss-Laguerre pair
+        # in the slow rate was 3e8 times its estimate off; the oracle sums
+        # each term as a tail of its own rate
         x = -0.995
         closed = 1.0 / (1.0 + x ** 3)
         result = cf.get_identity("eq35_borel_pseudo_trig3").oracle_eval({"x": x}, 1e-4 * closed)
@@ -522,9 +521,27 @@ class TestLaplaceOracle:
         assert report.passed, report.reason
 
     def test_envelope_below_tol_needs_no_piece(self):
+        # the pair sums the tail in 30 evaluations, however small its
+        # envelope; where it misses, the cut of an envelope whose whole
+        # integral is within tol leaves no piece and bounds it by a / r
         result = oracle.integrate_half_line(lambda t: math.exp(-4.0 * t), 1.0,
                                            oracle.ExponentialTail(((1.0, 4.0),)))
-        assert (result.value, result.abs_error_estimate, result.evaluations) == (0.0, 0.25, 0)
+        assert result.value == pytest.approx(0.25, rel=1e-15)
+        assert result.evaluations == 30
+        # Q12 and Q18 agree, and the estimate is the rounding floor 50 eps |Q18|
+        assert result.abs_error_estimate == pytest.approx(50.0 * sys.float_info.epsilon * 0.25)
+        assert oracle._envelope_cut("tail", math.exp, ((1.0, 4.0),), 0.5) == ([], 0.25)
+
+    # the pair resolves eq31's whole integrand and eq02's tail beyond its
+    # split, where one GK15 head panel resolves the rest
+    @pytest.mark.parametrize("identity_id, evaluations",
+                             [("eq02_mellin_exponential", 45), ("eq31_borel_cosine", 30)])
+    def test_default_grid_cost(self, identity_id, evaluations):
+        identity = cf.get_identity(identity_id)
+        (name, grid), = identity.default_grid.items()
+        for value in grid:
+            report = cli.verify_point(identity, {name: value}, identity.default_tol)
+            assert report.passed and report.oracle_cost == evaluations, value
 
 
 def _eq13_half(p):

@@ -302,10 +302,10 @@ class TestTailedHalfLine:
             oracle.integrate_half_line(lambda x: math.exp(1.0 / x), 1e-8)
 
 
-# envelopes that are not a sequence of pairs (a, r) of numbers: a bare
-# pair, a term of one or three numbers, a string, None
+# envelopes that are not one pair (a, r) of numbers: a bare pair, a term
+# of one or three numbers, a string, None, two well-formed terms
 MALFORMED_ENVELOPES = [(1.0, 1.0), ((1.0,),), ((1.0, 1.0, 2.0),), (("a", 1.0),),
-                       ((1.0, 1j),), None, "ab"]
+                       ((1.0, 1j),), None, "ab", ((1.0, 1.0), (2.0, 3.0))]
 
 
 @pytest.mark.parametrize("make", [oracle.ExponentialTail,
@@ -313,7 +313,7 @@ MALFORMED_ENVELOPES = [(1.0, 1.0), ((1.0,),), ((1.0, 1.0, 2.0),), (("a", 1.0),),
                          ids=["exponential", "contour"])
 @pytest.mark.parametrize("envelope", MALFORMED_ENVELOPES,
                          ids=["bare-pair", "one-number", "three-numbers", "string-a", "complex-r",
-                              "none", "string"])
+                              "none", "string", "two-terms"])
 def test_malformed_envelope_is_a_domain_error(make, envelope):
     with pytest.raises(DomainError, match="envelope term"):
         make(envelope)
@@ -321,19 +321,62 @@ def test_malformed_envelope_is_a_domain_error(make, envelope):
 
 class TestExponentialTail:
     @pytest.mark.parametrize("envelope", [(), ((0.0, 1.0),), ((-1.0, 1.0),), ((1.0, 0.0),),
-                                          ((1.0, 1.0), (2.0, -0.5)), ((math.nan, 1.0),),
+                                          ((1.0, 1.0), (2.0, 3.0)), ((math.nan, 1.0),),
                                           ((math.inf, 1.0),)])
     def test_rejects_an_empty_or_nonpositive_envelope(self, envelope):
+        # two terms too: nodes scaled by the slow rate miss the fast term,
+        # so a sum of rates is passed as one tail per term
         with pytest.raises(DomainError):
             oracle.ExponentialTail(envelope)
 
-    # e^-t cut where its tail is below tol/2: [0, log(2/tol)] is one piece
+    @staticmethod
+    def counted(g, calls):
+        def counting(x):
+            calls.append(x)
+            return g(x)
+        return counting
+
+    def test_pair_sums_a_smooth_tail_in_thirty_evaluations(self):
+        # e^-t cos(t/2) is e^-t times a smooth function: the pair alone,
+        # no GK15 piece, integral 1 / (1 + 1/4)
+        calls = []
+        r = oracle.integrate_half_line(self.counted(lambda t: math.exp(-t) * math.cos(0.5 * t),
+                                                    calls), 1e-9,
+                                       oracle.ExponentialTail(((1.0, 1.0),)))
+        assert r.converged and r.evaluations == len(calls) == 30
+        assert r.abs_error_estimate <= 0.5e-9
+        assert abs(r.value - 0.8) <= 3.0 * r.abs_error_estimate
+
+    # e^-t / sqrt(t + c): its square-root end at t = -c, 1e-3 from the nodes,
+    # is a degree no Gauss-Laguerre pair reaches, so the tail is cut where
+    # its envelope's tail is below tol/2, and the pieces take the rest
+    C = 1e-3
+    EXACT = math.exp(C) * SQRT_PI * math.erfc(math.sqrt(C))
+
+    def near_root_tail(self, calls):
+        f = self.counted(lambda t: math.exp(-t) / math.sqrt(t + self.C), calls)
+        return f, oracle.ExponentialTail(((self.C ** -0.5, 1.0),))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_falls_back_to_the_cut_where_the_pair_misses(self, tol):
+        calls = []
+        f, tail = self.near_root_tail(calls)
+        _, estimate = oracle._gauss_laguerre_pair(f, 1.0)
+        assert estimate > 0.5 * tol
+        del calls[:]
+        r = oracle.integrate_half_line(f, tol, tail)
+        assert r.converged
+        # the pair's 30 nodes come first and count, then the pieces' panels
+        assert calls[:30] == list(oracle._GL_NODES)
+        assert r.evaluations == len(calls) > 30 and (r.evaluations - 30) % 15 == 0
+        assert abs(r.value - self.EXACT) <= 3.0 * r.abs_error_estimate <= 3.0 * tol
+
     def test_cut_where_the_envelope_tail_is_half_of_tol(self):
         tol = 1e-8
-        r = oracle.integrate_half_line(lambda t: math.exp(-t), tol,
-                                       oracle.ExponentialTail(((1.0, 1.0),)))
+        f, tail = self.near_root_tail([])
+        r = oracle.integrate_half_line(f, tol, tail)
         assert r.converged
-        assert abs(r.value - 1.0) <= r.abs_error_estimate <= tol
+        assert abs(r.value - self.EXACT) <= r.abs_error_estimate <= tol
         assert r.abs_error_estimate >= 0.5 * tol * (1.0 - 1e-12)
 
 

@@ -14,13 +14,15 @@ beta log-uniform in [0.1, 10].  Each point's oracle runs at the tolerances
 1e-4, 1e-6 and 1e-9, each times max(|closed|, 1), and its true error is
 taken as its distance from the closed form.  The oracle's rule is that this
 error stays within 3x its estimate.  eq08, eq12 and eq13 take their
-oscillatory tails up a vertical contour, summed by a Gauss-Laguerre pair
-and, where the pair falls short, cut where an exponential envelope's tail
-is below half of the tolerance; eq31 and eq35 cut the half-line at such
-an envelope: a wrong envelope, a cut too early or a pair that misses a
-term shows here as a result over 3x.  eq02, eq08, eq12 and eq36 take the first
-terms of their integrands out at a singular end and integrate them
-exactly; the adaptive core has no other treatment of an end singularity.
+oscillatory tails up a vertical contour, and eq02's exponential, eq31 and
+eq35 pass their exponentially decaying tails, eq35 one term at a time,
+each tail with a one-term envelope a e^(-r x).  Every tail is summed by a
+Gauss-Laguerre pair in r x and, only where the pair falls short, cut
+where its envelope's tail is below half of the tolerance: a wrong
+envelope, a cut too early or a pair that misses a term shows here as a
+result over 3x.  eq02, eq08, eq12 and eq36 take the first terms of their
+integrands out at a singular end and integrate them exactly; the
+adaptive core has no other treatment of an end singularity.
 eq30's closed side cancels as |x| grows: it is 2e-12 off the integral at
 x = 3.6 and 2.4e-9 at 4.5, more than the oracle's estimates at 1e-9, so
 it is drawn only where it holds to about 4.5e-13.
